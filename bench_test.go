@@ -158,7 +158,7 @@ func BenchmarkEngineFullQuickMatrix(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md index) ---
+// --- Ablations ---
 
 func benchAblation(b *testing.B, run func(experiments.Scale) (string, error)) {
 	b.Helper()

@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's figures and claim
-// checks, plus the ablations DESIGN.md indexes. The evaluation is a
+// checks, plus the ablation suite. The evaluation is a
 // matrix of independent simulations, so it runs on the parallel job
 // engine by default — one worker per CPU, deterministically merged,
 // byte-identical to a sequential run at the same seeds.

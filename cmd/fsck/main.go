@@ -339,8 +339,7 @@ func recoverArray(k *sched.RKernel, o options, rep *report) bool {
 		// label the array must be rebuilt with.
 		probe := newLayout(k, "fsck.probe", o.layoutName,
 			layout.NewPartition(drvs[0], 0, 0, blocks[0], false))
-		rec := probe.(layout.Recoverer)
-		if _, err := rec.Recover(t); err != nil {
+		if _, err := probe.Recover(t); err != nil {
 			fatal = fail(0, "recover: %v", err)
 			return
 		}
@@ -530,8 +529,7 @@ func checkVolume(k *sched.RKernel, path string, o options, wantLabel bool, rep *
 	k.Go("fsck", func(t sched.Task) {
 		defer close(done)
 		if o.repair || o.rollforward {
-			rec := lay.(layout.Recoverer)
-			st, err := rec.Recover(t)
+			st, err := lay.Recover(t)
 			vr.Repairs = append(vr.Repairs, st.Repairs...)
 			if st.RolledSegments > 0 || st.DataBlocks > 0 || st.InodeRecords > 0 {
 				vr.Repairs = append(vr.Repairs, fmt.Sprintf(

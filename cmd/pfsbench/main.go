@@ -42,8 +42,6 @@ func main() {
 		pipeline  = flag.Int("pipeline", 0, "per-connection NFS window (0 = default, 1 = no pipelining)")
 		readahead = flag.Int("readahead", 0, "readahead blocks (0 = instantiation default: 8 real, off virtual; -1 = off)")
 		cluster   = flag.Int("cluster", 0, "clustered-transfer run cap in blocks (0 = instantiation default: 16 real, off virtual; -1 = off)")
-		novector  = flag.Bool("novector", false, "real cells run the flat staging-buffer I/O paths instead of vectored scatter-gather (the zero-copy 'before' engine)")
-		ab        = flag.Bool("ab", false, "append the flat-path (-novector) twin of every real-kernel cell — the zero-copy A/B pair in one file")
 		workload  = flag.String("workload", "", "comma-separated canned workloads per cell: coldstream (pure streaming reads), writeburst (pure random writes); empty = the classic 80/20 mix")
 		think     = flag.Duration("think", 0, "per-op client think time")
 		seed      = flag.Int64("seed", 1996, "workload seed")
@@ -59,7 +57,7 @@ func main() {
 		out       = flag.String("out", "", "write the JSON result file here (default stdout)")
 		dir       = flag.String("dir", "", "directory for real-kernel image files (default TMPDIR)")
 		note      = flag.String("note", "", "free-form note recorded in the file")
-		zeroStage = flag.String("assertzerostaged", "", "assert mode: every clustered vectored real-kernel classic cell in this result file must report zero staged-copy bytes")
+		zeroStage = flag.String("assertzerostaged", "", "assert mode: every clustered real-kernel classic cell in this result file must report zero staged-copy bytes")
 		compare   = flag.String("compare", "", "compare mode: gate this result file against -baseline")
 		baseline  = flag.String("baseline", "bench_baseline.json", "baseline file for -compare")
 		threshold = flag.Float64("threshold", 0.25, "max allowed ops/sec regression for -compare")
@@ -98,7 +96,6 @@ func main() {
 			cfg.Pipeline = *pipeline
 			cfg.Readahead = *readahead
 			cfg.Cluster = *cluster
-			cfg.NoVector = *novector
 			cfg.Workload = wl
 			cfg.Scrape = *scrape
 			cfg.Placement = *placement
@@ -124,17 +121,6 @@ func main() {
 				die(err)
 				file.Runs = append(file.Runs, res)
 				progress(res, time.Since(start))
-				if *ab && !cfg.NoVector {
-					// The flat-path twin: same cell, staging-buffer
-					// engine — the zero-copy comparison pair.
-					cfgB := cfg
-					cfgB.NoVector = true
-					start := time.Now()
-					res, err := bench.RunReal(imgDir, cfgB)
-					die(err)
-					file.Runs = append(file.Runs, res)
-					progress(res, time.Since(start))
-				}
 			}
 		}
 	}
@@ -200,27 +186,26 @@ func sizeStr(n int64) string {
 	}
 }
 
-// runZeroStaged is the zero-copy gate: on a vectored real-kernel cell
-// with clustering on, payload must flow cache-frame-to-iovec with no
-// flat staging memcpy, so staged_copy_bytes must be exactly zero.
-// Flat (-novector) cells, virtual cells (no payload in the sim), and
-// redundant placements (parity arithmetic stages by construction) are
-// exempt.
+// runZeroStaged is the zero-copy gate: on a real-kernel cell with
+// clustering on, payload must flow cache-frame-to-iovec with no
+// staging memcpy, so staged_copy_bytes must be exactly zero. Virtual
+// cells (no payload in the sim) and redundant placements (parity
+// arithmetic stages by construction) are exempt.
 func runZeroStaged(path string) int {
 	f, err := readFile(path)
 	die(err)
 	checked, bad := 0, 0
 	for _, r := range f.Runs {
-		if r.Kernel != "real" || r.NoVector || r.Cluster < 2 || r.Placement != "" {
+		if r.Kernel != "real" || r.Cluster < 2 || r.Placement != "" {
 			continue
 		}
 		checked++
 		if r.StagedCopyBytes != 0 {
-			fmt.Printf("STAGED COPIES %s: %d bytes memcpy'd on a vectored cell\n", r.Key(), r.StagedCopyBytes)
+			fmt.Printf("STAGED COPIES %s: %d bytes memcpy'd on a clustered cell\n", r.Key(), r.StagedCopyBytes)
 			bad++
 		}
 	}
-	fmt.Printf("pfsbench zero-staged: %d clustered vectored real cells checked, %d dirty\n", checked, bad)
+	fmt.Printf("pfsbench zero-staged: %d clustered real cells checked, %d dirty\n", checked, bad)
 	if bad > 0 {
 		return 1
 	}

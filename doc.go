@@ -6,8 +6,6 @@
 // scheduler, cache, storage-layout, device-driver and client-
 // interface components.
 //
-// See README.md for the architecture tour, DESIGN.md for the system
-// inventory and experiment index, and EXPERIMENTS.md for the
-// paper-versus-measured record. The root bench_test.go regenerates
-// every figure of the paper's evaluation.
+// See README.md for the architecture tour. The root bench_test.go
+// regenerates every figure of the paper's evaluation.
 package repro

@@ -69,11 +69,6 @@ type Config struct {
 	// request: 0 = instantiation default (real kernel on at
 	// layout.DefaultClusterRun, virtual off), -1 = off, > 1 = cap.
 	Cluster int
-	// NoVector, on the real kernel, restores the flat staging-buffer
-	// I/O paths (the pre-vectoring engine) — the "before" cell of the
-	// zero-copy A/B pair. The virtual kernel always runs flat (no
-	// payload moves in the sim), so the knob is ignored there.
-	NoVector bool
 	// Scrape, on the real kernel, boots the admin endpoint and
 	// embeds the /metrics deltas of the measurement phase in the
 	// result (Result.Scrape).
@@ -163,14 +158,10 @@ type Result struct {
 	// transfer size) over the same denominator as OpsPerSec.
 	MBPerSec float64 `json:"mb_per_sec,omitempty"`
 	// StagedCopyBytes counts payload bytes the server memcpy'd into
-	// flat staging buffers during the measurement phase. Zero on a
-	// fully vectored real-kernel cell — the zero-copy claim, as a
+	// staging buffers during the measurement phase. Zero on a
+	// clustered real-kernel classic cell — the zero-copy claim, as a
 	// number. Virtual cells report 0 (the sim carries no payload).
 	StagedCopyBytes int64 `json:"staged_copy_bytes"`
-	// NoVector marks a real-kernel cell that ran the flat staging
-	// paths (Config.NoVector); keyed separately so the A/B pair can
-	// live in one file.
-	NoVector bool `json:"no_vector,omitempty"`
 	// Workload is the canned-ReadFrac name when the cell ran one
 	// (Config.Workload); empty on classic mixed cells.
 	Workload string         `json:"workload,omitempty"`
@@ -211,12 +202,6 @@ func (r Result) Key() string {
 		r.Kernel, r.Clients, r.Depth, r.Shards, r.Pipeline, r.Readahead, r.Cluster)
 	if r.Workload != "" {
 		k += "/" + r.Workload
-	}
-	if r.NoVector {
-		// Only the flat-path cells grow a suffix: vectored cells keep
-		// the pre-vectoring keys, so the committed baseline gates the
-		// default engine unchanged.
-		k += "/novec"
 	}
 	if r.Placement != "" {
 		k += fmt.Sprintf("/%s%d", r.Placement, r.Width)

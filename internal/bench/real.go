@@ -21,18 +21,15 @@ import (
 // calls in flight each. Returns the measured cell.
 func RunReal(dir string, cfg Config) (Result, error) {
 	cfg.fill()
-	vecTag := ""
-	if cfg.NoVector {
-		vecTag = "-novec"
-	}
+	tag := ""
 	if cfg.Workload != "" {
-		vecTag += "-" + cfg.Workload
+		tag += "-" + cfg.Workload
 	}
 	if cfg.SelfHeal {
-		vecTag += "-selfheal"
+		tag += "-selfheal"
 	}
 	img := filepath.Join(dir, fmt.Sprintf("bench-c%d-s%d-p%d-ra%d-cl%d%s%s.img",
-		cfg.Clients, cfg.Shards, cfg.Pipeline, cfg.Readahead, cfg.Cluster, placementTag(cfg), vecTag))
+		cfg.Clients, cfg.Shards, cfg.Pipeline, cfg.Readahead, cfg.Cluster, placementTag(cfg), tag))
 	pcfg := pfs.Config{
 		Path:             img,
 		Blocks:           8192, // 32 MB image (per member on an array)
@@ -43,7 +40,6 @@ func RunReal(dir string, cfg Config) (Result, error) {
 		ClusterRunBlocks: cfg.Cluster,
 		Flush:            cache.UPS(),
 		Seed:             cfg.Seed,
-		NoVectorIO:       cfg.NoVector,
 	}
 	if cfg.Placement != "" {
 		pcfg.Volumes = cfg.Width
@@ -274,7 +270,6 @@ func RunReal(dir string, cfg Config) (Result, error) {
 		OpsPerSec:       float64(totalOps) / wall.Seconds(),
 		MBPerSec:        float64(totalOps) * float64(cfg.IOBytes) / (1 << 20) / wall.Seconds(),
 		StagedCopyBytes: srv.StagedCopyBytes() - baseStaged,
-		NoVector:        cfg.NoVector,
 		Workload:        cfg.Workload,
 		Cache:           cacheCounters(srv.Cache.CacheStats()).sub(base),
 		Volume:          volumeCounters(srv.AllDrivers()).sub(baseVol),

@@ -15,7 +15,7 @@ import (
 // several run-size caps) under both storage layouts, measuring the
 // number the paper's disk economics turn on — requests issued and
 // blocks per request — next to the latency it buys. Readahead runs
-// in every cell so the read side exercises ReadRun, and the
+// in every cell so the read side exercises ReadRunVec, and the
 // whole-file write-delay policy gives the flusher contiguous dirty
 // runs to coalesce. Every cell is one deterministic simulation on
 // the parallel engine; the optional real-kernel bench cells measure

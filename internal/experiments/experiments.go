@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's evaluation: Figures
 // 2-4 (cumulative latency distributions for traces 1a, 1b and 5
 // under the four write policies), Figure 5 (mean latencies for every
-// trace), the in-text claims, and the ablations DESIGN.md calls out.
+// trace), the in-text claims, and the ablation suite.
 // Both cmd/experiments and the root benchmark suite drive it.
 package experiments
 

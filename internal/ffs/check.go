@@ -310,7 +310,7 @@ func (f *FFS) Repair(t sched.Task) ([]string, error) {
 	return notes, nil
 }
 
-// Recover implements layout.Recoverer: mount from the superblock,
+// Recover repairs a crashed volume: mount from the superblock,
 // then repair the bitmaps from the inode table. On simulated volumes
 // — whose state survives in memory — it charges the scan I/O a real
 // repair performs and rewrites the bitmaps, the recovery-time model
@@ -347,7 +347,7 @@ func (f *FFS) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	return st, err
 }
 
-// GrowSize implements layout.Sizer: the size grows under f.mu, the
+// GrowSize publishes a size growth: the size grows under f.mu, the
 // lock the inode writer holds when it encodes the record.
 func (f *FFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	f.mu.Lock(t)
@@ -357,7 +357,7 @@ func (f *FFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	}
 }
 
-// WithInode implements layout.InodeLocker: fn runs under f.mu, the
+// WithInode is the inode publication lock: fn runs under f.mu, the
 // lock the inode writer holds when it encodes the record.
 func (f *FFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	f.mu.Lock(t)

@@ -100,51 +100,3 @@ func TestClusteredWriteRequests(t *testing.T) {
 		})
 	}
 }
-
-// TestReadRunDiscovery checks run discovery against the address
-// array: contiguous stretches read in one request, holes read as one
-// zeroed block, and broken adjacency stops the run.
-func TestReadRunDiscovery(t *testing.T) {
-	r := newRig(13, 2048)
-	r.f.SetClusterRun(8)
-	run(t, r.k, func(tk sched.Task) {
-		r.f.Format(tk)
-		r.f.Mount(tk)
-		ino, _ := r.f.AllocInode(tk, core.TypeRegular)
-		ino.Size = 6 * core.BlockSize
-		if err := r.f.WriteBlocks(tk, ino, seqWrites(0, 6, 0x10)); err != nil {
-			t.Fatalf("WriteBlocks: %v", err)
-		}
-		buf := make([]byte, 8*core.BlockSize)
-		before := r.drv.DriverStats().Reads.Value()
-		got, err := r.f.ReadRun(tk, ino, 0, 6, buf)
-		if err != nil || got != 6 {
-			t.Fatalf("ReadRun = %d, %v; want 6 blocks in one call", got, err)
-		}
-		if n := r.drv.DriverStats().Reads.Value() - before; n != 1 {
-			t.Fatalf("clustered read issued %d requests, want 1", n)
-		}
-		for i := 0; i < 6; i++ {
-			if !bytes.Equal(buf[i*core.BlockSize:(i+1)*core.BlockSize], blockOf(0x10+byte(i))) {
-				t.Fatalf("run block %d corrupt", i)
-			}
-		}
-		// Break the adjacency: rewriting block 2 keeps its address
-		// (in-place layout), so instead map a hole at 6 and check the
-		// hole semantics.
-		ino.SetBlockAddr(7, ino.BlockAddr(5)+2) // leave 6 a hole
-		ino.Size = 8 * core.BlockSize
-		got, err = r.f.ReadRun(tk, ino, 6, 2, buf)
-		if err != nil || got != 1 {
-			t.Fatalf("ReadRun over hole = %d, %v; want 1", got, err)
-		}
-		if !bytes.Equal(buf[:core.BlockSize], make([]byte, core.BlockSize)) {
-			t.Fatal("hole did not read as zeros")
-		}
-		// Cap respected.
-		got, err = r.f.ReadRun(tk, ino, 0, 100, buf[:8*core.BlockSize])
-		if err != nil || got > 8 {
-			t.Fatalf("ReadRun ignored the run cap: %d, %v", got, err)
-		}
-	})
-}

@@ -67,18 +67,12 @@ type FFS struct {
 	inodes  map[core.FileID]*layout.Inode
 	mounted bool
 
-	// clusterRun caps multi-block transfers (see layout.Clustered);
-	// <= 1 keeps the classic one-block-per-request behavior.
+	// clusterRun caps multi-block transfers; <= 1 keeps the classic
+	// one-block-per-request behavior.
 	clusterRun int
-	// vectored routes clustered transfers through scatter-gather
-	// device requests built straight from the caller's per-block
-	// buffers (see layout.Vectored); never set on simulated
-	// partitions.
-	vectored bool
 
 	reads, writes *stats.Counter
 	inoWrites     *stats.Counter
-	staged        *stats.Counter // bytes memcpy'd through staging buffers
 	freeData      int64
 }
 
@@ -129,7 +123,6 @@ func New(k sched.Kernel, name string, part *layout.Partition, cfg Config) *FFS {
 		reads:     stats.NewCounter(name + ".data_reads"),
 		writes:    stats.NewCounter(name + ".data_writes"),
 		inoWrites: stats.NewCounter(name + ".inode_writes"),
-		staged:    stats.NewCounter(name + ".staged_copy_bytes"),
 	}
 	f.deriveGeometry()
 	return f
@@ -146,7 +139,7 @@ func (f *FFS) deriveGeometry() {
 // Name returns "ffs".
 func (f *FFS) Name() string { return "ffs" }
 
-// SetClusterRun implements layout.Clustered: data reads and writes
+// SetClusterRun sets the run-size cap: data reads and writes
 // may move up to n contiguous blocks per device request.
 func (f *FFS) SetClusterRun(n int) {
 	if n < 1 {
@@ -155,7 +148,7 @@ func (f *FFS) SetClusterRun(n int) {
 	f.clusterRun = n
 }
 
-// ClusterRun implements layout.Clustered.
+// ClusterRun returns the run-size cap, at least 1.
 func (f *FFS) ClusterRun() int {
 	if f.clusterRun < 1 {
 		return 1
@@ -163,19 +156,9 @@ func (f *FFS) ClusterRun() int {
 	return f.clusterRun
 }
 
-// SetVectored implements layout.Vectored: clustered writes gather
-// straight from the per-block buffers and vectored run reads scatter
-// straight into them. Simulated partitions move no data, so the flag
-// stays off there.
-func (f *FFS) SetVectored(on bool) {
-	f.vectored = on && !f.part.Simulated
-}
-
-// VectoredIO implements layout.Vectored.
-func (f *FFS) VectoredIO() bool { return f.vectored }
-
-// StagedCopyBytes implements layout.StagedCopy.
-func (f *FFS) StagedCopyBytes() int64 { return f.staged.Value() }
+// StagedCopyBytes is always zero: FFS writes in place, straight from
+// the caller's buffers.
+func (f *FFS) StagedCopyBytes() int64 { return 0 }
 
 // groupBase returns the first block of group g (block 0 is the
 // superblock).
@@ -315,7 +298,7 @@ func (f *FFS) syncBitmaps(t sched.Task) error {
 	return nil
 }
 
-// DurableSeq implements layout.DurableWatermark: FFS metadata is
+// DurableSeq is the durability watermark: FFS metadata is
 // written synchronously, so the watermark is simply a count of the
 // synchronous metadata writes performed.
 func (f *FFS) DurableSeq(t sched.Task) uint64 {
@@ -350,7 +333,6 @@ func (f *FFS) Stats(set *stats.Set) {
 	set.Add(f.reads)
 	set.Add(f.writes)
 	set.Add(f.inoWrites)
-	set.Add(f.staged)
 }
 
 func (f *FFS) String() string {

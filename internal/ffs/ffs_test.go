@@ -227,7 +227,7 @@ func TestStats(t *testing.T) {
 	r := newRig(9, 2048)
 	set := stats.NewSet()
 	r.f.Stats(set)
-	if set.Len() != 4 {
+	if set.Len() != 3 {
 		t.Fatalf("sources = %d", set.Len())
 	}
 	if r.f.Name() != "ffs" || r.f.String() == "" {

@@ -460,52 +460,19 @@ func (f *FFS) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data 
 	return f.part.Read(t, addr, 1, data)
 }
 
-// ReadRun implements the clustered read: it probes the inode's
+// ReadRunVec implements the clustered read: it probes the inode's
 // address array for a disk-contiguous run starting at blk and moves
-// the whole run in one device request. A hole reads as a single
-// zeroed block.
-func (f *FFS) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, data []byte) (int, error) {
-	if lim := f.ClusterRun(); n > lim {
-		n = lim
-	}
-	if n < 1 {
-		n = 1
-	}
-	f.mu.Lock(t)
-	addr := ino.BlockAddr(blk)
-	run := 1
-	for addr >= 0 && run < n && ino.BlockAddr(blk+core.BlockNo(run)) == addr+int64(run) {
-		run++
-	}
-	f.mu.Unlock(t)
-	if addr < 0 {
-		if data != nil {
-			for i := range data[:core.BlockSize] {
-				data[i] = 0
-			}
-		}
-		return 1, nil
-	}
-	if data != nil {
-		data = data[:run*core.BlockSize]
-	}
-	f.reads.Add(int64(run))
-	return run, f.part.Read(t, addr, run, data)
-}
-
-// ReadRunVec implements layout.VecRunReader: the clustered read with
-// the run scattered directly into per-block buffers (cache frames the
-// caller has claimed), no staging buffer. Same run discovery and
-// return convention as ReadRun.
+// the whole run in one device request, scattered into bufs (nil when
+// simulated). A hole reads as a single zeroed block.
 func (f *FFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
 	if lim := f.ClusterRun(); n > lim {
 		n = lim
 	}
-	if n > len(bufs) {
-		n = len(bufs)
+	if len(bufs) == 0 && !f.part.Simulated {
+		return 0, core.ErrInval
 	}
-	if n < 1 {
-		n = 1
+	if len(bufs) > 0 && n > len(bufs) {
+		n = len(bufs)
 	}
 	f.mu.Lock(t)
 	addr := ino.BlockAddr(blk)
@@ -515,20 +482,13 @@ func (f *FFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n in
 	}
 	f.mu.Unlock(t)
 	if addr < 0 {
-		for i := range bufs[0][:core.BlockSize] {
-			bufs[0][i] = 0
+		if len(bufs) > 0 {
+			clear(bufs[0][:core.BlockSize])
 		}
 		return 1, nil
 	}
 	f.reads.Add(int64(run))
-	if run == 1 {
-		return 1, f.part.Read(t, addr, 1, bufs[0][:core.BlockSize])
-	}
-	vec := make([][]byte, run)
-	for i := 0; i < run; i++ {
-		vec[i] = bufs[i][:core.BlockSize]
-	}
-	return run, f.part.ReadVec(t, addr, run, vec)
+	return run, f.part.ReadRun(t, addr, run, bufs)
 }
 
 // WriteBlocks writes the dirty blocks in place and then the inode
@@ -566,7 +526,6 @@ func (f *FFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 		i += len(run)
 	}
 	lim := f.ClusterRun()
-	var scratch []byte
 	for i := 0; i < len(writes); {
 		addr := ino.BlockAddr(writes[i].Blk)
 		run := 1
@@ -575,38 +534,22 @@ func (f *FFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 			ino.BlockAddr(writes[i+run].Blk) == addr+int64(run) {
 			run++
 		}
-		if run > 1 && f.vectored {
+		f.writes.Add(int64(run))
+		var err error
+		if run > 1 && !f.part.Simulated {
 			// Scatter-gather straight from the callers' block buffers
 			// (cache frames held Flushing-stable for this call): one
 			// device request, zero staging copies.
 			vec := make([][]byte, run)
-			for j := 0; j < run; j++ {
+			for j := range vec {
 				vec[j] = writes[i+j].Data[:core.BlockSize]
 			}
-			f.writes.Add(int64(run))
-			if err := f.part.WriteVec(t, addr, run, vec); err != nil {
-				return err
-			}
-			i += run
-			continue
+			err = f.part.WriteVec(t, addr, run, vec)
+		} else {
+			// One block, or a simulated run (nil data, timing only).
+			err = f.part.Write(t, addr, run, writes[i].Data)
 		}
-		var data []byte
-		if run == 1 {
-			data = writes[i].Data
-		} else if !f.part.Simulated {
-			// Gather the run into one staging buffer: one memcpy per
-			// block buys one device request for the whole run.
-			if scratch == nil {
-				scratch = make([]byte, lim*core.BlockSize)
-			}
-			data = scratch[:run*core.BlockSize]
-			for j := 0; j < run; j++ {
-				copy(data[j*core.BlockSize:(j+1)*core.BlockSize], writes[i+j].Data)
-			}
-			f.staged.Add(int64(run) * core.BlockSize)
-		}
-		f.writes.Add(int64(run))
-		if err := f.part.Write(t, addr, run, data); err != nil {
+		if err != nil {
 			return err
 		}
 		i += run

@@ -200,12 +200,12 @@ type FileAttr struct {
 // under that lock, not under any lock a stat path holds, so an
 // unlocked read would race them on the real kernel.
 func (v *Volume) attrIno(t sched.Task, ino *layout.Inode) FileAttr {
-	if il, ok := v.lay.(layout.InodeLocker); ok && !v.fs.k.Virtual() {
-		var a FileAttr
-		il.WithInode(t, ino, func() { a = attrOf(ino) })
-		return a
+	if v.fs.k.Virtual() {
+		return attrOf(ino)
 	}
-	return attrOf(ino)
+	var a FileAttr
+	v.lay.WithInode(t, ino, func() { a = attrOf(ino) })
+	return a
 }
 
 func attrOf(ino *layout.Inode) FileAttr {

@@ -37,10 +37,6 @@ type FS struct {
 	st    *Stats
 	tr    *telemetry.Tracer // nil = untraced (the simulator)
 
-	// vectored enables the zero-copy read paths: scatter-gather
-	// frame vectors to the layout and frame loans to the wire.
-	vectored bool
-
 	// replaying suppresses the intent log's pressure sync while
 	// ReplayNVRAM re-records replayed operations.
 	replaying bool
@@ -63,18 +59,6 @@ func (fs *FS) SetReadahead(n int) {
 // Readahead returns the readahead window in blocks (0 = off).
 func (fs *FS) Readahead() int { return fs.ra }
 
-// SetVectored enables the zero-copy vectored read path: readahead
-// fills hand cache-frame vectors straight to the layout
-// (layout.ReadRunVec) instead of staging through a scratch buffer,
-// sequential demand misses fetch whole on-disk runs in one
-// scatter-gather request, and ReadBorrowAt lends frames out for
-// zero-copy reply transmission. Off (the default) keeps the flat
-// staging paths — the simulator's byte-identical configuration.
-func (fs *FS) SetVectored(on bool) { fs.vectored = on }
-
-// VectoredIO reports whether the zero-copy read path is enabled.
-func (fs *FS) VectoredIO() bool { return fs.vectored }
-
 // SetTracer attaches the per-op tracer: read and write paths charge
 // their cache and disk time to the op bound to the calling task. A
 // nil tracer (the default) keeps every path hook a no-op.
@@ -96,7 +80,6 @@ type Stats struct {
 	RAStreams        *stats.Counter // detector verdicts: a stream formed
 	RARandoms        *stats.Counter // detector verdicts: a tracked sequence broke
 	IntentSyncs      *stats.Counter // syncs forced by intent-ring pressure
-	StagedCopy       *stats.Counter // bytes bounced through staging buffers on flat fallbacks
 }
 
 // ReadHitRate returns the fraction of read block lookups served from
@@ -124,7 +107,6 @@ func (s *Stats) Register(set *stats.Set) {
 	set.Add(s.RAStreams)
 	set.Add(s.RARandoms)
 	set.Add(s.IntentSyncs)
-	set.Add(s.StagedCopy)
 }
 
 // New creates a file-system front-end. mover separates PFS from
@@ -150,7 +132,6 @@ func New(k sched.Kernel, c *cache.Cache, mover core.DataMover) *FS {
 			RAStreams:    stats.NewCounter("fs.ra_stream_verdicts"),
 			RARandoms:    stats.NewCounter("fs.ra_random_verdicts"),
 			IntentSyncs:  stats.NewCounter("fs.intent_forced_syncs"),
-			StagedCopy:   stats.NewCounter("fs.staged_copy_bytes"),
 		},
 	}
 }
@@ -241,9 +222,8 @@ func (fs *FS) Volumes() int { return len(fs.vols) }
 // operation they cover is older than the flush, so its directory
 // blocks and inode records just became stable. Retirement is gated on
 // the flush actually emptying the cache (a failed flush leaves its
-// blocks dirty; retiring then would unprotect them) and, for layouts
-// exposing a durability watermark, on the watermark not regressing
-// across the checkpoint.
+// blocks dirty; retiring then would unprotect them) and on the
+// layout's durability watermark not regressing across the checkpoint.
 func (fs *FS) SyncAll(t sched.Task) error {
 	log := fs.cache.Intents()
 	var hi uint64
@@ -259,18 +239,14 @@ func (fs *FS) SyncAll(t sched.Task) error {
 	clean := fs.cache.DirtyCount() == 0
 	for _, id := range ids {
 		v := fs.vols[id]
-		var wm0 uint64
-		wm, hasWM := v.lay.(layout.DurableWatermark)
-		if hasWM {
-			wm0 = wm.DurableSeq(t)
-		}
+		wm0 := v.lay.DurableSeq(t)
 		if err := v.lay.Sync(t); err != nil {
 			return err
 		}
 		if log == nil || !clean {
 			continue
 		}
-		if hasWM && wm.DurableSeq(t) < wm0 {
+		if v.lay.DurableSeq(t) < wm0 {
 			continue // watermark regressed: do not trust this checkpoint
 		}
 		log.RetireVol(id, hi)

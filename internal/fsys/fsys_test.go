@@ -381,7 +381,7 @@ func TestStatsRegistered(t *testing.T) {
 	r := runBody(t, 14, cache.UPS(), func(tk sched.Task, r *rig) {})
 	set := stats.NewSet()
 	r.fs.Stats(set)
-	if set.Len() != 15 {
+	if set.Len() != 14 {
 		t.Fatalf("sources = %d", set.Len())
 	}
 	if r.fs.Volumes() != 1 || r.fs.Vol(1) == nil {

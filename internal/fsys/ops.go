@@ -152,10 +152,10 @@ func (v *Volume) ReadAt(t sched.Task, h *Handle, off int64, buf []byte, n int64)
 // frames, each frame pinned and loaned for the duration. The caller
 // transmits the segments (writev to a socket) and then calls release
 // exactly once — until then writers to those blocks wait, though
-// flushes still proceed. ok is false when vectored I/O is off or the
-// volume moves no real data; use ReadAt then.
+// flushes still proceed. ok is false when the volume moves no real
+// data; use ReadAt then.
 func (v *Volume) ReadBorrowAt(t sched.Task, h *Handle, off, n int64) (segs [][]byte, got int64, release func(sched.Task), ok bool, err error) {
-	if !v.fs.vectored || v.sim {
+	if v.sim {
 		return nil, 0, nil, false, nil
 	}
 	h.f.mu.Lock(t)

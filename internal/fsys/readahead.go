@@ -3,7 +3,6 @@ package fsys
 import (
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/layout"
 	"repro/internal/sched"
 )
 
@@ -79,11 +78,10 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 			f.mu.Unlock(rt)
 		}()
 		// Claim a maximal run of consecutive frames, then fill it
-		// with clustered ReadRun calls — one device request per
+		// with clustered ReadRunVec calls — one device request per
 		// on-disk run instead of one per block. With clustering off
-		// every ReadRun covers exactly one block, the classic
+		// every call covers exactly one block, the classic
 		// fill-by-fill pipeline.
-		var scratch []byte
 		for blk := start; blk <= end; {
 			var frames []*cache.Block
 			first := blk
@@ -103,9 +101,23 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 				frames = append(frames, b)
 				blk++
 			}
+			// The frames' own buffers form the scatter-gather vector the
+			// device DMAs into; the simulator's frames carry no bytes
+			// and the layout gets nil.
+			var bufs [][]byte
+			if len(frames) > 0 && frames[0].Data != nil {
+				bufs = make([][]byte, len(frames))
+				for i, b := range frames {
+					bufs[i] = b.Data
+				}
+			}
 			for off := 0; off < len(frames); {
 				cur := first + core.BlockNo(off)
-				got, err := v.readRunInto(rt, ino, cur, frames[off:], &scratch)
+				var run [][]byte
+				if bufs != nil {
+					run = bufs[off:]
+				}
+				got, err := v.lay.ReadRunVec(rt, ino, cur, len(frames)-off, run)
 				if err == nil && got <= 0 {
 					err = core.ErrInval // layouts return >= 1; stop rather than spin
 				}
@@ -126,47 +138,6 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 			}
 		}
 	})
-}
-
-// readRunInto reads one clustered run covering a prefix of the
-// claimed frames and distributes the bytes into them, returning how
-// many frames were filled. With vectored I/O on, the frames' own
-// buffers form the scatter-gather vector and the device DMAs into
-// them directly; otherwise a multi-frame run stages through a
-// scratch buffer and pays one copy per block. Single-block runs (and
-// the simulator, which moves no bytes) go straight through.
-func (v *Volume) readRunInto(t sched.Task, ino *layout.Inode, blk core.BlockNo, frames []*cache.Block, scratch *[]byte) (int, error) {
-	n := len(frames)
-	if frames[0].Data == nil {
-		return v.lay.ReadRun(t, ino, blk, n, nil)
-	}
-	if n == 1 {
-		return v.lay.ReadRun(t, ino, blk, 1, frames[0].Data)
-	}
-	if v.fs.vectored {
-		bufs := make([][]byte, n)
-		for i, b := range frames {
-			bufs[i] = b.Data
-		}
-		if got, ok, err := layout.ReadRunVec(t, v.lay, ino, blk, n, bufs); ok {
-			return got, err
-		}
-	}
-	if len(*scratch) < n*core.BlockSize {
-		*scratch = make([]byte, n*core.BlockSize)
-	}
-	got, err := v.lay.ReadRun(t, ino, blk, n, *scratch)
-	if err != nil {
-		return got, err
-	}
-	if got > n {
-		got = n
-	}
-	v.fs.st.StagedCopy.Add(int64(got) * core.BlockSize)
-	for i := 0; i < got; i++ {
-		copy(frames[i].Data, (*scratch)[i*core.BlockSize:(i+1)*core.BlockSize])
-	}
-	return got, nil
 }
 
 // waitReadaheadLocked fences the readahead pipeline: it returns once

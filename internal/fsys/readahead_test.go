@@ -26,10 +26,10 @@ func (s *slowLay) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, d
 	return s.Layout.ReadBlock(t, ino, blk, data)
 }
 
-func (s *slowLay) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, data []byte) (int, error) {
+func (s *slowLay) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
 	s.reads++
 	t.Sleep(8e6) // 8 ms per request, however many blocks it carries
-	return s.Layout.ReadRun(t, ino, blk, n, data)
+	return s.Layout.ReadRunVec(t, ino, blk, n, bufs)
 }
 
 // raRig assembles a virtual-kernel fsys over the slow layout.

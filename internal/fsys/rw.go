@@ -90,9 +90,9 @@ func (v *Volume) readData(t sched.Task, f *File, off int64, buf []byte, n int64)
 // boundaries.
 const demandRunMax = 32
 
-// readMissRun fills demand-miss frame b (block blk of f). With
-// vectored I/O on and the read covering more blocks — or the file
-// being streamed sequentially — it also claims the following frames
+// readMissRun fills demand-miss frame b (block blk of f). When the
+// frame carries data and the read covers more blocks — or the file
+// is being streamed sequentially — it also claims the following frames
 // and fills the whole on-disk run with one scatter-gather request,
 // so a cold stream gets clustering before the readahead pipeline has
 // warmed up. Extra frames are completed here; b stays Busy for the
@@ -100,7 +100,7 @@ const demandRunMax = 32
 // of blk the current read still covers. Caller holds f's data lock.
 func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.Block, want int64) error {
 	fs := v.fs
-	if !fs.vectored || b.Data == nil {
+	if v.sim || b.Data == nil {
 		return v.lay.ReadBlock(t, f.ino, blk, b.Data)
 	}
 	nblks := int((want + core.BlockSize - 1) / core.BlockSize)
@@ -140,11 +140,7 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 	for i, eb := range extra {
 		bufs[i+1] = eb.Data
 	}
-	got, ok, err := layout.ReadRunVec(t, v.lay, f.ino, blk, len(bufs), bufs)
-	if !ok {
-		abandon(0, core.ErrInval)
-		return v.lay.ReadBlock(t, f.ino, blk, b.Data)
-	}
+	got, err := v.lay.ReadRunVec(t, f.ino, blk, len(bufs), bufs)
 	if err != nil {
 		abandon(0, err)
 		return err
@@ -296,14 +292,14 @@ func (v *Volume) writeData(t sched.Task, f *File, off int64, data []byte, n int6
 		done += chunk
 	}
 	if off+n > f.ino.Size {
-		if sz, ok := v.lay.(layout.Sizer); ok && !fs.k.Virtual() {
-			// Publish the growth under the layout's lock: on the real
-			// kernel the flusher may be packing this inode right now.
-			// The virtual kernel is cooperative — direct update, and a
-			// schedule identical to the pre-seam simulator.
-			sz.GrowSize(t, f.ino, off+n)
-		} else {
+		if fs.k.Virtual() {
+			// Cooperative kernel: direct update, and a schedule
+			// identical to the pre-seam simulator.
 			f.ino.Size = off + n
+		} else {
+			// Publish the growth under the layout's lock: the flusher
+			// may be packing this inode right now.
+			v.lay.GrowSize(t, f.ino, off+n)
 		}
 	}
 	fs.st.BytesWritten.Add(n)
@@ -333,11 +329,11 @@ func (v *Volume) prefetchBlock(t sched.Task, f *File, blk core.BlockNo) {
 // only touch inode fields; persisting the change (UpdateInode) stays
 // with the caller.
 func (v *Volume) mutateIno(t sched.Task, ino *layout.Inode, fn func()) {
-	if il, ok := v.lay.(layout.InodeLocker); ok && !v.fs.k.Virtual() {
-		il.WithInode(t, ino, fn)
+	if v.fs.k.Virtual() {
+		fn()
 		return
 	}
-	fn()
+	v.lay.WithInode(t, ino, fn)
 }
 
 // truncateLocked shrinks file data: cached blocks past the boundary

@@ -95,15 +95,20 @@ type Layout interface {
 	// ReadBlock reads file block blk into data (data nil when
 	// simulated; the I/O still costs time).
 	ReadBlock(t sched.Task, ino *Inode, blk core.BlockNo, data []byte) error
-	// ReadRun reads up to n consecutive file blocks starting at blk
+	// ReadRunVec reads up to n consecutive file blocks starting at blk
 	// as one clustered device request, when the layout's clustering
 	// cap and the on-disk placement allow it: the run ends where the
 	// disk addresses stop being adjacent (or at a hole, which reads
-	// as one zeroed block). data must hold n blocks when real (nil
-	// when simulated). It returns how many blocks the call covered,
-	// always at least 1. With clustering off (the default) it reads
-	// exactly one block — byte-identical to ReadBlock.
-	ReadRun(t sched.Task, ino *Inode, blk core.BlockNo, n int, data []byte) (int, error)
+	// as one zeroed block). A real partition scatters the run straight
+	// into bufs, one BlockSize segment per block (cache frames the
+	// caller has claimed), and never covers more than len(bufs)
+	// blocks; empty bufs there is core.ErrInval. A simulated partition
+	// takes nil bufs and moves no data; the I/O still costs time. It
+	// returns how many blocks the call covered, at least 1 on success;
+	// only bufs[:covered] are filled. With clustering off (the
+	// default) it reads exactly one block — byte-identical to
+	// ReadBlock.
+	ReadRunVec(t sched.Task, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
 	// WriteBlocks places and writes the given dirty blocks of one
 	// file. A log-structured layout writes them contiguously.
 	WriteBlocks(t sched.Task, ino *Inode, writes []BlockWrite) error
@@ -120,6 +125,54 @@ type Layout interface {
 	FreeBlocks() int64
 	// Stats registers the layout's statistics plug-ins.
 	Stats(set *stats.Set)
+
+	// SetClusterRun sets the run-size cap in blocks for multi-block
+	// device requests, on the write path (WriteBlocks emits one
+	// request per block-number-contiguous, disk-address-contiguous
+	// run) and the read path (ReadRunVec covers whole runs): 0 or 1
+	// disables clustering, the simulator's byte-identical default;
+	// n > 1 allows up to n blocks per request. A volume array
+	// forwards to every member.
+	SetClusterRun(n int)
+	ClusterRun() int
+
+	// StagedCopyBytes counts the payload bytes the layout copied into
+	// buffers of its own instead of handing the caller's to the device
+	// (partial blocks, writes that failed inside their flush window).
+	// An array reports the sum over its members; a zero on clustered
+	// real-kernel cells proves the zero-copy path carried everything.
+	StagedCopyBytes() int64
+
+	// WithInode runs fn under the lock the layout's concurrent inode
+	// readers hold (the LFS segment packer, the FFS inode encoder, the
+	// array's home-shadow mirror), so a flush racing a namespace
+	// operation never encodes a half-applied field update. The
+	// front-end wraps its Nlink and exact-size mutations in it on the
+	// real kernel; the virtual kernel is cooperative (one task at a
+	// time) and calls fn directly, keeping simulated schedules
+	// untouched. ino picks the lock (an array routes to the home
+	// member); fn must only touch inode fields — calling back into
+	// the layout would self-deadlock.
+	WithInode(t sched.Task, ino *Inode, fn func())
+	// GrowSize publishes a file's logical-size growth under the same
+	// lock, under the same real-kernel-only rule.
+	GrowSize(t sched.Task, ino *Inode, size int64)
+
+	// DurableSeq is a monotonically increasing durability sequence:
+	// it advances only when staged metadata actually reaches stable
+	// storage (the LFS log/checkpoint sequence, FFS's count of
+	// synchronous metadata writes; an array reports the minimum over
+	// its members). The intent-log retirement path snapshots it
+	// around a sync to prove the covering checkpoint is durable
+	// before unretiring acknowledged namespace operations.
+	DurableSeq(t sched.Task) uint64
+
+	// Recover brings a crashed volume to a consistent, mountable
+	// state: the LFS rolls the log forward from the newer checkpoint,
+	// the FFS rebuilds its allocation bitmaps from the inode table.
+	// It subsumes Mount — afterwards the layout is mounted, durable
+	// and self-consistent.
+	Recover(t sched.Task) (RecoveryStats, error)
 }
 
 // ErrNoPlaceExisting is returned by real layouts for PlaceExisting.
@@ -132,92 +185,16 @@ var ErrNoPlaceExisting = fmt.Errorf("layout: PlaceExisting is a simulator-only o
 // keep queue latency bounded.
 const DefaultClusterRun = 16
 
-// Clustered is a layout that can coalesce block-number-contiguous,
-// disk-address-contiguous runs into multi-block device requests —
-// both on the write path (WriteBlocks emits one request per run) and
-// on the read path (ReadRun covers whole runs). SetClusterRun sets
-// the run-size cap in blocks: 0 or 1 disables clustering, the
-// simulator's byte-identical default; n > 1 allows up to n blocks
-// per device request.
-type Clustered interface {
-	SetClusterRun(n int)
-	ClusterRun() int
-}
+// SetClusterRun is a shim whose only caller is benchmark/; the next benchmark revision deletes it.
+func SetClusterRun(lay Layout, n int) bool { lay.SetClusterRun(n); return true }
 
-// SetClusterRun applies a run-size cap to lay when it supports
-// clustering (a volume array forwards to every member) and reports
-// whether it did.
-func SetClusterRun(lay Layout, n int) bool {
-	c, ok := lay.(Clustered)
-	if ok {
-		c.SetClusterRun(n)
-	}
-	return ok
-}
+// SetVectored is a no-op shim whose only caller is benchmark/; the next benchmark revision deletes it.
+func SetVectored(lay Layout, on bool) bool { return true }
 
-// Vectored is a layout that can exchange data with the device layer
-// through scatter-gather vectors — clustered writes gather straight
-// from the caller's per-block buffers (cache frames) and vectored run
-// reads scatter straight into them, with no staging copy. Off (the
-// zero value) everything goes through the flat staging path; the
-// simulator never turns it on, keeping figure output byte-identical.
-// Turning it on also commits the caller to the device contract: the
-// per-block buffers handed to WriteBlocks must stay resident and
-// unmodified for the whole call (the cache flusher's Flushing state
-// guarantees exactly this).
-type Vectored interface {
-	SetVectored(on bool)
-	VectoredIO() bool
-}
-
-// SetVectored switches lay's scatter-gather path when it supports one
-// (a volume array forwards to every member) and reports whether it
-// did.
-func SetVectored(lay Layout, on bool) bool {
-	v, ok := lay.(Vectored)
-	if ok {
-		v.SetVectored(on)
-	}
-	return ok
-}
-
-// VecRunReader is a layout that can serve a clustered read by
-// scattering directly into per-block buffers — cache frames claimed
-// by the readahead filler or a demand read — instead of a flat
-// staging buffer. bufs must hold at least n segments of BlockSize
-// bytes each; like ReadRun it returns how many blocks the call
-// covered, always at least 1, and only bufs[:covered] are filled.
-type VecRunReader interface {
-	ReadRunVec(t sched.Task, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
-}
-
-// ReadRunVec routes a vectored run read to lay when it supports one;
-// ok=false means the caller must fall back to the flat ReadRun path.
+// ReadRunVec is a shim (ok always true) whose only caller is benchmark/; the next benchmark revision deletes it.
 func ReadRunVec(t sched.Task, lay Layout, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (got int, ok bool, err error) {
-	vr, ok := lay.(VecRunReader)
-	if !ok {
-		return 0, false, nil
-	}
-	got, err = vr.ReadRunVec(t, ino, blk, n, bufs)
+	got, err = lay.ReadRunVec(t, ino, blk, n, bufs)
 	return got, true, err
-}
-
-// StagedCopy is a layout that counts the bytes it still moves through
-// staging buffers on clustered transfers (the memcpy the vectored
-// path eliminates). An array reports the sum over its members; the
-// telemetry layer exports it so a zero on clustered real-kernel cells
-// proves the zero-copy path is engaged.
-type StagedCopy interface {
-	StagedCopyBytes() int64
-}
-
-// StagedCopyBytes reports lay's staged-copy byte count, 0 when it
-// doesn't track one.
-func StagedCopyBytes(lay Layout) int64 {
-	if s, ok := lay.(StagedCopy); ok {
-		return s.StagedCopyBytes()
-	}
-	return 0
 }
 
 // RecoveryStats summarizes one layout's crash-recovery pass.
@@ -251,29 +228,6 @@ func (s *RecoveryStats) Add(o RecoveryStats) {
 	s.Repairs = append(s.Repairs, o.Repairs...)
 }
 
-// Sizer is a layout that publishes a file's logical-size growth
-// under its own lock, so concurrent metadata readers — the LFS inode
-// packer, the array's home-shadow mirror — never race the
-// front-end's size update. The front-end uses it on the real kernel;
-// the virtual kernel is cooperative (one task at a time) and writes
-// the field directly, keeping simulated schedules untouched.
-type Sizer interface {
-	GrowSize(t sched.Task, ino *Inode, size int64)
-}
-
-// InodeLocker generalizes Sizer: fn runs under the same lock the
-// layout's concurrent inode readers hold (the LFS segment packer,
-// the FFS inode encoder, the array's home-shadow mirror), so a flush
-// racing a namespace operation never encodes a half-applied field
-// update. The front-end wraps its Nlink and exact-size mutations in
-// it on the real kernel; the virtual kernel calls fn directly, per
-// the Sizer rule. ino picks the lock (an array routes to the home
-// member); fn must only touch inode fields — calling back into the
-// layout would self-deadlock.
-type InodeLocker interface {
-	WithInode(t sched.Task, ino *Inode, fn func())
-}
-
 // Barrier is a layout whose accepted writes may still sit in a
 // volatile staging buffer (the LFS open segment). WriteBarrier
 // pushes them to stable storage without the full checkpoint a Sync
@@ -284,26 +238,6 @@ type InodeLocker interface {
 // write in place durably (FFS) simply don't implement it.
 type Barrier interface {
 	WriteBarrier(t sched.Task) error
-}
-
-// DurableWatermark is a layout that exposes a monotonically
-// increasing durability sequence: it advances only when staged
-// metadata actually reaches stable storage (the LFS log/checkpoint
-// sequence, FFS's count of synchronous metadata writes; an array
-// reports the minimum over its members). The intent-log retirement
-// path snapshots it around a sync to prove the covering checkpoint
-// is durable before unretiring acknowledged namespace operations.
-type DurableWatermark interface {
-	DurableSeq(t sched.Task) uint64
-}
-
-// Recoverer is a layout that can bring a crashed volume to a
-// consistent, mountable state: the LFS rolls the log forward from
-// the newer checkpoint, the FFS rebuilds its allocation bitmaps from
-// the inode table. Recover subsumes Mount — afterwards the layout is
-// mounted, durable and self-consistent.
-type Recoverer interface {
-	Recover(t sched.Task) (RecoveryStats, error)
 }
 
 // InodeEnumerator lists a mounted layout's live inode numbers in

@@ -88,6 +88,23 @@ func (p *Partition) ReadVec(t sched.Task, lba int64, count int, vec [][]byte) er
 	return p.Drv.Do(t, r)
 }
 
+// ReadRun reads count blocks at partition-relative lba as one request
+// into the first count of bufs' BlockSize segments; empty bufs (a
+// simulated partition) moves no data.
+func (p *Partition) ReadRun(t sched.Task, lba int64, count int, bufs [][]byte) error {
+	if len(bufs) == 0 {
+		return p.Read(t, lba, count, nil)
+	}
+	if count == 1 {
+		return p.Read(t, lba, 1, bufs[0][:core.BlockSize])
+	}
+	vec := make([][]byte, count)
+	for i := range vec {
+		vec[i] = bufs[i][:core.BlockSize]
+	}
+	return p.ReadVec(t, lba, count, vec)
+}
+
 // WriteVec writes count blocks at partition-relative lba, gathering
 // from vec's segments in order. The segments must total
 // count*BlockSize bytes and stay resident and unmodified until the

@@ -21,65 +21,6 @@ func deviceImage(tk sched.Task, t *testing.T, r *realRig, op device.Op, img []by
 	}
 }
 
-// TestReadRunAdjacency checks run discovery in the log: blocks
-// written together sit at adjacent addresses and read back in one
-// request; blocks still pending in the open segment are served from
-// memory one at a time.
-func TestReadRunAdjacency(t *testing.T) {
-	r := newRealRig(21, 2048)
-	r.l.SetClusterRun(8)
-	run(t, r.k, func(tk sched.Task) {
-		r.l.Format(tk)
-		r.l.Mount(tk)
-		ino, _ := r.l.AllocInode(tk, core.TypeRegular)
-		if err := writeFile(tk, r.l, ino, 1, 2, 3, 4, 5, 6); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		buf := make([]byte, 8*core.BlockSize)
-		// Still pending in the open segment: served from memory,
-		// one block per call, no device read.
-		before := r.drv.DriverStats().Reads.Value()
-		got, err := r.l.ReadRun(tk, ino, 0, 6, buf)
-		if err != nil || got != 1 {
-			t.Fatalf("pending ReadRun = %d, %v; want 1 from memory", got, err)
-		}
-		if n := r.drv.DriverStats().Reads.Value() - before; n != 0 {
-			t.Fatalf("pending read went to the device (%d requests)", n)
-		}
-		// Flush the segment; now the six blocks are adjacent on disk.
-		if err := r.l.WriteBarrier(tk); err != nil {
-			t.Fatalf("barrier: %v", err)
-		}
-		before = r.drv.DriverStats().Reads.Value()
-		got, err = r.l.ReadRun(tk, ino, 0, 6, buf)
-		if err != nil || got != 6 {
-			t.Fatalf("ReadRun = %d, %v; want 6", got, err)
-		}
-		if n := r.drv.DriverStats().Reads.Value() - before; n != 1 {
-			t.Fatalf("clustered read issued %d requests, want 1", n)
-		}
-		for i := 0; i < 6; i++ {
-			if !bytes.Equal(buf[i*core.BlockSize:(i+1)*core.BlockSize], blockOf(byte(1+i))) {
-				t.Fatalf("run block %d corrupt", i)
-			}
-		}
-		// Overwrite block 2: it moves to the log head, breaking the
-		// run after block 1.
-		if err := r.l.WriteBlocks(tk, ino, []layout.BlockWrite{
-			{Blk: 2, Data: blockOf(0x77), Size: core.BlockSize},
-		}); err != nil {
-			t.Fatalf("rewrite: %v", err)
-		}
-		if err := r.l.WriteBarrier(tk); err != nil {
-			t.Fatalf("barrier: %v", err)
-		}
-		got, err = r.l.ReadRun(tk, ino, 0, 6, buf)
-		if err != nil || got != 2 {
-			t.Fatalf("ReadRun across a rewrite = %d, %v; want 2", got, err)
-		}
-	})
-}
-
 // TestClusteredRecoveryEquivalent proves the clustered roll-forward
 // recovers exactly the state the one-block-at-a-time path does: same
 // workload, same torn log, two recovery incarnations (cluster off

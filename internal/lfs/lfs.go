@@ -90,44 +90,22 @@ const (
 	segCurrent
 )
 
-// segBuf is the in-memory open segment. Real mode stages blocks one
-// of two ways: flat (data holds the whole segment, every appended
-// block is copied in) or vectored (vec holds one segment per block —
-// vec[0] an owned summary buffer, vec[1+i] slot i's bytes, which for
-// full data blocks alias the appender's buffer: a Flushing-stable
-// cache frame or the cleaner's immutable victim read). A cache-frame
-// alias is only stable while its flush job is in flight, so vectored
-// slots are written through to the device before the job returns
-// (writeThrough); done and sums record how far that has progressed
-// and the checksums captured from the bytes the device actually saw.
+// segBuf is the in-memory open segment. On a real partition vec holds
+// one segment per block — vec[0] an owned summary buffer, vec[1+i]
+// slot i's bytes, which for full data blocks alias the appender's
+// buffer: a Flushing-stable cache frame or the cleaner's immutable
+// victim read. A cache-frame alias is only stable while its flush job
+// is in flight, so slots are written through to the device before the
+// job returns (writeThrough); done and sums record how far that has
+// progressed and the checksums captured from the bytes the device
+// actually saw. A simulated partition carries no bytes: vec is nil.
 type segBuf struct {
 	seg     int
 	entries []sumEntry
-	data    []byte   // flat real mode: (SegBlocks)*BlockSize, block 0 = summary
-	vec     [][]byte // vectored real mode: SegBlocks per-block segments
+	vec     [][]byte // real: SegBlocks per-block segments
 	used    int      // data slots filled (slot i lives at segment block 1+i)
-	done    int      // slots already written through to the device (vectored)
-	sums    []uint32 // per-slot checksums, captured at device-write time (vectored)
-}
-
-// real reports that the open segment carries bytes (either staging
-// form); false on simulated partitions.
-func (s *segBuf) real() bool { return s.data != nil || s.vec != nil }
-
-// summary returns the summary block's buffer.
-func (s *segBuf) summary() []byte {
-	if s.data != nil {
-		return s.data[:core.BlockSize]
-	}
-	return s.vec[0]
-}
-
-// slot returns data slot i's buffer.
-func (s *segBuf) slot(i int) []byte {
-	if s.data != nil {
-		return s.data[(1+i)*core.BlockSize : (2+i)*core.BlockSize]
-	}
-	return s.vec[1+i]
+	done    int      // slots already written through to the device
+	sums    []uint32 // per-slot checksums, captured at device-write time
 }
 
 // LFS is the segmented log-structured layout.
@@ -170,10 +148,6 @@ type LFS struct {
 	// clusterRun caps multi-block read transfers (segment writes are
 	// clustered by construction); <= 1 keeps one-block requests.
 	clusterRun int
-	// vectored stages open segments as scatter-gather vectors that
-	// alias full data blocks in place of copying them (see
-	// layout.Vectored); never set on simulated partitions.
-	vectored bool
 
 	segsWritten *stats.Counter
 	partialSegs *stats.Counter
@@ -230,8 +204,8 @@ func New(k sched.Kernel, name string, part *layout.Partition, cfg Config) *LFS {
 // Name returns "lfs".
 func (l *LFS) Name() string { return "lfs" }
 
-// SetClusterRun implements layout.Clustered. The log's writes are
-// already segment-sized; the cap governs the read side (ReadRun run
+// SetClusterRun sets the run-size cap. The log's writes are already
+// segment-sized; the cap governs the read side (ReadRunVec run
 // discovery, roll-forward segment reads).
 func (l *LFS) SetClusterRun(n int) {
 	if n < 1 {
@@ -240,7 +214,7 @@ func (l *LFS) SetClusterRun(n int) {
 	l.clusterRun = n
 }
 
-// ClusterRun implements layout.Clustered.
+// ClusterRun returns the run-size cap, at least 1.
 func (l *LFS) ClusterRun() int {
 	if l.clusterRun < 1 {
 		return 1
@@ -248,22 +222,8 @@ func (l *LFS) ClusterRun() int {
 	return l.clusterRun
 }
 
-// SetVectored implements layout.Vectored: open segments become
-// scatter-gather vectors whose full data blocks alias the appender's
-// buffers instead of being copied. The aliases live in the pending
-// map until the segment reaches disk, so vectored mode requires the
-// flusher to barrier every flush job (the durable store does) — that
-// keeps every cache-frame alias inside the window the frame is
-// Flushing-stable. Simulated partitions move no data; the flag stays
-// off there.
-func (l *LFS) SetVectored(on bool) {
-	l.vectored = on && !l.part.Simulated
-}
-
-// VectoredIO implements layout.Vectored.
-func (l *LFS) VectoredIO() bool { return l.vectored }
-
-// StagedCopyBytes implements layout.StagedCopy.
+// StagedCopyBytes counts the data bytes copied into owned segment
+// slots (partial blocks, slots materialized after a failed write).
 func (l *LFS) StagedCopyBytes() int64 { return l.staged.Value() }
 
 // geometry computes the reserved-area sizes for the partition.

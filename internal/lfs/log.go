@@ -9,8 +9,8 @@ import (
 	"repro/internal/sched"
 )
 
-// appendBlock reserves the next log slot for one block, copying data
-// into the open segment (real mode) and recording the summary entry.
+// appendBlock reserves the next log slot for one block, staging data
+// in the open segment (real mode) and recording the summary entry.
 // It returns the block's new address. Full segments are written out
 // and a fresh one opened; the caller must hold l.mu.
 func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64, data []byte) (int64, error) {
@@ -27,8 +27,7 @@ func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64,
 	s := l.cur
 	slot := s.used
 	addr := l.segStart(s.seg) + 1 + int64(slot)
-	switch {
-	case s.vec != nil:
+	if s.vec != nil {
 		if kind == kindData && len(data) == core.BlockSize {
 			// Zero-copy: the slot aliases the appender's block — a
 			// Flushing-stable cache frame or the cleaner's immutable
@@ -49,17 +48,7 @@ func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64,
 				l.staged.Add(int64(len(data)))
 			}
 		}
-	case s.data != nil:
-		dst := s.data[(1+slot)*core.BlockSize : (2+slot)*core.BlockSize]
-		for i := range dst {
-			dst[i] = 0
-		}
-		copy(dst, data)
-		l.pending[addr] = dst
-		if kind == kindData {
-			l.staged.Add(int64(len(data)))
-		}
-	case l.part.Mover != nil:
+	} else if l.part.Mover != nil {
 		// Simulated: charge the memory-copy cost of staging the
 		// block into the segment buffer.
 		t.Sleep(timeNS(l.part.Mover.CopyCost(core.BlockSize)))
@@ -86,13 +75,9 @@ func (l *LFS) openSegment(t sched.Task) error {
 	l.freeSegs = l.freeSegs[1:]
 	sb := &segBuf{seg: seg}
 	if !l.part.Simulated {
-		if l.vectored {
-			sb.vec = make([][]byte, l.cfg.SegBlocks)
-			sb.vec[0] = make([]byte, core.BlockSize) // owned summary block
-			sb.sums = make([]uint32, l.cfg.SegBlocks)
-		} else {
-			sb.data = make([]byte, l.cfg.SegBlocks*core.BlockSize)
-		}
+		sb.vec = make([][]byte, l.cfg.SegBlocks)
+		sb.vec[0] = make([]byte, core.BlockSize) // owned summary block
+		sb.sums = make([]uint32, l.cfg.SegBlocks)
 	}
 	l.sut[seg] = segInfo{live: 0, seq: uint32(l.seq), state: segCurrent}
 	l.cur = sb
@@ -148,7 +133,7 @@ func (l *LFS) packInodes(t sched.Task) {
 		oldAddrs := map[int64]bool{}
 		for i, id := range blkIDs {
 			ino := l.inodes[id]
-			if l.cur.real() {
+			if l.cur.vec != nil {
 				di := l.toDiskInode(ino)
 				layout.EncodeInode(di, buf[i*layout.InodeSize:])
 			}
@@ -161,7 +146,7 @@ func (l *LFS) packInodes(t sched.Task) {
 			l.imapDirty[int(id)/imapPerChunk] = true
 			delete(l.dirtyInodes, id)
 		}
-		if l.cur.real() {
+		if l.cur.vec != nil {
 			copy(l.pending[addr], buf)
 		}
 		l.inodeBlockIDs[addr] = blkIDs
@@ -216,13 +201,6 @@ func (l *LFS) appendBlockNoRefill(kind uint8, file core.FileID, blk int64, data 
 		dst := make([]byte, core.BlockSize)
 		copy(dst, data)
 		s.vec[1+slot] = dst
-		l.pending[addr] = dst
-	} else if s.data != nil {
-		dst := s.data[(1+slot)*core.BlockSize : (2+slot)*core.BlockSize]
-		for i := range dst {
-			dst[i] = 0
-		}
-		copy(dst, data)
 		l.pending[addr] = dst
 	}
 	s.entries = append(s.entries, sumEntry{Kind: kind, File: file, Blk: blk})
@@ -296,7 +274,7 @@ func (l *LFS) writeIndirects(t sched.Task, ino *layout.Inode) error {
 // writeThrough pushes the open segment's not-yet-written slots to
 // the device as one scatter-gather request. Cache-frame aliases are
 // only stable while their flush job holds the blocks Flushing
-// (BeginWrite waits on that window), so every vectored WriteBlocks
+// (BeginWrite waits on that window), so every WriteBlocks
 // drains its slots here before returning: the frame's bytes — and
 // the checksum the summary will carry for them — are read inside the
 // stable window, never after it. Caller holds l.mu.
@@ -329,14 +307,14 @@ func (l *LFS) writeThrough(t sched.Task) error {
 }
 
 // materializeCur replaces every not-yet-written-through slot of the
-// open segment with an owned copy of its bytes. Vectored slots alias
+// open segment with an owned copy of its bytes. Slots alias
 // cache frames, and those aliases are only safe inside the flush
 // job's Flushing window — when an error aborts the job before
 // writeThrough drains the slots, the window closes with the slots
 // still staged, and the retry (or the next job's writeThrough) must
 // read the bytes the job appended, not whatever the frames hold by
-// then. The copies count as staged bytes: they are exactly the flat
-// engine's memcpy, paid only on failed writes. Caller holds l.mu.
+// then. The copies count as staged bytes, paid only on failed
+// writes. Caller holds l.mu.
 func (l *LFS) materializeCur() {
 	s := l.cur
 	if s == nil || s.vec == nil {
@@ -385,14 +363,8 @@ func (l *LFS) flushSegBuf(t sched.Task) error {
 			err = l.part.Write(t, l.segStart(s.seg), 1, s.vec[0])
 		}
 	} else {
-		if s.real() {
-			l.encodeSummary(s, l.seq)
-		}
-		var data []byte
-		if s.data != nil {
-			data = s.data[:(1+s.used)*core.BlockSize]
-		}
-		err = l.part.Write(t, l.segStart(s.seg), 1+s.used, data)
+		// Simulated: one sequential I/O for the whole segment.
+		err = l.part.Write(t, l.segStart(s.seg), 1+s.used, nil)
 	}
 	if err != nil {
 		return err

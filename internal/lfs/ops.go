@@ -269,32 +269,34 @@ func (l *LFS) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data 
 	return l.part.Read(t, addr, 1, data)
 }
 
-// ReadRun implements the clustered read: file blocks written
+// ReadRunVec implements the clustered read: file blocks written
 // together sit at adjacent log addresses, so the run is discovered
 // by address adjacency in the block map and moved in one device
-// request. Blocks still in the open segment (pending) are served
-// from memory one at a time, holes as a single zeroed block.
-func (l *LFS) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, data []byte) (int, error) {
+// request, scattered into bufs (nil when simulated). Blocks still in
+// the open segment (pending) are served from memory one at a time,
+// holes as a single zeroed block.
+func (l *LFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
 	if lim := l.ClusterRun(); n > lim {
 		n = lim
 	}
-	if n < 1 {
-		n = 1
+	if len(bufs) == 0 && !l.part.Simulated {
+		return 0, core.ErrInval
+	}
+	if len(bufs) > 0 && n > len(bufs) {
+		n = len(bufs)
 	}
 	l.mu.Lock(t)
 	addr := ino.BlockAddr(blk)
 	if addr < 0 {
 		l.mu.Unlock(t)
-		if data != nil {
-			for i := range data[:core.BlockSize] {
-				data[i] = 0
-			}
+		if len(bufs) > 0 {
+			clear(bufs[0][:core.BlockSize])
 		}
 		return 1, nil
 	}
 	if buf, ok := l.pending[addr]; ok {
-		if data != nil {
-			copy(data, buf)
+		if len(bufs) > 0 {
+			copy(bufs[0][:core.BlockSize], buf)
 		} else if l.part.Mover != nil {
 			t.Sleep(timeNS(l.part.Mover.CopyCost(core.BlockSize)))
 		}
@@ -313,59 +315,7 @@ func (l *LFS) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, 
 		run++
 	}
 	l.mu.Unlock(t)
-	if data != nil {
-		data = data[:run*core.BlockSize]
-	}
-	return run, l.part.Read(t, addr, run, data)
-}
-
-// ReadRunVec implements layout.VecRunReader: ReadRun with the run
-// scattered directly into per-block buffers. Pending and hole blocks
-// still cover exactly one block, served into bufs[0].
-func (l *LFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
-	if lim := l.ClusterRun(); n > lim {
-		n = lim
-	}
-	if n > len(bufs) {
-		n = len(bufs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	l.mu.Lock(t)
-	addr := ino.BlockAddr(blk)
-	if addr < 0 {
-		l.mu.Unlock(t)
-		for i := range bufs[0][:core.BlockSize] {
-			bufs[0][i] = 0
-		}
-		return 1, nil
-	}
-	if buf, ok := l.pending[addr]; ok {
-		copy(bufs[0][:core.BlockSize], buf)
-		l.mu.Unlock(t)
-		return 1, nil
-	}
-	run := 1
-	for run < n {
-		next := addr + int64(run)
-		if ino.BlockAddr(blk+core.BlockNo(run)) != next {
-			break
-		}
-		if _, pend := l.pending[next]; pend {
-			break
-		}
-		run++
-	}
-	l.mu.Unlock(t)
-	if run == 1 {
-		return 1, l.part.Read(t, addr, 1, bufs[0][:core.BlockSize])
-	}
-	vec := make([][]byte, run)
-	for i := 0; i < run; i++ {
-		vec[i] = bufs[i][:core.BlockSize]
-	}
-	return run, l.part.ReadVec(t, addr, run, vec)
+	return run, l.part.ReadRun(t, addr, run, bufs)
 }
 
 // readLogBlock reads one metadata block, honoring the pending map.
@@ -406,9 +356,9 @@ func (l *LFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 	}
 	ino.MTime = int64(l.k.Now())
 	l.dirtyInodes[ino.ID] = true
-	// Vectored slots alias this job's cache frames; push them to the
-	// device while the frames are still Flushing-stable (no-op on the
-	// flat and simulated paths).
+	// The slots alias this job's cache frames; push them to the device
+	// while the frames are still Flushing-stable (no-op when
+	// simulated).
 	return l.writeThrough(t)
 }
 

@@ -281,7 +281,7 @@ func (l *LFS) decodeImapChunk(c int, buf []byte) {
 // bytes — what lets roll-forward date a segment against a checkpoint
 // and stop at a torn tail.
 func (l *LFS) encodeSummary(s *segBuf, seq uint64) {
-	buf := s.summary()
+	buf := s.vec[0]
 	for i := range buf {
 		buf[i] = 0
 	}
@@ -292,14 +292,9 @@ func (l *LFS) encodeSummary(s *segBuf, seq uint64) {
 	for i, e := range s.entries {
 		o := sumHeaderSize + i*sumEntSize
 		buf[o] = e.Kind
-		if s.vec != nil {
-			// Vectored: the checksum was captured when the slot's
-			// bytes hit the device (writeThrough) — the alias may be
-			// gone by now.
-			le.PutUint32(buf[o+4:], s.sums[i])
-		} else {
-			le.PutUint32(buf[o+4:], blockSum(s.slot(i)))
-		}
+		// The checksum was captured when the slot's bytes hit the
+		// device (writeThrough) — the alias may be gone by now.
+		le.PutUint32(buf[o+4:], s.sums[i])
 		le.PutUint64(buf[o+8:], uint64(e.File))
 		le.PutUint64(buf[o+16:], uint64(e.Blk))
 	}

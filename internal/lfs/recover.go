@@ -18,7 +18,7 @@ import (
 // Recovery ends with a full usage recount from the reachable tree
 // and a fresh checkpoint, so fsck reports the volume clean.
 
-// Recover implements layout.Recoverer. It must be called on an LFS
+// Recover rolls the log forward. It must be called on an LFS
 // that has not been mounted yet (a fresh incarnation over a crashed
 // partition). On simulated partitions — whose state survives in
 // memory — it charges the I/O a real recovery would perform (reading
@@ -353,7 +353,7 @@ func (l *LFS) recountLocked(t sched.Task, st *layout.RecoveryStats) error {
 	return nil
 }
 
-// GrowSize implements layout.Sizer: the size grows under l.mu, the
+// GrowSize publishes a size growth: the size grows under l.mu, the
 // lock every metadata reader (inode packing, log decode) holds.
 func (l *LFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	l.mu.Lock(t)
@@ -364,7 +364,7 @@ func (l *LFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	}
 }
 
-// WithInode implements layout.InodeLocker: fn runs under l.mu, so
+// WithInode is the inode publication lock: fn runs under l.mu, so
 // the segment packer never encodes the inode mid-mutation.
 func (l *LFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	l.mu.Lock(t)
@@ -387,7 +387,7 @@ func (l *LFS) WriteBarrier(t sched.Task) error {
 	return l.writeCurSegment(t, true)
 }
 
-// DurableSeq implements layout.DurableWatermark: the log sequence
+// DurableSeq is the durability watermark: the log sequence
 // number advances with every segment flush and checkpoint, so a
 // caller that snapshots it around a sync can tell the covering
 // barrier really reached the disk.

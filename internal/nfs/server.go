@@ -31,11 +31,6 @@ type Server struct {
 	st     *ServerStats
 	tracer *telemetry.Tracer // nil = untraced
 
-	// vectored enables zero-copy read replies: ProcRead borrows the
-	// cache frames (fsys.ReadBorrowAt) and writev's them straight to
-	// the socket instead of copying into a reply buffer.
-	vectored bool
-
 	mu        sync.Mutex
 	closed    bool
 	draining  bool
@@ -98,15 +93,6 @@ func ServeOpts(k sched.Kernel, fs *fsys.FS, addr string, o Options) (*Server, er
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// SetVectored enables zero-copy read replies (see the vectored
-// field). Takes effect for subsequent calls; set it before serving
-// traffic. The front-end must have vectoring on too, or ProcRead
-// falls back to the copying path.
-func (s *Server) SetVectored(on bool) { s.vectored = on }
-
-// VectoredIO reports whether zero-copy read replies are enabled.
-func (s *Server) VectoredIO() bool { return s.vectored }
 
 // ServerStats returns the statistics plug-in.
 func (s *Server) ServerStats() *ServerStats { return s.st }
@@ -475,24 +461,24 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		if err != nil {
 			return StatusOf(err)
 		}
-		if s.vectored {
-			segs, n, release, ok, rerr := v.ReadBorrowAt(t, h, off, int64(count))
-			if ok {
-				if rerr != nil {
-					v.Close(t, h)
-					return StatusOf(rerr)
-				}
-				// The frames stay borrowed until the reply is written;
-				// the handle stays open until then too, so its close
-				// (which may destroy an unlinked file and wait for the
-				// pins) runs strictly after the loans are returned.
-				*rel = func(rt sched.Task) {
-					release(rt)
-					v.Close(rt, h)
-				}
-				e.OpaqueVec(segs, int(n))
-				return OK
+		// Zero-copy reply: borrow the cache frames and writev them
+		// straight to the socket. Only a volume that moves no real
+		// data falls through to the copying path.
+		if segs, n, release, ok, rerr := v.ReadBorrowAt(t, h, off, int64(count)); ok {
+			if rerr != nil {
+				v.Close(t, h)
+				return StatusOf(rerr)
 			}
+			// The frames stay borrowed until the reply is written;
+			// the handle stays open until then too, so its close
+			// (which may destroy an unlinked file and wait for the
+			// pins) runs strictly after the loans are returned.
+			*rel = func(rt sched.Task) {
+				release(rt)
+				v.Close(rt, h)
+			}
+			e.OpaqueVec(segs, int(n))
+			return OK
 		}
 		buf := make([]byte, count)
 		n, err := v.ReadAt(t, h, off, buf, int64(count))

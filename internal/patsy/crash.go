@@ -3,7 +3,6 @@ package patsy
 import (
 	"time"
 
-	"repro/internal/layout"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -60,10 +59,8 @@ func (s *System) crashTask(t sched.Task, rep *trace.Replayer) *CrashInfo {
 	}
 	start := s.K.Now()
 	for _, lay := range s.Layouts {
-		if rec, ok := lay.(layout.Recoverer); ok {
-			if _, err := rec.Recover(t); err != nil {
-				return info
-			}
+		if _, err := lay.Recover(t); err != nil {
+			return info
 		}
 	}
 	st, err := s.FS.ReplayNVRAM(t, cr.Survivors, cr.Intents)

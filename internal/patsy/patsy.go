@@ -385,7 +385,7 @@ func (s *System) newLayout(name string, part *layout.Partition) (layout.Layout, 
 		return nil, fmt.Errorf("patsy: unknown layout %q", cfg.Layout)
 	}
 	if cfg.ClusterRunBlocks > 1 {
-		layout.SetClusterRun(lay, cfg.ClusterRunBlocks)
+		lay.SetClusterRun(cfg.ClusterRunBlocks)
 	}
 	return lay, nil
 }

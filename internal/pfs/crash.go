@@ -83,11 +83,6 @@ type CrashSpec struct {
 	// byte prefix — the sector-granular tear through an inode table or
 	// allocation bitmap that the per-record checksums must catch.
 	TearSubBlock bool
-	// NoVectorIO restores the flat staging-buffer I/O paths for the
-	// exercise. The default (false) runs vectored — scatter-gather
-	// requests whose torn prefixes may end mid-iovec — so the A/B pair
-	// shows crash safety is independent of the transfer form.
-	NoVectorIO bool
 }
 
 // CrashResult is what one exercise observed.
@@ -274,7 +269,6 @@ func RunCrashPoint(spec CrashSpec) (*CrashResult, error) {
 		// arms it after the baseline is durable.
 		Fault:       &device.FaultConfig{Seed: spec.Seed},
 		NoIntentLog: spec.NoIntentLog,
-		NoVectorIO:  spec.NoVectorIO,
 	}
 	srv, err := Open(cfg)
 	if err != nil {

@@ -120,38 +120,34 @@ func TestCrashTornClusteredRun(t *testing.T) {
 	}
 }
 
-// TestCrashTornVectoredRun is the A/B pair for the zero-copy path:
-// the same torn clustered-run sweep with vectored I/O explicitly on
-// and off. Vectored flush jobs issue one scatter-gather request per
+// TestCrashTornVectoredRun sweeps the torn clustered run over the
+// zero-copy path: flush jobs issue one scatter-gather request per
 // run, so the injected tear may end mid-iovec; recovery must still
-// hold every acknowledged byte in both transfer forms.
+// hold every acknowledged byte.
 func TestCrashTornVectoredRun(t *testing.T) {
 	cuts := []int64{3, 7, 11, 19}
 	if testing.Short() {
 		cuts = []int64{7}
 	}
 	for _, lay := range []string{"lfs", "ffs"} {
-		for _, novec := range []bool{false, true} {
-			for _, cut := range cuts {
-				res, err := RunCrashPoint(CrashSpec{
-					Dir:              t.TempDir(),
-					Layout:           lay,
-					Volumes:          1,
-					Flush:            cache.NVRAMWhole(24),
-					CutAfterIO:       cut,
-					Seed:             3000 + cut,
-					ClusterRunBlocks: 8,
-					NoVectorIO:       novec,
-				})
-				if err != nil {
-					t.Fatalf("%s novec=%v cut=%d: %v", lay, novec, cut, err)
-				}
-				if len(res.FsckErrors) != 0 {
-					t.Fatalf("%s novec=%v cut=%d: fsck errors after torn vectored run: %v", lay, novec, cut, res.FsckErrors)
-				}
-				if res.LostAcked != 0 {
-					t.Fatalf("%s novec=%v cut=%d: lost %d acknowledged writes", lay, novec, cut, res.LostAcked)
-				}
+		for _, cut := range cuts {
+			res, err := RunCrashPoint(CrashSpec{
+				Dir:              t.TempDir(),
+				Layout:           lay,
+				Volumes:          1,
+				Flush:            cache.NVRAMWhole(24),
+				CutAfterIO:       cut,
+				Seed:             3000 + cut,
+				ClusterRunBlocks: 8,
+			})
+			if err != nil {
+				t.Fatalf("%s cut=%d: %v", lay, cut, err)
+			}
+			if len(res.FsckErrors) != 0 {
+				t.Fatalf("%s cut=%d: fsck errors after torn vectored run: %v", lay, cut, res.FsckErrors)
+			}
+			if res.LostAcked != 0 {
+				t.Fatalf("%s cut=%d: lost %d acknowledged writes", lay, cut, res.LostAcked)
 			}
 		}
 	}

@@ -104,12 +104,6 @@ type Config struct {
 	// dirty blocks), closing the create+write+crash loss hole; this
 	// switch restores the checkpoint-only discipline for A/B runs.
 	NoIntentLog bool
-	// NoVectorIO disables zero-copy vectored I/O. By default the
-	// on-line server scatter-gathers directly between cache frames,
-	// the disk (preadv/pwritev) and the wire (writev read replies);
-	// this switch restores the flat staging-buffer paths for A/B
-	// runs. Simulated assemblies never vectorize either way.
-	NoVectorIO bool
 	// Spares sizes the hot-spare pool: that many idle, pre-built
 	// member stacks backed by "<Path>.s<j>", attached to the array
 	// and promoted automatically (SelfHeal) or via PromoteSpare.
@@ -187,16 +181,10 @@ type Server struct {
 // ClusterRun reports the effective run-size cap (1 = clustering off).
 func (s *Server) ClusterRun() int { return s.cluster }
 
-// VectoredIO reports whether zero-copy vectored I/O is on.
-func (s *Server) VectoredIO() bool { return !s.cfg.NoVectorIO }
-
-// StagedCopyBytes reports how many bytes the data paths bounced
-// through staging buffers — the copies vectored I/O exists to
-// eliminate (flat fallbacks, short blocks, scratch-staged runs),
-// summed over the layouts and the front-end.
-func (s *Server) StagedCopyBytes() int64 {
-	return layout.StagedCopyBytes(s.Array) + s.FS.FSStats().StagedCopy.Value()
-}
+// StagedCopyBytes reports how many payload bytes the layouts copied
+// into buffers of their own instead of scatter-gathering straight
+// from cache frames (short blocks, writes that failed mid-flush).
+func (s *Server) StagedCopyBytes() int64 { return s.Array.StagedCopyBytes() }
 
 // Open creates or reopens a PFS on cfg.Path. A fresh image (set) is
 // formatted; an existing one is mounted and recovered from its
@@ -318,14 +306,7 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.ClusterRunBlocks < 1 {
 		cfg.ClusterRunBlocks = 1
 	}
-	layout.SetClusterRun(lay, cfg.ClusterRunBlocks)
-	if !cfg.NoVectorIO {
-		// Zero-copy vectored I/O, the whole stack: layouts build
-		// scatter-gather vectors straight from cache frames, and the
-		// front-end lends frames to read replies. Default on for the
-		// real server; the simulator keeps the flat paths.
-		layout.SetVectored(lay, true)
-	}
+	lay.SetClusterRun(cfg.ClusterRunBlocks)
 	store := fsys.NewStore()
 	// The on-line server's flushes are durable on completion: a block
 	// the cache frees from its (battery-backed) dirty set is on the
@@ -346,7 +327,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.ReadaheadBlocks > 0 {
 		fs.SetReadahead(cfg.ReadaheadBlocks)
 	}
-	fs.SetVectored(!cfg.NoVectorIO)
 	c.Start()
 
 	tr := telemetry.NewTracer(k, cfg.SlowOpThreshold)
@@ -520,7 +500,6 @@ func (s *Server) ServeNFS(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv.SetVectored(!s.cfg.NoVectorIO)
 	s.net = srv
 	srv.Stats(s.Set)
 	return srv.Addr(), nil

@@ -84,24 +84,14 @@ func NewRegistry(o Observables) *telemetry.Registry {
 	if rs := o.Recovery; rs != nil {
 		registerRecovery(reg, rs)
 	}
-	if o.FS != nil || o.Array != nil {
-		// Staging copies are counted wherever a data path falls back
-		// from scatter-gather to a bounce buffer (layout gathers,
-		// readahead scratch, short blocks); with vectoring on and
-		// clustered transfers this stays ~0.
-		fs, arr := o.FS, o.Array
+	if arr := o.Array; arr != nil {
+		// Staging copies are counted where a layout copies payload
+		// into a buffer of its own instead of scatter-gathering from
+		// the cache frame (short blocks, writes that failed
+		// mid-flush); on clustered transfers this stays ~0.
 		reg.AddCounterFunc("pfs_io_staging_copy_bytes_total",
-			"Bytes bounced through staging buffers on the data paths (flat fallbacks of the zero-copy vectored I/O).", nil,
-			func() float64 {
-				var n int64
-				if fs != nil {
-					n += fs.FSStats().StagedCopy.Value()
-				}
-				if arr != nil {
-					n += arr.StagedCopyBytes()
-				}
-				return float64(n)
-			})
+			"Bytes copied through staging buffers on the data paths instead of scatter-gathered.", nil,
+			func() float64 { return float64(arr.StagedCopyBytes()) })
 	}
 	o.Tracer.Register(reg)
 	return reg
@@ -158,8 +148,6 @@ func registerFS(reg *telemetry.Registry, fs *fsys.FS) {
 	reg.AddCounter("pfs_readahead_stream_verdicts_total", "Sequential-stream verdicts by the readahead detector.", nil, st.RAStreams)
 	reg.AddCounter("pfs_readahead_random_verdicts_total", "Broken-sequence (random) verdicts by the readahead detector.", nil, st.RARandoms)
 	reg.AddCounter("pfs_intent_forced_syncs_total", "Syncs forced by intent-ring pressure.", nil, st.IntentSyncs)
-	reg.AddGaugeFunc("pfs_io_vectored", "1 when the zero-copy vectored I/O path is enabled.", nil,
-		func() float64 { return boolGauge(fs.VectoredIO()) })
 }
 
 func registerNFS(reg *telemetry.Registry, n *nfs.Server) {

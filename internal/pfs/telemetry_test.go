@@ -57,7 +57,6 @@ var goldenSimFamilies = map[string]string{
 	"pfs_readahead_batches_total":         "counter",
 	"pfs_readahead_stream_verdicts_total": "counter",
 	"pfs_readahead_random_verdicts_total": "counter",
-	"pfs_io_vectored":                     "gauge",
 	"pfs_io_staging_copy_bytes_total":     "counter",
 	"pfs_volume_width":                    "gauge",
 	"pfs_volume_read_blocks_total":        "counter",
@@ -213,11 +212,7 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 	if v := metricValue(t, body, "pfs_volume_width"); v != 2 {
 		t.Errorf("width = %v", v)
 	}
-	// The simulator never vectorizes; its flat staging paths move no
-	// real bytes either, so both zero-copy families read zero.
-	if v := metricValue(t, body, "pfs_io_vectored"); v != 0 {
-		t.Errorf("pfs_io_vectored = %v in the simulator, want 0", v)
-	}
+	// The simulator moves no real bytes, so nothing is staged.
 	if v := metricValue(t, body, "pfs_io_staging_copy_bytes_total"); v != 0 {
 		t.Errorf("pfs_io_staging_copy_bytes_total = %v in the simulator, want 0", v)
 	}
@@ -328,7 +323,6 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 		"pfs_fault_power_cut 0",
 		"pfs_uptime_seconds",
 		"pfs_intent_recorded_total 1",
-		"pfs_io_vectored 1",
 		"pfs_io_staging_copy_bytes_total",
 		`pfs_device_vectored_reads_total{member="d0"}`,
 		`pfs_device_vectored_writes_total{member="d0"}`,

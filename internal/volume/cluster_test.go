@@ -12,7 +12,7 @@ import (
 // TestClusteredStripedWrites drives a striped array with clustering
 // on under the real kernel: the per-member shares fan out as
 // concurrent tasks and coalesce into multi-block requests, and every
-// byte reads back exactly — through both ReadBlock and ReadRun.
+// byte reads back exactly.
 func TestClusteredStripedWrites(t *testing.T) {
 	k := sched.NewReal(1)
 	defer k.Stop()
@@ -42,21 +42,6 @@ func TestClusteredStripedWrites(t *testing.T) {
 				t.Fatalf("block %d corrupt after clustered striped write", b)
 			}
 		}
-		// ReadRun clamps at the stripe boundary: a run starting
-		// mid-chunk may not cross into the next member.
-		big := make([]byte, 8*core.BlockSize)
-		got, err := r.arr.ReadRun(tk, ino, 1, 8, big)
-		if err != nil {
-			return err
-		}
-		if got < 1 || got > 3 {
-			t.Fatalf("ReadRun from mid-chunk covered %d blocks; the 4-block stripe allows at most 3", got)
-		}
-		for i := 0; i < got; i++ {
-			if !bytes.Equal(big[i*core.BlockSize:(i+1)*core.BlockSize], pattern(core.BlockNo(1+i), core.BlockSize)) {
-				t.Fatalf("ReadRun block %d corrupt", 1+i)
-			}
-		}
 		return nil
 	})
 }
@@ -79,8 +64,11 @@ func TestClusteredAffinityReadRun(t *testing.T) {
 		if err := r.arr.Sync(tk); err != nil {
 			return err
 		}
-		big := make([]byte, 8*core.BlockSize)
-		got, err := r.arr.ReadRun(tk, ino, 0, 8, big)
+		bufs := make([][]byte, 8)
+		for i := range bufs {
+			bufs[i] = make([]byte, core.BlockSize)
+		}
+		got, err := r.arr.ReadRunVec(tk, ino, 0, 8, bufs)
 		if err != nil {
 			return err
 		}
@@ -88,7 +76,7 @@ func TestClusteredAffinityReadRun(t *testing.T) {
 			t.Fatalf("affinity ReadRun covered %d blocks; want a multi-block run", got)
 		}
 		for i := 0; i < got; i++ {
-			if !bytes.Equal(big[i*core.BlockSize:(i+1)*core.BlockSize], pattern(core.BlockNo(i), core.BlockSize)) {
+			if !bytes.Equal(bufs[i], pattern(core.BlockNo(i), core.BlockSize)) {
 				t.Fatalf("ReadRun block %d corrupt", i)
 			}
 		}

@@ -19,7 +19,7 @@ import (
 // the home shadow carries. Recover heals all of it and cross-checks
 // the per-member geometry labels.
 
-// Recover implements layout.Recoverer for the array: recover every
+// Recover brings the whole array back: recover every
 // member, validate the labels, re-sync the lockstep allocators, roll
 // back half-made allocations, and repair the shadow-size invariant
 // of striped files. Ends with a full sync so the repairs are
@@ -27,24 +27,13 @@ import (
 func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	var st layout.RecoveryStats
 	if a.single != nil {
-		if rec, ok := a.single.(layout.Recoverer); ok {
-			return rec.Recover(t)
-		}
-		return st, a.single.Mount(t)
+		return a.single.Recover(t)
 	}
 	for i := range a.subs {
 		if int(a.deadIdx.Load()) == i {
 			continue // dead member: rebuild recovers it onto a replacement
 		}
-		sub := a.sub(i)
-		rec, ok := sub.(layout.Recoverer)
-		if !ok {
-			if err := sub.Mount(t); err != nil {
-				return st, fmt.Errorf("volume %s: mount sub %d: %w", a.name, i, err)
-			}
-			continue
-		}
-		sst, err := rec.Recover(t)
+		sst, err := a.sub(i).Recover(t)
 		if err != nil {
 			return st, fmt.Errorf("volume %s: recover sub %d: %w", a.name, i, err)
 		}
@@ -73,19 +62,13 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	return st, a.Sync(t)
 }
 
-// GrowSize implements layout.Sizer. In affinity mode the global
+// GrowSize publishes a size growth. In affinity mode the global
 // inode is the home member's own, so the growth must happen under
 // that member's lock; in striped mode the array owns it and af.mu —
 // the lock the home-size mirror reads under — covers it.
 func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	if a.single != nil {
-		if sz, ok := a.single.(layout.Sizer); ok {
-			sz.GrowSize(t, ino, size)
-			return
-		}
-		if size > ino.Size {
-			ino.Size = size
-		}
+		a.single.GrowSize(t, ino, size)
 		return
 	}
 	af := a.lookup(t, ino.ID)
@@ -96,10 +79,8 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 		return
 	}
 	if !a.arrayOwned() {
-		if sz, ok := a.subs[af.home].(layout.Sizer); ok {
-			sz.GrowSize(t, af.global, size)
-			return
-		}
+		a.subs[af.home].GrowSize(t, af.global, size)
+		return
 	}
 	af.mu.Lock(t)
 	if size > af.global.Size {
@@ -108,17 +89,13 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	af.mu.Unlock(t)
 }
 
-// WithInode implements layout.InodeLocker with the same routing as
-// GrowSize: affinity mode runs fn under the home member's lock (the
-// global inode is the member's own), striped mode under af.mu, the
-// lock the home-size mirror reads under.
+// WithInode runs fn with the same routing as GrowSize: affinity mode
+// under the home member's lock (the global inode is the member's
+// own), striped mode under af.mu, the lock the home-size mirror reads
+// under.
 func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	if a.single != nil {
-		if il, ok := a.single.(layout.InodeLocker); ok {
-			il.WithInode(t, ino, fn)
-			return
-		}
-		fn()
+		a.single.WithInode(t, ino, fn)
 		return
 	}
 	af := a.lookup(t, ino.ID)
@@ -127,10 +104,8 @@ func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 		return
 	}
 	if !a.arrayOwned() {
-		if il, ok := a.subs[af.home].(layout.InodeLocker); ok {
-			il.WithInode(t, af.global, fn)
-			return
-		}
+		a.subs[af.home].WithInode(t, af.global, fn)
+		return
 	}
 	af.mu.Lock(t)
 	fn()
@@ -172,17 +147,11 @@ func (a *Array) WriteBarrier(t sched.Task) error {
 	return nil
 }
 
-// DurableSeq implements layout.DurableWatermark for the array: the
-// minimum over the members, so the watermark only advances when
-// every member's covering checkpoint is durable. Members without a
-// watermark contribute nothing (the array then reports zero, and
-// retirement falls back to trusting Sync's success).
+// DurableSeq is the minimum over the members, so the watermark only
+// advances when every member's covering checkpoint is durable.
 func (a *Array) DurableSeq(t sched.Task) uint64 {
 	if a.single != nil {
-		if w, ok := a.single.(layout.DurableWatermark); ok {
-			return w.DurableSeq(t)
-		}
-		return 0
+		return a.single.DurableSeq(t)
 	}
 	var minSeq uint64
 	first := true
@@ -193,11 +162,7 @@ func (a *Array) DurableSeq(t sched.Task) uint64 {
 			// durability is what the redundant array's data rests on.
 			continue
 		}
-		w, ok := a.sub(i).(layout.DurableWatermark)
-		if !ok {
-			return 0
-		}
-		s := w.DurableSeq(t)
+		s := a.sub(i).DurableSeq(t)
 		if first || s < minSeq {
 			minSeq = s
 			first = false

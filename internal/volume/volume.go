@@ -249,44 +249,21 @@ func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array,
 // Width returns the number of sub-volumes.
 func (a *Array) Width() int { return len(a.subs) }
 
-// SetClusterRun implements layout.Clustered by forwarding the
-// run-size cap to every member.
+// SetClusterRun forwards the run-size cap to every member.
 func (a *Array) SetClusterRun(n int) {
 	for _, sub := range a.subs {
-		layout.SetClusterRun(sub, n)
+		sub.SetClusterRun(n)
 	}
 }
 
-// ClusterRun implements layout.Clustered (the members share one cap).
-func (a *Array) ClusterRun() int {
-	if c, ok := a.subs[0].(layout.Clustered); ok {
-		return c.ClusterRun()
-	}
-	return 1
-}
+// ClusterRun returns the run-size cap (the members share one).
+func (a *Array) ClusterRun() int { return a.subs[0].ClusterRun() }
 
-// SetVectored implements layout.Vectored by forwarding the
-// scatter-gather switch to every member.
-func (a *Array) SetVectored(on bool) {
-	for _, sub := range a.subs {
-		layout.SetVectored(sub, on)
-	}
-}
-
-// VectoredIO implements layout.Vectored (the members share the flag).
-func (a *Array) VectoredIO() bool {
-	if v, ok := a.subs[0].(layout.Vectored); ok {
-		return v.VectoredIO()
-	}
-	return false
-}
-
-// StagedCopyBytes implements layout.StagedCopy as the sum over the
-// effective members.
+// StagedCopyBytes sums the effective members' staged-copy bytes.
 func (a *Array) StagedCopyBytes() int64 {
 	var n int64
 	for _, sub := range a.effSubs() {
-		n += layout.StagedCopyBytes(sub)
+		n += sub.StagedCopyBytes()
 	}
 	return n
 }
@@ -690,11 +667,11 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 // virtual kernel is cooperative: direct call, simulated schedules
 // untouched.
 func (a *Array) mutateShadow(t sched.Task, s int, h *layout.Inode, fn func()) {
-	if il, ok := a.sub(s).(layout.InodeLocker); ok && !a.k.Virtual() {
-		il.WithInode(t, h, fn)
+	if a.k.Virtual() {
+		fn()
 		return
 	}
-	fn()
+	a.sub(s).WithInode(t, h, fn)
 }
 
 // FreeInode removes the file from every sub-volume in lockstep.
@@ -750,14 +727,17 @@ func (a *Array) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, dat
 	return a.subs[s].ReadBlock(t, af.shadows[s], lb, data)
 }
 
-// ReadRun routes a clustered read to the sub-volume holding the
+// ReadRunVec routes a clustered read to the sub-volume holding the
 // run's first block. Striped placement splits runs at stripe-chunk
 // boundaries — within a chunk the global and local blocks advance in
 // lockstep, so the member's own run discovery sees the contiguity —
 // and the caller continues on the next member with its next call.
-func (a *Array) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, data []byte) (int, error) {
+func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
 	if a.single != nil {
-		return a.single.ReadRun(t, ino, blk, n, data)
+		return a.single.ReadRunVec(t, ino, blk, n, bufs)
+	}
+	if len(bufs) == 0 && !a.cfg.Simulated {
+		return 0, core.ErrInval
 	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
@@ -777,7 +757,7 @@ func (a *Array) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int
 			s, lb = g.dataLoc(af.home, blk)
 		}
 		if a.readAlive(af, s) {
-			got, err := a.sub(s).ReadRun(t, af.shadows[s], lb, n, data)
+			got, err := a.sub(s).ReadRunVec(t, af.shadows[s], lb, n, bufs)
 			if got > 0 {
 				a.reads.Add(s, int64(got))
 			}
@@ -785,7 +765,11 @@ func (a *Array) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int
 				return got, err
 			}
 		}
-		if err := a.readRedundant(t, af, blk, firstBlock(data)); err != nil {
+		var first []byte // nil stays nil for simulated stacks
+		if len(bufs) > 0 {
+			first = bufs[0][:core.BlockSize]
+		}
+		if err := a.readRedundant(t, af, blk, first); err != nil {
 			return 0, err
 		}
 		return 1, nil
@@ -797,88 +781,11 @@ func (a *Array) ReadRun(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int
 			n = rem
 		}
 	}
-	got, err := a.subs[s].ReadRun(t, af.shadows[s], lb, n, data)
+	got, err := a.subs[s].ReadRunVec(t, af.shadows[s], lb, n, bufs)
 	if got > 0 {
 		a.reads.Add(s, int64(got))
 	}
 	return got, err
-}
-
-// ReadRunVec implements layout.VecRunReader with ReadRun's exact
-// routing — stripe- and redundancy-chunk clamping, dead-member
-// degradation — but scattering into per-block buffers. A member
-// without a vectored path degrades to a single-block read into
-// bufs[0] (still no staging copy).
-func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
-	if n > len(bufs) {
-		n = len(bufs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if a.single != nil {
-		if got, ok, err := layout.ReadRunVec(t, a.single, ino, blk, n, bufs); ok {
-			return got, err
-		}
-		return 1, a.single.ReadBlock(t, ino, blk, bufs[0][:core.BlockSize])
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		return 0, core.ErrStale
-	}
-	if a.red != nil {
-		g := a.red
-		if rem := g.w - int(int64(blk)%int64(g.w)); n > rem {
-			n = rem
-		}
-		s, lb := g.primaryLoc(af.home, blk)
-		if g.parity {
-			s, lb = g.dataLoc(af.home, blk)
-		}
-		if a.readAlive(af, s) {
-			got, ok, err := layout.ReadRunVec(t, a.sub(s), af.shadows[s], lb, n, bufs)
-			if !ok {
-				got, err = 1, a.sub(s).ReadBlock(t, af.shadows[s], lb, bufs[0][:core.BlockSize])
-			}
-			if got > 0 {
-				a.reads.Add(s, int64(got))
-			}
-			if err == nil || !a.noteDeadErr(s, err) {
-				return got, err
-			}
-		}
-		if err := a.readRedundant(t, af, blk, bufs[0][:core.BlockSize]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	s, lb := af.home, blk
-	if a.striped {
-		s, lb = a.stripe.locate(af.home, blk)
-		if rem := a.stripe.w - int(int64(blk)%int64(a.stripe.w)); n > rem {
-			n = rem
-		}
-	}
-	got, ok, err := layout.ReadRunVec(t, a.subs[s], af.shadows[s], lb, n, bufs)
-	if !ok {
-		got, err = 1, a.subs[s].ReadBlock(t, af.shadows[s], lb, bufs[0][:core.BlockSize])
-	}
-	if got > 0 {
-		a.reads.Add(s, int64(got))
-	}
-	return got, err
-}
-
-// firstBlock clips a run buffer to its first block (nil stays nil for
-// simulated stacks).
-func firstBlock(data []byte) []byte {
-	if data == nil {
-		return nil
-	}
-	if len(data) > core.BlockSize {
-		return data[:core.BlockSize]
-	}
-	return data
 }
 
 // WriteBlocks splits one file's dirty blocks by target sub-volume
