@@ -6,6 +6,8 @@
 // scheduler, cache, storage-layout, device-driver and client-
 // interface components.
 //
-// See README.md for the architecture tour. The root bench_test.go
+// See README.md for the architecture tour (the log's on-disk format —
+// two-ended segments, summaries committed in place by write barriers —
+// is in the internal/lfs package comment). The root bench_test.go
 // regenerates every figure of the paper's evaluation.
 package repro

@@ -196,6 +196,7 @@ type shard struct {
 	replace     ReplacePolicy
 	dirtyCount  int
 	flushing    int
+	fills       int // frames claimed by TryStartFill, not yet FinishFill'd
 	// dirtyGauge shadows dirtyCount for telemetry: the real count
 	// lives under the kernel mutex, which a scrape (a plain HTTP
 	// goroutine with no kernel task) can never take.
@@ -451,6 +452,7 @@ func (c *Cache) TryStartFill(t sched.Task, key core.BlockKey) (*Block, bool) {
 	b.LastUsed = c.k.Now()
 	b.Pins = 1
 	sh.index[key] = b
+	sh.fills++
 	c.st.ReadaheadFills.Inc()
 	return b, true
 }
@@ -468,6 +470,7 @@ func (c *Cache) FinishFill(t sched.Task, b *Block, size int, err error) {
 		panic("cache: FinishFill on non-busy block " + b.Key.String())
 	}
 	b.Busy = false
+	sh.fills--
 	b.Pins--
 	if err != nil {
 		delete(sh.index, b.Key)
@@ -691,7 +694,13 @@ func (sh *shard) allocLocked(t sched.Task) *Block {
 		// dirty block, as the base cache component does.
 		sh.c.st.PressureWaits.Inc()
 		if sh.dirtyCount == 0 && sh.flushing == 0 {
-			panic("cache: shard exhausted — every block pinned or busy; cache too small (or too many shards) for the working set")
+			if sh.fills == 0 {
+				panic("cache: shard exhausted — every block pinned or busy; cache too small (or too many shards) for the working set")
+			}
+			// Nothing to flush, but readahead fills are in flight:
+			// FinishFill hands their frames back and broadcasts cleaned.
+			sh.cleaned.Wait(t, sh.mu)
+			continue
 		}
 		if !sh.c.off.Load() {
 			sh.flushOldestLocked()

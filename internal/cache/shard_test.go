@@ -226,3 +226,49 @@ func TestFinishFillError(t *testing.T) {
 		c.Release(tk, nb)
 	})
 }
+
+// The "shard exhausted" regression: with every frame Busy under an
+// in-flight readahead fill there is nothing to flush, but the frames
+// come back — a demand miss must park until FinishFill returns one
+// instead of declaring the shard wedged.
+func TestDemandMissWaitsForReadaheadFills(t *testing.T) {
+	k, c, _ := newShardedCache(10, 8, 1, UPS())
+	run(t, k, func(tk sched.Task) {
+		var fills []*Block
+		for i := 0; i < 8; i++ {
+			b, ok := c.TryStartFill(tk, key(1, core.BlockNo(i)))
+			if !ok {
+				t.Fatalf("TryStartFill %d refused", i)
+			}
+			fills = append(fills, b)
+		}
+		if _, ok := c.TryStartFill(tk, key(1, 8)); ok {
+			t.Fatal("ninth fill granted from an 8-frame cache")
+		}
+		done := false
+		k.Go("demand", func(dt sched.Task) {
+			b, hit := c.GetBlock(dt, key(2, 0))
+			if hit {
+				t.Error("demand miss reported a hit")
+			}
+			c.Filled(dt, b, core.BlockSize)
+			c.Release(dt, b)
+			done = true
+		})
+		tk.Sleep(time.Millisecond)
+		if done {
+			t.Fatal("demand GetBlock did not park behind the fills")
+		}
+		c.FinishFill(tk, fills[0], core.BlockSize, nil)
+		tk.Sleep(time.Millisecond)
+		if !done {
+			t.Fatal("demand GetBlock still parked after FinishFill")
+		}
+		if !c.Peek(tk, key(2, 0)) {
+			t.Fatal("demand block not resident")
+		}
+		for _, b := range fills[1:] {
+			c.FinishFill(tk, b, core.BlockSize, nil)
+		}
+	})
+}

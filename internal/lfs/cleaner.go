@@ -114,9 +114,13 @@ func (l *LFS) cleanLocked(t sched.Task) error {
 	return nil
 }
 
-// segViews snapshots the usage table for the policy.
+// segViews snapshots the usage table for the policy, into one slice
+// reused across picks (only touched under l.mu).
 func (l *LFS) segViews() []SegState {
-	out := make([]SegState, l.nsegs)
+	if len(l.views) != l.nsegs {
+		l.views = make([]SegState, l.nsegs)
+	}
+	out := l.views
 	for i := range l.sut {
 		out[i] = SegState{
 			Index:     i,
@@ -130,25 +134,31 @@ func (l *LFS) segViews() []SegState {
 }
 
 // cleanSegment copies a victim's live blocks to the log head and
-// frees it.
+// frees it. On a real partition the victim arrives in one sequential
+// read and its own summary block says what the slots hold (empty
+// positions of a two-ended segment have Kind 0 and match no case
+// below); only a segment roll-forward trimmed at a torn tail, and
+// every simulated segment, is described by the in-memory mirror.
 func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 	entries := l.summaries[victim]
-	if entries == nil && !l.part.Simulated {
-		var err error
-		entries, err = l.readSummary(t, victim)
-		if err != nil {
-			return err
-		}
-	}
 	l.cleanerUtil.Observe(float64(l.sut[victim].live) / float64(l.dataSlots))
 
-	// One sequential read of the whole used portion.
 	var segData []byte
-	if len(entries) > 0 {
-		if !l.part.Simulated {
-			segData = make([]byte, (1+len(entries))*core.BlockSize)
+	if !l.part.Simulated {
+		segData = make([]byte, l.cfg.SegBlocks*core.BlockSize)
+		if err := l.part.Read(t, l.segStart(victim), l.cfg.SegBlocks, segData); err != nil {
+			return err
 		}
-		if err := l.part.Read(t, l.segStart(victim), 1+len(entries), segData); err != nil {
+		if entries == nil {
+			sum, err := l.decodeSummary(victim, segData[:core.BlockSize])
+			if err != nil {
+				return err
+			}
+			entries = sum.entries
+		}
+	} else if len(entries) > 0 {
+		// One sequential read of the whole used portion.
+		if err := l.part.Read(t, l.segStart(victim), 1+len(entries), nil); err != nil {
 			return err
 		}
 	}
@@ -224,7 +234,7 @@ func (l *LFS) rewriteIndirects(t sched.Task, ino *layout.Inode) error {
 	if need+1 > l.dataSlots {
 		return core.ErrNoSpace
 	}
-	if l.cur == nil || l.cur.used+need > l.dataSlots {
+	if l.cur == nil || l.cur.filled()+need > l.dataSlots {
 		if err := l.writeCurSegment(t, false); err != nil {
 			return err
 		}

@@ -11,7 +11,25 @@
 //	0                  superblock
 //	1 .. cp            checkpoint region A (header + segment-usage table)
 //	1+cp .. 2cp        checkpoint region B (alternate)
-//	seg0 ...           segments: [summary block][data blocks...]
+//	seg0 ...           segments: [summary block][slot 0 … slot n-1]
+//
+// A segment written to a real partition fills from both ends: file
+// data (and inode-map chunks, and the cleaner's copies) take slots 0,
+// 1, 2 …, inode and indirect blocks take slots n-1, n-2 …, and the
+// segment is full when the two meet. The summary block is positional
+// — entry i describes slot i: kind, owner, and a checksum of the
+// slot's bytes — and its count word carries the front count in the
+// low 16 bits and the back count in the high 16 (images written
+// before this have a zero high half and read as front-only). Simulated
+// partitions fill front-only; their segment is one sequential I/O.
+//
+// A write barrier does not close the open segment: it writes what is
+// staged, packs the dirty inodes into the back, and rewrites the one
+// summary block in place. The summary only grows, so a torn rewrite
+// leaves the acknowledged entries intact; roll-forward replays a
+// segment's front ascending, then its back descending (oldest
+// metadata first), each up to its first bad checksum. Segments retire
+// when full, at Sync, and with the cleaner's final commit.
 //
 // The inode map is chunked (256 inodes of 16 bytes per chunk); dirty
 // chunks are written into the log like data and their addresses are
@@ -96,17 +114,37 @@ const (
 // buffer: a Flushing-stable cache frame or the cleaner's immutable
 // victim read. A cache-frame alias is only stable while its flush job
 // is in flight, so slots are written through to the device before the
-// job returns (writeThrough); done and sums record how far that has
-// progressed and the checksums captured from the bytes the device
-// actually saw. A simulated partition carries no bytes: vec is nil.
+// job returns (writeThrough); done/backDone and sums record how far
+// that has progressed and the checksums captured from the bytes the
+// device actually saw.
+//
+// A real segment fills from both ends: data, inode-map chunks and
+// cleaner copies take slots 0, 1, 2 … (used counts them), inode and
+// indirect blocks take slots dataSlots-1, dataSlots-2 … (back counts
+// them), and the segment is full when the two meet. A write barrier
+// appends a block or two of metadata after every flush job; kept at
+// the far end they do not break up the file blocks' address runs.
+// entries is positional there (dataSlots long, Kind 0 = empty slot).
+// A barrier commits the segment in place — the summary block is
+// rewritten with the entries so far and the segment stays open;
+// committed is how many slots the summary on disk covers.
+//
+// A simulated partition carries no bytes and is never committed: vec
+// is nil, every block appends at the front, entries grows by append.
 type segBuf struct {
-	seg     int
-	entries []sumEntry
-	vec     [][]byte // real: SegBlocks per-block segments
-	used    int      // data slots filled (slot i lives at segment block 1+i)
-	done    int      // slots already written through to the device
-	sums    []uint32 // per-slot checksums, captured at device-write time
+	seg       int
+	entries   []sumEntry
+	vec       [][]byte // real: SegBlocks per-block segments
+	used      int      // front slots filled (slot i lives at segment block 1+i)
+	back      int      // real: slots filled from the far end (the j-th is slot dataSlots-1-j)
+	done      int      // front slots already written through to the device
+	backDone  int      // back slots already written through
+	sums      []uint32 // per-slot checksums, captured at device-write time
+	committed int      // slots covered by the summary on disk (0: none written)
 }
+
+// filled counts the slots taken from either end.
+func (s *segBuf) filled() int { return s.used + s.back }
 
 // LFS is the segmented log-structured layout.
 type LFS struct {
@@ -134,7 +172,9 @@ type LFS struct {
 	cur      *segBuf
 
 	// In-memory mirrors (authoritative during a run; rebuilt from
-	// disk on a real mount).
+	// disk on a real mount). summaries holds a segment's entries only
+	// where the disk cannot supply them: every segment of a simulated
+	// partition, and real segments roll-forward trimmed at a torn tail.
 	inodes        map[core.FileID]*layout.Inode
 	dirtyInodes   map[core.FileID]bool
 	summaries     map[int][]sumEntry
@@ -142,6 +182,7 @@ type LFS struct {
 	pending       map[int64][]byte        // unflushed log addr → bytes (real)
 
 	cleaner  CleanerPolicy
+	views    []SegState // segViews scratch
 	cleaning bool
 	mounted  bool
 
@@ -312,7 +353,7 @@ func (l *LFS) FreeBlocks() int64 {
 	}
 	free := int64(len(l.freeSegs)) * int64(l.dataSlots)
 	if l.cur != nil {
-		free += int64(l.dataSlots - l.cur.used)
+		free += int64(l.dataSlots - l.cur.filled())
 	}
 	return free
 }
@@ -326,6 +367,32 @@ func (l *LFS) Stats(set *stats.Set) {
 	set.Add(l.blocksOut)
 	set.Add(l.staged)
 	set.Add(l.cleanerUtil)
+}
+
+// LogStats are the log's own counters, for telemetry: they are atomic
+// (the Moments takes a plain mutex), so a scrape may read them without
+// the kernel. log_blocks_written over the cache's flushed blocks is
+// the log's write amplification; partial_segs and segs_cleaned per
+// flush job say whether barriers are burning segments.
+type LogStats struct {
+	SegsWritten        *stats.Counter
+	PartialSegs        *stats.Counter
+	SegsCleaned        *stats.Counter
+	LiveBlocksCopied   *stats.Counter
+	LogBlocksWritten   *stats.Counter
+	CleanedUtilization *stats.Moments
+}
+
+// LogStats returns the log's counters.
+func (l *LFS) LogStats() LogStats {
+	return LogStats{
+		SegsWritten:        l.segsWritten,
+		PartialSegs:        l.partialSegs,
+		SegsCleaned:        l.segsCleaned,
+		LiveBlocksCopied:   l.liveCopied,
+		LogBlocksWritten:   l.blocksOut,
+		CleanedUtilization: l.cleanerUtil,
+	}
 }
 
 // segStart returns the first block (the summary) of segment s.

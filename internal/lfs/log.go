@@ -9,12 +9,13 @@ import (
 	"repro/internal/sched"
 )
 
-// appendBlock reserves the next log slot for one block, staging data
-// in the open segment (real mode) and recording the summary entry.
-// It returns the block's new address. Full segments are written out
-// and a fresh one opened; the caller must hold l.mu.
+// appendBlock reserves the next front slot of the open segment for one
+// block (data, an inode-map chunk, a cleaner copy), staging data in
+// the open segment (real mode) and recording the summary entry. It
+// returns the block's new address. Full segments are written out and
+// a fresh one opened; the caller must hold l.mu.
 func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64, data []byte) (int64, error) {
-	if l.cur != nil && l.cur.used >= l.dataSlots {
+	if l.cur != nil && l.cur.filled() >= l.dataSlots {
 		if err := l.writeCurSegment(t, false); err != nil {
 			return -1, err
 		}
@@ -53,11 +54,21 @@ func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64,
 		// block into the segment buffer.
 		t.Sleep(timeNS(l.part.Mover.CopyCost(core.BlockSize)))
 	}
-	s.entries = append(s.entries, sumEntry{Kind: kind, File: file, Blk: blk})
 	s.used++
+	l.noteSlot(s, slot, sumEntry{Kind: kind, File: file, Blk: blk})
+	return addr, nil
+}
+
+// noteSlot records the summary entry of a slot just taken and charges
+// the block to the usage table.
+func (l *LFS) noteSlot(s *segBuf, slot int, e sumEntry) {
+	if s.vec != nil {
+		s.entries[slot] = e
+	} else {
+		s.entries = append(s.entries, e)
+	}
 	l.sut[s.seg].live++
 	l.blocksOut.Inc()
-	return addr, nil
 }
 
 // openSegment takes the next free segment as the log head, cleaning
@@ -77,7 +88,8 @@ func (l *LFS) openSegment(t sched.Task) error {
 	if !l.part.Simulated {
 		sb.vec = make([][]byte, l.cfg.SegBlocks)
 		sb.vec[0] = make([]byte, core.BlockSize) // owned summary block
-		sb.sums = make([]uint32, l.cfg.SegBlocks)
+		sb.sums = make([]uint32, l.dataSlots)
+		sb.entries = make([]sumEntry, l.dataSlots)
 	}
 	l.sut[seg] = segInfo{live: 0, seq: uint32(l.seq), state: segCurrent}
 	l.cur = sb
@@ -85,9 +97,10 @@ func (l *LFS) openSegment(t sched.Task) error {
 }
 
 // writeCurSegment packs dirty inodes (as many as fit), writes the
-// open segment to disk in one sequential I/O, and closes it. With
-// sync set, every dirty inode is packed, spilling into further
-// segments until none remain.
+// open segment to disk — one sequential I/O when simulated; whatever
+// has not been written through yet, then the summary, when real — and
+// closes it. With sync set, every dirty inode is packed, spilling
+// into further segments until none remain.
 func (l *LFS) writeCurSegment(t sched.Task, sync bool) error {
 	if l.cur == nil && len(l.dirtyInodes) == 0 {
 		return nil
@@ -106,6 +119,65 @@ func (l *LFS) writeCurSegment(t sched.Task, sync bool) error {
 			return nil
 		}
 	}
+}
+
+// commitCurSegment is the write barrier: everything staged and every
+// dirty inode record reaches the disk, and the segment stays open.
+// The summary block is rewritten in place with the entries so far —
+// it only ever grows, so a torn rewrite leaves every entry an earlier
+// barrier acknowledged byte-identical and the new ones failing their
+// checksums, which is a torn tail to roll-forward. A segment that is
+// full, or has no room for the inode records, is closed the classic
+// way and the barrier continues in a fresh one. Simulated partitions
+// (which the barrier never reaches in the experiments) have no
+// summary block to rewrite and close the segment.
+func (l *LFS) commitCurSegment(t sched.Task) error {
+	if l.part.Simulated {
+		return l.writeCurSegment(t, true)
+	}
+	for {
+		if l.cur == nil {
+			if len(l.dirtyInodes) == 0 {
+				return nil
+			}
+			if err := l.openSegment(t); err != nil {
+				return err
+			}
+		}
+		l.packInodes(t)
+		s := l.cur
+		if len(l.dirtyInodes) > 0 || s.filled() >= l.dataSlots {
+			if err := l.flushSegBuf(t); err != nil {
+				return err
+			}
+			if len(l.dirtyInodes) == 0 {
+				return nil
+			}
+			continue
+		}
+		if err := l.writeThrough(t); err != nil {
+			return err
+		}
+		if s.filled() == s.committed {
+			return nil // nothing appended since the last commit
+		}
+		return l.writeSummary(t, s)
+	}
+}
+
+// writeSummary puts the open segment's summary block on disk, after
+// the slots it describes (data before summary: a cut between the two
+// reads as a torn tail). The summary carries l.seq, the sequence the
+// usage table records when the segment retires; roll-forward dates
+// segments by it, so l.seq must not move while a committed segment
+// is open (checkpointLocked asserts that).
+func (l *LFS) writeSummary(t sched.Task, s *segBuf) error {
+	l.encodeSummary(s, l.seq)
+	if err := l.part.Write(t, l.segStart(s.seg), 1, s.vec[0]); err != nil {
+		return err
+	}
+	s.committed = s.filled()
+	return nil
 }
 
 // packInodes serializes dirty inodes (and their indirect map blocks)
@@ -166,7 +238,7 @@ func (l *LFS) packInodes(t sched.Task) {
 		need := l.indirectBlocksNeeded(ino)
 		// need slots for indirects plus one (shared) inode block —
 		// reserved whether the batch is empty or already open.
-		if l.cur.used+need+1 > l.dataSlots {
+		if l.cur.filled()+need+1 > l.dataSlots {
 			break // no room; stays dirty for the next segment
 		}
 		if need > 0 {
@@ -178,21 +250,27 @@ func (l *LFS) packInodes(t sched.Task) {
 		if len(batch) == layout.InodesPerBlk {
 			flushBatch()
 		}
-		if l.cur.used >= l.dataSlots {
+		if l.cur.filled() >= l.dataSlots {
 			break
 		}
 	}
 	flushBatch()
 }
 
-// appendBlockNoRefill is appendBlock without the write-and-reopen
-// path: packInodes guarantees room before calling.
+// appendBlockNoRefill reserves a slot for an inode or indirect block
+// without appendBlock's write-and-reopen path: packInodes guarantees
+// room before calling. On a real partition these blocks fill the
+// segment from its far end (see segBuf), so the metadata a barrier
+// adds after every flush job does not interleave with file data.
 func (l *LFS) appendBlockNoRefill(kind uint8, file core.FileID, blk int64, data []byte) (int64, error) {
-	if l.cur == nil || l.cur.used >= l.dataSlots {
+	if l.cur == nil || l.cur.filled() >= l.dataSlots {
 		return -1, fmt.Errorf("lfs %s: internal: no room reserved for metadata block", l.name)
 	}
 	s := l.cur
 	slot := s.used
+	if s.vec != nil {
+		slot = l.dataSlots - 1 - s.back
+	}
 	addr := l.segStart(s.seg) + 1 + int64(slot)
 	if s.vec != nil {
 		// Metadata blocks always get an owned copy: the callers
@@ -202,11 +280,11 @@ func (l *LFS) appendBlockNoRefill(kind uint8, file core.FileID, blk int64, data 
 		copy(dst, data)
 		s.vec[1+slot] = dst
 		l.pending[addr] = dst
+		s.back++
+	} else {
+		s.used++
 	}
-	s.entries = append(s.entries, sumEntry{Kind: kind, File: file, Blk: blk})
-	s.used++
-	l.sut[s.seg].live++
-	l.blocksOut.Inc()
+	l.noteSlot(s, slot, sumEntry{Kind: kind, File: file, Blk: blk})
 	return addr, nil
 }
 
@@ -272,22 +350,39 @@ func (l *LFS) writeIndirects(t sched.Task, ino *layout.Inode) error {
 }
 
 // writeThrough pushes the open segment's not-yet-written slots to
-// the device as one scatter-gather request. Cache-frame aliases are
-// only stable while their flush job holds the blocks Flushing
-// (BeginWrite waits on that window), so every WriteBlocks
-// drains its slots here before returning: the frame's bytes — and
-// the checksum the summary will carry for them — are read inside the
-// stable window, never after it. Caller holds l.mu.
+// the device, one scatter-gather request per end of the segment.
+// Cache-frame aliases are only stable while their flush job holds the
+// blocks Flushing (BeginWrite waits on that window), so every
+// WriteBlocks drains its slots here before returning: the frame's
+// bytes — and the checksum the summary will carry for them — are read
+// inside the stable window, never after it. Caller holds l.mu.
 func (l *LFS) writeThrough(t sched.Task) error {
 	s := l.cur
-	if s == nil || s.vec == nil || s.done >= s.used {
+	if s == nil || s.vec == nil {
 		return nil
 	}
-	for i := s.done; i < s.used; i++ {
+	if err := l.writeSlots(t, s, s.done, s.used); err != nil {
+		return err
+	}
+	s.done = s.used
+	if err := l.writeSlots(t, s, l.dataSlots-s.back, l.dataSlots-s.backDone); err != nil {
+		return err
+	}
+	s.backDone = s.back
+	return nil
+}
+
+// writeSlots writes slots [lo, hi) of the open segment as one request,
+// capturing their checksums from the bytes the device is given.
+func (l *LFS) writeSlots(t sched.Task, s *segBuf, lo, hi int) error {
+	if lo >= hi {
+		return nil
+	}
+	for i := lo; i < hi; i++ {
 		s.sums[i] = blockSum(s.vec[1+i])
 	}
-	start := l.segStart(s.seg) + 1 + int64(s.done)
-	if err := l.part.WriteVec(t, start, s.used-s.done, s.vec[1+s.done:1+s.used]); err != nil {
+	base := l.segStart(s.seg) + 1
+	if err := l.part.WriteVec(t, base+int64(lo), hi-lo, s.vec[1+lo:1+hi]); err != nil {
 		// The slots stay staged for a retry, but the job's Flushing
 		// window closes when this error surfaces — clients may then
 		// rewrite the frames, so the staged slots must own their
@@ -297,17 +392,16 @@ func (l *LFS) writeThrough(t sched.Task) error {
 	}
 	// The bytes are on the media: drop the aliases (the frames may
 	// be rewritten freely now) and serve readers from the device.
-	base := l.segStart(s.seg) + 1
-	for i := s.done; i < s.used; i++ {
+	for i := lo; i < hi; i++ {
 		delete(l.pending, base+int64(i))
 		s.vec[1+i] = nil
 	}
-	s.done = s.used
 	return nil
 }
 
-// materializeCur replaces every not-yet-written-through slot of the
-// open segment with an owned copy of its bytes. Slots alias
+// materializeCur replaces every not-yet-written-through front slot of
+// the open segment with an owned copy of its bytes (back slots hold
+// metadata, which never aliases). Slots alias
 // cache frames, and those aliases are only safe inside the flush
 // job's Flushing window — when an error aborts the job before
 // writeThrough drains the slots, the window closes with the slots
@@ -336,51 +430,44 @@ func (l *LFS) materializeCur() {
 	}
 }
 
-// flushSegBuf writes the open segment (summary + used slots) to the
-// device and retires it.
+// flushSegBuf writes what the open segment still owes the device —
+// slots not yet written through, then the summary unless the last
+// commit already covers every slot — and retires it.
 func (l *LFS) flushSegBuf(t sched.Task) error {
 	s := l.cur
 	if s == nil {
 		return nil
 	}
-	if s.used == 0 {
+	if s.filled() == 0 {
 		// Nothing written: return the segment to the free pool.
 		l.sut[s.seg] = segInfo{state: segFree}
 		l.freeSegs = append(l.freeSegs, s.seg)
 		l.cur = nil
 		return nil
 	}
-	var err error
 	if s.vec != nil {
-		// Data slots went out as they were appended (writeThrough);
-		// drain any remainder (inode packs, cleaner copies), then
-		// commit the segment with its summary block — data before
-		// summary, so a cut between the two reads as a torn tail.
-		// The summary carries the seq the usage table records below:
-		// roll-forward dates segments by it.
-		if err = l.writeThrough(t); err == nil {
-			l.encodeSummary(s, l.seq)
-			err = l.part.Write(t, l.segStart(s.seg), 1, s.vec[0])
+		if err := l.writeThrough(t); err != nil {
+			return err
+		}
+		if s.committed < s.filled() {
+			if err := l.writeSummary(t, s); err != nil {
+				return err
+			}
 		}
 	} else {
-		// Simulated: one sequential I/O for the whole segment.
-		err = l.part.Write(t, l.segStart(s.seg), 1+s.used, nil)
+		// Simulated: one sequential I/O for the whole segment. The
+		// in-memory summary is the only copy there is.
+		if err := l.part.Write(t, l.segStart(s.seg), 1+s.used, nil); err != nil {
+			return err
+		}
+		l.summaries[s.seg] = s.entries
 	}
-	if err != nil {
-		return err
-	}
-	l.summaries[s.seg] = s.entries
 	l.sut[s.seg].state = segInUse
 	l.sut[s.seg].seq = uint32(l.seq)
 	l.seq++
 	l.segsWritten.Inc()
-	if s.used < l.dataSlots {
+	if s.filled() < l.dataSlots {
 		l.partialSegs.Inc()
-	}
-	// Blocks are durable; forget the pending copies.
-	base := l.segStart(s.seg) + 1
-	for i := 0; i < s.used; i++ {
-		delete(l.pending, base+int64(i))
 	}
 	l.cur = nil
 	return nil

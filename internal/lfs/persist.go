@@ -23,9 +23,12 @@ const (
 	// Summary entries are 24 bytes: kind (1), pad (3), data
 	// checksum (4), file (8), blk (8).
 	sumEntSize = 24
-	// Summary header: magic (4), count (4), log seq (8). The seq
-	// dates the segment against the checkpoints; roll-forward replays
-	// only segments newer than the one it mounted from.
+	// Summary header: magic (4), count (4), log seq (8). The count
+	// word holds the front slot count in its low half and the back
+	// count in its high half (zero in images written before segments
+	// filled from both ends); entry i describes slot i. The seq dates
+	// the segment against the checkpoints; roll-forward replays only
+	// segments newer than the one it mounted from.
 	sumHeaderSize = 16
 )
 
@@ -123,6 +126,14 @@ func (l *LFS) checkpointLocked(t sched.Task) error {
 		if err := l.flushSegBuf(t); err != nil {
 			return err
 		}
+	}
+
+	// A committed open segment carries l.seq in its summary: a
+	// checkpoint under the same sequence would date the segment's
+	// blocks as already covered, and roll-forward would skip them.
+	// Every caller closes the segment first.
+	if l.cur != nil && l.cur.committed > 0 {
+		panic(fmt.Sprintf("lfs %s: checkpoint with committed segment %d still open", l.name, l.cur.seg))
 	}
 
 	// 2. Header + SUT into the alternate region. The header carries a
@@ -234,6 +245,14 @@ func (l *LFS) readCheckpoint(t sched.Task) error {
 		}
 		l.decodeImapChunk(c, buf)
 	}
+	// Which inodes share which inode block — what tells the cleaner
+	// and FreeInode when such a block is dead — follows from the map.
+	l.inodeBlockIDs = make(map[int64][]core.FileID)
+	for id, ent := range l.imap {
+		if ent.addr >= 0 {
+			l.inodeBlockIDs[ent.addr] = append(l.inodeBlockIDs[ent.addr], id)
+		}
+	}
 	return nil
 }
 
@@ -276,20 +295,20 @@ func (l *LFS) decodeImapChunk(c int, buf []byte) {
 }
 
 // encodeSummary serializes the open segment's summary into its first
-// block: header with the log sequence the segment is written under,
-// then one entry per data slot carrying a checksum of the slot's
-// bytes — what lets roll-forward date a segment against a checkpoint
-// and stop at a torn tail.
+// block: header with the log sequence the segment is written under
+// and the two slot counts, then one entry per slot, at the slot's
+// position, carrying a checksum of the slot's bytes — what lets
+// roll-forward date a segment against a checkpoint and stop at a torn
+// tail. Entries are only ever added between two encodings of one
+// segment, so each is a byte-for-byte extension of the last.
 func (l *LFS) encodeSummary(s *segBuf, seq uint64) {
 	buf := s.vec[0]
-	for i := range buf {
-		buf[i] = 0
-	}
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], superMagic)
-	le.PutUint32(buf[4:], uint32(len(s.entries)))
+	le.PutUint32(buf[4:], uint32(s.used)|uint32(s.back)<<16)
 	le.PutUint64(buf[8:], seq)
-	for i, e := range s.entries {
+	put := func(i int) {
+		e := s.entries[i]
 		o := sumHeaderSize + i*sumEntSize
 		buf[o] = e.Kind
 		// The checksum was captured when the slot's bytes hit the
@@ -298,47 +317,67 @@ func (l *LFS) encodeSummary(s *segBuf, seq uint64) {
 		le.PutUint64(buf[o+8:], uint64(e.File))
 		le.PutUint64(buf[o+16:], uint64(e.Blk))
 	}
+	for i := 0; i < s.used; i++ {
+		put(i)
+	}
+	for i := l.dataSlots - s.back; i < l.dataSlots; i++ {
+		put(i)
+	}
 }
 
-// readSummary reads a segment summary from disk (real remounts).
-func (l *LFS) readSummary(t sched.Task, seg int) ([]sumEntry, error) {
-	out, _, _, err := l.readSummaryFull(t, seg)
-	if err != nil {
-		return nil, err
-	}
-	l.summaries[seg] = out
-	return out, nil
+// segSummary is a decoded on-disk summary: positional entries (Kind 0
+// where a slot is empty) and checksums, the front and back slot
+// counts, and the log sequence the segment was written under.
+type segSummary struct {
+	entries     []sumEntry
+	sums        []uint32
+	front, back int
+	seq         uint64
 }
 
-// readSummaryFull reads a summary plus the recovery fields: the log
-// sequence the segment was written under and the per-entry data
-// checksums. It does not cache into l.summaries — roll-forward
-// probes segments it may then reject.
-func (l *LFS) readSummaryFull(t sched.Task, seg int) ([]sumEntry, uint64, []uint32, error) {
-	buf := make([]byte, core.BlockSize)
-	if err := l.part.Read(t, l.segStart(seg), 1, buf); err != nil {
-		return nil, 0, nil, err
-	}
+// decodeSummary parses a summary block. A front-only summary (every
+// image written before segments filled from both ends) yields exactly
+// its front entries; a two-ended one yields all dataSlots positions.
+func (l *LFS) decodeSummary(seg int, buf []byte) (segSummary, error) {
 	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != superMagic {
-		return nil, 0, nil, fmt.Errorf("lfs %s: segment %d has no summary", l.name, seg)
+		return segSummary{}, fmt.Errorf("lfs %s: segment %d has no summary", l.name, seg)
 	}
-	n := int(le.Uint32(buf[4:]))
-	max := (core.BlockSize - sumHeaderSize) / sumEntSize
-	if n > max {
-		return nil, 0, nil, fmt.Errorf("lfs %s: summary of %d entries exceeds block", l.name, n)
+	count := le.Uint32(buf[4:])
+	sum := segSummary{front: int(count & 0xFFFF), back: int(count >> 16), seq: le.Uint64(buf[8:])}
+	if sum.front+sum.back > l.dataSlots {
+		return segSummary{}, fmt.Errorf("lfs %s: summary of %d+%d entries exceeds segment", l.name, sum.front, sum.back)
 	}
-	seq := le.Uint64(buf[8:])
-	out := make([]sumEntry, n)
-	sums := make([]uint32, n)
-	for i := range out {
+	n := sum.front
+	if sum.back > 0 {
+		n = l.dataSlots
+	}
+	sum.entries = make([]sumEntry, n)
+	sum.sums = make([]uint32, n)
+	get := func(i int) {
 		o := sumHeaderSize + i*sumEntSize
-		out[i] = sumEntry{
+		sum.entries[i] = sumEntry{
 			Kind: buf[o],
 			File: core.FileID(le.Uint64(buf[o+8:])),
 			Blk:  int64(le.Uint64(buf[o+16:])),
 		}
-		sums[i] = le.Uint32(buf[o+4:])
+		sum.sums[i] = le.Uint32(buf[o+4:])
 	}
-	return out, seq, sums, nil
+	for i := 0; i < sum.front; i++ {
+		get(i)
+	}
+	for i := l.dataSlots - sum.back; i < l.dataSlots; i++ {
+		get(i)
+	}
+	return sum, nil
+}
+
+// readSummary reads and decodes a segment's summary block. Nothing is
+// cached: roll-forward probes segments it may then reject.
+func (l *LFS) readSummary(t sched.Task, seg int) (segSummary, error) {
+	buf := make([]byte, core.BlockSize)
+	if err := l.part.Read(t, l.segStart(seg), 1, buf); err != nil {
+		return segSummary{}, err
+	}
+	return l.decodeSummary(seg, buf)
 }

@@ -80,23 +80,21 @@ func (l *LFS) Recover(t sched.Task) (layout.RecoveryStats, error) {
 func (l *LFS) rollForwardLocked(t sched.Task, st *layout.RecoveryStats) error {
 	cpSeq := l.seq - 1 // the mounted checkpoint's sequence
 	type cand struct {
-		seg     int
-		seq     uint64
-		entries []sumEntry
-		sums    []uint32
+		seg int
+		sum segSummary
 	}
 	var cands []cand
 	for seg := 0; seg < l.nsegs; seg++ {
 		if l.sut[seg].state != segFree {
 			continue // already referenced by the checkpoint
 		}
-		entries, seq, sums, err := l.readSummaryFull(t, seg)
-		if err != nil || seq <= cpSeq {
+		sum, err := l.readSummary(t, seg)
+		if err != nil || sum.seq <= cpSeq {
 			continue // never written, or a stale pre-checkpoint life
 		}
-		cands = append(cands, cand{seg, seq, entries, sums})
+		cands = append(cands, cand{seg, sum})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].sum.seq < cands[j].sum.seq })
 
 	for _, c := range cands {
 		if st.TornTail {
@@ -104,84 +102,87 @@ func (l *LFS) rollForwardLocked(t sched.Task, st *layout.RecoveryStats) error {
 			// final I/O; nothing there can be trusted.
 			break
 		}
-		l.claimSegLocked(c.seg, uint32(c.seq))
+		l.claimSegLocked(c.seg, uint32(c.sum.seq))
 		st.RolledSegments++
-		// The rolled segment's used blocks are read lazily in
-		// clustered runs (one block per request with clustering off)
-		// as the entry loop advances, so a torn entry — unreadable
-		// block or bad checksum — stops the reading exactly where the
-		// one-block-at-a-time path did.
-		segData := make([]byte, len(c.entries)*core.BlockSize)
-		readable := 0
-		applied := 0
-		for i, e := range c.entries {
-			addr := l.segStart(c.seg) + 1 + int64(i)
-			if i >= readable {
-				readable += l.readSegRun(t, c.seg, segData, readable, len(c.entries))
-				if i >= readable {
-					st.TornTail = true
-					break
-				}
-			}
-			buf := segData[i*core.BlockSize : (i+1)*core.BlockSize]
-			if blockSum(buf) != c.sums[i] {
-				st.TornTail = true
-				break
-			}
-			applied = i + 1
-			switch e.Kind {
-			case kindData:
-				l.rollDataLocked(t, e, addr, st)
-			case kindInode:
-				l.rollInodeBlockLocked(buf, addr, st)
-			case kindImap:
-				l.rollImapChunkLocked(buf, e, addr)
-			case kindIndirect:
-				// Re-attached through the inode records that point at
-				// it; the recount settles its liveness.
-			}
-		}
-		l.summaries[c.seg] = c.entries[:applied]
+		l.rollSegmentLocked(t, c.seg, c.sum, st)
 		// New segments must be dated after everything rolled forward,
 		// or a second crash would mis-order the log.
-		if c.seq >= l.seq {
-			l.seq = c.seq + 1
+		if c.sum.seq >= l.seq {
+			l.seq = c.sum.seq + 1
 		}
 	}
 	return nil
 }
 
-// readSegRun reads the next clustered run of seg's data blocks —
-// starting at block index from, at most the run cap, never past
-// count — into its place in buf, returning how many blocks it could
-// read. A failed multi-block read falls back to single-block reads
-// so the exact tear point is found — the same
-// stop-at-first-unreadable-block semantics the one-block-at-a-time
-// path has (and exactly that path when the cap is 1).
-func (l *LFS) readSegRun(t sched.Task, seg int, buf []byte, from, count int) int {
-	run := count - from
-	if lim := l.ClusterRun(); run > lim {
-		run = lim
-	}
-	if run <= 0 {
-		return 0
-	}
+// rollSegmentLocked replays one segment: its front slots ascending
+// (data in the order it was written), then its back slots descending —
+// the far end fills downwards, so that is oldest metadata first and a
+// file's newest inode record lands last, subsuming the data entries
+// before it. Each end stops at its first unreadable block or bad
+// checksum and flags the torn tail; a tear in the front does not
+// suppress the back, whose intact entries earlier barriers
+// acknowledged. Blocks are read lazily in clustered runs (one block
+// per request with clustering off) in replay direction, and a failed
+// run is retried block by block so the exact tear point is found.
+func (l *LFS) rollSegmentLocked(t sched.Task, seg int, sum segSummary, st *layout.RecoveryStats) {
 	base := l.segStart(seg) + 1
-	dst := buf[from*core.BlockSize : (from+run)*core.BlockSize]
-	if err := l.part.Read(t, base+int64(from), run, dst); err == nil {
-		return run
+	segData := make([]byte, len(sum.entries)*core.BlockSize)
+	load := func(from, n int) bool {
+		return l.part.Read(t, base+int64(from), n, segData[from*core.BlockSize:(from+n)*core.BlockSize]) == nil
 	}
-	if run == 1 {
-		return 0
-	}
-	// Retry the failed run block by block to locate the tear.
-	for i := 0; i < run; i++ {
-		one := buf[(from+i)*core.BlockSize : (from+i+1)*core.BlockSize]
-		if err := l.part.Read(t, base+int64(from+i), 1, one); err != nil {
-			return i
+	kept := make([]sumEntry, len(sum.entries))
+	torn := false
+	replay := func(first, count, step int) {
+		lim := l.ClusterRun()
+		lo, hi := 0, 0 // slots [lo, hi) of segData are loaded
+		for j := 0; j < count; j++ {
+			slot := first + j*step
+			if slot < lo || slot >= hi {
+				run := min(lim, count-j)
+				from := slot
+				if step < 0 {
+					from = slot - run + 1
+				}
+				ok := load(from, run)
+				if !ok && run > 1 {
+					// Locate the tear block by block from here on.
+					lim, from, run = 1, slot, 1
+					ok = load(slot, 1)
+				}
+				if !ok {
+					torn = true
+					return
+				}
+				lo, hi = from, from+run
+			}
+			buf := segData[slot*core.BlockSize : (slot+1)*core.BlockSize]
+			e := sum.entries[slot]
+			if e.Kind == 0 || blockSum(buf) != sum.sums[slot] {
+				torn = true
+				return
+			}
+			kept[slot] = e
+			switch e.Kind {
+			case kindData:
+				l.rollDataLocked(t, e, base+int64(slot), st)
+			case kindInode:
+				l.rollInodeBlockLocked(buf, base+int64(slot), st)
+			case kindImap:
+				l.rollImapChunkLocked(buf, e, base+int64(slot))
+			case kindIndirect:
+				// Re-attached through the inode records that point at
+				// it; the recount settles its liveness.
+			}
 		}
 	}
-	return run
+	replay(0, sum.front, +1)
+	replay(l.dataSlots-1, sum.back, -1)
+	if torn {
+		// The summary on disk claims more than was applied; the cleaner
+		// must go by the trimmed copy.
+		st.TornTail = true
+		l.summaries[seg] = kept
+	}
 }
 
 // claimSegLocked withdraws seg from the free pool and marks it in
@@ -372,25 +373,29 @@ func (l *LFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	fn()
 }
 
-// WriteBarrier implements layout.Barrier: the open segment (with the
-// blocks WriteBlocks has staged so far) goes to disk as a partial
-// segment, together with every dirty inode record. Packing the
-// inodes matters for the paper's no-acknowledged-loss argument: a
-// barrier that flushed only data would leave the records volatile,
-// and roll-forward would count the just-hardened blocks of a fresh
-// file as orphans of an inode that never reached the log. With the
-// records in the same barrier, data made durable this way needs no
-// checkpoint to survive.
+// WriteBarrier implements layout.Barrier: the blocks WriteBlocks has
+// staged so far and every dirty inode record reach the disk, and the
+// open segment's summary is rewritten in place to cover them — a
+// commit, not a close: the segment stays open and retires only when
+// it is full, at Sync, or with the cleaner's final commit
+// (commitCurSegment). Packing the inodes matters for the paper's
+// no-acknowledged-loss argument: a barrier that flushed only data
+// would leave the records volatile, and roll-forward would count the
+// just-hardened blocks of a fresh file as orphans of an inode that
+// never reached the log. With the records in the same barrier, data
+// made durable this way needs no checkpoint to survive.
 func (l *LFS) WriteBarrier(t sched.Task) error {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
-	return l.writeCurSegment(t, true)
+	return l.commitCurSegment(t)
 }
 
-// DurableSeq is the durability watermark: the log sequence
-// number advances with every segment flush and checkpoint, so a
-// caller that snapshots it around a sync can tell the covering
-// barrier really reached the disk.
+// DurableSeq is the durability watermark: the log sequence number
+// advances with every retired segment and every checkpoint, and never
+// moves backwards. A write barrier commits into the open segment
+// without advancing it, so callers that snapshot it around a sync
+// (fsys.SyncAll) can only conclude that the covering checkpoint did
+// not regress — not that a barrier in between moved it.
 func (l *LFS) DurableSeq(t sched.Task) uint64 {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)

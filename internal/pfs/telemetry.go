@@ -27,6 +27,7 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/health"
 	"repro/internal/layout"
+	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -71,6 +72,11 @@ func NewRegistry(o Observables) *telemetry.Registry {
 	}
 	for i, drv := range o.Drivers {
 		registerDriver(reg, fmt.Sprintf("d%d", i), drv.DriverStats())
+	}
+	if a := o.Array; a != nil {
+		for i, ls := range logStats(a) {
+			registerLFS(reg, fmt.Sprintf("d%d", i), ls)
+		}
 	}
 	if p := o.Fault; p != nil {
 		registerFault(reg, p)
@@ -216,6 +222,34 @@ func registerDriver(reg *telemetry.Registry, member string, ds *device.DriverSta
 	reg.AddCounter("pfs_device_io_errors_total", "Requests failed with a transient I/O error.", lbl, ds.IOErrors)
 	reg.AddCounter("pfs_device_dead_errors_total", "Requests rejected because the member's disk is dead.", lbl, ds.DeadErrors)
 	reg.AddCounter("pfs_device_slow_ios_total", "Completions over the configured latency SLO.", lbl, ds.SlowIOs)
+}
+
+// logStats collects the log counters of the array's LFS members, in
+// member order (none for FFS members). Safe from any goroutine: the
+// member table is an atomic snapshot and the counters are atomics.
+func logStats(a *volume.Array) []lfs.LogStats {
+	var out []lfs.LogStats
+	for _, sub := range a.Subs() {
+		if l, ok := sub.(*lfs.LFS); ok {
+			out = append(out, l.LogStats())
+		}
+	}
+	return out
+}
+
+// registerLFS exports one member's log counters. Segments written,
+// partial and cleaned per cache flush job, and log blocks written per
+// flushed block, are the ratios that show a write path burning
+// segments — the barrier-per-flush pathology went unseen for a dozen
+// PRs because none of this was exported.
+func registerLFS(reg *telemetry.Registry, member string, ls lfs.LogStats) {
+	lbl := telemetry.Labels{"member": member}
+	reg.AddCounter("pfs_lfs_segs_written_total", "Log segments retired to disk (full, or closed early by a sync or the cleaner).", lbl, ls.SegsWritten)
+	reg.AddCounter("pfs_lfs_partial_segs_total", "Segments retired before they were full.", lbl, ls.PartialSegs)
+	reg.AddCounter("pfs_lfs_segs_cleaned_total", "Segments reclaimed by the log cleaner.", lbl, ls.SegsCleaned)
+	reg.AddCounter("pfs_lfs_live_blocks_copied_total", "Live blocks the cleaner copied to the log head.", lbl, ls.LiveBlocksCopied)
+	reg.AddCounter("pfs_lfs_log_blocks_written_total", "Blocks appended to the log (data, metadata and cleaner copies; summaries excluded).", lbl, ls.LogBlocksWritten)
+	reg.AddMoments("pfs_lfs_cleaned_utilization", "Live fraction of the segments the cleaner picked.", lbl, ls.CleanedUtilization, 1)
 }
 
 // registerHealth exports the health monitor's per-member verdicts and
@@ -409,6 +443,22 @@ func (s *Server) renderStatusz() string {
 		s.Cache.Capacity(), s.Cache.Shards(), s.Cache.DirtyCount(), s.Cache.MaxDirtyBlocks(), s.Cache.Off())
 	if il := s.Cache.Intents(); il != nil {
 		fmt.Fprintf(&b, "  intent log: depth=%d/%d recorded=%d\n", il.Len(), il.Cap(), il.Total())
+	}
+	if logs := logStats(s.Array); len(logs) > 0 {
+		var segs, partial, cleaned, blocks int64
+		for _, ls := range logs {
+			segs += ls.SegsWritten.Value()
+			partial += ls.PartialSegs.Value()
+			cleaned += ls.SegsCleaned.Value()
+			blocks += ls.LogBlocksWritten.Value()
+		}
+		cs := s.Cache.CacheStats()
+		amp := 0.0
+		if fb := cs.FlushedBlocks.Value(); fb > 0 {
+			amp = float64(blocks) / float64(fb)
+		}
+		fmt.Fprintf(&b, "  log: segs_written=%d partial=%d cleaned=%d log_blocks=%d flush_jobs=%d write_amplification=%.2f (log blocks per flushed block)\n",
+			segs, partial, cleaned, blocks, cs.FlushJobs.Value(), amp)
 	}
 	if s.net != nil {
 		fmt.Fprintf(&b, "  nfs: addr=%s conns=%d inflight=%d draining=%v\n",

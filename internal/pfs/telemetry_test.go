@@ -76,6 +76,12 @@ var goldenSimFamilies = map[string]string{
 	"pfs_device_io_errors_total":          "counter",
 	"pfs_device_dead_errors_total":        "counter",
 	"pfs_device_slow_ios_total":           "counter",
+	"pfs_lfs_segs_written_total":          "counter",
+	"pfs_lfs_partial_segs_total":          "counter",
+	"pfs_lfs_segs_cleaned_total":          "counter",
+	"pfs_lfs_live_blocks_copied_total":    "counter",
+	"pfs_lfs_log_blocks_written_total":    "counter",
+	"pfs_lfs_cleaned_utilization":         "summary",
 }
 
 // parseFamilies extracts name -> type from # TYPE lines.
@@ -193,6 +199,9 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 		`pfs_cache_shard_dirty_blocks{shard="1"}`,
 		`pfs_device_queue_depth_bucket{le="+Inf",member="d0"}`,
 		`pfs_device_wait_seconds{member="d1",quantile="0.5"}`,
+		`pfs_lfs_segs_written_total{member="d0"}`,
+		`pfs_lfs_log_blocks_written_total{member="d1"}`,
+		`pfs_lfs_cleaned_utilization_count{member="d1"}`,
 	} {
 		if !strings.Contains(body, series+" ") {
 			t.Errorf("missing series %s", series)
@@ -208,6 +217,15 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 	}
 	if v := metricValue(t, body, "pfs_fs_writes_total"); v != float64(sys.FS.FSStats().Writes.Value()) {
 		t.Errorf("fs writes: exported %v, source %d", v, sys.FS.FSStats().Writes.Value())
+	}
+	var logBlocks int64
+	for _, ls := range logStats(sys.Array) {
+		logBlocks += ls.LogBlocksWritten.Value()
+	}
+	exported := metricValue(t, body, `pfs_lfs_log_blocks_written_total{member="d0"}`) +
+		metricValue(t, body, `pfs_lfs_log_blocks_written_total{member="d1"}`)
+	if logBlocks < 32 || exported != float64(logBlocks) {
+		t.Errorf("log blocks: exported %v, sources %d (32 data blocks were synced)", exported, logBlocks)
 	}
 	if v := metricValue(t, body, "pfs_volume_width"); v != 2 {
 		t.Errorf("width = %v", v)
@@ -326,6 +344,8 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 		"pfs_io_staging_copy_bytes_total",
 		`pfs_device_vectored_reads_total{member="d0"}`,
 		`pfs_device_vectored_writes_total{member="d0"}`,
+		`pfs_lfs_partial_segs_total{member="d0"}`,
+		`pfs_lfs_segs_cleaned_total{member="d1"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in /metrics", want)
@@ -345,7 +365,8 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("/healthz %d: %s", code, body)
 	}
 	if body, code := adminGet(t, admin, "/statusz"); code != 200 ||
-		!strings.Contains(body, "pfs status") || !strings.Contains(body, "nfs: addr=") {
+		!strings.Contains(body, "pfs status") || !strings.Contains(body, "nfs: addr=") ||
+		!strings.Contains(body, "write_amplification=") {
 		t.Fatalf("/statusz %d:\n%s", code, body)
 	}
 	body, code = adminGet(t, admin, "/statusz?slow=1")
