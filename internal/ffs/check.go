@@ -365,7 +365,7 @@ func (f *FFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	fn()
 }
 
-// LiveInodes implements layout.InodeEnumerator.
+// LiveInodes implements layout.Member.
 func (f *FFS) LiveInodes(t sched.Task) []core.FileID {
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
@@ -382,3 +382,10 @@ func (f *FFS) LiveInodes(t sched.Task) []core.FileID {
 	}
 	return ids
 }
+
+// InodeCursor implements layout.Member: 0, FFS has no sequential
+// allocator (inodes spread by group).
+func (f *FFS) InodeCursor(sched.Task) uint64 { return 0 }
+
+// SetInodeCursor implements layout.Member as a no-op.
+func (f *FFS) SetInodeCursor(sched.Task, uint64) {}

@@ -240,26 +240,24 @@ type Barrier interface {
 	WriteBarrier(t sched.Task) error
 }
 
-// InodeEnumerator lists a mounted layout's live inode numbers in
-// ascending order. Array recovery uses it to re-sync the lockstep
-// inode allocators and roll back half-made allocations.
-type InodeEnumerator interface {
+// Member is a layout a volume array can be built from: array recovery
+// and rebuild work on its inode space, which the members keep in
+// lockstep. LFS and FFS implement it; volume.New and Array.Rebuild
+// refuse anything else.
+type Member interface {
+	Layout
+	// LiveInodes lists the live inode numbers in ascending order
+	// (recovery re-syncs lockstep from them and rolls back half-made
+	// allocations; rebuild and scrub sweep them).
 	LiveInodes(t sched.Task) []core.FileID
-}
-
-// AllocCursor is implemented by layouts with a sequential inode
-// allocator (the LFS): array recovery aligns the cursors of all
-// members to the maximum so lockstep allocation resumes.
-type AllocCursor interface {
+	// InodeCursor is the sequential inode allocator's position, 0 for
+	// a layout without one (FFS spreads by group); the array aligns
+	// every member's cursor to the maximum so lockstep allocation
+	// resumes, and skips the alignment at 0.
 	InodeCursor(t sched.Task) uint64
 	SetInodeCursor(t sched.Task, cur uint64)
-}
-
-// InodeRestorer recreates a specific inode number on a mounted
-// layout. Array rebuild uses it to clone a dead member's inode space
-// onto a freshly formatted replacement, where the ordinary allocator
-// (sequential cursor or group spreading) would assign different
-// numbers than the live set being copied.
-type InodeRestorer interface {
+	// RestoreInode recreates a specific inode number. Rebuild clones
+	// the live inode space onto a freshly formatted replacement with
+	// it, where the ordinary allocator would assign other numbers.
 	RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*Inode, error)
 }

@@ -42,7 +42,7 @@ func (l *LFS) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, error)
 	return ino, nil
 }
 
-// RestoreInode implements layout.InodeRestorer: it creates an inode
+// RestoreInode implements layout.Member: it creates an inode
 // at a caller-chosen number, bumping the sequential cursor past it.
 // Array rebuild replays a dead member's live inode set this way.
 func (l *LFS) RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*layout.Inode, error) {

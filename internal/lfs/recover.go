@@ -402,7 +402,7 @@ func (l *LFS) DurableSeq(t sched.Task) uint64 {
 	return l.seq
 }
 
-// LiveInodes implements layout.InodeEnumerator.
+// LiveInodes implements layout.Member.
 func (l *LFS) LiveInodes(t sched.Task) []core.FileID {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
@@ -416,14 +416,14 @@ func (l *LFS) LiveInodes(t sched.Task) []core.FileID {
 	return ids
 }
 
-// InodeCursor implements layout.AllocCursor.
+// InodeCursor implements layout.Member: the sequential allocator.
 func (l *LFS) InodeCursor(t sched.Task) uint64 {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
 	return uint64(l.nextIno)
 }
 
-// SetInodeCursor implements layout.AllocCursor.
+// SetInodeCursor implements layout.Member; it never moves the cursor back.
 func (l *LFS) SetInodeCursor(t sched.Task, cur uint64) {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)

@@ -71,31 +71,27 @@ func TestSelfHealClosedLoop(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("client %d: mkdir: %w", id, err)
 				}
-				// maxFiles bounds the log volume (the member logs must
-				// not fill to the cleaning threshold mid-test); past it
-				// the client keeps the array under read load.
-				const maxFiles = 40
+				// A new file every round for the whole window: the member
+				// logs keep growing through the kill and the repair.
 				for r := 0; ; r++ {
 					select {
 					case <-stop:
 						return nil
 					default:
 					}
-					name := fmt.Sprintf("f%d", r%maxFiles)
-					payload := bytes.Repeat([]byte{byte(1 + id*31 + (r%maxFiles)%191)}, 2*core.BlockSize+511)
-					if r < maxFiles {
-						fh, _, err := c.Create(dir, name)
-						if err != nil {
-							return fmt.Errorf("client %d round %d: create: %w", id, r, err)
-						}
-						if _, err := c.Write(fh, 0, payload); err != nil {
-							return fmt.Errorf("client %d round %d: write: %w", id, r, err)
-						}
-						ackMu.Lock()
-						ackedFiles = append(ackedFiles, acked{fmt.Sprintf("c%d/f%d", id, r), payload})
-						ackMu.Unlock()
+					name := fmt.Sprintf("f%d", r)
+					payload := bytes.Repeat([]byte{byte(1 + id*31 + r%191)}, 2*core.BlockSize+511)
+					fh, _, err := c.Create(dir, name)
+					if err != nil {
+						return fmt.Errorf("client %d round %d: create: %w", id, r, err)
 					}
-					fh, _, err := c.Lookup(dir, name)
+					if _, err := c.Write(fh, 0, payload); err != nil {
+						return fmt.Errorf("client %d round %d: write: %w", id, r, err)
+					}
+					ackMu.Lock()
+					ackedFiles = append(ackedFiles, acked{fmt.Sprintf("c%d/f%d", id, r), payload})
+					ackMu.Unlock()
+					fh, _, err = c.Lookup(dir, name)
 					if err != nil {
 						return fmt.Errorf("client %d round %d: lookup: %w", id, r, err)
 					}

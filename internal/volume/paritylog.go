@@ -212,7 +212,8 @@ func (a *Array) ReplayParity(t sched.Task, recs []ParityRecord) (applied int, er
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	if a.red == nil || !a.red.parity {
+	// Any column's check cell tells the placement's check role.
+	if chk, _ := a.pl.checkCell(0, 0); chk.role != roleParity {
 		return 0, fmt.Errorf("volume %s: parity records on placement %s", a.name, a.cfg.Placement)
 	}
 	scratch := make([]byte, core.BlockSize)
@@ -253,17 +254,10 @@ func (a *Array) replayColumn(t sched.Task, af *afile, rec ParityRecord, scratch 
 		}
 		xorInto(parity, scratch)
 	}
-	sh := af.shadows[rec.PMember]
-	if end := (int64(rec.PLocal) + 1) * core.BlockSize; !a.isCarrier(af.home, rec.PMember) && end > sh.Size {
-		if err := a.sub(rec.PMember).Truncate(t, sh, end); err != nil {
-			return err
-		}
-	}
-	a.writes.Add(rec.PMember, 1)
-	if err := a.sub(rec.PMember).WriteBlocks(t, sh, []layout.BlockWrite{
+	if err := a.writeMember(t, af, rec.PMember, []layout.BlockWrite{
 		{Blk: rec.PLocal, Data: parity, Size: core.BlockSize},
 	}); err != nil {
 		return err
 	}
-	return a.sub(rec.PMember).UpdateInode(t, sh)
+	return a.sub(rec.PMember).UpdateInode(t, af.shadows[rec.PMember])
 }

@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/layout"
 	"repro/internal/sched"
 )
 
-// This file is the array's self-healing machinery: the online rebuild
-// that reconstructs a dead member onto a freshly formatted replacement
-// while the array keeps serving, the scrub that verifies (and repairs)
-// copy/parity consistency, and the post-crash repair pass Recover runs
-// for the redundant placements.
+// This file is the array's self-healing machinery: the degraded state
+// a member's death puts the array in, the online rebuild that
+// reconstructs a dead member onto a freshly formatted replacement
+// while the array keeps serving, and the scrub that verifies (and
+// repairs) copy/parity consistency. Both sweep the placement's cells
+// through the executor (exec.go).
 //
 // Rebuild runs in three phases:
 //
@@ -26,9 +29,10 @@ import (
 //     cursors, swap the in-memory shadows, and publish the replacement
 //     through a.eff/attachIdx. From here on every new write lands on
 //     the replacement too, so the copy phase chases a bounded frontier.
-//  2. Copy: per file, under the file's own lock, reconstruct the dead
-//     member's local share from the survivors (mirror: read the other
-//     copy; parity: XOR the column) and write it to the replacement.
+//  2. Copy: per file, under the file's own lock, sweep the dead
+//     member's cells in ascending local order, reconstruct each from
+//     the rest of its column (a mirror: the other copy; parity: the
+//     XOR of the column) and write it to the replacement.
 //     Files born after the attach are complete by construction; each
 //     finished file flips af.rebuilt, re-enabling direct reads of the
 //     member for that file.
@@ -53,6 +57,79 @@ const (
 	maintRebuild
 	maintScrub
 )
+
+// DeadMember returns the index of the array's dead member, -1 when
+// the array is healthy.
+func (a *Array) DeadMember() int { return int(a.deadIdx.Load()) }
+
+// Degraded reports whether a member is dead.
+func (a *Array) Degraded() bool { return a.deadIdx.Load() >= 0 }
+
+// KillMember declares member m dead: reads of its blocks reconstruct
+// from peers, writes stop touching it. Only redundant placements can
+// keep serving; other placements refuse (their data has no second
+// home). The model is single-fault: a second death while one member
+// is already dead is rejected.
+func (a *Array) KillMember(m int) error {
+	if a.single != nil || !a.pl.redundant() {
+		return fmt.Errorf("%w (placement %s)", ErrDegraded, a.cfg.Placement)
+	}
+	if m < 0 || m >= len(a.subs) {
+		return fmt.Errorf("volume %s: kill member %d of %d", a.name, m, len(a.subs))
+	}
+	if a.deadIdx.CompareAndSwap(-1, int32(m)) || int(a.deadIdx.Load()) == m {
+		return nil // (idempotent)
+	}
+	return fmt.Errorf("volume %s: member %d already dead, cannot also lose %d (single-fault model)",
+		a.name, a.DeadMember(), m)
+}
+
+// sub returns the effective layout serving member i: the original
+// sub-layout, or the replacement attached by an ongoing or completed
+// rebuild.
+func (a *Array) sub(i int) layout.Member { return a.effSubs()[i] }
+
+// effSubs returns the effective member layouts (rebuild replacements
+// swapped in).
+func (a *Array) effSubs() []layout.Member {
+	if eff := a.eff.Load(); eff != nil {
+		return *eff
+	}
+	return a.subs
+}
+
+// writeAlive reports whether member i accepts writes: it is not dead,
+// or a rebuild has attached its replacement.
+func (a *Array) writeAlive(i int) bool {
+	return int(a.deadIdx.Load()) != i || int(a.attachIdx.Load()) == i
+}
+
+// readAlive reports whether member i can serve reads for file af: it
+// is not dead, or af's share has been rebuilt onto the attached
+// replacement.
+func (a *Array) readAlive(af *afile, i int) bool {
+	return int(a.deadIdx.Load()) != i || (int(a.attachIdx.Load()) == i && af.rebuilt.Load())
+}
+
+// degradedFor returns the member the file must treat as missing for
+// parity arithmetic (-1 when none): the dead member, unless this
+// file's share is already rebuilt on an attached replacement.
+func (a *Array) degradedFor(af *afile) int {
+	if dead := int(a.deadIdx.Load()); !a.readAlive(af, dead) {
+		return dead
+	}
+	return -1
+}
+
+// noteDeadErr inspects an I/O error from member m; a disk-death error
+// marks the member dead (when the placement can take it) so the
+// caller retries degraded. It reports whether the caller may retry.
+func (a *Array) noteDeadErr(m int, err error) bool {
+	if !errors.Is(err, device.ErrDiskDead) || !a.pl.redundant() {
+		return false
+	}
+	return a.KillMember(m) == nil || a.DeadMember() == m
+}
 
 // ErrBusy reports that a rebuild or scrub is already running; callers
 // should retry after the running pass completes.
@@ -85,7 +162,7 @@ func (a *Array) SetRebuildBudget(batchDelay time.Duration) {
 // the array keeps serving. On success the array is healthy again with
 // replacement serving the dead member's index.
 func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
-	if a.red == nil {
+	if !a.pl.redundant() {
 		return fmt.Errorf("volume %s: rebuild needs a redundant placement (have %s)", a.name, a.cfg.Placement)
 	}
 	dead := int(a.deadIdx.Load())
@@ -96,6 +173,10 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 		return fmt.Errorf("volume %s: rebuild: %w (%s)", a.name, ErrBusy, a.Maintenance())
 	}
 	defer a.maint.Store(maintIdle)
+	repl, ok := replacement.(layout.Member)
+	if !ok {
+		return fmt.Errorf("volume %s: replacement layout %s cannot be an array member", a.name, replacement.Name())
+	}
 
 	if err := replacement.Format(t); err != nil {
 		return fmt.Errorf("volume %s: format replacement for member %d: %w", a.name, dead, err)
@@ -104,7 +185,7 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 		return fmt.Errorf("volume %s: mount replacement for member %d: %w", a.name, dead, err)
 	}
 
-	ids, err := a.attachReplacement(t, dead, replacement)
+	ids, err := a.attachReplacement(t, dead, repl)
 	if err != nil {
 		return err
 	}
@@ -153,27 +234,12 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 // attachReplacement is rebuild phase 1: replay the inode space, swap
 // the shadows and publish the replacement. Returns the live inode set
 // to copy.
-func (a *Array) attachReplacement(t sched.Task, dead int, replacement layout.Layout) ([]core.FileID, error) {
-	rest, ok := replacement.(layout.InodeRestorer)
-	if !ok {
-		return nil, fmt.Errorf("volume %s: replacement layout %s cannot restore inode numbers", a.name, replacement.Name())
-	}
-	src := -1
-	for i := range a.subs {
-		if i != dead {
-			src = i
-			break
-		}
-	}
-	en, ok := a.sub(src).(layout.InodeEnumerator)
-	if !ok {
-		return nil, fmt.Errorf("volume %s: member %d cannot enumerate live inodes", a.name, src)
-	}
-
+func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Member) ([]core.FileID, error) {
+	src := (dead + 1) % len(a.subs)
 	a.mu.Lock(t)
 	defer a.mu.Unlock(t)
 
-	ids := en.LiveInodes(t)
+	ids := a.liveInodes(t)
 	a.rebuildTotal.Store(int64(len(ids)))
 	a.rebuildDone.Store(0)
 
@@ -183,34 +249,14 @@ func (a *Array) attachReplacement(t sched.Task, dead int, replacement layout.Lay
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: member %d inode %d: %w", a.name, src, id, err)
 		}
-		rino, err := rest.RestoreInode(t, id, sino.Type)
+		rino, err := repl.RestoreInode(t, id, sino.Type)
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: restore inode %d on replacement: %w", a.name, id, err)
 		}
 		restored[id] = rino
 	}
-
-	// Sequential allocators resume in lockstep with the survivors.
-	if ac, ok := replacement.(layout.AllocCursor); ok {
-		var maxCur uint64
-		all := true
-		for i := range a.subs {
-			if i == dead {
-				continue
-			}
-			c, ok := a.sub(i).(layout.AllocCursor)
-			if !ok {
-				all = false
-				break
-			}
-			if v := c.InodeCursor(t); v > maxCur {
-				maxCur = v
-			}
-		}
-		if all && maxCur > 0 {
-			ac.SetInodeCursor(t, maxCur)
-		}
-	}
+	// A sequential allocator resumes in lockstep with the survivors.
+	repl.SetInodeCursor(t, a.maxCursor(t))
 
 	// Swap the in-memory shadows. Files the replacement does not know
 	// (races are excluded: allocation holds a.mu) keep placeholders.
@@ -225,17 +271,17 @@ func (a *Array) attachReplacement(t sched.Task, dead int, replacement layout.Lay
 	}
 
 	// Publish: from here on writes reach the replacement.
-	eff := make([]layout.Layout, len(a.subs))
-	copy(eff, a.effSubs())
-	eff[dead] = replacement
+	eff := append([]layout.Member(nil), a.effSubs()...)
+	eff[dead] = repl
 	a.eff.Store(&eff)
 	a.attachIdx.Store(int32(dead))
 	return ids, nil
 }
 
-// rebuildFile is rebuild phase 2 for one file: reconstruct the dead
-// member's local share from the survivors and write it to the attached
-// replacement, then mark the file rebuilt.
+// rebuildFile is rebuild phase 2 for one file: one sweep over the dead
+// member's cells in ascending local order, each reconstructed as the
+// XOR of the rest of its column and written to the attached
+// replacement; then the file is marked rebuilt.
 func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 	if _, err := a.GetInode(t, id); err != nil {
 		return err
@@ -250,131 +296,44 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 		return nil // born after the attach, or already copied
 	}
 
-	g := a.red
-	total := layout.BlocksForSize(af.global.Size)
-	var buf []byte
+	home, total := af.home, layout.BlocksForSize(af.global.Size)
+	var buf, scratch []byte
 	if !a.cfg.Simulated {
-		buf = make([]byte, core.BlockSize)
+		buf, scratch = make([]byte, core.BlockSize), make([]byte, core.BlockSize)
 	}
 	var batch []layout.BlockWrite
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if !a.isCarrier(af.home, dead) {
-			if end := localExtent(batch); end > af.shadows[dead].Size {
-				if err := a.sub(dead).Truncate(t, af.shadows[dead], end); err != nil {
-					return fmt.Errorf("grow replacement shadow: %w", err)
-				}
-			}
-		}
-		a.writes.Add(dead, int64(len(batch)))
-		err := a.sub(dead).WriteBlocks(t, af.shadows[dead], batch)
+		err := a.writeMember(t, af, dead, batch)
 		batch = batch[:0]
-		if err == nil {
+		if d := a.rebuildDelay.Load(); err == nil && d > 0 {
 			// The I/O budget: yield the members to foreground traffic
 			// between copy batches (holding no locks but the file's).
-			if d := a.rebuildDelay.Load(); d > 0 {
-				t.Sleep(time.Duration(d))
-			}
+			t.Sleep(time.Duration(d))
 		}
 		return err
 	}
-	emit := func(lb core.BlockNo, data []byte) error {
-		w := layout.BlockWrite{Blk: lb, Size: core.BlockSize}
-		if data != nil {
-			w.Data = append([]byte(nil), data...)
+	var rest []cell
+	for _, c := range a.pl.sweep(home, dead, total) {
+		// Holes read as zeros: only written cells are read, and a
+		// column never written stays a hole.
+		rest = a.pl.rest(home, c, total, rest[:0])
+		rest = slices.DeleteFunc(rest, func(o cell) bool { return a.hole(t, af, o) })
+		if len(rest) == 0 {
+			continue
 		}
-		batch = append(batch, w)
-		if len(batch) >= copyBatch {
-			return flush()
+		if err := a.xorCells(t, af, rest, buf, scratch); err != nil {
+			return err
 		}
-		return nil
-	}
-
-	if !g.parity {
-		// Mirror: the member's share is every chunk whose primary or
-		// secondary role it holds; the content is the surviving copy.
-		for b := core.BlockNo(0); int64(b) < total; b++ {
-			pm, plb := g.primaryLoc(af.home, b)
-			sm, slb := g.secondaryLoc(af.home, b)
-			var lb core.BlockNo
-			var srcm int
-			var srclb core.BlockNo
-			switch dead {
-			case pm:
-				lb, srcm, srclb = plb, sm, slb
-			case sm:
-				lb, srcm, srclb = slb, pm, plb
-			default:
-				continue
-			}
-			if af.shadows[srcm].BlockAddr(srclb) < 0 {
-				continue // hole on the survivor: stays a hole
-			}
-			a.reads.Add(srcm, 1)
-			if err := a.sub(srcm).ReadBlock(t, af.shadows[srcm], srclb, buf); err != nil {
-				return err
-			}
-			if err := emit(lb, buf); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Parity: the member's data chunks are reconstructed from
-		// their columns; its parity chunks are recomputed from the
-		// surviving data.
-		for b := core.BlockNo(0); int64(b) < total; b++ {
-			if m, dlb := g.dataLoc(af.home, b); m == dead {
-				if a.columnIsHole(af, b, total) {
-					continue
-				}
-				if err := a.reconstructData(t, af, b, buf); err != nil {
-					return err
-				}
-				if err := emit(dlb, buf); err != nil {
-					return err
-				}
-			}
-		}
-		w := int64(g.w)
-		d := g.dataChunks()
-		C := (total + w - 1) / w
-		S := (C + d - 1) / d
-		var acc, scratch []byte
+		w := layout.BlockWrite{Blk: c.local, Size: core.BlockSize}
 		if buf != nil {
-			acc = make([]byte, core.BlockSize)
-			scratch = make([]byte, core.BlockSize)
+			w.Data = append([]byte(nil), buf...)
 		}
-		for s := int64(0); s < S; s++ {
-			if g.parityMember(af.home, s) != dead {
-				continue
-			}
-			for o := int64(0); o < w; o++ {
-				zero(acc)
-				any := false
-				for j := int64(0); j < d; j++ {
-					b := core.BlockNo((s*d+j)*w + o)
-					if int64(b) >= total {
-						break
-					}
-					m, lb := g.dataLoc(af.home, b)
-					if af.shadows[m].BlockAddr(lb) < 0 {
-						continue // hole XORs as zeros
-					}
-					any = true
-					a.reads.Add(m, 1)
-					if err := a.sub(m).ReadBlock(t, af.shadows[m], lb, scratch); err != nil {
-						return err
-					}
-					xorInto(acc, scratch)
-				}
-				if !any {
-					continue // all-hole column needs no parity
-				}
-				if err := emit(core.BlockNo(s*w+o), acc); err != nil {
-					return err
-				}
+		if batch = append(batch, w); len(batch) >= copyBatch {
+			if err := flush(); err != nil {
+				return err
 			}
 		}
 	}
@@ -382,48 +341,28 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 		return err
 	}
 
-	// Settle the shadow's extent and metadata: carriers record the
+	// Settle the shadow's extent and metadata: a carrier records the
 	// global size and the file metadata (so the pair survives the next
-	// loss), non-carriers cover exactly their share.
-	need := g.localBlocks(af.home, dead, total) * core.BlockSize
-	other := af.home
-	if a.isCarrier(af.home, dead) {
+	// loss), a non-carrier covers exactly its share.
+	sh := af.shadows[dead]
+	need := a.pl.localBlocks(home, dead, total) * core.BlockSize
+	if a.pl.isCarrier(home, dead) {
 		need = af.global.Size
-		if dead == af.home {
-			other = (af.home + 1) % len(a.subs)
-		}
-		h, o := af.shadows[dead], af.shadows[other]
-		h.Type, h.Nlink, h.Mode = o.Type, o.Nlink, o.Mode
-		h.MTime, h.CTime, h.ATime = o.MTime, o.CTime, o.ATime
+		var meta layout.Inode
+		o := a.liveCarrier(home)
+		a.withShadow(t, o, af.shadows[o], func() { setMeta(&meta, af.shadows[o]) })
+		a.withShadow(t, dead, sh, func() { setMeta(sh, &meta) })
 	}
-	if af.shadows[dead].Size < need {
-		if err := a.sub(dead).Truncate(t, af.shadows[dead], need); err != nil {
+	if sh.Size < need {
+		if err := a.sub(dead).Truncate(t, sh, need); err != nil {
 			return err
 		}
 	}
-	if err := a.sub(dead).UpdateInode(t, af.shadows[dead]); err != nil {
+	if err := a.sub(dead).UpdateInode(t, sh); err != nil {
 		return err
 	}
 	af.rebuilt.Store(true)
 	return nil
-}
-
-// columnIsHole reports whether every surviving trace of block b's
-// parity column — the parity block and the peer data blocks — is a
-// hole, i.e. the column was never written and b reads as zeros.
-func (a *Array) columnIsHole(af *afile, b core.BlockNo, total int64) bool {
-	g := a.red
-	pm, plb := g.parityLoc(af.home, b)
-	if af.shadows[pm].BlockAddr(plb) >= 0 {
-		return false
-	}
-	for _, peer := range g.columnPeers(b, total) {
-		m, lb := g.dataLoc(af.home, peer)
-		if af.shadows[m].BlockAddr(lb) >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ScrubStats summarizes one consistency scan over a redundant array.
@@ -436,35 +375,24 @@ type ScrubStats struct {
 }
 
 // Scrub verifies the redundant invariant online, file by file under
-// each file's own lock: mirrored copies must match, parity columns
-// must XOR to zero. In repair mode a diverged copy is rewritten from
-// its primary and a violated parity block is recomputed from the data
-// (the data blocks are the authority — this is how the torn tail of a
-// crashed degraded write is healed). Blocks whose verification needs a
-// dead member are counted as skipped. Simulated arrays move no data,
-// so the scan issues the reads (costing the modeled time) but cannot
-// compare contents.
+// each file's own lock: per column, the XOR of the data cells must
+// equal the check cell (a mirror's copy equals its one data cell). In
+// repair mode a violated check cell is rewritten from the data — the
+// data cells are the authority (for mirrors: the primary wins), which
+// is how the torn tail of a crashed degraded write is healed. Columns
+// whose verification needs a dead member are counted as skipped.
+// Simulated arrays move no data, so the scan issues the reads
+// (costing the modeled time) but cannot compare contents.
 func (a *Array) Scrub(t sched.Task, repair bool) (ScrubStats, error) {
 	var st ScrubStats
-	if a.red == nil {
+	if !a.pl.redundant() {
 		return st, fmt.Errorf("volume %s: scrub needs a redundant placement (have %s)", a.name, a.cfg.Placement)
 	}
 	if !a.maint.CompareAndSwap(maintIdle, maintScrub) {
 		return st, fmt.Errorf("volume %s: scrub: %w (%s)", a.name, ErrBusy, a.Maintenance())
 	}
 	defer a.maint.Store(maintIdle)
-	src := -1
-	for i := range a.subs {
-		if int(a.deadIdx.Load()) != i {
-			src = i
-			break
-		}
-	}
-	en, ok := a.sub(src).(layout.InodeEnumerator)
-	if !ok {
-		return st, fmt.Errorf("volume %s: member %d cannot enumerate live inodes", a.name, src)
-	}
-	for _, id := range en.LiveInodes(t) {
+	for _, id := range a.liveInodes(t) {
 		if id == labelFileID {
 			continue // per-member content differs by design (member index)
 		}
@@ -479,7 +407,8 @@ func (a *Array) Scrub(t sched.Task, repair bool) (ScrubStats, error) {
 	return st, nil
 }
 
-// scrubFile scans one file's redundancy under af.mu.
+// scrubFile scans one file's columns, in order of their first block,
+// under af.mu.
 func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubStats) error {
 	if _, err := a.GetInode(t, id); err != nil {
 		return err
@@ -491,235 +420,47 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
 
-	g := a.red
-	total := layout.BlocksForSize(af.global.Size)
+	home, total := af.home, layout.BlocksForSize(af.global.Size)
 	real := !a.cfg.Simulated
-	var pbuf, sbuf []byte
+	var acc, chkBuf, scratch []byte
 	if real {
-		pbuf = make([]byte, core.BlockSize)
-		sbuf = make([]byte, core.BlockSize)
+		acc, chkBuf, scratch = make([]byte, core.BlockSize), make([]byte, core.BlockSize), make([]byte, core.BlockSize)
 	}
-
-	if !g.parity {
-		for b := core.BlockNo(0); int64(b) < total; b++ {
-			pm, plb := g.primaryLoc(af.home, b)
-			sm, slb := g.secondaryLoc(af.home, b)
-			if !a.readAlive(af, pm) || !a.readAlive(af, sm) {
-				st.Skipped++
-				continue
-			}
-			st.Blocks++
-			if af.shadows[pm].BlockAddr(plb) < 0 && af.shadows[sm].BlockAddr(slb) < 0 {
-				continue // both holes
-			}
-			a.reads.Add(pm, 1)
-			if err := a.sub(pm).ReadBlock(t, af.shadows[pm], plb, pbuf); err != nil {
-				return err
-			}
-			a.reads.Add(sm, 1)
-			if err := a.sub(sm).ReadBlock(t, af.shadows[sm], slb, sbuf); err != nil {
-				return err
-			}
-			if !real || bytes.Equal(pbuf, sbuf) {
-				continue
-			}
-			st.Mismatches++
-			if !repair {
-				continue
-			}
-			// The primary copy wins: both copies hold at least every
-			// acknowledged write, so either direction is safe.
-			a.writes.Add(sm, 1)
-			if err := a.sub(sm).WriteBlocks(t, af.shadows[sm], []layout.BlockWrite{
-				{Blk: slb, Data: append([]byte(nil), pbuf...), Size: core.BlockSize},
-			}); err != nil {
-				return err
-			}
-			st.Repaired++
+	var col []cell
+	for b := core.BlockNo(0); int64(b) < total; b++ {
+		chk, _ := a.pl.checkCell(home, b)
+		if chk.blk != b {
+			continue // not the column's first block
 		}
-		return nil
-	}
-
-	w := int64(g.w)
-	d := g.dataChunks()
-	C := (total + w - 1) / w
-	S := (C + d - 1) / d
-	var acc []byte
-	if real {
-		acc = make([]byte, core.BlockSize)
-	}
-	for s := int64(0); s < S; s++ {
-		pm := g.parityMember(af.home, s)
-		for o := int64(0); o < w; o++ {
-			first := core.BlockNo(s*d*w + o)
-			if int64(first) >= total {
-				break
-			}
-			plb := core.BlockNo(s*w + o)
-			alive := a.readAlive(af, pm)
-			mapped := 0
-			cells := []struct {
-				m  int
-				lb core.BlockNo
-			}{}
-			for j := int64(0); j < d; j++ {
-				b := core.BlockNo((s*d+j)*w + o)
-				if int64(b) >= total {
-					break
-				}
-				m, lb := g.dataLoc(af.home, b)
-				if !a.readAlive(af, m) {
-					alive = false
-				}
-				cells = append(cells, struct {
-					m  int
-					lb core.BlockNo
-				}{m, lb})
-				if af.shadows[m].BlockAddr(lb) >= 0 {
-					mapped++
-				}
-			}
-			if !alive {
-				st.Skipped += int64(len(cells))
-				continue
-			}
-			st.Blocks += int64(len(cells))
-			if mapped == 0 && af.shadows[pm].BlockAddr(plb) < 0 {
-				continue // untouched column
-			}
-			zero(acc)
-			for _, c := range cells {
-				a.reads.Add(c.m, 1)
-				if err := a.sub(c.m).ReadBlock(t, af.shadows[c.m], c.lb, sbuf); err != nil {
-					return err
-				}
-				xorInto(acc, sbuf)
-			}
-			a.reads.Add(pm, 1)
-			if err := a.sub(pm).ReadBlock(t, af.shadows[pm], plb, pbuf); err != nil {
-				return err
-			}
-			if !real || bytes.Equal(acc, pbuf) {
-				continue
-			}
-			st.Mismatches++
-			if !repair {
-				continue
-			}
-			a.writes.Add(pm, 1)
-			if err := a.sub(pm).WriteBlocks(t, af.shadows[pm], []layout.BlockWrite{
-				{Blk: plb, Data: append([]byte(nil), acc...), Size: core.BlockSize},
-			}); err != nil {
-				return err
-			}
-			st.Repaired++
-		}
-	}
-	return nil
-}
-
-// repairRedundant is the redundant placements' post-crash repair pass:
-// it restores the size invariant (both carriers hold the global size,
-// every member's shadow covers exactly its share — clamping the global
-// size down to the largest fully-backed extent when a member lost its
-// tail), then runs a repairing scrub so copies re-converge and torn
-// parity columns are recomputed from their data.
-func (a *Array) repairRedundant(t sched.Task, st *layout.RecoveryStats) error {
-	dead := int(a.deadIdx.Load())
-	src := -1
-	for i := range a.subs {
-		if i != dead {
-			src = i
-			break
-		}
-	}
-	en, ok := a.sub(src).(layout.InodeEnumerator)
-	if !ok {
-		return nil
-	}
-	for _, id := range en.LiveInodes(t) {
-		if id == core.RootFile || id == labelFileID {
+		col = append(a.pl.rest(home, chk, total, col[:0]), chk)
+		data := col[:len(col)-1]
+		if slices.ContainsFunc(col, func(c cell) bool { return !a.readAlive(af, c.member) }) {
+			st.Skipped += int64(len(data))
 			continue
 		}
-		home := a.home(id)
-		shadows := make([]*layout.Inode, len(a.subs))
-		missing := false
-		for i := range a.subs {
-			if i == dead {
-				continue
-			}
-			ino, err := a.sub(i).GetInode(t, id)
-			if err != nil {
-				missing = true // rolled back by resyncLockstep
-				break
-			}
-			shadows[i] = ino
+		st.Blocks += int64(len(data))
+		if !slices.ContainsFunc(col, func(c cell) bool { return !a.hole(t, af, c) }) {
+			continue // untouched column
 		}
-		if missing {
+		if err := a.xorCells(t, af, data, acc, scratch); err != nil {
+			return err
+		}
+		if err := a.xorCells(t, af, col[len(data):], chkBuf, nil); err != nil {
+			return err
+		}
+		if !real || bytes.Equal(acc, chkBuf) {
 			continue
 		}
-		// The global size is whichever carrier got further; clamp it
-		// down to what every surviving member actually backs.
-		c1, c2 := home, (home+1)%len(a.subs)
-		var hsize int64
-		if c1 != dead {
-			hsize = shadows[c1].Size
+		st.Mismatches++
+		if !repair {
+			continue
 		}
-		if c2 != dead && shadows[c2].Size > hsize {
-			hsize = shadows[c2].Size
+		if err := a.writeMember(t, af, chk.member, []layout.BlockWrite{
+			{Blk: chk.local, Data: append([]byte(nil), acc...), Size: core.BlockSize},
+		}); err != nil {
+			return err
 		}
-		total := layout.BlocksForSize(hsize)
-		covered := total
-		for covered > 0 {
-			ok := true
-			for s := range a.subs {
-				if s == dead {
-					continue
-				}
-				if a.red.localBlocks(home, s, covered)*core.BlockSize > shadows[s].Size {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				break
-			}
-			covered--
-		}
-		newSize := hsize
-		if covered < total {
-			newSize = covered * core.BlockSize
-			st.Repairs = append(st.Repairs, fmt.Sprintf(
-				"inode %d: global size %d not fully backed, clamped to %d (a member lost its share tail)",
-				id, hsize, newSize))
-		}
-		keep := layout.BlocksForSize(newSize)
-		for s := range a.subs {
-			if s == dead {
-				continue
-			}
-			need := a.red.localBlocks(home, s, keep) * core.BlockSize
-			if a.isCarrier(home, s) {
-				need = newSize
-			}
-			if shadows[s].Size != need {
-				if err := a.sub(s).Truncate(t, shadows[s], need); err != nil {
-					return fmt.Errorf("volume %s: repair shadow of inode %d on sub %d: %w", a.name, id, s, err)
-				}
-				if err := a.sub(s).UpdateInode(t, shadows[s]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// Copies and parity columns re-converge (data is the authority).
-	sst, err := a.Scrub(t, true)
-	if err != nil {
-		return err
-	}
-	if sst.Mismatches > 0 {
-		st.Repairs = append(st.Repairs, fmt.Sprintf(
-			"scrub: %d redundancy violation(s), %d repaired (torn redundant write)", sst.Mismatches, sst.Repaired))
+		st.Repaired++
 	}
 	return nil
 }

@@ -15,15 +15,15 @@ import (
 // can also break the *array's* invariants: the lockstep inode
 // allocators drift when the cut lands between per-member operations
 // of one fan-out, a file can be allocated on some members only, and
-// a striped file's shadow sizes can disagree with the global size
-// the home shadow carries. Recover heals all of it and cross-checks
-// the per-member geometry labels.
+// a file's shadow sizes can disagree with the global size its
+// carriers hold. Recover heals all of it and cross-checks the
+// per-member geometry labels.
 
 // Recover brings the whole array back: recover every
 // member, validate the labels, re-sync the lockstep allocators, roll
-// back half-made allocations, and repair the shadow-size invariant
-// of striped files. Ends with a full sync so the repairs are
-// durable.
+// back half-made allocations, repair the shadow-size invariant and,
+// under redundancy, re-converge copies and parity with a repairing
+// scrub. Ends with a full sync so the repairs are durable.
 func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	var st layout.RecoveryStats
 	if a.single != nil {
@@ -46,14 +46,21 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 		if err := a.resyncLockstep(t, &st); err != nil {
 			return st, err
 		}
-		if a.striped {
+		if a.pl.owned() {
 			if err := a.repairShadows(t, &st); err != nil {
 				return st, err
 			}
 		}
-		if a.red != nil {
-			if err := a.repairRedundant(t, &st); err != nil {
+		if a.pl.redundant() {
+			// Copies and parity columns re-converge (data is the
+			// authority).
+			sst, err := a.Scrub(t, true)
+			if err != nil {
 				return st, err
+			}
+			if sst.Mismatches > 0 {
+				st.Repairs = append(st.Repairs, fmt.Sprintf(
+					"scrub: %d redundancy violation(s), %d repaired (torn redundant write)", sst.Mismatches, sst.Repaired))
 			}
 		}
 	}
@@ -64,8 +71,8 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 
 // GrowSize publishes a size growth. In affinity mode the global
 // inode is the home member's own, so the growth must happen under
-// that member's lock; in striped mode the array owns it and af.mu —
-// the lock the home-size mirror reads under — covers it.
+// that member's lock; otherwise the array owns it and af.mu — the lock
+// the carrier-size mirror reads under — covers it.
 func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 	if a.single != nil {
 		a.single.GrowSize(t, ino, size)
@@ -78,7 +85,7 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 		}
 		return
 	}
-	if !a.arrayOwned() {
+	if !a.pl.owned() {
 		a.subs[af.home].GrowSize(t, af.global, size)
 		return
 	}
@@ -91,7 +98,7 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 
 // WithInode runs fn with the same routing as GrowSize: affinity mode
 // under the home member's lock (the global inode is the member's
-// own), striped mode under af.mu, the lock the home-size mirror reads
+// own), otherwise under af.mu, the lock the carrier-size mirror reads
 // under.
 func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	if a.single != nil {
@@ -103,7 +110,7 @@ func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 		fn()
 		return
 	}
-	if !a.arrayOwned() {
+	if !a.pl.owned() {
 		a.subs[af.home].WithInode(t, af.global, fn)
 		return
 	}
@@ -180,12 +187,8 @@ func (a *Array) resyncLockstep(t sched.Task, st *layout.RecoveryStats) error {
 		if i == dead {
 			continue // dead member: nothing to enumerate (nil entry)
 		}
-		en, ok := a.sub(i).(layout.InodeEnumerator)
-		if !ok {
-			return nil // layout without enumeration: nothing to repair
-		}
 		present[i] = make(map[core.FileID]bool)
-		for _, id := range en.LiveInodes(t) {
+		for _, id := range a.sub(i).LiveInodes(t) {
 			present[i][id] = true
 		}
 	}
@@ -223,7 +226,7 @@ func (a *Array) resyncLockstep(t sched.Task, st *layout.RecoveryStats) error {
 		// A file is unusable when its home copy is gone (affinity: all
 		// data lives there) or, array-owned, when any member's share is
 		// gone. Roll the half-made allocation back everywhere.
-		if (a.arrayOwned() && missingAny) || (!a.arrayOwned() && missingHome) {
+		if (a.pl.owned() && missingAny) || (!a.pl.owned() && missingHome) {
 			for i := range a.subs {
 				if !present[i][id] {
 					continue
@@ -246,60 +249,60 @@ func (a *Array) resyncLockstep(t sched.Task, st *layout.RecoveryStats) error {
 
 	// Align sequential allocation cursors to the furthest member so
 	// lockstep allocation resumes identically everywhere.
-	var maxCur uint64
-	nCur, alive := 0, 0
+	cur, moved := a.maxCursor(t), false
 	for i := range a.subs {
-		if i == dead {
-			continue
-		}
-		alive++
-		if ac, ok := a.sub(i).(layout.AllocCursor); ok {
-			if c := ac.InodeCursor(t); c > maxCur {
-				maxCur = c
-			}
-			nCur++
+		if i != dead && a.sub(i).InodeCursor(t) != cur {
+			a.sub(i).SetInodeCursor(t, cur)
+			moved = true
 		}
 	}
-	if nCur == alive && nCur > 0 {
-		moved := false
-		for i := range a.subs {
-			if i == dead {
-				continue
-			}
-			ac := a.sub(i).(layout.AllocCursor)
-			if ac.InodeCursor(t) != maxCur {
-				moved = true
-			}
-			ac.SetInodeCursor(t, maxCur)
+	if moved {
+		st.Repairs = append(st.Repairs, fmt.Sprintf("re-synced lockstep inode cursors to %d", cur))
+	}
+	return nil
+}
+
+// maxCursor is the furthest sequential-allocator position among the
+// live members (0 when they have none).
+func (a *Array) maxCursor(t sched.Task) uint64 {
+	var cur uint64
+	for i := range a.subs {
+		if i != int(a.deadIdx.Load()) {
+			cur = max(cur, a.sub(i).InodeCursor(t))
 		}
-		if moved {
-			st.Repairs = append(st.Repairs,
-				fmt.Sprintf("re-synced lockstep inode cursors to %d", maxCur))
+	}
+	return cur
+}
+
+// liveInodes lists the live inode numbers of the first live member.
+func (a *Array) liveInodes(t sched.Task) []core.FileID {
+	for i := range a.subs {
+		if i != int(a.deadIdx.Load()) {
+			return a.sub(i).LiveInodes(t)
 		}
 	}
 	return nil
 }
 
-// repairShadows restores the striped-mode invariant: the home shadow
-// carries the global size, and every member's shadow covers exactly
-// its share of it. A member that lost rolled-forward tail data clamps
-// the global size down to the largest fully-backed extent; shadows
-// reaching beyond the global size are trimmed, freeing orphaned
-// stripes.
+// repairShadows restores the shadow-size invariant: the carriers hold
+// the global size — whichever got further, clamped down to the largest
+// extent every live member fully backs when a member lost its
+// rolled-forward share tail — and every other member's shadow covers
+// exactly its share, trimming orphaned chunks beyond it.
 func (a *Array) repairShadows(t sched.Task, st *layout.RecoveryStats) error {
-	en, ok := a.subs[0].(layout.InodeEnumerator)
-	if !ok {
-		return nil
-	}
-	for _, id := range en.LiveInodes(t) {
+	dead := int(a.deadIdx.Load())
+	for _, id := range a.liveInodes(t) {
 		if id == core.RootFile || id == labelFileID {
 			continue
 		}
 		home := a.home(id)
 		shadows := make([]*layout.Inode, len(a.subs))
 		missing := false
-		for i, sub := range a.subs {
-			ino, err := sub.GetInode(t, id)
+		for i := range a.subs {
+			if i == dead {
+				continue
+			}
+			ino, err := a.sub(i).GetInode(t, id)
 			if err != nil {
 				missing = true // rolled back above, or directory-only
 				break
@@ -309,54 +312,49 @@ func (a *Array) repairShadows(t sched.Task, st *layout.RecoveryStats) error {
 		if missing {
 			continue
 		}
-		hsize := shadows[home].Size
-		total := layout.BlocksForSize(hsize)
-		covered := total
-		for covered > 0 {
-			ok := true
-			for s := range a.subs {
-				if a.stripe.localBlocks(home, s, covered)*core.BlockSize > shadows[s].Size {
-					ok = false
-					break
+		var hsize int64
+		for i := 0; i < a.pl.carriers(); i++ {
+			if sh := shadows[a.pl.carrier(home, i)]; sh != nil {
+				hsize = max(hsize, sh.Size)
+			}
+		}
+		backed := func(blocks int64) bool {
+			for s, sh := range shadows {
+				if sh != nil && a.pl.localBlocks(home, s, blocks)*core.BlockSize > sh.Size {
+					return false
 				}
 			}
-			if ok {
-				break
-			}
+			return true
+		}
+		total := layout.BlocksForSize(hsize)
+		covered := total
+		for covered > 0 && !backed(covered) {
 			covered--
 		}
 		newSize := hsize
 		if covered < total {
 			newSize = covered * core.BlockSize
 			st.Repairs = append(st.Repairs, fmt.Sprintf(
-				"inode %d: global size %d not fully backed, clamped to %d (a member lost its stripe tail)",
+				"inode %d: global size %d not fully backed, clamped to %d (a member lost its share tail)",
 				id, hsize, newSize))
 		}
 		keep := layout.BlocksForSize(newSize)
-		for s, sub := range a.subs {
-			if s == home {
+		for s, sh := range shadows {
+			need := a.pl.localBlocks(home, s, keep) * core.BlockSize
+			if a.pl.isCarrier(home, s) {
+				need = newSize
+			}
+			if sh == nil || sh.Size == need {
 				continue
 			}
-			need := a.stripe.localBlocks(home, s, keep) * core.BlockSize
-			if shadows[s].Size != need {
-				if shadows[s].Size > need {
-					st.Repairs = append(st.Repairs, fmt.Sprintf(
-						"inode %d: trimmed member %d shadow from %d to %d bytes (orphaned stripes)",
-						id, s, shadows[s].Size, need))
-				}
-				if err := sub.Truncate(t, shadows[s], need); err != nil {
-					return fmt.Errorf("volume %s: repair shadow of inode %d on sub %d: %w", a.name, id, s, err)
-				}
-				if err := sub.UpdateInode(t, shadows[s]); err != nil {
-					return err
-				}
+			if sh.Size > need && !a.pl.isCarrier(home, s) {
+				st.Repairs = append(st.Repairs, fmt.Sprintf(
+					"inode %d: trimmed member %d shadow from %d to %d bytes (orphaned chunks)", id, s, sh.Size, need))
 			}
-		}
-		if newSize != hsize {
-			if err := a.subs[home].Truncate(t, shadows[home], newSize); err != nil {
-				return fmt.Errorf("volume %s: clamp inode %d global size: %w", a.name, id, err)
+			if err := a.sub(s).Truncate(t, sh, need); err != nil {
+				return fmt.Errorf("volume %s: repair shadow of inode %d on sub %d: %w", a.name, id, s, err)
 			}
-			if err := a.subs[home].UpdateInode(t, shadows[home]); err != nil {
+			if err := a.sub(s).UpdateInode(t, sh); err != nil {
 				return err
 			}
 		}

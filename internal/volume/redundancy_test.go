@@ -34,107 +34,6 @@ func redundantConfigs() []struct {
 	}
 }
 
-// TestRedundantGeometryInvariants brute-forces the mirrored and
-// parity mappings: no two placements share a (member, local block)
-// cell, every member's share is densely packed from local block 0,
-// and localBlocks agrees exactly with the brute-forced extent.
-func TestRedundantGeometryInvariants(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5} {
-		for _, w := range []int{1, 2, 3, 8} {
-			for _, parity := range []bool{false, true} {
-				if parity && n < 3 {
-					continue
-				}
-				g := rgeom{n: n, w: w, parity: parity}
-				for home := 0; home < n; home++ {
-					for total := int64(1); total <= int64(4*n*w+3); total++ {
-						used := make([]map[int64]bool, n)
-						for i := range used {
-							used[i] = map[int64]bool{}
-						}
-						occupy := func(m int, lb core.BlockNo, what string) {
-							if used[m][int64(lb)] {
-								t.Fatalf("n=%d w=%d parity=%v home=%d total=%d: member %d local %d double-booked (%s)",
-									n, w, parity, home, total, m, lb, what)
-							}
-							used[m][int64(lb)] = true
-						}
-						for b := int64(0); b < total; b++ {
-							if parity {
-								m, lb := g.dataLoc(home, core.BlockNo(b))
-								occupy(m, lb, "data")
-							} else {
-								pm, plb := g.primaryLoc(home, core.BlockNo(b))
-								sm, slb := g.secondaryLoc(home, core.BlockNo(b))
-								if pm == sm {
-									t.Fatalf("copies on the same member %d", pm)
-								}
-								occupy(pm, plb, "primary")
-								occupy(sm, slb, "secondary")
-							}
-						}
-						if parity {
-							// Parity chunks: stripe s places blocks
-							// [s*w, s*w+chunkLen) on the parity member.
-							d := int64(n - 1)
-							C := (total + int64(w) - 1) / int64(w)
-							S := (C + d - 1) / d
-							for s := int64(0); s < S; s++ {
-								pl := total - s*d*int64(w)
-								if pl > int64(w) {
-									pl = int64(w)
-								}
-								pm := g.parityMember(home, s)
-								for o := int64(0); o < pl; o++ {
-									occupy(pm, core.BlockNo(s*int64(w)+o), "parity")
-								}
-							}
-						}
-						for m := 0; m < n; m++ {
-							want := g.localBlocks(home, m, total)
-							if int64(len(used[m])) != want {
-								t.Fatalf("n=%d w=%d parity=%v home=%d total=%d member %d: %d local blocks used, localBlocks says %d",
-									n, w, parity, home, total, m, len(used[m]), want)
-							}
-							for lb := int64(0); lb < want; lb++ {
-								if !used[m][lb] {
-									t.Fatalf("n=%d w=%d parity=%v home=%d total=%d member %d: hole at local %d (share not dense)",
-										n, w, parity, home, total, m, lb)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParityColumnPeers checks the column arithmetic: a block, its
-// peers and the parity block form exactly one full column, all on
-// distinct members.
-func TestParityColumnPeers(t *testing.T) {
-	g := rgeom{n: 4, w: 2, parity: true}
-	total := int64(40)
-	for home := 0; home < g.n; home++ {
-		for b := int64(0); b < total; b++ {
-			dm, _ := g.dataLoc(home, core.BlockNo(b))
-			pm, _ := g.parityLoc(home, core.BlockNo(b))
-			members := map[int]bool{dm: true, pm: true}
-			if dm == pm {
-				t.Fatalf("data and parity share member %d", dm)
-			}
-			for _, peer := range g.columnPeers(core.BlockNo(b), total) {
-				m, _ := g.dataLoc(home, peer)
-				if members[m] {
-					t.Fatalf("column of block %d revisits member %d", b, m)
-				}
-				members[m] = true
-			}
-		}
-	}
-}
-
 // TestRedundantWriteReadRemount writes through each redundant
 // placement, syncs, remounts fresh layouts over the same disks and
 // checks content and size survive — the healthy-path baseline.
@@ -565,7 +464,8 @@ func TestScrubRepairsTornParity(t *testing.T) {
 		// Corrupt one data block behind the array's back: write garbage
 		// straight to the member share.
 		af := r.arr.lookup(tk, ino.ID)
-		m, lb := r.arr.red.dataLoc(af.home, 3)
+		d := r.arr.pl.dataCell(af.home, 3)
+		m, lb := d.member, d.local
 		garbage := bytes.Repeat([]byte{0xAB}, core.BlockSize)
 		if err := r.arr.Subs()[m].WriteBlocks(tk, af.shadows[m], []layout.BlockWrite{
 			{Blk: lb, Data: garbage, Size: core.BlockSize},
@@ -848,7 +748,7 @@ func TestRedundantOnFFS(t *testing.T) {
 
 // TestParityWriteHoleClosed drives the degraded-parity write hole
 // deterministically. It plans a guarded degraded RMW column update
-// directly (the planner's own per-member fan), then lands each torn
+// directly (the write planner's own per-member batches), then lands each torn
 // subset of that fan on the media — nothing, data only, parity only,
 // both — the four states a power cut mid-fan can leave. After a
 // remount it checks that reconstruction of the dead member's chunk is
@@ -896,36 +796,27 @@ func TestParityWriteHoleClosed(t *testing.T) {
 				// strategy, whose parity_old is the only representation of
 				// the dead chunk — the write-hole shape.
 				af := r.arr.lookup(tk, ino.ID)
-				g := r.arr.red
+				pl := r.arr.pl
 				found := false
 				for b := 0; b < nblocks && !found; b++ {
-					bb := core.BlockNo(b)
-					dm, _ := g.dataLoc(af.home, bb)
-					pm, _ := g.parityLoc(af.home, bb)
-					if dm == dead || pm == dead {
+					d := pl.dataCell(af.home, core.BlockNo(b))
+					rest := pl.rest(af.home, d, nblocks, nil) // parity cell, then the peers
+					if d.member == dead || rest[0].member == dead || len(rest) != 2 || rest[1].member != dead {
 						continue
 					}
-					peers := g.columnPeers(bb, nblocks)
-					if len(peers) != 1 {
-						continue
-					}
-					if m, _ := g.dataLoc(af.home, peers[0]); m != dead {
-						continue
-					}
-					blk, peer, found = bb, peers[0], true
+					blk, peer, found = d.blk, rest[1].blk, true
 				}
 				if !found {
 					t.Fatalf("no write-hole column for dead member %d", dead)
 				}
 				writes := []layout.BlockWrite{{Blk: blk, Data: newdata, Size: core.BlockSize}}
-				per := make([][]layout.BlockWrite, width)
-				dm, _ := g.dataLoc(af.home, blk)
-				pm, _ := g.parityLoc(af.home, blk)
-				land := map[int]bool{dm: sc.data, pm: sc.parity}
+				chk, _ := pl.checkCell(af.home, blk)
+				land := map[int]bool{pl.dataCell(af.home, blk).member: sc.data, chk.member: sc.parity}
 				af.mu.Lock(tk)
-				guarded, err := r.arr.planParityWrites(tk, af, writes, per, dead)
-				if err == nil && len(guarded) != 1 {
-					err = fmt.Errorf("%d guarded columns, want 1", len(guarded))
+				plan := batch{t: tk, a: r.arr, af: af, writes: writes, dead: dead}
+				per, err := plan.plan()
+				if err == nil && len(plan.guarded) != 1 {
+					err = fmt.Errorf("%d guarded columns, want 1", len(plan.guarded))
 				}
 				// Land the subset straight on the member shares: the crash
 				// caught the fan with only these writes on the media.

@@ -101,7 +101,7 @@ func (a *Array) Origins() []int {
 // failed rebuild is not returned to the pool: its contents are
 // undefined.
 func (a *Array) PromoteSpare(t sched.Task) (int, error) {
-	if a.red == nil {
+	if !a.pl.redundant() {
 		return -1, fmt.Errorf("volume %s: promote spare: %w (placement %s)", a.name, ErrDegraded, a.cfg.Placement)
 	}
 	dead := int(a.deadIdx.Load())

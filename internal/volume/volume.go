@@ -25,20 +25,32 @@
 //     stripe, tolerating any single member loss at 1/n capacity
 //     overhead instead of mirroring's 1/2.
 //
-// The redundant placements serve degraded reads by reconstruction,
-// keep copies/parity consistent on every write (including while a
-// member is down), and support online rebuild of a replacement
-// member from the survivors (rebuild.go).
+// A placement is only a mapping (place.go): a global block becomes
+// cells, each a (member, local block, role) with role data, copy or
+// parity, grouped into columns — a column is data cells plus at most
+// one check cell, and any cell's content is the XOR of the rest of
+// its column. A mirror is a one-data-cell column whose check cell is
+// a copy; a parity column is n-1 data cells and their parity cell;
+// affinity and striped columns are one data cell and no check. One
+// executor (exec.go) drives those cells for every placement: reads
+// take the data cell or reconstruct from the rest of the column,
+// writes plan cells into per-member batches and fan them out, and
+// rebuild, scrub and post-crash repair (rebuild.go, recover.go) sweep
+// the same cells — so the redundant placements serve degraded,
+// keep copies/parity consistent through a member's death, and rebuild
+// a replacement online from the survivors.
 //
 // Inode numbers stay in lockstep across the sub-layouts: every
 // allocation and free is applied to all of them in order, so a
 // file's ID is the same everywhere and routing needs no translation
-// table. In striped mode the manager keeps a global inode per file
-// (the object the front-end sees) and per-sub shadow inodes that
-// carry each volume's share of the block map; the home shadow also
-// persists the global size, which is what makes a real-mode array
-// remountable. Sync fans out to the sub-volumes — concurrently under
-// the real kernel, in deterministic sub order under the virtual one.
+// table. Except under affinity, the manager keeps a global inode per
+// file (the object the front-end sees) and per-sub shadow inodes that
+// carry each volume's share of the block map; the carrier shadows
+// (the home, plus its successor under redundancy) also persist the
+// global size and metadata, which is what makes a real-mode array
+// remountable. Writes and Sync fan out to the sub-volumes —
+// concurrently under the real kernel, in deterministic sub order under
+// the virtual one.
 //
 // Crash consistency across the array is per-sub-volume only (as with
 // any striped volume manager without a write-ahead log): a crash
@@ -119,12 +131,9 @@ type afile struct {
 type Array struct {
 	k    sched.Kernel
 	name string
-	subs []layout.Layout
+	subs []layout.Member
 	cfg  Config
-
-	striped bool
-	stripe  geom
-	red     *rgeom // non-nil for the mirrored/parity placements
+	pl   place
 
 	// single short-circuits a width-1 array into a pure passthrough:
 	// every method delegates directly, so a one-volume array is
@@ -138,7 +147,7 @@ type Array struct {
 	// itself stays immutable so lock-free readers never race a swap).
 	deadIdx   atomic.Int32
 	attachIdx atomic.Int32
-	eff       atomic.Pointer[[]layout.Layout]
+	eff       atomic.Pointer[[]layout.Member]
 
 	// maint is the single maintenance gate: Rebuild and Scrub each
 	// CAS it from idle and refuse (ErrBusy) when the other holds it,
@@ -175,54 +184,45 @@ type Array struct {
 	labels    []*layout.Inode // per-member shadows of the label file
 	labelDone bool
 
+	// The member fan's event and task names, built once.
+	fanEvent string
+	fanTasks []string
+
 	reads    *stats.Group
 	writes   *stats.Group
 	syncs    *stats.Counter
 	degraded *stats.Counter // reads served by reconstruction
 }
 
-// New builds an array over subs. The sub-layouts must be freshly
-// constructed (unformatted/unmounted); call Format or Mount on the
-// array, never on the subs directly, so the lockstep invariant
-// holds.
+// New builds an array over subs, which must be array members (LFS or
+// FFS). The sub-layouts must be freshly constructed
+// (unformatted/unmounted); call Format or Mount on the array, never on
+// the subs directly, so the lockstep invariant holds.
 func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("volume %s: array needs at least one sub-volume", name)
 	}
-	switch cfg.Placement {
-	case "", PlacementAffinity:
-		cfg.Placement = PlacementAffinity
-	case PlacementStriped:
-	case PlacementMirrored:
-		if len(subs) < 2 {
-			return nil, fmt.Errorf("volume %s: mirrored placement needs at least 2 members, have %d", name, len(subs))
-		}
-	case PlacementParity:
-		if len(subs) < 3 {
-			return nil, fmt.Errorf("volume %s: parity placement needs at least 3 members, have %d", name, len(subs))
-		}
-	default:
-		return nil, fmt.Errorf("volume %s: unknown placement %q", name, cfg.Placement)
-	}
 	if cfg.StripeBlocks <= 0 {
 		cfg.StripeBlocks = DefaultStripeBlocks
 	}
-	a := &Array{
-		k:       k,
-		name:    name,
-		subs:    subs,
-		cfg:     cfg,
-		striped: cfg.Placement == PlacementStriped && len(subs) > 1,
-		stripe:  geom{n: len(subs), w: cfg.StripeBlocks},
+	pl, err := newPlace(cfg.Placement, len(subs), cfg.StripeBlocks)
+	if err != nil {
+		return nil, fmt.Errorf("volume %s: %w", name, err)
+	}
+	cfg.Placement = pl.name
+	a := &Array{k: k, name: name, subs: make([]layout.Member, len(subs)), cfg: cfg, pl: pl}
+	for i, sub := range subs {
+		m, ok := sub.(layout.Member)
+		if !ok {
+			return nil, fmt.Errorf("volume %s: sub-volume %d (%s) cannot be an array member", name, i, sub.Name())
+		}
+		a.subs[i] = m
 	}
 	a.deadIdx.Store(-1)
 	a.attachIdx.Store(-1)
 	a.origin = make([]int32, len(subs))
 	for i := range a.origin {
 		a.origin[i] = -1
-	}
-	if cfg.Placement == PlacementMirrored || cfg.Placement == PlacementParity {
-		a.red = &rgeom{n: len(subs), w: cfg.StripeBlocks, parity: cfg.Placement == PlacementParity}
 	}
 	if len(subs) == 1 {
 		a.single = subs[0]
@@ -232,13 +232,15 @@ func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array,
 	a.files = make(map[core.FileID]*afile)
 	a.reads = stats.NewGroup(name + ".array_blocks_read")
 	a.writes = stats.NewGroup(name + ".array_blocks_written")
+	a.fanEvent = name + ".fan"
 	for i := range subs {
 		lbl := fmt.Sprintf("d%d", i)
 		a.reads.Member(lbl)
 		a.writes.Member(lbl)
+		a.fanTasks = append(a.fanTasks, name+".fan."+lbl)
 	}
 	a.syncs = stats.NewCounter(name + ".array_syncs")
-	if a.red != nil {
+	if pl.redundant() {
 		// Registered only for redundant placements so the existing
 		// placements' stats output stays byte-identical.
 		a.degraded = stats.NewCounter(name + ".array_degraded_reads")
@@ -273,7 +275,13 @@ func (a *Array) Placement() string { return a.cfg.Placement }
 
 // Subs returns the effective sub-layouts — rebuild replacements
 // swapped in (read-only use: checks, reports).
-func (a *Array) Subs() []layout.Layout { return a.effSubs() }
+func (a *Array) Subs() []layout.Layout {
+	out := make([]layout.Layout, len(a.subs))
+	for i, m := range a.effSubs() {
+		out[i] = m
+	}
+	return out
+}
 
 // Name identifies the array and its shape; a width-1 array is
 // transparent and reports the sub-layout's own name.
@@ -281,19 +289,8 @@ func (a *Array) Name() string {
 	if a.single != nil {
 		return a.single.Name()
 	}
-	if a.striped {
-		return fmt.Sprintf("array(%dx%s,striped:%d)", len(a.subs), a.subs[0].Name(), a.cfg.StripeBlocks)
-	}
-	if a.red != nil {
-		return fmt.Sprintf("array(%dx%s,%s:%d)", len(a.subs), a.subs[0].Name(), a.cfg.Placement, a.cfg.StripeBlocks)
-	}
-	return fmt.Sprintf("array(%dx%s,affinity)", len(a.subs), a.subs[0].Name())
+	return fmt.Sprintf("array(%dx%s,%s)", len(a.subs), a.subs[0].Name(), a.pl)
 }
-
-// arrayOwned reports whether the array (not the home member) owns the
-// global inode: true for the striped and redundant placements, where
-// shadows carry per-member block maps.
-func (a *Array) arrayOwned() bool { return a.striped || a.red != nil }
 
 // home hashes an inode number onto its home sub-volume with a
 // splitmix64-style finalizer, so consecutive IDs spread evenly and
@@ -366,46 +363,12 @@ func (a *Array) Sync(t sched.Task) error {
 		}
 	}
 	a.syncs.Inc()
-	if a.k.Virtual() {
-		for i := range a.subs {
-			if !a.writeAlive(i) {
-				continue // dead member with no replacement attached
-			}
-			if err := a.sub(i).Sync(t); err != nil {
-				if a.noteDeadErr(i, err) {
-					continue // died at the hardware; redundancy carries its share
-				}
-				return fmt.Errorf("volume %s: sync sub %d: %w", a.name, i, err)
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(a.subs))
-	done := a.k.NewEvent(a.name + ".syncfan")
-	n := 0
-	for i := range a.subs {
-		if !a.writeAlive(i) {
-			continue
-		}
-		i := i
-		n++
-		a.k.Go(fmt.Sprintf("%s.sync.d%d", a.name, i), func(st sched.Task) {
-			errs[i] = a.sub(i).Sync(st)
-			done.Signal()
-		})
-	}
-	for j := 0; j < n; j++ {
-		done.Wait(t)
-	}
-	for i, err := range errs {
-		if err != nil {
-			if a.noteDeadErr(i, err) {
-				continue // died at the hardware; redundancy carries its share
-			}
+	return a.fan(t, a.writeAlive, func(st sched.Task, i int) error {
+		if err := a.sub(i).Sync(st); err != nil && !a.noteDeadErr(i, err) {
 			return fmt.Errorf("volume %s: sync sub %d: %w", a.name, i, err)
 		}
-	}
-	return nil
+		return nil // a member that died at the hardware: redundancy carries its share
+	})
 }
 
 // labelReady reports (under a.mu) whether the label shadows exist and
@@ -496,32 +459,44 @@ func (a *Array) allocLocked(t sched.Task, typ core.FileType) (*afile, error) {
 			shadows[i] = &layout.Inode{ID: id, Type: typ, Nlink: 1}
 		}
 	}
+	af := a.adopt(id, shadows, shadows[a.liveCarrier(a.home(id))])
+	// A file born while a replacement is attached is fully written
+	// there from its first block; nothing needs rebuilding.
+	af.rebuilt.Store(a.attachIdx.Load() >= 0)
+	return af, nil
+}
+
+// adopt enters a file into the table over its shadows. The global
+// inode is the carrier shadow h itself under affinity; otherwise it is
+// array-owned, built from h's scalars (the carrier's size field
+// carries the global size). Caller holds a.mu.
+func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) *afile {
 	af := &afile{
 		id:      id,
 		home:    a.home(id),
 		mu:      a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)),
 		shadows: shadows,
+		global:  h,
 	}
-	// A file born while a replacement is attached is fully written
-	// there from its first block; nothing needs rebuilding.
-	af.rebuilt.Store(a.attachIdx.Load() >= 0)
-	if a.arrayOwned() {
-		c := af.home
-		if a.red != nil {
-			if lc := a.carrierFor(af.home); lc >= 0 {
-				c = lc
-			}
-		}
-		h := shadows[c]
+	if a.pl.owned() {
 		af.global = &layout.Inode{
-			ID: id, Type: h.Type, Nlink: h.Nlink, Mode: h.Mode,
-			Version: h.Version, MTime: h.MTime, CTime: h.CTime,
+			ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
+			Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
 		}
-	} else {
-		af.global = shadows[af.home]
 	}
 	a.files[id] = af
-	return af, nil
+	return af
+}
+
+// liveCarrier returns the file's first carrier that is not dead (the
+// home when none is: impossible under the single-fault model).
+func (a *Array) liveCarrier(home int) int {
+	for i := 0; i < a.pl.carriers(); i++ {
+		if s := a.pl.carrier(home, i); s != int(a.deadIdx.Load()) {
+			return s
+		}
+	}
+	return home
 }
 
 // lookup returns the per-file state for an inode the front-end
@@ -544,55 +519,30 @@ func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 	if af := a.files[id]; af != nil {
 		return af.global, nil
 	}
-	home := a.home(id)
-	carrier := home
-	if a.red != nil {
-		if lc := a.carrierFor(home); lc >= 0 {
-			carrier = lc
-		}
-	}
+	carrier := a.liveCarrier(a.home(id))
 	h, err := a.sub(carrier).GetInode(t, id)
 	if err != nil {
 		return nil, err
 	}
-	af := &afile{
-		id:      id,
-		home:    home,
-		mu:      a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)),
-		shadows: make([]*layout.Inode, len(a.subs)),
-	}
-	af.shadows[carrier] = h
-	if a.arrayOwned() {
-		for i := range a.subs {
-			if i == carrier {
-				continue
-			}
-			if a.red != nil && !a.writeAlive(i) {
-				// Dead member: placeholder shadow; reads reconstruct.
-				af.shadows[i] = &layout.Inode{ID: id, Type: h.Type, Nlink: 1}
-				continue
-			}
-			s, err := a.sub(i).GetInode(t, id)
-			if err != nil {
+	shadows := make([]*layout.Inode, len(a.subs))
+	shadows[carrier] = h
+	for i := range a.subs {
+		switch {
+		case i == carrier || !a.pl.owned():
+		case !a.writeAlive(i):
+			// Dead member: placeholder shadow; reads reconstruct.
+			shadows[i] = &layout.Inode{ID: id, Type: h.Type, Nlink: 1}
+		default:
+			if shadows[i], err = a.sub(i).GetInode(t, id); err != nil {
 				return nil, fmt.Errorf("volume %s: sub %d shadow of inode %d: %w", a.name, i, id, err)
 			}
-			af.shadows[i] = s
 		}
-		// The carrier shadow's size field carries the global size
-		// (striped: the home; redundant: home and its successor).
-		af.global = &layout.Inode{
-			ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
-			Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
-		}
-	} else {
-		af.global = h
 	}
-	a.files[id] = af
-	return af.global, nil
+	return a.adopt(id, shadows, h).global, nil
 }
 
-// UpdateInode records changed meta-data on the file's home
-// sub-volume, which persists it.
+// UpdateInode records changed meta-data on the file's carriers, which
+// persist it.
 func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	if a.single != nil {
 		return a.single.UpdateInode(t, ino)
@@ -601,77 +551,39 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	if af == nil {
 		return core.ErrStale
 	}
-	if !a.arrayOwned() {
+	if !a.pl.owned() {
 		return a.subs[af.home].UpdateInode(t, ino)
 	}
 	// Snapshot the front inode's scalars under its own publication
 	// lock (af.mu): mutateIno-routed writers hold that lock, not the
 	// member locks the shadow closures below run under.
 	var snap layout.Inode
-	a.WithInode(t, ino, func() {
-		snap.Type, snap.Nlink, snap.Mode = ino.Type, ino.Nlink, ino.Mode
-		snap.MTime, snap.CTime, snap.ATime = ino.MTime, ino.CTime, ino.ATime
-	})
-	if a.red != nil {
-		// Metadata rides on both carriers so it survives either.
-		for _, s := range []int{af.home, (af.home + 1) % len(a.subs)} {
-			if !a.writeAlive(s) {
-				continue
-			}
+	a.WithInode(t, ino, func() { setMeta(&snap, ino) })
+	for i := 0; i < a.pl.carriers(); i++ {
+		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
 			h := af.shadows[s]
-			a.mutateShadow(t, s, h, func() {
-				h.Type, h.Nlink, h.Mode = snap.Type, snap.Nlink, snap.Mode
-				h.MTime, h.CTime, h.ATime = snap.MTime, snap.CTime, snap.ATime
-			})
+			a.withShadow(t, s, h, func() { setMeta(h, &snap) })
 		}
-		// The mirror helpers expect af.mu held (it publishes the
-		// global size); the WithInode snapshot above already released
-		// it, so take it here — af.mu before member locks, the order
-		// every write path uses.
-		af.mu.Lock(t)
-		err := a.mirrorCarrierSizes(t, af)
-		af.mu.Unlock(t)
-		if err != nil {
-			return err
-		}
-		for _, s := range []int{af.home, (af.home + 1) % len(a.subs)} {
-			if !a.writeAlive(s) {
-				continue
-			}
-			if err := a.sub(s).UpdateInode(t, af.shadows[s]); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	h := af.shadows[af.home]
-	a.mutateShadow(t, af.home, h, func() {
-		h.Type, h.Nlink, h.Mode = snap.Type, snap.Nlink, snap.Mode
-		h.MTime, h.CTime, h.ATime = snap.MTime, snap.CTime, snap.ATime
-	})
-	// The global size rides in the home shadow; see mirrorHomeSize
-	// (which expects af.mu, its publication lock, held).
+	// mirrorSizes expects af.mu held (it publishes the global size);
+	// the WithInode snapshot above already released it, so take it
+	// here — af.mu before member locks, the order every write path
+	// uses.
 	af.mu.Lock(t)
-	err := a.mirrorHomeSize(t, af)
+	err := a.mirrorSizes(t, af)
 	af.mu.Unlock(t)
-	if err != nil {
-		return err
+	for i := 0; i < a.pl.carriers() && err == nil; i++ {
+		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
+			err = a.sub(s).UpdateInode(t, af.shadows[s])
+		}
 	}
-	return a.subs[af.home].UpdateInode(t, h)
+	return err
 }
 
-// mutateShadow applies scalar field updates to a member's shadow
-// inode under that member's inode lock on the real kernel, where the
-// member's segment packer may be encoding the shadow concurrently —
-// the fsys mutateIno publication rule pushed down a layer. The
-// virtual kernel is cooperative: direct call, simulated schedules
-// untouched.
-func (a *Array) mutateShadow(t sched.Task, s int, h *layout.Inode, fn func()) {
-	if a.k.Virtual() {
-		fn()
-		return
-	}
-	a.sub(s).WithInode(t, h, fn)
+// setMeta copies the scalar metadata a carrier shadow mirrors.
+func setMeta(dst, src *layout.Inode) {
+	dst.Type, dst.Nlink, dst.Mode = src.Type, src.Nlink, src.Mode
+	dst.MTime, dst.CTime, dst.ATime = src.MTime, src.CTime, src.ATime
 }
 
 // FreeInode removes the file from every sub-volume in lockstep.
@@ -707,205 +619,6 @@ func (a *Array) FreeInode(t sched.Task, id core.FileID) error {
 	return otherErr
 }
 
-// ReadBlock routes a file-block read to the sub-volume holding it.
-func (a *Array) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data []byte) error {
-	if a.single != nil {
-		return a.single.ReadBlock(t, ino, blk, data)
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		return core.ErrStale
-	}
-	if a.red != nil {
-		return a.readRedundant(t, af, blk, data)
-	}
-	s, lb := af.home, blk
-	if a.striped {
-		s, lb = a.stripe.locate(af.home, blk)
-	}
-	a.reads.Add(s, 1)
-	return a.subs[s].ReadBlock(t, af.shadows[s], lb, data)
-}
-
-// ReadRunVec routes a clustered read to the sub-volume holding the
-// run's first block. Striped placement splits runs at stripe-chunk
-// boundaries — within a chunk the global and local blocks advance in
-// lockstep, so the member's own run discovery sees the contiguity —
-// and the caller continues on the next member with its next call.
-func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
-	if a.single != nil {
-		return a.single.ReadRunVec(t, ino, blk, n, bufs)
-	}
-	if len(bufs) == 0 && !a.cfg.Simulated {
-		return 0, core.ErrInval
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		return 0, core.ErrStale
-	}
-	if a.red != nil {
-		// Clamp the run at the chunk boundary (within a chunk global
-		// and local blocks advance in lockstep), route to the member
-		// holding the data copy; a dead member degrades to block-wise
-		// reconstruction.
-		g := a.red
-		if rem := g.w - int(int64(blk)%int64(g.w)); n > rem {
-			n = rem
-		}
-		s, lb := g.primaryLoc(af.home, blk)
-		if g.parity {
-			s, lb = g.dataLoc(af.home, blk)
-		}
-		if a.readAlive(af, s) {
-			got, err := a.sub(s).ReadRunVec(t, af.shadows[s], lb, n, bufs)
-			if got > 0 {
-				a.reads.Add(s, int64(got))
-			}
-			if err == nil || !a.noteDeadErr(s, err) {
-				return got, err
-			}
-		}
-		var first []byte // nil stays nil for simulated stacks
-		if len(bufs) > 0 {
-			first = bufs[0][:core.BlockSize]
-		}
-		if err := a.readRedundant(t, af, blk, first); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	s, lb := af.home, blk
-	if a.striped {
-		s, lb = a.stripe.locate(af.home, blk)
-		if rem := a.stripe.w - int(int64(blk)%int64(a.stripe.w)); n > rem {
-			n = rem
-		}
-	}
-	got, err := a.subs[s].ReadRunVec(t, af.shadows[s], lb, n, bufs)
-	if got > 0 {
-		a.reads.Add(s, int64(got))
-	}
-	return got, err
-}
-
-// WriteBlocks splits one file's dirty blocks by target sub-volume
-// and hands each its share. In affinity mode the whole batch goes to
-// the file's home; striped mode fans the per-member shares out as
-// concurrent tasks under the real kernel (the members are
-// independent disk stacks), in deterministic member order under the
-// virtual one.
-func (a *Array) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.BlockWrite) error {
-	if a.single != nil {
-		return a.single.WriteBlocks(t, ino, writes)
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		return core.ErrStale
-	}
-	af.mu.Lock(t)
-	defer af.mu.Unlock(t)
-	if a.red != nil {
-		return a.writeRedundant(t, af, writes)
-	}
-	if !a.striped {
-		a.writes.Add(af.home, int64(len(writes)))
-		return a.subs[af.home].WriteBlocks(t, af.global, writes)
-	}
-	per := make([][]layout.BlockWrite, len(a.subs))
-	for _, w := range writes {
-		s, lb := a.stripe.locate(af.home, w.Blk)
-		per[s] = append(per[s], layout.BlockWrite{Blk: lb, Data: w.Data, Size: w.Size})
-	}
-	writeSub := func(st sched.Task, s int) error {
-		// A shadow's size must keep covering its share of the block
-		// map: the on-disk inode form decodes BlocksForSize(Size)
-		// map entries, and nothing else records a shadow's extent.
-		// The home shadow instead carries the global size (below),
-		// which covers its share by construction. Size changes go
-		// through the sub-layout's Truncate — a growing truncate
-		// frees nothing — so the field is written under the same
-		// lock Sync reads it with.
-		if s != af.home {
-			if end := localExtent(per[s]); end > af.shadows[s].Size {
-				if err := a.subs[s].Truncate(st, af.shadows[s], end); err != nil {
-					return fmt.Errorf("volume %s: grow sub %d shadow: %w", a.name, s, err)
-				}
-			}
-		}
-		a.writes.Add(s, int64(len(per[s])))
-		if err := a.subs[s].WriteBlocks(st, af.shadows[s], per[s]); err != nil {
-			return fmt.Errorf("volume %s: write sub %d: %w", a.name, s, err)
-		}
-		return nil
-	}
-	var targets []int
-	for s := range a.subs {
-		if len(per[s]) > 0 {
-			targets = append(targets, s)
-		}
-	}
-	if a.k.Virtual() || len(targets) <= 1 {
-		for _, s := range targets {
-			if err := writeSub(t, s); err != nil {
-				return err
-			}
-		}
-		return a.mirrorHomeSize(t, af)
-	}
-	// Real kernel: the per-member writes ride the striped-sync
-	// machinery — one task per member, first error in member order.
-	errs := make([]error, len(targets))
-	done := a.k.NewEvent(a.name + ".writefan")
-	for i, s := range targets {
-		i, s := i, s
-		a.k.Go(fmt.Sprintf("%s.write.d%d", a.name, s), func(st sched.Task) {
-			errs[i] = writeSub(st, s)
-			done.Signal()
-		})
-	}
-	for range targets {
-		done.Wait(t)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return a.mirrorHomeSize(t, af)
-}
-
-// mirrorHomeSize records the global size in the home shadow (via the
-// home sub-layout's Truncate, so the write happens under its lock)
-// — that is what a real-mode remount recovers the size from.
-func (a *Array) mirrorHomeSize(t sched.Task, af *afile) error {
-	// Same locking discipline as mirrorCarrierSizes: caller holds
-	// af.mu (the global size's publication lock); the shadow's size
-	// is snapshotted under the home member's inode lock.
-	size := af.global.Size
-	h := af.shadows[af.home]
-	cur := int64(-1)
-	a.mutateShadow(t, af.home, h, func() { cur = h.Size })
-	if cur == size {
-		return nil
-	}
-	if err := a.subs[af.home].Truncate(t, h, size); err != nil {
-		return fmt.Errorf("volume %s: mirror size on home %d: %w", a.name, af.home, err)
-	}
-	return nil
-}
-
-// localExtent is the block-granular extent of one sub-volume's write
-// batch: one past the highest local block, in bytes.
-func localExtent(ws []layout.BlockWrite) int64 {
-	var end int64
-	for _, w := range ws {
-		if e := (int64(w.Blk) + 1) * core.BlockSize; e > end {
-			end = e
-		}
-	}
-	return end
-}
-
 // Truncate releases blocks beyond newSize on every sub-volume.
 func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 	if a.single != nil {
@@ -917,33 +630,23 @@ func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 	}
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
-	if !a.arrayOwned() {
+	if !a.pl.owned() {
 		return a.subs[af.home].Truncate(t, af.global, newSize)
 	}
 	keep := layout.BlocksForSize(newSize)
 	for s := range a.subs {
-		if a.red != nil && !a.writeAlive(s) {
+		if !a.writeAlive(s) {
 			continue
 		}
-		var lk int64
-		if a.red != nil {
-			lk = a.red.localBlocks(af.home, s, keep)
-		} else {
-			lk = a.stripe.localBlocks(af.home, s, keep)
-		}
-		if err := a.sub(s).Truncate(t, af.shadows[s], lk*core.BlockSize); err != nil {
+		if err := a.sub(s).Truncate(t, af.shadows[s], a.pl.localBlocks(af.home, s, keep)*core.BlockSize); err != nil {
 			return fmt.Errorf("volume %s: truncate sub %d: %w", a.name, s, err)
 		}
 	}
 	af.global.Size = newSize
 	af.global.MTime = int64(a.k.Now())
 	// Re-truncate the carriers to the global size: their local maps
-	// are already trimmed, so this only records the size (see
-	// mirrorHomeSize / mirrorCarrierSizes).
-	if a.red != nil {
-		return a.mirrorCarrierSizes(t, af)
-	}
-	return a.mirrorHomeSize(t, af)
+	// are already trimmed, so this only records the size.
+	return a.mirrorSizes(t, af)
 }
 
 // PlaceExisting spreads a preexisting file's educated-guess
@@ -961,21 +664,12 @@ func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error
 	}
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
-	if !a.arrayOwned() {
+	if !a.pl.owned() {
 		return a.subs[af.home].PlaceExisting(t, af.global, size)
 	}
-	total := layout.BlocksForSize(size)
 	for s := range a.subs {
-		if a.red != nil && !a.writeAlive(s) {
-			continue
-		}
-		var lk int64
-		if a.red != nil {
-			lk = a.red.localBlocks(af.home, s, total)
-		} else {
-			lk = a.stripe.localBlocks(af.home, s, total)
-		}
-		if lk == 0 {
+		lk := a.pl.localBlocks(af.home, s, layout.BlocksForSize(size))
+		if lk == 0 || !a.writeAlive(s) {
 			continue
 		}
 		if err := a.sub(s).PlaceExisting(t, af.shadows[s], lk*core.BlockSize); err != nil {
