@@ -212,8 +212,7 @@ func (a *Array) ReplayParity(t sched.Task, recs []ParityRecord) (applied int, er
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	// Any column's check cell tells the placement's check role.
-	if chk, _ := a.pl.checkCell(0, 0); chk.role != roleParity {
+	if !a.pl.parity() {
 		return 0, fmt.Errorf("volume %s: parity records on placement %s", a.name, a.cfg.Placement)
 	}
 	scratch := make([]byte, core.BlockSize)

@@ -107,6 +107,10 @@ func (p place) owned() bool { return p.kind != kindAffinity }
 // survives a member's death.
 func (p place) redundant() bool { return p.kind >= kindMirrored }
 
+// parity reports whether check cells are parity cells, which partial-
+// parity records guard.
+func (p place) parity() bool { return p.kind == kindParity }
+
 // carriers is how many members, from home on, carry a file's metadata
 // and global size: the home, and its successor too when the file must
 // survive the loss of either.
@@ -265,8 +269,12 @@ func (p place) localBlocks(home, sub int, total int64) int64 {
 	return s * w
 }
 
-// sweep lists member's cells of a file of total blocks in ascending
-// local order — the order rebuild rewrites them in.
+// sweep lists member's cells of a file of total blocks in the order
+// rebuild rewrites them: data and copy cells in ascending local order,
+// then parity cells in ascending local order. A parity cell is the
+// XOR of its whole column, so it is recomputed after the member's
+// data cells; a copy is just another cell of its chunk, so a mirror's
+// share goes in one ascending pass.
 func (p place) sweep(home, member int, total int64) []cell {
 	var out []cell
 	for b := core.BlockNo(0); int64(b) < total; b++ {
@@ -277,6 +285,14 @@ func (p place) sweep(home, member int, total int64) []cell {
 			out = append(out, c)
 		}
 	}
-	slices.SortFunc(out, func(x, y cell) int { return cmp.Compare(x.local, y.local) })
+	slices.SortFunc(out, func(x, y cell) int {
+		if px, py := x.role == roleParity, y.role == roleParity; px != py {
+			if px {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(x.local, y.local)
+	})
 	return out
 }

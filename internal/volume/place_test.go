@@ -20,7 +20,8 @@ import (
 //     none of its data cells use (and the data cells' members differ);
 //   - a degraded read plan never touches the dead member, and the rest
 //     of a column plus the cell itself is the whole column;
-//   - the rebuild sweep covers exactly the dead member's cells, in
+//   - the rebuild sweep covers exactly the dead member's cells, data
+//     and copy cells in ascending local order, then parity cells in
 //     ascending local order.
 func TestPlanEveryPlacement(t *testing.T) {
 	shapes := map[string]map[int64]bool{} // placement → tail column sizes seen
@@ -151,8 +152,15 @@ func checkPlan(t *testing.T, p place, home int, total int64) {
 			if owner[slot{c.member, c.local}] != c || c.member != dead {
 				at("dead %d: rebuild sweep cell %+v is not the member's", dead, c)
 			}
-			if i > 0 && sweep[i-1].local >= c.local {
-				at("dead %d: rebuild sweep not in ascending local order at %d", dead, i)
+			if i == 0 {
+				continue
+			}
+			prev := sweep[i-1]
+			switch prevParity, parity := prev.role == roleParity, c.role == roleParity; {
+			case prevParity && !parity:
+				at("dead %d: rebuild sweep has a data or copy cell after a parity cell at %d", dead, i)
+			case prevParity == parity && prev.local >= c.local:
+				at("dead %d: rebuild sweep not in ascending local order within a role at %d", dead, i)
 			}
 		}
 	}

@@ -30,7 +30,8 @@ import (
 //     through a.eff/attachIdx. From here on every new write lands on
 //     the replacement too, so the copy phase chases a bounded frontier.
 //  2. Copy: per file, under the file's own lock, sweep the dead
-//     member's cells in ascending local order, reconstruct each from
+//     member's cells (data and copy cells in ascending local order,
+//     then parity cells), reconstruct each from
 //     the rest of its column (a mirror: the other copy; parity: the
 //     XOR of the column) and write it to the replacement.
 //     Files born after the attach are complete by construction; each
@@ -279,7 +280,7 @@ func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Member) ([
 }
 
 // rebuildFile is rebuild phase 2 for one file: one sweep over the dead
-// member's cells in ascending local order, each reconstructed as the
+// member's cells in place.sweep's order, each reconstructed as the
 // XOR of the rest of its column and written to the attached
 // replacement; then the file is marked rebuilt.
 func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {

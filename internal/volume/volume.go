@@ -275,13 +275,7 @@ func (a *Array) Placement() string { return a.cfg.Placement }
 
 // Subs returns the effective sub-layouts — rebuild replacements
 // swapped in (read-only use: checks, reports).
-func (a *Array) Subs() []layout.Layout {
-	out := make([]layout.Layout, len(a.subs))
-	for i, m := range a.effSubs() {
-		out[i] = m
-	}
-	return out
-}
+func (a *Array) Subs() []layout.Member { return a.effSubs() }
 
 // Name identifies the array and its shape; a width-1 array is
 // transparent and reports the sub-layout's own name.
