@@ -169,6 +169,12 @@ type Cache struct {
 	// waiters park instead of re-triggering flushes. Set by PowerOff;
 	// never set in normal operation.
 	off atomic.Bool
+
+	// closed tells the flushers and update daemons to exit (fossil's
+	// die); each flusher signals exited as it goes. exited is nil
+	// until Start.
+	closed atomic.Bool
+	exited sched.Event
 }
 
 // PowerOff freezes the cache at a simulated power cut: no further
@@ -186,18 +192,18 @@ type shard struct {
 	c  *Cache
 	mu sched.Mutex
 
-	filled  sched.Cond // Busy blocks became Valid (or failed)
-	cleaned sched.Cond // flusher finished some blocks
+	// conds are the frame state machine's conds (see the package
+	// comment), indexed by wake bit: filled, cleaned, released.
+	conds [nConds]sched.Cond
 
 	index       map[core.BlockKey]*Block
 	free        blockList
 	dirty       blockList // clean→dirty transition order: oldest first
 	dirtyByFile map[FileKey]map[core.BlockNo]*Block
 	replace     ReplacePolicy
-	dirtyCount  int
-	flushing    int
-	fills       int // frames claimed by TryStartFill, not yet FinishFill'd
-	// dirtyGauge shadows dirtyCount for telemetry: the real count
+	n           [nStates]int // frames per state
+	writers     int          // in-place writes in progress
+	// dirtyGauge shadows the dirty count for telemetry: the real count
 	// lives under the kernel mutex, which a scrape (a plain HTTP
 	// goroutine with no kernel task) can never take.
 	dirtyGauge atomic.Int64
@@ -275,8 +281,9 @@ func New(k sched.Kernel, cfg Config, store BackingStore) *Cache {
 			flushWork:   k.NewEvent(name + ".flushwork"),
 			scanName:    name + ".updated",
 		}
-		sh.filled = k.NewCond(name + ".filled")
-		sh.cleaned = k.NewCond(name + ".cleaned")
+		for j, cond := range [nConds]string{".filled", ".cleaned", ".released"} {
+			sh.conds[j] = k.NewCond(name + cond)
+		}
 		if limit := cfg.Flush.MaxDirtyBlocks; limit > 0 {
 			// nsh <= limit (clamped above), so every shard's share
 			// is at least one and the shares sum to exactly limit.
@@ -291,8 +298,9 @@ func New(k sched.Kernel, cfg Config, store BackingStore) *Cache {
 				b.Data = c.arena[frame*core.BlockSize : (frame+1)*core.BlockSize]
 			}
 			frame++
-			sh.free.pushTail(b)
+			sh.place(b)
 		}
+		sh.n[stFree] = blocks
 		c.shards = append(c.shards, sh)
 	}
 	return c
@@ -302,12 +310,28 @@ func New(k sched.Kernel, cfg Config, store BackingStore) *Cache {
 // for one, its update daemon.
 func (c *Cache) Start() {
 	nsh := len(c.shards)
+	c.exited = c.k.NewEvent("cache.exited")
 	for i, sh := range c.shards {
 		sh := sh
 		c.k.Go(sched.ShardName("cache", i, nsh)+".flusher", sh.flusherLoop)
 		if c.cfg.Flush.ScanInterval > 0 {
 			c.k.Go(sh.scanName, sh.updateDaemon)
 		}
+	}
+}
+
+// Close stops the cache's tasks once nothing uses the cache any more:
+// each flusher writes the jobs already queued, then exits, and Close
+// waits for all of them; an update daemon exits at its next scan.
+func (c *Cache) Close(t sched.Task) {
+	if c.closed.Swap(true) || c.exited == nil {
+		return
+	}
+	for _, sh := range c.shards {
+		sh.flushWork.Signal()
+	}
+	for range c.shards {
+		c.exited.Wait(t)
 	}
 }
 
@@ -373,201 +397,175 @@ func (c *Cache) shardOf(key core.BlockKey) *shard {
 	return c.shards[b%uint64(len(c.shards))]
 }
 
+// lock returns key's shard with its mutex held.
+func (c *Cache) lock(t sched.Task, key core.BlockKey) *shard {
+	sh := c.shardOf(key)
+	sh.mu.Lock(t)
+	return sh
+}
+
+// mode says how far acquire may go to get a frame.
+type mode uint8
+
+const (
+	// park waits for whatever brings a frame back, flushing dirty
+	// blocks under pressure.
+	park mode = iota
+	// holding is park for a caller that already holds frames: it
+	// waits for fills and flushes but gives up rather than wait for
+	// holds.
+	holding
+	// noWait never waits, never flushes and never evicts dirty data:
+	// readahead's mode (the NVRAM residency rule).
+	noWait
+)
+
+// acquire is the one path to a frame for key. It returns the resident
+// block pinned (hit), or claims a frame in state filling — pinned
+// unless m is noWait — for the caller to fill; nil when m forbids
+// the wait that would be needed.
+func (c *Cache) acquire(t sched.Task, key core.BlockKey, m mode) (b *Block, hit bool) {
+	sh := c.lock(t, key)
+	defer sh.mu.Unlock(t)
+	for {
+		if b = sh.index[key]; b != nil {
+			if m == noWait {
+				return nil, false
+			}
+			if b.state == stFilling {
+				sh.await(t, wFilled)
+				continue // may have failed and vanished; recheck
+			}
+			b.holds++
+			sh.place(b) // a clean frame leaves the replacement set
+			b.reference(c.k.Now())
+			b.touched = true
+			c.st.Hits.Inc()
+			return b, true
+		}
+		// Claim the free list's head, else evict the replacement
+		// policy's victim.
+		if b = sh.free.head; b == nil {
+			if b = sh.replace.Victim(); b != nil {
+				b.where = nowhere // Victim took it out of the set
+				delete(sh.index, b.Key)
+				c.st.Evictions.Inc()
+			}
+		}
+		if b != nil {
+			sh.set(b, stFilling)
+			b.Key, b.NoCache, b.Size = key, false, 0
+			b.Freq, b.nref, b.touched = 0, 0, false
+			b.reference(c.k.Now())
+			if m == noWait {
+				c.st.ReadaheadFills.Inc()
+			} else {
+				b.holds = 1
+			}
+			sh.index[key] = b
+			return b, false
+		}
+		// No frame to take: wait for whatever brings one back — a
+		// flush (triggered here through the oldest dirty block, as the
+		// base cache component does), a fill, or a release.
+		var w wake
+		switch {
+		case m == noWait:
+			return nil, false
+		case sh.n[stDirty]+sh.n[stFlushing] > 0:
+			w = wCleaned
+		case sh.n[stFilling] > 0:
+			w = wFilled
+		case m == holding:
+			return nil, false
+		default:
+			w = wReleased
+		}
+		c.st.PressureWaits.Inc()
+		if w == wCleaned && !c.off.Load() {
+			sh.flushOldestLocked()
+		}
+		sh.await(t, w)
+	}
+}
+
 // GetBlock returns the pinned block for key. hit reports whether the
 // block already held valid contents; on a miss the caller must fill
 // the block (read it from the layout, or zero it for a fresh block)
 // and then call Filled — or FillFailed to abandon it. Concurrent
 // requests for a missing block wait for the first filler.
 func (c *Cache) GetBlock(t sched.Task, key core.BlockKey) (b *Block, hit bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock(t)
-	defer sh.mu.Unlock(t)
 	c.st.Lookups.Inc()
-	for {
-		b = sh.index[key]
-		if b == nil {
-			nb := sh.allocLocked(t)
-			nb.Key = key
-			nb.Busy = true
-			nb.Valid = false
-			nb.Dirty = false
-			nb.NoCache = false
-			nb.Size = 0
-			nb.Freq = 1
-			nb.History = append(nb.History[:0], c.k.Now())
-			nb.LastUsed = c.k.Now()
-			nb.Pins = 1
-			sh.index[key] = nb
-			return nb, false
-		}
-		if b.Busy {
-			sh.filled.Wait(t, sh.mu)
-			continue // may have failed and vanished; recheck
-		}
-		sh.pinLocked(b)
-		b.Freq++
-		b.LastUsed = c.k.Now()
-		b.History = append(b.History, c.k.Now())
-		b.touched = true
-		c.st.Hits.Inc()
-		return b, true
-	}
+	return c.acquire(t, key, park)
+}
+
+// GetBlockHolding is GetBlock for a caller that already holds frames
+// (a borrowed read collecting the blocks of one reply). It waits for
+// fills and flushes, which finish without any frame, but never for
+// another task's holds: when only held frames are left in the shard
+// it returns nil, and the caller makes do with the frames it has.
+func (c *Cache) GetBlockHolding(t sched.Task, key core.BlockKey) (b *Block, hit bool) {
+	c.st.Lookups.Inc()
+	return c.acquire(t, key, holding)
 }
 
 // TryStartFill is the readahead entry point: when key is absent and
 // a frame can be had without flushing dirty data or blocking, it
-// claims a Busy, pinned frame the caller must complete with
-// FinishFill. It refuses (nil, false) when the block is already
-// present or being filled, or when only dirty, busy or pinned
+// claims a frame for the fill alone — unpinned — which the caller
+// completes with Filled or FillFailed; either hands it straight back
+// to the cache. It refuses (nil, false) when the block is already
+// present or being filled, or when only dirty, filling or pinned
 // frames remain — readahead never pushes dirty blocks out of memory
 // (the NVRAM residency guarantee) and never stalls behind the
 // flusher the way a demand miss may.
 func (c *Cache) TryStartFill(t sched.Task, key core.BlockKey) (*Block, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock(t)
-	defer sh.mu.Unlock(t)
-	if sh.index[key] != nil {
-		return nil, false
-	}
-	b := sh.free.popHead()
-	if b == nil {
-		if v := sh.replace.Victim(); v != nil {
-			delete(sh.index, v.Key)
-			v.Valid = false
-			c.st.Evictions.Inc()
-			b = v
-		}
-	}
-	if b == nil {
-		return nil, false // only dirty/pinned/busy frames left
-	}
-	b.Key = key
-	b.Busy = true
-	b.Valid = false
-	b.Dirty = false
-	b.NoCache = false
-	b.Size = 0
-	b.Freq = 1
-	b.History = append(b.History[:0], c.k.Now())
-	b.LastUsed = c.k.Now()
-	b.Pins = 1
-	sh.index[key] = b
-	sh.fills++
-	c.st.ReadaheadFills.Inc()
-	return b, true
-}
-
-// FinishFill completes a TryStartFill: on success the block becomes
-// a valid, unpinned cache resident; on error the frame returns to
-// the free list and demand waiters retry. Both outcomes wake filled
-// and cleaned waiters, so a truncate or delete racing a readahead
-// re-scans instead of waiting forever.
-func (c *Cache) FinishFill(t sched.Task, b *Block, size int, err error) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
-	defer sh.mu.Unlock(t)
-	if !b.Busy {
-		panic("cache: FinishFill on non-busy block " + b.Key.String())
-	}
-	b.Busy = false
-	sh.fills--
-	b.Pins--
-	if err != nil {
-		delete(sh.index, b.Key)
-		b.Valid = false
-		b.Pins = 0
-		sh.free.pushTail(b)
-	} else {
-		b.Valid = true
-		b.Size = size
-		if b.Pins == 0 {
-			sh.replace.Add(b)
-		}
-	}
-	sh.filled.Broadcast()
-	sh.cleaned.Broadcast()
-}
-
-// pinLocked pins b, withdrawing it from the replacement candidates.
-func (sh *shard) pinLocked(b *Block) {
-	if b.Pins == 0 && b.Valid && !b.Dirty && !b.Flushing && !b.Busy {
-		sh.replace.Remove(b)
-	}
-	b.Pins++
+	b, _ := c.acquire(t, key, noWait)
+	return b, b != nil
 }
 
 // Peek reports whether key is cached and valid, without pinning.
 func (c *Cache) Peek(t sched.Task, key core.BlockKey) bool {
-	sh := c.shardOf(key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, key)
 	defer sh.mu.Unlock(t)
 	b := sh.index[key]
-	return b != nil && b.Valid && !b.Busy
+	return b != nil && b.state != stFilling
 }
 
-// Filled marks a miss block as valid with size valid bytes. The
-// block stays pinned; Release it when done.
+// Filled marks a fill complete with size valid bytes. A block from
+// GetBlock stays pinned — Release it when done; one from TryStartFill
+// becomes an unpinned cache resident.
 func (c *Cache) Filled(t sched.Task, b *Block, size int) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if !b.Busy {
-		panic("cache: Filled on non-busy block " + b.Key.String())
-	}
-	b.Busy = false
-	b.Valid = true
 	b.Size = size
-	sh.filled.Broadcast()
+	sh.endFill(b, stClean)
 }
 
-// FillFailed abandons a miss block: it returns to the free list and
-// waiters retry.
+// FillFailed abandons a fill: the frame, with the pin GetBlock gave
+// it, returns to the free list and waiters retry.
 func (c *Cache) FillFailed(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if !b.Busy {
-		panic("cache: FillFailed on non-busy block")
+	sh.endFill(b, stFree)
+}
+
+func (sh *shard) endFill(b *Block, to frameState) {
+	if b.state != stFilling {
+		panic(fmt.Sprintf("cache: fill of %v ended on a %v frame", b.Key, b.state))
 	}
-	delete(sh.index, b.Key)
-	b.Busy = false
-	b.Valid = false
-	b.Pins = 0
-	sh.free.pushTail(b)
-	sh.filled.Broadcast()
+	var w wake
+	if to == stFree && b.holds > 0 {
+		w = sh.release(b)
+	}
+	sh.broadcast(w | sh.set(b, to))
 }
 
 // Release unpins b; fully released clean blocks become replacement
 // candidates (or go straight to the free list for NoCache blocks).
 func (c *Cache) Release(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if b.Pins <= 0 {
-		panic("cache: Release of unpinned block " + b.Key.String())
-	}
-	b.Pins--
-	if b.Pins > 0 {
-		return
-	}
-	if b.Dirty || b.Flushing || !b.Valid {
-		return
-	}
-	if b.NoCache {
-		delete(sh.index, b.Key)
-		b.Valid = false
-		sh.free.pushTail(b)
-		sh.filled.Broadcast()
-		return
-	}
-	sh.replace.Add(b)
-	if b.touched {
-		// A hit happened while the block was pinned; let the
-		// policy see it now that the block is a candidate again
-		// (this is what promotes SLRU blocks to protected).
-		sh.replace.Touched(b)
-		b.touched = false
-	}
+	sh.broadcast(sh.release(b))
 }
 
 // BeginWrite prepares a pinned block for an in-place mutation of its
@@ -575,18 +573,7 @@ func (c *Cache) Release(t sched.Task, b *Block) {
 // write-busy, so the flusher never copies a half-updated frame. End
 // the mutation with MarkDirty. Callers that move no real bytes (the
 // simulator) skip it — their blocks have nothing to tear.
-func (c *Cache) BeginWrite(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
-	defer sh.mu.Unlock(t)
-	if b.Pins <= 0 {
-		panic("cache: BeginWrite on unpinned block " + b.Key.String())
-	}
-	for b.Flushing || b.Borrows > 0 {
-		sh.cleaned.Wait(t, sh.mu)
-	}
-	b.Writing++
-}
+func (c *Cache) BeginWrite(t sched.Task, b *Block) { c.access(t, b, -1) }
 
 // Borrow loans a pinned block's Data to an in-flight zero-copy I/O —
 // an NFS read reply that writev's the frame straight to the socket.
@@ -596,30 +583,36 @@ func (c *Cache) BeginWrite(t sched.Task, b *Block) {
 // keep holding it for the life of the loan; a stalled consumer (a
 // slow client socket) therefore delays writers to this block, which
 // is the price of lending the frame instead of copying it.
-func (c *Cache) Borrow(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+func (c *Cache) Borrow(t sched.Task, b *Block) { c.access(t, b, +1) }
+
+// access starts a loan (d = +1) or an in-place write (d = -1) of
+// pinned block b. Loans and writes exclude each other, and a write
+// also waits out a flush of the block.
+func (c *Cache) access(t sched.Task, b *Block, d int) {
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if b.Pins <= 0 {
-		panic("cache: Borrow of unpinned block " + b.Key.String())
+	if b.holds <= 0 {
+		panic("cache: loan or write of unpinned block " + b.Key.String())
 	}
-	for b.Writing > 0 {
-		sh.cleaned.Wait(t, sh.mu)
+	for b.access*d < 0 || d < 0 && b.state == stFlushing {
+		sh.await(t, wCleaned)
 	}
-	b.Borrows++
+	b.access += d
+	if d < 0 {
+		sh.writers++
+	}
 }
 
 // Unborrow returns a Borrow loan; writers parked in BeginWrite wake.
 func (c *Cache) Unborrow(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if b.Borrows <= 0 {
+	if b.access <= 0 {
 		panic("cache: Unborrow without Borrow " + b.Key.String())
 	}
-	b.Borrows--
-	if b.Borrows == 0 {
-		sh.cleaned.Broadcast()
+	b.access--
+	if b.access == 0 {
+		sh.broadcast(wCleaned)
 	}
 }
 
@@ -630,137 +623,91 @@ func (c *Cache) Unborrow(t sched.Task, b *Block) {
 // ends a BeginWrite reservation: the new contents are published to
 // the flusher.
 func (c *Cache) MarkDirty(t sched.Task, b *Block) {
-	sh := c.shardOf(b.Key)
-	sh.mu.Lock(t)
+	sh := c.lock(t, b.Key)
 	defer sh.mu.Unlock(t)
-	if b.Pins <= 0 {
+	if b.holds <= 0 {
 		panic("cache: MarkDirty on unpinned block")
 	}
-	if b.Writing > 0 {
-		b.Writing--
-		if b.Writing == 0 {
+	if b.access < 0 {
+		b.access++
+		sh.writers--
+		if b.access == 0 {
 			// Flush pickers and the crash snapshot wait on cleaned for
 			// write-busy blocks to settle. Broadcast NOW, not on
 			// return: the dirty-bound loop below can park this task
 			// indefinitely (forever, after a power cut), and the
 			// crash snapshot must not wait behind it.
-			sh.cleaned.Broadcast()
+			sh.broadcast(wCleaned)
 		}
 	}
-	for b.Flushing {
+	for b.state == stFlushing {
 		// Data must stay stable while the flusher writes it.
-		sh.cleaned.Wait(t, sh.mu)
+		sh.await(t, wCleaned)
 	}
-	if b.Dirty {
+	if b.state == stDirty {
 		return // overwrite in place: this is the write-saving win
 	}
-	for sh.maxDirty > 0 && sh.dirtyCount >= sh.maxDirty {
+	for sh.maxDirty > 0 && sh.n[stDirty]+sh.n[stFlushing] >= sh.maxDirty {
 		c.st.NVRAMWaits.Inc()
 		if !c.off.Load() {
 			sh.flushOldestLocked()
 		}
-		sh.cleaned.Wait(t, sh.mu)
+		sh.await(t, wCleaned)
 	}
-	b.Dirty = true
 	b.DirtySince = c.k.Now()
-	sh.dirty.pushTail(b)
-	fk := FileKey{b.Key.Vol, b.Key.File}
-	m := sh.dirtyByFile[fk]
-	if m == nil {
-		m = make(map[core.BlockNo]*Block)
-		sh.dirtyByFile[fk] = m
-	}
-	m[b.Key.Blk] = b
-	sh.dirtyCount++
-	sh.dirtyGauge.Add(1)
-	c.addDirty(1)
+	sh.set(b, stDirty)
 }
 
-// allocLocked produces a free frame: from the free list, by evicting
-// a replacement victim, or — under pressure — by triggering a flush
-// of the oldest dirty block and waiting for the flusher.
-func (sh *shard) allocLocked(t sched.Task) *Block {
-	for {
-		if b := sh.free.popHead(); b != nil {
-			return b
-		}
-		if v := sh.replace.Victim(); v != nil {
-			delete(sh.index, v.Key)
-			v.Valid = false
-			sh.c.st.Evictions.Inc()
-			return v
-		}
-		// No clean blocks: initiate a flush through the oldest
-		// dirty block, as the base cache component does.
-		sh.c.st.PressureWaits.Inc()
-		if sh.dirtyCount == 0 && sh.flushing == 0 {
-			if sh.fills == 0 {
-				panic("cache: shard exhausted — every block pinned or busy; cache too small (or too many shards) for the working set")
-			}
-			// Nothing to flush, but readahead fills are in flight:
-			// FinishFill hands their frames back and broadcasts cleaned.
-			sh.cleaned.Wait(t, sh.mu)
-			continue
-		}
-		if !sh.c.off.Load() {
-			sh.flushOldestLocked()
-		}
-		sh.cleaned.Wait(t, sh.mu)
-	}
-}
-
-// flushOldestLocked enqueues the oldest dirty, not-yet-flushing
-// block (whole file or single block per policy). Write-busy blocks
-// are skipped — their contents are mid-update.
+// flushOldestLocked enqueues the oldest flushable block (whole file
+// or single block per policy). Write-busy blocks are skipped — their
+// contents are mid-update.
 func (sh *shard) flushOldestLocked() {
 	for b := sh.dirty.head; b != nil; b = b.next {
-		if !b.Flushing && b.Writing == 0 {
+		if b.flushable() {
 			sh.enqueueFlushLocked(b)
 			return
 		}
 	}
 }
 
-// enqueueFlushLocked builds a flush job from b per the granularity
-// policy and hands it to the flusher. Whole-file jobs are sorted by
-// block number so log-structured layouts write them contiguously —
-// and so simulation runs stay deterministic despite map iteration.
-// With multiple shards, "whole file" means the file's dirty blocks
-// living in this shard; sibling stripes flush from their own shards.
+// enqueueFlushLocked builds a flush job from flushable block b per
+// the granularity policy and hands it to the flusher. Whole-file jobs
+// are sorted by block number so log-structured layouts write them
+// contiguously — and so simulation runs stay deterministic despite
+// map iteration. With multiple shards, "whole file" means the file's
+// dirty blocks living in this shard; sibling stripes flush from their
+// own shards.
 func (sh *shard) enqueueFlushLocked(b *Block) {
-	var job []*Block
+	job := []*Block{b}
 	if sh.c.cfg.Flush.WholeFile {
+		job = job[:0]
 		for _, fb := range sh.dirtyByFile[FileKey{b.Key.Vol, b.Key.File}] {
-			if !fb.Flushing && fb.Writing == 0 {
-				fb.Flushing = true
-				sh.flushing++
+			if fb.flushable() {
 				job = append(job, fb)
 			}
 		}
 		sort.Slice(job, func(i, j int) bool { return job[i].Key.Blk < job[j].Key.Blk })
-	} else {
-		if b.Writing > 0 {
-			return
-		}
-		b.Flushing = true
-		sh.flushing++
-		job = []*Block{b}
 	}
-	if len(job) == 0 {
-		return
+	for _, fb := range job {
+		sh.set(fb, stFlushing)
 	}
 	sh.flushQ = append(sh.flushQ, job)
 	sh.c.st.FlushJobs.Inc()
 	sh.flushWork.Signal()
 }
 
-// flusherLoop is a shard's asynchronous flusher task.
+// flusherLoop is a shard's asynchronous flusher task. It exits once
+// the cache is closed and its queue is empty.
 func (sh *shard) flusherLoop(t sched.Task) {
 	for {
 		sh.flushWork.Wait(t)
 		sh.mu.Lock(t)
 		if len(sh.flushQ) == 0 {
 			sh.mu.Unlock(t)
+			if sh.c.closed.Load() {
+				sh.c.exited.Signal()
+				return
+			}
 			continue
 		}
 		job := sh.flushQ[0]
@@ -770,41 +717,17 @@ func (sh *shard) flusherLoop(t sched.Task) {
 		err := sh.c.store.FlushBlocks(t, job)
 
 		sh.mu.Lock(t)
+		var w wake
 		for _, b := range job {
-			b.Flushing = false
-			sh.flushing--
 			if err != nil {
-				continue // stays dirty; retried on next trigger
+				w |= sh.set(b, stDirty) // retried on next trigger
+				continue
 			}
-			b.Dirty = false
-			sh.dirty.remove(b)
-			sh.removeDirtyIndexLocked(b)
-			sh.dirtyCount--
-			sh.dirtyGauge.Add(-1)
-			sh.c.addDirty(-1)
+			w |= sh.set(b, stClean)
 			sh.c.st.FlushedBlocks.Inc()
-			if b.Pins == 0 && b.Valid {
-				if b.NoCache {
-					delete(sh.index, b.Key)
-					b.Valid = false
-					sh.free.pushTail(b)
-				} else {
-					sh.replace.Add(b)
-				}
-			}
 		}
-		sh.cleaned.Broadcast()
+		sh.broadcast(w)
 		sh.mu.Unlock(t)
-	}
-}
-
-func (sh *shard) removeDirtyIndexLocked(b *Block) {
-	fk := FileKey{b.Key.Vol, b.Key.File}
-	if m := sh.dirtyByFile[fk]; m != nil {
-		delete(m, b.Key.Blk)
-		if len(m) == 0 {
-			delete(sh.dirtyByFile, fk)
-		}
 	}
 }
 
@@ -813,6 +736,9 @@ func (sh *shard) removeDirtyIndexLocked(b *Block) {
 func (sh *shard) updateDaemon(t sched.Task) {
 	for {
 		t.Sleep(sh.c.cfg.Flush.ScanInterval)
+		if sh.c.closed.Load() {
+			return
+		}
 		if sh.c.off.Load() {
 			continue
 		}
@@ -822,7 +748,7 @@ func (sh *shard) updateDaemon(t sched.Task) {
 			if now.Sub(b.DirtySince) < sh.c.cfg.Flush.MaxAge {
 				break // list is ordered by DirtySince
 			}
-			if !b.Flushing && b.Writing == 0 {
+			if b.flushable() {
 				sh.enqueueFlushLocked(b)
 			}
 		}
@@ -839,36 +765,25 @@ func (c *Cache) FlushFile(t sched.Task, vol core.VolumeID, file core.FileID) {
 	fk := FileKey{vol, file}
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
-		for {
-			m := sh.dirtyByFile[fk]
-			if len(m) == 0 && !sh.fileFlushingLocked(fk) {
-				break
-			}
-			// Enqueue the lowest not-yet-flushing block (deterministic
-			// despite map iteration); whole-file policies grab the
-			// rest of the file with it.
+		// The file's flushing blocks stay in dirtyByFile until their
+		// flush lands, so an empty map means the file is clean.
+		for m := sh.dirtyByFile[fk]; len(m) > 0; m = sh.dirtyByFile[fk] {
+			// Enqueue the lowest flushable block (deterministic despite
+			// map iteration); whole-file policies grab the rest of the
+			// file with it.
 			var pick *Block
 			for _, b := range m {
-				if !b.Flushing && b.Writing == 0 && (pick == nil || b.Key.Blk < pick.Key.Blk) {
+				if b.flushable() && (pick == nil || b.Key.Blk < pick.Key.Blk) {
 					pick = b
 				}
 			}
 			if pick != nil {
 				sh.enqueueFlushLocked(pick)
 			}
-			sh.cleaned.Wait(t, sh.mu)
+			sh.await(t, wCleaned)
 		}
 		sh.mu.Unlock(t)
 	}
-}
-
-func (sh *shard) fileFlushingLocked(fk FileKey) bool {
-	for b := sh.dirty.head; b != nil; b = b.next {
-		if b.Flushing && b.Key.Vol == fk.Vol && b.Key.File == fk.File {
-			return true
-		}
-	}
-	return false
 }
 
 // FlushAll synchronously writes every dirty block (shutdown,
@@ -879,9 +794,9 @@ func (c *Cache) FlushAll(t sched.Task) {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
-		for sh.dirtyCount > 0 || sh.flushing > 0 {
+		for sh.n[stDirty]+sh.n[stFlushing] > 0 {
 			sh.flushOldestLocked()
-			sh.cleaned.Wait(t, sh.mu)
+			sh.await(t, wCleaned)
 		}
 		sh.mu.Unlock(t)
 	}
@@ -890,22 +805,26 @@ func (c *Cache) FlushAll(t sched.Task) {
 // DiscardFile drops every cached block of (vol, file) numbered from
 // fromBlk up. Dirty blocks are dropped without being written — the
 // write-saving effect of truncates and deletes — and counted as
-// saved writes. The caller must hold the file quiescent (no other
-// task pinning its blocks); blocks mid-flush or mid-readahead are
-// waited for. It returns the number of dirty blocks dropped.
+// saved writes. Blocks mid-flush, mid-fill or held (a reply's loan)
+// are waited for; the caller must keep new holds away (hold the
+// file's lock). It returns the number of dirty blocks dropped.
 func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, fromBlk core.BlockNo) int {
 	saved := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
+		// The wake-up goes out once per shard when the discard is done,
+		// even if it dropped nothing: flush waiters re-scan on it, and
+		// the simulator's published figures depend on that schedule.
+		w := wCleaned
 		for {
 			var victims []*Block
-			waiting := false
+			var busy wake
 			for key, b := range sh.index {
 				if key.Vol != vol || key.File != file || key.Blk < fromBlk {
 					continue
 				}
-				if b.Flushing || b.Busy || b.Pins > 0 {
-					waiting = true
+				if bw := b.busy(); bw != 0 {
+					busy |= bw
 					continue
 				}
 				victims = append(victims, b)
@@ -913,28 +832,18 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 			// Deterministic processing order despite map iteration.
 			sort.Slice(victims, func(i, j int) bool { return victims[i].Key.Blk < victims[j].Key.Blk })
 			for _, b := range victims {
-				if b.Dirty {
-					b.Dirty = false
-					sh.dirty.remove(b)
-					sh.removeDirtyIndexLocked(b)
-					sh.dirtyCount--
-					sh.dirtyGauge.Add(-1)
-					c.addDirty(-1)
+				if b.state == stDirty {
 					saved++
 					c.st.SavedWrites.Inc()
-				} else {
-					sh.replace.Remove(b)
 				}
-				delete(sh.index, b.Key)
-				b.Valid = false
-				sh.free.pushTail(b)
+				w |= sh.set(b, stFree)
 			}
-			if !waiting {
+			if busy == 0 {
 				break
 			}
-			sh.cleaned.Wait(t, sh.mu)
+			sh.await(t, busy)
 		}
-		sh.cleaned.Broadcast()
+		sh.broadcast(w)
 		sh.mu.Unlock(t)
 	}
 	return saved

@@ -73,14 +73,12 @@ func (c *Cache) Crash(t sched.Task) *CrashReport {
 		sh.mu.Lock(t)
 		// Let in-flight in-place mutations settle: a half-copied frame
 		// must not be captured as a survivor (writers hold no lock
-		// across the copy, only the Writing reservation).
-		for sh.anyWritingLocked() {
-			sh.cleaned.Wait(t, sh.mu)
+		// across the copy, only the BeginWrite reservation).
+		for sh.writers > 0 {
+			sh.await(t, wCleaned)
 		}
+		// The dirty list holds every dirty block, mid-flush ones too.
 		for b := sh.dirty.head; b != nil; b = b.next {
-			if !b.Dirty {
-				continue
-			}
 			if !rep.Persistent {
 				rep.LostBlocks++
 				if age := now.Sub(b.DirtySince); age > rep.LossWindow {
@@ -120,15 +118,4 @@ func (c *Cache) Crash(t sched.Task) *CrashReport {
 		return a.Blk < b.Blk
 	})
 	return rep
-}
-
-// anyWritingLocked reports whether some block of the shard is under
-// an in-place mutation.
-func (sh *shard) anyWritingLocked() bool {
-	for _, b := range sh.index {
-		if b.Writing > 0 {
-			return true
-		}
-	}
-	return false
 }

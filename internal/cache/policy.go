@@ -42,7 +42,7 @@ func NewReplacePolicy(name string, rng *rand.Rand) (ReplacePolicy, bool) {
 	case "slru":
 		return NewSLRU(0), true
 	case "lru2", "lru-k":
-		return NewLRUK(2), true
+		return NewLRUK(), true
 	}
 	return nil, false
 }
@@ -262,21 +262,18 @@ func (p *SLRU) Victim() *Block {
 // Len reports the candidate count.
 func (p *SLRU) Len() int { return p.probation.len() + p.protected.len() }
 
+// lruK is LRU-K's K: the reference history every block keeps.
+const lruK = 2
+
 // LRUK evicts by the K-th most recent reference time (O'Neil's
-// LRU-K); blocks with fewer than K references order before those
-// with K, by oldest reference.
+// LRU-K, K = 2); blocks with fewer than K references order before
+// those with K, by oldest reference.
 type LRUK struct {
-	k int
 	h lrukHeap
 }
 
 // NewLRUK returns an LRU-K policy.
-func NewLRUK(k int) *LRUK {
-	if k < 1 {
-		k = 2
-	}
-	return &LRUK{k: k}
-}
+func NewLRUK() *LRUK { return &LRUK{} }
 
 // Name returns "lru-k".
 func (p *LRUK) Name() string { return "lru-k" }
@@ -284,20 +281,19 @@ func (p *LRUK) Name() string { return "lru-k" }
 // kDist returns the K-th most recent reference time, or a value
 // that sorts before every real time when the history is short.
 func (p *LRUK) kDist(b *Block) sched.Time {
-	if len(b.History) < p.k {
-		if len(b.History) == 0 {
+	if b.nref < lruK {
+		if b.nref == 0 {
 			return -1
 		}
 		// Backward-K distance is infinite; order by oldest seen,
 		// shifted below all full-history blocks.
-		return b.History[0] - sched.Forever/2
+		return b.hist[lruK-b.nref] - sched.Forever/2
 	}
-	return b.History[len(b.History)-p.k]
+	return b.hist[0]
 }
 
 // Add inserts b.
 func (p *LRUK) Add(b *Block) {
-	p.trim(b)
 	heap.Push(&p.h, lrukEntry{b, p.kDist(b)})
 }
 
@@ -309,16 +305,9 @@ func (p *LRUK) Remove(b *Block) {
 
 // Touched reorders b after a new reference.
 func (p *LRUK) Touched(b *Block) {
-	p.trim(b)
 	i := b.policyItem.(int)
 	p.h[i].dist = p.kDist(b)
 	heap.Fix(&p.h, i)
-}
-
-func (p *LRUK) trim(b *Block) {
-	if len(b.History) > p.k {
-		b.History = b.History[len(b.History)-p.k:]
-	}
 }
 
 // Victim evicts the block with the oldest K-distance.

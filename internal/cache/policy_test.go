@@ -11,10 +11,18 @@ import (
 func mkBlocks(n int) []*Block {
 	bs := make([]*Block, n)
 	for i := range bs {
-		bs[i] = &Block{Freq: 1, LastUsed: sched.Time(i)}
-		bs[i].History = []sched.Time{sched.Time(i)}
+		bs[i] = refBlock(sched.Time(i))
 	}
 	return bs
+}
+
+// refBlock returns a block referenced at each of times, in order.
+func refBlock(times ...sched.Time) *Block {
+	b := &Block{}
+	for _, at := range times {
+		b.reference(at)
+	}
+	return b
 }
 
 func TestNewReplacePolicyNames(t *testing.T) {
@@ -124,10 +132,10 @@ func TestSLRUProtectedOverflowDemotes(t *testing.T) {
 }
 
 func TestLRUKPrefersShortHistory(t *testing.T) {
-	p := NewLRUK(2)
-	a := &Block{History: []sched.Time{100}}      // one reference
-	b := &Block{History: []sched.Time{50, 200}}  // two references
-	c := &Block{History: []sched.Time{180, 220}} // two, newer K-dist
+	p := NewLRUK()
+	a := refBlock(100)      // one reference
+	b := refBlock(50, 200)  // two references
+	c := refBlock(180, 220) // two, newer K-dist
 	for _, x := range []*Block{a, b, c} {
 		p.Add(x)
 	}
@@ -145,15 +153,15 @@ func TestLRUKPrefersShortHistory(t *testing.T) {
 }
 
 func TestLRUKTouchedReorders(t *testing.T) {
-	p := NewLRUK(2)
-	a := &Block{History: []sched.Time{25, 35}}
-	b := &Block{History: []sched.Time{30, 40}}
+	p := NewLRUK()
+	a := refBlock(25, 35)
+	b := refBlock(30, 40)
 	p.Add(a)
 	p.Add(b)
 	// Initially a's K-distance (25) < b's (30): a would go first.
-	// After another reference a's history trims to [35,500]:
+	// After another reference a's history is [35,500]:
 	// K-distance 35 > 30, so b becomes the victim.
-	a.History = append(a.History, 500)
+	a.reference(500)
 	p.Touched(a)
 	if v := p.Victim(); v != b {
 		t.Fatal("re-referenced block evicted despite newer K-distance")
@@ -168,7 +176,7 @@ func TestPolicyAddRemoveInvariant(t *testing.T) {
 		func() ReplacePolicy { return NewRandom(rand.New(rand.NewSource(3))) },
 		func() ReplacePolicy { return NewLFU() },
 		func() ReplacePolicy { return NewSLRU(8) },
-		func() ReplacePolicy { return NewLRUK(2) },
+		func() ReplacePolicy { return NewLRUK() },
 	}
 	for _, ctor := range mk {
 		p := ctor()
@@ -185,8 +193,7 @@ func TestPolicyAddRemoveInvariant(t *testing.T) {
 					p.Remove(b)
 					in[b] = false
 				case op%3 == 2 && in[b]:
-					b.Freq++
-					b.History = append(b.History, sched.Time(op))
+					b.reference(sched.Time(op))
 					p.Touched(b)
 				}
 			}

@@ -150,7 +150,7 @@ func TestTryStartFillBasics(t *testing.T) {
 		if !ok {
 			t.Fatal("TryStartFill refused with free frames")
 		}
-		c.FinishFill(tk, b, core.BlockSize, nil)
+		c.Filled(tk, b, core.BlockSize)
 		if !c.Peek(tk, key(1, 0)) {
 			t.Fatal("filled block not resident")
 		}
@@ -213,7 +213,7 @@ func TestFinishFillError(t *testing.T) {
 		if !ok {
 			t.Fatal("TryStartFill refused")
 		}
-		c.FinishFill(tk, b, 0, core.ErrInval)
+		c.FillFailed(tk, b)
 		if c.Peek(tk, key(1, 3)) {
 			t.Fatal("failed fill left a resident block")
 		}
@@ -227,10 +227,9 @@ func TestFinishFillError(t *testing.T) {
 	})
 }
 
-// The "shard exhausted" regression: with every frame Busy under an
-// in-flight readahead fill there is nothing to flush, but the frames
-// come back — a demand miss must park until FinishFill returns one
-// instead of declaring the shard wedged.
+// With every frame under an in-flight readahead fill there is nothing
+// to flush, but the frames come back — a demand miss must park until
+// a fill ends and returns one instead of declaring the shard wedged.
 func TestDemandMissWaitsForReadaheadFills(t *testing.T) {
 	k, c, _ := newShardedCache(10, 8, 1, UPS())
 	run(t, k, func(tk sched.Task) {
@@ -259,16 +258,16 @@ func TestDemandMissWaitsForReadaheadFills(t *testing.T) {
 		if done {
 			t.Fatal("demand GetBlock did not park behind the fills")
 		}
-		c.FinishFill(tk, fills[0], core.BlockSize, nil)
+		c.Filled(tk, fills[0], core.BlockSize)
 		tk.Sleep(time.Millisecond)
 		if !done {
-			t.Fatal("demand GetBlock still parked after FinishFill")
+			t.Fatal("demand GetBlock still parked after the fill ended")
 		}
 		if !c.Peek(tk, key(2, 0)) {
 			t.Fatal("demand block not resident")
 		}
 		for _, b := range fills[1:] {
-			c.FinishFill(tk, b, core.BlockSize, nil)
+			c.Filled(tk, b, core.BlockSize)
 		}
 	})
 }

@@ -117,6 +117,37 @@ func TestNewSchedulerNames(t *testing.T) {
 	}
 }
 
+// TestPopForgetsServedRequests: a served request must not stay
+// reachable from the queue's backing array, or a closed server's
+// driver keeps that request's buffers (cache frames) alive.
+func TestPopForgetsServedRequests(t *testing.T) {
+	for _, name := range []string{"sstf", "look", "clook", "cscan", "scan-edf"} {
+		q, _ := NewScheduler(name)
+		for _, lba := range []int64{40, 10, 30, 20} {
+			q.Push(req(lba))
+		}
+		popAll(q, 25)
+		var reqs []*Request
+		switch q := q.(type) {
+		case *SSTF:
+			reqs = q.reqs
+		case *LOOK:
+			reqs = q.reqs
+		case *CLOOK:
+			reqs = q.reqs
+		case *CSCAN:
+			reqs = q.reqs
+		case *ScanEDF:
+			reqs = q.reqs
+		}
+		for i, r := range reqs[:cap(reqs)] {
+			if r != nil {
+				t.Errorf("%s: slot %d still holds the request at LBA %d", name, i, r.Addr.LBA)
+			}
+		}
+	}
+}
+
 func TestSimDriverCompletesRequests(t *testing.T) {
 	k := sched.NewVirtual(21)
 	b := bus.New(k, bus.SCSI2("scsi0"))

@@ -7,6 +7,7 @@
 package device
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -153,9 +154,12 @@ func (q *sortedQueue) Push(r *Request) {
 
 func (q *sortedQueue) Len() int { return len(q.reqs) }
 
+// take removes request i. slices.Delete zeroes the vacated tail slot:
+// a served request left there would keep its buffers (cache frames)
+// reachable for as long as the driver lives.
 func (q *sortedQueue) take(i int) *Request {
 	r := q.reqs[i]
-	q.reqs = append(q.reqs[:i], q.reqs[i+1:]...)
+	q.reqs = slices.Delete(q.reqs, i, i+1)
 	return r
 }
 
@@ -298,7 +302,7 @@ func (q *ScanEDF) Pop(headLBA int64) *Request {
 		}
 	}
 	r := q.reqs[best]
-	q.reqs = append(q.reqs[:best], q.reqs[best+1:]...)
+	q.reqs = slices.Delete(q.reqs, best, best+1)
 	return r
 }
 

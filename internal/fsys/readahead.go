@@ -123,7 +123,7 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 				}
 				if err != nil {
 					for _, b := range frames[off:] {
-						v.fs.cache.FinishFill(rt, b, 0, err)
+						v.fs.cache.FillFailed(rt, b)
 					}
 					break
 				}
@@ -132,7 +132,7 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 					if rem := size - int64(cur+core.BlockNo(i))*core.BlockSize; rem < int64(bsize) {
 						bsize = int(rem)
 					}
-					v.fs.cache.FinishFill(rt, frames[off+i], bsize, nil)
+					v.fs.cache.Filled(rt, frames[off+i], bsize)
 				}
 				off += got
 			}

@@ -95,7 +95,7 @@ const demandRunMax = 32
 // is being streamed sequentially — it also claims the following frames
 // and fills the whole on-disk run with one scatter-gather request,
 // so a cold stream gets clustering before the readahead pipeline has
-// warmed up. Extra frames are completed here; b stays Busy for the
+// warmed up. Extra frames are completed here; b stays filling for the
 // caller's Filled/FillFailed. want is how many bytes from the start
 // of blk the current read still covers. Caller holds f's data lock.
 func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.Block, want int64) error {
@@ -127,9 +127,9 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 		}
 		extra = append(extra, eb)
 	}
-	abandon := func(from int, cause error) {
+	abandon := func(from int) {
 		for _, eb := range extra[from:] {
-			fs.cache.FinishFill(t, eb, 0, cause)
+			fs.cache.FillFailed(t, eb)
 		}
 	}
 	if len(extra) == 0 {
@@ -142,7 +142,7 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 	}
 	got, err := v.lay.ReadRunVec(t, f.ino, blk, len(bufs), bufs)
 	if err != nil {
-		abandon(0, err)
+		abandon(0)
 		return err
 	}
 	for i := 1; i < got && i-1 < len(extra); i++ {
@@ -150,10 +150,10 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 		if rem := f.ino.Size - int64(blk+core.BlockNo(i))*core.BlockSize; rem < int64(size) {
 			size = int(rem)
 		}
-		fs.cache.FinishFill(t, extra[i-1], size, nil)
+		fs.cache.Filled(t, extra[i-1], size)
 	}
 	if got-1 < len(extra) {
-		abandon(got-1, core.ErrInval) // short run: free the unfilled claims
+		abandon(got - 1) // short run: free the unfilled claims
 	}
 	return nil
 }
@@ -165,8 +165,10 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 // must be called exactly once, after the bytes have left the
 // process; until then writers to those blocks wait in BeginWrite
 // (flushes still proceed — reads and flushes share the frame
-// read-only). Caller holds f's data lock for the call itself; the
-// loans outlive it.
+// read-only). The read is short when every other frame of a shard is
+// held: past its first block it never waits for other tasks' holds,
+// since it holds frames itself. Caller holds f's data lock for the
+// call itself; the loans outlive it.
 func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte, got int64, release func(sched.Task), err error) {
 	fs := v.fs
 	if off >= f.ino.Size {
@@ -194,13 +196,20 @@ func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte,
 			chunk = n - done
 		}
 		key := core.BlockKey{Vol: v.ID, File: f.ino.ID, Blk: blk}
-		fs.st.ReadLookups.Inc()
 		var b *cache.Block
 		var hit bool
 		_ = fs.charge(t, op, telemetry.StageCache, func() error {
-			b, hit = fs.cache.GetBlock(t, key)
+			if len(frames) == 0 {
+				b, hit = fs.cache.GetBlock(t, key)
+			} else {
+				b, hit = fs.cache.GetBlockHolding(t, key)
+			}
 			return nil
 		})
+		if b == nil {
+			break // only held frames left: a short read (RFC 1813 allows it)
+		}
+		fs.st.ReadLookups.Inc()
 		if hit {
 			fs.st.ReadHits.Inc()
 		} else {

@@ -527,9 +527,19 @@ func (s *Server) Close() error {
 	if s.net != nil {
 		s.net.Close()
 	}
+	s.closeCache()
 	s.K.Stop()
 	s.closeDrivers()
 	return err
+}
+
+// closeCache stops the cache's flusher tasks once the server is done
+// with the cache; the kernel cannot unwind them.
+func (s *Server) closeCache() {
+	_ = s.Do(func(t sched.Task) error {
+		s.Cache.Close(t)
+		return nil
+	})
 }
 
 func (s *Server) closeAdmin() {
@@ -589,6 +599,7 @@ func (s *Server) Crash() *cache.CrashReport {
 	if s.net != nil {
 		s.net.Close()
 	}
+	s.closeCache()
 	s.K.Stop()
 	s.closeDrivers()
 	return rep
@@ -608,6 +619,7 @@ func (s *Server) Shutdown() error {
 	if s.net != nil {
 		s.net.Close()
 	}
+	s.closeCache()
 	s.K.Stop()
 	s.closeDrivers()
 	return err

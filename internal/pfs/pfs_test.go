@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -442,5 +445,61 @@ func TestBadSchedulerRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pfs.img")
 	if _, err := Open(Config{Path: path, Blocks: 2048, QueueSched: "nope"}); err == nil {
 		t.Fatal("bad scheduler accepted")
+	}
+}
+
+// flushers counts the goroutines running a cache shard's flusher.
+func flushers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "cache.(*shard).flusherLoop") {
+			count++
+		}
+	}
+	return count
+}
+
+// Close stops the server's cache flushers: none of its goroutines
+// stays parked, keeping the cache and its arena reachable.
+func TestCloseStopsCacheFlushers(t *testing.T) {
+	// Goroutines are counted once they run, and a flusher that has
+	// signalled its exit may still be returning: poll until the count
+	// is the one wanted (or, for the baseline, stops moving).
+	settle := func(done func(n int) bool) int {
+		n := flushers()
+		for deadline := time.Now().Add(5 * time.Second); !done(n) && time.Now().Before(deadline); n = flushers() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	last := -1
+	before := settle(func(n int) bool {
+		steady := n == last
+		last = n
+		time.Sleep(10 * time.Millisecond)
+		return steady
+	})
+	srv, err := Open(Config{Path: filepath.Join(t.TempDir(), "pfs.img"), Blocks: 2048, CacheBlocks: 128})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	shards := srv.Cache.Shards()
+	if n := settle(func(n int) bool { return n == before+shards }); n != before+shards {
+		t.Fatalf("%d flusher goroutines running, want %d (%d shards)", n, before+shards, shards)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := settle(func(n int) bool { return n == before }); n != before {
+		t.Fatalf("%d flusher goroutines left after Close, want %d", n, before)
 	}
 }

@@ -208,9 +208,10 @@ func (m *rmutex) Unlock(Task) { m.mu.Unlock() }
 // rcond is a condition variable usable with any kernel Mutex made
 // by the same kernel.
 type rcond struct {
-	name string
-	mu   sync.Mutex
-	ch   chan struct{}
+	name    string
+	mu      sync.Mutex
+	ch      chan struct{}
+	waiters int // tasks parked on ch
 }
 
 // NewCond creates a condition variable.
@@ -222,6 +223,7 @@ func (k *RKernel) NewCond(name string) Cond {
 func (c *rcond) Wait(t Task, m Mutex) {
 	c.mu.Lock()
 	ch := c.ch
+	c.waiters++
 	c.mu.Unlock()
 	m.Unlock(t)
 	<-ch
@@ -233,10 +235,14 @@ func (c *rcond) Wait(t Task, m Mutex) {
 // recheck loop, the contract Cond.Wait requires anyway).
 func (c *rcond) Signal() { c.Broadcast() }
 
-// Broadcast wakes every waiter by retiring the generation channel.
+// Broadcast wakes every waiter by retiring the generation channel;
+// with no waiter there is nothing to retire, and nothing allocated.
 func (c *rcond) Broadcast() {
 	c.mu.Lock()
-	close(c.ch)
-	c.ch = make(chan struct{})
+	if c.waiters > 0 {
+		close(c.ch)
+		c.ch = make(chan struct{})
+		c.waiters = 0
+	}
 	c.mu.Unlock()
 }

@@ -163,6 +163,15 @@ func TestRealCondSignal(t *testing.T) {
 	_ = k.Run()
 }
 
+// A broadcast nobody waits for allocates nothing: the cache broadcasts
+// on every returned loan and released pin.
+func TestRealCondBroadcastNoWaiterAllocs(t *testing.T) {
+	c := NewReal(1).NewCond("c")
+	if n := testing.AllocsPerRun(100, c.Broadcast); n != 0 {
+		t.Fatalf("Broadcast with no waiter allocated %v times", n)
+	}
+}
+
 func TestRealStopReleasesRun(t *testing.T) {
 	k := NewReal(1)
 	k.Go("forever", func(tk Task) { tk.Sleep(time.Hour) })
