@@ -13,7 +13,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/nfs"
 	"repro/internal/pfs"
-	"repro/internal/sched"
 )
 
 // TestStaleHandleAfterReuse pins the generation check on the layout
@@ -182,25 +181,16 @@ func TestNFSCrashSemantics(t *testing.T) {
 		plan.Cut() // workload drained first: crash at quiescence
 	}
 	cl.Close()
-	rep := srv.Crash()
 
-	// Power restored: recover over the same images and re-serve.
+	// Power restored: recover over the same images (roll-forward and
+	// the battery's replay in one mount) and re-serve.
 	cfg.Fault = nil
-	cfg.Recover = true
+	cfg.Recover = srv.Crash()
 	srv2, err := pfs.Open(cfg)
 	if err != nil {
 		t.Fatalf("recovery mount: %v", err)
 	}
 	defer srv2.Close()
-	err = srv2.Do(func(st sched.Task) error {
-		if _, err := srv2.FS.ReplayNVRAM(st, rep.Survivors, rep.Intents); err != nil {
-			return err
-		}
-		return srv2.FS.SyncAll(st)
-	})
-	if err != nil {
-		t.Fatalf("NVRAM replay: %v", err)
-	}
 	addr2, err := srv2.ServeNFS("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeNFS after recovery: %v", err)

@@ -45,7 +45,7 @@ func TestCrashMatrix(t *testing.T) {
 				for _, cut := range cuts {
 					for _, cl := range clusters {
 						name := fmt.Sprintf("%s/%s/cl%d", lay, fc.Name, cl)
-						res, err := RunCrashPoint(CrashSpec{
+						res, err := runCrashPoint(crashSpec{
 							Dir:              t.TempDir(),
 							Layout:           lay,
 							Volumes:          w,
@@ -98,7 +98,7 @@ func TestCrashTornClusteredRun(t *testing.T) {
 	}
 	for _, lay := range []string{"lfs", "ffs"} {
 		for _, cut := range cuts {
-			res, err := RunCrashPoint(CrashSpec{
+			res, err := runCrashPoint(crashSpec{
 				Dir:              t.TempDir(),
 				Layout:           lay,
 				Volumes:          1,
@@ -131,7 +131,7 @@ func TestCrashTornVectoredRun(t *testing.T) {
 	}
 	for _, lay := range []string{"lfs", "ffs"} {
 		for _, cut := range cuts {
-			res, err := RunCrashPoint(CrashSpec{
+			res, err := runCrashPoint(crashSpec{
 				Dir:              t.TempDir(),
 				Layout:           lay,
 				Volumes:          1,
@@ -157,7 +157,7 @@ func TestCrashTornVectoredRun(t *testing.T) {
 // (no forced cut): everything dirty sits in NVRAM and the entire
 // working set must come back through replay.
 func TestCrashQuiescentNVRAMReplay(t *testing.T) {
-	res, err := RunCrashPoint(CrashSpec{
+	res, err := runCrashPoint(crashSpec{
 		Dir:     t.TempDir(),
 		Layout:  "lfs",
 		Volumes: 1,
@@ -166,7 +166,7 @@ func TestCrashQuiescentNVRAMReplay(t *testing.T) {
 		Rounds:  64,
 	})
 	if err != nil {
-		t.Fatalf("RunCrashPoint: %v", err)
+		t.Fatalf("runCrashPoint: %v", err)
 	}
 	if res.LostAcked != 0 {
 		t.Fatalf("lost %d acknowledged writes", res.LostAcked)
@@ -197,7 +197,7 @@ func TestCrashCreateWriteCut(t *testing.T) {
 		for _, w := range widths {
 			for _, fc := range policies {
 				for _, cut := range cuts {
-					res, err := RunCrashPoint(CrashSpec{
+					res, err := runCrashPoint(crashSpec{
 						Dir:        t.TempDir(),
 						Layout:     lay,
 						Volumes:    w,
@@ -238,7 +238,7 @@ func TestCrashNamespaceDropWithoutIntentLog(t *testing.T) {
 	}
 	lost := 0
 	for _, cut := range cuts {
-		res, err := RunCrashPoint(CrashSpec{
+		res, err := runCrashPoint(crashSpec{
 			Dir:         t.TempDir(),
 			Layout:      "lfs",
 			Volumes:     1,
@@ -270,7 +270,7 @@ func TestCrashDoubleCut(t *testing.T) {
 	}
 	for _, lay := range []string{"lfs", "ffs"} {
 		for _, rc := range recuts {
-			res, err := RunCrashPoint(CrashSpec{
+			res, err := runCrashPoint(crashSpec{
 				Dir:        t.TempDir(),
 				Layout:     lay,
 				Volumes:    1,
@@ -322,7 +322,7 @@ func TestCrashMemberDeath(t *testing.T) {
 		for _, pl := range placements {
 			for _, m := range members {
 				for _, kio := range kills {
-					res, err := RunCrashPoint(CrashSpec{
+					res, err := runCrashPoint(crashSpec{
 						Dir:     t.TempDir(),
 						Layout:  lay,
 						Volumes: 3,
@@ -374,7 +374,7 @@ func TestCrashMemberDeath(t *testing.T) {
 func TestCrashMemberDeathWriteDelay(t *testing.T) {
 	fc := fastWriteDelay()
 	for _, pl := range []string{"mirrored", "parity"} {
-		res, err := RunCrashPoint(CrashSpec{
+		res, err := runCrashPoint(crashSpec{
 			Dir:          t.TempDir(),
 			Layout:       "lfs",
 			Volumes:      3,
@@ -417,10 +417,9 @@ func TestCrashDuringRebuild(t *testing.T) {
 	for _, lay := range layouts {
 		for _, pl := range []string{"mirrored", "parity"} {
 			for _, cut := range cuts {
-				res, err := RunRebuildCrash(RebuildCrashSpec{
+				res, err := runRepairCrash(repairSpec{
 					Dir:          t.TempDir(),
 					Layout:       lay,
-					Volumes:      3,
 					StripeBlocks: 2,
 					Placement:    pl,
 					KillMember:   1,
@@ -462,15 +461,15 @@ func TestCrashAutoRebuild(t *testing.T) {
 	}
 	for _, pl := range placements {
 		for _, cut := range cuts {
-			res, err := RunAutoRebuildCrash(AutoRebuildCrashSpec{
+			res, err := runRepairCrash(repairSpec{
 				Dir:          t.TempDir(),
 				Layout:       "lfs",
-				Volumes:      3,
 				StripeBlocks: 2,
 				Placement:    pl,
 				KillMember:   1,
 				CutAfterIO:   cut,
 				Seed:         4000 + cut,
+				Supervised:   true,
 			})
 			name := fmt.Sprintf("%s cut=%d", pl, cut)
 			if err != nil {
@@ -510,7 +509,7 @@ func TestCrashTornMetadataWrite(t *testing.T) {
 		cuts = []int64{5, 14}
 	}
 	for _, cut := range cuts {
-		res, err := RunCrashPoint(CrashSpec{
+		res, err := runCrashPoint(crashSpec{
 			Dir:          t.TempDir(),
 			Layout:       "ffs",
 			Volumes:      1,

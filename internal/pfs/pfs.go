@@ -90,11 +90,17 @@ type Config struct {
 	// Requires a redundant placement; at most one member (the
 	// single-fault model). RebuildMember brings the member back.
 	Dead []int
-	// Recover mounts an existing image set through the crash-recovery
-	// path (LFS roll-forward / FFS repair / array-wide repairs)
-	// instead of the plain mount; the result lands in
-	// Server.Recovery. Fresh image sets are formatted as usual.
-	Recover bool
+	// Recover, when set, recovers an existing image set from the
+	// battery a Server.Crash handed back, in one mount: layout
+	// recovery (LFS roll-forward / FFS repair / array-wide repairs),
+	// the partial-parity records, the NVRAM intents and survivors,
+	// then a sync. The battery is retired only when that sync
+	// succeeds: if recovery fails (say, a second power cut), Open
+	// tears the half-open server down as a crash and returns a
+	// *RecoveryError carrying the merged battery. The report lands in
+	// Server.Recovery. A fresh image set is formatted as usual and
+	// refuses a battery that holds anything. nil = the plain mount.
+	Recover *Battery
 	// SlowOpThreshold sets the tracer's slow-op capture threshold
 	// (0 = telemetry.DefaultSlowThreshold).
 	SlowOpThreshold time.Duration
@@ -142,9 +148,9 @@ type Server struct {
 	Drivers []device.Driver
 	// Fault is the installed fault plan (nil without Config.Fault).
 	Fault *device.FaultPlan
-	// Recovery reports what the recovery mount repaired (nil unless
-	// Config.Recover ran against an existing image set).
-	Recovery *layout.RecoveryStats
+	// Recovery reports what the recovery mount repaired and replayed
+	// (nil unless Config.Recover ran against an existing image set).
+	Recovery *RecoveryReport
 	// Tracer carries per-operation latency breakdowns from the NFS
 	// executor down through the cache and disk paths.
 	Tracer *telemetry.Tracer
@@ -191,6 +197,9 @@ func (s *Server) StagedCopyBytes() int64 { return s.Array.StagedCopyBytes() }
 // checkpoint. With Volumes > 1 the server runs on a disk array: one
 // image, driver and LFS per member behind a volume.Array, whose
 // on-image label guards against reopening with the wrong geometry.
+// A failed Open releases everything it built — drivers, cache
+// flushers, kernel — without a sync: a mount that fails is torn down
+// like a crash.
 func Open(cfg Config) (*Server, error) {
 	if cfg.Blocks <= 0 {
 		cfg.Blocks = 16384 // 64 MB
@@ -211,15 +220,23 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Fault != nil {
 		plan = device.NewFaultPlan(*cfg.Fault)
 	}
+	// Until the cache is up, a failed open releases the drivers built
+	// so far and the kernel; no layout has touched the images yet.
+	var built []device.Driver
+	fail := func(err error) (*Server, error) {
+		for _, drv := range built {
+			drv.Close()
+		}
+		k.Stop()
+		return nil, err
+	}
 	dead := make(map[int]bool, len(cfg.Dead))
 	for _, m := range cfg.Dead {
 		if m < 0 || m >= cfg.Volumes {
-			return nil, fmt.Errorf("pfs: dead member %d out of range (%d volumes)", m, cfg.Volumes)
+			return fail(fmt.Errorf("pfs: dead member %d out of range (%d volumes)", m, cfg.Volumes))
 		}
 		dead[m] = true
 	}
-	subs := make([]layout.Layout, cfg.Volumes)
-	drvs := make([]device.Driver, cfg.Volumes)
 	freshCount := 0
 	for i := 0; i < cfg.Volumes; i++ {
 		path, _ := memberPath(cfg, i)
@@ -229,37 +246,46 @@ func Open(cfg Config) (*Server, error) {
 		if !dead[i] {
 			f, err := isFresh(path)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if f {
 				freshCount++
 			}
 		}
-		drv, sub, err := newMember(k, cfg, lcfg, plan, i)
-		if err != nil {
-			return nil, err
-		}
-		drvs[i], subs[i] = drv, sub
 	}
 	alive := cfg.Volumes - len(dead)
 	if freshCount != 0 && freshCount != alive {
-		return nil, fmt.Errorf("pfs: inconsistent array image set under %s: %d of %d members are fresh",
-			cfg.Path, freshCount, alive)
+		return fail(fmt.Errorf("pfs: inconsistent array image set under %s: %d of %d members are fresh",
+			cfg.Path, freshCount, alive))
 	}
 	if freshCount != 0 && len(dead) > 0 {
-		return nil, fmt.Errorf("pfs: cannot open a fresh image set under %s with a dead member declared", cfg.Path)
+		return fail(fmt.Errorf("pfs: cannot open a fresh image set under %s with a dead member declared", cfg.Path))
 	}
 	fresh := freshCount == cfg.Volumes
+	if b := cfg.Recover; fresh && b != nil && len(b.Survivors)+len(b.Intents)+len(b.Parity) > 0 {
+		return fail(fmt.Errorf("pfs: battery to recover (%d survivors, %d intents, %d parity records) but the image set under %s is fresh",
+			len(b.Survivors), len(b.Intents), len(b.Parity), cfg.Path))
+	}
+	subs := make([]layout.Layout, cfg.Volumes)
+	drvs := make([]device.Driver, cfg.Volumes)
+	for i := range drvs {
+		drv, sub, err := newMember(k, cfg, lcfg, plan, i)
+		if err != nil {
+			return fail(err)
+		}
+		drvs[i], subs[i] = drv, sub
+		built = append(built, drv)
+	}
 	lay, err := volume.New(k, "pfs", subs, volume.Config{
 		Placement:    cfg.Placement,
 		StripeBlocks: cfg.StripeBlocks,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	for m := range dead {
 		if err := lay.KillMember(m); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	if plan != nil && !cfg.SelfHeal {
@@ -280,10 +306,11 @@ func Open(cfg Config) (*Server, error) {
 	for j := 0; j < cfg.Spares; j++ {
 		drv, sub, err := newSpare(k, cfg, lcfg, plan, j)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		lay.AttachSpare(sub)
 		spareDrvs = append(spareDrvs, drv)
+		built = append(built, drv)
 	}
 	if cfg.RebuildBatchDelay > 0 {
 		lay.SetRebuildBudget(cfg.RebuildBatchDelay)
@@ -348,38 +375,14 @@ func Open(cfg Config) (*Server, error) {
 		drv.DriverStats().Register(srv.Set)
 	}
 
-	// Mount on a kernel task and wait.
-	errc := make(chan error, 1)
-	k.Go("pfs.mount", func(t sched.Task) {
-		if fresh {
-			if err := lay.Format(t); err != nil {
-				errc <- err
-				return
-			}
-			if err := lay.Mount(t); err != nil {
-				errc <- err
-				return
-			}
-		} else if cfg.Recover {
-			st, err := lay.Recover(t)
-			if err != nil {
-				errc <- err
-				return
-			}
-			srv.Recovery = &st
-		} else if err := lay.Mount(t); err != nil {
-			errc <- err
-			return
+	if err := srv.Do(func(t sched.Task) error { return srv.mount(t, fresh) }); err != nil {
+		// A failed mount writes nothing more: tear the half-open server
+		// down as a crash. A recovery's battery stays unretired, merged
+		// with whatever the failed recovery left in the domain.
+		b := srv.Crash()
+		if cfg.Recover != nil {
+			return nil, &RecoveryError{Battery: mergeBatteries(cfg.Recover, b), Err: err}
 		}
-		v, err := fs.AddVolume(t, 1, lay, false)
-		if err != nil {
-			errc <- err
-			return
-		}
-		srv.Vol = v
-		errc <- nil
-	})
-	if err := <-errc; err != nil {
 		return nil, err
 	}
 	if cfg.SelfHeal {
@@ -523,29 +526,25 @@ func (s *Server) Sync() error {
 func (s *Server) Close() error {
 	s.stopSupervisor()
 	err := s.Sync()
-	s.closeAdmin()
-	if s.net != nil {
-		s.net.Close()
-	}
-	s.closeCache()
-	s.K.Stop()
-	s.closeDrivers()
+	s.halt()
 	return err
 }
 
-// closeCache stops the cache's flusher tasks once the server is done
-// with the cache; the kernel cannot unwind them.
-func (s *Server) closeCache() {
+// halt stops the front-ends, then the cache's flusher tasks (the
+// kernel cannot unwind them) and the kernel, and releases the drivers.
+func (s *Server) halt() {
+	if s.admin != nil {
+		_ = s.admin.Close()
+	}
+	if s.net != nil {
+		s.net.Close()
+	}
 	_ = s.Do(func(t sched.Task) error {
 		s.Cache.Close(t)
 		return nil
 	})
-}
-
-func (s *Server) closeAdmin() {
-	if s.admin != nil {
-		_ = s.admin.Close()
-	}
+	s.K.Stop()
+	s.closeDrivers()
 }
 
 // AllDrivers snapshots the member drivers plus any retired by a
@@ -576,12 +575,14 @@ func (s *Server) closeDrivers() {
 }
 
 // Crash simulates a power cut: the fault plan (if any) is tripped so
-// nothing further reaches the images, the cache is frozen and its
-// battery-backed dirty blocks captured, and the kernel halts WITHOUT
-// any sync. Reopen the same configuration with Recover set and feed
-// the returned report's Survivors to FS.ReplayNVRAM to complete the
-// paper's NVRAM recovery story.
-func (s *Server) Crash() *cache.CrashReport {
+// nothing further reaches the images, the cache is frozen, and the
+// kernel halts WITHOUT any sync. It returns the battery — the cache's
+// surviving dirty blocks and intents plus the array's pending
+// partial-parity records, everything the battery-backed domain held
+// at the cut. Reopen the same configuration with Config.Recover set
+// to it; the battery is retired only when that recovery's final sync
+// succeeds (a failed one hands back the merged battery instead).
+func (s *Server) Crash() *Battery {
 	if s.Fault != nil {
 		s.Fault.Cut()
 	}
@@ -590,19 +591,14 @@ func (s *Server) Crash() *cache.CrashReport {
 	// races the teardown.
 	s.stopSupervisor()
 	s.Cache.PowerOff()
-	repc := make(chan *cache.CrashReport, 1)
-	s.K.Go("pfs.crash", func(t sched.Task) {
-		repc <- s.Cache.Crash(t)
+	b := &Battery{}
+	_ = s.Do(func(t sched.Task) error {
+		b.CrashReport = *s.Cache.Crash(t)
+		return nil
 	})
-	rep := <-repc
-	s.closeAdmin()
-	if s.net != nil {
-		s.net.Close()
-	}
-	s.closeCache()
-	s.K.Stop()
-	s.closeDrivers()
-	return rep
+	s.halt()
+	b.Parity = s.Array.PendingParity()
+	return b
 }
 
 // Shutdown is the graceful exit: stop accepting network calls, let
@@ -615,12 +611,6 @@ func (s *Server) Shutdown() error {
 		s.net.Drain()
 	}
 	err := s.Sync()
-	s.closeAdmin()
-	if s.net != nil {
-		s.net.Close()
-	}
-	s.closeCache()
-	s.K.Stop()
-	s.closeDrivers()
+	s.halt()
 	return err
 }

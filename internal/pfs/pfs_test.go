@@ -468,38 +468,45 @@ func flushers() int {
 	return count
 }
 
-// Close stops the server's cache flushers: none of its goroutines
-// stays parked, keeping the cache and its arena reachable.
-func TestCloseStopsCacheFlushers(t *testing.T) {
-	// Goroutines are counted once they run, and a flusher that has
-	// signalled its exit may still be returning: poll until the count
-	// is the one wanted (or, for the baseline, stops moving).
-	settle := func(done func(n int) bool) int {
-		n := flushers()
-		for deadline := time.Now().Add(5 * time.Second); !done(n) && time.Now().Before(deadline); n = flushers() {
-			time.Sleep(time.Millisecond)
-		}
-		return n
+// settleFlushers polls the flusher count until done accepts it (or 5s
+// pass): goroutines are counted once they run, and a flusher that has
+// signalled its exit may still be returning.
+func settleFlushers(done func(n int) bool) int {
+	n := flushers()
+	for deadline := time.Now().Add(5 * time.Second); !done(n) && time.Now().Before(deadline); n = flushers() {
+		time.Sleep(time.Millisecond)
 	}
+	return n
+}
+
+// steadyFlushers is the baseline flusher count: the one that stops
+// moving.
+func steadyFlushers() int {
 	last := -1
-	before := settle(func(n int) bool {
+	return settleFlushers(func(n int) bool {
 		steady := n == last
 		last = n
 		time.Sleep(10 * time.Millisecond)
 		return steady
 	})
+}
+
+// Close stops the server's cache flushers: none of its goroutines
+// stays parked, keeping the cache and its arena reachable.
+func TestCloseStopsCacheFlushers(t *testing.T) {
+	before := steadyFlushers()
 	srv, err := Open(Config{Path: filepath.Join(t.TempDir(), "pfs.img"), Blocks: 2048, CacheBlocks: 128})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	shards := srv.Cache.Shards()
-	if n := settle(func(n int) bool { return n == before+shards }); n != before+shards {
+	if n := settleFlushers(func(n int) bool { return n == before+shards }); n != before+shards {
 		t.Fatalf("%d flusher goroutines running, want %d (%d shards)", n, before+shards, shards)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if n := settle(func(n int) bool { return n == before }); n != before {
+	if n := settleFlushers(func(n int) bool { return n == before }); n != before {
 		t.Fatalf("%d flusher goroutines left after Close, want %d", n, before)
 	}
 }

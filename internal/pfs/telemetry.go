@@ -26,7 +26,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fsys"
 	"repro/internal/health"
-	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
@@ -43,7 +42,7 @@ type Observables struct {
 	Array    *volume.Array
 	Drivers  []device.Driver
 	Fault    *device.FaultPlan
-	Recovery *layout.RecoveryStats
+	Recovery *RecoveryReport
 	Tracer   *telemetry.Tracer
 	Monitor  *health.Monitor
 }
@@ -302,9 +301,10 @@ func registerFault(reg *telemetry.Registry, p *device.FaultPlan) {
 		func() float64 { return boolGauge(p.HasCut()) })
 }
 
-func registerRecovery(reg *telemetry.Registry, rs *layout.RecoveryStats) {
+func registerRecovery(reg *telemetry.Registry, rs *RecoveryReport) {
 	// A recovery report is immutable once the mount returns; these
-	// gauges describe what the last recovery mount repaired.
+	// gauges describe what the last recovery mount repaired and what
+	// its NVRAM replay restored.
 	reg.AddGaugeFunc("pfs_recovery_rolled_segments", "Post-checkpoint log segments replayed by roll-forward.", nil,
 		func() float64 { return float64(rs.RolledSegments) })
 	reg.AddGaugeFunc("pfs_recovery_data_blocks", "File data blocks recovered past the last durable state.", nil,
@@ -317,6 +317,12 @@ func registerRecovery(reg *telemetry.Registry, rs *layout.RecoveryStats) {
 		func() float64 { return boolGauge(rs.TornTail) })
 	reg.AddGaugeFunc("pfs_recovery_repairs", "Repairs applied by the recovery mount.", nil,
 		func() float64 { return float64(len(rs.Repairs)) })
+	reg.AddGaugeFunc("pfs_recovery_parity_records", "Battery-backed partial-parity records the recovery re-applied.", nil,
+		func() float64 { return float64(rs.ParityApplied) })
+	reg.AddGaugeFunc("pfs_recovery_survivors_replayed", "NVRAM survivor blocks the recovery wrote back.", nil,
+		func() float64 { return float64(rs.Replayed) })
+	reg.AddGaugeFunc("pfs_recovery_intents_replayed", "Namespace intents the recovery re-executed.", nil,
+		func() float64 { return float64(rs.IntentsApplied) })
 }
 
 func boolGauge(b bool) float64 {
@@ -469,10 +475,10 @@ func (s *Server) renderStatusz() string {
 		fmt.Fprintf(&b, "  faults: intercepted=%d read_errs=%d write_errs=%d torn=%d cut=%v rejected=%d\n",
 			s.Fault.IOs(), r, w, torn, s.Fault.HasCut(), rej)
 	}
-	if s.Recovery != nil {
-		fmt.Fprintf(&b, "  recovery: segments=%d data_blocks=%d inodes=%d orphans=%d torn_tail=%v repairs=%d\n",
-			s.Recovery.RolledSegments, s.Recovery.DataBlocks, s.Recovery.InodeRecords,
-			s.Recovery.OrphanBlocks, s.Recovery.TornTail, len(s.Recovery.Repairs))
+	if r := s.Recovery; r != nil {
+		fmt.Fprintf(&b, "  recovery: segments=%d data_blocks=%d inodes=%d orphans=%d torn_tail=%v repairs=%d parity_records=%d survivors_replayed=%d intents_replayed=%d\n",
+			r.RolledSegments, r.DataBlocks, r.InodeRecords, r.OrphanBlocks, r.TornTail, len(r.Repairs),
+			r.ParityApplied, r.Replayed, r.IntentsApplied)
 	}
 	b.WriteString("\nstatistics\n")
 	b.WriteString(s.Set.Render())

@@ -243,6 +243,56 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 	}
 }
 
+// goldenRecoveryFamilies is what a server that came up through a
+// recovery mount adds: the layouts' repairs and the battery's replay.
+var goldenRecoveryFamilies = map[string]string{
+	"pfs_recovery_rolled_segments":    "gauge",
+	"pfs_recovery_data_blocks":        "gauge",
+	"pfs_recovery_inode_records":      "gauge",
+	"pfs_recovery_orphan_blocks":      "gauge",
+	"pfs_recovery_torn_tail":          "gauge",
+	"pfs_recovery_repairs":            "gauge",
+	"pfs_recovery_parity_records":     "gauge",
+	"pfs_recovery_survivors_replayed": "gauge",
+	"pfs_recovery_intents_replayed":   "gauge",
+}
+
+// TestMetricsRecoveryFamilies pins the recovery family set both
+// directions and checks each gauge exports its report field.
+func TestMetricsRecoveryFamilies(t *testing.T) {
+	rs := &RecoveryReport{ParityApplied: 3}
+	rs.RolledSegments, rs.Repairs = 2, []string{"re-synced lockstep inode cursors to 9"}
+	rs.Replayed, rs.IntentsApplied = 5, 7
+	var b strings.Builder
+	if err := NewRegistry(Observables{Recovery: rs}).WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	body := b.String()
+	got := parseFamilies(body)
+	delete(got, "pfs_build_info")
+	for name, typ := range goldenRecoveryFamilies {
+		if got[name] != typ {
+			t.Errorf("family %s: got type %q, want %q", name, got[name], typ)
+		}
+	}
+	for name, typ := range got {
+		if goldenRecoveryFamilies[name] != typ {
+			t.Errorf("unexpected family %s (%s) — extend the golden set", name, typ)
+		}
+	}
+	for series, want := range map[string]float64{
+		"pfs_recovery_rolled_segments":    2,
+		"pfs_recovery_repairs":            1,
+		"pfs_recovery_parity_records":     3,
+		"pfs_recovery_survivors_replayed": 5,
+		"pfs_recovery_intents_replayed":   7,
+	} {
+		if v := metricValue(t, body, series); v != want {
+			t.Errorf("%s = %v, want %v", series, v, want)
+		}
+	}
+}
+
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Path == "" {
