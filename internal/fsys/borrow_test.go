@@ -44,24 +44,25 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 
 	// read streams the file passes times from start, wrapping at EOF.
 	read := func(rt sched.Task, v *Volume, h *Handle, start int64) {
+		var l Loan // one loan per reader, reused read after read
 		for pos := start; pos < start+passes*size; {
 			off := pos % size
 			want := min(reqBlocks*core.BlockSize, size-off)
-			segs, got, release, ok, err := v.ReadBorrowAt(rt, h, off, want)
+			got, ok, err := v.ReadBorrowAt(rt, h, off, want, &l)
 			if err != nil || !ok {
 				t.Errorf("ReadBorrowAt at %d: ok=%v err=%v", off, ok, err)
 				return
 			}
 			if got < core.BlockSize {
 				t.Errorf("ReadBorrowAt at %d returned %d bytes, want at least a block", off, got)
-				release(rt)
+				l.Release(rt)
 				return
 			}
 			if got < want {
 				short++
 			}
 			at := off
-			for _, s := range segs {
+			for _, s := range l.Segs {
 				if !bytes.Equal(s, payload[at:at+int64(len(s))]) {
 					t.Errorf("bytes at %d came back wrong", at)
 				}
@@ -71,7 +72,7 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 				t.Errorf("segments cover %d bytes, got says %d", at-off, got)
 			}
 			rt.Sleep(time.Millisecond) // the reply's write: loans held, others run
-			release(rt)
+			l.Release(rt)
 			pos += got // the next request starts where this one stopped, short or not
 		}
 	}
@@ -125,4 +126,64 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 	if short == 0 {
 		t.Fatal("no read came back short: the readers never held the whole shard")
 	}
+}
+
+// TestReusedLoanAllocatesNothing is the fsys allocation gate of the
+// zero-copy read: a cache-hit ReadBorrowAt through a reused Loan, and
+// its Release, allocate nothing (the real kernel, as the server runs).
+func TestReusedLoanAllocatesNothing(t *testing.T) {
+	k := sched.NewReal(1)
+	drv := device.NewMemDriver(k, "mem0", 4096, nil)
+	part := layout.NewPartition(drv, 0, 0, 4096, false)
+	lay := lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12})
+	store := NewStore()
+	c := cache.New(k, cache.Config{Blocks: 64, Flush: cache.UPS()}, store)
+	fs := New(k, c, core.RealMover{})
+	store.Bind(fs)
+	c.Start()
+	payload := bytes.Repeat([]byte{0x3C}, 2*core.BlockSize)
+	done := make(chan struct{})
+	k.Go("test", func(tk sched.Task) {
+		defer close(done)
+		defer c.Close(tk)
+		if err := lay.Format(tk); err != nil {
+			t.Errorf("Format: %v", err)
+			return
+		}
+		if err := lay.Mount(tk); err != nil {
+			t.Errorf("Mount: %v", err)
+			return
+		}
+		v, err := fs.AddVolume(tk, 1, lay, false)
+		if err != nil {
+			t.Errorf("AddVolume: %v", err)
+			return
+		}
+		h, err := v.EnsureFile(tk, "/f", 0, false)
+		if err != nil {
+			t.Errorf("EnsureFile: %v", err)
+			return
+		}
+		defer v.Close(tk, h)
+		if err := v.WriteAt(tk, h, 0, payload, int64(len(payload))); err != nil {
+			t.Errorf("WriteAt: %v", err)
+			return
+		}
+		var l Loan
+		read := func() {
+			got, ok, err := v.ReadBorrowAt(tk, h, 0, int64(len(payload)), &l)
+			if err != nil || !ok || got != int64(len(payload)) || len(l.Segs) != 2 {
+				t.Errorf("ReadBorrowAt: got %d ok=%v err=%v segs=%d", got, ok, err, len(l.Segs))
+			}
+			l.Release(tk)
+		}
+		read() // the loan's lists grow once
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("cache-hit borrowed read through a reused loan: %.1f allocs, want 0", n)
+		}
+		if len(l.Segs) != 0 || len(l.frames) != 0 {
+			t.Errorf("released loan still holds %d segments, %d frames", len(l.Segs), len(l.frames))
+		}
+	})
+	<-done
 }

@@ -148,21 +148,21 @@ func (v *Volume) ReadAt(t sched.Task, h *Handle, off int64, buf []byte, n int64)
 }
 
 // ReadBorrowAt is the zero-copy form of ReadAt: instead of copying
-// into a caller buffer it returns segments that alias the cache
-// frames, each frame pinned and loaned for the duration. The caller
-// transmits the segments (writev to a socket) and then calls release
-// exactly once — until then writers to those blocks wait, though
-// flushes still proceed. ok is false when the volume moves no real
-// data; use ReadAt then.
-func (v *Volume) ReadBorrowAt(t sched.Task, h *Handle, off, n int64) (segs [][]byte, got int64, release func(sched.Task), ok bool, err error) {
+// into a caller buffer it lends l the segments (l.Segs) that alias the
+// cache frames, each frame pinned and loaned for the duration. l must
+// be empty (new, or released). The caller transmits the segments
+// (writev to a socket) and then calls l.Release exactly once — until
+// then writers to those blocks wait, though flushes still proceed. ok
+// is false when the volume moves no real data; use ReadAt then.
+func (v *Volume) ReadBorrowAt(t sched.Task, h *Handle, off, n int64, l *Loan) (got int64, ok bool, err error) {
 	if v.sim {
-		return nil, 0, nil, false, nil
+		return 0, false, nil
 	}
 	h.f.mu.Lock(t)
 	defer h.f.mu.Unlock(t)
 	v.fs.st.Reads.Inc()
-	segs, got, release, err = v.readBorrow(t, h.f, off, n)
-	return segs, got, release, true, err
+	got, err = v.readBorrow(t, h.f, off, n, l)
+	return got, true, err
 }
 
 // Write stores n bytes at the handle position, advancing it.

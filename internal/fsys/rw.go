@@ -158,34 +158,54 @@ func (v *Volume) readMissRun(t sched.Task, f *File, blk core.BlockNo, b *cache.B
 	return nil
 }
 
-// readBorrow reads like readData but hands the bytes back as
-// segments aliasing the cache frames instead of copying them out:
-// every covered frame stays pinned and loaned (cache.Borrow) so a
-// zero-copy reply can writev it to the socket. The returned release
-// must be called exactly once, after the bytes have left the
+// Loan is a borrowed read: the segments of a ReadBorrowAt, aliasing
+// cache frames that stay pinned and loaned (cache.Borrow) until
+// Release. A caller that serves read after read keeps one Loan and
+// hands it to every ReadBorrowAt: the frame and segment lists keep
+// their backing arrays, so a cache-hit read allocates nothing.
+type Loan struct {
+	// Segs are the borrowed bytes, in file order. They are valid until
+	// Release and must not be written through.
+	Segs   [][]byte
+	fs     *FS
+	frames []*cache.Block
+}
+
+// Release returns every loaned frame — writers waiting in BeginWrite
+// may proceed — and empties the loan for reuse. Releasing an empty
+// loan does nothing.
+func (l *Loan) Release(t sched.Task) {
+	for i, b := range l.frames {
+		l.fs.cache.Unborrow(t, b)
+		l.fs.cache.Release(t, b)
+		l.frames[i] = nil
+	}
+	l.frames = l.frames[:0]
+	clear(l.Segs)
+	l.Segs = l.Segs[:0]
+}
+
+// readBorrow reads like readData but lends the bytes through l instead
+// of copying them out: every covered frame stays pinned and loaned
+// (cache.Borrow) so a zero-copy reply can writev it to the socket. The
+// caller releases l exactly once, after the bytes have left the
 // process; until then writers to those blocks wait in BeginWrite
 // (flushes still proceed — reads and flushes share the frame
 // read-only). The read is short when every other frame of a shard is
 // held: past its first block it never waits for other tasks' holds,
-// since it holds frames itself. Caller holds f's data lock for the
-// call itself; the loans outlive it.
-func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte, got int64, release func(sched.Task), err error) {
+// since it holds frames itself. On error nothing stays loaned. Caller
+// holds f's data lock for the call itself; the loans outlive it.
+func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64, l *Loan) (int64, error) {
 	fs := v.fs
+	l.fs = fs
 	if off >= f.ino.Size {
-		return nil, 0, func(sched.Task) {}, nil
+		return 0, nil
 	}
 	if off+n > f.ino.Size {
 		n = f.ino.Size - off
 	}
 	v.maybeReadahead(t, f, off, n)
 	op := fs.tr.Current(t)
-	var frames []*cache.Block
-	release = func(rt sched.Task) {
-		for _, b := range frames {
-			fs.cache.Unborrow(rt, b)
-			fs.cache.Release(rt, b)
-		}
-	}
 	var done int64
 	for done < n {
 		pos := off + done
@@ -199,7 +219,7 @@ func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte,
 		var b *cache.Block
 		var hit bool
 		_ = fs.charge(t, op, telemetry.StageCache, func() error {
-			if len(frames) == 0 {
+			if len(l.frames) == 0 {
 				b, hit = fs.cache.GetBlock(t, key)
 			} else {
 				b, hit = fs.cache.GetBlockHolding(t, key)
@@ -217,8 +237,8 @@ func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte,
 				return v.readMissRun(t, f, blk, b, bo+(n-done))
 			}); err != nil {
 				fs.cache.FillFailed(t, b)
-				release(t)
-				return nil, 0, nil, err
+				l.Release(t)
+				return 0, err
 			}
 			size := core.BlockSize
 			if rem := f.ino.Size - int64(blk)*core.BlockSize; rem < int64(size) {
@@ -228,12 +248,12 @@ func (v *Volume) readBorrow(t sched.Task, f *File, off, n int64) (segs [][]byte,
 		}
 		b.NoCache = f.behavior.dropBehind()
 		fs.cache.Borrow(t, b)
-		frames = append(frames, b) // keep the pin until release
-		segs = append(segs, b.Data[bo:bo+chunk])
+		l.frames = append(l.frames, b) // keep the pin until Release
+		l.Segs = append(l.Segs, b.Data[bo:bo+chunk])
 		done += chunk
 	}
 	fs.st.BytesRead.Add(done)
-	return segs, done, release, nil
+	return done, nil
 }
 
 // writeData moves n bytes into file f at offset off through the

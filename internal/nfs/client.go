@@ -1,7 +1,8 @@
 package nfs
 
 import (
-	"errors"
+	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -21,9 +22,11 @@ type Client struct {
 }
 
 // transport moves one call's frames and hands back a decoder
-// positioned at the results.
+// positioned at the results. The decoder is a value over a reply
+// frame allocated for this call alone, so the caller may keep the
+// bytes it borrows out of it (Read returns them).
 type transport interface {
-	call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error)
+	call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error)
 	close() error
 }
 
@@ -34,7 +37,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{tr: &syncTransport{conn: conn}}, nil
+	return &Client{tr: &syncTransport{conn: conn, r: bufio.NewReaderSize(conn, connReadBuf)}}, nil
 }
 
 // DialPipeline connects with a pipelined transport: up to window
@@ -51,9 +54,13 @@ func DialPipeline(addr string, window int) (*Client, error) {
 	}
 	p := &pipeTransport{
 		conn:    conn,
-		sem:     make(chan struct{}, window),
-		pending: make(map[uint32]chan pipeResult),
+		r:       bufio.NewReaderSize(conn, connReadBuf),
+		slots:   make(chan *pipeSlot, window),
+		pending: make(map[uint32]*pipeSlot, window),
 		done:    make(chan struct{}),
+	}
+	for i := 0; i < window; i++ {
+		p.slots <- &pipeSlot{reply: make(chan struct{}, 1)}
 	}
 	go p.readLoop()
 	return &Client{tr: p}, nil
@@ -62,22 +69,52 @@ func DialPipeline(addr string, window int) (*Client, error) {
 // Close drops the connection; outstanding pipelined calls fail.
 func (c *Client) Close() error { return c.tr.close() }
 
-func (c *Client) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error) {
+func (c *Client) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	d, err := c.tr.call(proc, args)
 	// The statusError marker only matters inside the transport stack
 	// (a retrying transport must not reissue a call the server
 	// answered); callers get the bare sentinel.
-	var se statusError
-	if errors.As(err, &se) {
+	if se, ok := err.(statusError); ok {
 		return d, se.err
 	}
 	return d, err
+}
+
+// sendCall encodes one call into e — the transport's reused encoder,
+// guarded by the caller's lock — and writes it with one syscall.
+func sendCall(conn net.Conn, e *xdr.Encoder, out *net.Buffers, xid, proc uint32, args func(*xdr.Encoder)) error {
+	beginMsg(e, xid, MsgCall, proc)
+	if args != nil {
+		args(e)
+	}
+	return writeMsg(conn, e, out)
+}
+
+// readReply reads the next reply frame — a fresh one, which the
+// caller keeps — and decodes its head.
+func readReply(r *bufio.Reader) (xid, status uint32, d xdr.Decoder, err error) {
+	frame, err := readFrame(r, nil)
+	if err != nil {
+		return 0, 0, d, err
+	}
+	d.Reset(frame)
+	if xid, err = d.Uint32(); err != nil {
+		return 0, 0, d, err
+	}
+	if dir, err := d.Uint32(); err != nil || dir != MsgReply {
+		return 0, 0, d, fmt.Errorf("nfs: bad reply direction")
+	}
+	status, err = d.Uint32()
+	return xid, status, d, err
 }
 
 // syncTransport performs one RPC at a time under a lock.
 type syncTransport struct {
 	mu   sync.Mutex
 	conn net.Conn
+	r    *bufio.Reader
+	enc  xdr.Encoder
+	out  net.Buffers
 	xid  uint32
 }
 
@@ -85,64 +122,53 @@ func (c *syncTransport) close() error { return c.conn.Close() }
 
 // call performs one RPC; args encodes after the header, and the
 // returned decoder is positioned at the results.
-func (c *syncTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error) {
+func (c *syncTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.xid++
-	e := xdr.NewEncoder()
-	e.Uint32(c.xid)
-	e.Uint32(MsgCall)
-	e.Uint32(proc)
-	if args != nil {
-		args(e)
+	if err := sendCall(c.conn, &c.enc, &c.out, c.xid, proc, args); err != nil {
+		return xdr.Decoder{}, err
 	}
-	if err := writeFrame(c.conn, e.Bytes()); err != nil {
-		return nil, err
-	}
-	frame, err := readFrame(c.conn)
+	xid, status, d, err := readReply(c.r)
 	if err != nil {
-		return nil, err
-	}
-	d := xdr.NewDecoder(frame)
-	xid, err := d.Uint32()
-	if err != nil {
-		return nil, err
+		return xdr.Decoder{}, err
 	}
 	if xid != c.xid {
-		return nil, fmt.Errorf("nfs: reply xid %d, want %d", xid, c.xid)
-	}
-	if dir, err := d.Uint32(); err != nil || dir != MsgReply {
-		return nil, fmt.Errorf("nfs: bad reply direction")
-	}
-	status, err := d.Uint32()
-	if err != nil {
-		return nil, err
+		return xdr.Decoder{}, fmt.Errorf("nfs: reply xid %d, want %d", xid, c.xid)
 	}
 	if status != OK {
-		return nil, statusError{ErrorOf(status)}
+		return xdr.Decoder{}, statusError{ErrorOf(status)}
 	}
 	return d, nil
 }
 
-// pipeTransport keeps up to cap(sem) calls outstanding, writing
+// pipeTransport keeps up to `window` calls outstanding, writing
 // frames under wmu and matching replies to callers by xid on a
-// dedicated reader goroutine.
+// dedicated reader goroutine. Each outstanding call holds one of the
+// preallocated slots; taking a slot is the admission.
 type pipeTransport struct {
-	conn net.Conn
-	sem  chan struct{} // outstanding-call window
-	wmu  sync.Mutex    // serializes frame writes
+	conn  net.Conn
+	r     *bufio.Reader  // the reader goroutine's
+	slots chan *pipeSlot // free call slots: the outstanding-call window
+
+	wmu sync.Mutex  // serializes frame writes; guards enc and out
+	enc xdr.Encoder // the call being sent
+	out net.Buffers
 
 	mu      sync.Mutex
 	xid     uint32
-	pending map[uint32]chan pipeResult
+	pending map[uint32]*pipeSlot
 	err     error // sticky transport failure
 
 	done chan struct{} // closed when the reader exits
 }
 
-type pipeResult struct {
-	d   *xdr.Decoder
-	err error
+// pipeSlot is one outstanding call: the reader fills in d (or err)
+// and then signals reply.
+type pipeSlot struct {
+	reply chan struct{} // buffered 1
+	d     xdr.Decoder
+	err   error
 }
 
 func (p *pipeTransport) close() error {
@@ -151,42 +177,38 @@ func (p *pipeTransport) close() error {
 	return err
 }
 
-func (p *pipeTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error) {
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
+func (p *pipeTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
+	s := <-p.slots
+	defer func() { p.slots <- s }()
 
 	p.mu.Lock()
 	if p.err != nil {
 		p.mu.Unlock()
-		return nil, p.err
+		return xdr.Decoder{}, p.err
 	}
 	p.xid++
 	xid := p.xid
-	ch := make(chan pipeResult, 1)
-	p.pending[xid] = ch
+	p.pending[xid] = s
 	p.mu.Unlock()
 
-	e := xdr.NewEncoder()
-	e.Uint32(xid)
-	e.Uint32(MsgCall)
-	e.Uint32(proc)
-	if args != nil {
-		args(e)
-	}
 	p.wmu.Lock()
-	err := writeFrame(p.conn, e.Bytes())
+	err := sendCall(p.conn, &p.enc, &p.out, xid, proc, args)
 	p.wmu.Unlock()
 	if err != nil {
 		p.mu.Lock()
+		_, mine := p.pending[xid]
 		delete(p.pending, xid)
 		p.mu.Unlock()
-		return nil, err
+		if !mine {
+			<-s.reply // the reader failed it meanwhile: leave the slot clean
+		}
+		s.d, s.err = xdr.Decoder{}, nil
+		return xdr.Decoder{}, err
 	}
-	res := <-ch
-	if res.err != nil {
-		return nil, res.err
-	}
-	return res.d, nil
+	<-s.reply
+	d, err := s.d, s.err
+	s.d, s.err = xdr.Decoder{}, nil
+	return d, err
 }
 
 // readLoop demultiplexes replies to their callers until the
@@ -194,39 +216,25 @@ func (p *pipeTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder
 func (p *pipeTransport) readLoop() {
 	defer close(p.done)
 	for {
-		frame, err := readFrame(p.conn)
-		if err != nil {
-			p.failAll(err)
-			return
-		}
-		d := xdr.NewDecoder(frame)
-		xid, err := d.Uint32()
-		if err != nil {
-			p.failAll(err)
-			return
-		}
-		if dir, err := d.Uint32(); err != nil || dir != MsgReply {
-			p.failAll(fmt.Errorf("nfs: bad reply direction"))
-			return
-		}
-		status, err := d.Uint32()
+		xid, status, d, err := readReply(p.r)
 		if err != nil {
 			p.failAll(err)
 			return
 		}
 		p.mu.Lock()
-		ch := p.pending[xid]
+		s := p.pending[xid]
 		delete(p.pending, xid)
 		p.mu.Unlock()
-		if ch == nil {
+		if s == nil {
 			p.failAll(fmt.Errorf("nfs: reply for unknown xid %d", xid))
 			return
 		}
 		if status != OK {
-			ch <- pipeResult{err: statusError{ErrorOf(status)}}
+			s.err = statusError{ErrorOf(status)}
 		} else {
-			ch <- pipeResult{d: d}
+			s.d = d
 		}
+		s.reply <- struct{}{}
 	}
 }
 
@@ -235,8 +243,9 @@ func (p *pipeTransport) failAll(err error) {
 	if p.err == nil {
 		p.err = err
 	}
-	for xid, ch := range p.pending {
-		ch <- pipeResult{err: err}
+	for xid, s := range p.pending {
+		s.err = err
+		s.reply <- struct{}{}
 		delete(p.pending, xid)
 	}
 	p.mu.Unlock()
@@ -254,7 +263,7 @@ func (c *Client) Mount(vol core.VolumeID) (FH, fsys.FileAttr, error) {
 	if err != nil {
 		return FH{}, fsys.FileAttr{}, err
 	}
-	return decodeFHAttr(d)
+	return decodeFHAttr(&d)
 }
 
 // Getattr fetches attributes.
@@ -263,7 +272,7 @@ func (c *Client) Getattr(fh FH) (fsys.FileAttr, error) {
 	if err != nil {
 		return fsys.FileAttr{}, err
 	}
-	return decodeAttr(d)
+	return decodeAttr(&d)
 }
 
 // SetSize truncates or extends a file.
@@ -275,7 +284,7 @@ func (c *Client) SetSize(fh FH, size int64) (fsys.FileAttr, error) {
 	if err != nil {
 		return fsys.FileAttr{}, err
 	}
-	return decodeAttr(d)
+	return decodeAttr(&d)
 }
 
 // Lookup resolves name in directory dir.
@@ -287,10 +296,11 @@ func (c *Client) Lookup(dir FH, name string) (FH, fsys.FileAttr, error) {
 	if err != nil {
 		return FH{}, fsys.FileAttr{}, err
 	}
-	return decodeFHAttr(d)
+	return decodeFHAttr(&d)
 }
 
-// Read fetches up to count bytes at off.
+// Read fetches up to count bytes at off. The result aliases the
+// reply frame, which was allocated for this call and is the caller's.
 func (c *Client) Read(fh FH, off int64, count int) ([]byte, error) {
 	d, err := c.call(ProcRead, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
@@ -300,20 +310,23 @@ func (c *Client) Read(fh FH, off int64, count int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.Opaque()
+	return d.OpaqueBorrow()
 }
 
-// Write stores data at off and returns the new attributes.
+// Write stores data at off and returns the new attributes. The call
+// carries a private copy of data, allocated per call like the
+// server's write frames (see frameKeep for the measured reason).
 func (c *Client) Write(fh FH, off int64, data []byte) (fsys.FileAttr, error) {
+	payload := bytes.Clone(data)
 	d, err := c.call(ProcWrite, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
 		e.Int64(off)
-		e.Opaque(data)
+		e.OpaqueVec([][]byte{payload}, len(payload))
 	})
 	if err != nil {
 		return fsys.FileAttr{}, err
 	}
-	return decodeAttr(d)
+	return decodeAttr(&d)
 }
 
 // Create makes a regular file in dir.
@@ -334,7 +347,7 @@ func (c *Client) makeNode(proc uint32, dir FH, name string) (FH, fsys.FileAttr, 
 	if err != nil {
 		return FH{}, fsys.FileAttr{}, err
 	}
-	return decodeFHAttr(d)
+	return decodeFHAttr(&d)
 }
 
 // Remove unlinks a file from dir.
@@ -407,7 +420,7 @@ func (c *Client) Symlink(dir FH, name, target string) (FH, fsys.FileAttr, error)
 	if err != nil {
 		return FH{}, fsys.FileAttr{}, err
 	}
-	return decodeFHAttr(d)
+	return decodeFHAttr(&d)
 }
 
 // Readlink fetches a symlink's target.

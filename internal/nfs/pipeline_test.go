@@ -205,17 +205,23 @@ func TestDrainUnderLoadPipelined(t *testing.T) {
 			e.Uint32(16 << 10)
 		})
 	}
-	// First reply proves the burst is admitted and executing.
-	if xid, err := raw.recvXID(); err != nil || xid != 1 {
-		t.Fatalf("first reply: xid %d err %v", xid, err)
+	// Drain once the whole burst is admitted: the reader has counted
+	// one pipeline-depth observation per admitted call. (A first reply
+	// proves only that the first call was.)
+	for deadline := time.Now().Add(5 * time.Second); net2.ServerStats().Depth.Total() < burst; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d calls admitted", net2.ServerStats().Depth.Total(), burst)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	drained := make(chan struct{})
 	go func() {
 		net2.Drain()
 		close(drained)
 	}()
-	// Every admitted call's reply still arrives, in order.
-	for i := uint32(2); i <= burst; i++ {
+	// Every admitted call's reply still arrives, in order, and none is
+	// lost to a reset when the drained connection closes.
+	for i := uint32(1); i <= burst; i++ {
 		xid, err := raw.recvXID()
 		if err != nil {
 			t.Fatalf("reply %d after drain: %v", i, err)
@@ -243,5 +249,69 @@ func TestDrainUnderLoadPipelined(t *testing.T) {
 		if xid, err := raw.recvXID(); err == nil {
 			t.Fatalf("got reply xid %d after drain", xid)
 		}
+	}
+}
+
+// TestDrainSurvivesUnreadInput: a drained connection that closes with
+// requests still unread in its socket must not reset the connection —
+// a reset can destroy the replies it already wrote before the client
+// reads them. With a window of 1 a call or two is admitted; half a
+// megabyte of writes queues behind them, unread; the drain must still
+// deliver every admitted call's reply, then a clean EOF.
+func TestDrainSurvivesUnreadInput(t *testing.T) {
+	srv, cl, _ := startServerAddr(t)
+	root, _, _ := cl.Mount(1)
+	fh, _, err := cl.Create(root, "unread.dat")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := cl.Write(fh, 0, bytes.Repeat([]byte("u"), 16<<10)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	net2, err := nfs.ServeOpts(srv.K, srv.FS, "127.0.0.1:0", nfs.Options{Pipeline: 1})
+	if err != nil {
+		t.Fatalf("ServeOpts: %v", err)
+	}
+	defer net2.Close()
+
+	raw := dialRaw(t, net2.Addr())
+	raw.send(1, nfs.ProcRead, func(e *xdr.Encoder) {
+		encodeRawFH(e, fh)
+		e.Int64(0)
+		e.Uint32(16 << 10)
+	})
+	go func() {
+		// The backlog: writes the server never reads. The sends may
+		// fail once the server closes; that is not the point here.
+		for i := uint32(2); i < 10; i++ {
+			e := xdr.NewEncoder()
+			e.Uint32(i)
+			e.Uint32(0) // MsgCall
+			e.Uint32(nfs.ProcWrite)
+			encodeRawFH(e, fh)
+			e.Int64(0)
+			e.Opaque(make([]byte, 60<<10))
+			payload := e.Bytes()
+			hdr := []byte{byte(len(payload) >> 24), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
+			if _, err := raw.conn.Write(append(hdr, payload...)); err != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); net2.ServerStats().Depth.Total() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first call was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	net2.Drain()
+	admitted := uint32(net2.ServerStats().Depth.Total())
+	for i := uint32(1); i <= admitted; i++ {
+		if xid, err := raw.recvXID(); err != nil || xid != i {
+			t.Fatalf("reply %d of %d admitted after drain: xid %d err %v", i, admitted, xid, err)
+		}
+	}
+	if xid, err := raw.recvXID(); err != io.EOF {
+		t.Fatalf("after the last reply: xid %d err %v, want a clean EOF", xid, err)
 	}
 }

@@ -11,6 +11,8 @@
 package nfs
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -242,61 +244,79 @@ const MaxFrame = 1 << 20
 // MaxIO is the largest read or write payload per call.
 const MaxIO = 64 << 10
 
-// writeFrame sends one record-marked message.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("nfs: frame of %d bytes exceeds maximum", len(payload))
+// frameKeep is the retention rule for recycled frame buffers: only
+// frames smaller than a block — calls that carry no payload — go back
+// on a connection's free list, so a burst of MaxIO-sized writes cannot
+// pin window × 64 KB per connection (fmt's printer pool drops
+// oversized buffers the same way). A write's frame is allocated per
+// call and dropped, deliberately: on one P, recycling payload frames
+// (and sending the client's payload by reference) left the LFS
+// flusher doing nearly all the allocating, so GC cycles started inside
+// the cleaner's critical section, and write_burst's p99 rose 27–34 %.
+const frameKeep = core.BlockSize
+
+// connReadBuf sizes a connection's read buffer: a record mark plus a
+// frame of up to four blocks arrive in one read syscall.
+const connReadBuf = 4*core.BlockSize + 64
+
+// statusOff is the byte offset of a reply's status word, after the
+// record mark, xid and direction.
+const statusOff = 12
+
+// beginMsg starts a message in e: a reserved record mark (writeMsg
+// fills it in at offset 0), then xid, direction and one more word — a
+// call's procedure, or a reply's status, which the server patches at
+// statusOff once the procedure has run.
+func beginMsg(e *xdr.Encoder, xid, dir, word uint32) {
+	e.Reset()
+	e.Uint32(0)
+	e.Uint32(xid)
+	e.Uint32(dir)
+	e.Uint32(word)
+}
+
+// writeMsg fills in the record mark of a message begun with beginMsg
+// and sends it — owned pieces and borrowed segments alike — with one
+// vectored write: net.Buffers turns into writev on a TCP connection,
+// so segments borrowed from cache frames or a caller's payload reach
+// the wire without ever being copied into a contiguous buffer. out is
+// the caller's reused vector (WriteTo consumes it, and a local one
+// would escape and allocate per message). Either way e is reset
+// afterwards, so neither keeps a reference to the borrowed segments.
+func writeMsg(w io.Writer, e *xdr.Encoder, out *net.Buffers) error {
+	defer e.Reset()
+	n := e.Len() - 4
+	if n > MaxFrame {
+		return fmt.Errorf("nfs: frame of %d bytes exceeds maximum", n)
 	}
-	var hdr [4]byte
-	hdr[0] = byte(len(payload) >> 24)
-	hdr[1] = byte(len(payload) >> 16)
-	hdr[2] = byte(len(payload) >> 8)
-	hdr[3] = byte(len(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	e.PutUint32At(0, uint32(n))
+	*out = e.Parts()
+	_, err := out.WriteTo(w)
+	*out = nil
 	return err
 }
 
-// writeFrameVec sends one record-marked message whose payload is a
-// list of segments, in a single vectored write: net.Buffers turns
-// into writev on a TCP connection, so segments borrowed from cache
-// frames reach the wire without ever being copied into a contiguous
-// reply buffer.
-func writeFrameVec(w io.Writer, parts [][]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > MaxFrame {
-		return fmt.Errorf("nfs: frame of %d bytes exceeds maximum", total)
-	}
-	bufs := make(net.Buffers, 0, len(parts)+1)
-	hdr := []byte{byte(total >> 24), byte(total >> 16), byte(total >> 8), byte(total)}
-	bufs = append(bufs, hdr)
-	for _, p := range parts {
-		if len(p) > 0 {
-			bufs = append(bufs, p)
+// readFrame receives one record-marked message into buf, or into a
+// fresh slice when buf is too small for it.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-	}
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
-// readFrame receives one record-marked message.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("nfs: frame of %d bytes exceeds maximum", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }

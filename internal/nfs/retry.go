@@ -34,6 +34,8 @@ import (
 // statusError marks an error decoded from a server reply: the call
 // executed, so a retrying transport must not reissue it. Unwrap keeps
 // errors.Is(err, core.ErrNotFound) etc. working for callers.
+// Transports return it bare, never wrapped, so a type assertion finds
+// it without the allocation errors.As would cost per call.
 type statusError struct{ err error }
 
 func (e statusError) Error() string { return e.err.Error() }
@@ -212,7 +214,7 @@ func (r *retryTransport) backoff(attempt int) time.Duration {
 	return d - j
 }
 
-func (r *retryTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error) {
+func (r *retryTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	var lastErr error
 	for attempt := 0; attempt < r.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -231,18 +233,17 @@ func (r *retryTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decode
 		if err == nil {
 			return d, nil
 		}
-		var se statusError
-		if errors.As(err, &se) {
+		if _, ok := err.(statusError); ok {
 			// The server executed the call; its answer stands.
-			return nil, err
+			return xdr.Decoder{}, err
 		}
 		// Transport fault: connection state is suspect either way.
 		r.drop(tr)
 		if !idempotentProc(proc) {
 			// The call may have executed; reissue could double-apply.
-			return nil, err
+			return xdr.Decoder{}, err
 		}
 		lastErr = err
 	}
-	return nil, lastErr
+	return xdr.Decoder{}, lastErr
 }

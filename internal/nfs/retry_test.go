@@ -33,19 +33,19 @@ func newFakeTransport() *fakeTransport {
 	return &fakeTransport{calls: map[uint32]int{}, executed: map[uint32]int{}}
 }
 
-func (f *fakeTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder, error) {
+func (f *fakeTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	f.mu.Lock()
 	n := f.calls[proc]
 	f.calls[proc]++
 	f.mu.Unlock()
 	if f.failBefore != nil {
 		if err := f.failBefore(proc, n); err != nil {
-			return nil, err
+			return xdr.Decoder{}, err
 		}
 	}
 	if f.status != nil {
 		if err := f.status(proc, n); err != nil {
-			return nil, statusError{err}
+			return xdr.Decoder{}, statusError{err}
 		}
 	}
 	f.mu.Lock()
@@ -53,7 +53,7 @@ func (f *fakeTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder
 	f.mu.Unlock()
 	if f.failAfter != nil {
 		if err := f.failAfter(proc, n); err != nil {
-			return nil, err
+			return xdr.Decoder{}, err
 		}
 	}
 	// A canned empty-attr reply body satisfies every decoder the
@@ -61,7 +61,7 @@ func (f *fakeTransport) call(proc uint32, args func(*xdr.Encoder)) (*xdr.Decoder
 	e := xdr.NewEncoder()
 	encodeFH(e, FH{Vol: 1, File: 2, Gen: 3})
 	encodeAttr(e, fsys.FileAttr{})
-	return xdr.NewDecoder(e.Bytes()), nil
+	return *xdr.NewDecoder(e.Bytes()), nil
 }
 
 func (f *fakeTransport) close() error { return nil }

@@ -1,11 +1,15 @@
 package nfs
 
 import (
+	"bufio"
+	"io"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fsys"
+	"repro/internal/layout"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -23,6 +27,12 @@ import (
 // order and writes the replies — so replies stay in per-connection
 // request order while decode, execution and the client's own
 // think time overlap. The queue depth is Options.Pipeline.
+//
+// Every connection owns its RPC state (connState) and reuses it call
+// after call: a buffered reader, a free list of frame buffers, one
+// reply encoder and decoder, one write vector and one frame loan. A
+// cache-hit read therefore allocates nothing here but the per-call
+// work of the layers below.
 type Server struct {
 	fs     *fsys.FS
 	k      sched.Kernel
@@ -46,11 +56,58 @@ type call struct {
 	at    sched.Time
 }
 
-// connState counts a connection's admitted calls (decoded, queued or
-// executing, reply not yet written), so a drain can cut idle
-// connections immediately and let busy ones finish their pipeline.
+// connState is one connection's reusable RPC state. inflight counts
+// its admitted calls (decoded, queued or executing, reply not yet
+// written), so a drain can cut idle connections immediately and let
+// busy ones finish their pipeline; Server.mu guards it. The reader
+// task owns r and takes frame buffers off free; the executor task
+// owns the rest and puts each frame back once its reply is on the
+// wire — so a frame, and any payload borrowed out of it, belongs to
+// one call from the socket read to the reply.
 type connState struct {
 	inflight int
+
+	r    *bufio.Reader
+	free chan []byte // recycled frame buffers, at most one per window slot
+
+	dec  xdr.Decoder
+	enc  xdr.Encoder // the reply being built, reset per call
+	out  net.Buffers // writeMsg's vector
+	loan fsys.Loan   // cache frames a read reply lends to the socket
+	// The volume and open handle a read reply's loan was taken
+	// through: closed after the loan is released.
+	lentVol *fsys.Volume
+	lentH   *fsys.Handle
+}
+
+func newConnState(conn net.Conn, window int) *connState {
+	return &connState{
+		r:    bufio.NewReaderSize(conn, connReadBuf),
+		free: make(chan []byte, window),
+	}
+}
+
+// takeFrame returns a recycled frame buffer, or nil when none is free
+// (readFrame then allocates).
+func (c *connState) takeFrame() []byte {
+	select {
+	case b := <-c.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// putFrame recycles a frame buffer whose call has been answered,
+// unless it is frameKeep or larger.
+func (c *connState) putFrame(b []byte) {
+	if cap(b) >= frameKeep {
+		return
+	}
+	select {
+	case c.free <- b[:0]:
+	default:
+	}
 }
 
 // Options tunes the server.
@@ -143,7 +200,8 @@ func (s *Server) Close() error {
 // until every in-flight call has completed and its reply has been
 // written. Busy connections close themselves right after that reply.
 // The file system is quiescent (from the network's point of view)
-// when Drain returns.
+// when Drain returns. A drained connection closes gracefully
+// (lingerClose), so no reply it wrote is lost to a reset.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -160,9 +218,31 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 	s.ln.Close()
 	for _, c := range idle {
-		c.Close() // unblocks the conn task parked in readFrame
+		wake(c) // the conn task parked in readFrame ends the connection
 	}
 	s.inflight.Wait()
+}
+
+// drainLinger bounds how long a drained connection keeps reading (and
+// discarding) its client's input after the last reply.
+const drainLinger = 200 * time.Millisecond
+
+// wake makes a reader parked in readFrame fail at once, without
+// closing the connection under replies still to be read.
+func wake(conn net.Conn) { conn.SetReadDeadline(time.Now()) }
+
+// lingerClose ends a drained connection without destroying replies it
+// already wrote. Closing a socket with unread input makes the kernel
+// send a reset, and a reset can overtake data still in flight to the
+// client. So the server half-closes (the client reads EOF after the
+// last reply), then discards input until the client closes its end or
+// drainLinger passes; the caller closes the socket after that.
+func lingerClose(conn net.Conn) {
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		hc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(drainLinger))
+	io.Copy(io.Discard, conn)
 }
 
 func (s *Server) acceptLoop(t sched.Task) {
@@ -177,7 +257,8 @@ func (s *Server) acceptLoop(t sched.Task) {
 			conn.Close()
 			return
 		}
-		s.conns[conn] = &connState{}
+		st := newConnState(conn, s.window)
+		s.conns[conn] = st
 		s.mu.Unlock()
 		c := conn
 		s.k.Go("nfs.conn", func(ct sched.Task) {
@@ -187,7 +268,7 @@ func (s *Server) acceptLoop(t sched.Task) {
 				delete(s.conns, c)
 				s.mu.Unlock()
 			}()
-			s.serveConn(ct, c)
+			s.serveConn(ct, c, st)
 		})
 	}
 }
@@ -199,30 +280,31 @@ func (s *Server) acceptLoop(t sched.Task) {
 // acquired before the socket read and released by the executor after
 // the reply, so at most `window` calls are admitted at once — and
 // with a window of 1 the reader does not even touch the socket while
-// a call executes, exactly the classic one-call-at-a-time loop.
-func (s *Server) serveConn(t sched.Task, conn net.Conn) {
+// a call executes, exactly the classic one-call-at-a-time loop. Since
+// a frame buffer goes back on the free list before its slot is freed,
+// at most `window` frames exist per connection.
+func (s *Server) serveConn(t sched.Task, conn net.Conn, c *connState) {
 	queue := make(chan call, s.window) // slots bounds it; sends never block
 	slots := make(chan struct{}, s.window)
 	done := make(chan struct{})
 	s.k.Go("nfs.conn.exec", func(et sched.Task) {
-		s.execLoop(et, conn, queue, slots, done)
+		s.execLoop(et, conn, c, queue, slots, done)
 	})
 	for {
 		slots <- struct{}{} // wait for an admission slot
-		frame, err := readFrame(conn)
+		frame, err := readFrame(c.r, c.takeFrame())
 		if err != nil {
 			break
 		}
 		// A drained server serves what is already admitted but
 		// starts nothing new.
 		s.mu.Lock()
-		st := s.conns[conn]
-		if s.draining || s.closed || st == nil {
+		if s.draining || s.closed || s.conns[conn] == nil {
 			s.mu.Unlock()
 			break
 		}
-		st.inflight++
-		depth := st.inflight
+		c.inflight++
+		depth := c.inflight
 		s.inflightN++
 		s.inflight.Add(1)
 		s.mu.Unlock()
@@ -231,6 +313,12 @@ func (s *Server) serveConn(t sched.Task, conn net.Conn) {
 	}
 	close(queue)
 	<-done
+	s.mu.Lock()
+	drained := s.draining && !s.closed
+	s.mu.Unlock()
+	if drained {
+		lingerClose(conn)
+	}
 }
 
 // execLoop is a connection's executor half: it dispatches admitted
@@ -239,14 +327,15 @@ func (s *Server) serveConn(t sched.Task, conn net.Conn) {
 // protocol or write error it keeps consuming the queue (so the
 // reader is never stuck on a full window) but only settles the
 // accounting.
-func (s *Server) execLoop(t sched.Task, conn net.Conn, queue chan call, slots chan struct{}, done chan struct{}) {
+func (s *Server) execLoop(t sched.Task, conn net.Conn, c *connState, queue chan call, slots chan struct{}, done chan struct{}) {
 	defer close(done)
 	failed := false
-	for c := range queue {
-		if !failed && !s.execute(t, conn, c) {
+	for cl := range queue {
+		if !failed && !s.execute(t, c, conn, cl) {
 			failed = true
 			conn.Close() // unblocks the reader; repeat closes are harmless
 		}
+		c.putFrame(cl.frame) // the reply is written (or never will be)
 		s.finishCall(conn)
 		<-slots // free the admission slot: the reader may read again
 	}
@@ -255,8 +344,9 @@ func (s *Server) execLoop(t sched.Task, conn net.Conn, queue chan call, slots ch
 // execute runs one call: decode, dispatch onto the abstract client
 // interface, write the reply. It reports whether the connection is
 // still usable.
-func (s *Server) execute(t sched.Task, conn net.Conn, c call) bool {
-	d := xdr.NewDecoder(c.frame)
+func (s *Server) execute(t sched.Task, c *connState, conn net.Conn, cl call) bool {
+	d := &c.dec
+	d.Reset(cl.frame)
 	xid, err := d.Uint32()
 	if err != nil {
 		return false
@@ -272,16 +362,14 @@ func (s *Server) execute(t sched.Task, conn net.Conn, c call) bool {
 	// The traced op starts at admission, so the pipeline-queue wait
 	// (dispatch start minus admission) is its first stage; the layers
 	// below find the op through the task binding.
-	op := s.tracer.Begin(ProcName(proc), c.at)
+	op := s.tracer.Begin(ProcName(proc), cl.at)
 	if op != nil {
-		op.Add(telemetry.StageQueue, s.k.Now().Sub(c.at))
+		op.Add(telemetry.StageQueue, s.k.Now().Sub(cl.at))
 		s.tracer.Bind(t, op)
 	}
-	e := xdr.NewEncoder()
-	e.Uint32(xid)
-	e.Uint32(MsgReply)
-	var release func(sched.Task)
-	status := s.dispatch(t, proc, d, e, &release)
+	e := &c.enc
+	beginMsg(e, xid, MsgReply, OK)
+	status := s.dispatch(t, proc, d, e, c)
 	if op != nil {
 		s.tracer.Unbind(t)
 	}
@@ -289,26 +377,21 @@ func (s *Server) execute(t sched.Task, conn net.Conn, c call) bool {
 	s.tracer.Finish(op, end)
 	if int(proc) < NumProcs {
 		s.st.Calls.Add(int(proc), 1)
-		s.st.Latency[proc].Observe(end.Sub(c.at))
+		s.st.Latency[proc].Observe(end.Sub(cl.at))
 	}
 	if status != OK {
 		s.st.Errors.Inc()
 	}
-	// Splice the status in after (xid, MsgReply): emit a fresh head
-	// with the final status word and strip the placeholder from the
-	// body. The body may carry segments borrowed from cache frames
-	// (a zero-copy read reply); one vectored write sends head, owned
-	// pieces and frames alike, then the loans are returned.
-	head := xdr.NewEncoder()
-	head.Uint32(xid)
-	head.Uint32(MsgReply)
-	head.Uint32(status)
-	body := e.Parts()
-	body[0] = body[0][8:] // drop the placeholder (xid, MsgReply)
-	parts := append([][]byte{head.Bytes()}, body...)
-	err = writeFrameVec(conn, parts)
-	if release != nil {
-		release(t)
+	// The reply may carry segments borrowed from cache frames (a
+	// zero-copy read); one vectored write sends the owned pieces and
+	// the frames alike, then the loan is returned and its handle
+	// closed, in that order.
+	e.PutUint32At(statusOff, status)
+	err = writeMsg(conn, e, &c.out)
+	if c.lentH != nil {
+		c.loan.Release(t)
+		c.lentVol.Close(t, c.lentH)
+		c.lentVol, c.lentH = nil, nil
 	}
 	return err == nil
 }
@@ -326,9 +409,18 @@ func (s *Server) finishCall(conn net.Conn) {
 	s.mu.Unlock()
 	s.inflight.Done()
 	if closeNow {
-		conn.Close()
+		wake(conn) // the reader stops; serveConn closes gracefully
 	}
 }
+
+// maxFileSize is the largest file a layout's block map addresses.
+const maxFileSize = layout.MaxFileBlocks * core.BlockSize
+
+// badRange reports a byte range no file can hold. Offsets and sizes
+// arrive off the wire unchecked, and the layers below assume sane
+// ones: a negative read offset used to slice a cache frame out of
+// range and take the whole server down.
+func badRange(off, n int64) bool { return off < 0 || n < 0 || off > maxFileSize-n }
 
 // resolve maps a handle to its volume and validates the generation:
 // a handle minted for an earlier life of the inode slot (removed and
@@ -353,11 +445,12 @@ func (s *Server) resolve(t sched.Task, fh FH) (*fsys.Volume, uint32) {
 }
 
 // dispatch decodes args from d, performs the procedure, encodes
-// results into e (after an 8-byte placeholder the caller strips),
-// and returns the status. A procedure that lends resources into the
-// reply (a zero-copy read borrowing cache frames) stores a cleanup
-// in *rel; the caller runs it after the reply is on the wire.
-func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Encoder, rel *func(sched.Task)) uint32 {
+// results into e (after the head beginMsg wrote) and returns the
+// status. A procedure that lends resources into the reply (a
+// zero-copy read borrowing cache frames) leaves them in c — the loan
+// and the handle it was taken through — and the caller returns them
+// after the reply is on the wire.
+func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Encoder, c *connState) uint32 {
 	switch proc {
 	case ProcNull:
 		return OK
@@ -402,7 +495,7 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 			return ErrInval
 		}
 		size, err := d.Int64()
-		if err != nil {
+		if err != nil || badRange(size, 0) {
 			return ErrInval
 		}
 		v, st := s.resolve(t, fh)
@@ -447,7 +540,7 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 			return ErrInval
 		}
 		count, err := d.Uint32()
-		if err != nil {
+		if err != nil || badRange(off, 0) {
 			return ErrInval
 		}
 		if count > MaxIO {
@@ -464,7 +557,7 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		// Zero-copy reply: borrow the cache frames and writev them
 		// straight to the socket. Only a volume that moves no real
 		// data falls through to the copying path.
-		if segs, n, release, ok, rerr := v.ReadBorrowAt(t, h, off, int64(count)); ok {
+		if n, ok, rerr := v.ReadBorrowAt(t, h, off, int64(count), &c.loan); ok {
 			if rerr != nil {
 				v.Close(t, h)
 				return StatusOf(rerr)
@@ -473,11 +566,8 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 			// the handle stays open until then too, so its close
 			// (which may destroy an unlinked file and wait for the
 			// pins) runs strictly after the loans are returned.
-			*rel = func(rt sched.Task) {
-				release(rt)
-				v.Close(rt, h)
-			}
-			e.OpaqueVec(segs, int(n))
+			c.lentVol, c.lentH = v, h
+			e.OpaqueVec(c.loan.Segs, int(n))
 			return OK
 		}
 		buf := make([]byte, count)
@@ -500,10 +590,11 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		}
 		// Borrow the payload straight out of the frame: WriteAt
 		// copies it into the cache before this call returns, and the
-		// frame buffer is private to this call (readFrame allocates
-		// per message), so the no-copy aliasing rules hold.
+		// frame buffer belongs to this call until its reply is written
+		// (only then does the executor put it back on the connection's
+		// free list), so the no-copy aliasing rules hold.
 		data, err := d.OpaqueBorrow()
-		if err != nil {
+		if err != nil || badRange(off, int64(len(data))) {
 			return ErrInval
 		}
 		v, st := s.resolve(t, fh)

@@ -17,10 +17,26 @@ type Encoder struct {
 	cuts     []int
 	borrowed [][]byte
 	blen     int
+	// parts is Parts' reused result.
+	parts [][]byte
 }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
+
+// Reset empties the encoder for the next message. It keeps the
+// capacity of the owned buffer and the borrow lists, so an encoder
+// reused per call stops allocating once it has seen its largest
+// message; the borrowed segments themselves are forgotten.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	e.cuts = e.cuts[:0]
+	clear(e.borrowed)
+	e.borrowed = e.borrowed[:0]
+	e.blen = 0
+	clear(e.parts)
+	e.parts = e.parts[:0]
+}
 
 // Bytes returns the encoded buffer. With borrowed segments present
 // it flattens the stream into a fresh contiguous copy; use Parts to
@@ -40,18 +56,18 @@ func (e *Encoder) Bytes() []byte {
 func (e *Encoder) Len() int { return len(e.buf) + e.blen }
 
 // Uint32 encodes a 32-bit unsigned integer.
-func (e *Encoder) Uint32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+func (e *Encoder) Uint32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
+
+// PutUint32At overwrites the 32-bit word at byte offset off of the
+// owned buffer, which must already have been encoded (and precede any
+// borrowed segment). It lets a message reserve a word up front — a
+// record mark, a status — and fill it in once the rest is known.
+func (e *Encoder) PutUint32At(off int, v uint32) {
+	binary.BigEndian.PutUint32(e.buf[off:off+4], v)
 }
 
 // Uint64 encodes a 64-bit unsigned integer (XDR hyper).
-func (e *Encoder) Uint64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+func (e *Encoder) Uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
 // Int64 encodes a signed hyper.
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
@@ -114,13 +130,15 @@ func (e *Encoder) OpaqueVec(segs [][]byte, n int) {
 // Parts returns the encoded message as an ordered list of segments:
 // the owned buffer split at each borrow point with the borrowed
 // segments spliced in, suitable for writev. With no borrows it is
-// the single owned buffer. The view aliases the encoder's state and
-// goes stale if more values are encoded.
+// the single owned buffer. The view aliases the encoder's state (the
+// list itself is reused by the next Parts call) and goes stale if more
+// values are encoded or the encoder is Reset.
 func (e *Encoder) Parts() [][]byte {
+	parts := e.parts[:0]
 	if len(e.borrowed) == 0 {
-		return [][]byte{e.buf}
+		e.parts = append(parts, e.buf)
+		return e.parts
 	}
-	parts := make([][]byte, 0, 2*len(e.borrowed)+1)
 	prev := 0
 	for i, cut := range e.cuts {
 		if cut > prev {
@@ -132,6 +150,7 @@ func (e *Encoder) Parts() [][]byte {
 	if prev < len(e.buf) {
 		parts = append(parts, e.buf[prev:])
 	}
+	e.parts = parts
 	return parts
 }
 
@@ -143,6 +162,10 @@ type Decoder struct {
 
 // NewDecoder wraps buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Reset points the decoder at the start of buf, so one decoder can
+// serve message after message.
+func (d *Decoder) Reset(buf []byte) { d.buf, d.off = buf, 0 }
 
 // Remaining returns the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -211,9 +234,13 @@ func (d *Decoder) Opaque() ([]byte, error) {
 // consume (or copy) the bytes before the underlying buffer is reused
 // and must not write through the slice — it is a borrow, not a
 // transfer. The NFS server's write path uses it: the payload is the
-// bulk of the frame, it is copied into the block cache before the
-// handler returns, and the frame buffer is never reused while the
-// call executes. A failed decode consumes nothing, like Opaque.
+// bulk of the frame and is copied into the block cache before the
+// handler returns, while the frame buffer belongs to the call from the
+// moment the connection's reader takes it off its free list until the
+// reply has been written — only then does it go back for reuse. The
+// client's read path uses it too: each reply frame is allocated for
+// the caller, who keeps it. A failed decode consumes nothing, like
+// Opaque.
 func (d *Decoder) OpaqueBorrow() ([]byte, error) {
 	start := d.off
 	n, err := d.Uint32()
