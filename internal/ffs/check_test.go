@@ -95,7 +95,7 @@ func TestRepairRebuildsFromInodeTable(t *testing.T) {
 			t.Fatalf("GetInode after repair: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		f2.ReadBlock(tk, ino2, 0, got)
+		readOne(tk, f2, ino2, 0, got)
 		if got[0] != 0x5A {
 			t.Fatalf("block 0 = %#x after repair, want 0x5A", got[0])
 		}

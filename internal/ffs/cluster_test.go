@@ -90,7 +90,7 @@ func TestClusteredWriteRequests(t *testing.T) {
 			}
 			for i := 0; i < 8; i++ {
 				got := make([]byte, core.BlockSize)
-				if err := r.f.ReadBlock(tk, ino, core.BlockNo(i), got); err != nil {
+				if err := readOne(tk, r.f, ino, core.BlockNo(i), got); err != nil {
 					t.Fatalf("read %d: %v", i, err)
 				}
 				if !bytes.Equal(got, blockOf(1+byte(i))) {

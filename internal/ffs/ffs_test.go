@@ -60,7 +60,7 @@ func TestFormatMountWriteRead(t *testing.T) {
 			t.Fatalf("WriteBlocks: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		r.f.ReadBlock(tk, ino, 1, got)
+		readOne(tk, r.f, ino, 1, got)
 		if !bytes.Equal(got, blockOf(0xB2)) {
 			t.Fatal("read-back mismatch")
 		}
@@ -103,7 +103,7 @@ func TestRemountRecovers(t *testing.T) {
 			t.Fatalf("GetInode: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		f2.ReadBlock(tk, ino2, 0, got)
+		readOne(tk, f2, ino2, 0, got)
 		if !bytes.Equal(got, blockOf(0xCD)) {
 			t.Fatal("data lost across remount")
 		}
@@ -134,7 +134,7 @@ func TestIndirectFileRemount(t *testing.T) {
 			t.Fatalf("GetInode: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		f2.ReadBlock(tk, ino2, core.BlockNo(n-1), got)
+		readOne(tk, f2, ino2, core.BlockNo(n-1), got)
 		if got[0] != byte(n) {
 			t.Fatalf("indirect block lost: %#x", got[0])
 		}

@@ -443,23 +443,6 @@ func (f *FFS) freeDataLocked(addr int64) {
 	}
 }
 
-// ReadBlock reads one file block in place.
-func (f *FFS) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data []byte) error {
-	f.mu.Lock(t)
-	addr := ino.BlockAddr(blk)
-	f.mu.Unlock(t)
-	if addr < 0 {
-		if data != nil {
-			for i := range data {
-				data[i] = 0
-			}
-		}
-		return nil
-	}
-	f.reads.Inc()
-	return f.part.Read(t, addr, 1, data)
-}
-
 // ReadRunVec implements the clustered read: it probes the inode's
 // address array for a disk-contiguous run starting at blk and moves
 // the whole run in one device request, scattered into bufs (nil when

@@ -237,7 +237,8 @@ func (v *Volume) ReadlinkByID(t sched.Task, id core.FileID) (string, error) {
 }
 
 // SetSizeByID truncates (or extends) a file by inode number,
-// backing the SETATTR procedure.
+// backing the SETATTR procedure. A directory's size is its entry
+// list's: changing it is core.ErrIsDir.
 func (v *Volume) SetSizeByID(t sched.Task, id core.FileID, size int64) (FileAttr, error) {
 	v.mu.Lock(t)
 	f, err := v.getLocked(t, id)
@@ -247,6 +248,9 @@ func (v *Volume) SetSizeByID(t sched.Task, id core.FileID, size int64) (FileAttr
 	}
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
+	if f.ino.Type == core.TypeDirectory && size != f.ino.Size {
+		return FileAttr{}, core.ErrIsDir
+	}
 	if size < f.ino.Size {
 		if err := v.truncateLocked(t, f, size); err != nil {
 			return FileAttr{}, err

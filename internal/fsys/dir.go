@@ -121,11 +121,16 @@ func (v *Volume) loadDirectory(t sched.Task, d *File) error {
 func (v *Volume) loadDirTorn(t sched.Task, d *File) (map[string]core.FileID, error) {
 	nb := (d.ino.Size + core.BlockSize - 1) / core.BlockSize
 	buf := make([]byte, nb*core.BlockSize)
-	for b := int64(0); b < nb; b++ {
-		if err := v.lay.ReadBlock(t, d.ino, core.BlockNo(b),
-			buf[b*core.BlockSize:(b+1)*core.BlockSize]); err != nil {
+	bufs := make([][]byte, nb)
+	for b := range bufs {
+		bufs[b] = buf[int64(b)*core.BlockSize : int64(b+1)*core.BlockSize]
+	}
+	for b := int64(0); b < nb; {
+		got, err := v.lay.ReadRunVec(t, d.ino, core.BlockNo(b), int(nb-b), bufs[b:])
+		if err != nil {
 			return nil, err
 		}
+		b += int64(got)
 	}
 	return decodeDirPrefix(buf), nil
 }

@@ -35,6 +35,11 @@ type File struct {
 	raInflight int          // outstanding readahead batches
 	raDone     sched.Cond   // signaled when raInflight drops to zero
 
+	// vec is the fill vector of readData's misses (under mu), made on
+	// the first read of a volume that moves bytes — so simulated files
+	// stay as small as ever.
+	vec *fillVec
+
 	behavior behavior
 }
 

@@ -165,10 +165,16 @@ func (v *Volume) ReadBorrowAt(t sched.Task, h *Handle, off, n int64, l *Loan) (g
 	return got, true, err
 }
 
-// Write stores n bytes at the handle position, advancing it.
+// Write stores n bytes at the handle position, advancing it. A
+// directory's content is its entry list, which only the namespace
+// operations write: Write, WriteAt and a size change of a directory
+// are core.ErrIsDir.
 func (v *Volume) Write(t sched.Task, h *Handle, data []byte, n int64) error {
 	h.f.mu.Lock(t)
 	defer h.f.mu.Unlock(t)
+	if h.f.ino.Type == core.TypeDirectory {
+		return core.ErrIsDir
+	}
 	if err := v.writeData(t, h.f, h.pos, data, n); err != nil {
 		return err
 	}
@@ -181,6 +187,9 @@ func (v *Volume) Write(t sched.Task, h *Handle, data []byte, n int64) error {
 func (v *Volume) WriteAt(t sched.Task, h *Handle, off int64, data []byte, n int64) error {
 	h.f.mu.Lock(t)
 	defer h.f.mu.Unlock(t)
+	if h.f.ino.Type == core.TypeDirectory {
+		return core.ErrIsDir
+	}
 	if err := v.writeData(t, h.f, off, data, n); err != nil {
 		return err
 	}

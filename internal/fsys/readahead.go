@@ -81,60 +81,15 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 		// with clustered ReadRunVec calls — one device request per
 		// on-disk run instead of one per block. With clustering off
 		// every call covers exactly one block, the classic
-		// fill-by-fill pipeline.
-		for blk := start; blk <= end; {
-			var frames []*cache.Block
-			first := blk
-			for blk <= end {
-				key := core.BlockKey{Vol: v.ID, File: ino.ID, Blk: blk}
-				b, ok := v.fs.cache.TryStartFill(rt, key)
-				if !ok {
-					// Cached, being filled, or no clean frame: skip it
-					// and let the claimed run end here.
-					blk++
-					if len(frames) == 0 {
-						first = blk
-						continue
-					}
-					break
-				}
-				frames = append(frames, b)
-				blk++
-			}
-			// The frames' own buffers form the scatter-gather vector the
-			// device DMAs into; the simulator's frames carry no bytes
-			// and the layout gets nil.
-			var bufs [][]byte
-			if len(frames) > 0 && frames[0].Data != nil {
-				bufs = make([][]byte, len(frames))
-				for i, b := range frames {
-					bufs[i] = b.Data
-				}
-			}
-			for off := 0; off < len(frames); {
-				cur := first + core.BlockNo(off)
-				var run [][]byte
-				if bufs != nil {
-					run = bufs[off:]
-				}
-				got, err := v.lay.ReadRunVec(rt, ino, cur, len(frames)-off, run)
-				if err == nil && got <= 0 {
-					err = core.ErrInval // layouts return >= 1; stop rather than spin
-				}
-				if err != nil {
-					for _, b := range frames[off:] {
-						v.fs.cache.FillFailed(rt, b)
-					}
-					break
-				}
-				for i := 0; i < got; i++ {
-					bsize := core.BlockSize
-					if rem := size - int64(cur+core.BlockNo(i))*core.BlockSize; rem < int64(bsize) {
-						bsize = int(rem)
-					}
-					v.fs.cache.Filled(rt, frames[off+i], bsize)
-				}
-				off += got
+		// fill-by-fill pipeline. A refused block (cached, being
+		// filled, or no clean frame) is skipped and ends the run; a
+		// failed fill leaves its blocks for the demand read.
+		var frames []*cache.Block
+		var vec fillVec
+		for blk := start; blk <= end; blk++ {
+			frames, blk = v.claimRun(rt, ino.ID, blk, end, frames[:0])
+			if len(frames) > 0 {
+				v.fill(rt, ino, frames, &vec, size)
 			}
 		}
 	})

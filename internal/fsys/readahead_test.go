@@ -20,12 +20,6 @@ type slowLay struct {
 	reads int
 }
 
-func (s *slowLay) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data []byte) error {
-	s.reads++
-	t.Sleep(8e6) // 8 ms
-	return s.Layout.ReadBlock(t, ino, blk, data)
-}
-
 func (s *slowLay) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
 	s.reads++
 	t.Sleep(8e6) // 8 ms per request, however many blocks it carries

@@ -172,12 +172,20 @@ func (v *Volume) replayIntent(t sched.Task, it cache.Intent, remap map[core.File
 			st.IntentsDropped++
 			return false, nil
 		}
+		// From here on it.File names this life of the file: a remap
+		// an earlier life of a recycled number got no longer applies,
+		// because later intents and the data survivors are this life's.
+		bind := func(id core.FileID) {
+			if id == it.File {
+				delete(remap, it.File)
+			} else {
+				remap[it.File] = id
+			}
+		}
 		if id, ok := parent.entries[it.Name]; ok {
 			if _, err := v.getLocked(t, id); err == nil {
 				// Entry and inode both durable (or already replayed).
-				if it.File != id {
-					remap[it.File] = id
-				}
+				bind(id)
 				st.IntentsNoop++
 				return false, nil
 			}
@@ -193,6 +201,7 @@ func (v *Volume) replayIntent(t sched.Task, it cache.Intent, remap map[core.File
 		if it.Gen != 0 {
 			if f, err := v.getLocked(t, it.File); err == nil &&
 				f.ino.Version == it.Gen && f.ino.Type == it.Type {
+				bind(it.File)
 				parent.entries[it.Name] = f.ino.ID
 				if it.Type == core.TypeDirectory {
 					v.mutateIno(t, parent.ino, func() { parent.ino.Nlink++ })
@@ -214,8 +223,8 @@ func (v *Volume) replayIntent(t sched.Task, it cache.Intent, remap map[core.File
 		if err != nil {
 			return false, err
 		}
+		bind(ino.ID)
 		if ino.ID != it.File {
-			remap[it.File] = ino.ID
 			st.Remapped++
 		}
 		f := v.instantiate(ino)

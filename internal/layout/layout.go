@@ -92,22 +92,19 @@ type Layout interface {
 	// FreeInode removes the file: blocks and inode are freed.
 	FreeInode(t sched.Task, id core.FileID) error
 
-	// ReadBlock reads file block blk into data (data nil when
-	// simulated; the I/O still costs time).
-	ReadBlock(t sched.Task, ino *Inode, blk core.BlockNo, data []byte) error
-	// ReadRunVec reads up to n consecutive file blocks starting at blk
-	// as one clustered device request, when the layout's clustering
-	// cap and the on-disk placement allow it: the run ends where the
-	// disk addresses stop being adjacent (or at a hole, which reads
-	// as one zeroed block). A real partition scatters the run straight
-	// into bufs, one BlockSize segment per block (cache frames the
-	// caller has claimed), and never covers more than len(bufs)
-	// blocks; empty bufs there is core.ErrInval. A simulated partition
-	// takes nil bufs and moves no data; the I/O still costs time. It
-	// returns how many blocks the call covered, at least 1 on success;
-	// only bufs[:covered] are filled. With clustering off (the
-	// default) it reads exactly one block — byte-identical to
-	// ReadBlock.
+	// ReadRunVec is the layout's one data read. It reads up to n
+	// consecutive file blocks starting at blk as one device request,
+	// as far as the clustering cap (SetClusterRun) and the on-disk
+	// placement allow: the run ends where the disk addresses stop
+	// being adjacent, and a hole reads as one zeroed block. A real
+	// partition scatters the run straight into bufs, one BlockSize
+	// segment per block (typically cache frames the caller has
+	// claimed), and never covers more than len(bufs) blocks; empty
+	// bufs there is core.ErrInval. A simulated partition takes nil
+	// bufs and moves no data; the I/O still costs time. It returns how
+	// many blocks the call covered, at least 1 on success; only
+	// bufs[:covered] are filled. n = 1 — and any n with clustering off,
+	// the simulator's default — reads exactly one block.
 	ReadRunVec(t sched.Task, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
 	// WriteBlocks places and writes the given dirty blocks of one
 	// file. A log-structured layout writes them contiguously.

@@ -28,7 +28,7 @@ func expectBlocks(t *testing.T, tk sched.Task, l *LFS, id core.FileID, want []by
 	}
 	got := make([]byte, core.BlockSize)
 	for b, w := range want {
-		if err := l.ReadBlock(tk, ino, core.BlockNo(b), got); err != nil {
+		if err := readOne(tk, l, ino, core.BlockNo(b), got); err != nil {
 			t.Fatalf("%s: read f%d/b%d: %v", when, id, b, err)
 		}
 		if !bytes.Equal(got, blockOf(w)) {
@@ -194,7 +194,7 @@ func TestPowerCutSweepInsideCommittedSegment(t *testing.T) {
 				}
 				got := make([]byte, core.BlockSize)
 				for b, want := range o.acked {
-					if err := l2.ReadBlock(tk, ino, core.BlockNo(b), got); err != nil {
+					if err := readOne(tk, l2, ino, core.BlockNo(b), got); err != nil {
 						t.Fatalf("cut at I/O %d (sub-block %v): read b%d: %v", cut, subBlock, b, err)
 					}
 					if bytes.Equal(got, blockOf(want)) || (b == o.inflight && bytes.Equal(got, blockOf(o.tried))) {

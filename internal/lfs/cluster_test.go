@@ -64,7 +64,7 @@ func TestClusteredRecoveryEquivalent(t *testing.T) {
 			var out []byte
 			buf := make([]byte, core.BlockSize)
 			for b := 0; b < ino.NBlocks(); b++ {
-				if err := l.ReadBlock(tk, ino, core.BlockNo(b), buf); err != nil {
+				if err := readOne(tk, l, ino, core.BlockNo(b), buf); err != nil {
 					t.Fatalf("cluster=%d: read %d: %v", cluster, b, err)
 				}
 				out = append(out, buf...)

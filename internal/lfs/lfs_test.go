@@ -86,8 +86,8 @@ func TestWriteReadBack(t *testing.T) {
 		}
 		for i, want := range []byte{0x11, 0x22, 0x33} {
 			got := make([]byte, core.BlockSize)
-			if err := r.l.ReadBlock(tk, ino, core.BlockNo(i), got); err != nil {
-				t.Fatalf("ReadBlock %d: %v", i, err)
+			if err := readOne(tk, r.l, ino, core.BlockNo(i), got); err != nil {
+				t.Fatalf("read block %d: %v", i, err)
 			}
 			if !bytes.Equal(got, blockOf(want)) {
 				t.Fatalf("block %d contents wrong (pending-path)", i)
@@ -99,7 +99,7 @@ func TestWriteReadBack(t *testing.T) {
 		}
 		for i, want := range []byte{0x11, 0x22, 0x33} {
 			got := make([]byte, core.BlockSize)
-			r.l.ReadBlock(tk, ino, core.BlockNo(i), got)
+			readOne(tk, r.l, ino, core.BlockNo(i), got)
 			if !bytes.Equal(got, blockOf(want)) {
 				t.Fatalf("block %d contents wrong after sync", i)
 			}
@@ -114,7 +114,7 @@ func TestHoleReadsZero(t *testing.T) {
 		r.l.Mount(tk)
 		ino, _ := r.l.AllocInode(tk, core.TypeRegular)
 		got := blockOf(0xFF)
-		if err := r.l.ReadBlock(tk, ino, 5, got); err != nil {
+		if err := readOne(tk, r.l, ino, 5, got); err != nil {
 			t.Fatalf("hole read: %v", err)
 		}
 		if !bytes.Equal(got, blockOf(0)) {
@@ -146,11 +146,11 @@ func TestRemountRecoversFiles(t *testing.T) {
 			t.Fatalf("inode meta lost: size=%d type=%v", ino2.Size, ino2.Type)
 		}
 		got := make([]byte, core.BlockSize)
-		r2.ReadBlock(tk, ino2, 0, got)
+		readOne(tk, r2, ino2, 0, got)
 		if !bytes.Equal(got, blockOf(0xAA)) {
 			t.Fatal("block 0 lost across remount")
 		}
-		r2.ReadBlock(tk, ino2, 1, got)
+		readOne(tk, r2, ino2, 1, got)
 		if !bytes.Equal(got, blockOf(0xBB)) {
 			t.Fatal("block 1 lost across remount")
 		}
@@ -188,7 +188,7 @@ func TestLargeFileIndirect(t *testing.T) {
 		}
 		got := make([]byte, core.BlockSize)
 		for i := 0; i < n; i += 7 {
-			r2.ReadBlock(tk, ino2, core.BlockNo(i), got)
+			readOne(tk, r2, ino2, core.BlockNo(i), got)
 			if got[0] != byte(i) {
 				t.Fatalf("block %d contents %#x, want %#x", i, got[0], byte(i))
 			}
@@ -214,7 +214,7 @@ func TestOverwriteKillsOldBlocks(t *testing.T) {
 			t.Fatalf("usage accounting wrong: live=%d", r.l.sut[seg1].live)
 		}
 		got := make([]byte, core.BlockSize)
-		r.l.ReadBlock(tk, ino, 0, got)
+		readOne(tk, r.l, ino, 0, got)
 		if got[0] != 2 {
 			t.Fatal("read returned stale version")
 		}
@@ -310,11 +310,11 @@ func TestCleanerPreservesLiveData(t *testing.T) {
 			t.Fatalf("keeper lost: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		r.l.ReadBlock(tk, ino2, 0, got)
+		readOne(tk, r.l, ino2, 0, got)
 		if got[0] != 0x77 {
 			t.Fatalf("keeper block 0 corrupted: %#x", got[0])
 		}
-		r.l.ReadBlock(tk, ino2, 1, got)
+		readOne(tk, r.l, ino2, 1, got)
 		if got[0] != 0x88 {
 			t.Fatalf("keeper block 1 corrupted: %#x", got[0])
 		}
@@ -348,8 +348,8 @@ func TestSimulatedVolume(t *testing.T) {
 		if err := l.WriteBlocks(tk, ino, ws); err != nil {
 			t.Fatalf("sim WriteBlocks: %v", err)
 		}
-		if err := l.ReadBlock(tk, ino, 0, nil); err != nil {
-			t.Fatalf("sim ReadBlock: %v", err)
+		if err := readOne(tk, l, ino, 0, nil); err != nil {
+			t.Fatalf("sim read: %v", err)
 		}
 		if err := l.Sync(tk); err != nil {
 			t.Fatalf("sim Sync: %v", err)

@@ -242,33 +242,6 @@ func (l *LFS) noteInodeSlotDead(addr int64) {
 	delete(l.inodeBlockIDs, addr)
 }
 
-// ReadBlock reads one file block. Holes cost nothing; blocks still
-// in the open segment are served from memory.
-func (l *LFS) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data []byte) error {
-	l.mu.Lock(t)
-	addr := ino.BlockAddr(blk)
-	if addr < 0 {
-		l.mu.Unlock(t)
-		if data != nil {
-			for i := range data {
-				data[i] = 0
-			}
-		}
-		return nil
-	}
-	if buf, ok := l.pending[addr]; ok {
-		if data != nil {
-			copy(data, buf)
-		} else if l.part.Mover != nil {
-			t.Sleep(timeNS(l.part.Mover.CopyCost(core.BlockSize)))
-		}
-		l.mu.Unlock(t)
-		return nil
-	}
-	l.mu.Unlock(t)
-	return l.part.Read(t, addr, 1, data)
-}
-
 // ReadRunVec implements the clustered read: file blocks written
 // together sit at adjacent log addresses, so the run is discovered
 // by address adjacency in the block map and moved in one device
@@ -295,11 +268,9 @@ func (l *LFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n in
 		return 1, nil
 	}
 	if buf, ok := l.pending[addr]; ok {
-		if len(bufs) > 0 {
-			copy(bufs[0][:core.BlockSize], buf)
-		} else if l.part.Mover != nil {
-			t.Sleep(timeNS(l.part.Mover.CopyCost(core.BlockSize)))
-		}
+		// Only a real partition stages pending blocks, and it always
+		// has bufs here.
+		copy(bufs[0][:core.BlockSize], buf)
 		l.mu.Unlock(t)
 		return 1, nil
 	}

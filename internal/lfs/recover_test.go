@@ -83,11 +83,11 @@ func TestRollForwardRecoversPostCheckpointWrites(t *testing.T) {
 		// The checkpointed blocks must be intact, and the rolled-over
 		// overwrite of block 0 must win over the checkpointed version.
 		got := make([]byte, core.BlockSize)
-		l2.ReadBlock(tk, ino2, 0, got)
+		readOne(tk, l2, ino2, 0, got)
 		if got[0] != 0xA0 {
 			t.Fatalf("block 0 = %#x, want rolled-forward 0xA0", got[0])
 		}
-		l2.ReadBlock(tk, ino2, 1, got)
+		readOne(tk, l2, ino2, 1, got)
 		if got[0] != 0x02 {
 			t.Fatalf("block 1 = %#x, want checkpointed 0x02", got[0])
 		}
@@ -95,7 +95,7 @@ func TestRollForwardRecoversPostCheckpointWrites(t *testing.T) {
 		recovered := 0
 		for i := 2; i < 42; i++ {
 			if ino2.BlockAddr(core.BlockNo(i)) >= 0 {
-				l2.ReadBlock(tk, ino2, core.BlockNo(i), got)
+				readOne(tk, l2, ino2, core.BlockNo(i), got)
 				if got[0] != byte(i) {
 					t.Fatalf("rolled block %d = %#x, want %#x", i, got[0], byte(i))
 				}
@@ -181,7 +181,7 @@ func TestRollForwardStopsAtTornTail(t *testing.T) {
 			t.Fatalf("GetInode: %v", err)
 		}
 		got := make([]byte, core.BlockSize)
-		l2.ReadBlock(tk, ino2, 1, got)
+		readOne(tk, l2, ino2, 1, got)
 		if got[0] != 0x41 {
 			t.Fatalf("pre-tear block 1 = %#x, want 0x41", got[0])
 		}
@@ -282,7 +282,7 @@ func TestPowerCutSweepNeverLosesBothCheckpoints(t *testing.T) {
 					if ino2.BlockAddr(core.BlockNo(b)) < 0 {
 						continue
 					}
-					if err := l2.ReadBlock(tk, ino2, core.BlockNo(b), got); err != nil {
+					if err := readOne(tk, l2, ino2, core.BlockNo(b), got); err != nil {
 						t.Fatalf("cut at I/O %d: read f%d/b%d: %v", k, id, b, err)
 					}
 					if !bytes.Equal(got, blockOf(got[0])) || got[0] > 3 {

@@ -171,6 +171,62 @@ func TestSetSizeTruncates(t *testing.T) {
 	}
 }
 
+// TestDirectoryRefusesWriteAndTruncate: WRITE and a size-changing
+// SETATTR on a directory handle are NFS3ERR_ISDIR. Accepted, they
+// overwrote or truncated the directory's on-disk image, and after a
+// remount its entries were gone.
+func TestDirectoryRefusesWriteAndTruncate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pfs.img")
+	cfg := pfs.Config{Path: path, Blocks: 2048, CacheBlocks: 128}
+	srv, err := pfs.Open(cfg)
+	if err != nil {
+		t.Fatalf("pfs.Open: %v", err)
+	}
+	addr, err := srv.ServeNFS("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeNFS: %v", err)
+	}
+	cl, err := nfs.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	root, _, _ := cl.Mount(1)
+	for _, name := range []string{"a", "b"} {
+		if _, _, err := cl.Create(root, name); err != nil {
+			t.Fatalf("Create %s: %v", name, err)
+		}
+	}
+	if _, err := cl.Write(root, 0, bytes.Repeat([]byte{0xEE}, 64)); err != core.ErrIsDir {
+		t.Errorf("WRITE on the root: %v, want ErrIsDir", err)
+	}
+	if _, err := cl.SetSize(root, 0); err != core.ErrIsDir {
+		t.Errorf("SETATTR size 0 on the root: %v, want ErrIsDir", err)
+	}
+	cl.Close()
+	if err := srv.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	srv.Close()
+
+	srv, err = pfs.Open(cfg)
+	if err != nil {
+		t.Fatalf("remount: %v", err)
+	}
+	defer srv.Close()
+	if addr, err = srv.ServeNFS("127.0.0.1:0"); err != nil {
+		t.Fatalf("ServeNFS: %v", err)
+	}
+	if cl, err = nfs.Dial(addr); err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	root, _, _ = cl.Mount(1)
+	ents, err := cl.Readdir(root)
+	if err != nil || len(ents) != 2 || ents[0].Name != "a" || ents[1].Name != "b" {
+		t.Fatalf("root after remount: %v %v, want a and b", ents, err)
+	}
+}
+
 func TestStatFS(t *testing.T) {
 	_, cl := startServer(t)
 	root, _, _ := cl.Mount(1)

@@ -199,7 +199,8 @@ func (s *Server) StagedCopyBytes() int64 { return s.Array.StagedCopyBytes() }
 // on-image label guards against reopening with the wrong geometry.
 // A failed Open releases everything it built — drivers, cache
 // flushers, kernel — without a sync: a mount that fails is torn down
-// like a crash.
+// like a crash. A fresh image set goes back to empty images, so the
+// next Open formats it again.
 func Open(cfg Config) (*Server, error) {
 	if cfg.Blocks <= 0 {
 		cfg.Blocks = 16384 // 64 MB
@@ -223,11 +224,15 @@ func Open(cfg Config) (*Server, error) {
 	// Until the cache is up, a failed open releases the drivers built
 	// so far and the kernel; no layout has touched the images yet.
 	var built []device.Driver
+	fresh := false
 	fail := func(err error) (*Server, error) {
 		for _, drv := range built {
 			drv.Close()
 		}
 		k.Stop()
+		if fresh {
+			unmakeImages(cfg)
+		}
 		return nil, err
 	}
 	dead := make(map[int]bool, len(cfg.Dead))
@@ -261,7 +266,7 @@ func Open(cfg Config) (*Server, error) {
 	if freshCount != 0 && len(dead) > 0 {
 		return fail(fmt.Errorf("pfs: cannot open a fresh image set under %s with a dead member declared", cfg.Path))
 	}
-	fresh := freshCount == cfg.Volumes
+	fresh = freshCount == cfg.Volumes
 	if b := cfg.Recover; fresh && b != nil && len(b.Survivors)+len(b.Intents)+len(b.Parity) > 0 {
 		return fail(fmt.Errorf("pfs: battery to recover (%d survivors, %d intents, %d parity records) but the image set under %s is fresh",
 			len(b.Survivors), len(b.Intents), len(b.Parity), cfg.Path))
@@ -380,6 +385,9 @@ func Open(cfg Config) (*Server, error) {
 		// down as a crash. A recovery's battery stays unretired, merged
 		// with whatever the failed recovery left in the domain.
 		b := srv.Crash()
+		if fresh {
+			unmakeImages(cfg)
+		}
 		if cfg.Recover != nil {
 			return nil, &RecoveryError{Battery: mergeBatteries(cfg.Recover, b), Err: err}
 		}
@@ -482,6 +490,16 @@ func intentSlots(off bool) int {
 		return 0
 	}
 	return 1024
+}
+
+// unmakeImages truncates the member images of a fresh set whose Open
+// failed back to empty: sized but never formatted, they would read as
+// an existing set that fails to mount.
+func unmakeImages(cfg Config) {
+	for i := 0; i < cfg.Volumes; i++ {
+		path, _ := memberPath(cfg, i)
+		_ = os.Truncate(path, 0)
+	}
 }
 
 // isFresh reports whether path is missing or empty (needs Format).

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/sched"
 	"repro/internal/volume"
 )
@@ -65,6 +66,42 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 	}
 }
 
+// A fresh image set whose Open fails goes back to empty images, so
+// the next Open formats it instead of trying to mount members that
+// were sized but never formatted.
+// The refusals cover both teardowns: before the cache is built (the
+// array geometry) and in the mount (a format whose writes fail).
+func TestFailedFreshOpenLeavesImagesFresh(t *testing.T) {
+	good := Config{Path: filepath.Join(t.TempDir(), "arr.img"), Blocks: 2048, CacheBlocks: 128,
+		Volumes: 2, Placement: "striped", StripeBlocks: 4}
+	geometry := good
+	geometry.Placement = "parity"
+	format := good
+	format.Fault = &device.FaultConfig{WriteErrRate: 1}
+	for _, bad := range []struct {
+		name string
+		cfg  Config
+	}{{"2-member parity", geometry}, {"failing format", format}} {
+		if srv, err := Open(bad.cfg); err == nil {
+			srv.Close()
+			t.Fatalf("%s: fresh open succeeded", bad.name)
+		}
+		srv, err := Open(good)
+		if err != nil {
+			t.Fatalf("open after a failed fresh open (%s): %v", bad.name, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		for i := 0; i < good.Volumes; i++ {
+			path, _ := memberPath(good, i)
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // A battery over a fresh image set has nowhere to go: Open refuses it
 // instead of formatting the set and dropping the battery. An empty one
 // drops nothing, so the fresh set formats as usual.
@@ -84,6 +121,76 @@ func TestRecoverRefusesBatteryOnFreshImage(t *testing.T) {
 	defer srv.Close()
 	if srv.Recovery != nil {
 		t.Fatalf("fresh image set reports a recovery: %+v", srv.Recovery)
+	}
+}
+
+// An inode number recycled between two battery-backed lives: w1 is
+// created, written and removed, and w2 reuses its FFS inode slot. The
+// replay of w1's create finds the slot held by w2's generation and
+// remaps w1 to a fresh inode; w2's create must take its number back,
+// or w2's surviving data block follows w1's remap to the freed inode
+// and is dropped — w2 reads back as zeros.
+func TestRecoverRecycledInodeKeepsItsData(t *testing.T) {
+	cfg := Config{Path: filepath.Join(t.TempDir(), "pfs.img"), Blocks: 2048, CacheBlocks: 128,
+		Layout: "ffs", Flush: cache.NVRAMWhole(64)}
+	srv, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := srv.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	want := bytes.Repeat([]byte{0x5A}, core.BlockSize)
+	err = srv.Do(func(tk sched.Task) error {
+		h, err := srv.Vol.Create(tk, "/w1", core.TypeRegular)
+		if err != nil {
+			return err
+		}
+		first := h.ID()
+		if err := srv.Vol.Write(tk, h, bytes.Repeat([]byte{0xA5}, core.BlockSize), core.BlockSize); err != nil {
+			return err
+		}
+		if err := srv.Vol.Close(tk, h); err != nil {
+			return err
+		}
+		if err := srv.Vol.Remove(tk, "/w1"); err != nil {
+			return err
+		}
+		if h, err = srv.Vol.Create(tk, "/w2", core.TypeRegular); err != nil {
+			return err
+		}
+		if h.ID() != first {
+			return fmt.Errorf("ffs did not reuse inode %d (got %d); the recycled case is not exercised", first, h.ID())
+		}
+		if err := srv.Vol.Write(tk, h, want, core.BlockSize); err != nil {
+			return err
+		}
+		return srv.Vol.Close(tk, h)
+	})
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	cfg.Recover = srv.Crash()
+	srv2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer srv2.Close()
+	got := make([]byte, core.BlockSize)
+	err = srv2.Do(func(tk sched.Task) error {
+		h, err := srv2.Vol.Open(tk, "/w2")
+		if err != nil {
+			return err
+		}
+		defer srv2.Vol.Close(tk, h)
+		_, err = srv2.Vol.ReadAt(tk, h, 0, got, core.BlockSize)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("read w2: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("w2 reads back %#x..., want its acknowledged %#x (recovery: %+v)", got[0], want[0], srv2.Recovery)
 	}
 }
 

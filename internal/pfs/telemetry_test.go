@@ -366,6 +366,12 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Close()
+	// The server reaps the closed connection on its own goroutine.
+	for deadline := time.Now().Add(5 * time.Second); srv.net.Connections() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open 5s after the client closed", srv.net.Connections())
+		}
+	}
 	if err := srv.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,12 @@ func BenchmarkDegradedRead(b *testing.B) {
 	if err := arr.KillMember(1); err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, core.BlockSize)
+	vec := [][]byte{make([]byte, core.BlockSize)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	benchTask(b, k, func(tk sched.Task) error {
 		for i := 0; i < b.N; i++ {
-			if err := arr.ReadBlock(tk, ino, core.BlockNo(i%nblocks), buf); err != nil {
+			if _, err := arr.ReadRunVec(tk, ino, core.BlockNo(i%nblocks), 1, vec); err != nil {
 				return err
 			}
 		}

@@ -35,7 +35,7 @@ func TestClusteredStripedWrites(t *testing.T) {
 		}
 		buf := make([]byte, core.BlockSize)
 		for b := core.BlockNo(0); b < nblocks; b++ {
-			if err := r.arr.ReadBlock(tk, ino, b, buf); err != nil {
+			if err := readOne(tk, r.arr, ino, b, buf); err != nil {
 				return err
 			}
 			if !bytes.Equal(buf, pattern(b, core.BlockSize)) {
@@ -133,7 +133,7 @@ func TestStripedWriteFanOutConcurrent(t *testing.T) {
 		buf := make([]byte, core.BlockSize)
 		for w := 0; w < writers; w++ {
 			for b := core.BlockNo(0); b < nblocks; b++ {
-				if err := r.arr.ReadBlock(tk, inos[w], b, buf); err != nil {
+				if err := readOne(tk, r.arr, inos[w], b, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, pattern(b+core.BlockNo(w*100), core.BlockSize)) {

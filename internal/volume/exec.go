@@ -3,6 +3,7 @@ package volume
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -35,27 +36,6 @@ type memberIOError struct {
 func (e *memberIOError) Error() string { return e.err.Error() }
 func (e *memberIOError) Unwrap() error { return e.err }
 
-// ReadBlock reads a file block from its data cell, reconstructing it
-// when the cell's member is dead (or dies under the read).
-func (a *Array) ReadBlock(t sched.Task, ino *layout.Inode, blk core.BlockNo, data []byte) error {
-	if a.single != nil {
-		return a.single.ReadBlock(t, ino, blk, data)
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		return core.ErrStale
-	}
-	d := a.pl.dataCell(af.home, blk)
-	if a.readAlive(af, d.member) {
-		a.reads.Add(d.member, 1)
-		err := a.sub(d.member).ReadBlock(t, af.shadows[d.member], d.local, data)
-		if err == nil || !a.noteDeadErr(d.member, err) {
-			return err
-		}
-	}
-	return a.reconstruct(t, af, blk, data)
-}
-
 // ReadRunVec routes a clustered read to the member holding the run's
 // first block. The run is clamped at the chunk boundary — within a
 // chunk the global and local blocks advance in lockstep, so the
@@ -83,21 +63,18 @@ func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n 
 			return got, err
 		}
 	}
-	var first []byte // nil stays nil for simulated stacks
-	if len(bufs) > 0 {
-		first = bufs[0][:core.BlockSize]
-	}
-	if err := a.reconstruct(t, af, blk, first); err != nil {
+	if err := a.reconstruct(t, af, blk, bufs); err != nil {
 		return 0, err
 	}
 	return 1, nil
 }
 
 // reconstruct serves blk, whose data cell is unreadable, from the rest
-// of its column: the check cell read straight into data, the column's
-// other data cells XORed in through one scratch buffer. For a mirror
-// that is the one read of the copy.
-func (a *Array) reconstruct(t sched.Task, af *afile, blk core.BlockNo, data []byte) error {
+// of its column: the check cell read straight into the first segment
+// of bufs (nil for a simulated stack), the column's other data cells
+// XORed in through one scratch buffer. For a mirror that is the one
+// read of the copy.
+func (a *Array) reconstruct(t sched.Task, af *afile, blk core.BlockNo, bufs [][]byte) error {
 	if !a.pl.redundant() {
 		return ErrDegraded
 	}
@@ -109,34 +86,52 @@ func (a *Array) reconstruct(t sched.Task, af *afile, blk core.BlockNo, data []by
 				a.name, blk, af.id, c.member)
 		}
 	}
-	var scratch []byte
-	if data != nil && len(rest) > 1 {
-		scratch = make([]byte, core.BlockSize)
+	var scratch [][]byte
+	if len(bufs) > 0 && len(rest) > 1 {
+		p := scratchVecs.Get().(*[][]byte)
+		defer scratchVecs.Put(p)
+		scratch = *p
 	}
-	if err := a.xorCells(t, af, rest, data, scratch); err != nil {
+	if err := a.xorCells(t, af, rest, bufs, scratch); err != nil {
 		return err
 	}
 	a.degraded.Inc()
 	return nil
 }
 
-// xorCells reads the XOR of cells into dst: the first straight into
-// dst, the others through scratch. A simulated stack (nil dst) issues
-// the reads and moves no data.
-func (a *Array) xorCells(t sched.Task, af *afile, cells []cell, dst, scratch []byte) error {
-	buf := dst
+// xorCells reads the XOR of cells into the first segment of dst: the
+// first cell straight into it, the others through scratch (both
+// one-segment vectors). A simulated stack (nil dst) issues the reads
+// and moves no data.
+func (a *Array) xorCells(t sched.Task, af *afile, cells []cell, dst, scratch [][]byte) error {
+	vec := dst
 	for i, c := range cells {
-		a.reads.Add(c.member, 1)
-		if err := a.sub(c.member).ReadBlock(t, af.shadows[c.member], c.local, buf); err != nil {
+		if err := a.readCell(t, af, c, vec); err != nil {
 			return err
 		}
-		if i > 0 {
-			xorInto(dst, scratch)
+		if i > 0 && dst != nil {
+			xorInto(dst[0], scratch[0])
 		}
-		buf = scratch
+		vec = scratch
 	}
 	return nil
 }
+
+// readCell reads cell c into the first segment of vec (nil for a
+// simulated stack), one block.
+func (a *Array) readCell(t sched.Task, af *afile, c cell, vec [][]byte) error {
+	a.reads.Add(c.member, 1)
+	_, err := a.sub(c.member).ReadRunVec(t, af.shadows[c.member], c.local, 1, vec)
+	return err
+}
+
+// blockVec is a one-segment read vector over a fresh block buffer.
+func blockVec() [][]byte { return [][]byte{make([]byte, core.BlockSize)} }
+
+// scratchVecs lends blockVecs to the paths that read a cell only to
+// XOR it — a parity column's read-modify-write and a degraded read's
+// reconstruction — so a steady stream of them allocates none.
+var scratchVecs = sync.Pool{New: func() any { v := blockVec(); return &v }}
 
 // xorInto accumulates b into acc byte-wise. Nil slices (simulated
 // stacks) are no-ops: the I/O pattern is modeled, the math skipped.
@@ -224,7 +219,6 @@ type batch struct {
 	writes  []layout.BlockWrite
 	dead    int  // member the file treats as missing (degradedFor)
 	real    bool // frames carry bytes (a simulated stack moves none)
-	scratch []byte
 	out     []planned
 	guarded []pplKey
 }
@@ -308,10 +302,10 @@ func (b *batch) emit(c cell, data []byte, size int) {
 	b.out = append(b.out, planned{c.member, layout.BlockWrite{Blk: c.local, Data: data, Size: size}})
 }
 
-// read reads cell c's current content into the batch's scratch.
-func (b *batch) read(c cell) error {
-	b.a.reads.Add(c.member, 1)
-	if err := b.a.sub(c.member).ReadBlock(b.t, b.af.shadows[c.member], c.local, b.scratch); err != nil {
+// read reads cell c's current content into the first segment of vec
+// (nil for a simulated stack).
+func (b *batch) read(c cell, vec [][]byte) error {
+	if err := b.a.readCell(b.t, b.af, c, vec); err != nil {
 		return &memberIOError{c.member, err}
 	}
 	return nil
@@ -351,33 +345,34 @@ func (b *batch) parity(data []cell, chk cell, at map[core.BlockNo]int) ([]byte, 
 	}
 	rmw := unwritten > 0 && !deadWritten && (unwritten > len(data)-unwritten || onDead)
 	guard := onDead && b.real
-	var parity, pp []byte
+	var parity, pp, old []byte
+	var vec [][]byte // the one-segment read vector over old
 	if b.real {
 		parity = make([]byte, core.BlockSize)
-		if b.scratch == nil {
-			b.scratch = make([]byte, core.BlockSize)
-		}
+		p := scratchVecs.Get().(*[][]byte)
+		defer scratchVecs.Put(p)
+		vec, old = *p, (*p)[0]
 	}
 	if guard {
 		pp = make([]byte, core.BlockSize)
 	}
 	if rmw {
-		if err := b.read(chk); err != nil {
+		if err := b.read(chk, vec); err != nil {
 			return nil, err
 		}
-		xorInto(parity, b.scratch)
-		xorInto(pp, b.scratch)
+		xorInto(parity, old)
+		xorInto(pp, old)
 	}
 	var slots []ParitySlot
 	for _, c := range data {
 		i, w := at[c.blk]
 		switch {
 		case w && rmw:
-			if err := b.read(c); err != nil {
+			if err := b.read(c, vec); err != nil {
 				return nil, err
 			}
-			xorInto(parity, b.scratch)
-			xorInto(pp, b.scratch)
+			xorInto(parity, old)
+			xorInto(pp, old)
 			xorInto(parity, b.writes[i].Data)
 		case w:
 			xorInto(parity, b.writes[i].Data)
@@ -385,11 +380,11 @@ func (b *batch) parity(data []cell, chk cell, at map[core.BlockNo]int) ([]byte, 
 				xorInto(pp, b.writes[i].Data)
 			}
 		case !rmw:
-			if err := b.read(c); err != nil {
+			if err := b.read(c, vec); err != nil {
 				return nil, err
 			}
-			xorInto(parity, b.scratch)
-			xorInto(pp, b.scratch)
+			xorInto(parity, old)
+			xorInto(pp, old)
 		}
 		if guard && w && c.member != b.dead {
 			slots = append(slots, ParitySlot{Member: c.member, Local: c.local})

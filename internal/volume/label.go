@@ -119,7 +119,7 @@ func (a *Array) readLabel(t sched.Task) error {
 			return fmt.Errorf("volume %s: label inode on member %d: %w", a.name, i, err)
 		}
 		buf := make([]byte, core.BlockSize)
-		if err := sub.ReadBlock(t, ino, 0, buf); err != nil {
+		if _, err := sub.ReadRunVec(t, ino, 0, 1, [][]byte{buf}); err != nil {
 			return fmt.Errorf("volume %s: read label on member %d: %w", a.name, i, err)
 		}
 		g, err := decodeLabel(buf)
@@ -236,7 +236,7 @@ func ReadLabel(t sched.Task, sub layout.Layout) (info LabelInfo, found bool, err
 		return LabelInfo{}, false, err
 	}
 	buf := make([]byte, core.BlockSize)
-	if err := sub.ReadBlock(t, ino, 0, buf); err != nil {
+	if _, err := sub.ReadRunVec(t, ino, 0, 1, [][]byte{buf}); err != nil {
 		return LabelInfo{}, false, err
 	}
 	g, err := decodeLabel(buf)

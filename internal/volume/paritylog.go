@@ -215,7 +215,7 @@ func (a *Array) ReplayParity(t sched.Task, recs []ParityRecord) (applied int, er
 	if !a.pl.parity() {
 		return 0, fmt.Errorf("volume %s: parity records on placement %s", a.name, a.cfg.Placement)
 	}
-	scratch := make([]byte, core.BlockSize)
+	scratch := blockVec()
 	for _, rec := range recs {
 		if _, err := a.GetInode(t, rec.File); err == core.ErrNotFound {
 			continue
@@ -234,7 +234,7 @@ func (a *Array) ReplayParity(t sched.Task, recs []ParityRecord) (applied int, er
 	return applied, nil
 }
 
-func (a *Array) replayColumn(t sched.Task, af *afile, rec ParityRecord, scratch []byte) error {
+func (a *Array) replayColumn(t sched.Task, af *afile, rec ParityRecord, scratch [][]byte) error {
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
 	if !a.writeAlive(rec.PMember) {
@@ -247,11 +247,10 @@ func (a *Array) replayColumn(t sched.Task, af *afile, rec ParityRecord, scratch 
 		}
 		// Holes (a torn shadow growth) read back as zeros, which is
 		// exactly the cell's media content.
-		a.reads.Add(sl.Member, 1)
-		if err := a.sub(sl.Member).ReadBlock(t, af.shadows[sl.Member], sl.Local, scratch); err != nil {
+		if err := a.readCell(t, af, cell{member: sl.Member, local: sl.Local}, scratch); err != nil {
 			return err
 		}
-		xorInto(parity, scratch)
+		xorInto(parity, scratch[0])
 	}
 	if err := a.writeMember(t, af, rec.PMember, []layout.BlockWrite{
 		{Blk: rec.PLocal, Data: parity, Size: core.BlockSize},

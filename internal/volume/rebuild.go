@@ -298,9 +298,9 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 	}
 
 	home, total := af.home, layout.BlocksForSize(af.global.Size)
-	var buf, scratch []byte
+	var buf, scratch [][]byte
 	if !a.cfg.Simulated {
-		buf, scratch = make([]byte, core.BlockSize), make([]byte, core.BlockSize)
+		buf, scratch = blockVec(), blockVec()
 	}
 	var batch []layout.BlockWrite
 	flush := func() error {
@@ -330,7 +330,7 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 		}
 		w := layout.BlockWrite{Blk: c.local, Size: core.BlockSize}
 		if buf != nil {
-			w.Data = append([]byte(nil), buf...)
+			w.Data = append([]byte(nil), buf[0]...)
 		}
 		if batch = append(batch, w); len(batch) >= copyBatch {
 			if err := flush(); err != nil {
@@ -423,9 +423,9 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 
 	home, total := af.home, layout.BlocksForSize(af.global.Size)
 	real := !a.cfg.Simulated
-	var acc, chkBuf, scratch []byte
+	var acc, chkBuf, scratch [][]byte
 	if real {
-		acc, chkBuf, scratch = make([]byte, core.BlockSize), make([]byte, core.BlockSize), make([]byte, core.BlockSize)
+		acc, chkBuf, scratch = blockVec(), blockVec(), blockVec()
 	}
 	var col []cell
 	for b := core.BlockNo(0); int64(b) < total; b++ {
@@ -449,7 +449,7 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 		if err := a.xorCells(t, af, col[len(data):], chkBuf, nil); err != nil {
 			return err
 		}
-		if !real || bytes.Equal(acc, chkBuf) {
+		if !real || bytes.Equal(acc[0], chkBuf[0]) {
 			continue
 		}
 		st.Mismatches++
@@ -457,7 +457,7 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 			continue
 		}
 		if err := a.writeMember(t, af, chk.member, []layout.BlockWrite{
-			{Blk: chk.local, Data: append([]byte(nil), acc...), Size: core.BlockSize},
+			{Blk: chk.local, Data: append([]byte(nil), acc[0]...), Size: core.BlockSize},
 		}); err != nil {
 			return err
 		}

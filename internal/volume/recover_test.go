@@ -289,7 +289,7 @@ func TestArrayRecoverRepairsShadowSizes(t *testing.T) {
 		// Every covered block reads back the synced pattern.
 		buf := make([]byte, core.BlockSize)
 		for b := 0; b < 4; b++ {
-			if err := arr2.ReadBlock(tk, ino, core.BlockNo(b), buf); err != nil {
+			if err := readOne(tk, arr2, ino, core.BlockNo(b), buf); err != nil {
 				t.Fatalf("read %d: %v", b, err)
 			}
 		}

@@ -499,7 +499,7 @@ func TestScrubRepairsTornParity(t *testing.T) {
 			return err
 		}
 		buf := make([]byte, core.BlockSize)
-		if err := r.arr.ReadBlock(tk, ino, 3, buf); err != nil {
+		if err := readOne(tk, r.arr, ino, 3, buf); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf, garbage) {
@@ -572,7 +572,7 @@ func TestRebuildUnderTraffic(t *testing.T) {
 				for round := 0; round < 5; round++ {
 					for i := 0; i < files; i++ {
 						for b := 0; b < nblocks; b++ {
-							if err := r.arr.ReadBlock(tk, inos[i], core.BlockNo(b), buf); err != nil {
+							if err := readOne(tk, r.arr, inos[i], core.BlockNo(b), buf); err != nil {
 								errc <- fmt.Errorf("reader: %w", err)
 								return
 							}
@@ -857,7 +857,7 @@ func TestParityWriteHoleClosed(t *testing.T) {
 					// and recovery's repairing scrub must skip the column
 					// (it cannot read the dead member), so nothing else
 					// ever fixes it.
-					if err := r2.arr.ReadBlock(tk, got, peer, buf); err != nil {
+					if err := readOne(tk, r2.arr, got, peer, buf); err != nil {
 						return err
 					}
 					if bytes.Equal(buf, pattern(peer, core.BlockSize)) {
@@ -871,7 +871,7 @@ func TestParityWriteHoleClosed(t *testing.T) {
 				if applied != 1 {
 					t.Fatalf("replay applied %d records, want 1", applied)
 				}
-				if err := r2.arr.ReadBlock(tk, got, peer, buf); err != nil {
+				if err := readOne(tk, r2.arr, got, peer, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, pattern(peer, core.BlockSize)) {
@@ -884,13 +884,13 @@ func TestParityWriteHoleClosed(t *testing.T) {
 				}); err != nil {
 					return err
 				}
-				if err := r2.arr.ReadBlock(tk, got, blk, buf); err != nil {
+				if err := readOne(tk, r2.arr, got, blk, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, newdata) {
 					t.Fatal("re-delivered write lost")
 				}
-				if err := r2.arr.ReadBlock(tk, got, peer, buf); err != nil {
+				if err := readOne(tk, r2.arr, got, peer, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, pattern(peer, core.BlockSize)) {
@@ -966,7 +966,7 @@ func TestDegradedTrafficHammer(t *testing.T) {
 					buf := make([]byte, core.BlockSize)
 					for round := 0; round < 6; round++ {
 						for b := 0; b < nblocks; b++ {
-							if err := r.arr.ReadBlock(tk, inos[i], core.BlockNo(b), buf); err != nil {
+							if err := readOne(tk, r.arr, inos[i], core.BlockNo(b), buf); err != nil {
 								errc <- fmt.Errorf("reader %d: %w", i, err)
 								return
 							}

@@ -94,8 +94,8 @@ func checkFile(t *testing.T, tk sched.Task, arr *Array, ino *layout.Inode, nbloc
 	t.Helper()
 	buf := make([]byte, core.BlockSize)
 	for b := 0; b < nblocks; b++ {
-		if err := arr.ReadBlock(tk, ino, core.BlockNo(b), buf); err != nil {
-			t.Fatalf("ReadBlock %d: %v", b, err)
+		if err := readOne(tk, arr, ino, core.BlockNo(b), buf); err != nil {
+			t.Fatalf("read block %d: %v", b, err)
 		}
 		if !bytes.Equal(buf, pattern(core.BlockNo(b), core.BlockSize)) {
 			t.Fatalf("block %d: read-back mismatch", b)
@@ -158,7 +158,7 @@ func TestStripedWriteReadRemount(t *testing.T) {
 		checkFile(t, tk, r2.arr, ino, nblocks-1)
 		// The partial last block must carry its bytes too.
 		buf := make([]byte, core.BlockSize)
-		if err := r2.arr.ReadBlock(tk, ino, core.BlockNo(nblocks-1), buf); err != nil {
+		if err := readOne(tk, r2.arr, ino, core.BlockNo(nblocks-1), buf); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf[:1234], pattern(core.BlockNo(nblocks-1), 1234)) {
@@ -414,7 +414,7 @@ func TestTruncateStriped(t *testing.T) {
 		}
 		checkFile(t, tk, r2.arr, ino, keep)
 		buf := make([]byte, core.BlockSize)
-		if err := r2.arr.ReadBlock(tk, ino, keep, buf); err != nil {
+		if err := readOne(tk, r2.arr, ino, keep, buf); err != nil {
 			return err
 		}
 		for i, b := range buf {
