@@ -11,6 +11,7 @@
 //	experiments -fig 5 -seeds 5          # figure 5 as mean ± stderr over 5 seeds
 //	experiments -workers 1               # sequential engine (timing baseline)
 //	experiments -disks 1,2,4,8           # array-scaling study on the volume manager
+//	experiments -serving                 # serving study; rewrites bench_baseline.json
 package main
 
 import (
@@ -37,8 +38,8 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "run the ablation suite instead of figures")
 		fullCDF    = flag.Bool("cdf", false, "dump the full CDF tables (plottable)")
 		intervals  = flag.Bool("intervals", false, "print 15-minute interval reports")
-		serving    = flag.Bool("serving", false, "run the hot-path serving study (sharded cache, pipelined NFS, readahead) instead of figures")
-		servingC   = flag.String("servingclients", "4", "client counts for the serving study's real-kernel cells")
+		serving    = flag.Bool("serving", false, "run the serving study (readahead before/after plus the pinned baseline cells) instead of figures")
+		servingOut = flag.String("servingout", "bench_baseline.json", "write the serving study's pinned cells as JSON here (empty = don't)")
 		disks      = flag.String("disks", "", "array-scaling study: comma-separated array widths (e.g. 1,2,4,8) to replay -scaletrace on, under all four write policies")
 		scTrace    = flag.String("scaletrace", "1a", "trace for the array-scaling study")
 		placement  = flag.String("placement", "striped", "array placement for the scaling study: striped or affinity")
@@ -50,7 +51,6 @@ func main() {
 		clust      = flag.Bool("clustering", false, "run the I/O clustering study (run-size cap × layout, requests vs blocks) instead of figures")
 		clTrace    = flag.String("cltrace", "1b", "trace for the clustering study (1b's large writers exercise the write runs)")
 		clCaps     = flag.String("clcaps", "0,8,32", "run-size caps for the clustering study (0 = off)")
-		clReal     = flag.Bool("clreal", false, "append the real-kernel pfsbench cells (clustering off vs on) to the clustering study")
 		clOut      = flag.String("clout", "BENCH_5.json", "write the clustering study as JSON here (empty = don't)")
 		degraded   = flag.Bool("degraded", false, "run the degraded-serving study (healthy vs degraded vs rebuilding per redundant placement) instead of figures")
 		degPlace   = flag.String("degplacements", "mirrored,parity", "redundant placements for the degraded study")
@@ -80,12 +80,16 @@ func main() {
 	engine := &experiments.Engine{Workers: *workers}
 
 	if *serving {
-		counts, err := parseWidths(*servingC)
-		die(err)
 		start := time.Now()
-		rows, err := experiments.RunServingStudy(os.TempDir(), counts)
+		st, err := experiments.RunServingStudy()
 		die(err)
-		fmt.Println(experiments.ServingTable(rows))
+		fmt.Println(experiments.ServingTable(st))
+		if *servingOut != "" {
+			out, err := experiments.ServingBaselineJSON(st)
+			die(err)
+			die(os.WriteFile(*servingOut, out, 0o644))
+			fmt.Printf("(wrote %s)\n", *servingOut)
+		}
 		fmt.Printf("(wall time %v)\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
@@ -96,9 +100,6 @@ func main() {
 		start := time.Now()
 		st, err := experiments.RunClusteringStudy(engine, scale, *clTrace, *seed, nil, caps)
 		die(err)
-		if *clReal {
-			die(experiments.AddClusteringBench(st, os.TempDir(), 2))
-		}
 		fmt.Println(experiments.ClusteringTable(st))
 		if *clOut != "" {
 			out, err := experiments.ClusteringJSON(st)

@@ -37,22 +37,21 @@ func main() {
 		placement = flag.String("placement", "affinity", "array placement policy: affinity, striped, mirrored, or parity")
 		stripe    = flag.Int("stripe", 8, "stripe/chunk width in 4KB blocks for striped and redundant placements")
 		cacheB    = flag.Int("cache", 4096, "cache size in 4KB blocks")
-		shards    = flag.Int("shards", 0, "cache lock stripes (0 = default 8, 1 = classic single-lock cache)")
-		pipeline  = flag.Int("pipeline", 0, "per-connection NFS window (0 = default 8, 1 = no pipelining)")
-		readahead = flag.Int("readahead", 0, "sequential readahead window in blocks (0 = default 8, -1 = off)")
-		cluster   = flag.Int("cluster", 0, "clustered-transfer run cap in blocks (0 = default 16, -1 = off)")
 		addr      = flag.String("addr", "127.0.0.1:20490", "listen address")
 		admin     = flag.String("admin", "", "admin HTTP endpoint: /metrics, /healthz, /statusz, pprof (empty = disabled)")
 		slowOp    = flag.Duration("slowop", 0, "slow-op log capture threshold (0 = default 100ms)")
 		policy    = flag.String("policy", "ups", "flush policy: writedelay, ups, nvram-whole, nvram-partial")
 		nvramKB   = flag.Int("nvram", 4096, "NVRAM size in KB for nvram policies")
-		noIntents = flag.Bool("nointentlog", false, "disable the metadata intent log (exposes the historical create+write+crash drop)")
 		spares    = flag.Int("spares", 0, "hot-spare pool size: idle replacement member stacks pre-provisioned for promotion (redundant placements)")
 		selfHeal  = flag.Bool("selfheal", false, "supervised self-healing: health monitor + automatic spare promotion and online rebuild on member death")
 		healthInt = flag.Duration("healthint", 0, "health monitor sweep interval (0 = default)")
 		statsOut  = flag.Bool("stats", false, "print statistics on shutdown")
 	)
 	flag.Parse()
+	// Catch the signals before serving, so one that arrives while the
+	// server starts up still drains it instead of killing the process.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	var fc cache.FlushConfig
 	switch *policy {
@@ -70,22 +69,17 @@ func main() {
 	}
 
 	srv, err := pfs.Open(pfs.Config{
-		Path:             *image,
-		Blocks:           *blocks,
-		Volumes:          *volumes,
-		Placement:        *placement,
-		StripeBlocks:     *stripe,
-		CacheBlocks:      *cacheB,
-		CacheShards:      *shards,
-		Pipeline:         *pipeline,
-		ReadaheadBlocks:  *readahead,
-		ClusterRunBlocks: *cluster,
-		Flush:            fc,
-		SlowOpThreshold:  *slowOp,
-		NoIntentLog:      *noIntents,
-		Spares:           *spares,
-		SelfHeal:         *selfHeal,
-		HealthInterval:   *healthInt,
+		Path:            *image,
+		Blocks:          *blocks,
+		Volumes:         *volumes,
+		Placement:       *placement,
+		StripeBlocks:    *stripe,
+		CacheBlocks:     *cacheB,
+		Flush:           fc,
+		SlowOpThreshold: *slowOp,
+		Spares:          *spares,
+		SelfHeal:        *selfHeal,
+		HealthInterval:  *healthInt,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -108,8 +102,6 @@ func main() {
 		fmt.Printf("pfsd: admin endpoint (metrics, healthz, statusz, pprof) on http://%s\n", adminBound)
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("pfsd: draining in-flight requests and syncing all volumes")
 	done := make(chan error, 1)

@@ -1,16 +1,16 @@
-// Package bench is the closed-loop load harness for the serving hot
-// path. It drives the same mixed read/write workload through both
-// instantiations of the component library — N concurrent clients
-// against a real pfs+nfs server over TCP, and N client tasks
-// against Patsy under the virtual kernel — and reports throughput,
-// latency quantiles and cache/volume counters as machine-readable
-// JSON (the BENCH_* performance trajectory and the CI perf gate
-// feed off it).
+// Package bench is the closed-loop serving workload the simulator
+// studies share. It drives the same mixed read/write workload through
+// both instantiations of the component library — N client tasks
+// against Patsy under the virtual kernel (RunSim), and N concurrent
+// clients against a real pfs+nfs server over TCP (RunReal, which the
+// self-heal study uses) — and reports throughput, latency quantiles
+// and cache/volume counters as JSON.
 //
 // The virtual-kernel numbers are deterministic per seed and
-// machine-independent (ops per simulated second), which is what the
-// committed baseline pins; the real-kernel numbers measure this
-// machine and are recorded for the trajectory.
+// machine-independent (ops per simulated second), which is why the
+// serving study's cells are committed byte for byte
+// (bench_baseline.json); the real-kernel numbers measure this machine
+// and are recorded for the trajectory.
 package bench
 
 import (
@@ -31,11 +31,6 @@ type Config struct {
 	// TCP connection each on the real kernel; one task each on the
 	// virtual kernel).
 	Clients int
-	// Depth is the number of calls each real client keeps in flight
-	// on its pipelined connection (1 = classic synchronous client).
-	// The virtual driver runs its clients at depth 1: VKernel
-	// clients are tasks, so concurrency comes from Clients.
-	Depth int
 	// Ops is the number of operations per client.
 	Ops int
 	// Files and FileBlocks size the working set.
@@ -46,40 +41,23 @@ type Config struct {
 	// ReadFrac is the fraction of operations that stream reads
 	// (the rest are random block-aligned writes).
 	ReadFrac float64
-	// Workload names a canned ReadFrac: "coldstream" pins 1.0 (pure
-	// streaming reads over a working set twice the cache, so the
-	// stream keeps missing), "writeburst" pins 0.0 (pure random
-	// block-aligned writes). Empty keeps ReadFrac as configured — the
-	// classic 80/20 mix — and the cell key unchanged.
-	Workload string
 	// Seed drives the per-client operation streams.
 	Seed int64
-	// Think is per-op client think time. Zero is the pure
-	// closed-loop hammer; a few milliseconds models interactive
-	// clients and gives readahead idle disk time to work ahead
-	// into.
+	// Think is per-op client think time (virtual kernel). Zero is the
+	// pure closed-loop hammer; a few milliseconds models interactive
+	// clients and gives readahead idle disk time to work ahead into.
 	Think time.Duration
 
-	// Hot-path knobs under test.
 	CacheBlocks int
-	Shards      int // cache lock stripes (0 = instantiation default)
-	Pipeline    int // per-connection NFS window (real kernel only)
-	Readahead   int // sequential readahead window (negative = off)
-	// Cluster caps clustered multi-block transfers per device
-	// request: 0 = instantiation default (real kernel on at
-	// layout.DefaultClusterRun, virtual off), -1 = off, > 1 = cap.
-	Cluster int
-	// Scrape, on the real kernel, boots the admin endpoint and
-	// embeds the /metrics deltas of the measurement phase in the
-	// result (Result.Scrape).
-	Scrape bool
+	// Readahead is the virtual kernel's sequential readahead window
+	// (0 or negative = off, the simulator's default).
+	Readahead int
 
 	// Redundant-array axes. Placement, when set to "mirrored" or
 	// "parity", runs the cell over a Width-member redundant array
-	// (default width 3); empty keeps the classic single-stack cell —
-	// keys and numbers unchanged, so the committed baseline stays
-	// valid. Degrade kills DegradeMember after the prefill, so the
-	// measurement runs against the degraded read/write paths;
+	// (default width 3); empty keeps the classic single-stack cell.
+	// Degrade (virtual kernel) kills DegradeMember after the prefill,
+	// so the measurement runs against the degraded read/write paths;
 	// Rebuild (implies Degrade) additionally runs the online rebuild
 	// concurrently with the measurement — the "rebuilding" cell.
 	Placement     string
@@ -99,14 +77,11 @@ type Config struct {
 	SelfHeal bool
 }
 
-// Quick is the CI smoke cell: a working set twice the cache (8 MB
-// over a 4 MB cache) so streaming reads actually miss — readahead
-// and shard contention are exercised — while staying a few seconds
-// end to end.
+// Quick is the serving study's pinned cell: a working set twice the
+// cache (8 MB over a 4 MB cache) so streaming reads actually miss.
 func Quick(clients int) Config {
 	return Config{
 		Clients:     clients,
-		Depth:       4,
 		Ops:         300,
 		Files:       8,
 		FileBlocks:  256,
@@ -158,23 +133,15 @@ type Result struct {
 	// transfer size) over the same denominator as OpsPerSec.
 	MBPerSec float64 `json:"mb_per_sec,omitempty"`
 	// StagedCopyBytes counts payload bytes the server memcpy'd into
-	// staging buffers during the measurement phase. Zero on a
-	// clustered real-kernel classic cell — the zero-copy claim, as a
-	// number. Virtual cells report 0 (the sim carries no payload).
-	StagedCopyBytes int64 `json:"staged_copy_bytes"`
-	// Workload is the canned-ReadFrac name when the cell ran one
-	// (Config.Workload); empty on classic mixed cells.
-	Workload string         `json:"workload,omitempty"`
-	MeanMS   float64        `json:"mean_ms"`
-	P50MS    float64        `json:"p50_ms"`
-	P95MS    float64        `json:"p95_ms"`
-	P99MS    float64        `json:"p99_ms"`
-	Cache    CacheCounters  `json:"cache"`
-	Volume   VolumeCounters `json:"volume"`
-	// Scrape holds the measurement-phase /metrics deltas when the
-	// cell ran with Config.Scrape (family-level series only; the
-	// le=/quantile= expansions stay on the endpoint).
-	Scrape map[string]float64 `json:"scrape,omitempty"`
+	// staging buffers during the measurement phase. Virtual cells
+	// report 0 (the sim carries no payload).
+	StagedCopyBytes int64          `json:"staged_copy_bytes"`
+	MeanMS          float64        `json:"mean_ms"`
+	P50MS           float64        `json:"p50_ms"`
+	P95MS           float64        `json:"p95_ms"`
+	P99MS           float64        `json:"p99_ms"`
+	Cache           CacheCounters  `json:"cache"`
+	Volume          VolumeCounters `json:"volume"`
 	// Redundant-array cell identity (empty/false on classic cells,
 	// which keeps their JSON byte-identical).
 	Placement string `json:"placement,omitempty"`
@@ -193,38 +160,10 @@ type Result struct {
 	MTTRMS   float64 `json:"mttr_ms,omitempty"`
 }
 
-// Key identifies a cell for baseline comparison. Redundant-array
-// cells append placement and serving-state suffixes; classic cells
-// keep their pre-redundancy keys, so the committed baseline gates
-// them unchanged while the matrix grows.
-func (r Result) Key() string {
-	k := fmt.Sprintf("%s/c%d/d%d/s%d/p%d/ra%d/cl%d",
-		r.Kernel, r.Clients, r.Depth, r.Shards, r.Pipeline, r.Readahead, r.Cluster)
-	if r.Workload != "" {
-		k += "/" + r.Workload
-	}
-	if r.Placement != "" {
-		k += fmt.Sprintf("/%s%d", r.Placement, r.Width)
-		switch {
-		case r.SelfHeal:
-			k += "/selfheal"
-		case r.Rebuild:
-			k += "/rebuilding"
-		case r.Degraded:
-			k += "/degraded"
-		default:
-			k += "/healthy"
-		}
-	}
-	return k
-}
-
-// File is the BENCH_*.json format.
+// File is the result-file format (bench_baseline.json).
 type File struct {
-	Bench      int      `json:"bench"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Note       string   `json:"note,omitempty"`
-	Runs       []Result `json:"runs"`
+	Bench int      `json:"bench"`
+	Runs  []Result `json:"runs"`
 }
 
 // Encode renders the file as indented JSON with a trailing newline.
@@ -234,49 +173,6 @@ func (f *File) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// Decode parses a BENCH_*.json file.
-func Decode(data []byte) (*File, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// Regression is one cell whose throughput fell past the threshold.
-type Regression struct {
-	Key      string
-	Current  float64
-	Baseline float64
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%s: %.1f ops/sec vs baseline %.1f (%.1f%%)",
-		r.Key, r.Current, r.Baseline, 100*r.Current/r.Baseline)
-}
-
-// Compare gates current against baseline: any cell present in both
-// whose ops/sec dropped by more than threshold (e.g. 0.25) is a
-// regression. Cells missing from the baseline are ignored, so the
-// matrix can grow without invalidating the committed baseline.
-func Compare(current, baseline *File, threshold float64) []Regression {
-	base := make(map[string]Result, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.Key()] = r
-	}
-	var regs []Regression
-	for _, r := range current.Runs {
-		b, ok := base[r.Key()]
-		if !ok || b.OpsPerSec <= 0 {
-			continue
-		}
-		if r.OpsPerSec < (1-threshold)*b.OpsPerSec {
-			regs = append(regs, Regression{Key: r.Key(), Current: r.OpsPerSec, Baseline: b.OpsPerSec})
-		}
-	}
-	return regs
 }
 
 // --- deterministic per-client operation streams ---
@@ -335,9 +231,6 @@ func (c *Config) fill() {
 	if c.Clients <= 0 {
 		c.Clients = 1
 	}
-	if c.Depth <= 0 {
-		c.Depth = 1
-	}
 	if c.Ops <= 0 {
 		c.Ops = 100
 	}
@@ -352,12 +245,6 @@ func (c *Config) fill() {
 	}
 	if c.ReadFrac < 0 || c.ReadFrac > 1 {
 		c.ReadFrac = 0.8
-	}
-	switch c.Workload {
-	case "coldstream":
-		c.ReadFrac = 1
-	case "writeburst":
-		c.ReadFrac = 0
 	}
 	if c.CacheBlocks <= 0 {
 		c.CacheBlocks = 1024

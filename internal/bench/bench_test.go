@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -10,7 +10,6 @@ import (
 func tiny() Config {
 	return Config{
 		Clients:     2,
-		Depth:       2,
 		Ops:         40,
 		Files:       2,
 		FileBlocks:  32,
@@ -72,8 +71,8 @@ func TestSimReadaheadImproves(t *testing.T) {
 	}
 }
 
-// The real driver round-trips over loopback TCP with pipelined
-// clients and reports sane numbers.
+// The real driver round-trips over loopback TCP and reports sane
+// numbers.
 func TestRealSmoke(t *testing.T) {
 	res, err := RunReal(t.TempDir(), tiny())
 	if err != nil {
@@ -88,102 +87,23 @@ func TestRealSmoke(t *testing.T) {
 	if res.Cache.Lookups == 0 {
 		t.Fatal("no cache traffic recorded")
 	}
-}
-
-// The real driver honors the classic-engine knobs.
-func TestRealClassicKnobs(t *testing.T) {
+	// Degraded and rebuilding cells are the virtual kernel's.
 	cfg := tiny()
-	cfg.Shards, cfg.Pipeline, cfg.Readahead = 1, 1, -1
-	res, err := RunReal(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards != 1 || res.Pipeline != 1 || res.Readahead != 0 {
-		t.Fatalf("classic knobs not honored: %+v", res)
-	}
-	if res.Cache.ReadaheadFills != 0 {
-		t.Fatalf("readahead fills with readahead off: %d", res.Cache.ReadaheadFills)
-	}
-}
-
-// With Scrape on, the real cell embeds /metrics deltas that agree
-// with the natively snapshotted counters over the same window.
-func TestRealScrapeEmbed(t *testing.T) {
-	cfg := tiny()
-	cfg.Scrape = true
-	res, err := RunReal(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Scrape) == 0 {
-		t.Fatal("no scrape deltas embedded")
-	}
-	if d := res.Scrape["pfs_cache_lookups_total"]; d != float64(res.Cache.Lookups) {
-		t.Fatalf("scrape lookups delta %v != native %d", d, res.Cache.Lookups)
-	}
-	if d := res.Scrape[`pfs_nfs_calls_total{op="read"}`] + res.Scrape[`pfs_nfs_calls_total{op="write"}`]; int64(d) != res.Ops {
-		t.Fatalf("scrape call delta %v != ops %d", d, res.Ops)
-	}
-	for k := range res.Scrape {
-		if strings.Contains(k, `le="`) || strings.Contains(k, `quantile="`) {
-			t.Fatalf("distribution expansion leaked into the embed: %s", k)
-		}
-	}
-	// The embed survives the JSON round trip.
-	data, err := (&File{Runs: []Result{res}}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Runs[0].Scrape, res.Scrape) {
-		t.Fatal("scrape map did not round-trip")
-	}
-	// An unscraped cell stays scrape-free (omitempty keeps old files
-	// byte-compatible).
-	if plain, err := RunReal(t.TempDir(), tiny()); err != nil || plain.Scrape != nil {
-		t.Fatalf("plain cell scrape = %v (err %v)", plain.Scrape, err)
-	}
-}
-
-// Compare flags only cells that regressed past the threshold and
-// ignores cells missing from the baseline.
-func TestCompare(t *testing.T) {
-	cell := func(kernel string, clients int, ops float64) Result {
-		return Result{Kernel: kernel, Clients: clients, Depth: 1, Shards: 1, OpsPerSec: ops}
-	}
-	baseline := &File{Runs: []Result{
-		cell("virtual", 1, 1000),
-		cell("virtual", 4, 2000),
-	}}
-	current := &File{Runs: []Result{
-		cell("virtual", 1, 800),  // -20%: within threshold
-		cell("virtual", 4, 1400), // -30%: regression
-		cell("real", 4, 1),       // not in baseline: ignored
-	}}
-	regs := Compare(current, baseline, 0.25)
-	if len(regs) != 1 {
-		t.Fatalf("regressions = %v", regs)
-	}
-	if regs[0].Key != (cell("virtual", 4, 0)).Key() {
-		t.Fatalf("wrong cell flagged: %v", regs[0])
-	}
-	if got := regs[0].String(); got == "" {
-		t.Fatal("empty regression description")
+	cfg.Placement, cfg.Degrade = "mirrored", true
+	if _, err := RunReal(t.TempDir(), cfg); err == nil {
+		t.Fatal("RunReal ran a degraded cell")
 	}
 }
 
 // The JSON file round-trips.
 func TestFileRoundTrip(t *testing.T) {
-	f := &File{Bench: 3, GOMAXPROCS: 2, Note: "test", Runs: []Result{{Kernel: "virtual", Clients: 1, OpsPerSec: 42}}}
+	f := &File{Bench: 3, Runs: []Result{{Kernel: "virtual", Clients: 1, OpsPerSec: 42}}}
 	data, err := f.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
-	if err != nil {
+	var got File
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Bench != 3 || len(got.Runs) != 1 || got.Runs[0].OpsPerSec != 42 {

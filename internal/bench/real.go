@@ -17,29 +17,26 @@ import (
 
 // RunReal drives the real instantiation: a pfs server (fresh image
 // under dir) behind its NFS front-end on a loopback TCP port,
-// hammered by cfg.Clients pipelined connections with cfg.Depth
-// calls in flight each. Returns the measured cell.
+// hammered by cfg.Clients connections. It runs the healthy and the
+// supervised-repair (SelfHeal) cells; the degraded and rebuilding
+// cells are deterministic and run on the virtual kernel (RunSim).
+// Returns the measured cell.
 func RunReal(dir string, cfg Config) (Result, error) {
 	cfg.fill()
-	tag := ""
-	if cfg.Workload != "" {
-		tag += "-" + cfg.Workload
+	if cfg.Degrade {
+		return Result{}, fmt.Errorf("bench: degraded and rebuilding cells run on the virtual kernel")
 	}
+	tag := placementTag(cfg)
 	if cfg.SelfHeal {
 		tag += "-selfheal"
 	}
-	img := filepath.Join(dir, fmt.Sprintf("bench-c%d-s%d-p%d-ra%d-cl%d%s%s.img",
-		cfg.Clients, cfg.Shards, cfg.Pipeline, cfg.Readahead, cfg.Cluster, placementTag(cfg), tag))
+	img := filepath.Join(dir, fmt.Sprintf("bench-c%d%s.img", cfg.Clients, tag))
 	pcfg := pfs.Config{
-		Path:             img,
-		Blocks:           8192, // 32 MB image (per member on an array)
-		CacheBlocks:      cfg.CacheBlocks,
-		CacheShards:      cfg.Shards,
-		Pipeline:         cfg.Pipeline,
-		ReadaheadBlocks:  cfg.Readahead,
-		ClusterRunBlocks: cfg.Cluster,
-		Flush:            cache.UPS(),
-		Seed:             cfg.Seed,
+		Path:        img,
+		Blocks:      8192, // 32 MB image (per member on an array)
+		CacheBlocks: cfg.CacheBlocks,
+		Flush:       cache.UPS(),
+		Seed:        cfg.Seed,
 	}
 	if cfg.Placement != "" {
 		pcfg.Volumes = cfg.Width
@@ -116,32 +113,15 @@ func RunReal(dir string, cfg Config) (Result, error) {
 	if err := srv.Sync(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Degrade {
-		// The member dies after the prefill: the measurement runs
-		// entirely against the degraded serving paths.
-		if err := srv.KillMember(cfg.DegradeMember); err != nil {
-			return Result{}, err
-		}
-	}
 	base := cacheCounters(srv.Cache.CacheStats())
 	baseVol := volumeCounters(srv.AllDrivers())
 	baseStaged := srv.StagedCopyBytes()
-	var adminAddr string
-	var baseScrape map[string]float64
-	if cfg.Scrape {
-		if adminAddr, err = srv.ServeAdmin("127.0.0.1:0"); err != nil {
-			return Result{}, err
-		}
-		if baseScrape, err = scrapeMetrics(adminAddr); err != nil {
-			return Result{}, err
-		}
-	}
 
-	// Closed loop: every client connection keeps Depth calls in
-	// flight; each worker owns a deterministic operation stream.
+	// Closed loop: every client connection owns a deterministic
+	// operation stream and keeps one call in flight.
 	lat := stats.NewLatencyDist("bench")
 	var wg sync.WaitGroup
-	errc := make(chan error, cfg.Clients*cfg.Depth)
+	errc := make(chan error, cfg.Clients)
 	clients := make([]*nfs.Client, cfg.Clients)
 	for i := range clients {
 		if cfg.SelfHeal {
@@ -149,10 +129,10 @@ func RunReal(dir string, cfg Config) (Result, error) {
 			// retry transport, the way a deployment serving through a
 			// member death would.
 			clients[i], err = nfs.DialRetry(addr, nfs.RetryConfig{
-				Attempts: 6, Window: cfg.Depth, Seed: cfg.Seed + int64(i) + 1,
+				Attempts: 6, Window: 1, Seed: cfg.Seed + int64(i) + 1,
 			})
 		} else {
-			clients[i], err = nfs.DialPipeline(addr, cfg.Depth)
+			clients[i], err = nfs.DialPipeline(addr, 1)
 		}
 		if err != nil {
 			return Result{}, err
@@ -168,55 +148,32 @@ func RunReal(dir string, cfg Config) (Result, error) {
 			srv.Fault.Kill(cfg.DegradeMember)
 		}()
 	}
-	var rebuildDur time.Duration
-	rebuildErr := make(chan error, 1)
-	if cfg.Rebuild {
-		// The online rebuild competes with the client load; the cell
-		// measures serving throughput while the copy runs.
-		go func() {
-			t0 := time.Now()
-			err := srv.RebuildMember(cfg.DegradeMember)
-			rebuildDur = time.Since(t0)
-			rebuildErr <- err
-		}()
-	}
-	var totalOps int64
 	for ci := 0; ci < cfg.Clients; ci++ {
-		for w := 0; w < cfg.Depth; w++ {
-			cl := clients[ci]
-			gen := newOpGen(&cfg, ci*cfg.Depth+w)
-			ops := cfg.Ops / cfg.Depth
-			if w < cfg.Ops%cfg.Depth {
-				ops++
+		cl := clients[ci]
+		gen := newOpGen(&cfg, ci)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, cfg.IOBytes)
+			for i := range buf {
+				buf[i] = byte(i)
 			}
-			totalOps += int64(ops)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, cfg.IOBytes)
-				for i := range buf {
-					buf[i] = byte(i)
+			for i := 0; i < cfg.Ops; i++ {
+				o := gen.next()
+				t0 := time.Now()
+				var err error
+				if o.read {
+					_, err = cl.Read(fhs[o.file], o.off, o.n)
+				} else {
+					_, err = cl.Write(fhs[o.file], o.off, buf[:o.n])
 				}
-				for i := 0; i < ops; i++ {
-					o := gen.next()
-					t0 := time.Now()
-					var err error
-					if o.read {
-						_, err = cl.Read(fhs[o.file], o.off, o.n)
-					} else {
-						_, err = cl.Write(fhs[o.file], o.off, buf[:o.n])
-					}
-					if err != nil {
-						errc <- err
-						return
-					}
-					lat.Observe(time.Since(t0))
-					if cfg.Think > 0 {
-						time.Sleep(cfg.Think)
-					}
+				if err != nil {
+					errc <- err
+					return
 				}
-			}()
-		}
+				lat.Observe(time.Since(t0))
+			}
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -224,11 +181,6 @@ func RunReal(dir string, cfg Config) (Result, error) {
 	case err := <-errc:
 		return Result{}, fmt.Errorf("bench: client op: %w", err)
 	default:
-	}
-	if cfg.Rebuild {
-		if err := <-rebuildErr; err != nil {
-			return Result{}, fmt.Errorf("bench: rebuild: %w", err)
-		}
 	}
 	var healEv pfs.HealEvent
 	if cfg.SelfHeal {
@@ -253,16 +205,13 @@ func RunReal(dir string, cfg Config) (Result, error) {
 		}
 	}
 
-	pipeline := cfg.Pipeline
-	if pipeline == 0 {
-		pipeline = nfs.DefaultPipeline
-	}
+	totalOps := int64(cfg.Clients) * int64(cfg.Ops)
 	res := Result{
 		Kernel:          "real",
 		Clients:         cfg.Clients,
-		Depth:           cfg.Depth,
+		Depth:           1,
 		Shards:          srv.Cache.Shards(),
-		Pipeline:        pipeline,
+		Pipeline:        nfs.DefaultPipeline,
 		Readahead:       srv.FS.Readahead(),
 		Cluster:         srv.ClusterRun(),
 		Ops:             totalOps,
@@ -270,16 +219,10 @@ func RunReal(dir string, cfg Config) (Result, error) {
 		OpsPerSec:       float64(totalOps) / wall.Seconds(),
 		MBPerSec:        float64(totalOps) * float64(cfg.IOBytes) / (1 << 20) / wall.Seconds(),
 		StagedCopyBytes: srv.StagedCopyBytes() - baseStaged,
-		Workload:        cfg.Workload,
 		Cache:           cacheCounters(srv.Cache.CacheStats()).sub(base),
 		Volume:          volumeCounters(srv.AllDrivers()).sub(baseVol),
-	}
-	if cfg.Placement != "" {
-		res.Placement = cfg.Placement
-		res.Width = cfg.Width
-		res.Degraded = cfg.Degrade
-		res.Rebuild = cfg.Rebuild
-		res.RebuildMS = float64(rebuildDur) / float64(time.Millisecond)
+		Placement:       cfg.Placement,
+		Width:           cfg.Width,
 	}
 	if cfg.SelfHeal {
 		res.SelfHeal = true
@@ -287,13 +230,6 @@ func RunReal(dir string, cfg Config) (Result, error) {
 		res.MTTRMS = healEv.MTTRMS
 	}
 	res.MeanMS, res.P50MS, res.P95MS, res.P99MS = quantilesMS(lat)
-	if cfg.Scrape {
-		after, err := scrapeMetrics(adminAddr)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Scrape = scrapeDelta(baseScrape, after)
-	}
 	done = true
 	return res, srv.Shutdown()
 }

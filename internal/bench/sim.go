@@ -16,9 +16,10 @@ import (
 // kernel: cfg.Clients closed-loop client tasks against one
 // simulated disk stack. Throughput is ops per simulated second —
 // deterministic per seed and machine-independent, which is what the
-// committed CI baseline pins. Depth and Pipeline do not apply (no
-// network; VKernel concurrency is per task) and are reported as 1
-// and 0.
+// serving study pins (bench_baseline.json). The simulated stack
+// runs one cache shard and no clustering; depth and pipeline do not
+// apply (no network; VKernel concurrency is per task) and are
+// reported as 1 and 0.
 func RunSim(cfg Config) (Result, error) {
 	cfg.fill()
 	if cfg.SelfHeal {
@@ -26,26 +27,20 @@ func RunSim(cfg Config) (Result, error) {
 		// timers, fault seam) lives on the real kernel only.
 		return Result{}, fmt.Errorf("bench: SelfHeal cells require the real kernel")
 	}
-	cluster := cfg.Cluster
-	if cluster < 2 {
-		cluster = 0 // virtual default: clustering off (0 and -1 alike)
-	}
 	pcfg := patsy.Config{
-		Seed:             cfg.Seed,
-		Buses:            1,
-		DisksPerBus:      []int{1},
-		Volumes:          1,
-		DiskModel:        "hp97560",
-		QueueSched:       "clook",
-		CacheBlocks:      cfg.CacheBlocks,
-		Replace:          "lru",
-		Flush:            cache.UPS(),
-		SegBlocks:        128,
-		Cleaner:          "cost-benefit",
-		Layout:           "lfs",
-		CacheShards:      cfg.Shards,
-		ReadaheadBlocks:  cfg.Readahead,
-		ClusterRunBlocks: cluster,
+		Seed:            cfg.Seed,
+		Buses:           1,
+		DisksPerBus:     []int{1},
+		Volumes:         1,
+		DiskModel:       "hp97560",
+		QueueSched:      "clook",
+		CacheBlocks:     cfg.CacheBlocks,
+		Replace:         "lru",
+		Flush:           cache.UPS(),
+		SegBlocks:       128,
+		Cleaner:         "cost-benefit",
+		Layout:          "lfs",
+		ReadaheadBlocks: cfg.Readahead,
 	}
 	if cfg.Placement != "" {
 		// Redundant cell: one disk stack per array member.
@@ -171,10 +166,6 @@ func RunSim(cfg Config) (Result, error) {
 		return Result{}, runErr
 	}
 	totalOps := int64(cfg.Clients) * int64(cfg.Ops)
-	resCluster := cluster
-	if resCluster < 1 {
-		resCluster = 1
-	}
 	res := Result{
 		Kernel:    "virtual",
 		Clients:   cfg.Clients,
@@ -182,12 +173,11 @@ func RunSim(cfg Config) (Result, error) {
 		Shards:    sys.Cache.Shards(),
 		Pipeline:  0,
 		Readahead: sys.FS.Readahead(),
-		Cluster:   resCluster,
+		Cluster:   1,
 		Ops:       totalOps,
 		SimMS:     float64(simDur) / float64(time.Millisecond),
 		OpsPerSec: float64(totalOps) / simDur.Seconds(),
 		MBPerSec:  float64(totalOps) * float64(cfg.IOBytes) / (1 << 20) / simDur.Seconds(),
-		Workload:  cfg.Workload,
 		Cache:     cacheCounters(sys.Cache.CacheStats()).sub(base),
 		Volume:    volumeCounters(sys.Drivers).sub(baseVol),
 	}

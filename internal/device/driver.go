@@ -168,7 +168,9 @@ type driver struct {
 	work    sched.Event
 	headLBA int64
 	st      *DriverStats
-	closed  bool
+	// closed, set by Close, lets the worker exit once its queue is
+	// empty.
+	closed atomic.Bool
 
 	// ijMu guards the injector pointer with a plain mutex: harnesses
 	// install and clear plans from outside any kernel task.
@@ -209,9 +211,11 @@ func (d *driver) injector() Interceptor {
 	return d.ij
 }
 
-// Close releases the backing resources of back-ends that hold any
-// (the image file); in-memory and simulated back-ends are no-ops.
+// Close stops the worker once its queue drains and releases the
+// backing resources of back-ends that hold any (the image file).
 func (d *driver) Close() error {
+	d.closed.Store(true)
+	d.work.Signal()
 	if c, ok := d.be.(io.Closer); ok {
 		return c.Close()
 	}
@@ -306,6 +310,9 @@ func (d *driver) workerLoop(t sched.Task) {
 		r := d.queue.Pop(d.headLBA)
 		d.mu.Unlock(t)
 		if r == nil {
+			if d.closed.Load() {
+				return
+			}
 			continue
 		}
 		r.Started = d.k.Now()

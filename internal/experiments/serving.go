@@ -8,28 +8,35 @@ import (
 	"repro/internal/bench"
 )
 
-// This file is the hot-path serving study: the before/after
-// microbenchmark for the PR-3 optimizations, run on the same
-// internal/bench harness the CI perf gate uses.
+// This file is the serving study: the closed-loop serving workload of
+// internal/bench on the virtual kernel, where every cell is
+// deterministic (ops per simulated second) and so can be pinned byte
+// for byte, like the degraded study's BENCH_8.json. Two parts:
 //
-// Two axes, matched to where each optimization can show up:
+//   - Streaming: one client reads a file front to back with think
+//     time between requests, readahead off vs on. Readahead turns
+//     cold sequential misses into cache hits by working ahead into
+//     the disk's idle time.
 //
-//   - Streaming (virtual kernel, deterministic): one client reads a
-//     file front to back with think time between requests, readahead
-//     off vs on. Readahead turns cold sequential misses into cache
-//     hits by working ahead into the disk's idle time.
+//   - Baseline (bench_baseline.json): the classic 80/20 mix at 1 and
+//     4 clients, plus mirrored and parity arrays healthy and with a
+//     dead member at 4 clients. A change to the serving, degraded
+//     read or parity write paths changes these bytes.
 //
-//   - Contention (real kernel, this machine): N closed-loop client
-//     connections hammer the server with the classic engine
-//     (1 cache shard, no NFS pipelining, no readahead) vs the
-//     default engine (8 shards, window-8 pipelining, readahead 8).
-//     The win needs real parallelism, so it scales with cores — on
-//     a single-core host the two land close together.
+// The real server's serving numbers are the benchmark/ harness's.
 
 // ServingRow is one study cell.
 type ServingRow struct {
 	Name string
 	Res  bench.Result
+}
+
+// ServingStudy is the measured study.
+type ServingStudy struct {
+	// Stream is the readahead before/after pair.
+	Stream []ServingRow
+	// Baseline holds the pinned cells, in bench_baseline.json order.
+	Baseline []ServingRow
 }
 
 // streamCell is the streaming workload: cold sequential reads with
@@ -49,55 +56,66 @@ func streamCell(ra int) bench.Config {
 	}
 }
 
-// RunServingStudy measures both axes. dir holds the real-kernel
-// image files; realClients picks the contention cells (nil = {4}).
-func RunServingStudy(dir string, realClients []int) ([]ServingRow, error) {
-	if len(realClients) == 0 {
-		realClients = []int{4}
+// RunServingStudy measures both parts. Deterministic.
+func RunServingStudy() (*ServingStudy, error) {
+	st := &ServingStudy{}
+	run := func(rows *[]ServingRow, name string, cfg bench.Config) error {
+		res, err := bench.RunSim(cfg)
+		if err != nil {
+			return fmt.Errorf("serving study %s: %w", name, err)
+		}
+		*rows = append(*rows, ServingRow{Name: name, Res: res})
+		return nil
 	}
-	var rows []ServingRow
-
-	before, err := bench.RunSim(streamCell(-1))
-	if err != nil {
+	if err := run(&st.Stream, "stream, readahead off", streamCell(-1)); err != nil {
 		return nil, err
 	}
-	rows = append(rows, ServingRow{Name: "virtual stream, readahead off", Res: before})
-	after, err := bench.RunSim(streamCell(8))
-	if err != nil {
+	if err := run(&st.Stream, "stream, readahead 8", streamCell(8)); err != nil {
 		return nil, err
 	}
-	rows = append(rows, ServingRow{Name: "virtual stream, readahead 8", Res: after})
-
-	for _, c := range realClients {
-		classic := bench.Quick(c)
-		classic.Shards, classic.Pipeline, classic.Readahead = 1, 1, -1
-		res, err := bench.RunReal(dir, classic)
-		if err != nil {
+	for _, c := range []int{1, 4} {
+		if err := run(&st.Baseline, fmt.Sprintf("%d clients", c), bench.Quick(c)); err != nil {
 			return nil, err
 		}
-		rows = append(rows, ServingRow{Name: fmt.Sprintf("real %d clients, classic engine", c), Res: res})
-
-		tuned := bench.Quick(c)
-		res, err = bench.RunReal(dir, tuned)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ServingRow{Name: fmt.Sprintf("real %d clients, sharded+pipelined", c), Res: res})
 	}
-	return rows, nil
+	for _, pl := range []string{"mirrored", "parity"} {
+		for _, degr := range []bool{false, true} {
+			cfg := bench.Quick(4)
+			cfg.Placement, cfg.Degrade, cfg.DegradeMember = pl, degr, 1
+			name := fmt.Sprintf("4 clients, %s healthy", pl)
+			if degr {
+				name = fmt.Sprintf("4 clients, %s degraded", pl)
+			}
+			if err := run(&st.Baseline, name, cfg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return st, nil
+}
+
+// ServingBaselineJSON is the committed-artifact form of the pinned
+// cells (bench_baseline.json).
+func ServingBaselineJSON(st *ServingStudy) ([]byte, error) {
+	f := &bench.File{Bench: 3}
+	for _, r := range st.Baseline {
+		f.Runs = append(f.Runs, r.Res)
+	}
+	return f.Encode()
 }
 
 // ServingTable renders the study.
-func ServingTable(rows []ServingRow) string {
+func ServingTable(st *ServingStudy) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Hot-path serving study: sharded cache, pipelined NFS, readahead\n")
-	fmt.Fprintf(&b, "(virtual cells are deterministic ops per simulated second; real cells measure this machine)\n\n")
+	fmt.Fprintf(&b, "Serving study (virtual kernel, ops per simulated second)\n\n")
 	fmt.Fprintf(&b, "%-36s %12s %9s %9s %9s %7s %9s\n",
 		"cell", "ops/sec", "p50 ms", "p95 ms", "p99 ms", "hit", "ra fills")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-36s %12.1f %9.2f %9.2f %9.2f %6.1f%% %9d\n",
-			r.Name, r.Res.OpsPerSec, r.Res.P50MS, r.Res.P95MS, r.Res.P99MS,
-			100*r.Res.Cache.HitRate, r.Res.Cache.ReadaheadFills)
+	for _, rows := range [][]ServingRow{st.Stream, st.Baseline} {
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%-36s %12.1f %9.2f %9.2f %9.2f %6.1f%% %9d\n",
+				r.Name, r.Res.OpsPerSec, r.Res.P50MS, r.Res.P95MS, r.Res.P99MS,
+				100*r.Res.Cache.HitRate, r.Res.Cache.ReadaheadFills)
+		}
 	}
 	return b.String()
 }

@@ -32,12 +32,17 @@ func TestServingStudyVirtualCells(t *testing.T) {
 }
 
 func TestServingTableRenders(t *testing.T) {
-	rows := []ServingRow{
-		{Name: "virtual stream, readahead off", Res: bench.Result{Kernel: "virtual", OpsPerSec: 13.2, P50MS: 15.2}},
-		{Name: "virtual stream, readahead 8", Res: bench.Result{Kernel: "virtual", OpsPerSec: 16.5, P50MS: 0.2}},
+	st := &ServingStudy{
+		Stream: []ServingRow{
+			{Name: "stream, readahead off", Res: bench.Result{Kernel: "virtual", OpsPerSec: 13.2, P50MS: 15.2}},
+			{Name: "stream, readahead 8", Res: bench.Result{Kernel: "virtual", OpsPerSec: 16.5, P50MS: 0.2}},
+		},
+		Baseline: []ServingRow{
+			{Name: "4 clients, parity degraded", Res: bench.Result{Kernel: "virtual", OpsPerSec: 200}},
+		},
 	}
-	out := ServingTable(rows)
-	if !strings.Contains(out, "readahead off") || !strings.Contains(out, "ops/sec") {
+	out := ServingTable(st)
+	if !strings.Contains(out, "readahead off") || !strings.Contains(out, "parity degraded") || !strings.Contains(out, "ops/sec") {
 		t.Fatalf("table missing content:\n%s", out)
 	}
 }

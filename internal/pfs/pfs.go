@@ -54,12 +54,6 @@ type Config struct {
 	// stop convoying on one mutex: 0 = the default (8), 1 = the
 	// classic single-lock cache, negative is invalid.
 	CacheShards int
-	// Pipeline is the per-connection NFS window (decode-ahead
-	// depth): 0 = nfs.DefaultPipeline, 1 = no pipelining.
-	Pipeline int
-	// ReadaheadBlocks is the sequential-read readahead window:
-	// 0 = the default (8), negative = disabled.
-	ReadaheadBlocks int
 	// ClusterRunBlocks caps clustered multi-block transfers — the
 	// run size a single device request may carry on the data paths
 	// (cache flush writes, readahead fills, LFS roll-forward):
@@ -124,15 +118,9 @@ type Config struct {
 	// HealthInterval paces the supervisor's evidence sampling
 	// (0 = 25ms).
 	HealthInterval time.Duration
-	// Health tunes the monitor's hysteresis state machine.
-	Health health.Config
 	// LatencySLO, when positive, counts device completions slower
 	// than this as health evidence (suspect/probation, never death).
 	LatencySLO time.Duration
-	// RebuildBatchDelay throttles online rebuilds: the copy task
-	// pauses this long after each batch, yielding the members to
-	// foreground traffic (0 = full speed).
-	RebuildBatchDelay time.Duration
 }
 
 // Server is a running PFS.
@@ -158,11 +146,10 @@ type Server struct {
 	// (nil unless Config.SelfHeal).
 	Monitor *health.Monitor
 
-	cfg      Config
-	pipeline int
-	cluster  int
-	net      *nfs.Server
-	admin    *telemetry.Server
+	cfg     Config
+	cluster int
+	net     *nfs.Server
+	admin   *telemetry.Server
 
 	// drvMu guards Drivers, spareDrvs and retired against a
 	// concurrent rebuild/promotion swapping in a replacement driver.
@@ -317,9 +304,6 @@ func Open(cfg Config) (*Server, error) {
 		spareDrvs = append(spareDrvs, drv)
 		built = append(built, drv)
 	}
-	if cfg.RebuildBatchDelay > 0 {
-		lay.SetRebuildBudget(cfg.RebuildBatchDelay)
-	}
 	if cfg.LatencySLO > 0 {
 		for _, drv := range drvs {
 			drv.DriverStats().SetLatencySLO(cfg.LatencySLO)
@@ -328,9 +312,6 @@ func Open(cfg Config) (*Server, error) {
 
 	if cfg.CacheShards == 0 {
 		cfg.CacheShards = 8
-	}
-	if cfg.ReadaheadBlocks == 0 {
-		cfg.ReadaheadBlocks = 8
 	}
 	if cfg.ClusterRunBlocks == 0 {
 		cfg.ClusterRunBlocks = layout.DefaultClusterRun
@@ -356,15 +337,13 @@ func Open(cfg Config) (*Server, error) {
 	}, store)
 	fs := fsys.New(k, c, core.RealMover{})
 	store.Bind(fs)
-	if cfg.ReadaheadBlocks > 0 {
-		fs.SetReadahead(cfg.ReadaheadBlocks)
-	}
+	fs.SetReadahead(8) // sequential readahead window, in blocks
 	c.Start()
 
 	tr := telemetry.NewTracer(k, cfg.SlowOpThreshold)
 	fs.SetTracer(tr)
 
-	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Set: stats.NewSet(), Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, pipeline: cfg.Pipeline, cluster: cfg.ClusterRunBlocks}
+	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Set: stats.NewSet(), Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, cluster: cfg.ClusterRunBlocks}
 	if plan != nil {
 		// The instant the cut trips, the cache stops issuing flushes:
 		// a dead machine writes nothing more.
@@ -517,7 +496,7 @@ func isFresh(path string) (bool, error) {
 // ServeNFS exposes the volume over the network protocol; addr
 // "127.0.0.1:0" picks a free port. Returns the bound address.
 func (s *Server) ServeNFS(addr string) (string, error) {
-	srv, err := nfs.ServeOpts(s.K, s.FS, addr, nfs.Options{Pipeline: s.pipeline, Tracer: s.Tracer})
+	srv, err := nfs.ServeOpts(s.K, s.FS, addr, nfs.Options{Tracer: s.Tracer})
 	if err != nil {
 		return "", err
 	}

@@ -510,3 +510,48 @@ func TestCloseStopsCacheFlushers(t *testing.T) {
 		t.Fatalf("%d flusher goroutines left after Close, want %d", n, before)
 	}
 }
+
+// Close releases every goroutine the server started, device workers
+// included: open/serve/close cycles on a single volume and on a
+// parity array with a hot spare leave the goroutine count where it
+// started.
+func TestCloseReleasesGoroutines(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"width1", Config{Blocks: 2048, CacheBlocks: 128}},
+		{"parity3-spare", Config{Blocks: 2048, CacheBlocks: 128, Volumes: 3, Placement: "parity", Spares: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 5; i++ {
+				cfg := c.cfg
+				cfg.Path = filepath.Join(t.TempDir(), "pfs.img")
+				srv, err := Open(cfg)
+				if err != nil {
+					t.Fatalf("cycle %d: Open: %v", i, err)
+				}
+				if _, err := srv.ServeNFS("127.0.0.1:0"); err != nil {
+					t.Fatalf("cycle %d: ServeNFS: %v", i, err)
+				}
+				if err := srv.Close(); err != nil {
+					t.Fatalf("cycle %d: Close: %v", i, err)
+				}
+			}
+			if n := settleGoroutines(before); n > before {
+				t.Fatalf("%d goroutines after 5 open/close cycles, %d before", n, before)
+			}
+		})
+	}
+}
+
+// settleGoroutines polls runtime.NumGoroutine until it is back to
+// want (or 5s pass): an exiting goroutine may still be returning.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}

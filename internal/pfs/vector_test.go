@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -135,7 +136,97 @@ func TestVectoredColdStreamZeroStagedCopies(t *testing.T) {
 			if r, _ := vecDriverCounts(srv2); r == 0 {
 				t.Error("no vectored read requests reached the devices")
 			}
+
+			// Concurrent pipelined clients overwrite random block-aligned
+			// runs: the flushes that carry them must gather from frames
+			// too.
+			burstOverwrites(t, srv2, addr)
+			if got := srv2.StagedCopyBytes(); got != 0 {
+				t.Errorf("random overwrites staged %d bytes through flat buffers, want 0", got)
+			}
 		})
+	}
+}
+
+// burstOverwrites prefills a file twice the cache, then has 4
+// pipelined clients with 2 calls in flight each overwrite random
+// 16 KB block-aligned runs of it. Each caller owns every 8th run, so
+// the final contents are known; after a sync the whole file must read
+// back.
+func burstOverwrites(t *testing.T, srv *Server, addr string) {
+	t.Helper()
+	const (
+		clients, depth = 4, 2
+		callers        = clients * depth
+		runBytes       = 4 * core.BlockSize
+		runs           = 64
+		opsPerCaller   = 32
+	)
+	want := make([]byte, runs*runBytes)
+	setup, err := nfs.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer setup.Close()
+	root, _, err := setup.Mount(1)
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	fh, _, err := setup.Create(root, "burst")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for off := 0; off < len(want); off += runBytes {
+		if _, err := setup.Write(fh, int64(off), want[off:off+runBytes]); err != nil {
+			t.Fatalf("prefill at %d: %v", off, err)
+		}
+	}
+	_, vecWrites := vecDriverCounts(srv)
+	var wg sync.WaitGroup
+	errc := make(chan error, callers)
+	for c := 0; c < clients; c++ {
+		cl, err := nfs.DialPipeline(addr, depth)
+		if err != nil {
+			t.Fatalf("dial pipeline: %v", err)
+		}
+		defer cl.Close()
+		for w := 0; w < depth; w++ {
+			caller := c*depth + w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(caller)))
+				for i := 0; i < opsPerCaller; i++ {
+					off := (caller + callers*rng.Intn(runs/callers)) * runBytes
+					data := want[off : off+runBytes]
+					rng.Read(data)
+					if _, err := cl.Write(fh, int64(off), data); err != nil {
+						errc <- fmt.Errorf("caller %d: write at %d: %w", caller, off, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if err := srv.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if _, w := vecDriverCounts(srv); w == vecWrites {
+		t.Error("the overwrites reached the devices without a vectored write")
+	}
+	for off := 0; off < len(want); off += runBytes {
+		got, err := setup.Read(fh, int64(off), runBytes)
+		if err != nil {
+			t.Fatalf("read back at %d: %v", off, err)
+		}
+		if !bytes.Equal(got, want[off:off+runBytes]) {
+			t.Fatalf("read back at %d: run came back wrong", off)
+		}
 	}
 }
 
