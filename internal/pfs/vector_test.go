@@ -136,12 +136,35 @@ func TestVectoredColdStreamZeroStagedCopies(t *testing.T) {
 			if r, _ := vecDriverCounts(srv2); r == 0 {
 				t.Error("no vectored read requests reached the devices")
 			}
+		})
+	}
+}
 
-			// Concurrent pipelined clients overwrite random block-aligned
-			// runs: the flushes that carry them must gather from frames
-			// too.
-			burstOverwrites(t, srv2, addr)
-			if got := srv2.StagedCopyBytes(); got != 0 {
+// TestPipelinedOverwritesZeroStagedCopies extends the zero-copy claim
+// to concurrent pipelined clients overwriting random block-aligned
+// runs: the flushes that carry them must gather from frames too, and
+// every run must read back.
+func TestPipelinedOverwritesZeroStagedCopies(t *testing.T) {
+	for _, lay := range []string{"lfs", "ffs"} {
+		t.Run(lay, func(t *testing.T) {
+			srv, err := Open(Config{
+				Path:        filepath.Join(t.TempDir(), "burst.img"),
+				Blocks:      4096,
+				CacheBlocks: 128,
+				Layout:      lay,
+				Seed:        11,
+				Flush:       cache.NVRAMWhole(24),
+			})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer srv.Close()
+			addr, err := srv.ServeNFS("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			burstOverwrites(t, srv, addr)
+			if got := srv.StagedCopyBytes(); got != 0 {
 				t.Errorf("random overwrites staged %d bytes through flat buffers, want 0", got)
 			}
 		})
