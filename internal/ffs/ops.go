@@ -39,7 +39,7 @@ func (f *FFS) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, error)
 	ino := &layout.Inode{
 		ID:    id,
 		Type:  typ,
-		Nlink: 1,
+		Nlink: layout.BirthLinks(typ),
 		// The generation number: FFS reuses freed inode numbers, so a
 		// fresh Version is what distinguishes the new file from stale
 		// handles (NFS) naming the old one.

@@ -3,7 +3,6 @@ package fsys
 import (
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sched"
 )
@@ -12,6 +11,8 @@ import (
 // handles name (volume, inode) pairs, so the server resolves against
 // inode numbers rather than paths, the way the paper's NFS component
 // dispatches incoming requests onto the abstract client interface.
+// Each resolves its directory by number and then runs the same
+// namespace core as its path twin.
 
 // OpenByID opens a file by inode number.
 func (v *Volume) OpenByID(t sched.Task, id core.FileID) (*Handle, error) {
@@ -64,81 +65,55 @@ func (v *Volume) CreateIn(t sched.Task, dir core.FileID, name string, typ core.F
 	v.mu.Lock(t)
 	defer v.mu.Unlock(t)
 	d, err := v.dirLocked(t, dir)
+	var f *File
+	if err == nil {
+		f, err = v.create(t, d, name, typ, nil)
+	}
 	if err != nil {
-		return FileAttr{}, err
-	}
-	if len(name) > core.MaxNameLen {
-		return FileAttr{}, core.ErrNameTooLon
-	}
-	if _, exists := d.entries[name]; exists {
-		return FileAttr{}, core.ErrExists
-	}
-	ino, err := v.lay.AllocInode(t, typ)
-	if err != nil {
-		return FileAttr{}, err
-	}
-	f := v.instantiate(ino)
-	v.files[ino.ID] = f
-	d.entries[name] = ino.ID
-	if typ == core.TypeDirectory {
-		v.mutateIno(t, d.ino, func() { d.ino.Nlink++ })
-		v.mutateIno(t, ino, func() { ino.Nlink = 2 })
-		if err := v.lay.UpdateInode(t, d.ino); err != nil {
-			return FileAttr{}, err
-		}
-	}
-	if err := v.writeDir(t, d); err != nil {
 		return FileAttr{}, err
 	}
 	v.fs.st.Creates.Inc()
-	v.logIntent(t, cache.Intent{
-		Op: cache.IntentCreate, File: ino.ID, Gen: ino.Version,
-		Parent: d.ino.ID, Name: name, Type: typ,
-	})
-	return v.attrIno(t, ino), nil
+	return v.attrIno(t, f.ino), nil
 }
 
-// RemoveIn unlinks name from directory dir.
-func (v *Volume) RemoveIn(t sched.Task, dir core.FileID, name string) error {
+// SymlinkIn creates a symlink inside dir.
+func (v *Volume) SymlinkIn(t sched.Task, dir core.FileID, name, target string) (FileAttr, error) {
 	v.mu.Lock(t)
 	defer v.mu.Unlock(t)
 	d, err := v.dirLocked(t, dir)
+	var f *File
+	if err == nil {
+		f, err = v.symlink(t, d, name, target)
+	}
 	if err != nil {
-		return err
+		return FileAttr{}, err
 	}
-	id, ok := d.entries[name]
-	if !ok {
-		return core.ErrNotFound
+	v.fs.st.Creates.Inc()
+	return v.attrIno(t, f.ino), nil
+}
+
+// RemoveIn unlinks name, which must not be a directory, from
+// directory dir.
+func (v *Volume) RemoveIn(t sched.Task, dir core.FileID, name string) error {
+	return v.removeIn(t, dir, name, rmFile)
+}
+
+// RmdirIn removes the empty directory name from directory dir.
+func (v *Volume) RmdirIn(t sched.Task, dir core.FileID, name string) error {
+	return v.removeIn(t, dir, name, rmDir)
+}
+
+func (v *Volume) removeIn(t sched.Task, dir core.FileID, name string, kind rmKind) error {
+	v.mu.Lock(t)
+	defer v.mu.Unlock(t)
+	d, err := v.dirLocked(t, dir)
+	if err == nil {
+		err = v.remove(t, d, name, kind)
 	}
-	f, err := v.getLocked(t, id)
-	if err != nil {
-		return err
+	if err == nil {
+		v.fs.st.Removes.Inc()
 	}
-	if f.ino.Type == core.TypeDirectory {
-		if len(f.entries) != 0 {
-			return core.ErrNotEmpty
-		}
-		v.mutateIno(t, d.ino, func() { d.ino.Nlink-- })
-	}
-	delete(d.entries, name)
-	if err := v.writeDir(t, d); err != nil {
-		return err
-	}
-	v.fs.st.Removes.Inc()
-	v.logIntent(t, cache.Intent{
-		Op: cache.IntentRemove, File: id,
-		Parent: d.ino.ID, Name: name, Type: f.ino.Type,
-	})
-	v.mutateIno(t, f.ino, func() {
-		if f.ino.Nlink > 0 {
-			f.ino.Nlink--
-		}
-	})
-	if f.refs > 0 {
-		f.unlinked = true
-		return nil
-	}
-	return v.destroyLocked(t, f)
+	return err
 }
 
 // RenameIn moves fromName in fromDir to toName in toDir.
@@ -153,29 +128,7 @@ func (v *Volume) RenameIn(t sched.Task, fromDir core.FileID, fromName string, to
 	if err != nil {
 		return err
 	}
-	id, ok := fd.entries[fromName]
-	if !ok {
-		return core.ErrNotFound
-	}
-	if _, exists := td.entries[toName]; exists {
-		return core.ErrExists
-	}
-	delete(fd.entries, fromName)
-	td.entries[toName] = id
-	if err := v.writeDir(t, fd); err != nil {
-		return err
-	}
-	if td != fd {
-		if err := v.writeDir(t, td); err != nil {
-			return err
-		}
-	}
-	v.logIntent(t, cache.Intent{
-		Op: cache.IntentRename, File: id,
-		Parent: fd.ino.ID, Name: fromName,
-		Parent2: td.ino.ID, Name2: toName,
-	})
-	return nil
+	return v.rename(t, fd, fromName, td, toName)
 }
 
 // DirEntry is one readdir result.
@@ -188,9 +141,17 @@ type DirEntry struct {
 func (v *Volume) ReaddirByID(t sched.Task, dir core.FileID) ([]DirEntry, error) {
 	v.mu.Lock(t)
 	defer v.mu.Unlock(t)
-	d, err := v.dirLocked(t, dir)
+	d, err := v.getLocked(t, dir)
 	if err != nil {
 		return nil, err
+	}
+	return d.list()
+}
+
+// list returns a directory's entries sorted by name.
+func (d *File) list() ([]DirEntry, error) {
+	if d.ino.Type != core.TypeDirectory {
+		return nil, core.ErrNotDir
 	}
 	out := make([]DirEntry, 0, len(d.entries))
 	for name, id := range d.entries {
@@ -198,28 +159,6 @@ func (v *Volume) ReaddirByID(t sched.Task, dir core.FileID) ([]DirEntry, error) 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// SymlinkIn creates a symlink inside dir.
-func (v *Volume) SymlinkIn(t sched.Task, dir core.FileID, name, target string) (FileAttr, error) {
-	attr, err := v.CreateIn(t, dir, name, core.TypeSymlink)
-	if err != nil {
-		return attr, err
-	}
-	v.mu.Lock(t)
-	defer v.mu.Unlock(t)
-	f, err := v.getLocked(t, attr.ID)
-	if err != nil {
-		return attr, err
-	}
-	f.target = target
-	if err := v.writeSymlink(t, f); err != nil {
-		return attr, err
-	}
-	v.logIntent(t, cache.Intent{
-		Op: cache.IntentSymlink, File: f.ino.ID, Name2: target,
-	})
-	return v.attrIno(t, f.ino), nil
 }
 
 // ReadlinkByID returns a symlink's target by inode number.
@@ -230,6 +169,12 @@ func (v *Volume) ReadlinkByID(t sched.Task, id core.FileID) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return f.linkTarget()
+}
+
+// linkTarget returns a symlink's target; any other file is
+// core.ErrInval.
+func (f *File) linkTarget() (string, error) {
 	if f.ino.Type != core.TypeSymlink {
 		return "", core.ErrInval
 	}
@@ -248,22 +193,9 @@ func (v *Volume) SetSizeByID(t sched.Task, id core.FileID, size int64) (FileAttr
 	}
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
-	if f.ino.Type == core.TypeDirectory && size != f.ino.Size {
-		return FileAttr{}, core.ErrIsDir
+	if err := v.setSize(t, f, size); err != nil {
+		return FileAttr{}, err
 	}
-	if size < f.ino.Size {
-		if err := v.truncateLocked(t, f, size); err != nil {
-			return FileAttr{}, err
-		}
-	} else {
-		v.mutateIno(t, f.ino, func() { f.ino.Size = size })
-		if err := v.lay.UpdateInode(t, f.ino); err != nil {
-			return FileAttr{}, err
-		}
-	}
-	v.logIntent(t, cache.Intent{
-		Op: cache.IntentTruncate, File: f.ino.ID, Size: size,
-	})
 	return v.attrIno(t, f.ino), nil
 }
 

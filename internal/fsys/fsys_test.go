@@ -226,6 +226,73 @@ func TestRmdirSemantics(t *testing.T) {
 	})
 }
 
+// TestRenameRefusesCycle: a directory moved into itself or under its
+// own descendant would be cut off from the root (POSIX rename(2):
+// EINVAL). Accepted, the root listed nothing afterwards.
+func TestRenameRefusesCycle(t *testing.T) {
+	runBody(t, 15, cache.UPS(), func(tk sched.Task, r *rig) {
+		r.v.Mkdir(tk, "/a")
+		r.v.Mkdir(tk, "/a/b")
+		for _, to := range []string{"/a/b/a", "/a/a"} {
+			if err := r.v.Rename(tk, "/a", to); err != core.ErrInval {
+				t.Errorf("rename /a -> %s: %v, want ErrInval", to, err)
+			}
+		}
+		if names, err := r.v.Readdir(tk, "/"); err != nil || len(names) != 1 || names[0] != "a" {
+			t.Fatalf("root after refused renames: %v %v, want [a]", names, err)
+		}
+		if err := r.v.Rename(tk, "/a/b", "/b"); err != nil {
+			t.Fatalf("rename /a/b -> /b: %v", err)
+		}
+	})
+}
+
+// TestRenameMovesDirLinks: a directory that changes parent takes its
+// ".." link along — the old parent loses one, the new one gains one.
+func TestRenameMovesDirLinks(t *testing.T) {
+	runBody(t, 16, cache.UPS(), func(tk sched.Task, r *rig) {
+		for _, d := range []string{"/p", "/q", "/p/m"} {
+			if err := r.v.Mkdir(tk, d); err != nil {
+				t.Fatalf("mkdir %s: %v", d, err)
+			}
+		}
+		if err := r.v.Rename(tk, "/p/m", "/q/m"); err != nil {
+			t.Fatalf("Rename: %v", err)
+		}
+		for path, want := range map[string]uint32{"/p": 2, "/q": 3, "/q/m": 2, "/": 4} {
+			if st, err := r.v.Stat(tk, path); err != nil || st.Nlink != want {
+				t.Errorf("%s: nlink %d (%v), want %d", path, st.Nlink, err, want)
+			}
+		}
+	})
+}
+
+// TestTruncateRefusesDirectory: a directory's size is its entry
+// list's, so a path Truncate of one is core.ErrIsDir, as SetSizeByID
+// is. Accepted, it cut the entry image and the entries went with it.
+func TestTruncateRefusesDirectory(t *testing.T) {
+	runBody(t, 17, cache.UPS(), func(tk sched.Task, r *rig) {
+		r.v.Mkdir(tk, "/d")
+		h, _ := r.v.Create(tk, "/d/f", core.TypeRegular)
+		r.v.Close(tk, h)
+		d, err := r.v.Open(tk, "/d")
+		if err != nil {
+			t.Fatalf("open /d: %v", err)
+		}
+		size := d.Size()
+		if err := r.v.Truncate(tk, d, 0); err != core.ErrIsDir {
+			t.Errorf("Truncate of a directory: %v, want ErrIsDir", err)
+		}
+		if d.Size() != size {
+			t.Errorf("directory size %d after refused truncate, want %d", d.Size(), size)
+		}
+		r.v.Close(tk, d)
+		if names, err := r.v.Readdir(tk, "/d"); err != nil || len(names) != 1 {
+			t.Fatalf("readdir /d: %v %v, want [f]", names, err)
+		}
+	})
+}
+
 func TestSymlink(t *testing.T) {
 	runBody(t, 8, cache.UPS(), func(tk sched.Task, r *rig) {
 		if err := r.v.Symlink(tk, "/link", "/the/target"); err != nil {

@@ -68,11 +68,11 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 	fs.replaying = true
 	defer func() { fs.replaying = false }()
 
-	remaps := make(map[core.VolumeID]map[core.FileID]core.FileID)
-	remapFor := func(vol core.VolumeID) map[core.FileID]core.FileID {
+	remaps := make(map[core.VolumeID]remap)
+	remapFor := func(vol core.VolumeID) remap {
 		m := remaps[vol]
 		if m == nil {
-			m = make(map[core.FileID]core.FileID)
+			m = make(remap)
 			remaps[vol] = m
 		}
 		return m
@@ -114,11 +114,7 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 			st.Dropped += len(group)
 			continue
 		}
-		id := key.File
-		if n, ok := remaps[key.Vol][id]; ok {
-			id = n
-		}
-		ino, gerr := v.lay.GetInode(t, id)
+		ino, gerr := v.lay.GetInode(t, remaps[key.Vol].of(key.File))
 		if gerr != nil {
 			st.Dropped += len(group)
 			continue
@@ -151,46 +147,57 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 	return st, nil
 }
 
-// replayIntent re-executes one acknowledged namespace operation
-// against the recovered volume. Returns applied=true when it changed
-// the file system; counts no-ops and unappliable intents in st.
-// Layout I/O errors (a second power cut) abort the replay.
-func (v *Volume) replayIntent(t sched.Task, it cache.Intent, remap map[core.FileID]core.FileID, st *ReplayStats) (bool, error) {
-	mapID := func(id core.FileID) core.FileID {
-		if n, ok := remap[id]; ok {
-			return n
-		}
-		return id
+// remap maps the inode numbers intent replay re-allocated to their
+// new numbers.
+type remap map[core.FileID]core.FileID
+
+// of returns id's number after replay.
+func (m remap) of(id core.FileID) core.FileID {
+	if n, ok := m[id]; ok {
+		return n
 	}
+	return id
+}
+
+// replayIntent re-executes one acknowledged namespace operation
+// against the recovered volume through the same core the live
+// operation ran. Returns applied=true when it changed the file system;
+// counts no-ops and unappliable intents (a namespace refusal from the
+// core) in st. Layout I/O errors (a second power cut) abort the replay.
+func (v *Volume) replayIntent(t sched.Task, it cache.Intent, rm remap, st *ReplayStats) (bool, error) {
 	v.mu.Lock(t)
 	defer v.mu.Unlock(t)
-
+	var (
+		err  error
+		noop bool
+		dirs []*File // directories whose entries the intent names
+	)
 	switch it.Op {
 	case cache.IntentCreate:
-		parent, err := v.dirLocked(t, mapID(it.Parent))
-		if err != nil {
-			st.IntentsDropped++
-			return false, nil
+		var parent *File
+		if parent, err = v.dirLocked(t, rm.of(it.Parent)); err != nil {
+			break
 		}
+		dirs = append(dirs, parent)
 		// From here on it.File names this life of the file: a remap
 		// an earlier life of a recycled number got no longer applies,
 		// because later intents and the data survivors are this life's.
 		bind := func(id core.FileID) {
 			if id == it.File {
-				delete(remap, it.File)
+				delete(rm, it.File)
 			} else {
-				remap[it.File] = id
+				rm[it.File] = id
 			}
 		}
 		if id, ok := parent.entries[it.Name]; ok {
-			if _, err := v.getLocked(t, id); err == nil {
+			if _, gerr := v.getLocked(t, id); gerr == nil {
 				// Entry and inode both durable (or already replayed).
 				bind(id)
-				st.IntentsNoop++
-				return false, nil
+				noop = true
+				break
 			}
-			// Dangling entry: the directory block outlived the inode.
-			// Fall through and re-allocate under the same name.
+			// Dangling entry: the directory block outlived the inode;
+			// create re-allocates under the same name.
 		}
 		// Only the directory entry was lost? If the acknowledged inode
 		// itself became durable (FFS writes it synchronously; LFS may
@@ -198,177 +205,109 @@ func (v *Volume) replayIntent(t sched.Task, it cache.Intent, remap map[core.File
 		// number, generation, content — and pre-crash handles stay
 		// valid. The generation check rejects a different life of a
 		// recycled slot.
+		var f *File
 		if it.Gen != 0 {
-			if f, err := v.getLocked(t, it.File); err == nil &&
-				f.ino.Version == it.Gen && f.ino.Type == it.Type {
-				bind(it.File)
-				parent.entries[it.Name] = f.ino.ID
-				if it.Type == core.TypeDirectory {
-					v.mutateIno(t, parent.ino, func() { parent.ino.Nlink++ })
-					if err := v.lay.UpdateInode(t, parent.ino); err != nil {
-						return false, err
-					}
-				}
-				if err := v.writeDir(t, parent); err != nil {
-					return false, err
-				}
-				v.logIntent(t, cache.Intent{
-					Op: cache.IntentCreate, File: f.ino.ID, Gen: f.ino.Version,
-					Parent: parent.ino.ID, Name: it.Name, Type: it.Type,
-				})
-				return true, nil
+			if g, gerr := v.getLocked(t, it.File); gerr == nil &&
+				g.ino.Version == it.Gen && g.ino.Type == it.Type {
+				f = g
 			}
 		}
-		ino, err := v.lay.AllocInode(t, it.Type)
-		if err != nil {
-			return false, err
-		}
-		bind(ino.ID)
-		if ino.ID != it.File {
-			st.Remapped++
-		}
-		f := v.instantiate(ino)
-		v.files[ino.ID] = f
-		parent.entries[it.Name] = ino.ID
-		if it.Type == core.TypeDirectory {
-			v.mutateIno(t, parent.ino, func() { parent.ino.Nlink++ })
-			v.mutateIno(t, ino, func() { ino.Nlink = 2 })
-			if err := v.lay.UpdateInode(t, parent.ino); err != nil {
-				return false, err
-			}
-			if err := v.lay.UpdateInode(t, ino); err != nil {
-				return false, err
+		if f, err = v.create(t, parent, it.Name, it.Type, f); err == nil {
+			bind(f.ino.ID)
+			if f.ino.ID != it.File {
+				st.Remapped++
 			}
 		}
-		if err := v.writeDir(t, parent); err != nil {
-			return false, err
-		}
-		v.logIntent(t, cache.Intent{
-			Op: cache.IntentCreate, File: ino.ID, Gen: ino.Version,
-			Parent: parent.ino.ID, Name: it.Name, Type: it.Type,
-		})
-		return true, nil
 
 	case cache.IntentSymlink:
-		f, err := v.getLocked(t, mapID(it.File))
-		if err != nil || f.ino.Type != core.TypeSymlink {
-			st.IntentsDropped++
-			return false, nil
+		var f *File
+		switch f, err = v.getLocked(t, rm.of(it.File)); {
+		case err != nil:
+		case f.ino.Type != core.TypeSymlink:
+			err = core.ErrInval
+		case f.target == it.Name2:
+			noop = true
+		default:
+			err = v.writeSymlink(t, f, it.Name2)
 		}
-		if f.target == it.Name2 {
-			st.IntentsNoop++
-			return false, nil
-		}
-		f.target = it.Name2
-		if err := v.writeSymlink(t, f); err != nil {
-			return false, err
-		}
-		v.logIntent(t, cache.Intent{
-			Op: cache.IntentSymlink, File: f.ino.ID, Name2: it.Name2,
-		})
-		return true, nil
 
 	case cache.IntentRemove:
-		parent, err := v.dirLocked(t, mapID(it.Parent))
-		if err != nil {
-			st.IntentsDropped++
-			return false, nil
+		var parent *File
+		if parent, err = v.dirLocked(t, rm.of(it.Parent)); err != nil {
+			break
 		}
+		dirs = append(dirs, parent)
 		id, ok := parent.entries[it.Name]
 		if !ok {
-			st.IntentsNoop++ // never durable, or already replayed
-			return false, nil
+			noop = true // never durable, or already replayed
+			break
 		}
-		delete(parent.entries, it.Name)
-		f, gerr := v.getLocked(t, id)
-		if gerr == nil && f.ino.Type == core.TypeDirectory {
-			v.mutateIno(t, parent.ino, func() { parent.ino.Nlink-- })
-			if err := v.lay.UpdateInode(t, parent.ino); err != nil {
-				return false, err
-			}
+		if f := v.files[id]; f != nil {
+			// Handles from before the cut died with it (the simulator
+			// recovers in place, its replayer's handles still open):
+			// the file goes now, not at a last close.
+			f.refs = 0
 		}
-		if err := v.writeDir(t, parent); err != nil {
-			return false, err
-		}
-		if gerr == nil {
-			v.mutateIno(t, f.ino, func() {
-				if f.ino.Nlink > 0 {
-					f.ino.Nlink--
-				}
-			})
-			if err := v.destroyLocked(t, f); err != nil {
-				return false, err
-			}
-		}
-		v.logIntent(t, cache.Intent{
-			Op: cache.IntentRemove, File: id,
-			Parent: parent.ino.ID, Name: it.Name, Type: it.Type,
-		})
-		return true, nil
+		err = v.remove(t, parent, it.Name, rmAny)
 
 	case cache.IntentRename:
-		fp, err := v.dirLocked(t, mapID(it.Parent))
+		var fp, tp *File
+		if fp, err = v.dirLocked(t, rm.of(it.Parent)); err == nil {
+			tp, err = v.dirLocked(t, rm.of(it.Parent2))
+		}
 		if err != nil {
-			st.IntentsDropped++
-			return false, nil
+			break
 		}
-		tp, err := v.dirLocked(t, mapID(it.Parent2))
-		if err != nil {
-			st.IntentsDropped++
-			return false, nil
-		}
-		id, ok := fp.entries[it.Name]
-		if !ok {
-			if tp.entries[it.Name2] == mapID(it.File) {
-				st.IntentsNoop++ // already moved
-			} else {
-				st.IntentsDropped++
+		dirs = append(dirs, fp, tp)
+		if _, ok := fp.entries[it.Name]; !ok {
+			if tp.entries[it.Name2] != rm.of(it.File) {
+				err = core.ErrNotFound
 			}
-			return false, nil
+			noop = err == nil // already moved
+			break
 		}
-		delete(fp.entries, it.Name)
-		tp.entries[it.Name2] = id
-		if err := v.writeDir(t, fp); err != nil {
-			return false, err
+		if id, ok := tp.entries[it.Name2]; ok {
+			// The target name is taken: by this very file (the
+			// rename reached the disk half done) or by a later life
+			// that a later intent links again. Either way it makes
+			// room; nothing is freed.
+			g, _ := v.getLocked(t, id)
+			v.detach(t, tp, it.Name2, g)
 		}
-		if tp != fp {
-			if err := v.writeDir(t, tp); err != nil {
-				return false, err
-			}
-		}
-		v.logIntent(t, cache.Intent{
-			Op: cache.IntentRename, File: id,
-			Parent: fp.ino.ID, Name: it.Name,
-			Parent2: tp.ino.ID, Name2: it.Name2,
-		})
-		return true, nil
+		err = v.rename(t, fp, it.Name, tp, it.Name2)
 
 	case cache.IntentTruncate:
-		f, err := v.getLocked(t, mapID(it.File))
-		if err != nil {
-			st.IntentsDropped++
-			return false, nil
-		}
-		size := it.Size
-		switch {
-		case size < f.ino.Size:
-			if err := v.truncateLocked(t, f, size); err != nil {
-				return false, err
-			}
-		case size > f.ino.Size:
-			v.mutateIno(t, f.ino, func() { f.ino.Size = size })
-			if err := v.lay.UpdateInode(t, f.ino); err != nil {
-				return false, err
-			}
+		var f *File
+		switch f, err = v.getLocked(t, rm.of(it.File)); {
+		case err != nil:
+		case it.Size == f.ino.Size:
+			noop = true
 		default:
-			st.IntentsNoop++
-			return false, nil
+			err = v.setSize(t, f, it.Size)
 		}
-		v.logIntent(t, cache.Intent{
-			Op: cache.IntentTruncate, File: f.ino.ID, Size: it.Size,
-		})
-		return true, nil
+
+	default:
+		st.IntentsDropped++ // unknown op from a future format: skip
+		return false, nil
 	}
-	st.IntentsDropped++ // unknown op from a future format: skip
-	return false, nil
+	refused := false
+	switch err {
+	case nil:
+	case core.ErrNotFound, core.ErrExists, core.ErrNotEmpty, core.ErrIsDir, core.ErrNotDir, core.ErrInval, core.ErrNameTooLon:
+		refused = true // the op no longer applies to the recovered tree
+	default:
+		return false, err
+	}
+	for _, d := range dirs {
+		if err := v.relink(t, d); err != nil {
+			return false, err
+		}
+	}
+	switch {
+	case refused:
+		st.IntentsDropped++
+	case noop:
+		st.IntentsNoop++
+	}
+	return !refused && !noop, nil
 }

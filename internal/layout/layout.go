@@ -63,6 +63,15 @@ func BlocksForSize(n int64) int64 {
 	return (n + core.BlockSize - 1) / core.BlockSize
 }
 
+// BirthLinks is the link count a new inode of type typ starts with:
+// a directory has its name and its own "."; anything else its name.
+func BirthLinks(typ core.FileType) uint32 {
+	if typ == core.TypeDirectory {
+		return 2
+	}
+	return 1
+}
+
 // BlockWrite is one dirty block handed to the layout for placement.
 type BlockWrite struct {
 	Blk  core.BlockNo

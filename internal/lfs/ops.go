@@ -23,7 +23,7 @@ func (l *LFS) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, error)
 	ino := &layout.Inode{
 		ID:    id,
 		Type:  typ,
-		Nlink: 1,
+		Nlink: layout.BirthLinks(typ),
 		// The generation number: a reused inode id gets a fresh
 		// Version, so stale handles (NFS) can be told from the new
 		// file after recovery reallocates the slot.

@@ -231,7 +231,7 @@ func removeAll(cl *nfs.Client, dir nfs.FH, keep string) {
 		return
 	}
 	for _, ent := range ents {
-		if ent.Name == keep || ent.Name == "." || ent.Name == ".." {
+		if ent.Name == keep {
 			continue
 		}
 		fh, attr, err := cl.Lookup(dir, ent.Name)

@@ -128,6 +128,99 @@ func TestMkdirReaddirRemove(t *testing.T) {
 	}
 }
 
+// TestRemoveAndRmdirCheckType: REMOVE of a directory is
+// NFS3ERR_ISDIR and RMDIR of anything else NFS3ERR_NOTDIR, the path
+// API's Remove/Rmdir rules. Both procedures used to share one handler
+// that removed either.
+func TestRemoveAndRmdirCheckType(t *testing.T) {
+	_, cl := startServer(t)
+	root, _, _ := cl.Mount(1)
+	if _, _, err := cl.Mkdir(root, "d"); err != nil {
+		t.Fatalf("Mkdir: %v", err)
+	}
+	if _, _, err := cl.Create(root, "f"); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := cl.Remove(root, "d"); err != core.ErrIsDir {
+		t.Errorf("REMOVE of a directory: %v, want ErrIsDir", err)
+	}
+	if err := cl.Rmdir(root, "f"); err != core.ErrNotDir {
+		t.Errorf("RMDIR of a file: %v, want ErrNotDir", err)
+	}
+	if ents, err := cl.Readdir(root); err != nil || len(ents) != 2 {
+		t.Fatalf("root after refused removes: %v %v, want d and f", ents, err)
+	}
+	if err := cl.Rmdir(root, "d"); err != nil {
+		t.Errorf("RMDIR: %v", err)
+	}
+	if err := cl.Remove(root, "f"); err != nil {
+		t.Errorf("REMOVE: %v", err)
+	}
+}
+
+// TestRenameDirectoryOverWire: RENAME refuses to move a directory
+// under itself (NFS3ERR_INVAL), which would detach the subtree, and a
+// directory that changes parent moves its ".." link along.
+func TestRenameDirectoryOverWire(t *testing.T) {
+	_, cl := startServer(t)
+	root, _, _ := cl.Mount(1)
+	a, _, _ := cl.Mkdir(root, "a")
+	b, _, _ := cl.Mkdir(a, "b")
+	if err := cl.Rename(root, "a", b, "a"); err != core.ErrInval {
+		t.Errorf("rename a -> a/b/a: %v, want ErrInval", err)
+	}
+	if err := cl.Rename(root, "a", a, "a"); err != core.ErrInval {
+		t.Errorf("rename a -> a/a: %v, want ErrInval", err)
+	}
+	if ents, err := cl.Readdir(root); err != nil || len(ents) != 1 || ents[0].Name != "a" {
+		t.Fatalf("root after refused renames: %v %v, want [a]", ents, err)
+	}
+	q, _, _ := cl.Mkdir(root, "q")
+	if err := cl.Rename(a, "b", q, "m"); err != nil {
+		t.Fatalf("rename a/b -> q/m: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		fh   nfs.FH
+		want uint32
+	}{{"a", a, 2}, {"q", q, 3}, {"q/m", b, 2}} {
+		if attr, err := cl.Getattr(c.fh); err != nil || attr.Nlink != c.want {
+			t.Errorf("%s: nlink %d (%v), want %d", c.name, attr.Nlink, err, c.want)
+		}
+	}
+}
+
+// TestNamesChecked: CREATE, MKDIR, SYMLINK and RENAME refuse names no
+// directory entry may carry — "", ".", ".." and a name with a slash
+// are NFS3ERR_INVAL, one past the limit NFS3ERR_NAMETOOLONG — and
+// leave the directory as it was.
+func TestNamesChecked(t *testing.T) {
+	_, cl := startServer(t)
+	root, _, _ := cl.Mount(1)
+	cl.Create(root, "f")
+	long := string(bytes.Repeat([]byte{'n'}, core.MaxNameLen+1))
+	for _, c := range []struct {
+		name string
+		want error
+	}{{"", core.ErrInval}, {".", core.ErrInval}, {"..", core.ErrInval}, {"x/y", core.ErrInval}, {long, core.ErrNameTooLon}} {
+		if _, _, err := cl.Create(root, c.name); err != c.want {
+			t.Errorf("CREATE %.12q: %v, want %v", c.name, err, c.want)
+		}
+		if _, _, err := cl.Mkdir(root, c.name); err != c.want {
+			t.Errorf("MKDIR %.12q: %v, want %v", c.name, err, c.want)
+		}
+		if _, _, err := cl.Symlink(root, c.name, "/t"); err != c.want {
+			t.Errorf("SYMLINK %.12q: %v, want %v", c.name, err, c.want)
+		}
+		if err := cl.Rename(root, "f", root, c.name); err != c.want {
+			t.Errorf("RENAME to %.12q: %v, want %v", c.name, err, c.want)
+		}
+	}
+	if ents, err := cl.Readdir(root); err != nil || len(ents) != 1 || ents[0].Name != "f" {
+		t.Fatalf("root after refused names: %v %v, want [f]", ents, err)
+	}
+}
+
 func TestRenameOverWire(t *testing.T) {
 	_, cl := startServer(t)
 	root, _, _ := cl.Mount(1)

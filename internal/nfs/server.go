@@ -651,6 +651,9 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		if st != OK {
 			return st
 		}
+		if proc == ProcRmdir {
+			return StatusOf(v.RmdirIn(t, fh.File, name))
+		}
 		return StatusOf(v.RemoveIn(t, fh.File, name))
 
 	case ProcRename:

@@ -450,7 +450,7 @@ func (a *Array) allocLocked(t sched.Task, typ core.FileType) (*afile, error) {
 		if shadows[i] == nil {
 			// Dead member: an unpersisted placeholder holds the slot so
 			// routing and rebuild have a shadow object to work with.
-			shadows[i] = &layout.Inode{ID: id, Type: typ, Nlink: 1}
+			shadows[i] = &layout.Inode{ID: id, Type: typ, Nlink: layout.BirthLinks(typ)}
 		}
 	}
 	af := a.adopt(id, shadows, shadows[a.liveCarrier(a.home(id))])
