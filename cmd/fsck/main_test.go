@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -252,6 +253,27 @@ func flipDataByte(t *testing.T, base string) {
 	t.Fatal("no data block found to corrupt")
 }
 
+// damagedSuper copies the single-volume image at src and overwrites
+// one little-endian superblock field of the copy (a 4-byte field when
+// wide is false, 8 bytes otherwise).
+func damagedSuper(t *testing.T, src string, off int, wide bool, val uint64) string {
+	t.Helper()
+	img, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide {
+		binary.LittleEndian.PutUint64(img[off:], val)
+	} else {
+		binary.LittleEndian.PutUint32(img[off:], uint32(val))
+	}
+	path := filepath.Join(t.TempDir(), "damaged")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestExitCodeTable is the golden table: every (image state, flags)
 // row must produce its documented exit code and output.
 func TestExitCodeTable(t *testing.T) {
@@ -277,6 +299,9 @@ func TestExitCodeTable(t *testing.T) {
 	if err := os.Remove(affinityLost + ".v2"); err != nil {
 		t.Fatal(err)
 	}
+	// LFS superblock fields: SegBlocks at byte 4, the segment count at 8.
+	zeroSegBlocks := damagedSuper(t, cleanLFS, 4, false, 0)
+	hugeNsegs := damagedSuper(t, cleanLFS, 8, true, 1<<40)
 	garbage := filepath.Join(t.TempDir(), "garbage")
 	if err := os.WriteFile(garbage, make([]byte, 1<<20), 0o644); err != nil {
 		t.Fatal(err)
@@ -309,6 +334,8 @@ func TestExitCodeTable(t *testing.T) {
 		{"clean-lfs", []string{"-image", cleanLFS}, 0, "clean"},
 		{"missing-image", []string{"-image", filepath.Join(t.TempDir(), "nope")}, 2, ""},
 		{"garbage-image", []string{"-image", garbage}, 2, "mount:"},
+		{"superblock-zero-segblocks", []string{"-image", zeroSegBlocks}, 2, "mount:"},
+		{"superblock-huge-nsegs", []string{"-image", hugeNsegs, "-rollforward"}, 2, "recover:"},
 		{"crashed-ffs-dirty", []string{"-image", crashedFFS, "-layout", "ffs"}, 1, "inconsistencies"},
 		{"crashed-ffs-repaired", []string{"-image", crashedFFS, "-layout", "ffs", "-repair"}, 0, "repaired"},
 		{"crashed-lfs-rollforward", []string{"-image", crashedLFS, "-rollforward"}, 0, "rolled forward"},

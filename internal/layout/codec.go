@@ -112,9 +112,7 @@ func EncodeAddrs(addrs []int64, buf []byte) {
 		panic("layout: bad indirect block encode")
 	}
 	le := binary.LittleEndian
-	for i := range buf[:core.BlockSize] {
-		buf[i] = 0
-	}
+	clear(buf[:core.BlockSize])
 	for i, a := range addrs {
 		le.PutUint64(buf[i*8:], uint64(a+1)) // store +1 so 0 means hole
 	}

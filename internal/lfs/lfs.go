@@ -8,7 +8,7 @@
 //
 // On-disk layout, in file-system blocks, all partition-relative:
 //
-//	0                  superblock
+//	0                  superblock (format magic, then geometry)
 //	1 .. cp            checkpoint region A (header + segment-usage table)
 //	1+cp .. 2cp        checkpoint region B (alternate)
 //	seg0 ...           segments: [summary block][slot 0 … slot n-1]
@@ -22,6 +22,12 @@
 // low 16 bits and the back count in the high 16 (images written
 // before this have a zero high half and read as front-only). Simulated
 // partitions fill front-only; their segment is one sequential I/O.
+//
+// The superblock's magic is the format version and every summary
+// repeats it: "LFS1" volumes checksum slots and checkpoint regions
+// with FNV-1a, "LFS2" volumes (what Format writes) with CRC32C. A
+// volume keeps its version for life; simulated partitions carry no
+// bytes and compute no checksums.
 //
 // A write barrier does not close the open segment: it writes what is
 // staged, packs the dirty inodes into the back, and rewrites the one
@@ -115,8 +121,8 @@ const (
 // victim read. A cache-frame alias is only stable while its flush job
 // is in flight, so slots are written through to the device before the
 // job returns (writeThrough); done/backDone and sums record how far
-// that has progressed and the checksums captured from the bytes the
-// device actually saw.
+// that has progressed and the checksums (the volume format's: CRC32C
+// on v2, FNV-1a on v1) captured from the bytes the device actually saw.
 //
 // A real segment fills from both ends: data, inode-map chunks and
 // cleaner copies take slots 0, 1, 2 … (used counts them), inode and
@@ -154,7 +160,8 @@ type LFS struct {
 	cfg  Config
 	mu   sched.Mutex
 
-	// Geometry (from the superblock).
+	// Format version and geometry (from the superblock).
+	format    diskFormat
 	cpSize    int64
 	seg0      int64
 	nsegs     int
@@ -267,34 +274,50 @@ func (l *LFS) ClusterRun() int {
 // slots (partial blocks, slots materialized after a failed write).
 func (l *LFS) StagedCopyBytes() int64 { return l.staged.Value() }
 
-// geometry computes the reserved-area sizes for the partition.
-func (l *LFS) geometry() {
-	blocks := l.part.Blocks
+// geometry is the reserved-area layout of a volume.
+type geometry struct {
+	cpSize int64 // blocks per checkpoint region
+	seg0   int64 // first block of segment 0
+	nsegs  int
+	chunks int // inode-map chunks
+}
+
+// planGeometry lays out a partition of blocks blocks for segments of
+// segBlocks blocks and maxInodes inodes, or says why it cannot.
+func planGeometry(blocks int64, segBlocks, maxInodes int) (geometry, error) {
+	var g geometry
+	if segBlocks < 8 || segBlocks-1 > maxSumEntries {
+		return g, fmt.Errorf("SegBlocks %d outside [8, %d] (one summary block holds %d entries)",
+			segBlocks, maxSumEntries+1, maxSumEntries)
+	}
+	if maxInodes < 1 {
+		return g, fmt.Errorf("MaxInodes %d < 1", maxInodes)
+	}
+	if g.chunks = (maxInodes + imapPerChunk - 1) / imapPerChunk; g.chunks > maxImapChunks {
+		return g, fmt.Errorf("MaxInodes %d needs %d imap chunks, checkpoint holds %d",
+			maxInodes, g.chunks, maxImapChunks)
+	}
 	sb := int64(1)
 	// Fixpoint on checkpoint size (depends on nsegs).
-	nsegs := int((blocks - sb) / int64(l.cfg.SegBlocks))
+	nsegs := (blocks - sb) / int64(segBlocks)
 	for i := 0; i < 3; i++ {
-		sutBlocks := (int64(nsegs)*sutEntSize + core.BlockSize - 1) / core.BlockSize
-		l.cpSize = 1 + sutBlocks
-		l.seg0 = sb + 2*l.cpSize
-		nsegs = int((blocks - l.seg0) / int64(l.cfg.SegBlocks))
+		sutBlocks := (nsegs*sutEntSize + core.BlockSize - 1) / core.BlockSize
+		g.cpSize = 1 + sutBlocks
+		g.seg0 = sb + 2*g.cpSize
+		nsegs = (blocks - g.seg0) / int64(segBlocks)
 	}
-	l.nsegs = nsegs
+	if nsegs < 1 {
+		return g, fmt.Errorf("partition of %d blocks holds no %d-block segment", blocks, segBlocks)
+	}
+	g.nsegs = int(nsegs)
+	return g, nil
+}
+
+// setGeometry adopts g and resets the inode-map chunk table.
+func (l *LFS) setGeometry(g geometry) {
+	l.cpSize, l.seg0, l.nsegs = g.cpSize, g.seg0, g.nsegs
 	l.dataSlots = l.cfg.SegBlocks - 1
-	if maxSum := (core.BlockSize - sumHeaderSize) / sumEntSize; l.dataSlots > maxSum {
-		panic(fmt.Sprintf("lfs %s: SegBlocks %d needs %d summary entries, block holds %d",
-			l.name, l.cfg.SegBlocks, l.dataSlots, maxSum))
-	}
-	if l.nsegs < l.cfg.CleanTargetSegs+2 {
-		panic(fmt.Sprintf("lfs %s: partition of %d blocks too small for %d-block segments",
-			l.name, blocks, l.cfg.SegBlocks))
-	}
-	chunks := (l.cfg.MaxInodes + imapPerChunk - 1) / imapPerChunk
-	if maxChunks := int((core.BlockSize - cpHeaderSize) / 8); chunks > maxChunks {
-		panic(fmt.Sprintf("lfs %s: MaxInodes %d needs %d imap chunks, checkpoint holds %d",
-			l.name, l.cfg.MaxInodes, chunks, maxChunks))
-	}
-	l.imapAddr = make([]int64, chunks)
+	l.imapAddr = make([]int64, g.chunks)
 	for i := range l.imapAddr {
 		l.imapAddr[i] = -1
 	}
@@ -304,7 +327,16 @@ func (l *LFS) geometry() {
 func (l *LFS) Format(t sched.Task) error {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
-	l.geometry()
+	g, err := planGeometry(l.part.Blocks, l.cfg.SegBlocks, l.cfg.MaxInodes)
+	if err != nil {
+		panic(fmt.Sprintf("lfs %s: %v", l.name, err))
+	}
+	if g.nsegs < l.cfg.CleanTargetSegs+2 {
+		panic(fmt.Sprintf("lfs %s: partition of %d blocks too small for %d-block segments",
+			l.name, l.part.Blocks, l.cfg.SegBlocks))
+	}
+	l.setGeometry(g)
+	l.format = formatV2
 	l.sut = make([]segInfo, l.nsegs)
 	l.freeSegs = l.freeSegs[:0]
 	for i := 0; i < l.nsegs; i++ {

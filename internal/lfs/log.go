@@ -373,13 +373,14 @@ func (l *LFS) writeThrough(t sched.Task) error {
 }
 
 // writeSlots writes slots [lo, hi) of the open segment as one request,
-// capturing their checksums from the bytes the device is given.
+// capturing their checksums (the volume format's sum) from the bytes
+// the device is given.
 func (l *LFS) writeSlots(t sched.Task, s *segBuf, lo, hi int) error {
 	if lo >= hi {
 		return nil
 	}
 	for i := lo; i < hi; i++ {
-		s.sums[i] = blockSum(s.vec[1+i])
+		s.sums[i] = l.format.sum(s.vec[1+i])
 	}
 	base := l.segStart(s.seg) + 1
 	if err := l.part.WriteVec(t, base+int64(lo), hi-lo, s.vec[1+lo:1+hi]); err != nil {

@@ -3,6 +3,7 @@ package lfs
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"repro/internal/core"
@@ -10,8 +11,7 @@ import (
 )
 
 const (
-	superMagic = 0x4C465331 // "LFS1"
-	cpMagic    = 0x4C465343 // "LFSC"
+	cpMagic = 0x4C465343 // "LFSC"
 
 	cpHeaderSize = 64
 	// imap entries are 16 bytes: addr+1 (8), version (4), slot (1),
@@ -23,19 +23,45 @@ const (
 	// Summary entries are 24 bytes: kind (1), pad (3), data
 	// checksum (4), file (8), blk (8).
 	sumEntSize = 24
-	// Summary header: magic (4), count (4), log seq (8). The count
-	// word holds the front slot count in its low half and the back
-	// count in its high half (zero in images written before segments
-	// filled from both ends); entry i describes slot i. The seq dates
-	// the segment against the checkpoints; roll-forward replays only
-	// segments newer than the one it mounted from.
+	// Summary header: magic (4), count (4), log seq (8). The magic is
+	// the volume's superblock magic. The count word holds the front
+	// slot count in its low half and the back count in its high half
+	// (zero in images written before segments filled from both ends);
+	// entry i describes slot i. The seq dates the segment against the
+	// checkpoints; roll-forward replays only segments newer than the
+	// one it mounted from.
 	sumHeaderSize = 16
+	// maxSumEntries is how many slots one summary block describes.
+	maxSumEntries = (core.BlockSize - sumHeaderSize) / sumEntSize
+	// maxImapChunks is how many chunk addresses a checkpoint header holds.
+	maxImapChunks = (core.BlockSize - cpHeaderSize) / 8
 )
 
-// blockSum is the FNV-1a digest recovery uses to detect torn writes:
-// each summary entry checksums its data block, the checkpoint header
-// checksums the whole region.
-func blockSum(data []byte) uint32 {
+// A diskFormat is an on-disk version: the magic its superblock and every
+// segment summary carry, and the checksum recovery uses to detect
+// torn writes (each summary entry checksums its slot's bytes, the
+// checkpoint header checksums its whole region). A volume keeps the
+// version it was formatted with for its whole life.
+type diskFormat struct {
+	magic uint32
+	sum   func([]byte) uint32
+}
+
+var (
+	// v1 volumes sum with a byte-serial FNV-1a.
+	formatV1 = diskFormat{magic: 0x4C465331, sum: fnv1a} // "LFS1"
+	// v2 volumes sum with CRC32C, which runs on SSE4.2 where present.
+	formatV2 = diskFormat{magic: 0x4C465332, sum: crc32c} // "LFS2"
+)
+
+// castagnoli is built once: crc32.Checksum takes the hardware path
+// only for the package's own Castagnoli table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func crc32c(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// fnv1a is the v1 checksum, kept only to verify and extend v1 volumes.
+func fnv1a(data []byte) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -48,13 +74,14 @@ func blockSum(data []byte) uint32 {
 	return h
 }
 
-// writeSuper writes the superblock (block 0).
+// writeSuper writes the superblock (block 0): the version's magic,
+// then the geometry.
 func (l *LFS) writeSuper(t sched.Task) error {
 	var buf []byte
 	if !l.part.Simulated {
 		buf = make([]byte, core.BlockSize)
 		le := binary.LittleEndian
-		le.PutUint32(buf[0:], superMagic)
+		le.PutUint32(buf[0:], l.format.magic)
 		le.PutUint32(buf[4:], uint32(l.cfg.SegBlocks))
 		le.PutUint64(buf[8:], uint64(l.nsegs))
 		le.PutUint64(buf[16:], uint64(l.cpSize))
@@ -64,27 +91,39 @@ func (l *LFS) writeSuper(t sched.Task) error {
 	return l.part.Write(t, 0, 1, buf)
 }
 
-// readSuper loads geometry from the superblock.
+// readSuper loads the format version and geometry from the
+// superblock. Nothing on disk is trusted: the geometry must be the one
+// Format would give this partition, so a damaged superblock is an
+// error here rather than a bad slice bound or a huge allocation later.
 func (l *LFS) readSuper(t sched.Task) error {
 	buf := make([]byte, core.BlockSize)
 	if err := l.part.Read(t, 0, 1, buf); err != nil {
 		return err
 	}
 	le := binary.LittleEndian
-	if le.Uint32(buf[0:]) != superMagic {
-		return fmt.Errorf("lfs %s: bad superblock magic %#x", l.name, le.Uint32(buf[0:]))
+	switch magic := le.Uint32(buf[0:]); magic {
+	case formatV1.magic:
+		l.format = formatV1
+	case formatV2.magic:
+		l.format = formatV2
+	default:
+		return fmt.Errorf("lfs %s: bad superblock magic %#x", l.name, magic)
 	}
-	l.cfg.SegBlocks = int(le.Uint32(buf[4:]))
-	l.nsegs = int(le.Uint64(buf[8:]))
-	l.cpSize = int64(le.Uint64(buf[16:]))
-	l.seg0 = int64(le.Uint64(buf[24:]))
-	l.cfg.MaxInodes = int(le.Uint64(buf[32:]))
-	l.dataSlots = l.cfg.SegBlocks - 1
-	chunks := (l.cfg.MaxInodes + imapPerChunk - 1) / imapPerChunk
-	l.imapAddr = make([]int64, chunks)
-	for i := range l.imapAddr {
-		l.imapAddr[i] = -1
+	segBlocks := le.Uint32(buf[4:])
+	maxInodes := le.Uint64(buf[32:])
+	if maxInodes > maxImapChunks*imapPerChunk {
+		return fmt.Errorf("lfs %s: superblock MaxInodes %d exceeds the checkpoint's %d", l.name, maxInodes, maxImapChunks*imapPerChunk)
 	}
+	g, err := planGeometry(l.part.Blocks, int(segBlocks), int(maxInodes))
+	if err != nil {
+		return fmt.Errorf("lfs %s: superblock: %v", l.name, err)
+	}
+	if got := [3]uint64{le.Uint64(buf[8:]), le.Uint64(buf[16:]), le.Uint64(buf[24:])}; got != [3]uint64{uint64(g.nsegs), uint64(g.cpSize), uint64(g.seg0)} {
+		return fmt.Errorf("lfs %s: superblock geometry (segments, checkpoint, seg0) = %v, a %d-block partition gives (%d %d %d)",
+			l.name, got, l.part.Blocks, g.nsegs, g.cpSize, g.seg0)
+	}
+	l.cfg.SegBlocks, l.cfg.MaxInodes = int(segBlocks), int(maxInodes)
+	l.setGeometry(g)
 	return nil
 }
 
@@ -163,7 +202,7 @@ func (l *LFS) checkpointLocked(t sched.Task) error {
 			le.PutUint32(data[o+4:], s.seq)
 			data[o+8] = s.state
 		}
-		le.PutUint32(data[4:], blockSum(data))
+		le.PutUint32(data[4:], l.format.sum(data))
 	}
 	if err := l.part.Write(t, l.cpBase(region), int(l.cpSize), data); err != nil {
 		return err
@@ -191,7 +230,7 @@ func (l *LFS) readCheckpoint(t sched.Task) error {
 		// and is ignored; the alternate region is always intact.
 		want := le.Uint32(data[4:])
 		le.PutUint32(data[4:], 0)
-		if blockSum(data) != want {
+		if l.format.sum(data) != want {
 			continue
 		}
 		le.PutUint32(data[4:], want)
@@ -259,9 +298,7 @@ func (l *LFS) readCheckpoint(t sched.Task) error {
 // encodeImapChunk serializes chunk c of the inode map.
 func (l *LFS) encodeImapChunk(c int, buf []byte) {
 	le := binary.LittleEndian
-	for i := range buf[:core.BlockSize] {
-		buf[i] = 0
-	}
+	clear(buf[:core.BlockSize])
 	base := core.FileID(c * imapPerChunk)
 	for i := 0; i < imapPerChunk; i++ {
 		ent := l.imap[base+core.FileID(i)]
@@ -295,16 +332,17 @@ func (l *LFS) decodeImapChunk(c int, buf []byte) {
 }
 
 // encodeSummary serializes the open segment's summary into its first
-// block: header with the log sequence the segment is written under
-// and the two slot counts, then one entry per slot, at the slot's
-// position, carrying a checksum of the slot's bytes — what lets
+// block: header with the volume's format magic, the log sequence the
+// segment is written under and the two slot counts, then one entry per
+// slot, at the slot's position, carrying the format's checksum of the
+// slot's bytes (CRC32C on v2, FNV-1a on v1) — what lets
 // roll-forward date a segment against a checkpoint and stop at a torn
 // tail. Entries are only ever added between two encodings of one
 // segment, so each is a byte-for-byte extension of the last.
 func (l *LFS) encodeSummary(s *segBuf, seq uint64) {
 	buf := s.vec[0]
 	le := binary.LittleEndian
-	le.PutUint32(buf[0:], superMagic)
+	le.PutUint32(buf[0:], l.format.magic)
 	le.PutUint32(buf[4:], uint32(s.used)|uint32(s.back)<<16)
 	le.PutUint64(buf[8:], seq)
 	put := func(i int) {
@@ -340,7 +378,7 @@ type segSummary struct {
 // its front entries; a two-ended one yields all dataSlots positions.
 func (l *LFS) decodeSummary(seg int, buf []byte) (segSummary, error) {
 	le := binary.LittleEndian
-	if le.Uint32(buf[0:]) != superMagic {
+	if le.Uint32(buf[0:]) != l.format.magic {
 		return segSummary{}, fmt.Errorf("lfs %s: segment %d has no summary", l.name, seg)
 	}
 	count := le.Uint32(buf[4:])

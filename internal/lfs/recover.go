@@ -157,7 +157,7 @@ func (l *LFS) rollSegmentLocked(t sched.Task, seg int, sum segSummary, st *layou
 			}
 			buf := segData[slot*core.BlockSize : (slot+1)*core.BlockSize]
 			e := sum.entries[slot]
-			if e.Kind == 0 || blockSum(buf) != sum.sums[slot] {
+			if e.Kind == 0 || l.format.sum(buf) != sum.sums[slot] {
 				torn = true
 				return
 			}
