@@ -87,9 +87,10 @@ type Config struct {
 	// Volume-array mode: when ArrayVolumes >= 1 the simulator builds
 	// that many independent bus + disk + driver + layout stacks and
 	// mounts a single volume.Array over them as volume 1; the
-	// Buses/DisksPerBus/Volumes topology fields are ignored. Width 1
-	// is a transparent passthrough, byte-identical to the equivalent
-	// single-stack system.
+	// Buses/DisksPerBus/Volumes topology fields are ignored. A width-1
+	// array runs the same executor as any other, its one member taking
+	// every file, and is byte-identical to the equivalent single-stack
+	// system.
 	ArrayVolumes int
 	// Placement routes file data across the array: "affinity"
 	// (default), "striped", or the redundant placements "mirrored"

@@ -176,17 +176,9 @@ func registerNFS(reg *telemetry.Registry, n *nfs.Server) {
 func registerArray(reg *telemetry.Registry, a *volume.Array) {
 	reg.AddGaugeFunc("pfs_volume_width", "Disk-array width (member count).", nil,
 		func() float64 { return float64(a.Width()) })
-	// Width-1 arrays are pure passthrough and keep no routing stats;
-	// the per-device families below carry the traffic counters then.
-	if g := a.ReadGroup(); g != nil {
-		reg.AddGroup("pfs_volume_read_blocks_total", "Blocks routed to each array member by reads.", "member", nil, g)
-	}
-	if g := a.WriteGroup(); g != nil {
-		reg.AddGroup("pfs_volume_write_blocks_total", "Blocks routed to each array member by writes.", "member", nil, g)
-	}
-	if sc := a.SyncCounter(); sc != nil {
-		reg.AddCounter("pfs_volume_syncs_total", "Array-wide sync fan-outs.", nil, sc)
-	}
+	reg.AddGroup("pfs_volume_read_blocks_total", "Blocks routed to each array member by reads.", "member", nil, a.ReadGroup())
+	reg.AddGroup("pfs_volume_write_blocks_total", "Blocks routed to each array member by writes.", "member", nil, a.WriteGroup())
+	reg.AddCounter("pfs_volume_syncs_total", "Array-wide sync fan-outs.", nil, a.SyncCounter())
 	// The member-loss families exist only where member loss is
 	// survivable; non-redundant assemblies keep their family set (and
 	// so their exposition) unchanged.

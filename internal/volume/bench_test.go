@@ -120,3 +120,32 @@ func BenchmarkDegradedRead(b *testing.B) {
 		return nil
 	})
 }
+
+// BenchmarkWidth1Write overwrites n blocks of a file per op on a
+// one-member array — the single-stack server's write path. The array
+// must add no allocation to its member's.
+func BenchmarkWidth1Write(b *testing.B) {
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
+			const nblocks = 64
+			k, arr, ino := benchArray(b, 1, Config{}, nblocks)
+			ws := make([]layout.BlockWrite, n)
+			for i := range ws {
+				ws[i] = layout.BlockWrite{Data: pattern(core.BlockNo(i), core.BlockSize), Size: core.BlockSize}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			benchTask(b, k, func(tk sched.Task) error {
+				for i := 0; i < b.N; i++ {
+					for j := range ws {
+						ws[j].Blk = core.BlockNo((i*n + j) % nblocks)
+					}
+					if err := arr.WriteBlocks(tk, ino, ws); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package volume
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -43,9 +45,6 @@ func (e *memberIOError) Unwrap() error { return e.err }
 // continues on the next member with its next call. A dead member
 // degrades to block-wise reconstruction.
 func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error) {
-	if a.single != nil {
-		return a.single.ReadRunVec(t, ino, blk, n, bufs)
-	}
 	if len(bufs) == 0 && !a.cfg.Simulated {
 		return 0, core.ErrInval
 	}
@@ -133,16 +132,11 @@ func blockVec() [][]byte { return [][]byte{make([]byte, core.BlockSize)} }
 // reconstruction — so a steady stream of them allocates none.
 var scratchVecs = sync.Pool{New: func() any { v := blockVec(); return &v }}
 
-// xorInto accumulates b into acc byte-wise. Nil slices (simulated
-// stacks) are no-ops: the I/O pattern is modeled, the math skipped.
+// xorInto accumulates b into acc, over their common length. Nil
+// slices (simulated stacks) are no-ops: the I/O pattern is modeled,
+// the math skipped.
 func xorInto(acc, b []byte) {
-	if acc == nil || b == nil {
-		return
-	}
-	n := min(len(acc), len(b))
-	for i := 0; i < n; i++ {
-		acc[i] ^= b[i]
-	}
+	subtle.XORBytes(acc, acc, b)
 }
 
 // hole reports whether cell c was never written. It peeks at the
@@ -164,9 +158,6 @@ func (a *Array) hole(t sched.Task, af *afile, c cell) bool {
 // member instead of the flusher re-issuing a doomed fan forever. A
 // second fault, or any non-death error, propagates.
 func (a *Array) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.BlockWrite) error {
-	if a.single != nil {
-		return a.single.WriteBlocks(t, ino, writes)
-	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
@@ -185,12 +176,12 @@ func (a *Array) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Blo
 }
 
 func (a *Array) writeOnce(t sched.Task, af *afile, writes []layout.BlockWrite) error {
-	b := batch{t: t, a: a, af: af, writes: writes, dead: a.degradedFor(af)}
-	per, err := b.plan()
+	b := batches.Get().(*batch)
+	defer b.release()
+	b.t, b.a, b.af, b.writes, b.dead = t, a, af, writes, a.degradedFor(af)
+	err := b.plan()
 	if err == nil {
-		err = a.fan(t, func(s int) bool { return len(per[s]) > 0 }, func(st sched.Task, s int) error {
-			return a.writeMember(st, af, s, per[s])
-		})
+		err = a.fan(t, b.on, b.write)
 	}
 	if err == nil {
 		err = a.mirrorSizes(t, af)
@@ -211,16 +202,47 @@ func (a *Array) writeOnce(t sched.Task, af *afile, writes []layout.BlockWrite) e
 	return nil
 }
 
-// batch builds one WriteBlocks call's per-member batches.
+// batch builds one WriteBlocks call's per-member batches. Batches are
+// lent from batches and keep their maps, slices and fan callbacks
+// from call to call, so planning and dispatch allocate nothing once
+// warm.
 type batch struct {
 	t       sched.Task
 	a       *Array
 	af      *afile
 	writes  []layout.BlockWrite
-	dead    int  // member the file treats as missing (degradedFor)
-	real    bool // frames carry bytes (a simulated stack moves none)
+	dead    int                   // member the file treats as missing (degradedFor)
+	real    bool                  // frames carry bytes (a simulated stack moves none)
+	at      map[core.BlockNo]int  // global block → its latest write
+	seen    map[core.BlockNo]bool // columns already planned, by first block
 	out     []planned
+	flat    []layout.BlockWrite   // per's backing array
+	per     [][]layout.BlockWrite // the plan: each member's batch
 	guarded []pplKey
+
+	// The fan's callbacks over per, built once per batch.
+	on    func(s int) bool
+	write func(st sched.Task, s int) error
+}
+
+var batches = sync.Pool{New: func() any {
+	b := &batch{at: map[core.BlockNo]int{}, seen: map[core.BlockNo]bool{}}
+	b.on = func(s int) bool { return len(b.per[s]) > 0 }
+	b.write = func(st sched.Task, s int) error { return b.a.writeMember(st, b.af, s, b.per[s]) }
+	return b
+}}
+
+// release returns b to batches, dropping its references to the
+// caller's file and frames.
+func (b *batch) release() {
+	clear(b.out)
+	clear(b.flat)
+	clear(b.per)
+	clear(b.at)
+	clear(b.seen)
+	*b = batch{at: b.at, seen: b.seen, out: b.out[:0], flat: b.flat[:0], per: b.per[:0],
+		guarded: b.guarded[:0], on: b.on, write: b.write}
+	batches.Put(b)
 }
 
 // planned is one member write of the plan.
@@ -235,7 +257,7 @@ type planned struct {
 // the frame — no reads, no XOR, no record — and a parity cell is
 // computed by parity. The cells go into one slice by value, then into
 // per-member batches over one backing array.
-func (b *batch) plan() ([][]layout.BlockWrite, error) {
+func (b *batch) plan() error {
 	a, home := b.a, b.af.home
 	total := globalExtent(b.writes)
 	if a.pl.owned() {
@@ -243,13 +265,10 @@ func (b *batch) plan() ([][]layout.BlockWrite, error) {
 		// (An affinity file's size is the home member's to publish.)
 		total = max(total, layout.BlocksForSize(b.af.global.Size))
 	}
-	at := map[core.BlockNo]int{} // global block → its latest write
 	for i, w := range b.writes {
-		at[w.Blk] = i
+		b.at[w.Blk] = i
 		b.real = b.real || w.Data != nil
 	}
-	b.out = make([]planned, 0, 2*len(b.writes))
-	seen := map[core.BlockNo]bool{}
 	var buf [8]cell
 	for _, w := range b.writes {
 		chk, checked := a.pl.checkCell(home, w.Blk)
@@ -257,13 +276,13 @@ func (b *batch) plan() ([][]layout.BlockWrite, error) {
 		if checked {
 			first = chk.blk
 		}
-		if seen[first] {
+		if b.seen[first] {
 			continue
 		}
-		seen[first] = true
+		b.seen[first] = true
 		data := a.pl.column(home, w.Blk, total, buf[:0])
 		for _, c := range data {
-			if i, ok := at[c.blk]; ok && a.writeAlive(c.member) {
+			if i, ok := b.at[c.blk]; ok && a.writeAlive(c.member) {
 				b.emit(c, b.writes[i].Data, b.writes[i].Size)
 			}
 		}
@@ -271,31 +290,30 @@ func (b *batch) plan() ([][]layout.BlockWrite, error) {
 		case !checked:
 		case chk.role == roleCopy:
 			if a.writeAlive(chk.member) {
-				cw := b.writes[at[chk.blk]]
+				cw := b.writes[b.at[chk.blk]]
 				b.emit(chk, cw.Data, cw.Size)
 			}
 		case chk.member != b.dead:
 			// A missing parity member takes no update: the column's
 			// redundancy returns with the rebuild.
-			parity, err := b.parity(data, chk, at)
+			parity, err := b.parity(data, chk)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b.emit(chk, parity, core.BlockSize)
 		}
 	}
-	per := make([][]layout.BlockWrite, len(a.subs))
-	flat := make([]layout.BlockWrite, 0, len(b.out))
-	for m := range per {
-		from := len(flat)
+	b.flat = slices.Grow(b.flat, len(b.out)) // per's slices must not move
+	for m := range a.subs {
+		from := len(b.flat)
 		for _, p := range b.out {
 			if p.member == m {
-				flat = append(flat, p.w)
+				b.flat = append(b.flat, p.w)
 			}
 		}
-		per[m] = flat[from:len(flat):len(flat)]
+		b.per = append(b.per, b.flat[from:len(b.flat):len(b.flat)])
 	}
-	return per, nil
+	return nil
 }
 
 func (b *batch) emit(c cell, data []byte, size int) {
@@ -312,8 +330,8 @@ func (b *batch) read(c cell, vec [][]byte) error {
 }
 
 // parity computes a column's new parity block (data: its cells inside
-// the grown file; at: the batch's latest write per global block). It
-// picks, deterministically, the cheapest correct strategy:
+// the grown file). It picks, deterministically, the cheapest correct
+// strategy:
 //
 //   - reconstruct-write: parity = XOR(new frames, unwritten cells'
 //     current content). Taken when the column is fully written (no
@@ -332,10 +350,10 @@ func (b *batch) read(c cell, vec [][]byte) error {
 // the reads the strategy performs anyway. The parity block carries the
 // whole block (Size = BlockSize); file-size granularity lives in the
 // global inode, not the column.
-func (b *batch) parity(data []cell, chk cell, at map[core.BlockNo]int) ([]byte, error) {
+func (b *batch) parity(data []cell, chk cell) ([]byte, error) {
 	unwritten, onDead, deadWritten := 0, false, false
 	for _, c := range data {
-		_, w := at[c.blk]
+		_, w := b.at[c.blk]
 		if !w {
 			unwritten++
 		}
@@ -365,7 +383,7 @@ func (b *batch) parity(data []cell, chk cell, at map[core.BlockNo]int) ([]byte, 
 	}
 	var slots []ParitySlot
 	for _, c := range data {
-		i, w := at[c.blk]
+		i, w := b.at[c.blk]
 		switch {
 		case w && rmw:
 			if err := b.read(c, vec); err != nil {
@@ -408,12 +426,6 @@ func globalExtent(ws []layout.BlockWrite) int64 {
 		end = max(end, int64(w.Blk)+1)
 	}
 	return end
-}
-
-// localExtent is the block-granular extent of one member's write
-// batch: one past the highest local block, in bytes.
-func localExtent(ws []layout.BlockWrite) int64 {
-	return globalExtent(ws) * core.BlockSize
 }
 
 // fan runs fn for every member on reports: in member order on the
@@ -469,7 +481,7 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 // field is written under the same lock Sync reads it with.
 func (a *Array) writeMember(t sched.Task, af *afile, s int, ws []layout.BlockWrite) error {
 	sh := af.shadows[s]
-	if end := localExtent(ws); !a.pl.isCarrier(af.home, s) && end > sh.Size {
+	if end := globalExtent(ws) * core.BlockSize; !a.pl.isCarrier(af.home, s) && end > sh.Size {
 		if err := a.sub(s).Truncate(t, sh, end); err != nil {
 			return &memberIOError{s, fmt.Errorf("volume %s: grow sub %d shadow: %w", a.name, s, err)}
 		}

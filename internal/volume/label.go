@@ -3,6 +3,7 @@ package volume
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -22,28 +23,16 @@ const (
 	labelBytes   = 28
 )
 
-const (
-	placementCodeAffinity = 0
-	placementCodeStriped  = 1
-	placementCodeMirrored = 2
-	placementCodeParity   = 3
-)
+// placementCodes maps a label's placement code to the placement.
+var placementCodes = []string{PlacementAffinity, PlacementStriped, PlacementMirrored, PlacementParity}
 
 func (a *Array) placementCode() uint32 {
-	switch a.cfg.Placement {
-	case PlacementStriped:
-		return placementCodeStriped
-	case PlacementMirrored:
-		return placementCodeMirrored
-	case PlacementParity:
-		return placementCodeParity
-	}
-	return placementCodeAffinity
+	return uint32(slices.Index(placementCodes, a.cfg.Placement))
 }
 
 // widthCoded reports whether a placement records a meaningful chunk
 // width in the label (everything except affinity, which has none).
-func widthCoded(code uint32) bool { return code != placementCodeAffinity }
+func widthCoded(code uint32) bool { return code != 0 }
 
 // writeLabel persists the geometry label on every member, each copy
 // carrying the member's own index.
@@ -136,19 +125,8 @@ func (a *Array) readLabel(t sched.Task) error {
 			}
 			return fmt.Errorf("volume %s: member %d carries no array label: %w", a.name, i, err)
 		}
-		if g.nsubs != len(a.subs) {
-			return fmt.Errorf("volume %s: image is a %d-volume array, mounted with %d", a.name, g.nsubs, len(a.subs))
-		}
-		if g.placement != a.placementCode() {
-			return fmt.Errorf("volume %s: image placement %s, mounted with %s",
-				a.name, placementName(g.placement), a.cfg.Placement)
-		}
-		if widthCoded(g.placement) && g.stripe != a.cfg.StripeBlocks {
-			return fmt.Errorf("volume %s: image stripe width %d blocks, mounted with %d", a.name, g.stripe, a.cfg.StripeBlocks)
-		}
-		if g.member != i {
-			return fmt.Errorf("volume %s: image in slot %d labels itself member %d (image set shuffled?)",
-				a.name, i, g.member)
+		if err := a.checkLabel(g, i); err != nil {
+			return err
 		}
 		if want == nil {
 			want = &g
@@ -169,6 +147,26 @@ func (a *Array) readLabel(t sched.Task) error {
 	}
 	a.labels = labels
 	a.labelDone = true
+	return nil
+}
+
+// checkLabel validates the label geometry g found in member slot i
+// against the configured geometry.
+func (a *Array) checkLabel(g labelGeom, i int) error {
+	if g.nsubs != len(a.subs) {
+		return fmt.Errorf("volume %s: image is a %d-volume array, mounted with %d", a.name, g.nsubs, len(a.subs))
+	}
+	if g.placement != a.placementCode() {
+		return fmt.Errorf("volume %s: image placement %s, mounted with %s",
+			a.name, placementName(g.placement), a.cfg.Placement)
+	}
+	if widthCoded(g.placement) && g.stripe != a.cfg.StripeBlocks {
+		return fmt.Errorf("volume %s: image stripe width %d blocks, mounted with %d", a.name, g.stripe, a.cfg.StripeBlocks)
+	}
+	if g.member != i {
+		return fmt.Errorf("volume %s: image in slot %d labels itself member %d (image set shuffled?)",
+			a.name, i, g.member)
+	}
 	return nil
 }
 
@@ -200,13 +198,8 @@ func decodeLabel(buf []byte) (labelGeom, error) {
 }
 
 func placementName(code uint32) string {
-	switch code {
-	case placementCodeStriped:
-		return PlacementStriped
-	case placementCodeMirrored:
-		return PlacementMirrored
-	case placementCodeParity:
-		return PlacementParity
+	if code < uint32(len(placementCodes)) {
+		return placementCodes[code]
 	}
 	return PlacementAffinity
 }

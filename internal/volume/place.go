@@ -87,6 +87,9 @@ func newPlace(name string, n, w int) (place, error) {
 	default:
 		return p, fmt.Errorf("unknown placement %q", name)
 	}
+	if n == 1 {
+		p.kind = kindAffinity // a one-member stripe is the member itself
+	}
 	return p, nil
 }
 

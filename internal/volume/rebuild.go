@@ -72,7 +72,7 @@ func (a *Array) Degraded() bool { return a.deadIdx.Load() >= 0 }
 // home). The model is single-fault: a second death while one member
 // is already dead is rejected.
 func (a *Array) KillMember(m int) error {
-	if a.single != nil || !a.pl.redundant() {
+	if !a.pl.redundant() {
 		return fmt.Errorf("%w (placement %s)", ErrDegraded, a.cfg.Placement)
 	}
 	if m < 0 || m >= len(a.subs) {
@@ -208,7 +208,7 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 
 	// Restore the member's geometry label (carries its own index).
 	a.mu.Lock(t)
-	relabel := !a.cfg.Simulated && a.labelDone && a.labels != nil && a.labels[dead] != nil
+	relabel := a.labeled && a.labelDone && a.labels != nil && a.labels[dead] != nil
 	a.mu.Unlock(t)
 	if relabel {
 		if err := a.writeMemberLabel(t, dead); err != nil {

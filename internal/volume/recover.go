@@ -23,12 +23,10 @@ import (
 // member, validate the labels, re-sync the lockstep allocators, roll
 // back half-made allocations, repair the shadow-size invariant and,
 // under redundancy, re-converge copies and parity with a repairing
-// scrub. Ends with a full sync so the repairs are durable.
+// scrub. A lockstep array ends with a full sync so the repairs are
+// durable; a lone member's own recovery is the whole of it.
 func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	var st layout.RecoveryStats
-	if a.single != nil {
-		return a.single.Recover(t)
-	}
 	for i := range a.subs {
 		if int(a.deadIdx.Load()) == i {
 			continue // dead member: rebuild recovers it onto a replacement
@@ -39,7 +37,7 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 		}
 		st.Add(sst)
 	}
-	if !a.cfg.Simulated {
+	if a.labeled {
 		if err := a.readLabel(t); err != nil {
 			return st, err
 		}
@@ -64,6 +62,9 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 			}
 		}
 	}
+	if !a.lockstep {
+		return st, nil
+	}
 	// Make the repairs durable (and write the labels if the crash
 	// predated the first sync).
 	return st, a.Sync(t)
@@ -74,10 +75,6 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 // that member's lock; otherwise the array owns it and af.mu — the lock
 // the carrier-size mirror reads under — covers it.
 func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
-	if a.single != nil {
-		a.single.GrowSize(t, ino, size)
-		return
-	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		if size > ino.Size {
@@ -101,10 +98,6 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 // own), otherwise under af.mu, the lock the carrier-size mirror reads
 // under.
 func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
-	if a.single != nil {
-		a.single.WithInode(t, ino, fn)
-		return
-	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		fn()
@@ -122,12 +115,6 @@ func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 // WriteBarrier implements layout.Barrier: every member that stages
 // writes flushes them to stable storage.
 func (a *Array) WriteBarrier(t sched.Task) error {
-	if a.single != nil {
-		if b, ok := a.single.(layout.Barrier); ok {
-			return b.WriteBarrier(t)
-		}
-		return nil
-	}
 	s := a.parityBarrierStart()
 	for i := range a.subs {
 		if !a.writeAlive(i) {
@@ -157,9 +144,6 @@ func (a *Array) WriteBarrier(t sched.Task) error {
 // DurableSeq is the minimum over the members, so the watermark only
 // advances when every member's covering checkpoint is durable.
 func (a *Array) DurableSeq(t sched.Task) uint64 {
-	if a.single != nil {
-		return a.single.DurableSeq(t)
-	}
 	var minSeq uint64
 	first := true
 	for i := range a.subs {

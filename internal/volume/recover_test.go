@@ -217,7 +217,7 @@ func TestArrayRecoverRollsBackHalfAllocation(t *testing.T) {
 			t.Fatalf("no lockstep repair reported: %v", st.Repairs)
 		}
 		// Lockstep must hold again: array-level allocation succeeds
-		// (a broken lockstep fails loudly inside allocLocked).
+		// (a broken lockstep fails loudly inside alloc).
 		for i := 0; i < 4; i++ {
 			if _, err := arr2.AllocInode(tk, core.TypeRegular); err != nil {
 				t.Fatalf("alloc after recovery: %v", err)

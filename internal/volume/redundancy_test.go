@@ -813,8 +813,10 @@ func TestParityWriteHoleClosed(t *testing.T) {
 				chk, _ := pl.checkCell(af.home, blk)
 				land := map[int]bool{pl.dataCell(af.home, blk).member: sc.data, chk.member: sc.parity}
 				af.mu.Lock(tk)
-				plan := batch{t: tk, a: r.arr, af: af, writes: writes, dead: dead}
-				per, err := plan.plan()
+				plan := batches.Get().(*batch)
+				plan.t, plan.a, plan.af, plan.writes, plan.dead = tk, r.arr, af, writes, dead
+				err := plan.plan()
+				per := plan.per
 				if err == nil && len(plan.guarded) != 1 {
 					err = fmt.Errorf("%d guarded columns, want 1", len(plan.guarded))
 				}

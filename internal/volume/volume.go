@@ -110,7 +110,7 @@ const labelFileID = core.RootFile + 1
 type afile struct {
 	id   core.FileID
 	home int
-	mu   sched.Mutex // serializes write/truncate/free fan-outs
+	mu   sched.Mutex // serializes write/truncate/free fan-outs (memberOrdered under affinity)
 
 	// global is the inode the front-end holds. In affinity mode it
 	// is the home sub-volume's inode itself; in striped and redundant
@@ -135,10 +135,14 @@ type Array struct {
 	cfg  Config
 	pl   place
 
-	// single short-circuits a width-1 array into a pure passthrough:
-	// every method delegates directly, so a one-volume array is
-	// byte-identical to mounting the sub-layout itself.
-	single layout.Layout
+	// What width changes, decided once in New. With several members
+	// the array keeps them in lockstep: an allocation holds a.mu
+	// across the member calls (lookups wait for it), the label's inode
+	// is reserved right after the root, and Recover ends with a sync
+	// of them all; a real array also persists and validates the
+	// geometry label (labeled). A lone member's inode numbers, locking,
+	// recovery and image are its own.
+	lockstep, labeled bool
 
 	// Degraded/rebuild state. deadIdx is the dead member (-1 none);
 	// attachIdx is the member whose rebuild replacement is attached
@@ -224,10 +228,8 @@ func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array,
 	for i := range a.origin {
 		a.origin[i] = -1
 	}
-	if len(subs) == 1 {
-		a.single = subs[0]
-		return a, nil
-	}
+	a.lockstep = len(subs) > 1
+	a.labeled = a.lockstep && !cfg.Simulated
 	a.mu = k.NewMutex(name + ".array")
 	a.files = make(map[core.FileID]*afile)
 	a.reads = stats.NewGroup(name + ".array_blocks_read")
@@ -277,11 +279,11 @@ func (a *Array) Placement() string { return a.cfg.Placement }
 // swapped in (read-only use: checks, reports).
 func (a *Array) Subs() []layout.Member { return a.effSubs() }
 
-// Name identifies the array and its shape; a width-1 array is
-// transparent and reports the sub-layout's own name.
+// Name identifies the array and its shape; a width-1 array reports
+// its member's own name.
 func (a *Array) Name() string {
-	if a.single != nil {
-		return a.single.Name()
+	if len(a.subs) == 1 {
+		return a.subs[0].Name()
 	}
 	return fmt.Sprintf("array(%dx%s,%s)", len(a.subs), a.subs[0].Name(), a.pl)
 }
@@ -301,9 +303,6 @@ func (a *Array) home(id core.FileID) int {
 
 // Format initializes every sub-volume.
 func (a *Array) Format(t sched.Task) error {
-	if a.single != nil {
-		return a.single.Format(t)
-	}
 	for i, sub := range a.subs {
 		if err := sub.Format(t); err != nil {
 			return fmt.Errorf("volume %s: format sub %d: %w", a.name, i, err)
@@ -315,9 +314,6 @@ func (a *Array) Format(t sched.Task) error {
 // Mount mounts every sub-volume and, on a real array, validates the
 // geometry label written by the incarnation that formatted it.
 func (a *Array) Mount(t sched.Task) error {
-	if a.single != nil {
-		return a.single.Mount(t)
-	}
 	for i, sub := range a.subs {
 		if int(a.deadIdx.Load()) == i {
 			continue // dead member: mounted by rebuild onto a replacement
@@ -326,10 +322,8 @@ func (a *Array) Mount(t sched.Task) error {
 			return fmt.Errorf("volume %s: mount sub %d: %w", a.name, i, err)
 		}
 	}
-	if !a.cfg.Simulated {
-		if err := a.readLabel(t); err != nil {
-			return err
-		}
+	if a.labeled {
+		return a.readLabel(t)
 	}
 	return nil
 }
@@ -339,11 +333,8 @@ func (a *Array) Mount(t sched.Task) error {
 // geometry label is written (once) before the first real sync so it
 // is covered by the sub-0 checkpoint.
 func (a *Array) Sync(t sched.Task) error {
-	if a.single != nil {
-		return a.single.Sync(t)
-	}
 	a.mu.Lock(t)
-	needLabel := !a.cfg.Simulated && !a.labelDone && a.labelReady()
+	needLabel := a.labeled && !a.labelDone && a.labelReady()
 	if needLabel {
 		a.labelDone = true // claimed; concurrent syncs skip it
 	}
@@ -385,17 +376,16 @@ func (a *Array) labelReady() bool {
 // root directory; the geometry label file is allocated immediately
 // after it so the reserved ID is stable.
 func (a *Array) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, error) {
-	if a.single != nil {
-		return a.single.AllocInode(t, typ)
+	if a.lockstep {
+		a.mu.Lock(t)
+		defer a.mu.Unlock(t)
 	}
-	a.mu.Lock(t)
-	defer a.mu.Unlock(t)
-	af, err := a.allocLocked(t, typ)
+	af, err := a.alloc(t, typ)
 	if err != nil {
 		return nil, err
 	}
-	if af.id == core.RootFile && a.labels == nil {
-		lf, err := a.allocLocked(t, core.TypeRegular)
+	if af.id == core.RootFile && a.lockstep && a.labels == nil {
+		lf, err := a.alloc(t, core.TypeRegular)
 		if err != nil {
 			return nil, fmt.Errorf("volume %s: label allocation: %w", a.name, err)
 		}
@@ -407,11 +397,12 @@ func (a *Array) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, erro
 	return af.global, nil
 }
 
-// allocLocked applies one allocation to every sub-volume, keeping
-// their inode spaces in lockstep. A dead member is skipped (its
-// shadow becomes an in-memory placeholder that rebuild makes real).
-// Caller holds a.mu.
-func (a *Array) allocLocked(t sched.Task, typ core.FileType) (*afile, error) {
+// alloc applies one allocation to every sub-volume, keeping their
+// inode spaces in lockstep, and enters the file in the table. A dead
+// member is skipped (its shadow becomes an in-memory placeholder that
+// rebuild makes real). Caller holds a.mu when the array is lockstep;
+// otherwise a.mu covers only the table entry.
+func (a *Array) alloc(t sched.Task, typ core.FileType) (*afile, error) {
 	shadows := make([]*layout.Inode, len(a.subs))
 	var id core.FileID
 	got := false
@@ -453,6 +444,10 @@ func (a *Array) allocLocked(t sched.Task, typ core.FileType) (*afile, error) {
 			shadows[i] = &layout.Inode{ID: id, Type: typ, Nlink: layout.BirthLinks(typ)}
 		}
 	}
+	if !a.lockstep {
+		a.mu.Lock(t)
+		defer a.mu.Unlock(t)
+	}
 	af := a.adopt(id, shadows, shadows[a.liveCarrier(a.home(id))])
 	// A file born while a replacement is attached is fully written
 	// there from its first block; nothing needs rebuilding.
@@ -465,14 +460,9 @@ func (a *Array) allocLocked(t sched.Task, typ core.FileType) (*afile, error) {
 // array-owned, built from h's scalars (the carrier's size field
 // carries the global size). Caller holds a.mu.
 func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) *afile {
-	af := &afile{
-		id:      id,
-		home:    a.home(id),
-		mu:      a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)),
-		shadows: shadows,
-		global:  h,
-	}
+	af := &afile{id: id, home: a.home(id), mu: memberOrdered{}, shadows: shadows, global: h}
 	if a.pl.owned() {
+		af.mu = a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id))
 		af.global = &layout.Inode{
 			ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
 			Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
@@ -481,6 +471,13 @@ func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) 
 	a.files[id] = af
 	return af
 }
+
+// memberOrdered is an affinity file's fan-out lock: none, for the file
+// is wholly its home member's, whose own lock orders every change.
+type memberOrdered struct{}
+
+func (memberOrdered) Lock(sched.Task)   {}
+func (memberOrdered) Unlock(sched.Task) {}
 
 // liveCarrier returns the file's first carrier that is not dead (the
 // home when none is: impossible under the single-fault model).
@@ -503,10 +500,21 @@ func (a *Array) lookup(t sched.Task, id core.FileID) *afile {
 }
 
 // GetInode returns the global inode, loading the per-sub shadows
-// from a real array on first access after a remount.
+// from a real array on first access after a remount. A lone member's
+// inode is the file's own: the member is asked every time, under its
+// lock alone, and the table only learns the file.
 func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
-	if a.single != nil {
-		return a.single.GetInode(t, id)
+	if !a.lockstep {
+		h, err := a.subs[0].GetInode(t, id)
+		if err != nil {
+			return nil, err
+		}
+		a.mu.Lock(t)
+		if a.files[id] == nil {
+			a.adopt(id, []*layout.Inode{h}, h)
+		}
+		a.mu.Unlock(t)
+		return h, nil
 	}
 	a.mu.Lock(t)
 	defer a.mu.Unlock(t)
@@ -538,9 +546,6 @@ func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 // UpdateInode records changed meta-data on the file's carriers, which
 // persist it.
 func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
-	if a.single != nil {
-		return a.single.UpdateInode(t, ino)
-	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
@@ -582,9 +587,6 @@ func setMeta(dst, src *layout.Inode) {
 
 // FreeInode removes the file from every sub-volume in lockstep.
 func (a *Array) FreeInode(t sched.Task, id core.FileID) error {
-	if a.single != nil {
-		return a.single.FreeInode(t, id)
-	}
 	af := a.lookup(t, id)
 	if af != nil {
 		af.mu.Lock(t)
@@ -615,9 +617,6 @@ func (a *Array) FreeInode(t sched.Task, id core.FileID) error {
 
 // Truncate releases blocks beyond newSize on every sub-volume.
 func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
-	if a.single != nil {
-		return a.single.Truncate(t, ino, newSize)
-	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
@@ -646,9 +645,6 @@ func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 // PlaceExisting spreads a preexisting file's educated-guess
 // placement over the sub-volumes the same way real writes would.
 func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error {
-	if a.single != nil {
-		return a.single.PlaceExisting(t, ino, size)
-	}
 	if !a.cfg.Simulated {
 		return layout.ErrNoPlaceExisting
 	}
@@ -676,9 +672,6 @@ func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error
 
 // FreeBlocks reports the array's aggregate remaining capacity.
 func (a *Array) FreeBlocks() int64 {
-	if a.single != nil {
-		return a.single.FreeBlocks()
-	}
 	var sum int64
 	for _, sub := range a.subs {
 		sum += sub.FreeBlocks()
@@ -687,14 +680,13 @@ func (a *Array) FreeBlocks() int64 {
 }
 
 // Stats registers every sub-volume's sources plus the array-level
-// merged counters.
+// merged counters; a width-1 array's report is its member's.
 func (a *Array) Stats(set *stats.Set) {
-	if a.single != nil {
-		a.single.Stats(set)
-		return
-	}
 	for _, sub := range a.subs {
 		sub.Stats(set)
+	}
+	if len(a.subs) == 1 {
+		return
 	}
 	set.Add(a.reads)
 	set.Add(a.writes)
@@ -719,23 +711,17 @@ func (a *Array) RebuildProgress() (done, total int64) {
 	return a.rebuildDone.Load(), a.rebuildTotal.Load()
 }
 
-// ReadGroup returns the per-member routed-read counters, nil for a
-// width-1 passthrough array.
+// ReadGroup returns the per-member routed-read counters.
 func (a *Array) ReadGroup() *stats.Group { return a.reads }
 
-// WriteGroup returns the per-member routed-write counters, nil for a
-// width-1 passthrough array.
+// WriteGroup returns the per-member routed-write counters.
 func (a *Array) WriteGroup() *stats.Group { return a.writes }
 
-// SyncCounter returns the array-sync counter, nil for a width-1
-// passthrough array.
+// SyncCounter returns the array-sync counter.
 func (a *Array) SyncCounter() *stats.Counter { return a.syncs }
 
 // RoutedBlocks reports the per-sub-volume block counts the array has
 // routed so far — the raw material of the per-volume report.
 func (a *Array) RoutedBlocks() (reads, writes []int64) {
-	if a.single != nil {
-		return []int64{0}, []int64{0}
-	}
 	return a.reads.Values(), a.writes.Values()
 }

@@ -466,7 +466,8 @@ func TestFreeInodeLockstep(t *testing.T) {
 
 // TestWidth1Passthrough checks a one-member array is transparent:
 // same name, same stats set, and inode numbers identical to driving
-// the sub-layout directly (no label file is interposed).
+// the sub-layout directly (no label file is interposed), while its
+// routed-block counts are real.
 func TestWidth1Passthrough(t *testing.T) {
 	k := sched.NewReal(1)
 	build := func() (layout.Layout, *Array) {
@@ -513,6 +514,13 @@ func TestWidth1Passthrough(t *testing.T) {
 				if a.ID != d.ID {
 					return fmt.Errorf("alloc %d: array id %d, direct id %d", i, a.ID, d.ID)
 				}
+			}
+			// The one member's routed blocks are counted like any
+			// member's.
+			ino, _ := writeFile(t, tk, arr, 3, core.BlockSize)
+			checkFile(t, tk, arr, ino, 2)
+			if rd, wr := arr.RoutedBlocks(); len(rd) != 1 || rd[0] != 2 || len(wr) != 1 || wr[0] != 3 {
+				return fmt.Errorf("RoutedBlocks: reads %v writes %v, want [2] [3]", rd, wr)
 			}
 			return nil
 		}()
