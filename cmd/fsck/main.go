@@ -1,12 +1,14 @@
 // Command fsck checks a PFS image — or a multi-volume array image
-// set — for consistency, and optionally repairs it: each volume is
-// mounted and every invariant of its layout verified (LFS: address
-// ranges, double claims, segment usage counts, the free list; FFS:
-// bitmap/table agreement, block claims, leaks). For arrays it also
-// reads the geometry labels and cross-checks the width. With
-// -rollforward an LFS volume is recovered through the newer
-// checkpoint plus the post-checkpoint segment summaries; with
-// -repair an FFS volume's bitmaps are rebuilt from its inode table.
+// set — for consistency, and optionally repairs it. It opens every set
+// the way the server does: one file driver per member image under one
+// volume array (a single image is an array of one), mounted — or,
+// with -rollforward or -repair, recovered — as a whole. Each member
+// then runs its layout's check (LFS: address ranges, double claims,
+// segment usage counts, the free list; FFS: bitmap/table agreement,
+// block claims, leaks). With -rollforward an LFS set is recovered
+// through the newer checkpoint plus the post-checkpoint segment
+// summaries; with -repair an FFS set's bitmaps are rebuilt from its
+// inode tables.
 //
 //	fsck -image /var/tmp/pfs.img
 //	fsck -image /var/tmp/pfs.img -volumes 4 -json
@@ -19,25 +21,30 @@
 // its images) whose records are checksummed, sequence-checked, and
 // printed one per line.
 //
-// For a redundant array (the label says mirrored or parity), one
-// missing member image is not fatal: the member is declared dead, the
-// geometry is read off the first surviving member, and the set is
-// reported degraded (`"degraded"` / `"dead_member"` in -json). The
-// check then mounts the whole array and walks the redundancy
-// invariant — mirror copies agree, parity equals the XOR of its
-// stripe — reporting the scrub counters under `"scrub"`; columns that
-// need the dead member are skipped (they are exactly what a rebuild
-// recomputes). Any mismatch marks the set dirty.
+// For a set wider than one, the first surviving member's geometry
+// label names the placement and chunk width, and the array validates
+// every member's label as the server's mount does: a width mismatch,
+// a shuffled member order or a member from another set is an
+// inconsistency. For a redundant array (the label says mirrored or
+// parity), one missing member image is not fatal: the member is
+// declared dead and the set is reported degraded (`"degraded"` /
+// `"dead_member"` in -json), and it can be rolled forward degraded.
+// A redundant set — checked or just recovered — then walks the
+// redundancy invariant: mirror copies agree, parity equals the XOR of
+// its stripe. The scrub counters are reported under `"scrub"`; columns
+// that need the dead member are skipped (they are exactly what a
+// rebuild recomputes). Any mismatch marks the set dirty.
 //
 // Exit codes: 0 the image (set) is clean — including after a
 // successful repair, and including a degraded-but-consistent
 // redundant set — or the intent dump verifies; 1 inconsistencies
 // remain or the dump is corrupt; 2 an image or dump could not be
-// read at all.
+// read or mounted at all.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -155,6 +162,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if o.intents != "" {
 		return dumpIntents(o, stdout, stderr)
 	}
+	if o.layoutName != "lfs" && o.layoutName != "ffs" {
+		fmt.Fprintf(stderr, "fsck: unknown layout %q\n", o.layoutName)
+		return 2
+	}
+	if o.volumes < 1 {
+		fmt.Fprintln(stderr, "fsck: -volumes must be at least 1")
+		return 2
+	}
 	if o.repair && o.layoutName != "ffs" {
 		fmt.Fprintln(stderr, "fsck: -repair applies to -layout ffs (use -rollforward for lfs)")
 		return 2
@@ -165,70 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rep := report{Image: o.image, Clean: true}
-	k := sched.NewReal(0)
-	fatal := false // could not even check an image (vs. checked and dirty)
-	if o.volumes > 1 && (o.repair || o.rollforward) {
-		// Recovering an array is an array-level operation: member
-		// recovery alone leaves the cross-member invariants (lockstep
-		// allocation, shadow sizes, labels) unrepaired.
-		fatal = recoverArray(k, o, &rep)
-	} else {
-		paths := make([]string, o.volumes)
-		for i := range paths {
-			paths[i] = o.image
-			if o.volumes > 1 {
-				paths[i] = fmt.Sprintf("%s.v%d", o.image, i)
-			}
-		}
-		// One missing member image is the single-fault the redundant
-		// placements are built to survive (the disk died and took its
-		// image with it): skip it here, check the survivors, and judge
-		// it once the label has told us whether its share is still
-		// represented. Two or more missing stay fatal as before.
-		missing := -1
-		if o.volumes > 1 {
-			for i, p := range paths {
-				if _, err := os.Stat(p); err == nil {
-					continue
-				}
-				if missing >= 0 {
-					missing = -2 // beyond the single-fault model
-					break
-				}
-				missing = i
-			}
-		}
-		vrs := make([]volReport, o.volumes)
-		for i, path := range paths {
-			if i == missing {
-				vrs[i] = volReport{Image: path, Layout: o.layoutName, Errors: []string{}}
-				continue
-			}
-			// The geometry label lives on every member, so the first
-			// surviving one can supply it even when member 0 is gone.
-			vr, f := checkVolume(k, path, o, o.volumes > 1 && rep.Label == nil, &rep)
-			fatal = fatal || f
-			vrs[i] = vr
-		}
-		redundant := rep.Label != nil &&
-			(rep.Label.Placement == volume.PlacementMirrored || rep.Label.Placement == volume.PlacementParity)
-		if missing >= 0 {
-			if redundant {
-				vrs[missing].Dead = true
-				rep.Degraded = true
-				m := missing
-				rep.DeadMember = &m
-			} else {
-				vrs[missing].Errors = append(vrs[missing].Errors, fmt.Sprintf(
-					"%s: member image missing and the placement is not redundant", paths[missing]))
-				fatal = true
-			}
-		}
-		if !fatal && redundant {
-			fatal = crossCheck(k, o, paths, missing, &rep, vrs)
-		}
-		rep.Volumes = append(rep.Volumes, vrs...)
-	}
+	fatal := checkSet(o, &rep) // could not even check the set (vs. checked and dirty)
 	for _, vr := range rep.Volumes {
 		if len(vr.Errors) > 0 {
 			rep.Clean = false
@@ -294,291 +246,200 @@ func newLayout(k *sched.RKernel, name, layoutName string, part *layout.Partition
 	return lfs.New(k, name, part, lfs.Config{})
 }
 
-// recoverArray recovers a multi-volume image set through
-// volume.Array.Recover: a probe of member 0 supplies the geometry,
-// the array recovers every member plus the cross-member invariants,
-// and each member is then checked. Returns whether the set could not
-// be recovered at all.
-func recoverArray(k *sched.RKernel, o options, rep *report) bool {
-	paths := make([]string, o.volumes)
-	drvs := make([]device.Driver, o.volumes)
-	vrs := make([]volReport, o.volumes)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("%s.v%d", o.image, i)
-		vrs[i] = volReport{Image: paths[i], Layout: o.layoutName, Errors: []string{}}
+// fail records an inconsistency of the set as a whole.
+func (rep *report) fail(msg string) {
+	rep.Clean = false
+	if rep.ErrorText != "" {
+		msg = rep.ErrorText + "; " + msg
 	}
-	defer func() { rep.Volumes = append(rep.Volumes, vrs...) }()
-	fail := func(i int, f string, args ...any) bool {
-		vrs[i].Errors = append(vrs[i].Errors, fmt.Sprintf(f, args...))
-		return true
-	}
-	blocks := make([]int64, o.volumes)
-	for i, path := range paths {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return fail(i, "%v", err)
-		}
-		blocks[i] = fi.Size() / core.BlockSize
-		vrs[i].Blocks = blocks[i]
-		if blocks[i] < 16 {
-			return fail(i, "%s too small to hold a file system", path)
-		}
-		drv, err := device.NewFileDriver(k, "fsck:"+path, path, blocks[i], nil)
-		if err != nil {
-			return fail(i, "%v", err)
-		}
-		defer drv.Close()
-		drvs[i] = drv
-	}
-
-	fatal := false
-	done := make(chan struct{})
-	k.Go("fsck.array", func(t sched.Task) {
-		defer close(done)
-		// Probe member 0: recover it alone and read the geometry
-		// label the array must be rebuilt with.
-		probe := newLayout(k, "fsck.probe", o.layoutName,
-			layout.NewPartition(drvs[0], 0, 0, blocks[0], false))
-		if _, err := probe.Recover(t); err != nil {
-			fatal = fail(0, "recover: %v", err)
-			return
-		}
-		li, found, err := volume.ReadLabel(t, probe)
-		if err != nil {
-			fatal = fail(0, "array label: %v", err)
-			return
-		}
-		cfg := volume.Config{}
-		if found {
-			rep.Label = &labelInfo{Volumes: li.Volumes, Placement: li.Placement, StripeBlocks: li.StripeBlocks}
-			if li.Volumes != o.volumes {
-				fail(0, "array label says %d volumes, recovering %d", li.Volumes, o.volumes)
-				return
-			}
-			cfg.Placement = li.Placement
-			cfg.StripeBlocks = li.StripeBlocks
-		} else {
-			vrs[0].Repairs = append(vrs[0].Repairs,
-				"no geometry label found; recovering with default (affinity) routing")
-		}
-
-		subs := make([]layout.Layout, o.volumes)
-		for i := range subs {
-			subs[i] = newLayout(k, fmt.Sprintf("fsck.d%d", i), o.layoutName,
-				layout.NewPartition(drvs[i], i, 0, blocks[i], false))
-		}
-		arr, err := volume.New(k, "fsck", subs, cfg)
-		if err != nil {
-			fatal = fail(0, "%v", err)
-			return
-		}
-		st, err := arr.Recover(t)
-		vrs[0].Repairs = append(vrs[0].Repairs, st.Repairs...)
-		if st.RolledSegments > 0 || st.DataBlocks > 0 || st.InodeRecords > 0 {
-			vrs[0].Repairs = append(vrs[0].Repairs, fmt.Sprintf(
-				"rolled forward %d segments: %d data blocks, %d inode records, %d orphans",
-				st.RolledSegments, st.DataBlocks, st.InodeRecords, st.OrphanBlocks))
-		}
-		if err != nil {
-			fatal = fail(0, "array recover: %v", err)
-			return
-		}
-		for i, sub := range arr.Subs() {
-			vrs[i].FreeBlocks = sub.FreeBlocks()
-			for _, e := range checkFn(sub)(t) {
-				vrs[i].Errors = append(vrs[i].Errors, e.Error())
-			}
-			if mi, ok, err := volume.ReadLabel(t, sub); err == nil && ok && mi.Origin >= 0 {
-				org := mi.Origin
-				vrs[i].Origin = &org
-			}
-		}
-	})
-	<-done
-	return fatal
+	rep.ErrorText = msg
 }
 
-// crossCheck mounts the whole redundant array over the member images
-// and walks the redundancy invariant: mirror copies agree, parity
-// equals the XOR of its stripe. A dead member is stood in for by a
-// blank placeholder that is never read — the array mounts around it —
-// and the columns that need it are counted as skipped, not verified:
-// they are exactly what a rebuild recomputes. Mismatches mark the set
-// dirty (exit 1); returns whether the array could not be mounted at
-// all.
-func crossCheck(k *sched.RKernel, o options, paths []string, dead int, rep *report, vrs []volReport) bool {
-	subs := make([]layout.Layout, o.volumes)
-	var blocks int64
-	for i, path := range paths {
-		if i == dead {
+// failMember records an error against member i and returns true, the
+// "could not be checked" verdict of the callers that stop on it.
+func (rep *report) failMember(i int, f string, args ...any) bool {
+	rep.Volumes[i].Errors = append(rep.Volumes[i].Errors, fmt.Sprintf(f, args...))
+	return true
+}
+
+// checkSet opens the image set the way the server does — one file
+// driver per member image under one volume.Array, width 1 included —
+// mounts or recovers it, and checks it. Returns whether the set could
+// not be checked at all.
+func checkSet(o options, rep *report) bool {
+	k := sched.NewReal(0)
+	n := o.volumes
+	vrs := make([]volReport, n)
+	rep.Volumes = vrs
+	for i := range vrs {
+		vrs[i] = volReport{Image: o.image, Layout: o.layoutName, Errors: []string{}}
+		if n > 1 {
+			vrs[i].Image = fmt.Sprintf("%s.v%d", o.image, i)
+		}
+	}
+	parts := make([]*layout.Partition, n)
+	var gone []int
+	for i := range vrs {
+		path := vrs[i].Image
+		fi, err := os.Stat(path)
+		if err != nil {
+			gone = append(gone, i)
+			rep.failMember(i, "%v", err)
 			continue
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			vrs[i].Errors = append(vrs[i].Errors, err.Error())
-			return true
+		vrs[i].Blocks = fi.Size() / core.BlockSize
+		if vrs[i].Blocks < 16 {
+			return rep.failMember(i, "%s too small to hold a file system", path)
 		}
-		n := fi.Size() / core.BlockSize
-		drv, err := device.NewFileDriver(k, "fsck.x:"+path, path, n, nil)
+		drv, err := device.NewFileDriver(k, "fsck:"+path, path, vrs[i].Blocks, nil)
 		if err != nil {
-			vrs[i].Errors = append(vrs[i].Errors, err.Error())
-			return true
+			return rep.failMember(i, "%v", err)
 		}
 		defer drv.Close()
-		subs[i] = newLayout(k, fmt.Sprintf("fsck.x%d", i), o.layoutName,
-			layout.NewPartition(drv, i, 0, n, false))
-		if blocks == 0 {
-			blocks = n
-		}
+		parts[i] = layout.NewPartition(drv, i, 0, vrs[i].Blocks, false)
 	}
-	if dead >= 0 {
-		drv := device.NewMemDriver(k, "fsck.dead", blocks, nil)
-		subs[dead] = newLayout(k, fmt.Sprintf("fsck.x%d", dead), o.layoutName,
-			layout.NewPartition(drv, dead, 0, blocks, false))
-	}
-	arr, err := volume.New(k, "fsck", subs,
-		volume.Config{Placement: rep.Label.Placement, StripeBlocks: rep.Label.StripeBlocks})
-	if err != nil {
-		rep.ErrorText = fmt.Sprintf("redundancy cross-check: %v", err)
+	missing := -1
+	switch {
+	case len(gone) == 1 && n > 1:
+		// One missing member image is the single fault the redundant
+		// placements are built to survive (the disk died and took its
+		// image with it); KillMember judges it once the label has
+		// named the placement.
+		missing = gone[0]
+		vrs[missing].Errors = vrs[missing].Errors[:0]
+	case len(gone) > 0:
 		return true
 	}
-	if dead >= 0 {
-		if err := arr.KillMember(dead); err != nil {
-			rep.ErrorText = fmt.Sprintf("redundancy cross-check: %v", err)
-			return true
-		}
+	first := 0 // the first surviving member
+	if missing == 0 {
+		first = 1
 	}
+	if missing >= 0 {
+		// A blank stand-in the array never reads: it mounts around it.
+		drv := device.NewMemDriver(k, "fsck.dead", vrs[first].Blocks, nil)
+		defer drv.Close()
+		parts[missing] = layout.NewPartition(drv, missing, 0, vrs[first].Blocks, false)
+	}
+
 	fatal := false
-	done := make(chan struct{})
-	k.Go("fsck.crosscheck", func(t sched.Task) {
-		defer close(done)
-		if err := arr.Mount(t); err != nil {
-			rep.ErrorText = fmt.Sprintf("redundancy cross-check: mount: %v", err)
-			fatal = true
-			return
-		}
-		st, err := arr.Scrub(t, false)
-		if err != nil {
-			rep.ErrorText = fmt.Sprintf("redundancy cross-check: %v", err)
-			fatal = true
-			return
-		}
-		rep.Scrub = &scrubInfo{
-			Files:      st.Files,
-			Blocks:     st.Blocks,
-			Skipped:    st.Skipped,
-			Mismatches: st.Mismatches,
-		}
-		if st.Mismatches > 0 {
-			rep.Clean = false
-			rep.ErrorText = fmt.Sprintf(
-				"redundancy cross-check: %d mismatched columns (run fsck -rollforward, or rebuild the member)",
-				st.Mismatches)
-		}
-	})
-	<-done
-	return fatal
-}
-
-// checkFn returns the layout's fsck pass.
-func checkFn(lay layout.Layout) func(t sched.Task) []error {
-	switch l := lay.(type) {
-	case *lfs.LFS:
-		return l.Check
-	case *ffs.FFS:
-		return l.Check
-	default:
-		return func(sched.Task) []error { return nil }
-	}
-}
-
-// checkVolume mounts (or recovers) and checks one image; with
-// wantLabel set (the first surviving member of an array) it also
-// reads the geometry label into rep. The second result reports
-// whether the image could not be checked at all.
-func checkVolume(k *sched.RKernel, path string, o options, wantLabel bool, rep *report) (volReport, bool) {
-	vr := volReport{Image: path, Layout: o.layoutName, Errors: []string{}}
-	fatal := false
-	fail := func(f string, args ...any) (volReport, bool) {
-		vr.Errors = append(vr.Errors, fmt.Sprintf(f, args...))
-		return vr, true
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return fail("%v", err)
-	}
-	blocks := fi.Size() / core.BlockSize
-	vr.Blocks = blocks
-	if blocks < 16 {
-		return fail("%s too small to hold a file system", path)
-	}
-	drv, err := device.NewFileDriver(k, "fsck:"+path, path, blocks, nil)
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer drv.Close()
-	part := layout.NewPartition(drv, 0, 0, blocks, false)
-
-	if o.layoutName != "lfs" && o.layoutName != "ffs" {
-		return fail("unknown layout %q", o.layoutName)
-	}
-	lay := newLayout(k, "fsck", o.layoutName, part)
-	check := checkFn(lay)
-
 	done := make(chan struct{})
 	k.Go("fsck", func(t sched.Task) {
 		defer close(done)
-		if o.repair || o.rollforward {
-			st, err := lay.Recover(t)
-			vr.Repairs = append(vr.Repairs, st.Repairs...)
-			if st.RolledSegments > 0 || st.DataBlocks > 0 || st.InodeRecords > 0 {
-				vr.Repairs = append(vr.Repairs, fmt.Sprintf(
-					"rolled forward %d segments: %d data blocks, %d inode records, %d orphans",
-					st.RolledSegments, st.DataBlocks, st.InodeRecords, st.OrphanBlocks))
-			}
-			if err != nil {
-				vr.Errors = append(vr.Errors, fmt.Sprintf("recover: %v", err))
-				fatal = true
-				return
-			}
-		} else if err := lay.Mount(t); err != nil {
-			vr.Errors = append(vr.Errors, fmt.Sprintf("mount: %v", err))
-			fatal = true
-			return
-		}
-		vr.FreeBlocks = lay.FreeBlocks()
-		for _, e := range check(t) {
-			vr.Errors = append(vr.Errors, e.Error())
-		}
-		if o.volumes > 1 {
-			li, found, err := volume.ReadLabel(t, lay)
-			if err != nil {
-				vr.Errors = append(vr.Errors, fmt.Sprintf("array label: %v", err))
-			} else if found {
-				// Lineage: a promoted member's label names the spare
-				// slot it was rebuilt onto.
-				if li.Origin >= 0 {
-					org := li.Origin
-					vr.Origin = &org
-				}
-				if wantLabel {
-					rep.Label = &labelInfo{Volumes: li.Volumes, Placement: li.Placement, StripeBlocks: li.StripeBlocks}
-				}
-			}
-		}
+		fatal = checkArray(t, k, o, rep, parts, missing, first)
 	})
 	<-done
-	return vr, fatal
+	return fatal
+}
+
+// checkArray is checkSet's work inside a kernel task. For width > 1
+// the first surviving member, mounted (or recovered) alone, supplies
+// the geometry label the array is built with; the array then mounts
+// (or recovers) every member and validates their labels, each member
+// runs its own check, and a redundant array walks its redundancy
+// invariant with a read-only scrub. A label that does not describe the
+// set (volume.ErrGeometry) is an inconsistency, not a fatal error.
+func checkArray(t sched.Task, k *sched.RKernel, o options, rep *report, parts []*layout.Partition, missing, first int) bool {
+	vrs := rep.Volumes
+	verb := "mount"
+	if o.repair || o.rollforward {
+		verb = "recover"
+	}
+	bringUp := func(lay layout.Layout) (layout.RecoveryStats, error) {
+		if verb == "recover" {
+			return lay.Recover(t)
+		}
+		return layout.RecoveryStats{}, lay.Mount(t)
+	}
+
+	var cfg volume.Config
+	if len(parts) > 1 {
+		probe := newLayout(k, "fsck.probe", o.layoutName, parts[first])
+		if _, err := bringUp(probe); err != nil {
+			return rep.failMember(first, "%s: %v", verb, err)
+		}
+		li, found, err := volume.ReadLabel(t, probe)
+		if err != nil {
+			return rep.failMember(first, "array label: %v", err)
+		}
+		if found {
+			rep.Label = &labelInfo{Volumes: li.Volumes, Placement: li.Placement, StripeBlocks: li.StripeBlocks}
+			cfg = volume.Config{Placement: li.Placement, StripeBlocks: li.StripeBlocks}
+			if li.Volumes != len(parts) {
+				rep.fail(fmt.Sprintf("array label says %d volumes, checked %d", li.Volumes, len(parts)))
+			}
+		}
+	}
+	subs := make([]layout.Layout, len(parts))
+	for i, part := range parts {
+		subs[i] = newLayout(k, fmt.Sprintf("fsck.d%d", i), o.layoutName, part)
+	}
+	arr, err := volume.New(k, "fsck", subs, cfg)
+	if err != nil {
+		// The label's geometry does not fit the set being checked.
+		rep.fail(err.Error())
+		return false
+	}
+	if missing >= 0 {
+		if arr.KillMember(missing) != nil {
+			return rep.failMember(missing, "%s: member image missing and the placement is not redundant", vrs[missing].Image)
+		}
+		vrs[missing].Dead = true
+		rep.Degraded = true
+		rep.DeadMember = &missing
+	}
+	st, err := bringUp(arr)
+	vrs[first].Repairs = append(vrs[first].Repairs, st.Repairs...)
+	if st.RolledSegments > 0 || st.DataBlocks > 0 || st.InodeRecords > 0 {
+		vrs[first].Repairs = append(vrs[first].Repairs, fmt.Sprintf(
+			"rolled forward %d segments: %d data blocks, %d inode records, %d orphans",
+			st.RolledSegments, st.DataBlocks, st.InodeRecords, st.OrphanBlocks))
+	}
+	geometry := errors.Is(err, volume.ErrGeometry)
+	if err != nil && !geometry {
+		return rep.failMember(first, "%s: %v", verb, err)
+	}
+	if geometry {
+		// Every member is up; only the labels disagree with the set.
+		rep.fail(err.Error())
+	}
+	origins := arr.Origins()
+	for i, sub := range arr.Subs() {
+		if i == missing {
+			continue
+		}
+		vrs[i].FreeBlocks = sub.FreeBlocks()
+		for _, e := range sub.Check(t) {
+			vrs[i].Errors = append(vrs[i].Errors, e.Error())
+		}
+		if origins[i] >= 0 {
+			// Lineage: a promoted member's label names the spare slot
+			// it was rebuilt onto.
+			org := origins[i]
+			vrs[i].Origin = &org
+		}
+	}
+	if geometry || (arr.Placement() != volume.PlacementMirrored && arr.Placement() != volume.PlacementParity) {
+		return false
+	}
+	// Mirror copies agree and parity equals the XOR of its stripe;
+	// columns that need the dead member are skipped, not verified.
+	sst, err := arr.Scrub(t, false)
+	if err != nil {
+		rep.fail(fmt.Sprintf("redundancy cross-check: %v", err))
+		return true
+	}
+	rep.Scrub = &scrubInfo{Files: sst.Files, Blocks: sst.Blocks, Skipped: sst.Skipped, Mismatches: sst.Mismatches}
+	if sst.Mismatches > 0 {
+		rep.fail(fmt.Sprintf(
+			"redundancy cross-check: %d mismatched columns (run fsck -rollforward, or rebuild the member)",
+			sst.Mismatches))
+	}
+	return false
 }
 
 // emit prints the report and returns the exit code: 0 clean, 1
 // inconsistencies found, 2 an image could not be checked at all.
 func emit(rep *report, o options, stdout, stderr io.Writer, fatal bool) int {
-	if rep.Label != nil && rep.Label.Volumes != len(rep.Volumes) {
-		rep.Clean = false
-		rep.ErrorText = fmt.Sprintf("array label says %d volumes, checked %d",
-			rep.Label.Volumes, len(rep.Volumes))
-	}
 	// Spare pool and self-heal provenance: informative, never dirty.
 	if o.volumes > 1 {
 		if sp, _ := filepath.Glob(o.image + ".s*"); len(sp) > 0 {
@@ -619,6 +480,8 @@ func emit(rep *report, o options, stdout, stderr io.Writer, fatal bool) int {
 			}
 			if len(v.Errors) > 0 {
 				fmt.Fprintf(stdout, "%s: %d inconsistencies\n", v.Image, len(v.Errors))
+			} else if fatal {
+				fmt.Fprintf(stdout, "%s: not checked\n", v.Image)
 			} else {
 				fmt.Fprintf(stdout, "%s: clean\n", v.Image)
 			}

@@ -302,6 +302,31 @@ func TestExitCodeTable(t *testing.T) {
 	// LFS superblock fields: SegBlocks at byte 4, the segment count at 8.
 	zeroSegBlocks := damagedSuper(t, cleanLFS, 4, false, 0)
 	hugeNsegs := damagedSuper(t, cleanLFS, 8, true, 1<<40)
+	// FFS superblock fields: BlocksPerGroup at byte 4, InodesPerGroup
+	// at 8, the group count at 12.
+	cleanFFS := mkImage(t, t.TempDir(), "ffs", 1, "close")
+	ffsZeroBPG := damagedSuper(t, cleanFFS, 4, false, 0)
+	ffsHugeBPG := damagedSuper(t, cleanFFS, 4, false, 1<<30)
+	ffsHugeGroups := damagedSuper(t, cleanFFS, 12, false, 1<<30)
+	ffsZeroIPG := damagedSuper(t, cleanFFS, 8, false, 0)
+	// Members 0 and 1 of a labeled set trade places.
+	shuffled := mkImage(t, t.TempDir(), "lfs", 3, "close")
+	for _, mv := range [][2]string{{".v0", ".tmp"}, {".v1", ".v0"}, {".tmp", ".v1"}} {
+		if err := os.Rename(shuffled+mv[0], shuffled+mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Member 2 of a mirrored set stands in for an affinity set's own.
+	foreign := mkImage(t, t.TempDir(), "lfs", 3, "close")
+	if img, err := os.ReadFile(mirror3 + ".v2"); err != nil {
+		t.Fatal(err)
+	} else if err := os.WriteFile(foreign+".v2", img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	degradedRoll := mkRedundantImage(t, t.TempDir(), "parity")
+	if err := os.Remove(degradedRoll + ".v1"); err != nil {
+		t.Fatal(err)
+	}
 	garbage := filepath.Join(t.TempDir(), "garbage")
 	if err := os.WriteFile(garbage, make([]byte, 1<<20), 0o644); err != nil {
 		t.Fatal(err)
@@ -349,6 +374,14 @@ func TestExitCodeTable(t *testing.T) {
 		{"nonredundant-member-missing", []string{"-image", affinityLost, "-volumes", "3"}, 2, "not redundant"},
 		{"array-rollforward", []string{"-image", array3, "-volumes", "3", "-rollforward"}, 0, "array label: 3 volumes"},
 		{"array-width-mismatch", []string{"-image", array3, "-volumes", "2"}, 1, "label says 3 volumes, checked 2"},
+		{"shuffled-members", []string{"-image", shuffled, "-volumes", "3"}, 1, "shuffled"},
+		{"foreign-member", []string{"-image", foreign, "-volumes", "3"}, 1, "geometry mismatch"},
+		{"parity-member-dead-rollforward", []string{"-image", degradedRoll, "-volumes", "3", "-rollforward"}, 0, "member dead"},
+		{"ffs-superblock-zero-bpg", []string{"-image", ffsZeroBPG, "-layout", "ffs"}, 2, "mount:"},
+		{"ffs-superblock-huge-bpg", []string{"-image", ffsHugeBPG, "-layout", "ffs"}, 2, "mount:"},
+		{"ffs-superblock-huge-groups", []string{"-image", ffsHugeGroups, "-layout", "ffs"}, 2, "mount:"},
+		{"ffs-superblock-zero-ipg", []string{"-image", ffsZeroIPG, "-layout", "ffs"}, 2, "mount:"},
+		{"volumes-zero", []string{"-image", cleanLFS, "-volumes", "0"}, 2, ""},
 		{"repair-on-lfs-misuse", []string{"-image", cleanLFS, "-repair"}, 2, ""},
 		{"rollforward-on-ffs-misuse", []string{"-image", crashedFFS, "-layout", "ffs", "-rollforward"}, 2, ""},
 		{"intents-valid", []string{"-intents", goodDump}, 0, "3 intents, all checksums verified"},
@@ -397,6 +430,23 @@ func TestExitCodeTable(t *testing.T) {
 		t.Fatalf("dead member not reported: %+v", rep)
 	case rep.Scrub == nil || rep.Scrub.Skipped == 0 || rep.Scrub.Mismatches != 0:
 		t.Fatalf("cross-check stats: %+v", rep.Scrub)
+	}
+
+	// Recovery goes through the same array: the degraded set rolls
+	// forward around its dead member and is scrubbed afterwards.
+	out.Reset()
+	if got := run([]string{"-image", degradedRoll, "-volumes", "3", "-rollforward", "-json"}, &out, &out); got != 0 {
+		t.Fatalf("degraded roll-forward not clean (exit %d):\n%s", got, out.String())
+	}
+	rep = report{}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, out.String())
+	}
+	switch {
+	case !rep.Clean || !rep.Degraded || rep.DeadMember == nil || *rep.DeadMember != 1:
+		t.Fatalf("degraded roll-forward: %+v", rep)
+	case rep.Scrub == nil || rep.Scrub.Skipped == 0 || rep.Scrub.Mismatches != 0:
+		t.Fatalf("no scrub after recovery: %+v", rep.Scrub)
 	}
 
 	// The spare-pool JSON shape: the idle image is counted and listed,

@@ -52,10 +52,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := codec.Write(w, recs); err != nil {
+	err := codec.Write(w, recs)
+	if w != os.Stdout {
+		// A failed close can lose the file's tail.
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

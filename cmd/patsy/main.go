@@ -63,16 +63,10 @@ func main() {
 
 	nvBlocks := *nvramKB / 4
 	var policies []cache.FlushConfig
-	switch *policy {
-	case "writedelay":
-		policies = []cache.FlushConfig{cache.WriteDelay()}
-	case "ups":
-		policies = []cache.FlushConfig{cache.UPS()}
-	case "nvram-whole":
-		policies = []cache.FlushConfig{cache.NVRAMWhole(nvBlocks)}
-	case "nvram-partial":
-		policies = []cache.FlushConfig{cache.NVRAMPartial(nvBlocks)}
-	case "all":
+	switch fc, ok := cache.FlushPolicy(*policy, nvBlocks); {
+	case ok:
+		policies = []cache.FlushConfig{fc}
+	case *policy == "all":
 		policies = []cache.FlushConfig{
 			cache.WriteDelay(), cache.UPS(),
 			cache.NVRAMWhole(nvBlocks), cache.NVRAMPartial(nvBlocks),

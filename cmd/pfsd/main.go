@@ -53,17 +53,8 @@ func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	var fc cache.FlushConfig
-	switch *policy {
-	case "writedelay":
-		fc = cache.WriteDelay()
-	case "ups":
-		fc = cache.UPS()
-	case "nvram-whole":
-		fc = cache.NVRAMWhole(*nvramKB / 4)
-	case "nvram-partial":
-		fc = cache.NVRAMPartial(*nvramKB / 4)
-	default:
+	fc, ok := cache.FlushPolicy(*policy, *nvramKB/4)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
 	}

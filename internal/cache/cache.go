@@ -74,6 +74,23 @@ func NVRAMPartial(nvblocks int) FlushConfig {
 	return FlushConfig{Name: "nvram-partial", MaxDirtyBlocks: nvblocks, Persistent: true}
 }
 
+// FlushPolicy builds the named write policy — writedelay, ups,
+// nvram-whole or nvram-partial — with nvramBlocks of NVRAM for the
+// nvram policies.
+func FlushPolicy(name string, nvramBlocks int) (FlushConfig, bool) {
+	switch name {
+	case "writedelay":
+		return WriteDelay(), true
+	case "ups":
+		return UPS(), true
+	case "nvram-whole":
+		return NVRAMWhole(nvramBlocks), true
+	case "nvram-partial":
+		return NVRAMPartial(nvramBlocks), true
+	}
+	return FlushConfig{}, false
+}
+
 // Config sizes and configures a cache.
 type Config struct {
 	// Blocks is the cache capacity in blocks.

@@ -101,46 +101,3 @@ func TestSimMoverCostMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRegistryLookup(t *testing.T) {
-	r := NewRegistry()
-	r.Register("flush", "ups", 42)
-	r.Register("flush", "writedelay", 43)
-	r.Register("layout", "lfs", 44)
-
-	v, err := r.Lookup("flush", "ups")
-	if err != nil || v.(int) != 42 {
-		t.Fatalf("lookup: %v %v", v, err)
-	}
-	if _, err := r.Lookup("flush", "nope"); err == nil {
-		t.Fatal("missing name accepted")
-	}
-	if _, err := r.Lookup("nokind", "x"); err == nil {
-		t.Fatal("missing kind accepted")
-	}
-	names := r.Names("flush")
-	if len(names) != 2 || names[0] != "ups" || names[1] != "writedelay" {
-		t.Fatalf("names %v", names)
-	}
-	kinds := r.Kinds()
-	if len(kinds) != 2 || kinds[0] != "flush" {
-		t.Fatalf("kinds %v", kinds)
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Register("k", "n", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration accepted")
-		}
-	}()
-	r.Register("k", "n", 2)
-}
-
-func TestDefaultRegistryShared(t *testing.T) {
-	if Components() == nil || Components() != Components() {
-		t.Fatal("default registry not a singleton")
-	}
-}

@@ -224,10 +224,12 @@ func (f *FFS) Mount(t sched.Task) error {
 	if le.Uint32(buf[0:]) != superMagic {
 		return fmt.Errorf("ffs %s: bad superblock magic", f.name)
 	}
-	f.cfg.BlocksPerGroup = int(le.Uint32(buf[4:]))
-	f.cfg.InodesPerGroup = int(le.Uint32(buf[8:]))
+	bpg, ipg, ngroups := int(le.Uint32(buf[4:])), int(le.Uint32(buf[8:])), int(le.Uint32(buf[12:]))
+	if err := f.checkGeometry(bpg, ipg, ngroups); err != nil {
+		return fmt.Errorf("ffs %s: superblock: %w", f.name, err)
+	}
+	f.cfg.BlocksPerGroup, f.cfg.InodesPerGroup = bpg, ipg
 	f.deriveGeometry()
-	f.ngroups = int(le.Uint32(buf[12:]))
 	f.inoBits = make([]bitset, f.ngroups)
 	f.dataBits = make([]bitset, f.ngroups)
 	f.tornMeta = nil
@@ -259,6 +261,23 @@ func (f *FFS) Mount(t sched.Task) error {
 		}
 	}
 	f.mounted = true
+	return nil
+}
+
+// checkGeometry validates the geometry a superblock records against
+// the partition, so a damaged field fails the mount instead of
+// dividing by zero, indexing past a bitmap or allocating bitmaps for
+// a billion groups.
+func (f *FFS) checkGeometry(bpg, ipg, ngroups int) error {
+	if ipg <= 0 || ipg%layout.InodesPerBlk != 0 || ipg > bitmapBits {
+		return fmt.Errorf("InodesPerGroup %d is not a positive multiple of %d up to %d", ipg, layout.InodesPerBlk, bitmapBits)
+	}
+	if dataStart := gInoTable + ipg/layout.InodesPerBlk; bpg <= dataStart || bpg > bitmapBits {
+		return fmt.Errorf("BlocksPerGroup %d outside [%d, %d]", bpg, dataStart+1, bitmapBits)
+	}
+	if fit := (f.part.Blocks - 1) / int64(bpg); ngroups < 1 || int64(ngroups) != fit {
+		return fmt.Errorf("%d groups, a %d-block partition holds %d", ngroups, f.part.Blocks, fit)
+	}
 	return nil
 }
 

@@ -266,4 +266,7 @@ type Member interface {
 	// the live inode space onto a freshly formatted replacement with
 	// it, where the ordinary allocator would assign other numbers.
 	RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*Inode, error)
+	// Check verifies the mounted member's on-image invariants (the
+	// fsck pass) and returns every violation found.
+	Check(t sched.Task) []error
 }

@@ -245,8 +245,9 @@ func (l *LFS) rewriteIndirects(t sched.Task, ino *layout.Inode) error {
 	return l.writeIndirects(t, ino)
 }
 
-// getInodeLocked is GetInode without taking the mutex (held by the
-// cleaner).
+// getInodeLocked is GetInode's body, under the mutex the caller
+// holds. A simulated volume has every live inode in memory, so an
+// imap entry without one is not found.
 func (l *LFS) getInodeLocked(t sched.Task, id core.FileID) (*layout.Inode, error) {
 	if ino := l.inodes[id]; ino != nil {
 		return ino, nil

@@ -84,24 +84,7 @@ func (l *LFS) RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*la
 func (l *LFS) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
-	if ino := l.inodes[id]; ino != nil {
-		return ino, nil
-	}
-	ent := l.imap[id]
-	if ent == nil || ent.addr < 0 {
-		return nil, core.ErrNotFound
-	}
-	if l.part.Simulated {
-		// A simulated volume has every live inode in memory; an
-		// imap entry without one cannot happen within a run.
-		return nil, core.ErrNotFound
-	}
-	ino, err := l.readInodeFromLog(t, ent)
-	if err != nil {
-		return nil, err
-	}
-	l.inodes[id] = ino
-	return ino, nil
+	return l.getInodeLocked(t, id)
 }
 
 // readInodeFromLog reads and decodes an inode record plus its block

@@ -298,10 +298,11 @@ func checkVersions(t sched.Task, v *fsys.Volume, files int, check func(f, b int,
 func fsckMembers(t sched.Task, a *volume.Array) []string {
 	var errs []string
 	for i, sub := range a.Subs() {
-		if c, ok := sub.(interface{ Check(sched.Task) []error }); ok && i != a.DeadMember() {
-			for _, e := range c.Check(t) {
-				errs = append(errs, e.Error())
-			}
+		if i == a.DeadMember() {
+			continue
+		}
+		for _, e := range sub.Check(t) {
+			errs = append(errs, e.Error())
 		}
 	}
 	return errs

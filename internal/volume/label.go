@@ -2,6 +2,7 @@ package volume
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -22,6 +23,12 @@ const (
 	labelVersion = 2
 	labelBytes   = 28
 )
+
+// ErrGeometry marks a member set whose labels do not describe the
+// array being mounted: a width, placement or chunk mismatch, a member
+// in the wrong slot, or a member from another set. Offline tools
+// report it as an inconsistency, not as unreadable storage.
+var ErrGeometry = errors.New("geometry mismatch")
 
 // placementCodes maps a label's placement code to the placement.
 var placementCodes = []string{PlacementAffinity, PlacementStriped, PlacementMirrored, PlacementParity}
@@ -102,7 +109,7 @@ func (a *Array) readLabel(t sched.Task) error {
 			if i == firstAlive {
 				return nil // fresh array, labels not yet written
 			}
-			return fmt.Errorf("volume %s: member %d carries no label file (member %d does)", a.name, i, firstAlive)
+			return fmt.Errorf("volume %s: %w: member %d carries no label file (member %d does)", a.name, ErrGeometry, i, firstAlive)
 		}
 		if err != nil {
 			return fmt.Errorf("volume %s: label inode on member %d: %w", a.name, i, err)
@@ -123,7 +130,7 @@ func (a *Array) readLabel(t sched.Task) error {
 				empty++
 				continue
 			}
-			return fmt.Errorf("volume %s: member %d carries no array label: %w", a.name, i, err)
+			return fmt.Errorf("volume %s: %w: member %d carries no array label: %w", a.name, ErrGeometry, i, err)
 		}
 		if err := a.checkLabel(g, i); err != nil {
 			return err
@@ -131,7 +138,7 @@ func (a *Array) readLabel(t sched.Task) error {
 		if want == nil {
 			want = &g
 		} else if g.nsubs != want.nsubs || g.placement != want.placement || g.stripe != want.stripe {
-			return fmt.Errorf("volume %s: member %d label disagrees with member %d", a.name, i, firstAlive)
+			return fmt.Errorf("volume %s: %w: member %d label disagrees with member %d", a.name, ErrGeometry, i, firstAlive)
 		}
 		a.setOrigin(i, g.origin)
 		labels[i] = ino
@@ -154,18 +161,18 @@ func (a *Array) readLabel(t sched.Task) error {
 // against the configured geometry.
 func (a *Array) checkLabel(g labelGeom, i int) error {
 	if g.nsubs != len(a.subs) {
-		return fmt.Errorf("volume %s: image is a %d-volume array, mounted with %d", a.name, g.nsubs, len(a.subs))
+		return fmt.Errorf("volume %s: %w: image is a %d-volume array, mounted with %d", a.name, ErrGeometry, g.nsubs, len(a.subs))
 	}
 	if g.placement != a.placementCode() {
-		return fmt.Errorf("volume %s: image placement %s, mounted with %s",
-			a.name, placementName(g.placement), a.cfg.Placement)
+		return fmt.Errorf("volume %s: %w: image placement %s, mounted with %s",
+			a.name, ErrGeometry, placementName(g.placement), a.cfg.Placement)
 	}
 	if widthCoded(g.placement) && g.stripe != a.cfg.StripeBlocks {
-		return fmt.Errorf("volume %s: image stripe width %d blocks, mounted with %d", a.name, g.stripe, a.cfg.StripeBlocks)
+		return fmt.Errorf("volume %s: %w: image stripe width %d blocks, mounted with %d", a.name, ErrGeometry, g.stripe, a.cfg.StripeBlocks)
 	}
 	if g.member != i {
-		return fmt.Errorf("volume %s: image in slot %d labels itself member %d (image set shuffled?)",
-			a.name, i, g.member)
+		return fmt.Errorf("volume %s: %w: image in slot %d labels itself member %d (image set shuffled?)",
+			a.name, ErrGeometry, i, g.member)
 	}
 	return nil
 }

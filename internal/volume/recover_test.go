@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -108,6 +109,9 @@ func TestGeometryMismatchEveryAxisBothKernels(t *testing.T) {
 					}
 					if !strings.Contains(got.Error(), tc.want) {
 						t.Fatalf("%s mismatch error %q does not name the axis (%q)", tc.name, got, tc.want)
+					}
+					if !errors.Is(got, ErrGeometry) {
+						t.Fatalf("%s error %q is not ErrGeometry", tc.name, got)
 					}
 				}
 

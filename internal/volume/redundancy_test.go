@@ -2,6 +2,7 @@ package volume
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -352,6 +353,9 @@ func TestRedundantGeometryMismatchBothKernels(t *testing.T) {
 							}
 							if !strings.Contains(got.Error(), tc.want) {
 								t.Fatalf("%s error %q does not name the axis (%q)", tc.name, got, tc.want)
+							}
+							if !errors.Is(got, ErrGeometry) {
+								t.Fatalf("%s error %q is not ErrGeometry", tc.name, got)
 							}
 						}
 						_, ok := buildArray(t, k, drvs, 3, rc.good)
