@@ -14,12 +14,6 @@
 //	fsck -image /var/tmp/pfs.img -volumes 4 -json
 //	fsck -image /var/tmp/pfs.img -rollforward          # LFS recovery
 //	fsck -image /var/tmp/pfs.img -layout ffs -repair   # FFS fsck -y
-//	fsck -intents /var/tmp/intents.bin                 # NVRAM intent dump
-//
-// With -intents the image flags are ignored: the argument is a
-// serialized NVRAM intent dump (the crash harness writes one next to
-// its images) whose records are checksummed, sequence-checked, and
-// printed one per line.
 //
 // For a set wider than one, the first surviving member's geometry
 // label names the placement and chunk width, and the array validates
@@ -37,8 +31,7 @@
 //
 // Exit codes: 0 the image (set) is clean — including after a
 // successful repair, and including a degraded-but-consistent
-// redundant set — or the intent dump verifies; 1 inconsistencies
-// remain or the dump is corrupt; 2 an image or dump could not be
+// redundant set; 1 inconsistencies remain; 2 an image could not be
 // read or mounted at all.
 package main
 
@@ -52,7 +45,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ffs"
@@ -133,7 +125,6 @@ type options struct {
 	layoutName  string
 	repair      bool
 	rollforward bool
-	intents     string
 	jsonOut     bool
 	verbose     bool
 }
@@ -153,14 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.layoutName, "layout", "lfs", "storage layout of the image(s): lfs or ffs")
 	fs.BoolVar(&o.repair, "repair", false, "ffs: rebuild the allocation bitmaps from the inode table, then re-check")
 	fs.BoolVar(&o.rollforward, "rollforward", false, "lfs: recover through the newer checkpoint and the post-checkpoint segments, then re-check")
-	fs.StringVar(&o.intents, "intents", "", "dump and verify a serialized NVRAM intent ring instead of checking an image")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable JSON summary")
 	fs.BoolVar(&o.verbose, "v", false, "print volume summaries")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if o.intents != "" {
-		return dumpIntents(o, stdout, stderr)
 	}
 	if o.layoutName != "lfs" && o.layoutName != "ffs" {
 		fmt.Fprintf(stderr, "fsck: unknown layout %q\n", o.layoutName)
@@ -187,55 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return emit(&rep, o, stdout, stderr, fatal)
-}
-
-// dumpIntents verifies and prints a serialized NVRAM intent dump —
-// what the battery-backed domain held at a crash. Exit 0 when every
-// record's checksum and sequence verify, 1 when the dump is corrupt,
-// 2 when the file cannot be read.
-func dumpIntents(o options, stdout, stderr io.Writer) int {
-	buf, err := os.ReadFile(o.intents)
-	if err != nil {
-		fmt.Fprintln(stderr, "fsck:", err)
-		return 2
-	}
-	ints, err := cache.DecodeIntents(buf)
-	if err != nil {
-		fmt.Fprintln(stdout, "fsck:", err)
-		return 1
-	}
-	if o.jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ints); err != nil {
-			fmt.Fprintln(stderr, "fsck:", err)
-			return 2
-		}
-	} else {
-		for _, it := range ints {
-			fmt.Fprintf(stdout, "#%d @%dns %s vol=%d file=%d", it.Seq, int64(it.At), it.Op, it.Vol, it.File)
-			if it.Gen != 0 {
-				fmt.Fprintf(stdout, " gen=%d", it.Gen)
-			}
-			if it.Parent != 0 {
-				fmt.Fprintf(stdout, " parent=%d", it.Parent)
-			}
-			if it.Name != "" {
-				fmt.Fprintf(stdout, " name=%q", it.Name)
-			}
-			if it.Op == cache.IntentRename {
-				fmt.Fprintf(stdout, " parent2=%d name2=%q", it.Parent2, it.Name2)
-			} else if it.Name2 != "" {
-				fmt.Fprintf(stdout, " target=%q", it.Name2)
-			}
-			if it.Op == cache.IntentTruncate {
-				fmt.Fprintf(stdout, " size=%d", it.Size)
-			}
-			fmt.Fprintln(stdout)
-		}
-		fmt.Fprintf(stdout, "%s: %d intents, all checksums verified\n", o.intents, len(ints))
-	}
-	return 0
 }
 
 // newLayout builds one member layout over a partition.

@@ -332,24 +332,6 @@ func TestExitCodeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An NVRAM intent dump plus a corrupted copy (one body byte
-	// flipped, so a record checksum must fail).
-	dump := cache.EncodeIntents([]cache.Intent{
-		{Seq: 1, Op: cache.IntentCreate, Vol: 1, File: 9, Parent: 2, Name: "a", Gen: 7},
-		{Seq: 2, Op: cache.IntentRename, Vol: 1, File: 9, Parent: 2, Name: "a", Parent2: 2, Name2: "b"},
-		{Seq: 3, Op: cache.IntentRemove, Vol: 1, File: 9, Parent: 2, Name: "b"},
-	})
-	goodDump := filepath.Join(t.TempDir(), "intents.bin")
-	if err := os.WriteFile(goodDump, dump, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), dump...)
-	bad[20] ^= 0xFF
-	badDump := filepath.Join(t.TempDir(), "intents-corrupt.bin")
-	if err := os.WriteFile(badDump, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	rows := []struct {
 		name string
 		args []string
@@ -384,10 +366,6 @@ func TestExitCodeTable(t *testing.T) {
 		{"volumes-zero", []string{"-image", cleanLFS, "-volumes", "0"}, 2, ""},
 		{"repair-on-lfs-misuse", []string{"-image", cleanLFS, "-repair"}, 2, ""},
 		{"rollforward-on-ffs-misuse", []string{"-image", crashedFFS, "-layout", "ffs", "-rollforward"}, 2, ""},
-		{"intents-valid", []string{"-intents", goodDump}, 0, "3 intents, all checksums verified"},
-		{"intents-rename-record", []string{"-intents", goodDump}, 0, `rename vol=1 file=9 parent=2 name="a" parent2=2 name2="b"`},
-		{"intents-corrupt", []string{"-intents", badDump}, 1, "checksum mismatch"},
-		{"intents-missing", []string{"-intents", filepath.Join(t.TempDir(), "nope.bin")}, 2, ""},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

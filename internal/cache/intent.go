@@ -1,9 +1,7 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -42,7 +40,7 @@ const (
 	IntentTruncate
 )
 
-// String names the op for dumps and logs.
+// String names the op for logs.
 func (op IntentOp) String() string {
 	switch op {
 	case IntentCreate:
@@ -184,131 +182,4 @@ func (l *IntentLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.ring)
-}
-
-// The serialized form ("NVRAM intent dump") lets tooling — cmd/fsck
-// -intents — inspect and verify what the battery-backed domain held
-// at a crash. Header: magic, version, count. Each record is
-// length-prefixed and carries an FNV-1a checksum of its body, so a
-// torn or corrupted dump is detected record by record.
-
-const (
-	intentMagic   = 0x50464954 // "PFIT"
-	intentVersion = 1
-)
-
-// EncodeIntents serializes intents (with per-record checksums).
-func EncodeIntents(ints []Intent) []byte {
-	le := binary.LittleEndian
-	buf := make([]byte, 12)
-	le.PutUint32(buf[0:], intentMagic)
-	le.PutUint32(buf[4:], intentVersion)
-	le.PutUint32(buf[8:], uint32(len(ints)))
-	for i := range ints {
-		body := encodeIntentBody(&ints[i])
-		h := fnv.New64a()
-		h.Write(body)
-		var rec [4]byte
-		le.PutUint32(rec[:], uint32(len(body)))
-		buf = append(buf, rec[:]...)
-		buf = append(buf, body...)
-		var sum [8]byte
-		le.PutUint64(sum[:], h.Sum64())
-		buf = append(buf, sum[:]...)
-	}
-	return buf
-}
-
-func encodeIntentBody(it *Intent) []byte {
-	le := binary.LittleEndian
-	body := make([]byte, 66, 66+len(it.Name)+len(it.Name2))
-	le.PutUint64(body[0:], it.Seq)
-	le.PutUint64(body[8:], uint64(it.At))
-	body[16] = byte(it.Op)
-	body[17] = byte(it.Type)
-	le.PutUint32(body[18:], uint32(it.Vol))
-	le.PutUint64(body[22:], uint64(it.File))
-	le.PutUint64(body[30:], uint64(it.Parent))
-	le.PutUint64(body[38:], uint64(it.Parent2))
-	le.PutUint64(body[46:], uint64(it.Size))
-	le.PutUint64(body[54:], it.Gen)
-	le.PutUint16(body[62:], uint16(len(it.Name)))
-	le.PutUint16(body[64:], uint16(len(it.Name2)))
-	body = append(body, it.Name...)
-	body = append(body, it.Name2...)
-	return body
-}
-
-// DecodeIntents parses and verifies a serialized intent dump. Every
-// record's checksum must match and the sequence numbers must be
-// strictly increasing.
-func DecodeIntents(buf []byte) ([]Intent, error) {
-	le := binary.LittleEndian
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("intent dump: truncated header")
-	}
-	if le.Uint32(buf[0:]) != intentMagic {
-		return nil, fmt.Errorf("intent dump: bad magic %#x", le.Uint32(buf[0:]))
-	}
-	if v := le.Uint32(buf[4:]); v != intentVersion {
-		return nil, fmt.Errorf("intent dump: unsupported version %d", v)
-	}
-	n := int(le.Uint32(buf[8:]))
-	out := make([]Intent, 0, n)
-	off := 12
-	var last uint64
-	for i := 0; i < n; i++ {
-		if off+4 > len(buf) {
-			return nil, fmt.Errorf("intent dump: record %d truncated", i)
-		}
-		bl := int(le.Uint32(buf[off:]))
-		off += 4
-		if bl < 66 || off+bl+8 > len(buf) {
-			return nil, fmt.Errorf("intent dump: record %d has bad length %d", i, bl)
-		}
-		body := buf[off : off+bl]
-		off += bl
-		h := fnv.New64a()
-		h.Write(body)
-		if got := le.Uint64(buf[off:]); got != h.Sum64() {
-			return nil, fmt.Errorf("intent dump: record %d checksum mismatch", i)
-		}
-		off += 8
-		it, err := decodeIntentBody(body)
-		if err != nil {
-			return nil, fmt.Errorf("intent dump: record %d: %w", i, err)
-		}
-		if it.Seq <= last {
-			return nil, fmt.Errorf("intent dump: record %d sequence %d not increasing", i, it.Seq)
-		}
-		last = it.Seq
-		out = append(out, it)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("intent dump: %d trailing bytes", len(buf)-off)
-	}
-	return out, nil
-}
-
-func decodeIntentBody(body []byte) (Intent, error) {
-	le := binary.LittleEndian
-	var it Intent
-	it.Seq = le.Uint64(body[0:])
-	it.At = sched.Time(le.Uint64(body[8:]))
-	it.Op = IntentOp(body[16])
-	it.Type = core.FileType(body[17])
-	it.Vol = core.VolumeID(le.Uint32(body[18:]))
-	it.File = core.FileID(le.Uint64(body[22:]))
-	it.Parent = core.FileID(le.Uint64(body[30:]))
-	it.Parent2 = core.FileID(le.Uint64(body[38:]))
-	it.Size = int64(le.Uint64(body[46:]))
-	it.Gen = le.Uint64(body[54:])
-	n1 := int(le.Uint16(body[62:]))
-	n2 := int(le.Uint16(body[64:]))
-	if 66+n1+n2 != len(body) {
-		return it, fmt.Errorf("name lengths %d+%d disagree with body size %d", n1, n2, len(body))
-	}
-	it.Name = string(body[66 : 66+n1])
-	it.Name2 = string(body[66+n1:])
-	return it, nil
 }

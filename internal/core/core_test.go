@@ -60,16 +60,13 @@ func TestRealMoverCopies(t *testing.T) {
 	if n := m.Move(dst, src, -1); n != 0 {
 		t.Fatalf("negative n=%d", n)
 	}
-	if m.CopyCost(1<<20) != 0 || m.Simulated() {
-		t.Fatal("real mover claims simulation properties")
+	if m.CopyCost(1<<20) != 0 {
+		t.Fatal("real mover charges a modeled copy cost")
 	}
 }
 
 func TestSimMoverCharges(t *testing.T) {
 	m := DefaultSimMover()
-	if !m.Simulated() {
-		t.Fatal("not simulated")
-	}
 	if m.Move(nil, nil, 100) != 100 {
 		t.Fatal("sim move should report full count")
 	}

@@ -15,8 +15,6 @@ type DataMover interface {
 	// costs on the configured memory system. Real movers report 0:
 	// the cost is paid for real.
 	CopyCost(n int) int64
-	// Simulated reports whether this mover is the simulated kind.
-	Simulated() bool
 }
 
 // RealMover copies bytes with copy(); moving data costs real time,
@@ -39,9 +37,6 @@ func (RealMover) Move(dst, src []byte, n int) int {
 
 // CopyCost is zero for a real mover: the copy itself takes the time.
 func (RealMover) CopyCost(int) int64 { return 0 }
-
-// Simulated reports false.
-func (RealMover) Simulated() bool { return false }
 
 // SimMover moves no data and charges virtual time per byte, modeling
 // the host memory system of the simulated machine.
@@ -73,6 +68,3 @@ func (m *SimMover) CopyCost(n int) int64 {
 	}
 	return m.FixedNS + (int64(n)*1e9)/bps
 }
-
-// Simulated reports true.
-func (*SimMover) Simulated() bool { return true }

@@ -22,7 +22,7 @@ import (
 // runs the same operation script and ends in the same file-system
 // state — names, sizes, types, link counts.
 func TestCutAndPasteEquivalence(t *testing.T) {
-	script := func(tk sched.Task, v *fsys.Volume) error {
+	script := func(tk sched.Task, v *fsys.Volume, sim bool) error {
 		if err := v.Mkdir(tk, "/home"); err != nil {
 			return err
 		}
@@ -34,7 +34,7 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := v.Write(tk, h, nilOrBytes(v, (i+1)*3000), int64((i+1)*3000)); err != nil {
+			if err := v.Write(tk, h, nilOrBytes(sim, (i+1)*3000), int64((i+1)*3000)); err != nil {
 				return err
 			}
 			if err := v.Close(tk, h); err != nil {
@@ -109,7 +109,7 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := script(tk, v); err != nil {
+				if err := script(tk, v, false); err != nil {
 					return err
 				}
 				realState, err = snapshot(tk, v)
@@ -154,7 +154,7 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 				t.Errorf("sim volume: %v", err)
 				return
 			}
-			if err := script(tk, v); err != nil {
+			if err := script(tk, v, true); err != nil {
 				t.Errorf("sim script: %v", err)
 				return
 			}
@@ -186,11 +186,9 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 }
 
 // nilOrBytes gives the real instantiation actual bytes and the
-// simulated one nil, matching each world's data discipline. The
-// volume's layout name is the same either way — the probe is whether
-// its partition carries data.
-func nilOrBytes(v *fsys.Volume, n int) []byte {
-	if v.Simulated() {
+// simulated one nil, matching each world's data discipline.
+func nilOrBytes(sim bool, n int) []byte {
+	if sim {
 		return nil
 	}
 	b := make([]byte, n)

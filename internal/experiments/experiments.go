@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -368,22 +367,6 @@ func ClaimChecks(rows []Fig5Row) string {
 				nv.NVRAMWaits > 0,
 				fmt.Sprintf("%d NVRAM stalls", nv.NVRAMWaits))
 		}
-	}
-	return b.String()
-}
-
-// SortRunsByMean orders runs fastest-first (reporting convenience).
-func SortRunsByMean(runs []PolicyRun) {
-	sort.Slice(runs, func(i, j int) bool {
-		return runs[i].Report.MeanLatency() < runs[j].Report.MeanLatency()
-	})
-}
-
-// RenderIntervals prints the 15-minute interval reports of a run.
-func RenderIntervals(r *patsy.Report) string {
-	var b strings.Builder
-	for _, iv := range r.Result.Intervals.Reports {
-		fmt.Fprintf(&b, "  %s\n", iv)
 	}
 	return b.String()
 }

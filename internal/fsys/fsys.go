@@ -206,9 +206,6 @@ func (v *Volume) FreeBlocks() int64 { return v.lay.FreeBlocks() }
 // LayoutName reports the storage layout in use ("lfs", "ffs").
 func (v *Volume) LayoutName() string { return v.lay.Name() }
 
-// Simulated reports whether the volume moves no real data.
-func (v *Volume) Simulated() bool { return v.sim }
-
 // Root returns the root directory's inode number.
 func (v *Volume) Root() core.FileID { return v.root.ino.ID }
 

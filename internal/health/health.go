@@ -14,7 +14,7 @@
 // can only raise a member to Suspect or Probation — states it decays
 // back out of after a clean window. Only hard evidence confirms Dead:
 // a permanent dead-member rejection (device.ErrDiskDead) or an
-// unbroken run of failures longer than KillConsec. An intermittently
+// unbroken run of failures longer than killConsec. An intermittently
 // flaky member therefore oscillates between Suspect and Probation
 // forever without being flapped to death, while a genuinely dead one
 // is confirmed within a single evidence sample of its first rejected
@@ -71,42 +71,23 @@ type Source interface {
 	HealthEvidence() Evidence
 }
 
-// Config tunes the state machine. Zero values select the defaults.
-type Config struct {
-	// Window is the number of samples in the sliding evidence window.
-	Window int
-	// SuspectScore is the windowed evidence (errors + SLO breaches)
+// The state machine's tuning.
+const (
+	// window is the number of samples in the sliding evidence window.
+	window = 8
+	// suspectScore is the windowed evidence (errors + SLO breaches)
 	// that raises Healthy to Suspect.
-	SuspectScore int64
-	// ProbationAfter is the number of consecutive evidence-bearing
+	suspectScore = 3
+	// probationAfter is the number of consecutive evidence-bearing
 	// samples that escalates Suspect to Probation.
-	ProbationAfter int
-	// ClearAfter is the number of consecutive clean samples (with an
+	probationAfter = 2
+	// clearAfter is the number of consecutive clean samples (with an
 	// empty window) that steps a member back down one state.
-	ClearAfter int
-	// KillConsec is the unbroken failure run that confirms Dead even
+	clearAfter = window
+	// killConsec is the unbroken failure run that confirms Dead even
 	// without a permanent rejection.
-	KillConsec int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.SuspectScore <= 0 {
-		c.SuspectScore = 3
-	}
-	if c.ProbationAfter <= 0 {
-		c.ProbationAfter = 2
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = c.Window
-	}
-	if c.KillConsec <= 0 {
-		c.KillConsec = 12
-	}
-	return c
-}
+	killConsec = 12
+)
 
 // MemberState is a point-in-time snapshot for admin surfaces.
 type MemberState struct {
@@ -147,7 +128,6 @@ func (f *memberFSM) windowScore() (errs, slow int64) {
 
 // Monitor runs one state machine per member over sampled evidence.
 type Monitor struct {
-	cfg    Config
 	mu     sync.Mutex
 	fsm    []*memberFSM
 	onDead []func(member int)
@@ -155,11 +135,10 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor over the given member sources.
-func NewMonitor(cfg Config, members []Source) *Monitor {
-	cfg = cfg.withDefaults()
-	m := &Monitor{cfg: cfg}
+func NewMonitor(members []Source) *Monitor {
+	m := &Monitor{}
 	for _, s := range members {
-		m.fsm = append(m.fsm, &memberFSM{src: s, ring: make([]sampleDelta, cfg.Window)})
+		m.fsm = append(m.fsm, &memberFSM{src: s, ring: make([]sampleDelta, window)})
 	}
 	return m
 }
@@ -216,7 +195,7 @@ func (m *Monitor) step(f *memberFSM) {
 		// pre-attach history is not charged against the member, but
 		// still honor hard evidence already on the books.
 		f.prev, f.primed = ev, true
-		if ev.DeadErrors > 0 || ev.Consec >= m.cfg.KillConsec {
+		if ev.DeadErrors > 0 || ev.Consec >= killConsec {
 			f.verdict = Dead
 		}
 		return
@@ -234,7 +213,7 @@ func (m *Monitor) step(f *memberFSM) {
 		return // sticky until Replace
 	}
 	// Hard evidence: a permanent rejection or an unbroken failure run.
-	if newDead > 0 || ev.Consec >= m.cfg.KillConsec {
+	if newDead > 0 || ev.Consec >= killConsec {
 		f.verdict = Dead
 		return
 	}
@@ -243,7 +222,7 @@ func (m *Monitor) step(f *memberFSM) {
 		f.cool = 0
 	} else {
 		f.cool++
-		if f.cool >= m.cfg.ClearAfter {
+		if f.cool >= clearAfter {
 			f.hot = 0
 		}
 	}
@@ -251,17 +230,17 @@ func (m *Monitor) step(f *memberFSM) {
 	score := errs + slow
 	switch f.verdict {
 	case Healthy:
-		if score >= m.cfg.SuspectScore {
+		if score >= suspectScore {
 			f.verdict = Suspect
 		}
 	case Suspect:
-		if f.hot >= m.cfg.ProbationAfter {
+		if f.hot >= probationAfter {
 			f.verdict = Probation
-		} else if score == 0 && f.cool >= m.cfg.ClearAfter {
+		} else if score == 0 && f.cool >= clearAfter {
 			f.verdict = Healthy
 		}
 	case Probation:
-		if score == 0 && f.cool >= m.cfg.ClearAfter {
+		if score == 0 && f.cool >= clearAfter {
 			f.verdict = Suspect
 			f.hot = 0
 		}
@@ -302,7 +281,7 @@ func (m *Monitor) MarkDead(i int) {
 func (m *Monitor) Replace(i int, s Source) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fsm[i] = &memberFSM{src: s, ring: make([]sampleDelta, m.cfg.Window)}
+	m.fsm[i] = &memberFSM{src: s, ring: make([]sampleDelta, window)}
 }
 
 // State snapshots member i for admin surfaces.

@@ -55,7 +55,7 @@ func newTestMonitor(n int) (*Monitor, []*fakeSource) {
 		srcs[i] = &fakeSource{name: fmt.Sprintf("d%d", i)}
 		members[i] = srcs[i]
 	}
-	return NewMonitor(Config{}, members), srcs
+	return NewMonitor(members), srcs
 }
 
 // TestEscalationAndDecay walks one member up the ladder with
@@ -64,7 +64,6 @@ func newTestMonitor(n int) (*Monitor, []*fakeSource) {
 func TestEscalationAndDecay(t *testing.T) {
 	m, srcs := newTestMonitor(1)
 	s := srcs[0]
-	cfg := Config{}.withDefaults()
 
 	m.Observe() // prime the baseline
 	if v := m.Verdict(0); v != Healthy {
@@ -72,14 +71,14 @@ func TestEscalationAndDecay(t *testing.T) {
 	}
 
 	// Enough windowed evidence raises Suspect...
-	s.fail(cfg.SuspectScore)
+	s.fail(suspectScore)
 	s.succeed()
 	m.Observe()
 	if v := m.Verdict(0); v != Suspect {
-		t.Fatalf("after %d errors: %v, want suspect", cfg.SuspectScore, v)
+		t.Fatalf("after %d errors: %v, want suspect", suspectScore, v)
 	}
 	// ...and sustained evidence-bearing samples escalate to Probation.
-	for i := 0; i < cfg.ProbationAfter; i++ {
+	for i := 0; i < probationAfter; i++ {
 		s.fail(1)
 		s.succeed()
 		m.Observe()
@@ -92,7 +91,7 @@ func TestEscalationAndDecay(t *testing.T) {
 	// back through Suspect on its way down, never jump straight home.
 	var seen []Verdict
 	last := Probation
-	for i := 0; i < 4*(cfg.Window+cfg.ClearAfter); i++ {
+	for i := 0; i < 4*(window+clearAfter); i++ {
 		m.Observe()
 		if v := m.Verdict(0); v != last {
 			seen = append(seen, v)
@@ -112,18 +111,17 @@ func TestEscalationAndDecay(t *testing.T) {
 
 // TestIntermittentNeverDies is the anti-flapping guarantee: a member
 // that errors intermittently forever — every error run broken by a
-// success before KillConsec — oscillates below Dead for thousands of
+// success before killConsec — oscillates below Dead for thousands of
 // samples.
 func TestIntermittentNeverDies(t *testing.T) {
 	m, srcs := newTestMonitor(2)
 	flaky := srcs[0]
-	cfg := Config{}.withDefaults()
 	var died int
 	m.OnDead(func(int) { died++ })
 	for i := 0; i < 5000; i++ {
 		// A nasty rhythm: bursts just under the consecutive-failure
 		// bound, then a single success, repeatedly.
-		flaky.fail(cfg.KillConsec - 1)
+		flaky.fail(killConsec - 1)
 		flaky.succeed()
 		flaky.slow(2)
 		m.Observe()
@@ -144,11 +142,10 @@ func TestIntermittentNeverDies(t *testing.T) {
 
 // TestHardEvidenceConfirmsDead pins the two hard paths: a permanent
 // dead-member rejection confirms within one sample, as does an
-// unbroken failure run reaching KillConsec. The verdict is sticky
+// unbroken failure run reaching killConsec. The verdict is sticky
 // until Replace, and OnDead fires exactly once per death.
 func TestHardEvidenceConfirmsDead(t *testing.T) {
 	m, srcs := newTestMonitor(2)
-	cfg := Config{}.withDefaults()
 	var mu sync.Mutex
 	var deaths []int
 	m.OnDead(func(i int) { mu.Lock(); deaths = append(deaths, i); mu.Unlock() })
@@ -160,16 +157,16 @@ func TestHardEvidenceConfirmsDead(t *testing.T) {
 		t.Fatalf("dead rejection sampled as %v, want dead", v)
 	}
 
-	srcs[1].fail(cfg.KillConsec)
+	srcs[1].fail(killConsec)
 	m.Observe()
 	if v := m.Verdict(1); v != Dead {
-		t.Fatalf("unbroken run of %d sampled as %v, want dead", cfg.KillConsec, v)
+		t.Fatalf("unbroken run of %d sampled as %v, want dead", killConsec, v)
 	}
 
 	// Sticky: clean samples do not resurrect a confirmed death.
 	srcs[0].succeed()
 	srcs[1].succeed()
-	for i := 0; i < 3*cfg.Window; i++ {
+	for i := 0; i < 3*window; i++ {
 		m.Observe()
 	}
 	if m.Verdict(0) != Dead || m.Verdict(1) != Dead {
@@ -199,7 +196,7 @@ func TestHardEvidenceConfirmsDead(t *testing.T) {
 func TestFirstSamplePrimesBaseline(t *testing.T) {
 	noisy := &fakeSource{name: "noisy", ev: Evidence{Errors: 500, SlowIOs: 200}}
 	corpse := &fakeSource{name: "corpse", ev: Evidence{DeadErrors: 1}}
-	m := NewMonitor(Config{}, []Source{noisy, corpse})
+	m := NewMonitor([]Source{noisy, corpse})
 	m.Observe()
 	if v := m.Verdict(0); v != Healthy {
 		t.Fatalf("historic counters charged at attach: %v", v)

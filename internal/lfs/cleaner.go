@@ -93,7 +93,7 @@ func (l *LFS) cleanLocked(t sched.Task) error {
 	l.cleaning = true
 	defer func() { l.cleaning = false }()
 	cleaned := 0
-	for len(l.freeSegs) < l.cfg.CleanTargetSegs {
+	for len(l.freeSegs) < cleanTargetSegs {
 		victim := l.cleaner.Pick(l.segViews(), uint32(l.seq))
 		if victim < 0 {
 			break

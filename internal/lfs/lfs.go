@@ -52,14 +52,17 @@ import (
 	"repro/internal/stats"
 )
 
+// minFreeSegs free segments trigger the cleaner; cleanTargetSegs is
+// where it stops.
+const (
+	minFreeSegs     = 4
+	cleanTargetSegs = 8
+)
+
 // Config tunes the layout.
 type Config struct {
 	// SegBlocks is the segment size in blocks (summary included).
 	SegBlocks int
-	// MinFreeSegs triggers the cleaner; CleanTargetSegs is where it
-	// stops.
-	MinFreeSegs     int
-	CleanTargetSegs int
 	// Cleaner names the victim-selection policy: "greedy" or
 	// "cost-benefit" (default).
 	Cleaner string
@@ -71,11 +74,9 @@ type Config struct {
 // 512 KB segments, cost-benefit cleaning.
 func DefaultConfig() Config {
 	return Config{
-		SegBlocks:       128,
-		MinFreeSegs:     4,
-		CleanTargetSegs: 8,
-		Cleaner:         "cost-benefit",
-		MaxInodes:       1 << 16,
+		SegBlocks: 128,
+		Cleaner:   "cost-benefit",
+		MaxInodes: 1 << 16,
 	}
 }
 
@@ -212,12 +213,6 @@ func New(k sched.Kernel, name string, part *layout.Partition, cfg Config) *LFS {
 	if cfg.SegBlocks < 8 {
 		cfg.SegBlocks = DefaultConfig().SegBlocks
 	}
-	if cfg.MinFreeSegs <= 0 {
-		cfg.MinFreeSegs = 4
-	}
-	if cfg.CleanTargetSegs <= cfg.MinFreeSegs {
-		cfg.CleanTargetSegs = cfg.MinFreeSegs + 4
-	}
 	if cfg.MaxInodes <= 0 {
 		cfg.MaxInodes = 1 << 16
 	}
@@ -331,7 +326,7 @@ func (l *LFS) Format(t sched.Task) error {
 	if err != nil {
 		panic(fmt.Sprintf("lfs %s: %v", l.name, err))
 	}
-	if g.nsegs < l.cfg.CleanTargetSegs+2 {
+	if g.nsegs < cleanTargetSegs+2 {
 		panic(fmt.Sprintf("lfs %s: partition of %d blocks too small for %d-block segments",
 			l.name, l.part.Blocks, l.cfg.SegBlocks))
 	}

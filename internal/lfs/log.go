@@ -74,7 +74,7 @@ func (l *LFS) noteSlot(s *segBuf, slot int, e sumEntry) {
 // openSegment takes the next free segment as the log head, cleaning
 // first if free space has run low.
 func (l *LFS) openSegment(t sched.Task) error {
-	if len(l.freeSegs) <= l.cfg.MinFreeSegs {
+	if len(l.freeSegs) <= minFreeSegs {
 		if err := l.cleanLocked(t); err != nil {
 			return err
 		}

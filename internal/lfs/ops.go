@@ -359,7 +359,7 @@ func (l *LFS) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error {
 	need := layout.BlocksForSize(size)
 	rng := l.k.Rand()
 	for need > 0 {
-		if len(l.freeSegs) <= l.cfg.MinFreeSegs {
+		if len(l.freeSegs) <= minFreeSegs {
 			return core.ErrNoSpace
 		}
 		// Pick a random free segment: sticky once chosen.

@@ -39,11 +39,9 @@ type Config struct {
 	DisksPerBus []int // len == Buses
 	Volumes     int
 
-	// Disk model: "hp97560" (default) or "naive".
-	DiskModel   string
-	NaiveAccess time.Duration
-	// ImmediateReport can disable the disks' write caches.
-	NoImmediateReport bool
+	// Disk model: "hp97560" (default) or "naive" (a fixed 15 ms
+	// access).
+	DiskModel string
 
 	// Driver queue scheduler: fcfs, sstf, look, clook (default),
 	// cscan, scan-edf.
@@ -77,12 +75,6 @@ type Config struct {
 	// whole disk). Small volumes make the log wrap, exercising the
 	// cleaner within short traces.
 	MaxVolBlocks int64
-
-	// Host memory model.
-	CopyBytesPerSec int64
-
-	// Horizon bounds runaway simulations (0 = none).
-	Horizon time.Duration
 
 	// Volume-array mode: when ArrayVolumes >= 1 the simulator builds
 	// that many independent bus + disk + driver + layout stacks and
@@ -228,9 +220,6 @@ func Build(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("patsy: need at least one volume")
 	}
 	k := sched.NewVirtual(cfg.Seed)
-	if cfg.Horizon > 0 {
-		k.SetHorizon(sched.Time(cfg.Horizon))
-	}
 	sys := &System{Cfg: cfg, K: k, Set: stats.NewSet()}
 
 	// Buses and disks.
@@ -245,16 +234,9 @@ func Build(cfg Config) (*System, error) {
 			case "", "hp97560":
 				p = disk.HP97560(name)
 			case "naive":
-				acc := cfg.NaiveAccess
-				if acc <= 0 {
-					acc = 15 * time.Millisecond
-				}
-				p = disk.Naive(name, acc)
+				p = disk.Naive(name, 15*time.Millisecond)
 			default:
 				return nil, fmt.Errorf("patsy: unknown disk model %q", cfg.DiskModel)
-			}
-			if cfg.NoImmediateReport {
-				p.ImmediateReport = false
 			}
 			dd := disk.New(k, p, bb)
 			dd.Stats(sys.Set)
@@ -293,8 +275,7 @@ func Build(cfg Config) (*System, error) {
 		IntentSlots: intentSlotsIf(cfg.IntentLog),
 	}, store)
 	c.Stats(sys.Set)
-	mover := &core.SimMover{BytesPerSec: orDefault64(cfg.CopyBytesPerSec, 80<<20), FixedNS: 2000}
-	fs := fsys.New(k, c, mover)
+	fs := fsys.New(k, c, core.DefaultSimMover())
 	if cfg.ReadaheadBlocks > 0 {
 		fs.SetReadahead(cfg.ReadaheadBlocks)
 	}
@@ -311,13 +292,6 @@ func orDefault(s, d string) string {
 		return d
 	}
 	return s
-}
-
-func orDefault64(v, d int64) int64 {
-	if v <= 0 {
-		return d
-	}
-	return v
 }
 
 // Init formats and mounts the volumes, spreading them round-robin

@@ -81,7 +81,7 @@ func (s *Server) startSupervisor() {
 	for i, drv := range s.Drivers {
 		srcs[i] = driverSource{name: fmt.Sprintf("d%d", i), ds: drv.DriverStats()}
 	}
-	s.Monitor = health.NewMonitor(health.Config{}, srcs)
+	s.Monitor = health.NewMonitor(srcs)
 	s.Monitor.OnDead(func(m int) { s.heal(m) })
 	if s.Fault != nil {
 		// Timestamp the injected kill so HealEvents can report true

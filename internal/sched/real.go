@@ -100,9 +100,6 @@ func (k *RKernel) Run() error {
 	return nil
 }
 
-// SetHorizon is a no-op: the wall clock has no horizon.
-func (k *RKernel) SetHorizon(Time) {}
-
 // Stop releases Run. Real tasks cannot be unwound from outside;
 // components own their shutdown (closing listeners, draining
 // queues) before the assembly calls Stop.

@@ -121,13 +121,9 @@ type Kernel interface {
 	NewMutex(name string) Mutex
 	NewCond(name string) Cond
 	// Run drives the system. The virtual kernel runs until no task
-	// can ever run again or the horizon set with SetHorizon is
-	// reached, and returns an error on deadlock. The real kernel
-	// blocks until every task has exited or Stop is called.
+	// can ever run again, and returns an error on deadlock. The real
+	// kernel blocks until every task has exited or Stop is called.
 	Run() error
-	// SetHorizon bounds the virtual clock; Run returns when time
-	// would pass it. The real kernel ignores the horizon.
-	SetHorizon(at Time)
 	// Stop aborts the system: blocked and sleeping tasks are
 	// unwound and Run returns.
 	Stop()

@@ -15,7 +15,6 @@ import (
 // channel hand-off, so no kernel state needs locking.
 type VKernel struct {
 	now      Time
-	horizon  Time
 	policy   Policy
 	rng      *rand.Rand
 	runnable []*vtask
@@ -24,7 +23,7 @@ type VKernel struct {
 	nextSeq  uint64
 
 	yielded chan *vtask   // a task parked; scheduler may continue
-	aborted chan struct{} // closed on Stop/horizon to unwind tasks
+	aborted chan struct{} // closed on Stop to unwind tasks
 	stopped bool
 	running bool
 	current *vtask
@@ -46,7 +45,6 @@ func NewVirtual(seed int64) *VKernel {
 // scheduling policy.
 func NewVirtualPolicy(seed int64, p Policy) *VKernel {
 	return &VKernel{
-		horizon: Forever,
 		policy:  p,
 		rng:     rand.New(rand.NewSource(seed)),
 		yielded: make(chan *vtask),
@@ -62,9 +60,6 @@ func (k *VKernel) Now() Time { return k.now }
 
 // Rand returns the kernel's seeded random source.
 func (k *VKernel) Rand() *rand.Rand { return k.rng }
-
-// SetHorizon bounds the virtual clock.
-func (k *VKernel) SetHorizon(at Time) { k.horizon = at }
 
 // Live returns the number of live tasks.
 func (k *VKernel) Live() int { return k.live }
@@ -220,7 +215,7 @@ func (k *VKernel) currentName() string {
 
 // Run drives the simulation: dispatch runnable tasks (policy pick),
 // advance the clock over the timer queue when none are runnable,
-// stop at the horizon, on deadlock, or when every task has exited.
+// stop on deadlock, or when every task has exited.
 func (k *VKernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sched: Run reentered")
@@ -240,13 +235,7 @@ func (k *VKernel) Run() error {
 				k.Stop()
 				return err
 			}
-			wake := k.timers[0].wakeAt
-			if wake > k.horizon {
-				k.now = k.horizon
-				k.Stop()
-				return nil
-			}
-			k.now = wake
+			k.now = k.timers[0].wakeAt
 			for k.timers.Len() > 0 && k.timers[0].wakeAt == k.now {
 				k.ready(heap.Pop(&k.timers).(*vtask))
 			}

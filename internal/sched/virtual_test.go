@@ -322,25 +322,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestHorizonStopsRun(t *testing.T) {
-	k := NewVirtual(1)
-	k.SetHorizon(Time(time.Second))
-	ticks := 0
-	k.Go("ticker", func(tk Task) {
-		for {
-			tk.Sleep(100 * time.Millisecond)
-			ticks++
-		}
-	})
-	runKernel(t, k)
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
-	}
-	if k.Now() != Time(time.Second) {
-		t.Fatalf("now = %v, want horizon 1s", k.Now())
-	}
-}
-
 func TestSpawnFromRunningTask(t *testing.T) {
 	k := NewVirtual(1)
 	total := 0

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,28 +11,15 @@ import (
 
 // LatencyDist records every sample of an operation latency so that
 // exact cumulative distributions — the paper's Figures 2-4 — can be
-// produced. Samples are durations in nanoseconds.
-//
-// The sample store is split in two so that quantile polling (the
-// admin server scrapes quantiles on every /metrics hit) never makes
-// Observe re-pay a full sort: Observe appends to a small pending
-// buffer under its own lock, and queries merge the pending batch
-// into an always-sorted view — O(k log k + n) for k new samples
-// instead of O(n log n) per poll.
+// produced. Samples are durations in nanoseconds, kept in one slice
+// that a query sorts in place when observations have arrived since
+// the last sort.
 type LatencyDist struct {
-	name string
-
-	// pmu guards the write side: Observe only ever touches these, so
-	// a slow query pass never blocks the operation hot path.
-	pmu     sync.Mutex
-	pending []int64
-	psum    int64
-
-	// mu guards the read side; sorted is always in ascending order.
-	// Lock order: mu before pmu (absorbLocked), never the reverse.
-	mu     sync.Mutex
-	sorted []int64
-	sum    int64
+	name    string
+	mu      sync.Mutex
+	samples []int64
+	sum     int64
+	sorted  bool // samples is in ascending order
 }
 
 // NewLatencyDist returns a named latency distribution.
@@ -41,52 +29,26 @@ func NewLatencyDist(name string) *LatencyDist {
 
 // Observe records one latency.
 func (d *LatencyDist) Observe(lat time.Duration) {
-	d.pmu.Lock()
-	d.pending = append(d.pending, int64(lat))
-	d.psum += int64(lat)
-	d.pmu.Unlock()
+	d.mu.Lock()
+	d.samples = append(d.samples, int64(lat))
+	d.sum += int64(lat)
+	d.sorted = false
+	d.mu.Unlock()
 }
 
-// absorbLocked folds the pending batch into the sorted view. Caller
-// holds d.mu.
-func (d *LatencyDist) absorbLocked() {
-	d.pmu.Lock()
-	batch, bsum := d.pending, d.psum
-	d.pending, d.psum = nil, 0
-	d.pmu.Unlock()
-	if len(batch) == 0 {
-		return
+// sortLocked orders the samples for a query. Caller holds d.mu.
+func (d *LatencyDist) sortLocked() {
+	if !d.sorted {
+		slices.Sort(d.samples)
+		d.sorted = true
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
-	d.sum += bsum
-	if len(d.sorted) == 0 {
-		d.sorted = batch
-		return
-	}
-	// Merge the two sorted runs back to front into one grown slice.
-	old := d.sorted
-	merged := append(old, batch...)
-	i, j := len(old)-1, len(batch)-1
-	for k := len(merged) - 1; j >= 0; k-- {
-		if i >= 0 && old[i] > batch[j] {
-			merged[k] = old[i]
-			i--
-		} else {
-			merged[k] = batch[j]
-			j--
-		}
-	}
-	d.sorted = merged
 }
 
 // N returns the sample count.
 func (d *LatencyDist) N() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.pmu.Lock()
-	n := len(d.sorted) + len(d.pending)
-	d.pmu.Unlock()
-	return n
+	return len(d.samples)
 }
 
 // Name returns the distribution's name.
@@ -96,37 +58,36 @@ func (d *LatencyDist) Name() string { return d.name }
 func (d *LatencyDist) Mean() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.absorbLocked()
 	return d.meanLocked()
 }
 
 func (d *LatencyDist) meanLocked() time.Duration {
-	if len(d.sorted) == 0 {
+	if len(d.samples) == 0 {
 		return 0
 	}
-	return time.Duration(d.sum / int64(len(d.sorted)))
+	return time.Duration(d.sum / int64(len(d.samples)))
 }
 
 // Quantile returns the q-quantile latency (0 <= q <= 1).
 func (d *LatencyDist) Quantile(q float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.absorbLocked()
+	d.sortLocked()
 	return d.quantileLocked(q)
 }
 
 func (d *LatencyDist) quantileLocked(q float64) time.Duration {
-	if len(d.sorted) == 0 {
+	if len(d.samples) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(d.sorted)-1))
+	i := int(q * float64(len(d.samples)-1))
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(d.sorted) {
-		i = len(d.sorted) - 1
+	if i >= len(d.samples) {
+		i = len(d.samples) - 1
 	}
-	return time.Duration(d.sorted[i])
+	return time.Duration(d.samples[i])
 }
 
 // FracBelow returns the fraction of operations that completed within
@@ -134,16 +95,16 @@ func (d *LatencyDist) quantileLocked(q float64) time.Duration {
 func (d *LatencyDist) FracBelow(lat time.Duration) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.absorbLocked()
+	d.sortLocked()
 	return d.fracBelowLocked(lat)
 }
 
 func (d *LatencyDist) fracBelowLocked(lat time.Duration) float64 {
-	if len(d.sorted) == 0 {
+	if len(d.samples) == 0 {
 		return 0
 	}
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] > int64(lat) })
-	return float64(i) / float64(len(d.sorted))
+	i := sort.Search(len(d.samples), func(i int) bool { return d.samples[i] > int64(lat) })
+	return float64(i) / float64(len(d.samples))
 }
 
 // CDFPoint is one (latency, cumulative fraction) pair.
@@ -156,7 +117,7 @@ type CDFPoint struct {
 func (d *LatencyDist) CDF(at []time.Duration) []CDFPoint {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.absorbLocked()
+	d.sortLocked()
 	out := make([]CDFPoint, len(at))
 	for i, lat := range at {
 		out[i] = CDFPoint{lat, d.fracBelowLocked(lat)}
@@ -190,10 +151,10 @@ func DefaultCDFGrid() []time.Duration {
 func (d *LatencyDist) Render() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.absorbLocked()
+	d.sortLocked()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: n=%d mean=%v p50=%v p90=%v p99=%v\n",
-		d.name, len(d.sorted), d.meanLocked().Round(time.Microsecond),
+		d.name, len(d.samples), d.meanLocked().Round(time.Microsecond),
 		d.quantileLocked(0.50).Round(time.Microsecond),
 		d.quantileLocked(0.90).Round(time.Microsecond),
 		d.quantileLocked(0.99).Round(time.Microsecond))
@@ -210,22 +171,19 @@ func (d *LatencyDist) Render() string {
 // Merge folds other's samples into d.
 func (d *LatencyDist) Merge(other *LatencyDist) {
 	other.mu.Lock()
-	other.absorbLocked()
-	samples, sum := append([]int64(nil), other.sorted...), other.sum
+	samples, sum := slices.Clone(other.samples), other.sum
 	other.mu.Unlock()
-	d.pmu.Lock()
-	d.pending = append(d.pending, samples...)
-	d.psum += sum
-	d.pmu.Unlock()
+	d.mu.Lock()
+	d.samples = append(d.samples, samples...)
+	d.sum += sum
+	d.sorted = false
+	d.mu.Unlock()
 }
 
 // Reset discards all samples.
 func (d *LatencyDist) Reset() {
 	d.mu.Lock()
-	d.pmu.Lock()
-	d.pending, d.psum = nil, 0
-	d.pmu.Unlock()
-	d.sorted = d.sorted[:0]
+	d.samples = d.samples[:0]
 	d.sum = 0
 	d.mu.Unlock()
 }

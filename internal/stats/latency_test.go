@@ -8,7 +8,7 @@ import (
 )
 
 // Interleaving queries with observations must not change what the
-// distribution reports: the pending-buffer merge is equivalent to
+// distribution reports: re-sorting after each query is equivalent to
 // observing everything up front.
 func TestLatencyDistInterleavedQueriesEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -21,7 +21,7 @@ func TestLatencyDistInterleavedQueriesEquivalent(t *testing.T) {
 	for i, s := range samples {
 		plain.Observe(s)
 		polled.Observe(s)
-		if i%37 == 0 { // force a mid-stream absorb on one of them
+		if i%37 == 0 { // force a mid-stream sort on one of them
 			polled.Quantile(0.5)
 			polled.FracBelow(time.Millisecond)
 		}

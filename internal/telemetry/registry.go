@@ -167,30 +167,6 @@ func histogramSamples(labels Labels, bounds, counts []int64, total int64, sum, s
 	return out
 }
 
-// AddSummary registers a stats.LatencyDist as a Prometheus summary
-// in seconds with the given quantiles (defaults to .5/.9/.99).
-func (r *Registry) AddSummary(name, help string, labels Labels, d *stats.LatencyDist, quantiles ...float64) {
-	if len(quantiles) == 0 {
-		quantiles = []float64{0.5, 0.9, 0.99}
-	}
-	r.add(name, help, "summary", func() []sample {
-		out := make([]sample, 0, len(quantiles)+2)
-		for _, q := range quantiles {
-			with := Labels{"quantile": formatValue(q)}
-			for k, v := range labels {
-				with[k] = v
-			}
-			out = append(out, sample{labels: renderLabels(with), value: d.Quantile(q).Seconds()})
-		}
-		ls := renderLabels(labels)
-		n := d.N()
-		out = append(out,
-			sample{suffix: "_sum", labels: ls, value: d.Mean().Seconds() * float64(n)},
-			sample{suffix: "_count", labels: ls, value: float64(n)})
-		return out
-	})
-}
-
 // AddHistogramSummary registers a stats.LogHistogram as a Prometheus
 // summary in seconds: quantiles interpolated from the log buckets
 // plus exact _sum/_count (defaults to .5/.9/.99). For families whose

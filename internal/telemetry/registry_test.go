@@ -74,19 +74,11 @@ func TestRegistryHistogramCumulative(t *testing.T) {
 
 func TestRegistrySummaries(t *testing.T) {
 	r := NewRegistry()
-	d := stats.NewLatencyDist("d")
-	for i := 1; i <= 100; i++ {
-		d.Observe(time.Duration(i) * time.Millisecond)
-	}
-	r.AddSummary("pfs_d_seconds", "D.", Labels{"op": "read"}, d)
 	h := stats.NewLatencyHistogram("h")
 	h.Observe(10 * time.Millisecond)
 	r.AddHistogramSummary("pfs_hs_seconds", "HS.", nil, h)
 	out := render(t, r)
 	for _, want := range []string{
-		"# TYPE pfs_d_seconds summary\n",
-		`pfs_d_seconds{op="read",quantile="0.5"} 0.05` + "\n",
-		`pfs_d_seconds_count{op="read"} 100` + "\n",
 		"# TYPE pfs_hs_seconds summary\n",
 		`pfs_hs_seconds{quantile="0.99"}`,
 		"pfs_hs_seconds_sum 0.01\n",
