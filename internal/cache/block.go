@@ -75,24 +75,26 @@ type Block struct {
 	LastUsed sched.Time
 	Freq     int64
 
-	state  frameState
-	holds  int // pins; every loan holds one too
-	access int // +n loans of Data to in-flight I/O, -n in-place writers
+	state frameState
+	// where is the container the frame sits in.
+	where loc
+	// touched records a hit while the block was pinned, delivered
+	// to the replacement policy when the block is released.
+	touched bool
+	holds   int // pins; every loan holds one too
+	access  int // +n loans of Data to in-flight I/O, -n in-place writers
 	// hist holds the last lruK reference times, newest last; nref
 	// counts them up to lruK.
 	hist [lruK]sched.Time
 	nref int
-	// where is the container the frame sits in.
-	where loc
 
-	// Intrusive list links, owned by blockList.
-	prev, next *Block
-	owner      *blockList
+	// Intrusive list links: prev, next and owner for a blockList,
+	// fprev and fnext for the frame's file chain (shard.files).
+	prev, next   *Block
+	owner        *blockList
+	fprev, fnext *Block
 	// policyItem lets replacement policies attach their own state.
 	policyItem any
-	// touched records a hit while the block was pinned, delivered
-	// to the replacement policy when the block is released.
-	touched bool
 }
 
 // reference records a use of the block at now.
@@ -205,10 +207,11 @@ func (sh *shard) set(b *Block, to frameState) wake {
 		sh.c.addDirty(d)
 	}
 	b.state = to
+	w := e&^legal | sh.place(b)
 	if to == stFree {
-		delete(sh.index, b.Key)
+		sh.indexDel(b)
 	}
-	return e&^legal | sh.place(b)
+	return w
 }
 
 // place moves b into its home container. Landing where allocation can
@@ -228,11 +231,7 @@ func (sh *shard) place(b *Block) wake {
 		sh.replace.Remove(b)
 	case onDirty:
 		sh.dirty.remove(b)
-		fk := FileKey{b.Key.Vol, b.Key.File}
-		delete(sh.dirtyByFile[fk], b.Key.Blk)
-		if len(sh.dirtyByFile[fk]) == 0 {
-			delete(sh.dirtyByFile, fk)
-		}
+		sh.countDirty(b, -1)
 	}
 	b.where = to
 	switch to {
@@ -244,13 +243,7 @@ func (sh *shard) place(b *Block) wake {
 		return wCleaned
 	case onDirty:
 		sh.dirty.pushTail(b)
-		fk := FileKey{b.Key.Vol, b.Key.File}
-		m := sh.dirtyByFile[fk]
-		if m == nil {
-			m = make(map[core.BlockNo]*Block)
-			sh.dirtyByFile[fk] = m
-		}
-		m[b.Key.Blk] = b
+		sh.countDirty(b, +1)
 	}
 	return 0
 }
@@ -291,10 +284,53 @@ func (sh *shard) await(t sched.Task, w wake) {
 	sh.conds[bits.TrailingZeros8(uint8(w))].Wait(t, sh.mu)
 }
 
-// FileKey identifies a file for per-file dirty tracking.
+// FileKey identifies a file in a shard's per-file index.
 type FileKey struct {
 	Vol  core.VolumeID
 	File core.FileID
+}
+
+func fileOf(k core.BlockKey) FileKey { return FileKey{k.Vol, k.File} }
+
+// fileEntry heads a file's chain and counts its frames on the dirty list.
+type fileEntry struct {
+	head  *Block
+	dirty int
+}
+
+// indexAdd indexes b under its key and chains it to its file's frames.
+func (sh *shard) indexAdd(b *Block) {
+	sh.index[b.Key] = b
+	e := sh.files[fileOf(b.Key)]
+	if e.head != nil {
+		e.head.fprev = b
+	}
+	b.fnext, e.head = e.head, b
+	sh.files[fileOf(b.Key)] = e
+}
+
+// indexDel undoes indexAdd for a frame off the dirty list.
+func (sh *shard) indexDel(b *Block) {
+	delete(sh.index, b.Key)
+	if b.fnext != nil {
+		b.fnext.fprev = b.fprev
+	}
+	switch fk := fileOf(b.Key); {
+	case b.fprev != nil:
+		b.fprev.fnext = b.fnext
+	case b.fnext == nil:
+		delete(sh.files, fk) // its last frame, so no dirty one is left
+	default:
+		sh.files[fk] = fileEntry{head: b.fnext, dirty: sh.files[fk].dirty}
+	}
+	b.fprev, b.fnext = nil, nil
+}
+
+// countDirty moves the dirty count of b's file by d.
+func (sh *shard) countDirty(b *Block, d int) {
+	e := sh.files[fileOf(b.Key)]
+	e.dirty += d
+	sh.files[fileOf(b.Key)] = e
 }
 
 // blockList is an intrusive doubly-linked list of blocks.

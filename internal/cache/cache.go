@@ -1,8 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,13 +214,14 @@ type shard struct {
 	// comment), indexed by wake bit: filled, cleaned, released.
 	conds [nConds]sched.Cond
 
-	index       map[core.BlockKey]*Block
-	free        blockList
-	dirty       blockList // clean→dirty transition order: oldest first
-	dirtyByFile map[FileKey]map[core.BlockNo]*Block
-	replace     ReplacePolicy
-	n           [nStates]int // frames per state
-	writers     int          // in-place writes in progress
+	index   map[core.BlockKey]*Block
+	files   map[FileKey]fileEntry // each file's indexed frames
+	free    blockList
+	dirty   blockList // clean→dirty transition order: oldest first
+	replace ReplacePolicy
+	n       [nStates]int // frames per state
+	writers int          // in-place writes in progress
+	victims []*Block     // DiscardFile's scratch, used under mu
 	// dirtyGauge shadows the dirty count for telemetry: the real count
 	// lives under the kernel mutex, which a scrape (a plain HTTP
 	// goroutine with no kernel task) can never take.
@@ -290,13 +292,13 @@ func New(k sched.Kernel, cfg Config, store BackingStore) *Cache {
 		}
 		name := sched.ShardName("cache", i, nsh)
 		sh := &shard{
-			c:           c,
-			mu:          k.NewMutex(name),
-			index:       make(map[core.BlockKey]*Block),
-			dirtyByFile: make(map[FileKey]map[core.BlockNo]*Block),
-			replace:     rp,
-			flushWork:   k.NewEvent(name + ".flushwork"),
-			scanName:    name + ".updated",
+			c:         c,
+			mu:        k.NewMutex(name),
+			index:     make(map[core.BlockKey]*Block),
+			files:     make(map[FileKey]fileEntry),
+			replace:   rp,
+			flushWork: k.NewEvent(name + ".flushwork"),
+			scanName:  name + ".updated",
 		}
 		for j, cond := range [nConds]string{".filled", ".cleaned", ".released"} {
 			sh.conds[j] = k.NewCond(name + cond)
@@ -465,7 +467,7 @@ func (c *Cache) acquire(t sched.Task, key core.BlockKey, m mode) (b *Block, hit 
 		if b = sh.free.head; b == nil {
 			if b = sh.replace.Victim(); b != nil {
 				b.where = nowhere // Victim took it out of the set
-				delete(sh.index, b.Key)
+				sh.indexDel(b)
 				c.st.Evictions.Inc()
 			}
 		}
@@ -479,7 +481,7 @@ func (c *Cache) acquire(t sched.Task, key core.BlockKey, m mode) (b *Block, hit 
 			} else {
 				b.holds = 1
 			}
-			sh.index[key] = b
+			sh.indexAdd(b)
 			return b, false
 		}
 		// No frame to take: wait for whatever brings one back — a
@@ -690,20 +692,19 @@ func (sh *shard) flushOldestLocked() {
 // enqueueFlushLocked builds a flush job from flushable block b per
 // the granularity policy and hands it to the flusher. Whole-file jobs
 // are sorted by block number so log-structured layouts write them
-// contiguously — and so simulation runs stay deterministic despite
-// map iteration. With multiple shards, "whole file" means the file's
+// contiguously. With multiple shards, "whole file" means the file's
 // dirty blocks living in this shard; sibling stripes flush from their
 // own shards.
 func (sh *shard) enqueueFlushLocked(b *Block) {
 	job := []*Block{b}
 	if sh.c.cfg.Flush.WholeFile {
 		job = job[:0]
-		for _, fb := range sh.dirtyByFile[FileKey{b.Key.Vol, b.Key.File}] {
+		for fb := sh.files[fileOf(b.Key)].head; fb != nil; fb = fb.fnext {
 			if fb.flushable() {
 				job = append(job, fb)
 			}
 		}
-		sort.Slice(job, func(i, j int) bool { return job[i].Key.Blk < job[j].Key.Blk })
+		slices.SortFunc(job, byBlock)
 	}
 	for _, fb := range job {
 		sh.set(fb, stFlushing)
@@ -782,14 +783,13 @@ func (c *Cache) FlushFile(t sched.Task, vol core.VolumeID, file core.FileID) {
 	fk := FileKey{vol, file}
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
-		// The file's flushing blocks stay in dirtyByFile until their
-		// flush lands, so an empty map means the file is clean.
-		for m := sh.dirtyByFile[fk]; len(m) > 0; m = sh.dirtyByFile[fk] {
-			// Enqueue the lowest flushable block (deterministic despite
-			// map iteration); whole-file policies grab the rest of the
-			// file with it.
+		// The file's flushing blocks stay on the dirty list until their
+		// flush lands, so a zero count means the file is clean.
+		for sh.files[fk].dirty > 0 {
+			// Enqueue the lowest flushable block; whole-file policies
+			// grab the rest of the file with it.
 			var pick *Block
-			for _, b := range m {
+			for b := sh.files[fk].head; b != nil; b = b.fnext {
 				if b.flushable() && (pick == nil || b.Key.Blk < pick.Key.Blk) {
 					pick = b
 				}
@@ -826,7 +826,7 @@ func (c *Cache) FlushAll(t sched.Task) {
 // are waited for; the caller must keep new holds away (hold the
 // file's lock). It returns the number of dirty blocks dropped.
 func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, fromBlk core.BlockNo) int {
-	saved := 0
+	saved, fk := 0, FileKey{vol, file}
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
 		// The wake-up goes out once per shard when the discard is done,
@@ -834,10 +834,10 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 		// the simulator's published figures depend on that schedule.
 		w := wCleaned
 		for {
-			var victims []*Block
+			victims := sh.victims[:0]
 			var busy wake
-			for key, b := range sh.index {
-				if key.Vol != vol || key.File != file || key.Blk < fromBlk {
+			for b := sh.files[fk].head; b != nil; b = b.fnext {
+				if b.Key.Blk < fromBlk {
 					continue
 				}
 				if bw := b.busy(); bw != 0 {
@@ -846,8 +846,8 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 				}
 				victims = append(victims, b)
 			}
-			// Deterministic processing order despite map iteration.
-			sort.Slice(victims, func(i, j int) bool { return victims[i].Key.Blk < victims[j].Key.Blk })
+			// Block order: the chain is in claim order.
+			slices.SortFunc(victims, byBlock)
 			for _, b := range victims {
 				if b.state == stDirty {
 					saved++
@@ -855,6 +855,7 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 				}
 				w |= sh.set(b, stFree)
 			}
+			sh.victims = victims
 			if busy == 0 {
 				break
 			}
@@ -865,6 +866,9 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 	}
 	return saved
 }
+
+// byBlock orders one file's frames by block number.
+func byBlock(a, b *Block) int { return cmp.Compare(a.Key.Blk, b.Key.Blk) }
 
 // Stats registers the cache statistics plug-in.
 func (c *Cache) Stats(set *stats.Set) { c.st.Register(set) }

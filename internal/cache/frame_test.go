@@ -17,7 +17,7 @@ func TestFrameTransitions(t *testing.T) {
 			_, c, _ := newTestCache(1, 4, UPS())
 			sh := c.shards[0]
 			b := &Block{Key: key(9, 0), state: from}
-			sh.index[b.Key] = b
+			sh.indexAdd(b)
 			sh.n[from]++
 			sh.place(b)
 			before := sh.n

@@ -146,7 +146,8 @@ func ShardName(base string, i, n int) string {
 
 // Policy selects the next task to run in the virtual kernel, the
 // paper's pluggable scheduling-policy point. The slice holds every
-// runnable task; Pick returns the index to dispatch.
+// runnable task; Pick returns the index to dispatch. The slice is the
+// kernel's own run queue: Pick must neither keep nor change it.
 type Policy interface {
 	Name() string
 	Pick(rng *rand.Rand, runnable []Task) int

@@ -17,22 +17,17 @@ type VKernel struct {
 	now      Time
 	policy   Policy
 	rng      *rand.Rand
-	runnable []*vtask
+	runnable []Task // each a *vtask; the policy picks from this slice
 	timers   timerHeap
 	live     int
 	nextSeq  uint64
+	tasks    map[*vtask]struct{} // every live task, for deadlock reports
 
 	yielded chan *vtask   // a task parked; scheduler may continue
 	aborted chan struct{} // closed on Stop to unwind tasks
 	stopped bool
 	running bool
 	current *vtask
-
-	// Synchronization objects register themselves here so deadlock
-	// reports can name what each blocked task waits on.
-	events  []*vevent
-	mutexes []*vmutex
-	conds   []*vcond
 }
 
 // NewVirtual returns a virtual kernel seeded with seed and using the
@@ -47,6 +42,7 @@ func NewVirtualPolicy(seed int64, p Policy) *VKernel {
 	return &VKernel{
 		policy:  p,
 		rng:     rand.New(rand.NewSource(seed)),
+		tasks:   make(map[*vtask]struct{}),
 		yielded: make(chan *vtask),
 		aborted: make(chan struct{}),
 	}
@@ -83,7 +79,8 @@ type vtask struct {
 	wakeAt   Time // valid when sleeping
 	timerI   int  // heap index, -1 when not queued
 	waitOn   string
-	signaled bool // event wake-up reason
+	waitKind string // prefixes waitOn in reports: "", "mutex " or "cond "
+	signaled bool   // event wake-up reason
 	// unwound is set by the task's own goroutine when Stop aborts it
 	// mid-park. Unwinding tasks run concurrently with each other and
 	// with the scheduler's caller, so their exit path must not touch
@@ -114,6 +111,7 @@ func (k *VKernel) Go(name string, fn func(Task)) Task {
 		resume: make(chan struct{}, 1),
 		timerI: -1,
 	}
+	k.tasks[t] = struct{}{}
 	k.live++
 	k.runnable = append(k.runnable, t)
 	go func() {
@@ -131,6 +129,7 @@ func (k *VKernel) Go(name string, fn func(Task)) Task {
 			}
 			t.state = vDead
 			k.live--
+			delete(k.tasks, t)
 			k.yielded <- t
 		}()
 		fn(t)
@@ -189,15 +188,15 @@ func (t *vtask) Yield() {
 }
 
 // block parks the current task outside the timer queue; some other
-// task must eventually k.ready() it. why names the wait for
-// deadlock reports.
-func (t *vtask) block(why string) {
+// task must eventually k.ready() it. kind and name say what it waits
+// on, for deadlock reports.
+func (t *vtask) block(kind, name string) {
 	k := t.k
 	k.checkCurrent(t, "Wait")
 	t.state = vBlocked
-	t.waitOn = why
+	t.waitKind, t.waitOn = kind, name
 	t.park()
-	t.waitOn = ""
+	t.waitKind, t.waitOn = "", ""
 }
 
 func (k *VKernel) checkCurrent(t *vtask, op string) {
@@ -241,8 +240,8 @@ func (k *VKernel) Run() error {
 			}
 			continue
 		}
-		i := k.policy.Pick(k.rng, k.taskView())
-		t := k.runnable[i]
+		i := k.policy.Pick(k.rng, k.runnable)
+		t := k.runnable[i].(*vtask)
 		k.runnable = append(k.runnable[:i], k.runnable[i+1:]...)
 		t.state = vRunning
 		k.current = t
@@ -253,15 +252,6 @@ func (k *VKernel) Run() error {
 	return nil
 }
 
-// taskView exposes the runnable queue to the policy as []Task.
-func (k *VKernel) taskView() []Task {
-	v := make([]Task, len(k.runnable))
-	for i, t := range k.runnable {
-		v[i] = t
-	}
-	return v
-}
-
 func (k *VKernel) blockedNames() []string {
 	// Only blocked (not sleeping) tasks are deadlock suspects;
 	// sleeping tasks would have advanced the clock.
@@ -270,24 +260,12 @@ func (k *VKernel) blockedNames() []string {
 	return names
 }
 
-// collectBlocked is best-effort: the kernel does not keep a list of
-// all tasks, so blocked names are gathered from event wait queues
-// registered at creation time.
+// collectBlocked names every blocked task and what it waits on.
 func (k *VKernel) collectBlocked() []string {
 	var names []string
-	for _, ev := range k.events {
-		for _, t := range ev.waiters {
-			names = append(names, t.name+" on "+ev.name)
-		}
-	}
-	for _, m := range k.mutexes {
-		for _, t := range m.waiters {
-			names = append(names, t.name+" on mutex "+m.name)
-		}
-	}
-	for _, c := range k.conds {
-		for _, w := range c.waiters {
-			names = append(names, w.t.name+" on cond "+c.name)
+	for t := range k.tasks {
+		if t.state == vBlocked {
+			names = append(names, t.name+" on "+t.waitKind+t.waitOn)
 		}
 	}
 	return names

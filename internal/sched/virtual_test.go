@@ -494,3 +494,92 @@ func TestManyTasksStress(t *testing.T) {
 		t.Fatalf("produced %d consumed %d, want 1000/1000", produced, consumed)
 	}
 }
+
+// A deadlock report names every blocked task with what it waits on: a
+// mutex, a cond or an event.
+func TestDeadlockNamesMutexAndCondWaiters(t *testing.T) {
+	k := NewVirtual(1)
+	mu, held := k.NewMutex("mu"), k.NewMutex("held")
+	c, never := k.NewCond("c"), k.NewEvent("never")
+	k.Go("owner", func(tk Task) {
+		held.Lock(tk)
+		never.Wait(tk)
+	})
+	k.Go("locker", func(tk Task) {
+		tk.Sleep(time.Millisecond) // after owner took held
+		held.Lock(tk)
+	})
+	k.Go("waiter", func(tk Task) {
+		mu.Lock(tk)
+		c.Wait(tk, mu)
+	})
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	want := []string{"locker#2 on mutex held", "owner#1 on never", "waiter#3 on cond c"}
+	if fmt.Sprint(de.Blocked) != fmt.Sprint(want) {
+		t.Fatalf("blocked %q, want %q", de.Blocked, want)
+	}
+}
+
+// The kernel keeps no primitive alive: an event, mutex or cond that
+// nothing references any more is collected while the kernel lives on.
+func TestDroppedPrimitivesAreCollected(t *testing.T) {
+	k := NewVirtual(1)
+	collected := make(chan string, 3)
+	func() {
+		ev, m, c := k.NewEvent("ev"), k.NewMutex("m"), k.NewCond("c")
+		k.Go("user", func(tk Task) {
+			ev.Signal()
+			ev.Wait(tk)
+			m.Lock(tk)
+			c.Signal()
+			m.Unlock(tk)
+		})
+		runKernel(t, k)
+		runtime.SetFinalizer(ev.(*vevent), func(*vevent) { collected <- "event" })
+		runtime.SetFinalizer(m.(*vmutex), func(*vmutex) { collected <- "mutex" })
+		runtime.SetFinalizer(c.(*vcond), func(*vcond) { collected <- "cond" })
+	}()
+	got := map[string]bool{}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(got) < 3 && time.Now().Before(deadline) {
+		runtime.GC()
+		select {
+		case s := <-collected:
+			got[s] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(k)
+	if len(got) != 3 {
+		t.Fatalf("collected %v, want event, mutex and cond", got)
+	}
+}
+
+// Dispatch allocates nothing: a ping-pong between two tasks parks and
+// dispatches each of them once per round trip.
+func TestDispatchAllocatesNothing(t *testing.T) {
+	k := NewVirtual(1)
+	ping, pong := k.NewEvent("ping"), k.NewEvent("pong")
+	var allocs float64
+	k.Go("pong", func(tk Task) {
+		for {
+			ping.Wait(tk)
+			pong.Signal()
+		}
+	})
+	k.Go("ping", func(tk Task) {
+		allocs = testing.AllocsPerRun(1000, func() {
+			ping.Signal()
+			pong.Wait(tk)
+		})
+		k.Stop()
+	})
+	runKernel(t, k)
+	if allocs != 0 {
+		t.Fatalf("%v allocs per ping-pong round trip, want 0", allocs)
+	}
+}

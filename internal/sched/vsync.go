@@ -18,9 +18,7 @@ type vevent struct {
 
 // NewEvent creates a counting event.
 func (k *VKernel) NewEvent(name string) Event {
-	ev := &vevent{k: k, name: name}
-	k.events = append(k.events, ev)
-	return ev
+	return &vevent{k: k, name: name}
 }
 
 // Wait consumes one signal, blocking until available.
@@ -31,7 +29,7 @@ func (e *vevent) Wait(t Task) {
 		return
 	}
 	e.waiters = append(e.waiters, vt)
-	vt.block(e.name)
+	vt.block("", e.name)
 	if !vt.signaled {
 		panic(fmt.Sprintf("sched: task %s woke from event %s without signal", vt.name, e.name))
 	}
@@ -112,9 +110,7 @@ type vmutex struct {
 
 // NewMutex creates a mutex.
 func (k *VKernel) NewMutex(name string) Mutex {
-	m := &vmutex{k: k, name: name}
-	k.mutexes = append(k.mutexes, m)
-	return m
+	return &vmutex{k: k, name: name}
 }
 
 // Lock acquires the mutex, blocking while another task owns it.
@@ -128,7 +124,7 @@ func (m *vmutex) Lock(t Task) {
 		panic(fmt.Sprintf("sched: task %s relocking mutex %s", vt.name, m.name))
 	}
 	m.waiters = append(m.waiters, vt)
-	vt.block("mutex " + m.name)
+	vt.block("mutex ", m.name)
 	if m.owner != vt {
 		panic(fmt.Sprintf("sched: mutex %s hand-off failed", m.name))
 	}
@@ -171,9 +167,7 @@ type condWaiter struct {
 
 // NewCond creates a condition variable.
 func (k *VKernel) NewCond(name string) Cond {
-	c := &vcond{k: k, name: name}
-	k.conds = append(k.conds, c)
-	return c
+	return &vcond{k: k, name: name}
 }
 
 // Wait releases m, blocks, and reacquires m before returning.
@@ -181,7 +175,7 @@ func (c *vcond) Wait(t Task, m Mutex) {
 	vt := t.(*vtask)
 	m.Unlock(t)
 	c.waiters = append(c.waiters, condWaiter{vt, m})
-	vt.block("cond " + c.name)
+	vt.block("cond ", c.name)
 	m.Lock(t)
 }
 
