@@ -109,7 +109,6 @@ type FaultPlan struct {
 	cutIO  int64
 	onCut  []func()
 	dead   int // disk index killed by the death fault, -1 none
-	killIO int64
 	onKill []func(member int)
 
 	// Injection telemetry, by outcome kind.
@@ -250,7 +249,6 @@ func (p *FaultPlan) OnCut(fn func()) {
 // the lock released. The trigger is one-shot.
 func (p *FaultPlan) killLocked(member int) []func(int) {
 	p.dead = member
-	p.killIO = p.ios
 	p.cfg.KillAfterIO = 0
 	fns := p.onKill
 	p.onKill = nil
@@ -301,17 +299,6 @@ func (p *FaultPlan) DeadMember() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dead
-}
-
-// KillIO returns the ordinal of the request that tripped the death
-// fault (0 when it has not tripped).
-func (p *FaultPlan) KillIO() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dead < 0 && p.killIO == 0 {
-		return 0
-	}
-	return p.killIO
 }
 
 // DeadRejects returns how many requests were rejected because their

@@ -12,118 +12,192 @@ import (
 // This file is the FFS consistency machinery. FFS writes inode
 // records synchronously but defers its allocation bitmaps to Sync,
 // so a crash leaves the inode table authoritative and the bitmaps
-// stale — the classic fsck situation. Check reports the divergence;
-// Repair rebuilds the bitmaps (and the in-memory state) from a full
-// scan of the inode table, bringing the volume to a mountable state
-// that Check then accepts.
+// stale — the classic fsck situation. One reachability walk over the
+// inode table rebuilds the bitmaps the records imply. Check is that
+// walk plus a comparison with the live bitmaps; crash recovery is the
+// walk in repair mode plus adopting what it rebuilt, so a volume
+// recovery leaves is one Check accepts.
 
-// Check verifies the layout's invariants against the reachable file
-// tree:
+// tree is the allocation state the reachable file tree implies.
+type tree struct {
+	inoBits, dataBits []bitset
+	inodes            map[core.FileID]*layout.Inode
+	cleared           []core.FileID // repair: records whose rejected pointers were cleared
+	dropped           []core.FileID // repair: records whose block map is unreadable
+}
+
+// walk is the layout's one reachability walk. It visits the inode
+// records in ascending ID order — the on-disk inode table on a real
+// partition (a record the volume holds in memory is walked as held),
+// the in-memory inodes on a simulated one — and claims each block and
+// indirect-block address once. A claim outside every group's data
+// area, or of an address claimed before, is rejected with one
+// finding; in repair mode the pointer is cleared, and a record whose
+// block map cannot be read is dropped.
+func (f *FFS) walk(t sched.Task, repair bool) (tree, []string, error) {
+	w := tree{inoBits: make([]bitset, f.ngroups), dataBits: make([]bitset, f.ngroups),
+		inodes: make(map[core.FileID]*layout.Inode)}
+	for g := 0; g < f.ngroups; g++ {
+		w.inoBits[g] = make(bitset, core.BlockSize)
+		w.dataBits[g] = make(bitset, core.BlockSize)
+		for i := 0; i < f.dataStart; i++ {
+			w.dataBits[g].set(i)
+		}
+	}
+	w.inoBits[0].set(0)
+	w.inoBits[0].set(1)
+	var found []string
+	reject := func(format string, args ...any) {
+		if repair {
+			format += ", cleared"
+		}
+		found = append(found, fmt.Sprintf(format, args...))
+	}
+	owner := map[int64]string{}
+	claim := func(addr int64, what string) bool {
+		g, i, ok := f.locateData(addr)
+		switch prev, dup := owner[addr]; {
+		case !ok:
+			reject("%s at %d outside any group's data area", what, addr)
+		case dup:
+			reject("address %d claimed by both %s and %s", addr, prev, what)
+		default:
+			owner[addr] = what
+			w.dataBits[g].set(i)
+			return true
+		}
+		return false
+	}
+	visit := func(id core.FileID, ino *layout.Inode) {
+		dirty := false
+		for b, addr := range ino.Blocks {
+			if addr >= 0 && !claim(addr, fmt.Sprintf("f%d/b%d", id, b)) && repair {
+				ino.Blocks[b] = -1
+				dirty = true
+			}
+		}
+		kept := make([]int64, 0, len(ino.IndAddrs))
+		for x, addr := range ino.IndAddrs {
+			if claim(addr, fmt.Sprintf("f%d/ind%d", id, x)) {
+				kept = append(kept, addr)
+			}
+		}
+		if repair && len(kept) < len(ino.IndAddrs) {
+			ino.IndAddrs = kept // the rewrite reissues the map
+			dirty = true
+		}
+		if dirty {
+			w.cleared = append(w.cleared, id)
+		}
+		w.inoBits[int(id)/f.cfg.InodesPerGroup].set(int(id) % f.cfg.InodesPerGroup)
+		w.inodes[id] = ino
+	}
+
+	if f.part.Simulated {
+		ids := make([]core.FileID, 0, len(f.inodes))
+		for id := range f.inodes {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, id := range ids {
+			visit(id, f.inodes[id])
+		}
+		return w, found, nil
+	}
+	buf := make([]byte, core.BlockSize)
+	for g := 0; g < f.ngroups; g++ {
+		for tb := 0; tb < f.itblks; tb++ {
+			if err := f.part.Read(t, f.groupBase(g)+gInoTable+int64(tb), 1, buf); err != nil {
+				if repair {
+					return w, found, err
+				}
+				found = append(found, fmt.Sprintf("inode table read (group %d block %d): %v", g, tb, err))
+				continue
+			}
+			for slot := 0; slot < layout.InodesPerBlk; slot++ {
+				id := core.FileID(g*f.cfg.InodesPerGroup + tb*layout.InodesPerBlk + slot)
+				di, err := layout.DecodeInode(buf[slot*layout.InodeSize:])
+				if err != nil || di.Ino.ID != id || di.Ino.Type == core.TypeFree {
+					continue // empty or garbage slot
+				}
+				ino := f.inodes[id]
+				if ino == nil {
+					ino = &di.Ino
+					if err := f.loadBlockMap(t, ino, di); err != nil {
+						msg := fmt.Sprintf("inode %d: unreadable block map: %v", id, err)
+						if repair {
+							msg += ", dropped"
+							w.dropped = append(w.dropped, id)
+						}
+						found = append(found, msg)
+						continue
+					}
+				}
+				visit(id, ino)
+			}
+		}
+	}
+	return w, found, nil
+}
+
+// compare names every difference between the live bitmaps and the
+// walk's: a torn bitmap block found at Mount, a record for an inode
+// the bitmap calls free, an allocation without a record, reachable
+// blocks marked free, and leaks (blocks marked used that nothing
+// reaches).
+func (f *FFS) compare(w tree) []string {
+	diffs := append([]string(nil), f.tornMeta...)
+	for g := 0; g < f.ngroups; g++ {
+		for i := 0; i < f.cfg.InodesPerGroup; i++ {
+			id := g*f.cfg.InodesPerGroup + i
+			if id < int(core.RootFile) {
+				continue // reserved inodes 0 and 1
+			}
+			switch was, now := f.inoBits[g].get(i), w.inoBits[g].get(i); {
+			case now && !was:
+				diffs = append(diffs, fmt.Sprintf("inode %d has a record but is free in the inode bitmap", id))
+			case was && !now:
+				diffs = append(diffs, fmt.Sprintf("inode %d is allocated in the inode bitmap but has no record", id))
+			}
+		}
+		leaks, unmarked := 0, 0
+		for i := f.dataStart; i < f.cfg.BlocksPerGroup; i++ {
+			switch was, now := f.dataBits[g].get(i), w.dataBits[g].get(i); {
+			case was && !now:
+				leaks++
+			case now && !was:
+				unmarked++
+			}
+		}
+		if leaks > 0 {
+			diffs = append(diffs, fmt.Sprintf("group %d leaks %d data blocks (marked used, unreachable)", g, leaks))
+		}
+		if unmarked > 0 {
+			diffs = append(diffs, fmt.Sprintf("group %d has %d reachable data blocks free in the data bitmap", g, unmarked))
+		}
+	}
+	return diffs
+}
+
+// Check is the layout's fsck: the reachability walk, then a comparison
+// with the live bitmaps. It verifies that
 //
-//   - every allocated inode has a readable record (real volumes),
-//   - every block and indirect pointer is in range, inside a group's
-//     data area, and marked used in the data bitmap,
-//   - no two files claim the same block,
+//   - every block and indirect pointer lies inside a group's data area,
+//   - no two pointers claim the same block,
+//   - every claimed block is marked used in the data bitmap,
 //   - no data block is marked used without a claimant (leaks),
-//   - no inode record exists for a bitmap-free inode number.
+//   - no inode record exists for a bitmap-free inode number,
+//   - every allocated inode has a record (real volumes: in the table),
+//   - no bitmap block was torn (checksum mismatch at Mount).
 //
 // It returns every violation found (nil means consistent).
 func (f *FFS) Check(t sched.Task) []error {
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
-
+	w, found, _ := f.walk(t, false)
 	var errs []error
-	bad := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("ffs %s: "+format, append([]any{f.name}, args...)...))
-	}
-
-	// Torn bitmap writes found at Mount (checksum mismatches).
-	for _, m := range f.tornMeta {
-		bad("%s", m)
-	}
-
-	owner := map[int64]string{}
-	claimed := map[int64]bool{}
-	claim := func(addr int64, what string) {
-		g, i, ok := f.locateData(addr)
-		if !ok {
-			bad("%s at %d outside any group's data area", what, addr)
-			return
-		}
-		if prev, dup := owner[addr]; dup {
-			bad("address %d claimed by both %s and %s", addr, prev, what)
-			return
-		}
-		owner[addr] = what
-		claimed[addr] = true
-		if !f.dataBits[g].get(i) {
-			bad("%s at %d is free in the data bitmap", what, addr)
-		}
-	}
-
-	// One pass over the on-disk inode table (real volumes) records
-	// which slots hold a live record.
-	recorded := map[core.FileID]bool{}
-	if !f.part.Simulated {
-		buf := make([]byte, core.BlockSize)
-		for g := 0; g < f.ngroups; g++ {
-			for tb := 0; tb < f.itblks; tb++ {
-				if err := f.part.Read(t, f.groupBase(g)+gInoTable+int64(tb), 1, buf); err != nil {
-					bad("inode table read (group %d block %d): %v", g, tb, err)
-					continue
-				}
-				for slot := 0; slot < layout.InodesPerBlk; slot++ {
-					id := core.FileID(g*f.cfg.InodesPerGroup + tb*layout.InodesPerBlk + slot)
-					if di, err := layout.DecodeInode(buf[slot*layout.InodeSize:]); err == nil &&
-						di.Ino.ID == id && di.Ino.Type != core.TypeFree {
-						recorded[id] = true
-					}
-				}
-			}
-		}
-	}
-
-	for g := 0; g < f.ngroups; g++ {
-		for i := 0; i < f.cfg.InodesPerGroup; i++ {
-			if g == 0 && i < int(core.RootFile) {
-				continue // reserved inodes 0 and 1
-			}
-			id := core.FileID(g*f.cfg.InodesPerGroup + i)
-			if !f.inoBits[g].get(i) {
-				// A record on disk for a bitmap-free inode: the
-				// allocation outlived a lost bitmap write.
-				if recorded[id] {
-					bad("inode %d has an on-disk record but is free in the inode bitmap", id)
-				}
-				continue
-			}
-			ino, err := f.getInodeLocked(t, id)
-			if err != nil {
-				bad("allocated inode %d unreadable: %v", id, err)
-				continue
-			}
-			for b, addr := range ino.Blocks {
-				if addr >= 0 {
-					claim(addr, fmt.Sprintf("f%d/b%d", id, b))
-				}
-			}
-			for x, addr := range ino.IndAddrs {
-				claim(addr, fmt.Sprintf("f%d/ind%d", id, x))
-			}
-		}
-	}
-
-	// Leaks: used data bits nobody claims.
-	for g := 0; g < f.ngroups; g++ {
-		leaks := 0
-		for i := f.dataStart; i < f.cfg.BlocksPerGroup; i++ {
-			if f.dataBits[g].get(i) && !claimed[f.groupBase(g)+int64(i)] {
-				leaks++
-			}
-		}
-		if leaks > 0 {
-			bad("group %d leaks %d data blocks (marked used, unreachable)", g, leaks)
-		}
+	for _, m := range append(found, f.compare(w)...) {
+		errs = append(errs, fmt.Errorf("ffs %s: %s", f.name, m))
 	}
 	return errs
 }
@@ -145,160 +219,33 @@ func (f *FFS) locateData(addr int64) (g, i int, ok bool) {
 	return g, i, true
 }
 
-// Repair is the fsck write pass: it scans the on-disk inode table —
-// the synchronously-written truth — and rebuilds both allocation
-// bitmaps, the free count and the in-memory tables from it. Stale
-// bitmap state (the normal crash damage: Sync never ran) is healed;
-// resurrected allocations and reclaimed blocks are reported. The
-// rebuilt bitmaps are written back and the volume is mounted.
-func (f *FFS) Repair(t sched.Task) ([]string, error) {
+// repair is the fsck write pass: the walk in repair mode over the
+// on-disk inode table — the synchronously written truth — whose
+// rebuilt bitmaps, free count and inode table the volume adopts.
+// Every difference from the stale bitmaps is reported (the normal
+// crash damage: Sync never ran), records with cleared pointers are
+// rewritten, dropped records are zeroed, and the bitmaps are written
+// back.
+func (f *FFS) repair(t sched.Task) ([]string, error) {
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
-	if f.part.Simulated {
-		return nil, fmt.Errorf("ffs %s: Repair needs a real volume", f.name)
-	}
-	var notes []string
-	notef := func(format string, args ...any) {
-		notes = append(notes, fmt.Sprintf(format, args...))
-	}
-
-	newIno := make([]bitset, f.ngroups)
-	newData := make([]bitset, f.ngroups)
-	for g := 0; g < f.ngroups; g++ {
-		newIno[g] = make(bitset, core.BlockSize)
-		newData[g] = make(bitset, core.BlockSize)
-		for i := 0; i < f.dataStart; i++ {
-			newData[g].set(i)
-		}
-	}
-	newIno[0].set(0)
-	newIno[0].set(1)
-
-	owner := map[int64]core.FileID{}
 	f.inodes = make(map[core.FileID]*layout.Inode)
-	var rewrite []core.FileID // inodes with cleared pointers, written back after bitmap adoption
-	buf := make([]byte, core.BlockSize)
-	for g := 0; g < f.ngroups; g++ {
-		for tb := 0; tb < f.itblks; tb++ {
-			blk := f.groupBase(g) + gInoTable + int64(tb)
-			if err := f.part.Read(t, blk, 1, buf); err != nil {
-				return notes, err
-			}
-			for slot := 0; slot < layout.InodesPerBlk; slot++ {
-				id := core.FileID(g*f.cfg.InodesPerGroup + tb*layout.InodesPerBlk + slot)
-				di, err := layout.DecodeInode(buf[slot*layout.InodeSize:])
-				if err != nil || di.Ino.ID != id || di.Ino.Type == core.TypeFree {
-					continue // empty or garbage slot
-				}
-				ino := &di.Ino
-				if err := f.loadBlockMap(t, ino, di); err != nil {
-					notef("inode %d: unreadable block map, dropped: %v", id, err)
-					continue
-				}
-				dirtyIno := false
-				for b := range ino.Blocks {
-					addr := ino.Blocks[b]
-					if addr < 0 {
-						continue
-					}
-					gg, i, ok := f.locateData(addr)
-					if !ok {
-						notef("inode %d block %d: address %d out of range, cleared", id, b, addr)
-						ino.Blocks[b] = -1
-						dirtyIno = true
-						continue
-					}
-					if prev, dup := owner[addr]; dup {
-						notef("inode %d block %d: address %d already owned by inode %d, cleared", id, b, addr, prev)
-						ino.Blocks[b] = -1
-						dirtyIno = true
-						continue
-					}
-					owner[addr] = id
-					newData[gg].set(i)
-				}
-				// Indirect map blocks get the same duplicate/range
-				// policy as data: a cross-linked or wild pointer is
-				// dropped, and the rewrite below reissues the map
-				// from the flat block list into fresh blocks.
-				keptInd := ino.IndAddrs[:0]
-				for x, addr := range ino.IndAddrs {
-					gg, i, ok := f.locateData(addr)
-					if !ok {
-						notef("inode %d indirect %d: address %d out of range, reissued", id, x, addr)
-						dirtyIno = true
-						continue
-					}
-					if prev, dup := owner[addr]; dup {
-						notef("inode %d indirect %d: address %d already owned by inode %d, reissued", id, x, addr, prev)
-						dirtyIno = true
-						continue
-					}
-					owner[addr] = id
-					newData[gg].set(i)
-					keptInd = append(keptInd, addr)
-				}
-				ino.IndAddrs = keptInd
-				newIno[g].set(int(id) % f.cfg.InodesPerGroup)
-				f.inodes[id] = ino
-				if !f.inoBits[g].get(int(id) % f.cfg.InodesPerGroup) {
-					notef("inode %d: resurrected from the table (bitmap said free)", id)
-				}
-				if dirtyIno {
-					rewrite = append(rewrite, id)
-				}
-			}
-		}
+	w, notes, err := f.walk(t, true)
+	if err != nil {
+		return notes, err
 	}
-
-	// Diff the data bitmaps for the report, then adopt the rebuild.
-	reclaimed, adopted := 0, 0
-	for g := 0; g < f.ngroups; g++ {
-		for i := f.dataStart; i < f.cfg.BlocksPerGroup; i++ {
-			was, now := f.dataBits[g].get(i), newData[g].get(i)
-			switch {
-			case was && !now:
-				reclaimed++
-			case !was && now:
-				adopted++
-			}
-		}
-	}
-	if reclaimed > 0 {
-		notef("reclaimed %d leaked data blocks", reclaimed)
-	}
-	if adopted > 0 {
-		notef("marked %d reachable data blocks used (bitmap said free)", adopted)
-	}
-	// Drop bitmap-only inode allocations the table does not back.
-	for g := 0; g < f.ngroups; g++ {
-		for i := 0; i < f.cfg.InodesPerGroup; i++ {
-			if g == 0 && i < int(core.RootFile) {
-				continue
-			}
-			if f.inoBits[g].get(i) && !newIno[g].get(i) {
-				notef("inode %d: allocation without a record, freed", g*f.cfg.InodesPerGroup+i)
-			}
-		}
-	}
-	if len(f.tornMeta) > 0 {
-		notef("rewrote %d torn bitmap blocks from the inode table", len(f.tornMeta))
-		f.tornMeta = nil
-	}
-	f.inoBits = newIno
-	f.dataBits = newData
-	f.freeData = 0
-	for g := 0; g < f.ngroups; g++ {
-		for i := f.dataStart; i < f.cfg.BlocksPerGroup; i++ {
-			if !f.dataBits[g].get(i) {
-				f.freeData++
-			}
-		}
-	}
-	// Rewrite inodes whose pointers were cleared, now that block
-	// allocation runs against the rebuilt bitmaps.
-	for _, id := range rewrite {
+	notes = append(notes, f.compare(w)...)
+	f.inoBits, f.dataBits, f.inodes, f.tornMeta = w.inoBits, w.dataBits, w.inodes, nil
+	f.countFree()
+	// Rewrite records now that allocation runs against the rebuilt
+	// bitmaps (a reissued indirect map takes fresh blocks).
+	for _, id := range w.cleared {
 		if err := f.writeInode(t, f.inodes[id]); err != nil {
+			return notes, err
+		}
+	}
+	for _, id := range w.dropped {
+		if err := f.clearInodeRecord(t, id); err != nil {
 			return notes, err
 		}
 	}
@@ -306,7 +253,6 @@ func (f *FFS) Repair(t sched.Task) ([]string, error) {
 		return notes, err
 	}
 	f.mounted = true
-	sort.Strings(notes)
 	return notes, nil
 }
 
@@ -341,7 +287,7 @@ func (f *FFS) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	if err := f.Mount(t); err != nil {
 		return st, err
 	}
-	notes, err := f.Repair(t)
+	notes, err := f.repair(t)
 	st.Repairs = notes
 	st.InodeRecords = len(f.inodes)
 	return st, err

@@ -233,7 +233,6 @@ func (f *FFS) Mount(t sched.Task) error {
 	f.inoBits = make([]bitset, f.ngroups)
 	f.dataBits = make([]bitset, f.ngroups)
 	f.tornMeta = nil
-	f.freeData = 0
 	for g := 0; g < f.ngroups; g++ {
 		f.inoBits[g] = make(bitset, core.BlockSize)
 		f.dataBits[g] = make(bitset, core.BlockSize)
@@ -245,7 +244,7 @@ func (f *FFS) Mount(t sched.Task) error {
 		}
 		// A checksum mismatch marks a torn bitmap write. The mount
 		// proceeds (the bits may still be mostly right) but Check
-		// reports it and Repair rebuilds from the inode table.
+		// reports it and recovery rebuilds from the inode table.
 		if got := binary.LittleEndian.Uint64(f.inoBits[g][core.BlockSize-8:]); got != bitmapSum(f.inoBits[g]) {
 			f.tornMeta = append(f.tornMeta,
 				fmt.Sprintf("group %d inode bitmap checksum mismatch (torn write)", g))
@@ -254,14 +253,22 @@ func (f *FFS) Mount(t sched.Task) error {
 			f.tornMeta = append(f.tornMeta,
 				fmt.Sprintf("group %d data bitmap checksum mismatch (torn write)", g))
 		}
+	}
+	f.countFree()
+	f.mounted = true
+	return nil
+}
+
+// countFree recounts the free data blocks from the data bitmaps.
+func (f *FFS) countFree() {
+	f.freeData = 0
+	for g := 0; g < f.ngroups; g++ {
 		for i := f.dataStart; i < f.cfg.BlocksPerGroup; i++ {
 			if !f.dataBits[g].get(i) {
 				f.freeData++
 			}
 		}
 	}
-	f.mounted = true
-	return nil
 }
 
 // checkGeometry validates the geometry a superblock records against

@@ -160,51 +160,9 @@ func (f *FFS) getInodeLocked(t sched.Task, id core.FileID) (*layout.Inode, error
 
 // loadBlockMap rebuilds the flat block map from the pointer tree.
 func (f *FFS) loadBlockMap(t sched.Task, ino *layout.Inode, di *layout.DiskInode) error {
-	nblocks := layout.BlocksForSize(ino.Size)
-	ino.Blocks = ino.Blocks[:0]
-	for i := 0; i < layout.NDirect && int64(len(ino.Blocks)) < nblocks; i++ {
-		ino.Blocks = append(ino.Blocks, di.Direct[i])
-	}
-	if int64(len(ino.Blocks)) < nblocks && di.Ind >= 0 {
-		ino.IndAddrs = append(ino.IndAddrs, di.Ind)
-		buf := make([]byte, core.BlockSize)
-		if err := f.part.Read(t, di.Ind, 1, buf); err != nil {
-			return err
-		}
-		n := int(nblocks) - len(ino.Blocks)
-		if n > layout.AddrsPerBlock {
-			n = layout.AddrsPerBlock
-		}
-		ino.Blocks = append(ino.Blocks, layout.DecodeAddrs(buf, n)...)
-	}
-	if int64(len(ino.Blocks)) < nblocks && di.DInd >= 0 {
-		dbuf := make([]byte, core.BlockSize)
-		if err := f.part.Read(t, di.DInd, 1, dbuf); err != nil {
-			return err
-		}
-		remaining := int(nblocks) - len(ino.Blocks)
-		nleaves := (remaining + layout.AddrsPerBlock - 1) / layout.AddrsPerBlock
-		buf := make([]byte, core.BlockSize)
-		for _, leaf := range layout.DecodeAddrs(dbuf, nleaves) {
-			if leaf < 0 {
-				// The size over-covers the map (a volume-manager
-				// shadow carries the array-global size): a nil leaf
-				// ends the tree, it is never a legal address.
-				break
-			}
-			ino.IndAddrs = append(ino.IndAddrs, leaf)
-			if err := f.part.Read(t, leaf, 1, buf); err != nil {
-				return err
-			}
-			n := int(nblocks) - len(ino.Blocks)
-			if n > layout.AddrsPerBlock {
-				n = layout.AddrsPerBlock
-			}
-			ino.Blocks = append(ino.Blocks, layout.DecodeAddrs(buf, n)...)
-		}
-		ino.IndAddrs = append(ino.IndAddrs, di.DInd)
-	}
-	return nil
+	return layout.LoadBlockMap(ino, di, func(addr int64, buf []byte) error {
+		return f.part.Read(t, addr, 1, buf)
+	})
 }
 
 // writeInode writes an inode record in place (synchronous metadata,

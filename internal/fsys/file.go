@@ -181,9 +181,6 @@ func (h *Handle) Type() core.FileType { return h.f.ino.Type }
 // SetPos sets the handle position (absolute seek).
 func (h *Handle) SetPos(pos int64) { h.pos = pos }
 
-// Pos returns the handle position.
-func (h *Handle) Pos() int64 { return h.pos }
-
 // FileAttr is the stat result.
 type FileAttr struct {
 	ID    core.FileID

@@ -131,6 +131,49 @@ func DecodeAddrs(buf []byte, n int) []int64 {
 	return out
 }
 
+// LoadBlockMap rebuilds ino's flat block map from the pointer tree of
+// its on-disk record di, reading each map block through read. A map
+// holds at most MaxFileBlocks entries whatever the record's size says,
+// and a nil double-indirect leaf ends it: the size may over-cover the
+// map (a volume-manager shadow carries the array-global size).
+func LoadBlockMap(ino *Inode, di *DiskInode, read func(addr int64, buf []byte) error) error {
+	nblocks := int(max(0, min(BlocksForSize(ino.Size), MaxFileBlocks)))
+	ino.Blocks = make([]int64, 0, nblocks)
+	for i := 0; i < NDirect && len(ino.Blocks) < nblocks; i++ {
+		ino.Blocks = append(ino.Blocks, di.Direct[i])
+	}
+	buf := make([]byte, core.BlockSize)
+	leaf := func(addr int64) error {
+		ino.IndAddrs = append(ino.IndAddrs, addr)
+		if err := read(addr, buf); err != nil {
+			return err
+		}
+		ino.Blocks = append(ino.Blocks, DecodeAddrs(buf, nblocks-len(ino.Blocks))...)
+		return nil
+	}
+	if len(ino.Blocks) < nblocks && di.Ind >= 0 {
+		if err := leaf(di.Ind); err != nil {
+			return err
+		}
+	}
+	if len(ino.Blocks) < nblocks && di.DInd >= 0 {
+		if err := read(di.DInd, buf); err != nil {
+			return err
+		}
+		leaves := DecodeAddrs(buf, (nblocks-len(ino.Blocks)+AddrsPerBlock-1)/AddrsPerBlock)
+		for _, a := range leaves {
+			if a < 0 {
+				break
+			}
+			if err := leaf(a); err != nil {
+				return err
+			}
+		}
+		ino.IndAddrs = append(ino.IndAddrs, di.DInd)
+	}
+	return nil
+}
+
 // SplitBlockMap decomposes a flat block map into the direct slots,
 // the single-indirect pointer span and the double-indirect spans.
 // The returned indirect groups hold up to AddrsPerBlock addresses

@@ -8,126 +8,152 @@ import (
 	"repro/internal/sched"
 )
 
-// Check is the layout's fsck: it loads every live inode and verifies
-// the log's invariants —
-//
-//   - every inode-map entry points into an in-use segment,
-//   - every file block and indirect block address is in range and
-//     lands in an in-use (or open) segment,
-//   - no two live blocks share an address,
-//   - the segment usage table's live counts match a recount from
-//     the reachable file tree,
-//   - the free list is exact: free state, no duplicates, not the
-//     open segment.
-//
-// It returns every violation found (nil means consistent).
-func (l *LFS) Check(t sched.Task) []error {
-	l.mu.Lock(t)
-	defer l.mu.Unlock(t)
+// usage is the allocation state the reachable file tree implies.
+type usage struct {
+	live        []int32                 // live blocks per segment
+	inodeBlocks map[int64][]core.FileID // inode-block address → the ids packed there
+}
 
-	var errs []error
-	bad := func(f string, args ...any) {
-		errs = append(errs, fmt.Errorf("lfs %s: "+f, append([]any{l.name}, args...)...))
-	}
-
-	inSeg := func(addr int64) int {
-		if addr < l.seg0 || addr >= l.seg0+int64(l.nsegs)*int64(l.cfg.SegBlocks) {
-			return -1
+// walk is the log's one reachability walk, shared by Check and crash
+// recovery. It visits the live inodes in ascending ID order and claims
+// each file block, indirect block, inode block and inode-map chunk
+// address once. A claim is rejected when the address lies outside
+// every segment's data slots (a summary block is never one) or was
+// claimed before; each rejection is one finding. In repair mode the
+// rejected pointer is cleared — the inode or imap chunk is marked
+// dirty so the next segment write and checkpoint reissue it — and an
+// unreadable inode is dropped, so what recovery keeps is exactly what
+// Check accepts.
+func (l *LFS) walk(t sched.Task, repair bool) (usage, []string) {
+	u := usage{live: make([]int32, l.nsegs), inodeBlocks: make(map[int64][]core.FileID)}
+	var found []string
+	reject := func(format string, args ...any) {
+		if repair {
+			format += ", cleared"
 		}
-		seg := l.segOf(addr)
-		// The summary block is never a data address.
-		if addr == l.segStart(seg) {
-			return -1
-		}
-		return seg
+		found = append(found, fmt.Sprintf(format, args...))
 	}
-	segUsable := func(seg int) bool {
-		st := l.sut[seg].state
-		return st == segInUse || st == segCurrent
-	}
-
-	live := make([]int32, l.nsegs)
 	owner := make(map[int64]string)
-	claim := func(addr int64, what string) {
-		seg := inSeg(addr)
-		if seg < 0 {
-			bad("%s at %d outside any segment", what, addr)
-			return
+	claim := func(addr int64, what string) bool {
+		seg := -1
+		if addr >= l.seg0 && addr < l.segStart(l.nsegs) && addr != l.segStart(l.segOf(addr)) {
+			seg = l.segOf(addr)
 		}
-		if !segUsable(seg) {
-			bad("%s at %d lands in segment %d with state %d", what, addr, seg, l.sut[seg].state)
-			return
+		switch prev, dup := owner[addr]; {
+		case seg < 0:
+			reject("%s at %d outside any segment's data slots", what, addr)
+		case dup:
+			reject("address %d claimed by both %s and %s", addr, prev, what)
+		default:
+			owner[addr] = what
+			u.live[seg]++
+			return true
 		}
-		if prev, dup := owner[addr]; dup {
-			bad("address %d claimed by both %s and %s", addr, prev, what)
-			return
-		}
-		owner[addr] = what
-		live[seg]++
+		return false
 	}
 
-	// Walk every live inode.
-	ids := make([]core.FileID, 0, len(l.imap))
-	for id, ent := range l.imap {
-		if ent.addr >= 0 || l.inodes[id] != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	inodeBlocks := map[int64]bool{}
-	for _, id := range ids {
+	for _, id := range l.liveIDs() {
+		ent := l.imap[id]
 		ino, err := l.getInodeLocked(t, id)
 		if err != nil {
-			bad("inode %d unreadable: %v", id, err)
+			msg := fmt.Sprintf("inode %d unreadable: %v", id, err)
+			if repair {
+				// Corruption past what roll-forward repairs: drop the
+				// file rather than the volume.
+				msg += ", dropped"
+				ent.addr = -1
+				ent.version++
+				l.imapDirty[int(id)/imapPerChunk] = true
+				delete(l.inodes, id)
+				delete(l.dirtyInodes, id)
+			}
+			found = append(found, msg)
 			continue
 		}
 		for b, addr := range ino.Blocks {
-			if addr >= 0 {
-				claim(addr, fmt.Sprintf("f%d/b%d", id, b))
+			if addr >= 0 && !claim(addr, fmt.Sprintf("f%d/b%d", id, b)) && repair {
+				ino.Blocks[b] = -1
+				l.dirtyInodes[id] = true
 			}
 		}
+		kept := make([]int64, 0, len(ino.IndAddrs))
 		for i, addr := range ino.IndAddrs {
-			claim(addr, fmt.Sprintf("f%d/ind%d", id, i))
+			if claim(addr, fmt.Sprintf("f%d/ind%d", id, i)) {
+				kept = append(kept, addr)
+			}
 		}
-		if ent := l.imap[id]; ent != nil && ent.addr >= 0 {
-			inodeBlocks[ent.addr] = true
+		if repair && len(kept) < len(ino.IndAddrs) {
+			ino.IndAddrs = kept // packing the dirty inode reissues the map
+			l.dirtyInodes[id] = true
+		}
+		if ent.addr >= 0 {
+			u.inodeBlocks[ent.addr] = append(u.inodeBlocks[ent.addr], id)
 		}
 	}
-	// Inode blocks are shared; claim each once.
-	addrs := make([]int64, 0, len(inodeBlocks))
-	for a := range inodeBlocks {
+	// Inode blocks are shared: claim each once, after the file blocks.
+	addrs := make([]int64, 0, len(u.inodeBlocks))
+	for a := range u.inodeBlocks {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
-		claim(a, fmt.Sprintf("inode-block@%d", a))
-	}
-	// Inode-map chunks.
-	for c, a := range l.imapAddr {
-		if a >= 0 {
-			claim(a, fmt.Sprintf("imap-chunk%d", c))
-		}
-	}
-
-	// Usage-table recount. Dirty (unpacked) inodes are not yet in
-	// the log, so their inode-block slot may be pending; allow the
-	// recount to undershoot by the open segment's bookkeeping only
-	// when strictly consistent data is expected — here, demand
-	// equality, which holds after Sync.
-	for seg := 0; seg < l.nsegs; seg++ {
-		if l.sut[seg].state == segFree {
-			if live[seg] != 0 {
-				bad("free segment %d has %d reachable blocks", seg, live[seg])
-			}
+		if claim(a, fmt.Sprintf("inode-block@%d", a)) || !repair {
 			continue
 		}
-		if l.sut[seg].live != live[seg] {
-			bad("segment %d usage: table says %d live, recount %d",
-				seg, l.sut[seg].live, live[seg])
+		for _, id := range u.inodeBlocks[a] {
+			l.imap[id].addr = -1 // repacked from memory
+			l.imapDirty[int(id)/imapPerChunk] = true
+			l.dirtyInodes[id] = true
+		}
+		delete(u.inodeBlocks, a)
+	}
+	for c, a := range l.imapAddr {
+		if a >= 0 && !claim(a, fmt.Sprintf("imap-chunk%d", c)) && repair {
+			l.imapAddr[c] = -1 // the checkpoint rewrites it
+			l.imapDirty[c] = true
+		}
+	}
+	return u, found
+}
+
+// Check is the layout's fsck: the reachability walk, then a comparison
+// of what it found with the live tables. It verifies that
+//
+//   - every file block, indirect block, inode block and inode-map
+//     chunk address is in range and not on a summary block,
+//   - no address is claimed twice,
+//   - every reachable block lies in an in-use (or the open) segment,
+//     and the usage table's live counts equal the walk's recount,
+//   - the free list is exact: free state, no duplicates, not the
+//     open segment.
+//
+// Recovery runs the same walk in repair mode, so a volume it leaves
+// passes. Check returns every violation found (nil means consistent).
+func (l *LFS) Check(t sched.Task) []error {
+	l.mu.Lock(t)
+	defer l.mu.Unlock(t)
+
+	u, found := l.walk(t, false)
+	var errs []error
+	bad := func(f string, args ...any) {
+		errs = append(errs, fmt.Errorf("lfs %s: "+f, append([]any{l.name}, args...)...))
+	}
+	for _, f := range found {
+		bad("%s", f)
+	}
+	for seg, si := range l.sut {
+		switch {
+		case si.state == segFree:
+			if u.live[seg] != 0 {
+				bad("free segment %d has %d reachable blocks", seg, u.live[seg])
+			}
+		case si.state != segInUse && si.state != segCurrent:
+			bad("segment %d has state %d", seg, si.state)
+		case si.live != u.live[seg]:
+			bad("segment %d usage: table says %d live, recount %d", seg, si.live, u.live[seg])
 		}
 	}
 
-	// Free-list exactness.
 	seen := map[int]bool{}
 	for _, s := range l.freeSegs {
 		if s < 0 || s >= l.nsegs {
@@ -151,4 +177,36 @@ func (l *LFS) Check(t sched.Task) []error {
 		}
 	}
 	return errs
+}
+
+// recountLocked is recovery's half of the walk: it runs it in repair
+// mode and adopts what it implies — the usage table, the free list and
+// the inode-block index — returning the repairs made.
+func (l *LFS) recountLocked(t sched.Task) []string {
+	u, repairs := l.walk(t, true)
+	l.freeSegs = l.freeSegs[:0]
+	for seg := 0; seg < l.nsegs; seg++ {
+		if u.live[seg] == 0 {
+			l.sut[seg] = segInfo{state: segFree}
+			l.freeSegs = append(l.freeSegs, seg)
+			delete(l.summaries, seg)
+			continue
+		}
+		l.sut[seg].live, l.sut[seg].state = u.live[seg], segInUse
+	}
+	l.inodeBlockIDs = u.inodeBlocks
+	return repairs
+}
+
+// liveIDs lists the live inodes — on disk or still only in memory —
+// in ascending order.
+func (l *LFS) liveIDs() []core.FileID {
+	ids := make([]core.FileID, 0, len(l.imap))
+	for id, ent := range l.imap {
+		if ent.addr >= 0 || l.inodes[id] != nil {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

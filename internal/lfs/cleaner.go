@@ -256,7 +256,7 @@ func (l *LFS) getInodeLocked(t sched.Task, id core.FileID) (*layout.Inode, error
 	if ent == nil || ent.addr < 0 || l.part.Simulated {
 		return nil, core.ErrNotFound
 	}
-	ino, err := l.readInodeFromLog(t, ent)
+	ino, err := l.readInodeFromLog(t, id, ent)
 	if err != nil {
 		return nil, err
 	}

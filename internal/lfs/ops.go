@@ -87,9 +87,12 @@ func (l *LFS) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 	return l.getInodeLocked(t, id)
 }
 
-// readInodeFromLog reads and decodes an inode record plus its block
+// readInodeFromLog reads and decodes inode id's record plus its block
 // map.
-func (l *LFS) readInodeFromLog(t sched.Task, ent *imapEnt) (*layout.Inode, error) {
+func (l *LFS) readInodeFromLog(t sched.Task, id core.FileID, ent *imapEnt) (*layout.Inode, error) {
+	if int(ent.slot) >= layout.InodesPerBlk {
+		return nil, fmt.Errorf("lfs %s: inode %d: map slot %d out of range", l.name, id, ent.slot)
+	}
 	buf := make([]byte, core.BlockSize)
 	if err := l.readLogBlock(t, ent.addr, buf); err != nil {
 		return nil, err
@@ -98,53 +101,13 @@ func (l *LFS) readInodeFromLog(t sched.Task, ent *imapEnt) (*layout.Inode, error
 	if err != nil {
 		return nil, err
 	}
+	if di.Ino.ID != id {
+		return nil, fmt.Errorf("lfs %s: inode %d: map points at the record of inode %d", l.name, id, di.Ino.ID)
+	}
 	ino := &di.Ino
-	nblocks := layout.BlocksForSize(ino.Size)
-	ino.Blocks = make([]int64, 0, nblocks)
-	for i := 0; i < layout.NDirect && int64(len(ino.Blocks)) < nblocks; i++ {
-		ino.Blocks = append(ino.Blocks, di.Direct[i])
-	}
-	if int64(len(ino.Blocks)) < nblocks && di.Ind >= 0 {
-		ino.IndAddrs = append(ino.IndAddrs, di.Ind)
-		ibuf := make([]byte, core.BlockSize)
-		if err := l.readLogBlock(t, di.Ind, ibuf); err != nil {
-			return nil, err
-		}
-		n := int(nblocks) - len(ino.Blocks)
-		if n > layout.AddrsPerBlock {
-			n = layout.AddrsPerBlock
-		}
-		ino.Blocks = append(ino.Blocks, layout.DecodeAddrs(ibuf, n)...)
-	}
-	if int64(len(ino.Blocks)) < nblocks && di.DInd >= 0 {
-		dbuf := make([]byte, core.BlockSize)
-		if err := l.readLogBlock(t, di.DInd, dbuf); err != nil {
-			return nil, err
-		}
-		remaining := int(nblocks) - len(ino.Blocks)
-		nleaves := (remaining + layout.AddrsPerBlock - 1) / layout.AddrsPerBlock
-		leaves := layout.DecodeAddrs(dbuf, nleaves)
-		ibuf := make([]byte, core.BlockSize)
-		for _, leaf := range leaves {
-			if leaf < 0 {
-				// The size over-covers the map (a volume-manager
-				// shadow carries the array-global size): a nil leaf
-				// ends the tree, it is never a legal address.
-				break
-			}
-			ino.IndAddrs = append(ino.IndAddrs, leaf)
-			if err := l.readLogBlock(t, leaf, ibuf); err != nil {
-				return nil, err
-			}
-			n := int(nblocks) - len(ino.Blocks)
-			if n > layout.AddrsPerBlock {
-				n = layout.AddrsPerBlock
-			}
-			ino.Blocks = append(ino.Blocks, layout.DecodeAddrs(ibuf, n)...)
-		}
-		ino.IndAddrs = append(ino.IndAddrs, di.DInd)
-	}
-	return ino, nil
+	return ino, layout.LoadBlockMap(ino, di, func(addr int64, buf []byte) error {
+		return l.readLogBlock(t, addr, buf)
+	})
 }
 
 // toDiskInode splits the flat block map into the on-disk pointer

@@ -15,7 +15,7 @@ import (
 // inodes, packed inode records and inode-map chunks become the
 // newest locations, and a torn tail (the power cut's final, partial
 // segment write) is detected by the per-entry checksums and cut off.
-// Recovery ends with a full usage recount from the reachable tree
+// Recovery ends with the reachability walk in repair mode (check.go)
 // and a fresh checkpoint, so fsck reports the volume clean.
 
 // Recover rolls the log forward. It must be called on an LFS
@@ -60,9 +60,7 @@ func (l *LFS) Recover(t sched.Task) (layout.RecoveryStats, error) {
 		if err := l.rollForwardLocked(t, &st); err != nil {
 			return st, err
 		}
-		if err := l.recountLocked(t, &st); err != nil {
-			return st, err
-		}
+		st.Repairs = l.recountLocked(t)
 	}
 	l.mounted = true
 	// Make the recovered state durable: pack rolled-forward inodes,
@@ -199,9 +197,10 @@ func (l *LFS) claimSegLocked(seg int, seq uint32) {
 
 // rollDataLocked re-attaches one rolled-forward data block to its
 // file. A file whose inode never reached the disk is an orphan: its
-// data cannot be reached and is dropped (counted, not silently).
+// data cannot be reached and is dropped (counted, not silently), and
+// so is an entry naming a block no file map can hold.
 func (l *LFS) rollDataLocked(t sched.Task, e sumEntry, addr int64, st *layout.RecoveryStats) {
-	if l.imap[e.File] == nil {
+	if l.imap[e.File] == nil || e.Blk < 0 || e.Blk >= layout.MaxFileBlocks {
 		st.OrphanBlocks++
 		return
 	}
@@ -276,84 +275,6 @@ func (l *LFS) rollImapChunkLocked(buf []byte, e sumEntry, addr int64) {
 	}
 }
 
-// recountLocked rebuilds the usage table, free list and inode-block
-// index from the reachable file tree — the recovered state must
-// satisfy exactly the invariants Check verifies.
-func (l *LFS) recountLocked(t sched.Task, st *layout.RecoveryStats) error {
-	live := make([]int32, l.nsegs)
-	count := func(addr int64) {
-		if addr < l.seg0 {
-			return
-		}
-		if seg := l.segOf(addr); seg >= 0 && seg < l.nsegs {
-			live[seg]++
-		}
-	}
-	ids := make([]core.FileID, 0, len(l.imap))
-	for id, ent := range l.imap {
-		if ent.addr >= 0 || l.inodes[id] != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	inodeBlocks := make(map[int64][]core.FileID)
-	for _, id := range ids {
-		ino, err := l.getInodeLocked(t, id)
-		if err != nil {
-			// Unreadable past roll-forward: corruption beyond what the
-			// log can repair. Drop the file rather than the volume.
-			st.Repairs = append(st.Repairs, fmt.Sprintf("dropped unreadable inode %d: %v", id, err))
-			ent := l.imap[id]
-			ent.addr = -1
-			ent.version++
-			l.imapDirty[int(id)/imapPerChunk] = true
-			delete(l.inodes, id)
-			delete(l.dirtyInodes, id)
-			continue
-		}
-		for _, a := range ino.Blocks {
-			if a >= 0 {
-				count(a)
-			}
-		}
-		for _, a := range ino.IndAddrs {
-			count(a)
-		}
-		if ent := l.imap[id]; ent != nil && ent.addr >= 0 {
-			inodeBlocks[ent.addr] = append(inodeBlocks[ent.addr], id)
-		}
-	}
-	// Shared inode blocks count once, imap chunks once each.
-	addrs := make([]int64, 0, len(inodeBlocks))
-	for a := range inodeBlocks {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		count(a)
-	}
-	for _, a := range l.imapAddr {
-		if a >= 0 {
-			count(a)
-		}
-	}
-	l.freeSegs = l.freeSegs[:0]
-	for seg := 0; seg < l.nsegs; seg++ {
-		if live[seg] == 0 {
-			l.sut[seg] = segInfo{state: segFree}
-			l.freeSegs = append(l.freeSegs, seg)
-			delete(l.summaries, seg)
-			continue
-		}
-		l.sut[seg].live = live[seg]
-		if l.sut[seg].state == segFree {
-			l.sut[seg].state = segInUse
-		}
-	}
-	l.inodeBlockIDs = inodeBlocks
-	return nil
-}
-
 // GrowSize publishes a size growth: the size grows under l.mu, the
 // lock every metadata reader (inode packing, log decode) holds.
 func (l *LFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
@@ -406,14 +327,7 @@ func (l *LFS) DurableSeq(t sched.Task) uint64 {
 func (l *LFS) LiveInodes(t sched.Task) []core.FileID {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
-	ids := make([]core.FileID, 0, len(l.imap))
-	for id, ent := range l.imap {
-		if ent.addr >= 0 || l.inodes[id] != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return l.liveIDs()
 }
 
 // InodeCursor implements layout.Member: the sequential allocator.

@@ -13,7 +13,6 @@ import (
 type RKernel struct {
 	start time.Time
 	rng   *rand.Rand
-	rngMu sync.Mutex
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -26,7 +25,8 @@ type RKernel struct {
 // by components), not goroutine interleaving, which the Go runtime
 // owns.
 func NewReal(seed int64) *RKernel {
-	k := &RKernel{start: time.Now(), rng: rand.New(rand.NewSource(seed))}
+	src := &lockedSource{src: rand.NewSource(seed).(rand.Source64)}
+	k := &RKernel{start: time.Now(), rng: rand.New(src)}
 	k.cond = sync.NewCond(&k.mu)
 	return k
 }
@@ -37,15 +37,34 @@ func (k *RKernel) Virtual() bool { return false }
 // Now returns the time since the kernel was created.
 func (k *RKernel) Now() Time { return Time(time.Since(k.start)) }
 
-// Rand returns a mutex-guarded random source shared by all tasks.
+// Rand returns the random source shared by all tasks; its draws are
+// mutex-guarded, so tasks may call it concurrently.
 func (k *RKernel) Rand() *rand.Rand { return k.rng }
 
-// LockedRand draws one int63 under the kernel's rng lock; real
-// components should prefer it over Rand() in hot concurrent paths.
-func (k *RKernel) LockedRand() int64 {
-	k.rngMu.Lock()
-	defer k.rngMu.Unlock()
-	return k.rng.Int63()
+// lockedSource is a seeded source behind a mutex. It implements
+// rand.Source64, so a rand.Rand over it draws the same sequence the
+// bare source would.
+type lockedSource struct {
+	mu  sync.Mutex
+	src rand.Source64
+}
+
+func (s *lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Int63()
+}
+
+func (s *lockedSource) Uint64() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Uint64()
+}
+
+func (s *lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.src.Seed(seed)
 }
 
 type rtask struct {

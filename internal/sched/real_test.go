@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,5 +189,22 @@ func TestRealStopReleasesRun(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop did not release Run")
+	}
+}
+
+// TestRealRandDrawsTheSeededSequence pins that guarding the real
+// kernel's source leaves its draws those of the bare seeded source.
+func TestRealRandDrawsTheSeededSequence(t *testing.T) {
+	got, want := NewReal(7).Rand(), rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d: Int63 %d, want %d", i, g, w)
+		}
+		if g, w := got.Intn(1000), want.Intn(1000); g != w {
+			t.Fatalf("draw %d: Intn %d, want %d", i, g, w)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("draw %d: Uint64 %d, want %d", i, g, w)
+		}
 	}
 }

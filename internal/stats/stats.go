@@ -108,9 +108,6 @@ func (m *Moments) varLocked() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (m *Moments) Stddev() float64 { return math.Sqrt(m.Var()) }
-
 // Min returns the smallest sample, or 0 with no samples.
 func (m *Moments) Min() float64 {
 	m.mu.Lock()
