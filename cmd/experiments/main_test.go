@@ -100,3 +100,29 @@ func TestOtherScaleKeepsArtifact(t *testing.T) {
 		t.Fatalf("paper-scale run created %s (stat: %v):\n%s", st.Artifact, err, out)
 	}
 }
+
+// -fig all at quick scale prints, apart from its wall-time line,
+// exactly the text in testdata/fig_all_quick.txt. Every figure runs
+// on the virtual kernel, so any change to a simulated schedule shows
+// here as a diff. To regenerate after an intended change:
+//
+//	go run ./cmd/experiments -scale quick -fig all 2>&1 | grep -v '^(wall time' > cmd/experiments/testdata/fig_all_quick.txt
+func TestQuickFiguresMatchGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fig_all_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := runCLI(t, t.TempDir(), "-scale", "quick", "-fig", "all")
+	if code != 0 {
+		t.Fatalf("exit status %d:\n%s", code, out)
+	}
+	var got []byte
+	for _, line := range bytes.SplitAfter([]byte(out), []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("(wall time")) {
+			got = append(got, line...)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-fig all -scale quick differs from testdata/fig_all_quick.txt:\n%s", got)
+	}
+}

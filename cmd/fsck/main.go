@@ -282,7 +282,11 @@ func checkArray(t sched.Task, k *sched.RKernel, o options, rep *report, parts []
 	if o.repair || o.rollforward {
 		verb = "recover"
 	}
-	bringUp := func(lay layout.Layout) (layout.RecoveryStats, error) {
+	// bringUp mounts or recovers a lone probe layout or the array.
+	bringUp := func(lay interface {
+		Mount(sched.Task) error
+		Recover(sched.Task) (layout.RecoveryStats, error)
+	}) (layout.RecoveryStats, error) {
 		if verb == "recover" {
 			return lay.Recover(t)
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 // TestCutAndPasteEquivalence is the paper's thesis as a test: the
@@ -90,7 +91,10 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 		k := sched.NewReal(1)
 		drv := device.NewMemDriver(k, "mem0", 4096, nil)
 		part := layout.NewPartition(drv, 0, 0, 4096, false)
-		lay := lfs.New(k, "real", part, lfs.Config{SegBlocks: 32})
+		lay, err := volume.New(k, "real", []layout.Layout{lfs.New(k, "real", part, lfs.Config{SegBlocks: 32})}, volume.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		store := fsys.NewStore()
 		c := cache.New(k, cache.Config{Blocks: 128, Flush: cache.UPS()}, store)
 		fs := fsys.New(k, c, core.RealMover{})
@@ -105,7 +109,7 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 				if err := lay.Mount(tk); err != nil {
 					return err
 				}
-				v, err := fs.AddVolume(tk, 1, lay, false)
+				v, err := fs.AddVolume(tk, 1, lay)
 				if err != nil {
 					return err
 				}
@@ -133,7 +137,10 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 		dd.Start()
 		drv := device.NewSimDriver(k, "d0.drv", dd, b, nil)
 		part := layout.NewPartition(drv, 0, 0, 4096, true)
-		lay := lfs.New(k, "sim", part, lfs.Config{SegBlocks: 32})
+		lay, err := volume.New(k, "sim", []layout.Layout{lfs.New(k, "sim", part, lfs.Config{SegBlocks: 32})}, volume.Config{Simulated: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		store := fsys.NewStore()
 		c := cache.New(k, cache.Config{Blocks: 128, Flush: cache.UPS(), Simulated: true}, store)
 		fs := fsys.New(k, c, core.DefaultSimMover())
@@ -149,7 +156,7 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 				t.Errorf("sim mount: %v", err)
 				return
 			}
-			v, err := fs.AddVolume(tk, 1, lay, true)
+			v, err := fs.AddVolume(tk, 1, lay)
 			if err != nil {
 				t.Errorf("sim volume: %v", err)
 				return

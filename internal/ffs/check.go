@@ -311,7 +311,7 @@ func (f *FFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	fn()
 }
 
-// LiveInodes implements layout.Member.
+// LiveInodes implements layout.Layout.
 func (f *FFS) LiveInodes(t sched.Task) []core.FileID {
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
@@ -329,9 +329,9 @@ func (f *FFS) LiveInodes(t sched.Task) []core.FileID {
 	return ids
 }
 
-// InodeCursor implements layout.Member: 0, FFS has no sequential
+// InodeCursor implements layout.Layout: 0, FFS has no sequential
 // allocator (inodes spread by group).
 func (f *FFS) InodeCursor(sched.Task) uint64 { return 0 }
 
-// SetInodeCursor implements layout.Member as a no-op.
+// SetInodeCursor implements layout.Layout as a no-op.
 func (f *FFS) SetInodeCursor(sched.Task, uint64) {}

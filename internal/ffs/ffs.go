@@ -333,6 +333,10 @@ func (f *FFS) DurableSeq(t sched.Task) uint64 {
 	return f.durSeq
 }
 
+// WriteBarrier is a no-op: FFS writes data and inodes in place, so
+// nothing it accepted waits in a volatile buffer.
+func (f *FFS) WriteBarrier(sched.Task) error { return nil }
+
 // Sync flushes bitmaps (inodes are written synchronously already).
 func (f *FFS) Sync(t sched.Task) error {
 	f.mu.Lock(t)

@@ -88,7 +88,7 @@ func (f *FFS) pickInodeGroup(typ core.FileType) int {
 	return best
 }
 
-// RestoreInode implements layout.Member: it creates an inode
+// RestoreInode implements layout.Layout: it creates an inode
 // at a caller-chosen number (the group and slot follow from the
 // number). Array rebuild replays a dead member's live inode set this
 // way, since pickInodeGroup on a fresh layout would spread the same

@@ -29,7 +29,7 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 	k := sched.NewVirtual(11)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
-	lay := lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12})
+	lay := arrayOf(t, k, lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12}), part)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 8, Flush: cache.UPS()}, store)
 	fs := New(k, c, core.RealMover{})
@@ -87,7 +87,7 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 			t.Errorf("Mount: %v", err)
 			return
 		}
-		v, err := fs.AddVolume(tk, 1, lay, false)
+		v, err := fs.AddVolume(tk, 1, lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			return
@@ -135,7 +135,7 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 	k := sched.NewReal(1)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
-	lay := lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12})
+	lay := arrayOf(t, k, lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12}), part)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 64, Flush: cache.UPS()}, store)
 	fs := New(k, c, core.RealMover{})
@@ -154,7 +154,7 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 			t.Errorf("Mount: %v", err)
 			return
 		}
-		v, err := fs.AddVolume(tk, 1, lay, false)
+		v, err := fs.AddVolume(tk, 1, lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			return

@@ -83,7 +83,7 @@ func (v *Volume) writeContent(t sched.Task, f *File, data []byte, size int64) er
 		}
 	}
 	v.mutateIno(t, f.ino, func() { f.ino.Size = size })
-	return v.lay.UpdateInode(t, f.ino)
+	return v.arr.UpdateInode(t, f.ino)
 }
 
 // readContent reads a directory's or symlink's whole content back; nil
@@ -139,7 +139,7 @@ func (v *Volume) loadDirTorn(t sched.Task, d *File) (map[string]core.FileID, err
 		bufs[b] = buf[int64(b)*core.BlockSize : int64(b+1)*core.BlockSize]
 	}
 	for b := int64(0); b < nb; {
-		got, err := v.lay.ReadRunVec(t, d.ino, core.BlockNo(b), int(nb-b), bufs[b:])
+		got, err := v.arr.ReadRunVec(t, d.ino, core.BlockNo(b), int(nb-b), bufs[b:])
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +271,7 @@ func (v *Volume) relink(t sched.Task, d *File) error {
 		return nil
 	}
 	v.mutateIno(t, d.ino, func() { d.ino.Nlink = n })
-	return v.lay.UpdateInode(t, d.ino)
+	return v.arr.UpdateInode(t, d.ino)
 }
 
 // create links a new file of type typ into dir as name and returns it
@@ -288,7 +288,7 @@ func (v *Volume) create(t sched.Task, dir *File, name string, typ core.FileType,
 		}
 	}
 	if f == nil {
-		ino, err := v.lay.AllocInode(t, typ)
+		ino, err := v.arr.AllocInode(t, typ)
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +299,7 @@ func (v *Volume) create(t sched.Task, dir *File, name string, typ core.FileType,
 	if typ == core.TypeDirectory {
 		// writeDir persists the new link count as well; this earlier
 		// write is one the simulator's FFS timings include.
-		if err := v.lay.UpdateInode(t, dir.ino); err != nil {
+		if err := v.arr.UpdateInode(t, dir.ino); err != nil {
 			return nil, err
 		}
 	}

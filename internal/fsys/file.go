@@ -138,7 +138,7 @@ func (v *Volume) getLocked(t sched.Task, id core.FileID) (*File, error) {
 	if f := v.files[id]; f != nil {
 		return f, nil
 	}
-	ino, err := v.lay.GetInode(t, id)
+	ino, err := v.arr.GetInode(t, id)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (v *Volume) attrIno(t sched.Task, ino *layout.Inode) FileAttr {
 		return attrOf(ino)
 	}
 	var a FileAttr
-	v.lay.WithInode(t, ino, func() { a = attrOf(ino) })
+	v.arr.WithInode(t, ino, func() { a = attrOf(ino) })
 	return a
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 // The fill routine under a device read error in the middle of a run:
@@ -38,7 +39,8 @@ func runFillFault(t *testing.T, readahead int, body func(tk sched.Task, v *Volum
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	plan := device.NewFaultPlan(device.FaultConfig{})
 	drv.SetInjector(plan)
-	lay := lfs.New(k, "vol1", layout.NewPartition(drv, 0, 0, 4096, false), lfs.Config{SegBlocks: 64, MaxInodes: 1 << 12})
+	part := layout.NewPartition(drv, 0, 0, 4096, false)
+	lay := arrayOf(t, k, lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 64, MaxInodes: 1 << 12}), part)
 	lay.SetClusterRun(layout.DefaultClusterRun)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 64, Flush: cache.UPS()}, store)
@@ -64,14 +66,14 @@ func runFillFault(t *testing.T, readahead int, body func(tk sched.Task, v *Volum
 // layOutRuns writes payload run by run, with a block of another file
 // logged between runs so they are not disk-adjacent, and drops the
 // file from the cache.
-func layOutRuns(tk sched.Task, fs *FS, lay layout.Layout, payload []byte) (*Volume, *Handle, error) {
+func layOutRuns(tk sched.Task, fs *FS, lay *volume.Array, payload []byte) (*Volume, *Handle, error) {
 	if err := lay.Format(tk); err != nil {
 		return nil, nil, err
 	}
 	if err := lay.Mount(tk); err != nil {
 		return nil, nil, err
 	}
-	v, err := fs.AddVolume(tk, 1, lay, false)
+	v, err := fs.AddVolume(tk, 1, lay)
 	if err != nil {
 		return nil, nil, err
 	}

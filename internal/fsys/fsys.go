@@ -9,7 +9,7 @@
 // The same package instantiates for PFS (real data through a real
 // cache) and Patsy (no data; the mover charges copy time), because
 // every data movement goes through core.DataMover and every byte of
-// storage through the cache and layout components.
+// storage through the cache and the volume array.
 package fsys
 
 import (
@@ -23,6 +23,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/volume"
 )
 
 // FS is the abstract client interface over a set of mounted volumes
@@ -152,37 +153,37 @@ func (fs *FS) Stats(set *stats.Set) { fs.st.Register(set) }
 type Volume struct {
 	ID  core.VolumeID
 	fs  *FS
-	lay layout.Layout
+	arr *volume.Array
 	mu  sched.Mutex // namespace lock
 
 	files map[core.FileID]*File // global file table
 	root  *File
-	sim   bool
+	sim   bool // the array's partitions move no data
 }
 
-// AddVolume mounts a formatted layout as volume id and creates the
-// root directory if the volume is empty.
-func (fs *FS) AddVolume(t sched.Task, id core.VolumeID, lay layout.Layout, simulated bool) (*Volume, error) {
+// AddVolume mounts a formatted, mounted array as volume id and
+// creates the root directory if the volume is empty.
+func (fs *FS) AddVolume(t sched.Task, id core.VolumeID, arr *volume.Array) (*Volume, error) {
 	if _, dup := fs.vols[id]; dup {
 		return nil, fmt.Errorf("fsys: volume %d already mounted", id)
 	}
 	v := &Volume{
 		ID:    id,
 		fs:    fs,
-		lay:   lay,
+		arr:   arr,
 		mu:    fs.k.NewMutex(fmt.Sprintf("vol%d.ns", id)),
 		files: make(map[core.FileID]*File),
-		sim:   simulated,
+		sim:   arr.Simulated(),
 	}
-	rootIno, err := lay.GetInode(t, core.RootFile)
+	rootIno, err := arr.GetInode(t, core.RootFile)
 	if err == core.ErrNotFound {
-		rootIno, err = lay.AllocInode(t, core.TypeDirectory)
+		rootIno, err = arr.AllocInode(t, core.TypeDirectory)
 		if err == nil && rootIno.ID != core.RootFile {
 			err = fmt.Errorf("fsys: root allocated as inode %d, want %d", rootIno.ID, core.RootFile)
 		}
 		if err == nil {
 			rootIno.Nlink = 2
-			err = lay.UpdateInode(t, rootIno)
+			err = arr.UpdateInode(t, rootIno)
 		}
 	}
 	if err != nil {
@@ -201,10 +202,10 @@ func (fs *FS) AddVolume(t sched.Task, id core.VolumeID, lay layout.Layout, simul
 func (fs *FS) Vol(id core.VolumeID) *Volume { return fs.vols[id] }
 
 // FreeBlocks reports the volume's remaining capacity in blocks.
-func (v *Volume) FreeBlocks() int64 { return v.lay.FreeBlocks() }
+func (v *Volume) FreeBlocks() int64 { return v.arr.FreeBlocks() }
 
 // LayoutName reports the storage layout in use ("lfs", "ffs").
-func (v *Volume) LayoutName() string { return v.lay.Name() }
+func (v *Volume) LayoutName() string { return v.arr.Name() }
 
 // Root returns the root directory's inode number.
 func (v *Volume) Root() core.FileID { return v.root.ino.ID }
@@ -236,14 +237,14 @@ func (fs *FS) SyncAll(t sched.Task) error {
 	clean := fs.cache.DirtyCount() == 0
 	for _, id := range ids {
 		v := fs.vols[id]
-		wm0 := v.lay.DurableSeq(t)
-		if err := v.lay.Sync(t); err != nil {
+		wm0 := v.arr.DurableSeq(t)
+		if err := v.arr.Sync(t); err != nil {
 			return err
 		}
 		if log == nil || !clean {
 			continue
 		}
-		if v.lay.DurableSeq(t) < wm0 {
+		if v.arr.DurableSeq(t) < wm0 {
 			continue // watermark regressed: do not trust this checkpoint
 		}
 		log.RetireVol(id, hi)
@@ -251,8 +252,8 @@ func (fs *FS) SyncAll(t sched.Task) error {
 	return nil
 }
 
-// Store returns the cache backing store that routes flushed blocks
-// to the owning volume's layout. Wire it as the cache's store:
+// Store is the cache backing store that routes flushed blocks to the
+// owning volume's array. Wire it as the cache's store:
 //
 //	st := fsys.NewStore()
 //	c := cache.New(k, cfg, st)
@@ -280,7 +281,7 @@ func (s *Store) Bind(fs *FS) { s.fs = fs }
 func (s *Store) SetDurable(on bool) { s.durable = on }
 
 // FlushBlocks routes one flush job (all blocks of one file) to the
-// owning volume's layout.
+// owning volume's array.
 func (s *Store) FlushBlocks(t sched.Task, blocks []*cache.Block) error {
 	if len(blocks) == 0 {
 		return nil
@@ -293,7 +294,7 @@ func (s *Store) FlushBlocks(t sched.Task, blocks []*cache.Block) error {
 	if v == nil {
 		return fmt.Errorf("fsys: flush for unmounted volume %d", key.Vol)
 	}
-	ino, err := v.lay.GetInode(t, key.File)
+	ino, err := v.arr.GetInode(t, key.File)
 	if err != nil {
 		// The file vanished between dirtying and flushing (deleted
 		// with blocks mid-flush); dropping the write is correct.
@@ -303,13 +304,11 @@ func (s *Store) FlushBlocks(t sched.Task, blocks []*cache.Block) error {
 	for _, b := range blocks {
 		writes = append(writes, layout.BlockWrite{Blk: b.Key.Blk, Data: b.Data, Size: b.Size})
 	}
-	if err := v.lay.WriteBlocks(t, ino, writes); err != nil {
+	if err := v.arr.WriteBlocks(t, ino, writes); err != nil {
 		return err
 	}
 	if s.durable {
-		if b, ok := v.lay.(layout.Barrier); ok {
-			return b.WriteBarrier(t)
-		}
+		return v.arr.WriteBarrier(t)
 	}
 	return nil
 }

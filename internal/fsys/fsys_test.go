@@ -12,7 +12,19 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/volume"
 )
+
+// arrayOf is the volume a test mounts: a one-member array over lay,
+// simulated when lay's partition is.
+func arrayOf(t testing.TB, k sched.Kernel, lay layout.Layout, part *layout.Partition) *volume.Array {
+	t.Helper()
+	arr, err := volume.New(k, lay.Name(), []layout.Layout{lay}, volume.Config{Simulated: part.Simulated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
 
 // rig is a full PFS-style stack: virtual kernel, real cache, LFS on
 // a RAM device.
@@ -30,7 +42,7 @@ func runBody(t *testing.T, seed int64, fc cache.FlushConfig, body func(tk sched.
 	k := sched.NewVirtual(seed)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
-	lay := lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12})
+	lay := arrayOf(t, k, lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12}), part)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 64, Flush: fc}, store)
 	fs := New(k, c, core.RealMover{})
@@ -48,7 +60,7 @@ func runBody(t *testing.T, seed int64, fc cache.FlushConfig, body func(tk sched.
 			k.Stop()
 			return
 		}
-		v, err := fs.AddVolume(tk, 1, lay, false)
+		v, err := fs.AddVolume(tk, 1, lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			k.Stop()
@@ -402,7 +414,7 @@ func TestEnsureFilePreexisting(t *testing.T) {
 	// random placement.
 	k := sched.NewVirtual(13)
 	part := layout.NewPartition(nullDrv{k, 8192}, 0, 0, 8192, true)
-	lay := lfs.New(k, "simvol", part, lfs.Config{SegBlocks: 16})
+	lay := arrayOf(t, k, lfs.New(k, "simvol", part, lfs.Config{SegBlocks: 16}), part)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 64, Flush: cache.UPS(), Simulated: true}, store)
 	fs := New(k, c, core.DefaultSimMover())
@@ -411,7 +423,7 @@ func TestEnsureFilePreexisting(t *testing.T) {
 	k.Go("test", func(tk sched.Task) {
 		lay.Format(tk)
 		lay.Mount(tk)
-		v, err := fs.AddVolume(tk, 1, lay, true)
+		v, err := fs.AddVolume(tk, 1, lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			k.Stop()

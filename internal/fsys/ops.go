@@ -150,7 +150,7 @@ func (v *Volume) WriteAt(t sched.Task, h *Handle, off int64, data []byte, n int6
 		return err
 	}
 	v.fs.st.Writes.Inc()
-	return v.lay.UpdateInode(t, h.f.ino)
+	return v.arr.UpdateInode(t, h.f.ino)
 }
 
 // Truncate sets the file size, discarding cached blocks beyond it.
@@ -163,7 +163,7 @@ func (v *Volume) Truncate(t sched.Task, h *Handle, size int64) error {
 // Fsync writes the file's dirty blocks and the volume metadata.
 func (v *Volume) Fsync(t sched.Task, h *Handle) error {
 	v.fs.cache.FlushFile(t, v.ID, h.f.ino.ID)
-	return v.lay.Sync(t)
+	return v.arr.Sync(t)
 }
 
 // Remove unlinks the file at path (not a directory).
@@ -267,7 +267,7 @@ func (v *Volume) EnsureFile(t sched.Task, path string, size int64, preexisting b
 			return nil, err
 		}
 		if typ == core.TypeRegular && preexisting && v.sim && size > 0 {
-			if err := v.lay.PlaceExisting(t, f.ino, size); err == nil {
+			if err := v.arr.PlaceExisting(t, f.ino, size); err == nil {
 				f.ino.Size = size
 			}
 		}

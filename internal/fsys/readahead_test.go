@@ -11,6 +11,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 // slowLay charges simulated disk time per data-block read, so
@@ -31,14 +32,14 @@ type raRig struct {
 	k   *sched.VKernel
 	c   *cache.Cache
 	fs  *FS
-	lay *slowLay
+	lay *volume.Array
 }
 
 func newRARig(t *testing.T, seed int64, cacheBlocks int, fc cache.FlushConfig, ra int) *raRig {
 	t.Helper()
 	k := sched.NewVirtual(seed)
 	part := layout.NewPartition(nullDrv{k, 8192}, 0, 0, 8192, true)
-	lay := &slowLay{Layout: lfs.New(k, "simvol", part, lfs.DefaultConfig())}
+	lay := arrayOf(t, k, &slowLay{Layout: lfs.New(k, "simvol", part, lfs.DefaultConfig())}, part)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: cacheBlocks, Replace: "lru", Flush: fc, Simulated: true}, store)
 	fs := New(k, c, core.DefaultSimMover())
@@ -54,7 +55,7 @@ func (r *raRig) run(t *testing.T, body func(tk sched.Task, v *Volume)) {
 		defer r.k.Stop()
 		r.lay.Format(tk)
 		r.lay.Mount(tk)
-		v, err := r.fs.AddVolume(tk, 1, r.lay, true)
+		v, err := r.fs.AddVolume(tk, 1, r.lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			return
@@ -120,7 +121,7 @@ func TestReadaheadClustered(t *testing.T) {
 	k := sched.NewVirtual(7)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
-	lay := ffs.New(k, "vol0", part, ffs.Config{BlocksPerGroup: 1024, InodesPerGroup: 64})
+	lay := arrayOf(t, k, ffs.New(k, "vol0", part, ffs.Config{BlocksPerGroup: 1024, InodesPerGroup: 64}), part)
 	lay.SetClusterRun(8)
 	store := NewStore()
 	c := cache.New(k, cache.Config{Blocks: 128, Replace: "lru", Flush: cache.UPS(), ShardChunk: 8}, store)
@@ -139,7 +140,7 @@ func TestReadaheadClustered(t *testing.T) {
 			t.Errorf("mount: %v", err)
 			return
 		}
-		v, err := fs.AddVolume(tk, 1, lay, false)
+		v, err := fs.AddVolume(tk, 1, lay)
 		if err != nil {
 			t.Errorf("AddVolume: %v", err)
 			return

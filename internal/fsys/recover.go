@@ -114,7 +114,7 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 			st.Dropped += len(group)
 			continue
 		}
-		ino, gerr := v.lay.GetInode(t, remaps[key.Vol].of(key.File))
+		ino, gerr := v.arr.GetInode(t, remaps[key.Vol].of(key.File))
 		if gerr != nil {
 			st.Dropped += len(group)
 			continue
@@ -136,10 +136,10 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 		// Grow the size first so the layout (and a striped array's
 		// home-shadow mirror) persists the extension with the blocks.
 		v.mutateIno(t, ino, func() { ino.Size = size })
-		if werr := v.lay.WriteBlocks(t, ino, writes); werr != nil {
+		if werr := v.arr.WriteBlocks(t, ino, writes); werr != nil {
 			return st, werr
 		}
-		if uerr := v.lay.UpdateInode(t, ino); uerr != nil {
+		if uerr := v.arr.UpdateInode(t, ino); uerr != nil {
 			return st, uerr
 		}
 		st.Replayed += len(writes)

@@ -224,7 +224,7 @@ func (v *Volume) fill(t sched.Task, ino *layout.Inode, frames []*cache.Block, ve
 			run = bufs[off:]
 		}
 		var got int
-		got, err = v.lay.ReadRunVec(t, ino, frames[off].Key.Blk, len(frames)-off, run)
+		got, err = v.arr.ReadRunVec(t, ino, frames[off].Key.Blk, len(frames)-off, run)
 		if err == nil && got <= 0 {
 			err = core.ErrInval // layouts return >= 1; stop rather than spin
 		}
@@ -337,7 +337,7 @@ func (v *Volume) writeData(t sched.Task, f *File, off int64, data []byte, n int6
 		} else {
 			// Publish the growth under the layout's lock: the flusher
 			// may be packing this inode right now.
-			v.lay.GrowSize(t, f.ino, off+n)
+			v.arr.GrowSize(t, f.ino, off+n)
 		}
 	}
 	fs.st.BytesWritten.Add(n)
@@ -375,7 +375,7 @@ func (v *Volume) mutateIno(t sched.Task, ino *layout.Inode, fn func()) {
 		fn()
 		return
 	}
-	v.lay.WithInode(t, ino, fn)
+	v.arr.WithInode(t, ino, fn)
 }
 
 // truncateLocked shrinks file data: cached blocks past the boundary
@@ -391,10 +391,10 @@ func (v *Volume) truncateLocked(t sched.Task, f *File, size int64) error {
 		f.raIssued = from
 	}
 	v.fs.cache.DiscardFile(t, v.ID, f.ino.ID, from)
-	if err := v.lay.Truncate(t, f.ino, size); err != nil {
+	if err := v.arr.Truncate(t, f.ino, size); err != nil {
 		return err
 	}
-	return v.lay.UpdateInode(t, f.ino)
+	return v.arr.UpdateInode(t, f.ino)
 }
 
 // destroyLocked releases a removed file's storage once the last
@@ -410,5 +410,5 @@ func (v *Volume) destroyLocked(t sched.Task, f *File) error {
 	v.fs.cache.DiscardFile(t, v.ID, f.ino.ID, 0)
 	f.mu.Unlock(t)
 	delete(v.files, f.ino.ID)
-	return v.lay.FreeInode(t, f.ino.ID)
+	return v.arr.FreeInode(t, f.ino.ID)
 }

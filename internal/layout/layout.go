@@ -5,6 +5,9 @@
 // layout and policy decisions there exists a virtual method" — and
 // concrete layouts (the segmented log-structured layout in
 // internal/lfs, the FFS-like layout in internal/ffs) implement it.
+// A layout is always a member of a volume array (internal/volume):
+// the array is the one volume type the file-system front-end mounts,
+// and Layout is the contract between the array and its members.
 package layout
 
 import (
@@ -79,7 +82,12 @@ type BlockWrite struct {
 	Size int    // valid bytes
 }
 
-// Layout is the abstract storage-layout component.
+// Layout is the member contract: the storage layout of one
+// partition, which a volume array (internal/volume) is built from and
+// the only caller of. LFS and FFS implement it. Everything above the
+// array — fsys, Patsy, PFS — mounts a *volume.Array, never a bare
+// layout, so the array is where width, placement and redundancy live
+// and a layout only ever sees its own partition.
 type Layout interface {
 	Name() string
 
@@ -91,15 +99,38 @@ type Layout interface {
 	// Sync makes all accepted writes durable (checkpoint / flush
 	// partial segment / write back allocation maps).
 	Sync(t sched.Task) error
+	// WriteBarrier pushes accepted writes still in a volatile staging
+	// buffer (the LFS open segment) to stable storage without the
+	// full checkpoint a Sync pays. The on-line server's cache flusher
+	// issues it after every flush job, so "flushed" means durable —
+	// the link that makes the NVRAM policies' guarantee hold end to
+	// end (a block leaves the battery-backed domain only once the log
+	// has it). A layout that writes in place durably (FFS) has nothing
+	// staged: its barrier is a no-op.
+	WriteBarrier(t sched.Task) error
 
 	// AllocInode creates a fresh inode of the given type.
 	AllocInode(t sched.Task, typ core.FileType) (*Inode, error)
+	// RestoreInode recreates a specific inode number. Rebuild clones
+	// the live inode space onto a freshly formatted replacement with
+	// it, where the ordinary allocator would assign other numbers.
+	RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*Inode, error)
 	// GetInode fetches an inode by number.
 	GetInode(t sched.Task, id core.FileID) (*Inode, error)
 	// UpdateInode records changed inode meta-data.
 	UpdateInode(t sched.Task, ino *Inode) error
 	// FreeInode removes the file: blocks and inode are freed.
 	FreeInode(t sched.Task, id core.FileID) error
+	// LiveInodes lists the live inode numbers in ascending order
+	// (array recovery re-syncs lockstep from them and rolls back
+	// half-made allocations; rebuild and scrub sweep them).
+	LiveInodes(t sched.Task) []core.FileID
+	// InodeCursor is the sequential inode allocator's position, 0 for
+	// a layout without one (FFS spreads by group); an array aligns
+	// every member's cursor to the maximum so lockstep allocation
+	// resumes, and skips the alignment at 0.
+	InodeCursor(t sched.Task) uint64
+	SetInodeCursor(t sched.Task, cur uint64)
 
 	// ReadRunVec is the layout's one data read. It reads up to n
 	// consecutive file blocks starting at blk as one device request,
@@ -137,28 +168,24 @@ type Layout interface {
 	// request per block-number-contiguous, disk-address-contiguous
 	// run) and the read path (ReadRunVec covers whole runs): 0 or 1
 	// disables clustering, the simulator's byte-identical default;
-	// n > 1 allows up to n blocks per request. A volume array
-	// forwards to every member.
+	// n > 1 allows up to n blocks per request.
 	SetClusterRun(n int)
-	ClusterRun() int
 
 	// StagedCopyBytes counts the payload bytes the layout copied into
 	// buffers of its own instead of handing the caller's to the device
 	// (partial blocks, writes that failed inside their flush window).
-	// An array reports the sum over its members; a zero on clustered
-	// real-kernel cells proves the zero-copy path carried everything.
+	// A zero on clustered real-kernel cells proves the zero-copy path
+	// carried everything.
 	StagedCopyBytes() int64
 
 	// WithInode runs fn under the lock the layout's concurrent inode
-	// readers hold (the LFS segment packer, the FFS inode encoder, the
-	// array's home-shadow mirror), so a flush racing a namespace
-	// operation never encodes a half-applied field update. The
-	// front-end wraps its Nlink and exact-size mutations in it on the
-	// real kernel; the virtual kernel is cooperative (one task at a
-	// time) and calls fn directly, keeping simulated schedules
-	// untouched. ino picks the lock (an array routes to the home
-	// member); fn must only touch inode fields — calling back into
-	// the layout would self-deadlock.
+	// readers hold (the LFS segment packer, the FFS inode encoder), so
+	// a flush racing a namespace operation never encodes a
+	// half-applied field update. Callers use it on the real kernel
+	// only; the virtual kernel is cooperative (one task at a time) and
+	// calls fn directly, keeping simulated schedules untouched. fn
+	// must only touch inode fields — calling back into the layout
+	// would self-deadlock.
 	WithInode(t sched.Task, ino *Inode, fn func())
 	// GrowSize publishes a file's logical-size growth under the same
 	// lock, under the same real-kernel-only rule.
@@ -167,10 +194,9 @@ type Layout interface {
 	// DurableSeq is a monotonically increasing durability sequence:
 	// it advances only when staged metadata actually reaches stable
 	// storage (the LFS log/checkpoint sequence, FFS's count of
-	// synchronous metadata writes; an array reports the minimum over
-	// its members). The intent-log retirement path snapshots it
-	// around a sync to prove the covering checkpoint is durable
-	// before unretiring acknowledged namespace operations.
+	// synchronous metadata writes). The intent-log retirement path
+	// snapshots it around a sync to prove the covering checkpoint is
+	// durable before unretiring acknowledged namespace operations.
 	DurableSeq(t sched.Task) uint64
 
 	// Recover brings a crashed volume to a consistent, mountable
@@ -179,6 +205,9 @@ type Layout interface {
 	// It subsumes Mount — afterwards the layout is mounted, durable
 	// and self-consistent.
 	Recover(t sched.Task) (RecoveryStats, error)
+	// Check verifies the mounted layout's on-image invariants (the
+	// fsck pass) and returns every violation found.
+	Check(t sched.Task) []error
 }
 
 // ErrNoPlaceExisting is returned by real layouts for PlaceExisting.
@@ -191,16 +220,28 @@ var ErrNoPlaceExisting = fmt.Errorf("layout: PlaceExisting is a simulator-only o
 // keep queue latency bounded.
 const DefaultClusterRun = 16
 
-// SetClusterRun is a shim whose only caller is benchmark/; the next benchmark revision deletes it.
-func SetClusterRun(lay Layout, n int) bool { lay.SetClusterRun(n); return true }
+// SetClusterRun is a shim whose only caller is benchmark/, which
+// passes a layout or a volume array; the next benchmark revision
+// deletes it.
+func SetClusterRun(lay interface{ SetClusterRun(n int) }, n int) bool {
+	lay.SetClusterRun(n)
+	return true
+}
 
 // SetVectored is a no-op shim whose only caller is benchmark/; the next benchmark revision deletes it.
-func SetVectored(lay Layout, on bool) bool { return true }
+func SetVectored(lay interface{ SetClusterRun(n int) }, on bool) bool { return true }
 
 // ReadRunVec is a shim (ok always true) whose only caller is benchmark/; the next benchmark revision deletes it.
 func ReadRunVec(t sched.Task, lay Layout, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (got int, ok bool, err error) {
 	got, err = lay.ReadRunVec(t, ino, blk, n, bufs)
 	return got, true, err
+}
+
+// Barrier is a shim name whose only user is benchmark/, which asserts
+// it on a layout; every layout has the method. The next benchmark
+// revision deletes it.
+type Barrier interface {
+	WriteBarrier(t sched.Task) error
 }
 
 // RecoveryStats summarizes one layout's crash-recovery pass.
@@ -232,41 +273,4 @@ func (s *RecoveryStats) Add(o RecoveryStats) {
 	s.OrphanBlocks += o.OrphanBlocks
 	s.TornTail = s.TornTail || o.TornTail
 	s.Repairs = append(s.Repairs, o.Repairs...)
-}
-
-// Barrier is a layout whose accepted writes may still sit in a
-// volatile staging buffer (the LFS open segment). WriteBarrier
-// pushes them to stable storage without the full checkpoint a Sync
-// pays. The on-line server's cache flusher issues it after every
-// flush job, so "flushed" means durable — the link that makes the
-// NVRAM policies' guarantee hold end to end (a block leaves the
-// battery-backed domain only once the log has it). Layouts that
-// write in place durably (FFS) simply don't implement it.
-type Barrier interface {
-	WriteBarrier(t sched.Task) error
-}
-
-// Member is a layout a volume array can be built from: array recovery
-// and rebuild work on its inode space, which the members keep in
-// lockstep. LFS and FFS implement it; volume.New and Array.Rebuild
-// refuse anything else.
-type Member interface {
-	Layout
-	// LiveInodes lists the live inode numbers in ascending order
-	// (recovery re-syncs lockstep from them and rolls back half-made
-	// allocations; rebuild and scrub sweep them).
-	LiveInodes(t sched.Task) []core.FileID
-	// InodeCursor is the sequential inode allocator's position, 0 for
-	// a layout without one (FFS spreads by group); the array aligns
-	// every member's cursor to the maximum so lockstep allocation
-	// resumes, and skips the alignment at 0.
-	InodeCursor(t sched.Task) uint64
-	SetInodeCursor(t sched.Task, cur uint64)
-	// RestoreInode recreates a specific inode number. Rebuild clones
-	// the live inode space onto a freshly formatted replacement with
-	// it, where the ordinary allocator would assign other numbers.
-	RestoreInode(t sched.Task, id core.FileID, typ core.FileType) (*Inode, error)
-	// Check verifies the mounted member's on-image invariants (the
-	// fsck pass) and returns every violation found.
-	Check(t sched.Task) []error
 }

@@ -16,10 +16,22 @@ import (
 	"repro/internal/volume"
 )
 
-// The run-read contract, checked through the layout.Layout interface
-// over every implementation: each rig is built twice — on RAM-backed
-// partitions that move bytes and on simulated partitions that move
-// none — and must report the same run lengths on both.
+// The run-read contract, checked over every layout and over volume
+// arrays of them: each rig is built twice — on RAM-backed partitions
+// that move bytes and on simulated partitions that move none — and
+// must report the same run lengths on both.
+
+// runVolume is what a rig reads through: a layout or an array.
+type runVolume interface {
+	Format(t sched.Task) error
+	Mount(t sched.Task) error
+	Sync(t sched.Task) error
+	AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, error)
+	UpdateInode(t sched.Task, ino *layout.Inode) error
+	ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
+	WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.BlockWrite) error
+	SetClusterRun(n int)
+}
 
 const (
 	rigBlocks = 2048
@@ -67,15 +79,15 @@ type rig struct {
 	// pending rigs keep a block whose write-through failed in the LFS
 	// pending map, and serve it from there.
 	pending bool
-	build   func(k sched.Kernel, parts []*layout.Partition, sim bool) (layout.Layout, error)
+	build   func(k sched.Kernel, parts []*layout.Partition, sim bool) (runVolume, error)
 }
 
 func lfsOn(k sched.Kernel, i int, part *layout.Partition) layout.Layout {
 	return lfs.New(k, fmt.Sprintf("d%d", i), part, lfs.Config{SegBlocks: 32})
 }
 
-func arrayOf(placement string) func(sched.Kernel, []*layout.Partition, bool) (layout.Layout, error) {
-	return func(k sched.Kernel, parts []*layout.Partition, sim bool) (layout.Layout, error) {
+func arrayOf(placement string) func(sched.Kernel, []*layout.Partition, bool) (runVolume, error) {
+	return func(k sched.Kernel, parts []*layout.Partition, sim bool) (runVolume, error) {
 		subs := make([]layout.Layout, len(parts))
 		for i, p := range parts {
 			subs[i] = lfsOn(k, i, p)
@@ -85,10 +97,10 @@ func arrayOf(placement string) func(sched.Kernel, []*layout.Partition, bool) (la
 }
 
 var rigs = []rig{
-	{name: "lfs", width: 1, pending: true, build: func(k sched.Kernel, parts []*layout.Partition, _ bool) (layout.Layout, error) {
+	{name: "lfs", width: 1, pending: true, build: func(k sched.Kernel, parts []*layout.Partition, _ bool) (runVolume, error) {
 		return lfsOn(k, 0, parts[0]), nil
 	}},
-	{name: "ffs", width: 1, build: func(k sched.Kernel, parts []*layout.Partition, _ bool) (layout.Layout, error) {
+	{name: "ffs", width: 1, build: func(k sched.Kernel, parts []*layout.Partition, _ bool) (runVolume, error) {
 		return ffs.New(k, "d0", parts[0], ffs.Config{BlocksPerGroup: 512, InodesPerGroup: 64}), nil
 	}},
 	{name: "array-width1", width: 1, pending: true, build: arrayOf(volume.PlacementAffinity)},

@@ -294,7 +294,7 @@ func (l *LFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	fn()
 }
 
-// WriteBarrier implements layout.Barrier: the blocks WriteBlocks has
+// WriteBarrier implements layout.Layout: the blocks WriteBlocks has
 // staged so far and every dirty inode record reach the disk, and the
 // open segment's summary is rewritten in place to cover them — a
 // commit, not a close: the segment stays open and retires only when
@@ -323,21 +323,21 @@ func (l *LFS) DurableSeq(t sched.Task) uint64 {
 	return l.seq
 }
 
-// LiveInodes implements layout.Member.
+// LiveInodes implements layout.Layout.
 func (l *LFS) LiveInodes(t sched.Task) []core.FileID {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
 	return l.liveIDs()
 }
 
-// InodeCursor implements layout.Member: the sequential allocator.
+// InodeCursor implements layout.Layout: the sequential allocator.
 func (l *LFS) InodeCursor(t sched.Task) uint64 {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
 	return uint64(l.nextIno)
 }
 
-// SetInodeCursor implements layout.Member; it never moves the cursor back.
+// SetInodeCursor implements layout.Layout; it never moves the cursor back.
 func (l *LFS) SetInodeCursor(t sched.Task, cur uint64) {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 // ramServer is a whole serving stack on a RAM disk under the real
@@ -30,7 +31,10 @@ func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int) *ramServer {
 	k := sched.NewReal(1)
 	drv := device.NewMemDriver(k, "mem0", diskBlocks, nil)
 	part := layout.NewPartition(drv, 0, 0, diskBlocks, false)
-	lay := lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 64, MaxInodes: 1 << 12})
+	lay, err := volume.New(k, "vol1", []layout.Layout{lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 64, MaxInodes: 1 << 12})}, volume.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	store := fsys.NewStore()
 	c := cache.New(k, cache.Config{Blocks: cacheBlocks, Flush: cache.UPS()}, store)
 	fs := fsys.New(k, c, core.RealMover{})
@@ -43,7 +47,7 @@ func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int) *ramServer {
 			err = lay.Mount(t)
 		}
 		if err == nil {
-			_, err = fs.AddVolume(t, 1, lay, false)
+			_, err = fs.AddVolume(t, 1, lay)
 		}
 		errc <- err
 	})

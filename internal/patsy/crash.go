@@ -58,8 +58,8 @@ func (s *System) crashTask(t sched.Task, rep *trace.Replayer) *CrashInfo {
 		s.Fault.Restore()
 	}
 	start := s.K.Now()
-	for _, lay := range s.Layouts {
-		if _, err := lay.Recover(t); err != nil {
+	for _, vol := range s.Volumes {
+		if _, err := vol.Recover(t); err != nil {
 			return info
 		}
 	}
@@ -73,8 +73,8 @@ func (s *System) crashTask(t sched.Task, rep *trace.Replayer) *CrashInfo {
 	if err != nil {
 		return info
 	}
-	for _, lay := range s.Layouts {
-		if err := lay.Sync(t); err != nil {
+	for _, vol := range s.Volumes {
+		if err := vol.Sync(t); err != nil {
 			return info
 		}
 	}

@@ -7,7 +7,6 @@ package patsy
 import (
 	"fmt"
 
-	"repro/internal/layout"
 	"repro/internal/sched"
 )
 
@@ -16,10 +15,10 @@ import (
 // and the fault plan (when installed) makes the member's driver
 // reject every request — the full member-loss fault.
 func (s *System) KillMember(m int) error {
-	if s.Array == nil {
+	if s.Cfg.ArrayVolumes < 1 {
 		return fmt.Errorf("patsy: kill member: not in array mode")
 	}
-	if err := s.Array.KillMember(m); err != nil {
+	if err := s.Volumes[0].KillMember(m); err != nil {
 		return err
 	}
 	if s.Fault != nil {
@@ -33,20 +32,16 @@ func (s *System) KillMember(m int) error {
 // for a swapped replacement, so the rebuild's seeks and transfers are
 // costed like any other traffic. Blocks until the copy completes.
 func (s *System) RebuildMember(t sched.Task, m int) error {
-	if s.Array == nil {
+	if s.Cfg.ArrayVolumes < 1 {
 		return fmt.Errorf("patsy: rebuild member: not in array mode")
 	}
 	if s.Fault != nil {
 		s.Fault.Revive()
 	}
-	size := s.Drivers[m].CapacityBlocks()
-	if s.Cfg.MaxVolBlocks > 0 && size > s.Cfg.MaxVolBlocks {
-		size = s.Cfg.MaxVolBlocks
-	}
-	part := layout.NewPartition(s.Drivers[m], m, 0, size, true)
-	sub, err := s.newLayout(fmt.Sprintf("vol1.d%d", m), part)
+	part := s.partition(m, 0, s.Drivers[m].CapacityBlocks())
+	sub, err := s.newLayout(memberName("vol1", s.Cfg.ArrayVolumes, m), part)
 	if err != nil {
 		return err
 	}
-	return s.Array.Rebuild(t, sub)
+	return s.Volumes[0].Rebuild(t, sub)
 }

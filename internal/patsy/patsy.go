@@ -1,9 +1,10 @@
 // Package patsy instantiates the cut-and-paste component library
 // into the trace-driven file-system simulator: a virtual-time kernel
 // drives simulated SCSI-2 buses, HP 97560 disks, C-LOOK drivers, the
-// shared block cache under the flush policy being studied, a
-// segmented LFS per volume, and the trace replayer on top of the
-// abstract client interface.
+// shared block cache under the flush policy being studied, the
+// volumes — each a volume.Array over one segmented LFS (or FFS) per
+// member partition — and the trace replayer on top of the abstract
+// client interface.
 //
 // The default configuration reproduces the paper's replay of the
 // Sprite traces: a Sun 4/280-class server with three SCSI buses
@@ -20,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/disk"
+	"repro/internal/ffs"
 	"repro/internal/fsys"
 	"repro/internal/layout"
 	"repro/internal/lfs"
@@ -76,13 +78,13 @@ type Config struct {
 	// cleaner within short traces.
 	MaxVolBlocks int64
 
-	// Volume-array mode: when ArrayVolumes >= 1 the simulator builds
-	// that many independent bus + disk + driver + layout stacks and
-	// mounts a single volume.Array over them as volume 1; the
-	// Buses/DisksPerBus/Volumes topology fields are ignored. A width-1
-	// array runs the same executor as any other, its one member taking
-	// every file, and is byte-identical to the equivalent single-stack
-	// system.
+	// Every volume is a volume.Array. By default each of the Volumes
+	// is a one-member array on its share of a disk. Array mode, when
+	// ArrayVolumes >= 1, builds that many independent bus + disk +
+	// driver + layout stacks instead and mounts one array of that
+	// width over them as volume 1; the Buses/DisksPerBus/Volumes
+	// topology fields are ignored. Both modes build their arrays the
+	// same way, and a width-1 array is the same volume either way.
 	ArrayVolumes int
 	// Placement routes file data across the array: "affinity"
 	// (default), "striped", or the redundant placements "mirrored"
@@ -193,8 +195,7 @@ type System struct {
 	Buses   []*bus.Bus
 	Disks   []*disk.Disk
 	Drivers []device.Driver
-	Layouts []layout.Layout
-	Array   *volume.Array     // non-nil in array mode
+	Volumes []*volume.Array   // in the order Init mounted them
 	Fault   *device.FaultPlan // non-nil when Config.Fault is set
 	Set     *stats.Set
 }
@@ -295,14 +296,17 @@ func orDefault(s, d string) string {
 }
 
 // Init formats and mounts the volumes, spreading them round-robin
-// over the disks and splitting each disk evenly among its volumes.
-// In array mode it instead builds one sub-layout per disk stack and
-// mounts a single volume.Array over them. It must run inside a
-// kernel task.
+// over the disks and splitting each disk evenly among its volumes; in
+// array mode it mounts one array over a full-disk partition per stack
+// as volume 1. It must run inside a kernel task.
 func (s *System) Init(t sched.Task) error {
 	cfg := s.Cfg
 	if cfg.ArrayVolumes >= 1 {
-		return s.initArray(t)
+		parts := make([]*layout.Partition, cfg.ArrayVolumes)
+		for i := range parts {
+			parts[i] = s.partition(i, 0, s.Drivers[i].CapacityBlocks())
+		}
+		return s.mount(t, 1, parts)
 	}
 	perDisk := make([][]int, len(s.Disks))
 	for v := 0; v < cfg.Volumes; v++ {
@@ -313,36 +317,70 @@ func (s *System) Init(t sched.Task) error {
 		if len(vols) == 0 {
 			continue
 		}
-		capacity := s.Drivers[d].CapacityBlocks()
-		share := capacity / int64(len(vols))
-		size := share
-		if cfg.MaxVolBlocks > 0 && size > cfg.MaxVolBlocks {
-			size = cfg.MaxVolBlocks
-		}
+		share := s.Drivers[d].CapacityBlocks() / int64(len(vols))
 		for i, v := range vols {
-			start := int64(i) * share
-			part := layout.NewPartition(s.Drivers[d], d, start, size, true)
-			lay, err := s.newLayout(fmt.Sprintf("vol%d", v+1), part)
-			if err != nil {
+			part := s.partition(d, int64(i)*share, share)
+			if err := s.mount(t, core.VolumeID(v+1), []*layout.Partition{part}); err != nil {
 				return err
 			}
-			if err := lay.Format(t); err != nil {
-				return fmt.Errorf("patsy: format vol%d: %w", v+1, err)
-			}
-			if err := lay.Mount(t); err != nil {
-				return fmt.Errorf("patsy: mount vol%d: %w", v+1, err)
-			}
-			lay.Stats(s.Set)
-			if _, err := s.FS.AddVolume(t, core.VolumeID(v+1), lay, true); err != nil {
-				return err
-			}
-			s.Layouts = append(s.Layouts, lay)
 		}
 	}
 	return nil
 }
 
-// newLayout builds one concrete sub-layout on a partition.
+// partition is blocks blocks of disk d from start, capped at
+// MaxVolBlocks.
+func (s *System) partition(d int, start, blocks int64) *layout.Partition {
+	if s.Cfg.MaxVolBlocks > 0 && blocks > s.Cfg.MaxVolBlocks {
+		blocks = s.Cfg.MaxVolBlocks
+	}
+	return layout.NewPartition(s.Drivers[d], d, start, blocks, true)
+}
+
+// mount builds volume id — an array with one member layout per
+// partition — formats and mounts it, and mounts it in the front-end.
+func (s *System) mount(t sched.Task, id core.VolumeID, parts []*layout.Partition) error {
+	name := fmt.Sprintf("vol%d", id)
+	subs := make([]layout.Layout, len(parts))
+	for i, part := range parts {
+		sub, err := s.newLayout(memberName(name, len(parts), i), part)
+		if err != nil {
+			return err
+		}
+		subs[i] = sub
+	}
+	arr, err := volume.New(s.K, name, subs, volume.Config{
+		Placement:    s.Cfg.Placement,
+		StripeBlocks: s.Cfg.StripeBlocks,
+		Simulated:    true,
+	})
+	if err != nil {
+		return err
+	}
+	if err := arr.Format(t); err != nil {
+		return fmt.Errorf("patsy: format %s: %w", name, err)
+	}
+	if err := arr.Mount(t); err != nil {
+		return fmt.Errorf("patsy: mount %s: %w", name, err)
+	}
+	arr.Stats(s.Set)
+	if _, err := s.FS.AddVolume(t, id, arr); err != nil {
+		return err
+	}
+	s.Volumes = append(s.Volumes, arr)
+	return nil
+}
+
+// memberName names member i of the width-w array vol; a lone member
+// carries the volume's name.
+func memberName(vol string, w, i int) string {
+	if w == 1 {
+		return vol
+	}
+	return fmt.Sprintf("%s.d%d", vol, i)
+}
+
+// newLayout builds one member layout on a partition.
 func (s *System) newLayout(name string, part *layout.Partition) (layout.Layout, error) {
 	cfg := s.Cfg
 	var lay layout.Layout
@@ -355,7 +393,7 @@ func (s *System) newLayout(name string, part *layout.Partition) (layout.Layout, 
 		lcfg.Cleaner = orDefault(cfg.Cleaner, "cost-benefit")
 		lay = lfs.New(s.K, name, part, lcfg)
 	case "ffs":
-		lay = ffsNew(s.K, name, part)
+		lay = ffs.New(s.K, name, part, ffs.DefaultConfig())
 	default:
 		return nil, fmt.Errorf("patsy: unknown layout %q", cfg.Layout)
 	}
@@ -363,52 +401,6 @@ func (s *System) newLayout(name string, part *layout.Partition) (layout.Layout, 
 		lay.SetClusterRun(cfg.ClusterRunBlocks)
 	}
 	return lay, nil
-}
-
-// initArray formats and mounts a volume array: one full-disk
-// partition and sub-layout per stack, a volume.Array over them,
-// mounted as volume 1.
-func (s *System) initArray(t sched.Task) error {
-	cfg := s.Cfg
-	w := cfg.ArrayVolumes
-	subs := make([]layout.Layout, w)
-	for i := 0; i < w; i++ {
-		size := s.Drivers[i].CapacityBlocks()
-		if cfg.MaxVolBlocks > 0 && size > cfg.MaxVolBlocks {
-			size = cfg.MaxVolBlocks
-		}
-		part := layout.NewPartition(s.Drivers[i], i, 0, size, true)
-		name := "vol1"
-		if w > 1 {
-			name = fmt.Sprintf("vol1.d%d", i)
-		}
-		sub, err := s.newLayout(name, part)
-		if err != nil {
-			return err
-		}
-		subs[i] = sub
-	}
-	arr, err := volume.New(s.K, "vol1", subs, volume.Config{
-		Placement:    cfg.Placement,
-		StripeBlocks: cfg.StripeBlocks,
-		Simulated:    true,
-	})
-	if err != nil {
-		return err
-	}
-	if err := arr.Format(t); err != nil {
-		return fmt.Errorf("patsy: format array: %w", err)
-	}
-	if err := arr.Mount(t); err != nil {
-		return fmt.Errorf("patsy: mount array: %w", err)
-	}
-	arr.Stats(s.Set)
-	if _, err := s.FS.AddVolume(t, core.VolumeID(1), arr, true); err != nil {
-		return err
-	}
-	s.Array = arr
-	s.Layouts = append(s.Layouts, arr)
-	return nil
 }
 
 // Report is one simulation's results.

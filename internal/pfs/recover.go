@@ -70,7 +70,7 @@ func (s *Server) mount(t sched.Task, fresh bool) error {
 	if err != nil {
 		return err
 	}
-	if s.Vol, err = s.FS.AddVolume(t, 1, s.Array, false); err != nil || s.Recovery == nil {
+	if s.Vol, err = s.FS.AddVolume(t, 1, s.Array); err != nil || s.Recovery == nil {
 		return err
 	}
 	// The parity records land before the survivor replay: they

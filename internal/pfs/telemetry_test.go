@@ -168,7 +168,7 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 	reg := NewRegistry(Observables{
 		Cache:   sys.Cache,
 		FS:      sys.FS,
-		Array:   sys.Array,
+		Array:   sys.Volumes[0],
 		Drivers: sys.Drivers,
 	})
 	var b strings.Builder
@@ -219,7 +219,7 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 		t.Errorf("fs writes: exported %v, source %d", v, sys.FS.FSStats().Writes.Value())
 	}
 	var logBlocks int64
-	for _, ls := range logStats(sys.Array) {
+	for _, ls := range logStats(sys.Volumes[0]) {
 		logBlocks += ls.LogBlocksWritten.Value()
 	}
 	exported := metricValue(t, body, `pfs_lfs_log_blocks_written_total{member="d0"}`) +
@@ -604,7 +604,7 @@ func TestMetricsRedundantFamilies(t *testing.T) {
 	reg := NewRegistry(Observables{
 		Cache:   sys.Cache,
 		FS:      sys.FS,
-		Array:   sys.Array,
+		Array:   sys.Volumes[0],
 		Drivers: sys.Drivers,
 	})
 	var b strings.Builder

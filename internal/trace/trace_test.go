@@ -13,6 +13,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 func sampleRecords() []Record {
@@ -305,14 +306,17 @@ func replayRig(t *testing.T, seed int64, vols int) (*sched.VKernel, *fsys.FS, fu
 		for v := 1; v <= vols; v++ {
 			drv := nullDrv{k, 1 << 20}
 			part := layout.NewPartition(drv, v, 0, 1<<20, true)
-			lay := lfs.New(k, "vol", part, lfs.Config{SegBlocks: 64})
+			lay, err := volume.New(k, "vol", []layout.Layout{lfs.New(k, "vol", part, lfs.Config{SegBlocks: 64})}, volume.Config{Simulated: true})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := lay.Format(tk); err != nil {
 				t.Errorf("format: %v", err)
 			}
 			if err := lay.Mount(tk); err != nil {
 				t.Errorf("mount: %v", err)
 			}
-			if _, err := fs.AddVolume(tk, core.VolumeID(v), lay, true); err != nil {
+			if _, err := fs.AddVolume(tk, core.VolumeID(v), lay); err != nil {
 				t.Errorf("AddVolume: %v", err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/lfs"
 	"repro/internal/sched"
 )
 
@@ -18,8 +19,10 @@ func TestClusteredStripedWrites(t *testing.T) {
 	defer k.Stop()
 	r := newRig(t, k, nil, 3, Config{Placement: PlacementStriped, StripeBlocks: 4})
 	r.arr.SetClusterRun(8)
-	if got := r.arr.ClusterRun(); got != 8 {
-		t.Fatalf("ClusterRun = %d after SetClusterRun(8)", got)
+	for i, sub := range r.arr.Subs() {
+		if got := sub.(*lfs.LFS).ClusterRun(); got != 8 {
+			t.Fatalf("member %d ClusterRun = %d after SetClusterRun(8)", i, got)
+		}
 	}
 	r.do(t, func(tk sched.Task) error {
 		if err := r.arr.Format(tk); err != nil {

@@ -48,13 +48,14 @@ func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n 
 	if len(bufs) == 0 && !a.cfg.Simulated {
 		return 0, core.ErrInval
 	}
-	af := a.lookup(t, ino.ID)
+	var scratch afile
+	af := a.file(t, ino, &scratch)
 	if af == nil {
 		return 0, core.ErrStale
 	}
 	d := a.pl.dataCell(af.home, blk)
 	if a.readAlive(af, d.member) {
-		got, err := a.sub(d.member).ReadRunVec(t, af.shadows[d.member], d.local, a.pl.clamp(blk, n), bufs)
+		got, err := a.sub(d.member).ReadRunVec(t, af.shadow(d.member), d.local, a.pl.clamp(blk, n), bufs)
 		if got > 0 {
 			a.reads.Add(d.member, int64(got))
 		}
@@ -120,7 +121,7 @@ func (a *Array) xorCells(t sched.Task, af *afile, cells []cell, dst, scratch [][
 // simulated stack), one block.
 func (a *Array) readCell(t sched.Task, af *afile, c cell, vec [][]byte) error {
 	a.reads.Add(c.member, 1)
-	_, err := a.sub(c.member).ReadRunVec(t, af.shadows[c.member], c.local, 1, vec)
+	_, err := a.sub(c.member).ReadRunVec(t, af.shadow(c.member), c.local, 1, vec)
 	return err
 }
 
@@ -143,7 +144,7 @@ func xorInto(acc, b []byte) {
 // member's shadow block map under the member's inode lock: the
 // member's cleaner moves addresses under it.
 func (a *Array) hole(t sched.Task, af *afile, c cell) bool {
-	h := af.shadows[c.member]
+	h := af.shadow(c.member)
 	var addr int64
 	a.withShadow(t, c.member, h, func() { addr = h.BlockAddr(c.local) })
 	return addr < 0
@@ -158,26 +159,29 @@ func (a *Array) hole(t sched.Task, af *afile, c cell) bool {
 // member instead of the flusher re-issuing a doomed fan forever. A
 // second fault, or any non-death error, propagates.
 func (a *Array) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.BlockWrite) error {
-	af := a.lookup(t, ino.ID)
+	b := batches.Get().(*batch)
+	defer b.release()
+	af := a.file(t, ino, &b.file)
 	if af == nil {
 		return core.ErrStale
 	}
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
-	err := a.writeOnce(t, af, writes)
+	err := a.writeOnce(t, b, af, writes)
 	if err == nil {
 		return nil
 	}
 	var me *memberIOError
 	if errors.As(err, &me) && a.noteDeadErr(me.member, me.err) {
-		return a.writeOnce(t, af, writes)
+		b.reset()
+		return a.writeOnce(t, b, af, writes)
 	}
 	return err
 }
 
-func (a *Array) writeOnce(t sched.Task, af *afile, writes []layout.BlockWrite) error {
-	b := batches.Get().(*batch)
-	defer b.release()
+// writeOnce plans and issues one attempt at the batch, on an empty
+// plan in b.
+func (a *Array) writeOnce(t sched.Task, b *batch, af *afile, writes []layout.BlockWrite) error {
 	b.t, b.a, b.af, b.writes, b.dead = t, a, af, writes, a.degradedFor(af)
 	err := b.plan()
 	if err == nil {
@@ -210,6 +214,7 @@ type batch struct {
 	t       sched.Task
 	a       *Array
 	af      *afile
+	file    afile // an affinity file's derived state, for the call (see Array.file)
 	writes  []layout.BlockWrite
 	dead    int                   // member the file treats as missing (degradedFor)
 	real    bool                  // frames carry bytes (a simulated stack moves none)
@@ -232,16 +237,23 @@ var batches = sync.Pool{New: func() any {
 	return b
 }}
 
-// release returns b to batches, dropping its references to the
-// caller's file and frames.
-func (b *batch) release() {
+// reset empties b's plan, dropping its references to the caller's
+// frames; the derived file state stays.
+func (b *batch) reset() {
 	clear(b.out)
 	clear(b.flat)
 	clear(b.per)
 	clear(b.at)
 	clear(b.seen)
-	*b = batch{at: b.at, seen: b.seen, out: b.out[:0], flat: b.flat[:0], per: b.per[:0],
-		guarded: b.guarded[:0], on: b.on, write: b.write}
+	b.out, b.flat, b.per, b.guarded = b.out[:0], b.flat[:0], b.per[:0], b.guarded[:0]
+	b.t, b.af, b.writes, b.dead, b.real = nil, nil, nil, 0, false
+}
+
+// release returns b to batches, dropping its references to the
+// caller's file and frames.
+func (b *batch) release() {
+	b.reset()
+	b.a, b.file = nil, afile{}
 	batches.Put(b)
 }
 
@@ -259,27 +271,31 @@ type planned struct {
 // per-member batches over one backing array.
 func (b *batch) plan() error {
 	a, home := b.a, b.af.home
-	total := globalExtent(b.writes)
-	if a.pl.owned() {
-		// Parity columns take in unwritten cells up to the file's size.
-		// (An affinity file's size is the home member's to publish.)
-		total = max(total, layout.BlocksForSize(b.af.global.Size))
-	}
-	for i, w := range b.writes {
-		b.at[w.Blk] = i
-		b.real = b.real || w.Data != nil
+	var total int64
+	if a.pl.redundant() {
+		// Check cells need the batch by block: which cells of a column
+		// are written, and with what. Parity columns take in unwritten
+		// cells up to the file's size.
+		total = max(globalExtent(b.writes), layout.BlocksForSize(b.af.global.Size))
+		for i, w := range b.writes {
+			b.at[w.Blk] = i
+			b.real = b.real || w.Data != nil
+		}
 	}
 	var buf [8]cell
 	for _, w := range b.writes {
 		chk, checked := a.pl.checkCell(home, w.Blk)
-		first := w.Blk
-		if checked {
-			first = chk.blk
-		}
-		if b.seen[first] {
+		if !checked {
+			// A column without a check cell is its one data cell.
+			if d := a.pl.dataCell(home, w.Blk); a.writeAlive(d.member) {
+				b.emit(d, w.Data, w.Size)
+			}
 			continue
 		}
-		b.seen[first] = true
+		if b.seen[chk.blk] {
+			continue
+		}
+		b.seen[chk.blk] = true
 		data := a.pl.column(home, w.Blk, total, buf[:0])
 		for _, c := range data {
 			if i, ok := b.at[c.blk]; ok && a.writeAlive(c.member) {
@@ -287,7 +303,6 @@ func (b *batch) plan() error {
 			}
 		}
 		switch {
-		case !checked:
 		case chk.role == roleCopy:
 			if a.writeAlive(chk.member) {
 				cw := b.writes[b.at[chk.blk]]
@@ -480,7 +495,7 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 // the member's Truncate — a growing truncate frees nothing — so the
 // field is written under the same lock Sync reads it with.
 func (a *Array) writeMember(t sched.Task, af *afile, s int, ws []layout.BlockWrite) error {
-	sh := af.shadows[s]
+	sh := af.shadow(s)
 	if end := globalExtent(ws) * core.BlockSize; !a.pl.isCarrier(af.home, s) && end > sh.Size {
 		if err := a.sub(s).Truncate(t, sh, end); err != nil {
 			return &memberIOError{s, fmt.Errorf("volume %s: grow sub %d shadow: %w", a.name, s, err)}
@@ -503,10 +518,10 @@ func (a *Array) writeMember(t sched.Task, af *afile, s int, ws []layout.BlockWri
 func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 	for i := 0; i < a.pl.carriers(); i++ {
 		s := a.pl.carrier(af.home, i)
-		if !a.writeAlive(s) || af.shadows[s] == af.global {
+		if !a.writeAlive(s) || af.shadow(s) == af.global {
 			continue
 		}
-		h := af.shadows[s]
+		h := af.shadow(s)
 		size, cur := af.global.Size, int64(-1)
 		a.withShadow(t, s, h, func() { cur = h.Size })
 		if cur == size {

@@ -24,7 +24,7 @@ func FuzzDecodeLabel(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:8])
-	a := &Array{name: "arr", subs: make([]layout.Member, 3), cfg: Config{Placement: PlacementParity, StripeBlocks: 8}}
+	a := &Array{name: "arr", subs: make([]layout.Layout, 3), cfg: Config{Placement: PlacementParity, StripeBlocks: 8}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := make([]byte, core.BlockSize)
 		copy(buf, data)

@@ -8,9 +8,14 @@ import (
 	"repro/internal/sched"
 )
 
+// runReader is a layout or an array: what readOne reads through.
+type runReader interface {
+	ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
+}
+
 // readOne reads file block blk into buf (nil when simulated) with a
 // one-block ReadRunVec.
-func readOne(t sched.Task, lay layout.Layout, ino *layout.Inode, blk core.BlockNo, buf []byte) error {
+func readOne(t sched.Task, lay runReader, ino *layout.Inode, blk core.BlockNo, buf []byte) error {
 	var vec [][]byte
 	if buf != nil {
 		vec = [][]byte{buf}

@@ -88,11 +88,11 @@ func (a *Array) KillMember(m int) error {
 // sub returns the effective layout serving member i: the original
 // sub-layout, or the replacement attached by an ongoing or completed
 // rebuild.
-func (a *Array) sub(i int) layout.Member { return a.effSubs()[i] }
+func (a *Array) sub(i int) layout.Layout { return a.effSubs()[i] }
 
 // effSubs returns the effective member layouts (rebuild replacements
 // swapped in).
-func (a *Array) effSubs() []layout.Member {
+func (a *Array) effSubs() []layout.Layout {
 	if eff := a.eff.Load(); eff != nil {
 		return *eff
 	}
@@ -174,10 +174,6 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 		return fmt.Errorf("volume %s: rebuild: %w (%s)", a.name, ErrBusy, a.Maintenance())
 	}
 	defer a.maint.Store(maintIdle)
-	repl, ok := replacement.(layout.Member)
-	if !ok {
-		return fmt.Errorf("volume %s: replacement layout %s cannot be an array member", a.name, replacement.Name())
-	}
 
 	if err := replacement.Format(t); err != nil {
 		return fmt.Errorf("volume %s: format replacement for member %d: %w", a.name, dead, err)
@@ -186,7 +182,7 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 		return fmt.Errorf("volume %s: mount replacement for member %d: %w", a.name, dead, err)
 	}
 
-	ids, err := a.attachReplacement(t, dead, repl)
+	ids, err := a.attachReplacement(t, dead, replacement)
 	if err != nil {
 		return err
 	}
@@ -235,7 +231,7 @@ func (a *Array) Rebuild(t sched.Task, replacement layout.Layout) error {
 // attachReplacement is rebuild phase 1: replay the inode space, swap
 // the shadows and publish the replacement. Returns the live inode set
 // to copy.
-func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Member) ([]core.FileID, error) {
+func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Layout) ([]core.FileID, error) {
 	src := (dead + 1) % len(a.subs)
 	a.mu.Lock(t)
 	defer a.mu.Unlock(t)
@@ -272,7 +268,7 @@ func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Member) ([
 	}
 
 	// Publish: from here on writes reach the replacement.
-	eff := append([]layout.Member(nil), a.effSubs()...)
+	eff := slices.Clone(a.effSubs())
 	eff[dead] = repl
 	a.eff.Store(&eff)
 	a.attachIdx.Store(int32(dead))

@@ -75,15 +75,15 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 // that member's lock; otherwise the array owns it and af.mu — the lock
 // the carrier-size mirror reads under — covers it.
 func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
+	if !a.pl.owned() {
+		a.sub(a.home(ino.ID)).GrowSize(t, ino, size)
+		return
+	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		if size > ino.Size {
 			ino.Size = size
 		}
-		return
-	}
-	if !a.pl.owned() {
-		a.subs[af.home].GrowSize(t, af.global, size)
 		return
 	}
 	af.mu.Lock(t)
@@ -98,13 +98,13 @@ func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
 // own), otherwise under af.mu, the lock the carrier-size mirror reads
 // under.
 func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
+	if !a.pl.owned() {
+		a.sub(a.home(ino.ID)).WithInode(t, ino, fn)
+		return
+	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		fn()
-		return
-	}
-	if !a.pl.owned() {
-		a.subs[af.home].WithInode(t, af.global, fn)
 		return
 	}
 	af.mu.Lock(t)
@@ -112,26 +112,24 @@ func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
 	af.mu.Unlock(t)
 }
 
-// WriteBarrier implements layout.Barrier: every member that stages
-// writes flushes them to stable storage.
+// WriteBarrier pushes every member's staged writes to stable
+// storage.
 func (a *Array) WriteBarrier(t sched.Task) error {
 	s := a.parityBarrierStart()
 	for i := range a.subs {
 		if !a.writeAlive(i) {
 			continue
 		}
-		if b, ok := a.sub(i).(layout.Barrier); ok {
-			if err := b.WriteBarrier(t); err != nil {
-				// Lazy fault detection, like the read and write paths: a
-				// member whose log push dies at the hardware is marked
-				// dead and skipped — its staged writes die with it, and
-				// the copies/parity on the surviving members (whose own
-				// barriers still run) carry the data until the rebuild.
-				if a.noteDeadErr(i, err) {
-					continue
-				}
-				return fmt.Errorf("volume %s: barrier sub %d: %w", a.name, i, err)
+		if err := a.sub(i).WriteBarrier(t); err != nil {
+			// Lazy fault detection, like the read and write paths: a
+			// member whose log push dies at the hardware is marked
+			// dead and skipped — its staged writes die with it, and
+			// the copies/parity on the surviving members (whose own
+			// barriers still run) carry the data until the rebuild.
+			if a.noteDeadErr(i, err) {
+				continue
 			}
+			return fmt.Errorf("volume %s: barrier sub %d: %w", a.name, i, err)
 		}
 	}
 	// Every member committed the writes it held when the barrier

@@ -1,15 +1,18 @@
-// Package volume implements the framework's multi-volume storage
-// array: a volume manager that owns N independent disk stacks (each
-// its own bus, disk, driver and storage layout) and exposes the one
-// layout.Layout surface everything above it already speaks — cache,
-// fsys, Patsy, PFS and the network front-end are unaware they are
-// talking to an array.
+// Package volume implements the framework's volume: an array that
+// owns N independent disk stacks (each its own bus, disk, driver and
+// storage layout) and is the one volume type the file-system
+// front-end mounts. Every volume is an array — Patsy's fourteen
+// Sprite file systems are fourteen one-member arrays, PFS's image set
+// one array of any width — so fsys, the cache, Patsy, PFS and the
+// network front-end see one surface whatever the width, and the
+// layouts (layout.Layout, the member contract) see only their own
+// partition.
 //
 // The manager keeps the component library's cut-and-paste shape: the
-// sub-layouts are ordinary LFS or FFS instances, each formatted onto
-// its own partition, and the array is just one more layout component
-// an assembly mounts with fsys.AddVolume. Placement is a policy
-// point with four implementations:
+// members are ordinary LFS or FFS instances, each formatted onto its
+// own partition, and an assembly mounts the array with
+// fsys.AddVolume. Placement is a policy point with four
+// implementations:
 //
 //   - "affinity": every file lives wholly on one sub-volume chosen
 //     by a hash of its inode number — the paper's many-file-systems-
@@ -43,11 +46,12 @@
 // Inode numbers stay in lockstep across the sub-layouts: every
 // allocation and free is applied to all of them in order, so a
 // file's ID is the same everywhere and routing needs no translation
-// table. Except under affinity, the manager keeps a global inode per
+// table. An affinity file is wholly its home member's, so the array
+// keeps nothing for it. Otherwise the manager keeps a global inode per
 // file (the object the front-end sees) and per-sub shadow inodes that
-// carry each volume's share of the block map; the carrier shadows
-// (the home, plus its successor under redundancy) also persist the
-// global size and metadata, which is what makes a real-mode array
+// carry each volume's share of the block map; the carrier shadows (the
+// home, plus its successor under redundancy) also persist the global
+// size and metadata, which is what makes a real-mode array
 // remountable. Writes and Sync fan out to the sub-volumes —
 // concurrently under the real kernel, in deterministic sub order under
 // the virtual one.
@@ -63,6 +67,7 @@ package volume
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -106,18 +111,20 @@ type Config struct {
 // number, the label is simply not persisted.
 const labelFileID = core.RootFile + 1
 
-// afile is the array's per-file state.
+// afile is the array's per-file state. Only array-owned files (every
+// placement but affinity) have a record in the file table; an
+// affinity file's is derived on each call (see file).
 type afile struct {
 	id   core.FileID
 	home int
 	mu   sched.Mutex // serializes write/truncate/free fan-outs (memberOrdered under affinity)
 
 	// global is the inode the front-end holds. In affinity mode it
-	// is the home sub-volume's inode itself; in striped and redundant
-	// modes it is array-owned and shadows carry the per-sub block
-	// maps.
+	// is the home sub-volume's inode itself, and the file's only
+	// shadow; in striped and redundant modes it is array-owned and
+	// shadows carry the per-sub block maps.
 	global  *layout.Inode
-	shadows []*layout.Inode // indexed by sub; affinity loads home only
+	shadows []*layout.Inode // indexed by sub; nil under affinity
 
 	// rebuilt, during an online rebuild, marks that this file's share
 	// on the dead member has been reconstructed onto the attached
@@ -127,11 +134,20 @@ type afile struct {
 	rebuilt atomic.Bool
 }
 
-// Array is the volume manager. It implements layout.Layout.
+// shadow is the file's inode on member s: under affinity, the global
+// inode (the home member's own, the only one the file has).
+func (af *afile) shadow(s int) *layout.Inode {
+	if af.shadows == nil {
+		return af.global
+	}
+	return af.shadows[s]
+}
+
+// Array is the volume manager, the volume fsys mounts.
 type Array struct {
 	k    sched.Kernel
 	name string
-	subs []layout.Member
+	subs []layout.Layout
 	cfg  Config
 	pl   place
 
@@ -151,7 +167,7 @@ type Array struct {
 	// itself stays immutable so lock-free readers never race a swap).
 	deadIdx   atomic.Int32
 	attachIdx atomic.Int32
-	eff       atomic.Pointer[[]layout.Member]
+	eff       atomic.Pointer[[]layout.Layout]
 
 	// maint is the single maintenance gate: Rebuild and Scrub each
 	// CAS it from idle and refuse (ErrBusy) when the other holds it,
@@ -184,8 +200,8 @@ type Array struct {
 	ppl parityLog
 
 	mu        sched.Mutex
-	files     map[core.FileID]*afile
-	labels    []*layout.Inode // per-member shadows of the label file
+	files     map[core.FileID]*afile // array-owned files only
+	labels    []*layout.Inode        // per-member shadows of the label file
 	labelDone bool
 
 	// The member fan's event and task names, built once.
@@ -198,10 +214,10 @@ type Array struct {
 	degraded *stats.Counter // reads served by reconstruction
 }
 
-// New builds an array over subs, which must be array members (LFS or
-// FFS). The sub-layouts must be freshly constructed
-// (unformatted/unmounted); call Format or Mount on the array, never on
-// the subs directly, so the lockstep invariant holds.
+// New builds an array over subs (LFS or FFS layouts). The sub-layouts
+// must be freshly constructed (unformatted/unmounted); call Format or
+// Mount on the array, never on the subs directly, so the lockstep
+// invariant holds.
 func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("volume %s: array needs at least one sub-volume", name)
@@ -214,14 +230,7 @@ func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array,
 		return nil, fmt.Errorf("volume %s: %w", name, err)
 	}
 	cfg.Placement = pl.name
-	a := &Array{k: k, name: name, subs: make([]layout.Member, len(subs)), cfg: cfg, pl: pl}
-	for i, sub := range subs {
-		m, ok := sub.(layout.Member)
-		if !ok {
-			return nil, fmt.Errorf("volume %s: sub-volume %d (%s) cannot be an array member", name, i, sub.Name())
-		}
-		a.subs[i] = m
-	}
+	a := &Array{k: k, name: name, subs: slices.Clone(subs), cfg: cfg, pl: pl}
 	a.deadIdx.Store(-1)
 	a.attachIdx.Store(-1)
 	a.origin = make([]int32, len(subs))
@@ -260,9 +269,6 @@ func (a *Array) SetClusterRun(n int) {
 	}
 }
 
-// ClusterRun returns the run-size cap (the members share one).
-func (a *Array) ClusterRun() int { return a.subs[0].ClusterRun() }
-
 // StagedCopyBytes sums the effective members' staged-copy bytes.
 func (a *Array) StagedCopyBytes() int64 {
 	var n int64
@@ -275,9 +281,12 @@ func (a *Array) StagedCopyBytes() int64 {
 // Placement returns the placement policy in effect.
 func (a *Array) Placement() string { return a.cfg.Placement }
 
+// Simulated reports whether the array's partitions move no data.
+func (a *Array) Simulated() bool { return a.cfg.Simulated }
+
 // Subs returns the effective sub-layouts — rebuild replacements
 // swapped in (read-only use: checks, reports).
-func (a *Array) Subs() []layout.Member { return a.effSubs() }
+func (a *Array) Subs() []layout.Layout { return a.effSubs() }
 
 // Name identifies the array and its shape; a width-1 array reports
 // its member's own name.
@@ -380,38 +389,46 @@ func (a *Array) AllocInode(t sched.Task, typ core.FileType) (*layout.Inode, erro
 		a.mu.Lock(t)
 		defer a.mu.Unlock(t)
 	}
-	af, err := a.alloc(t, typ)
+	h, shadows, err := a.alloc(t, typ, a.pl.owned())
 	if err != nil {
 		return nil, err
 	}
-	if af.id == core.RootFile && a.lockstep && a.labels == nil {
-		lf, err := a.alloc(t, core.TypeRegular)
-		if err != nil {
-			return nil, fmt.Errorf("volume %s: label allocation: %w", a.name, err)
-		}
+	if h.ID == core.RootFile && a.lockstep && a.labels == nil {
 		// The label is array metadata, not a client file: each member
 		// keeps its own copy and it never enters the file table.
-		a.labels = lf.shadows
-		delete(a.files, lf.id)
+		if _, a.labels, err = a.alloc(t, core.TypeRegular, true); err != nil {
+			return nil, fmt.Errorf("volume %s: label allocation: %w", a.name, err)
+		}
 	}
+	if !a.pl.owned() {
+		return h, nil
+	}
+	af := a.adopt(h.ID, shadows, h)
+	// A file born while a replacement is attached is fully written
+	// there from its first block; nothing needs rebuilding.
+	af.rebuilt.Store(a.attachIdx.Load() >= 0)
 	return af.global, nil
 }
 
 // alloc applies one allocation to every sub-volume, keeping their
-// inode spaces in lockstep, and enters the file in the table. A dead
-// member is skipped (its shadow becomes an in-memory placeholder that
-// rebuild makes real). Caller holds a.mu when the array is lockstep;
-// otherwise a.mu covers only the table entry.
-func (a *Array) alloc(t sched.Task, typ core.FileType) (*afile, error) {
-	shadows := make([]*layout.Inode, len(a.subs))
+// inode spaces in lockstep, and returns the file's live carrier's
+// inode. With keep it also returns every member's inode, indexed by
+// member; a dead member is skipped, and its entry becomes an
+// unpersisted placeholder that rebuild makes real. Caller holds a.mu
+// when the array is lockstep.
+func (a *Array) alloc(t sched.Task, typ core.FileType, keep bool) (*layout.Inode, []*layout.Inode, error) {
+	var shadows []*layout.Inode
+	if keep {
+		shadows = make([]*layout.Inode, len(a.subs))
+	}
+	var h *layout.Inode
 	var id core.FileID
 	got := false
 	undo := func(upto int) {
 		for j := 0; j < upto; j++ {
-			if !a.writeAlive(j) || shadows[j] == nil {
-				continue
+			if a.writeAlive(j) {
+				_ = a.sub(j).FreeInode(t, id)
 			}
-			_ = a.sub(j).FreeInode(t, shadows[j].ID)
 		}
 	}
 	for i := range a.subs {
@@ -422,51 +439,44 @@ func (a *Array) alloc(t sched.Task, typ core.FileType) (*afile, error) {
 		if err != nil {
 			// Restore lockstep: undo the allocations already made.
 			undo(i)
-			return nil, err
+			return nil, nil, err
 		}
 		if !got {
 			id, got = ino.ID, true
 		} else if ino.ID != id {
 			_ = a.sub(i).FreeInode(t, ino.ID)
 			undo(i)
-			return nil, fmt.Errorf("volume %s: sub-volume %d allocated inode %d, want %d (lockstep broken)",
+			return nil, nil, fmt.Errorf("volume %s: sub-volume %d allocated inode %d, want %d (lockstep broken)",
 				a.name, i, ino.ID, id)
 		}
-		shadows[i] = ino
+		if i == a.liveCarrier(a.home(id)) {
+			h = ino
+		}
+		if keep {
+			shadows[i] = ino
+		}
 	}
 	if !got {
-		return nil, fmt.Errorf("volume %s: no live member to allocate on", a.name)
+		return nil, nil, fmt.Errorf("volume %s: no live member to allocate on", a.name)
 	}
-	for i := range a.subs {
+	for i := range shadows {
 		if shadows[i] == nil {
 			// Dead member: an unpersisted placeholder holds the slot so
 			// routing and rebuild have a shadow object to work with.
 			shadows[i] = &layout.Inode{ID: id, Type: typ, Nlink: layout.BirthLinks(typ)}
 		}
 	}
-	if !a.lockstep {
-		a.mu.Lock(t)
-		defer a.mu.Unlock(t)
-	}
-	af := a.adopt(id, shadows, shadows[a.liveCarrier(a.home(id))])
-	// A file born while a replacement is attached is fully written
-	// there from its first block; nothing needs rebuilding.
-	af.rebuilt.Store(a.attachIdx.Load() >= 0)
-	return af, nil
+	return h, shadows, nil
 }
 
-// adopt enters a file into the table over its shadows. The global
-// inode is the carrier shadow h itself under affinity; otherwise it is
-// array-owned, built from h's scalars (the carrier's size field
-// carries the global size). Caller holds a.mu.
+// adopt enters an array-owned file into the table over its shadows.
+// The global inode is built from the carrier shadow h's scalars (the
+// carrier's size field carries the global size). Caller holds a.mu.
 func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) *afile {
-	af := &afile{id: id, home: a.home(id), mu: memberOrdered{}, shadows: shadows, global: h}
-	if a.pl.owned() {
-		af.mu = a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id))
-		af.global = &layout.Inode{
-			ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
-			Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
-		}
+	af := &afile{id: id, home: a.home(id), mu: a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)), shadows: shadows}
+	af.global = &layout.Inode{
+		ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
+		Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
 	}
 	a.files[id] = af
 	return af
@@ -490,8 +500,7 @@ func (a *Array) liveCarrier(home int) int {
 	return home
 }
 
-// lookup returns the per-file state for an inode the front-end
-// holds, or nil.
+// lookup returns the table record of an array-owned file, or nil.
 func (a *Array) lookup(t sched.Task, id core.FileID) *afile {
 	a.mu.Lock(t)
 	af := a.files[id]
@@ -499,22 +508,30 @@ func (a *Array) lookup(t sched.Task, id core.FileID) *afile {
 	return af
 }
 
+// file returns the per-file state the executor's reads and writes
+// work on, for an inode the front-end holds, or nil when the array no
+// longer has the file. An array-owned file's is its table record. An affinity file has nothing to keep: every field
+// follows from the inode (the home by hash, the inode itself as the
+// global inode and only shadow, the no-op fan-out lock, nothing to
+// rebuild), so it is written into scratch, which the caller owns —
+// a variable on its stack or its lent write batch. No record is made
+// per file, and none is recycled that a stale holder could misuse.
+func (a *Array) file(t sched.Task, ino *layout.Inode, scratch *afile) *afile {
+	if a.pl.owned() {
+		return a.lookup(t, ino.ID)
+	}
+	*scratch = afile{id: ino.ID, home: a.home(ino.ID), mu: memberOrdered{}, global: ino}
+	return scratch
+}
+
 // GetInode returns the global inode, loading the per-sub shadows
-// from a real array on first access after a remount. A lone member's
-// inode is the file's own: the member is asked every time, under its
-// lock alone, and the table only learns the file.
+// from a real array on first access after a remount. An affinity
+// file's inode is its home member's own: the member is asked every
+// time, under its lock alone. An array-owned file is looked up under
+// a.mu, which an allocation holds across the members.
 func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
-	if !a.lockstep {
-		h, err := a.subs[0].GetInode(t, id)
-		if err != nil {
-			return nil, err
-		}
-		a.mu.Lock(t)
-		if a.files[id] == nil {
-			a.adopt(id, []*layout.Inode{h}, h)
-		}
-		a.mu.Unlock(t)
-		return h, nil
+	if !a.pl.owned() {
+		return a.sub(a.home(id)).GetInode(t, id)
 	}
 	a.mu.Lock(t)
 	defer a.mu.Unlock(t)
@@ -530,7 +547,7 @@ func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 	shadows[carrier] = h
 	for i := range a.subs {
 		switch {
-		case i == carrier || !a.pl.owned():
+		case i == carrier:
 		case !a.writeAlive(i):
 			// Dead member: placeholder shadow; reads reconstruct.
 			shadows[i] = &layout.Inode{ID: id, Type: h.Type, Nlink: 1}
@@ -546,12 +563,12 @@ func (a *Array) GetInode(t sched.Task, id core.FileID) (*layout.Inode, error) {
 // UpdateInode records changed meta-data on the file's carriers, which
 // persist it.
 func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
+	if !a.pl.owned() {
+		return a.sub(a.home(ino.ID)).UpdateInode(t, ino)
+	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
-	}
-	if !a.pl.owned() {
-		return a.subs[af.home].UpdateInode(t, ino)
 	}
 	// Snapshot the front inode's scalars under its own publication
 	// lock (af.mu): mutateIno-routed writers hold that lock, not the
@@ -617,15 +634,15 @@ func (a *Array) FreeInode(t sched.Task, id core.FileID) error {
 
 // Truncate releases blocks beyond newSize on every sub-volume.
 func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
+	if !a.pl.owned() {
+		return a.sub(a.home(ino.ID)).Truncate(t, ino, newSize)
+	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
 	}
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
-	if !a.pl.owned() {
-		return a.subs[af.home].Truncate(t, af.global, newSize)
-	}
 	keep := layout.BlocksForSize(newSize)
 	for s := range a.subs {
 		if !a.writeAlive(s) {
@@ -648,15 +665,15 @@ func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error
 	if !a.cfg.Simulated {
 		return layout.ErrNoPlaceExisting
 	}
+	if !a.pl.owned() {
+		return a.sub(a.home(ino.ID)).PlaceExisting(t, ino, size)
+	}
 	af := a.lookup(t, ino.ID)
 	if af == nil {
 		return core.ErrStale
 	}
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
-	if !a.pl.owned() {
-		return a.subs[af.home].PlaceExisting(t, af.global, size)
-	}
 	for s := range a.subs {
 		lk := a.pl.localBlocks(af.home, s, layout.BlocksForSize(size))
 		if lk == 0 || !a.writeAlive(s) {

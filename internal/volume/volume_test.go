@@ -488,7 +488,10 @@ func TestWidth1Passthrough(t *testing.T) {
 	errc := make(chan error, 1)
 	k.Go("t", func(tk sched.Task) {
 		errc <- func() error {
-			for _, l := range []layout.Layout{arr, direct} {
+			for _, l := range []interface {
+				Format(sched.Task) error
+				Mount(sched.Task) error
+			}{arr, direct} {
 				if err := l.Format(tk); err != nil {
 					return err
 				}

@@ -144,6 +144,73 @@ func TestPlanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFileCycleAllocatesLikeMember gates the array's file table: an
+// affinity file's per-file state is derived on each call, not
+// recorded, so creating, looking up and freeing a file through a
+// simulated one-member array allocates no more than the same cycle on
+// the bare member.
+func TestFileCycleAllocatesLikeMember(t *testing.T) {
+	k := sched.NewVirtual(1)
+	member := func(name string) layout.Layout {
+		part := layout.NewPartition(nullDrv{}, 0, 0, rigBlocks, true)
+		return lfs.New(k, name, part, lfs.Config{SegBlocks: 32})
+	}
+	arr, err := New(k, "arr", []layout.Layout{member("d0")}, Config{Simulated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := member("bare")
+	var viaArray, viaMember float64
+	runK(t, k, func(tk sched.Task) {
+		cycle := func(l interface {
+			Format(sched.Task) error
+			Mount(sched.Task) error
+			AllocInode(sched.Task, core.FileType) (*layout.Inode, error)
+			GetInode(sched.Task, core.FileID) (*layout.Inode, error)
+			FreeInode(sched.Task, core.FileID) error
+		}) float64 {
+			err := l.Format(tk)
+			if err == nil {
+				err = l.Mount(tk)
+			}
+			n := testing.AllocsPerRun(200, func() {
+				var ino *layout.Inode
+				if err == nil {
+					ino, err = l.AllocInode(tk, core.TypeRegular)
+				}
+				if err == nil {
+					_, err = l.GetInode(tk, ino.ID)
+				}
+				if err == nil {
+					err = l.FreeInode(tk, ino.ID)
+				}
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			return n
+		}
+		viaArray, viaMember = cycle(arr), cycle(bare)
+	})
+	if viaArray > viaMember {
+		t.Fatalf("alloc + get + free: %v allocs through the array, %v on the bare member", viaArray, viaMember)
+	}
+}
+
+// nullDrv is the simulator's device: requests complete at once and
+// carry no data.
+type nullDrv struct{}
+
+func (nullDrv) Name() string                             { return "null" }
+func (nullDrv) Submit(t sched.Task, r *device.Request)   {}
+func (nullDrv) Wait(t sched.Task, r *device.Request)     {}
+func (nullDrv) Do(t sched.Task, r *device.Request) error { return nil }
+func (nullDrv) QueueLen() int                            { return 0 }
+func (nullDrv) CapacityBlocks() int64                    { return rigBlocks }
+func (nullDrv) DriverStats() *device.DriverStats         { return nil }
+func (nullDrv) SetInjector(device.Interceptor)           {}
+func (nullDrv) Close() error                             { return nil }
+
 // planAllocs writes a 16-block file on arr, then measures the
 // allocations of planning and dispatching a rewrite of blks.
 func planAllocs(tk sched.Task, arr *Array, blks []core.BlockNo) (float64, error) {
@@ -172,12 +239,11 @@ func planAllocs(tk sched.Task, arr *Array, blks []core.BlockNo) (float64, error)
 	for _, blk := range blks {
 		ws = append(ws, layout.BlockWrite{Blk: blk, Data: pattern(blk, core.BlockSize), Size: core.BlockSize})
 	}
-	af := arr.lookup(tk, ino.ID)
 	dispatched := 0
 	count := func(sched.Task, int) error { dispatched++; return nil }
 	n := testing.AllocsPerRun(100, func() {
 		b := batches.Get().(*batch)
-		b.t, b.a, b.af, b.writes, b.dead = tk, arr, af, ws, -1
+		b.t, b.a, b.af, b.writes, b.dead = tk, arr, arr.file(tk, ino, &b.file), ws, -1
 		if err == nil {
 			err = b.plan()
 		}
