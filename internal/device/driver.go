@@ -176,6 +176,14 @@ type driver struct {
 	// install and clear plans from outside any kernel task.
 	ijMu sync.Mutex
 	ij   Interceptor
+
+	// done holds the driver's idle completion events, all made by
+	// its own kernel: Submit takes one, Wait puts it back once it has
+	// consumed the signal. A plain mutex, since submitters of the
+	// real kernel are goroutines and the lock is never held across a
+	// kernel call.
+	doneMu sync.Mutex
+	done   []sched.Event
 }
 
 func newDriver(k sched.Kernel, name string, q Scheduler, be backend) *driver {
@@ -275,9 +283,7 @@ func (d *driver) Submit(t sched.Task, r *Request) {
 		panic(fmt.Sprintf("device %s: request with %d blocks", d.name, r.Blocks))
 	}
 	r.Enqueued = d.k.Now()
-	if r.done == nil {
-		r.done = d.k.NewEvent("req.done")
-	}
+	r.done = d.takeDone()
 	d.mu.Lock(t)
 	d.st.QueueHist.Observe(int64(d.queue.Len()))
 	d.queue.Push(r)
@@ -285,12 +291,32 @@ func (d *driver) Submit(t sched.Task, r *Request) {
 	d.work.Signal()
 }
 
-// Wait blocks until r completes.
+// Wait blocks until r completes, then returns r's completion event
+// to the driver. The event's one signal is consumed, so the next
+// request that takes it waits for its own completion.
 func (d *driver) Wait(t sched.Task, r *Request) {
 	if r.done == nil {
 		panic("device: Wait before Submit")
 	}
 	r.done.Wait(t)
+	d.doneMu.Lock()
+	d.done = append(d.done, r.done)
+	d.doneMu.Unlock()
+	r.done = nil
+}
+
+// takeDone returns an idle completion event, making one when all are
+// in use.
+func (d *driver) takeDone() sched.Event {
+	d.doneMu.Lock()
+	defer d.doneMu.Unlock()
+	if n := len(d.done); n > 0 {
+		e := d.done[n-1]
+		d.done[n-1] = nil
+		d.done = d.done[:n-1]
+		return e
+	}
+	return d.k.NewEvent("req.done")
 }
 
 // Do submits and waits.
@@ -353,9 +379,14 @@ type Conn interface {
 // writes), let the drive work, and receive the completion the drive
 // sends back.
 type simBackend struct {
-	k    sched.Kernel
 	conn Conn
 	dsk  *disk.Disk
+	// done is the disk's completion event for every request: the
+	// driver's one worker performs them one at a time, and the disk
+	// signals each IOReq's Done exactly once. The IOReq itself is
+	// fresh per request, since an immediate-reported write stays on
+	// the disk's queue after its completion.
+	done sched.Event
 }
 
 func (b *simBackend) capacityBlocks() int64 { return b.dsk.CapacityBlocks() }
@@ -371,7 +402,7 @@ func (b *simBackend) perform(t sched.Task, r *Request) {
 		Op:      disk.Read,
 		LBA:     r.Addr.LBA * core.SectorsPerBlock,
 		Sectors: r.Blocks * core.SectorsPerBlock,
-		Done:    b.k.NewEvent("io.done"),
+		Done:    b.done,
 	}
 	if r.Op == OpWrite {
 		io.Op = disk.Write
@@ -387,5 +418,5 @@ func NewSimDriver(k sched.Kernel, name string, dsk *disk.Disk, conn Conn, q Sche
 	if q == nil {
 		q = &CLOOK{}
 	}
-	return newDriver(k, name, q, &simBackend{k: k, conn: conn, dsk: dsk})
+	return newDriver(k, name, q, &simBackend{conn: conn, dsk: dsk, done: k.NewEvent("io.done")})
 }

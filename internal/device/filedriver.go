@@ -14,6 +14,7 @@ import (
 type fileBackend struct {
 	f      *os.File
 	blocks int64
+	vec    vecIO
 }
 
 func (b *fileBackend) capacityBlocks() int64 { return b.blocks }
@@ -31,11 +32,7 @@ func (b *fileBackend) perform(t sched.Task, r *Request) {
 				r.Op, r.Addr, got, want)
 			return
 		}
-		if r.Op == OpRead {
-			r.Err = readVec(b.f, r.Vec, off)
-		} else {
-			r.Err = writeVec(b.f, r.Vec, off)
-		}
+		r.Err = b.vec.transfer(r.Op, r.Vec, off)
 		return
 	}
 	if len(r.Data) < want {
@@ -64,10 +61,15 @@ func NewFileDriver(k sched.Kernel, name, path string, blocks int64, q Scheduler)
 		f.Close()
 		return nil, err
 	}
+	be := &fileBackend{f: f, blocks: blocks}
+	if err := be.vec.init(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	if q == nil {
 		q = &CLOOK{}
 	}
-	return newDriver(k, name, q, &fileBackend{f: f, blocks: blocks}), nil
+	return newDriver(k, name, q, be), nil
 }
 
 // memBackend is an in-memory disk for tests and the quickstart

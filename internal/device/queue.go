@@ -16,6 +16,13 @@ import (
 
 // Request is one block-level I/O operation submitted by the file
 // system. Addresses and counts are in file-system blocks.
+//
+// The caller owns the request; the driver keeps no reference to it
+// once Wait (or Do) returns, so the caller may reuse it at once —
+// layout.Partition recycles its requests through a pool. The
+// completion event (done) is the driver's: Submit takes one from the
+// driver's own free list, and Wait, after consuming its one signal,
+// puts it back and clears the field.
 type Request struct {
 	Op     Op
 	Addr   core.DiskAddr

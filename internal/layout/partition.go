@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -43,32 +44,45 @@ func (p *Partition) check(lba int64, count int) error {
 	return nil
 }
 
-// Read reads count blocks at partition-relative lba into data.
-func (p *Partition) Read(t sched.Task, lba int64, count int, data []byte) error {
+// requests recycles device requests. A request is zeroed before it
+// goes back, so a pooled one keeps no buffer reachable; the driver
+// keeps none after Do returns.
+var requests = sync.Pool{New: func() any { return new(device.Request) }}
+
+// do runs one request of count blocks at partition-relative lba, with
+// its bytes in data or, when vec is non-nil, scattered over vec.
+func (p *Partition) do(t sched.Task, op device.Op, lba int64, count int, data []byte, vec [][]byte, dl sched.Time) error {
 	if err := p.check(lba, count); err != nil {
 		return err
 	}
-	r := &device.Request{
-		Op:     device.OpRead,
-		Addr:   core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks: count,
-		Data:   data,
+	r := requests.Get().(*device.Request)
+	*r = device.Request{
+		Op:       op,
+		Addr:     core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
+		Blocks:   count,
+		Data:     data,
+		Vec:      vec,
+		Deadline: dl,
 	}
-	return p.Drv.Do(t, r)
+	err := p.Drv.Do(t, r)
+	*r = device.Request{}
+	requests.Put(r)
+	return err
+}
+
+// Read reads count blocks at partition-relative lba into data.
+func (p *Partition) Read(t sched.Task, lba int64, count int, data []byte) error {
+	return p.do(t, device.OpRead, lba, count, data, nil, 0)
 }
 
 // Write writes count blocks at partition-relative lba from data.
 func (p *Partition) Write(t sched.Task, lba int64, count int, data []byte) error {
-	if err := p.check(lba, count); err != nil {
-		return err
-	}
-	r := &device.Request{
-		Op:     device.OpWrite,
-		Addr:   core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks: count,
-		Data:   data,
-	}
-	return p.Drv.Do(t, r)
+	return p.do(t, device.OpWrite, lba, count, data, nil, 0)
+}
+
+// WriteDeadline is Write with a scan-EDF deadline attached.
+func (p *Partition) WriteDeadline(t sched.Task, lba int64, count int, data []byte, dl sched.Time) error {
+	return p.do(t, device.OpWrite, lba, count, data, nil, dl)
 }
 
 // ReadVec reads count blocks at partition-relative lba, scattering
@@ -76,33 +90,7 @@ func (p *Partition) Write(t sched.Task, lba int64, count int, data []byte) error
 // count*BlockSize bytes and stay resident until the call returns;
 // they typically alias pinned cache frames.
 func (p *Partition) ReadVec(t sched.Task, lba int64, count int, vec [][]byte) error {
-	if err := p.check(lba, count); err != nil {
-		return err
-	}
-	r := &device.Request{
-		Op:     device.OpRead,
-		Addr:   core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks: count,
-		Vec:    vec,
-	}
-	return p.Drv.Do(t, r)
-}
-
-// ReadRun reads count blocks at partition-relative lba as one request
-// into the first count of bufs' BlockSize segments; empty bufs (a
-// simulated partition) moves no data.
-func (p *Partition) ReadRun(t sched.Task, lba int64, count int, bufs [][]byte) error {
-	if len(bufs) == 0 {
-		return p.Read(t, lba, count, nil)
-	}
-	if count == 1 {
-		return p.Read(t, lba, 1, bufs[0][:core.BlockSize])
-	}
-	vec := make([][]byte, count)
-	for i := range vec {
-		vec[i] = bufs[i][:core.BlockSize]
-	}
-	return p.ReadVec(t, lba, count, vec)
+	return p.do(t, device.OpRead, lba, count, nil, vec, 0)
 }
 
 // WriteVec writes count blocks at partition-relative lba, gathering
@@ -110,29 +98,19 @@ func (p *Partition) ReadRun(t sched.Task, lba int64, count int, bufs [][]byte) e
 // count*BlockSize bytes and stay resident and unmodified until the
 // call returns.
 func (p *Partition) WriteVec(t sched.Task, lba int64, count int, vec [][]byte) error {
-	if err := p.check(lba, count); err != nil {
-		return err
-	}
-	r := &device.Request{
-		Op:     device.OpWrite,
-		Addr:   core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks: count,
-		Vec:    vec,
-	}
-	return p.Drv.Do(t, r)
+	return p.do(t, device.OpWrite, lba, count, nil, vec, 0)
 }
 
-// WriteDeadline is Write with a scan-EDF deadline attached.
-func (p *Partition) WriteDeadline(t sched.Task, lba int64, count int, data []byte, dl sched.Time) error {
-	if err := p.check(lba, count); err != nil {
-		return err
+// ReadRun reads count blocks at partition-relative lba as one request
+// into the first count of bufs' segments, each exactly BlockSize long
+// (the driver rejects a vector of any other total); empty bufs (a
+// simulated partition) moves no data.
+func (p *Partition) ReadRun(t sched.Task, lba int64, count int, bufs [][]byte) error {
+	switch {
+	case len(bufs) == 0:
+		return p.Read(t, lba, count, nil)
+	case count == 1:
+		return p.Read(t, lba, 1, bufs[0])
 	}
-	r := &device.Request{
-		Op:       device.OpWrite,
-		Addr:     core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks:   count,
-		Data:     data,
-		Deadline: dl,
-	}
-	return p.Drv.Do(t, r)
+	return p.ReadVec(t, lba, count, bufs[:count])
 }

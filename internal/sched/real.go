@@ -136,11 +136,12 @@ func (k *RKernel) Live() int {
 	return k.live
 }
 
-// revent is a counting event over a condition variable.
+// revent is a counting event over a condition variable. The cond is
+// embedded by value, so an event is one allocation.
 type revent struct {
 	name    string
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	count   int
 	waiting int
 }
@@ -148,7 +149,7 @@ type revent struct {
 // NewEvent creates a counting event.
 func (k *RKernel) NewEvent(name string) Event {
 	e := &revent{name: name}
-	e.cond = sync.NewCond(&e.mu)
+	e.cond.L = &e.mu
 	return e
 }
 

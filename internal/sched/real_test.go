@@ -208,3 +208,49 @@ func TestRealRandDrawsTheSeededSequence(t *testing.T) {
 		}
 	}
 }
+
+// pingPong runs rounds signal/wait round trips between two tasks of k:
+// the caller's side runs body around each round, on its own task.
+func pingPong(k *RKernel, rounds int, body func(round func())) {
+	ping, pong := k.NewEvent("ping"), k.NewEvent("pong")
+	k.Go("pong", func(tk Task) {
+		for i := 0; i < rounds; i++ {
+			ping.Wait(tk)
+			pong.Signal()
+		}
+	})
+	done := make(chan struct{})
+	k.Go("ping", func(tk Task) {
+		defer close(done)
+		body(func() {
+			ping.Signal()
+			pong.Wait(tk)
+		})
+	})
+	<-done
+}
+
+// BenchmarkRKernelEvent times one signal/wait round trip between two
+// real-kernel tasks: two event hand-offs, each a goroutine wake-up.
+func BenchmarkRKernelEvent(b *testing.B) {
+	b.ReportAllocs()
+	pingPong(NewReal(1), b.N, func(round func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+}
+
+// An event hand-off allocates nothing on the real kernel: the cond is
+// the event's own and a wake-up reuses the runtime's waiter records.
+func TestRKernelEventAllocatesNothing(t *testing.T) {
+	const runs = 1000
+	var allocs float64
+	pingPong(NewReal(1), runs+1, func(round func()) {
+		allocs = testing.AllocsPerRun(runs, round)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per ping-pong round trip, want 0", allocs)
+	}
+}

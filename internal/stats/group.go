@@ -4,75 +4,85 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Group merges a family of per-member counters — one per volume of a
 // storage array, one per shard, one per worker — into a single
 // array-level source: the rendered line carries the total plus the
 // per-member split, so a multi-volume report reads as one statistic.
-// Members are ordinary Counters; Add is safe for concurrent use.
+// Members are ordinary Counters; every method is safe for concurrent
+// use.
+//
+// The member list is published copy-on-append: Member builds a longer
+// copy and swaps it in, so Add and the readers load one pointer and
+// take no lock.
 type Group struct {
-	name string
+	name    string
+	mu      sync.Mutex // serializes Member
+	members atomic.Pointer[[]member]
+}
 
-	mu      sync.Mutex
-	labels  []string
-	members []*Counter
+type member struct {
+	label string
+	c     *Counter
 }
 
 // NewGroup returns an empty group named name.
 func NewGroup(name string) *Group { return &Group{name: name} }
+
+// list is the current member list in creation order.
+func (g *Group) list() []member {
+	if p := g.members.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // Member appends a member counter labelled label and returns it. The
 // member's index is its position in creation order.
 func (g *Group) Member(label string) *Counter {
 	c := NewCounter(g.name + "." + label)
 	g.mu.Lock()
-	g.labels = append(g.labels, label)
-	g.members = append(g.members, c)
+	old := g.list()
+	next := append(make([]member, 0, len(old)+1), old...)
+	next = append(next, member{label, c})
+	g.members.Store(&next)
 	g.mu.Unlock()
 	return c
 }
 
 // Add increments member i by n.
-func (g *Group) Add(i int, n int64) {
-	g.mu.Lock()
-	c := g.members[i]
-	g.mu.Unlock()
-	c.Add(n)
-}
+func (g *Group) Add(i int, n int64) { g.list()[i].c.Add(n) }
 
 // Len returns the number of members.
-func (g *Group) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
-}
+func (g *Group) Len() int { return len(g.list()) }
 
 // Total returns the sum over all members.
 func (g *Group) Total() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	var sum int64
-	for _, c := range g.members {
-		sum += c.Value()
+	for _, m := range g.list() {
+		sum += m.c.Value()
 	}
 	return sum
 }
 
 // Labels snapshots the member labels in creation order.
 func (g *Group) Labels() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]string(nil), g.labels...)
+	ms := g.list()
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.label
+	}
+	return out
 }
 
 // Values snapshots the member values in creation order.
 func (g *Group) Values() []int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]int64, len(g.members))
-	for i, c := range g.members {
-		out[i] = c.Value()
+	ms := g.list()
+	out := make([]int64, len(ms))
+	for i, m := range ms {
+		out[i] = m.c.Value()
 	}
 	return out
 }
@@ -82,18 +92,12 @@ func (g *Group) Name() string { return g.name }
 
 // String renders the merged line: total plus per-member split.
 func (g *Group) String() string {
-	g.mu.Lock()
-	labels := append([]string(nil), g.labels...)
-	vals := make([]int64, len(g.members))
-	for i, c := range g.members {
-		vals[i] = c.Value()
-	}
-	g.mu.Unlock()
 	var sum int64
-	parts := make([]string, len(vals))
-	for i, v := range vals {
+	var parts []string
+	for _, m := range g.list() {
+		v := m.c.Value()
 		sum += v
-		parts[i] = fmt.Sprintf("%s=%d", labels[i], v)
+		parts = append(parts, fmt.Sprintf("%s=%d", m.label, v))
 	}
 	return fmt.Sprintf("%s: total=%d (%s)", g.name, sum, strings.Join(parts, " "))
 }

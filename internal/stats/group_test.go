@@ -64,3 +64,37 @@ func TestGroupConcurrent(t *testing.T) {
 		t.Fatalf("total %d, want 8000", g.Total())
 	}
 }
+
+// Members added at run time (a promoted spare) publish while Add,
+// Total, Values and String read the list without a lock; under -race
+// this certifies the copy-on-append publication.
+func TestGroupMemberWhileAdding(t *testing.T) {
+	g := NewGroup("c")
+	g.Member("d0")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				g.Add(0, 1)
+				if n := g.Len(); n > 1 {
+					g.Add(n-1, 1)
+				}
+				_ = g.Total()
+				_ = g.Values()
+				_ = g.String()
+			}
+		}()
+	}
+	for i := 1; i <= 8; i++ {
+		g.Member("s" + string(rune('0'+i)))
+	}
+	wg.Wait()
+	if got := g.Values()[0]; got != 4000 {
+		t.Fatalf("member 0 = %d, want 4000", got)
+	}
+	if g.Len() != 9 || len(g.Labels()) != 9 {
+		t.Fatalf("%d members, %d labels; want 9", g.Len(), len(g.Labels()))
+	}
+}

@@ -112,9 +112,11 @@ func (r *Registry) AddGaugeFunc(name, help string, labels Labels, fn func() floa
 // the next scrape.
 func (r *Registry) AddGroup(name, help, key string, labels Labels, g *stats.Group) {
 	r.add(name, help, "counter", func() []sample {
+		// Members only append, so the values, snapshotted second,
+		// cover every label.
 		members, vals := g.Labels(), g.Values()
-		out := make([]sample, len(vals))
-		for i := range vals {
+		out := make([]sample, len(members))
+		for i := range members {
 			with := Labels{key: members[i]}
 			for k, v := range labels {
 				with[k] = v

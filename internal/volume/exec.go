@@ -465,27 +465,51 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 		}
 		return nil
 	}
-	errs := make([]error, len(a.subs))
-	done := a.k.NewEvent(a.fanEvent)
+	f := a.fans.Get().(*fanout)
+	f.fn = fn
 	n = 0 // on may change under us (a concurrent death): count what runs
 	for s := range a.subs {
 		if on(s) {
 			n++
-			a.k.Go(a.fanTasks[s], func(st sched.Task) {
-				errs[s] = fn(st, s)
-				done.Signal()
-			})
+			a.k.Go(a.fanTasks[s], f.legs[s])
 		}
 	}
 	for ; n > 0; n-- {
-		done.Wait(t)
+		f.done.Wait(t)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	for _, e := range f.errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
-	return nil
+	clear(f.errs)
+	f.fn = nil
+	a.fans.Put(f)
+	return err
+}
+
+// fanout is one concurrent fan's shared state. Each array pools its
+// own (Array.fans), so the completion event is its kernel's and the
+// error slots and legs fit its width: a fan allocates nothing but its
+// tasks.
+type fanout struct {
+	fn   func(st sched.Task, s int) error
+	errs []error
+	done sched.Event
+	legs []func(st sched.Task) // legs[s] runs fn for member s
+}
+
+func (a *Array) newFanout() any {
+	f := &fanout{errs: make([]error, len(a.subs)), done: a.k.NewEvent(a.fanEvent)}
+	for s := range a.subs {
+		f.legs = append(f.legs, func(st sched.Task) {
+			f.errs[s] = f.fn(st, s)
+			f.done.Signal()
+		})
+	}
+	return f
 }
 
 // writeMember writes one member's batch. A non-carrier shadow first

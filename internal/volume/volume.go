@@ -204,9 +204,11 @@ type Array struct {
 	labels    []*layout.Inode        // per-member shadows of the label file
 	labelDone bool
 
-	// The member fan's event and task names, built once.
+	// The member fan's event and task names, built once, and its
+	// pooled state.
 	fanEvent string
 	fanTasks []string
+	fans     sync.Pool
 
 	reads    *stats.Group
 	writes   *stats.Group
@@ -250,6 +252,7 @@ func New(k sched.Kernel, name string, subs []layout.Layout, cfg Config) (*Array,
 		a.writes.Member(lbl)
 		a.fanTasks = append(a.fanTasks, name+".fan."+lbl)
 	}
+	a.fans.New = a.newFanout
 	a.syncs = stats.NewCounter(name + ".array_syncs")
 	if pl.redundant() {
 		// Registered only for redundant placements so the existing
