@@ -47,10 +47,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/ffs"
 	"repro/internal/layout"
-	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/volume"
 )
 
@@ -176,14 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return emit(&rep, o, stdout, stderr, fatal)
 }
 
-// newLayout builds one member layout over a partition.
-func newLayout(k *sched.RKernel, name, layoutName string, part *layout.Partition) layout.Layout {
-	if layoutName == "ffs" {
-		return ffs.New(k, name, part, ffs.Config{})
-	}
-	return lfs.New(k, name, part, lfs.Config{})
-}
-
 // fail records an inconsistency of the set as a whole.
 func (rep *report) fail(msg string) {
 	rep.Clean = false
@@ -206,6 +197,7 @@ func (rep *report) failMember(i int, f string, args ...any) bool {
 // not be checked at all.
 func checkSet(o options, rep *report) bool {
 	k := sched.NewReal(0)
+	sc := stack.Config{Layout: o.layoutName}
 	n := o.volumes
 	vrs := make([]volReport, n)
 	rep.Volumes = vrs
@@ -234,7 +226,7 @@ func checkSet(o options, rep *report) bool {
 			return rep.failMember(i, "%v", err)
 		}
 		defer drv.Close()
-		parts[i] = layout.NewPartition(drv, i, 0, vrs[i].Blocks, false)
+		parts[i] = sc.Partition(drv, i, 0, vrs[i].Blocks)
 	}
 	missing := -1
 	switch {
@@ -256,16 +248,15 @@ func checkSet(o options, rep *report) bool {
 		// A blank stand-in the array never reads: it mounts around it.
 		drv := device.NewMemDriver(k, "fsck.dead", vrs[first].Blocks, nil)
 		defer drv.Close()
-		parts[missing] = layout.NewPartition(drv, missing, 0, vrs[first].Blocks, false)
+		parts[missing] = sc.Partition(drv, missing, 0, vrs[first].Blocks)
 	}
 
 	fatal := false
-	done := make(chan struct{})
 	k.Go("fsck", func(t sched.Task) {
-		defer close(done)
-		fatal = checkArray(t, k, o, rep, parts, missing, first)
+		fatal = checkArray(t, sc, o, rep, parts, missing, first)
+		k.Stop()
 	})
-	<-done
+	_ = k.Run() // a real kernel's Run returns no error
 	return fatal
 }
 
@@ -276,7 +267,7 @@ func checkSet(o options, rep *report) bool {
 // runs its own check, and a redundant array walks its redundancy
 // invariant with a read-only scrub. A label that does not describe the
 // set (volume.ErrGeometry) is an inconsistency, not a fatal error.
-func checkArray(t sched.Task, k *sched.RKernel, o options, rep *report, parts []*layout.Partition, missing, first int) bool {
+func checkArray(t sched.Task, sc stack.Config, o options, rep *report, parts []*layout.Partition, missing, first int) bool {
 	vrs := rep.Volumes
 	verb := "mount"
 	if o.repair || o.rollforward {
@@ -293,10 +284,12 @@ func checkArray(t sched.Task, k *sched.RKernel, o options, rep *report, parts []
 		return layout.RecoveryStats{}, lay.Mount(t)
 	}
 
-	var cfg volume.Config
 	if len(parts) > 1 {
-		probe := newLayout(k, "fsck.probe", o.layoutName, parts[first])
-		if _, err := bringUp(probe); err != nil {
+		probe, err := sc.Member(t.Kernel(), "fsck.probe", parts[first])
+		if err == nil {
+			_, err = bringUp(probe)
+		}
+		if err != nil {
 			return rep.failMember(first, "%s: %v", verb, err)
 		}
 		li, found, err := volume.ReadLabel(t, probe)
@@ -305,17 +298,13 @@ func checkArray(t sched.Task, k *sched.RKernel, o options, rep *report, parts []
 		}
 		if found {
 			rep.Label = &labelInfo{Volumes: li.Volumes, Placement: li.Placement, StripeBlocks: li.StripeBlocks}
-			cfg = volume.Config{Placement: li.Placement, StripeBlocks: li.StripeBlocks}
+			sc.Placement, sc.StripeBlocks = li.Placement, li.StripeBlocks
 			if li.Volumes != len(parts) {
 				rep.fail(fmt.Sprintf("array label says %d volumes, checked %d", li.Volumes, len(parts)))
 			}
 		}
 	}
-	subs := make([]layout.Layout, len(parts))
-	for i, part := range parts {
-		subs[i] = newLayout(k, fmt.Sprintf("fsck.d%d", i), o.layoutName, part)
-	}
-	arr, err := volume.New(k, "fsck", subs, cfg)
+	arr, err := sc.Array(t.Kernel(), "fsck", parts)
 	if err != nil {
 		// The label's geometry does not fit the set being checked.
 		rep.fail(err.Error())

@@ -2,7 +2,9 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -235,6 +237,30 @@ func TestMemDriverRoundTrip(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A request submitted to a closed driver fails at once with
+// os.ErrClosed on either kernel, instead of waiting for a worker that
+// has exited.
+func TestSubmitAfterCloseFails(t *testing.T) {
+	for _, k := range []sched.Kernel{sched.NewVirtual(1), sched.NewReal(1)} {
+		drv := NewMemDriver(k, "mem0", 16, nil)
+		drv.Close()
+		errc := make(chan error, 1)
+		k.Go("io", func(tk sched.Task) {
+			errc <- drv.Do(tk, &Request{Op: OpRead, Addr: core.DiskAddr{LBA: 1}, Blocks: 1, Data: make([]byte, core.BlockSize)})
+			k.Stop()
+		})
+		go k.Run()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("virtual=%v: Do on a closed driver returned %v, want os.ErrClosed", k.Virtual(), err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("virtual=%v: Do on a closed driver still waiting after 10s", k.Virtual())
+		}
 	}
 }
 

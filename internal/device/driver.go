@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,8 @@ type Driver interface {
 	// consulted at the hardware boundary; see Interceptor.
 	SetInjector(ij Interceptor)
 	// Close releases the driver's backing resources (the image file
-	// of a file-backed driver). The driver must be idle.
+	// of a file-backed driver). A request submitted after Close
+	// completes at once with os.ErrClosed.
 	Close() error
 }
 
@@ -169,7 +171,8 @@ type driver struct {
 	headLBA int64
 	st      *DriverStats
 	// closed, set by Close, lets the worker exit once its queue is
-	// empty.
+	// empty and makes Submit fail. Both read it under mu, so a Submit
+	// racing Close is either served or failed, never stranded.
 	closed atomic.Bool
 
 	// ijMu guards the injector pointer with a plain mutex: harnesses
@@ -285,6 +288,12 @@ func (d *driver) Submit(t sched.Task, r *Request) {
 	r.Enqueued = d.k.Now()
 	r.done = d.takeDone()
 	d.mu.Lock(t)
+	if d.closed.Load() {
+		d.mu.Unlock(t)
+		r.Err = os.ErrClosed
+		r.done.Signal()
+		return
+	}
 	d.st.QueueHist.Observe(int64(d.queue.Len()))
 	d.queue.Push(r)
 	d.mu.Unlock(t)
@@ -334,11 +343,12 @@ func (d *driver) workerLoop(t sched.Task) {
 		d.work.Wait(t)
 		d.mu.Lock(t)
 		r := d.queue.Pop(d.headLBA)
+		exit := r == nil && d.closed.Load()
 		d.mu.Unlock(t)
+		if exit {
+			return
+		}
 		if r == nil {
-			if d.closed.Load() {
-				return
-			}
 			continue
 		}
 		r.Started = d.k.Now()

@@ -11,9 +11,8 @@ import (
 	"repro/internal/disk"
 	"repro/internal/fsys"
 	"repro/internal/layout"
-	"repro/internal/lfs"
 	"repro/internal/sched"
-	"repro/internal/volume"
+	"repro/internal/stack"
 )
 
 // TestCutAndPasteEquivalence is the paper's thesis as a test: the
@@ -85,95 +84,57 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 		return out, nil
 	}
 
-	// On-line instantiation: real kernel, real data, RAM device.
-	var realState []entry
-	{
-		k := sched.NewReal(1)
-		drv := device.NewMemDriver(k, "mem0", 4096, nil)
-		part := layout.NewPartition(drv, 0, 0, 4096, false)
-		lay, err := volume.New(k, "real", []layout.Layout{lfs.New(k, "real", part, lfs.Config{SegBlocks: 32})}, volume.Config{})
+	// Both instantiations come from the one stack builder; they
+	// differ only in the kernel, the driver and the Simulated flag.
+	run := func(k sched.Kernel, drv device.Driver, sim bool) []entry {
+		sc := stack.Config{Simulated: sim, SegBlocks: 32}
+		arr, err := sc.Array(k, "vol", []*layout.Partition{sc.Partition(drv, 0, 0, 4096)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := fsys.NewStore()
-		c := cache.New(k, cache.Config{Blocks: 128, Flush: cache.UPS()}, store)
-		fs := fsys.New(k, c, core.RealMover{})
-		store.Bind(fs)
-		c.Start()
-		errc := make(chan error, 1)
+		fs, _ := sc.FrontEnd(k, cache.Config{Blocks: 128, Flush: cache.UPS()})
+		var state []entry
+		var runErr error
 		k.Go("script", func(tk sched.Task) {
-			err := func() error {
-				if err := lay.Format(tk); err != nil {
+			runErr = func() error {
+				if err := arr.Format(tk); err != nil {
 					return err
 				}
-				if err := lay.Mount(tk); err != nil {
+				if err := arr.Mount(tk); err != nil {
 					return err
 				}
-				v, err := fs.AddVolume(tk, 1, lay)
+				v, err := fs.AddVolume(tk, 1, arr)
 				if err != nil {
 					return err
 				}
-				if err := script(tk, v, false); err != nil {
+				if err := script(tk, v, sim); err != nil {
 					return err
 				}
-				realState, err = snapshot(tk, v)
+				state, err = snapshot(tk, v)
 				return err
 			}()
-			errc <- err
+			k.Stop()
 		})
-		if err := <-errc; err != nil {
-			t.Fatalf("on-line run: %v", err)
+		if err := k.Run(); err != nil {
+			t.Fatalf("simulated=%v: run: %v", sim, err)
 		}
-		k.Stop()
+		if runErr != nil {
+			t.Fatalf("simulated=%v: %v", sim, runErr)
+		}
+		return state
 	}
+
+	// On-line instantiation: real kernel, real data, RAM device.
+	rk := sched.NewReal(1)
+	realState := run(rk, device.NewMemDriver(rk, "d0", 4096, nil), false)
 
 	// Simulated instantiation: virtual kernel, modeled HP 97560, no
 	// data anywhere.
-	var simState []entry
-	{
-		k := sched.NewVirtual(1)
-		b := bus.New(k, bus.SCSI2("scsi0"))
-		dd := disk.New(k, disk.HP97560("d0"), b)
-		dd.Start()
-		drv := device.NewSimDriver(k, "d0.drv", dd, b, nil)
-		part := layout.NewPartition(drv, 0, 0, 4096, true)
-		lay, err := volume.New(k, "sim", []layout.Layout{lfs.New(k, "sim", part, lfs.Config{SegBlocks: 32})}, volume.Config{Simulated: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := fsys.NewStore()
-		c := cache.New(k, cache.Config{Blocks: 128, Flush: cache.UPS(), Simulated: true}, store)
-		fs := fsys.New(k, c, core.DefaultSimMover())
-		store.Bind(fs)
-		c.Start()
-		k.Go("script", func(tk sched.Task) {
-			defer k.Stop()
-			if err := lay.Format(tk); err != nil {
-				t.Errorf("sim format: %v", err)
-				return
-			}
-			if err := lay.Mount(tk); err != nil {
-				t.Errorf("sim mount: %v", err)
-				return
-			}
-			v, err := fs.AddVolume(tk, 1, lay)
-			if err != nil {
-				t.Errorf("sim volume: %v", err)
-				return
-			}
-			if err := script(tk, v, true); err != nil {
-				t.Errorf("sim script: %v", err)
-				return
-			}
-			simState, err = snapshot(tk, v)
-			if err != nil {
-				t.Errorf("sim snapshot: %v", err)
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatalf("sim run: %v", err)
-		}
-	}
+	vk := sched.NewVirtual(1)
+	b := bus.New(vk, bus.SCSI2("scsi0"))
+	dd := disk.New(vk, disk.HP97560("d0"), b)
+	dd.Start()
+	simState := run(vk, device.NewSimDriver(vk, "d0.drv", dd, b, nil), true)
 
 	// The two worlds must agree exactly.
 	if len(realState) != len(simState) {

@@ -33,6 +33,10 @@ func DefaultConfig() Config {
 	return Config{BlocksPerGroup: 2048, InodesPerGroup: 256}
 }
 
+// smallGroup is the geometry New picks for a partition too small
+// for one group of the configured size.
+var smallGroup = Config{BlocksPerGroup: 512, InodesPerGroup: 64}
+
 const superMagic = 0x46465331 // "FFS1"
 
 // group bookkeeping offsets within a group (in blocks):
@@ -95,10 +99,17 @@ func (b bitset) get(i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 func (b bitset) set(i int)      { b[i/8] |= 1 << (i % 8) }
 func (b bitset) clear(i int)    { b[i/8] &^= 1 << (i % 8) }
 
-// New builds an FFS over part.
+// New builds an FFS over part. A partition too small for one group of
+// cfg's size gets smallGroup's geometry instead; Mount takes the
+// geometry from the superblock either way.
 func New(k sched.Kernel, name string, part *layout.Partition, cfg Config) *FFS {
 	if cfg.BlocksPerGroup <= 0 {
 		cfg = DefaultConfig()
+	}
+	if part.Blocks <= int64(cfg.BlocksPerGroup) && cfg.BlocksPerGroup > smallGroup.BlocksPerGroup {
+		// Too small for one group of the asked size (block 0 is the
+		// superblock): small test-sized volumes get small groups.
+		cfg = smallGroup
 	}
 	if cfg.InodesPerGroup <= 0 {
 		cfg.InodesPerGroup = 256

@@ -251,3 +251,42 @@ func (d nullDriver) CapacityBlocks() int64            { return d.blocks }
 func (d nullDriver) DriverStats() *device.DriverStats { return nil }
 func (d nullDriver) SetInjector(device.Interceptor)   {}
 func (d nullDriver) Close() error                     { return nil }
+
+// TestNewFitsSmallPartition: the default 2048-block groups do not fit
+// a 1024-block partition, so New picks small groups; the volume
+// formats, takes a file, and remounts (with the default
+// configuration again) clean.
+func TestNewFitsSmallPartition(t *testing.T) {
+	k := sched.NewVirtual(1)
+	drv := device.NewMemDriver(k, "mem0", 1024, nil)
+	f := New(k, "small", layout.NewPartition(drv, 0, 0, 1024, false), DefaultConfig())
+	run(t, k, func(tk sched.Task) {
+		if err := f.Format(tk); err != nil {
+			t.Fatalf("Format: %v", err)
+		}
+		if err := f.Mount(tk); err != nil {
+			t.Fatalf("Mount: %v", err)
+		}
+		ino, err := f.AllocInode(tk, core.TypeRegular)
+		if err != nil {
+			t.Fatalf("AllocInode: %v", err)
+		}
+		ino.Size = core.BlockSize
+		if err := f.WriteBlocks(tk, ino, []layout.BlockWrite{{Blk: 0, Data: blockOf(0x5A), Size: core.BlockSize}}); err != nil {
+			t.Fatalf("WriteBlocks: %v", err)
+		}
+		if err := f.Sync(tk); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		f2 := New(k, "small", layout.NewPartition(drv, 0, 0, 1024, false), DefaultConfig())
+		if err := f2.Mount(tk); err != nil {
+			t.Fatalf("remount: %v", err)
+		}
+		if errs := f2.Check(tk); len(errs) > 0 {
+			t.Fatalf("Check after remount: %v", errs)
+		}
+		if f2.cfg != smallGroup {
+			t.Fatalf("geometry %+v, want %+v", f2.cfg, smallGroup)
+		}
+	})
+}

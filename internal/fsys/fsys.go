@@ -253,12 +253,8 @@ func (fs *FS) SyncAll(t sched.Task) error {
 }
 
 // Store is the cache backing store that routes flushed blocks to the
-// owning volume's array. Wire it as the cache's store:
-//
-//	st := fsys.NewStore()
-//	c := cache.New(k, cfg, st)
-//	fs := fsys.New(k, c, mover)
-//	st.Bind(fs)
+// owning volume's array. stack.Config.FrontEnd wires it: the store
+// under cache.New, the cache under fsys.New, then Bind.
 type Store struct {
 	fs      *FS
 	durable bool

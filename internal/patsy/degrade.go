@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
+	"repro/internal/stack"
 )
 
 // KillMember declares array member m dead (array mode only): the
@@ -39,7 +40,7 @@ func (s *System) RebuildMember(t sched.Task, m int) error {
 		s.Fault.Revive()
 	}
 	part := s.partition(m, 0, s.Drivers[m].CapacityBlocks())
-	sub, err := s.newLayout(memberName("vol1", s.Cfg.ArrayVolumes, m), part)
+	sub, err := s.stackConfig().Member(s.K, stack.MemberName("vol1", s.Cfg.ArrayVolumes, m), part)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,9 @@
 // shared block cache under the flush policy being studied, the
 // volumes — each a volume.Array over one segmented LFS (or FFS) per
 // member partition — and the trace replayer on top of the abstract
-// client interface.
+// client interface. Patsy builds the buses, disks and drivers; the
+// members, arrays and cache/front-end come from the builder the
+// on-line server uses (internal/stack), with its Simulated flag set.
 //
 // The default configuration reproduces the paper's replay of the
 // Sprite traces: a Sun 4/280-class server with three SCSI buses
@@ -13,6 +15,7 @@
 package patsy
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -21,11 +24,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/disk"
-	"repro/internal/ffs"
 	"repro/internal/fsys"
 	"repro/internal/layout"
-	"repro/internal/lfs"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/volume"
@@ -155,14 +157,6 @@ type NamespaceCrashInfo struct {
 	Dropped         int           `json:"dropped"`
 }
 
-// intentSlotsIf maps the IntentLog switch to the cache knob.
-func intentSlotsIf(on bool) int {
-	if on {
-		return 1024
-	}
-	return 0
-}
-
 // DefaultConfig is the paper's Sprite replay setup with the flush
 // policy left to the experiment: 3 SCSI-2 buses, 10 HP 97560 disks
 // (4+3+3), 14 LFS volumes, a 64 MB cache (16384 4 KB blocks).
@@ -243,7 +237,7 @@ func Build(cfg Config) (*System, error) {
 			dd.Stats(sys.Set)
 			dd.Start()
 			sys.Disks = append(sys.Disks, dd)
-			q, ok := device.NewScheduler(orDefault(cfg.QueueSched, "clook"))
+			q, ok := device.NewScheduler(cmp.Or(cfg.QueueSched, "clook"))
 			if !ok {
 				return nil, fmt.Errorf("patsy: unknown queue scheduler %q", cfg.QueueSched)
 			}
@@ -263,36 +257,24 @@ func Build(cfg Config) (*System, error) {
 	}
 
 	// Cache and front-end.
-	store := fsys.NewStore()
-	c := cache.New(k, cache.Config{
-		Blocks:    cfg.CacheBlocks,
-		Replace:   cfg.Replace,
-		Flush:     cfg.Flush,
-		Simulated: true,
-		Shards:    cfg.CacheShards,
+	fs, c := sys.stackConfig().FrontEnd(k, cache.Config{
+		Blocks:  cfg.CacheBlocks,
+		Replace: cfg.Replace,
+		Flush:   cfg.Flush,
+		Shards:  cfg.CacheShards,
 		// With clustering on, shard by run-sized chunks so dirty
 		// runs stay whole; chunk 1 (the default) is the classic map.
 		ShardChunk:  cfg.ClusterRunBlocks,
-		IntentSlots: intentSlotsIf(cfg.IntentLog),
-	}, store)
+		IntentSlots: stack.IntentSlots(cfg.IntentLog),
+	})
 	c.Stats(sys.Set)
-	fs := fsys.New(k, c, core.DefaultSimMover())
 	if cfg.ReadaheadBlocks > 0 {
 		fs.SetReadahead(cfg.ReadaheadBlocks)
 	}
 	fs.Stats(sys.Set)
-	store.Bind(fs)
-	c.Start()
 	sys.Cache = c
 	sys.FS = fs
 	return sys, nil
-}
-
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
 }
 
 // Init formats and mounts the volumes, spreading them round-robin
@@ -334,26 +316,28 @@ func (s *System) partition(d int, start, blocks int64) *layout.Partition {
 	if s.Cfg.MaxVolBlocks > 0 && blocks > s.Cfg.MaxVolBlocks {
 		blocks = s.Cfg.MaxVolBlocks
 	}
-	return layout.NewPartition(s.Drivers[d], d, start, blocks, true)
+	return s.stackConfig().Partition(s.Drivers[d], d, start, blocks)
+}
+
+// stackConfig is the simulator's half of the one assembly: simulated
+// members, arrays and front-end.
+func (s *System) stackConfig() stack.Config {
+	return stack.Config{
+		Simulated:    true,
+		Layout:       s.Cfg.Layout,
+		SegBlocks:    s.Cfg.SegBlocks,
+		Cleaner:      s.Cfg.Cleaner,
+		ClusterRun:   s.Cfg.ClusterRunBlocks,
+		Placement:    s.Cfg.Placement,
+		StripeBlocks: s.Cfg.StripeBlocks,
+	}
 }
 
 // mount builds volume id — an array with one member layout per
 // partition — formats and mounts it, and mounts it in the front-end.
 func (s *System) mount(t sched.Task, id core.VolumeID, parts []*layout.Partition) error {
 	name := fmt.Sprintf("vol%d", id)
-	subs := make([]layout.Layout, len(parts))
-	for i, part := range parts {
-		sub, err := s.newLayout(memberName(name, len(parts), i), part)
-		if err != nil {
-			return err
-		}
-		subs[i] = sub
-	}
-	arr, err := volume.New(s.K, name, subs, volume.Config{
-		Placement:    s.Cfg.Placement,
-		StripeBlocks: s.Cfg.StripeBlocks,
-		Simulated:    true,
-	})
+	arr, err := s.stackConfig().Array(s.K, name, parts)
 	if err != nil {
 		return err
 	}
@@ -369,38 +353,6 @@ func (s *System) mount(t sched.Task, id core.VolumeID, parts []*layout.Partition
 	}
 	s.Volumes = append(s.Volumes, arr)
 	return nil
-}
-
-// memberName names member i of the width-w array vol; a lone member
-// carries the volume's name.
-func memberName(vol string, w, i int) string {
-	if w == 1 {
-		return vol
-	}
-	return fmt.Sprintf("%s.d%d", vol, i)
-}
-
-// newLayout builds one member layout on a partition.
-func (s *System) newLayout(name string, part *layout.Partition) (layout.Layout, error) {
-	cfg := s.Cfg
-	var lay layout.Layout
-	switch orDefault(cfg.Layout, "lfs") {
-	case "lfs":
-		lcfg := lfs.DefaultConfig()
-		if cfg.SegBlocks > 0 {
-			lcfg.SegBlocks = cfg.SegBlocks
-		}
-		lcfg.Cleaner = orDefault(cfg.Cleaner, "cost-benefit")
-		lay = lfs.New(s.K, name, part, lcfg)
-	case "ffs":
-		lay = ffs.New(s.K, name, part, ffs.DefaultConfig())
-	default:
-		return nil, fmt.Errorf("patsy: unknown layout %q", cfg.Layout)
-	}
-	if cfg.ClusterRunBlocks > 1 {
-		lay.SetClusterRun(cfg.ClusterRunBlocks)
-	}
-	return lay, nil
 }
 
 // Report is one simulation's results.

@@ -41,14 +41,19 @@ func (s *Server) RebuildMember(m int) error {
 	if !s.Array.Degraded() || s.Array.DeadMember() != m {
 		return fmt.Errorf("pfs: member %d is not the dead member (dead: %d)", m, s.Array.DeadMember())
 	}
-	path, _ := memberPath(s.cfg, m)
 	// Unlink the stale image first: the old driver keeps its (now
 	// anonymous) file; the replacement starts from an empty one.
+	path, name := memberPath(s.cfg, m)
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("pfs: drop stale image of member %d: %w", m, err)
 	}
-	drv, sub, err := newMember(s.K, s.cfg, lfsConfigFor(s.cfg), s.Fault, m)
+	drv, err := openDriver(s.K, s.cfg, s.Fault, path, name)
 	if err != nil {
+		return err
+	}
+	sub, err := s.stack.Member(s.K, name, s.stack.Partition(drv, m, 0, s.cfg.Blocks))
+	if err != nil {
+		drv.Close()
 		return err
 	}
 	if s.Fault != nil {
@@ -56,9 +61,7 @@ func (s *Server) RebuildMember(m int) error {
 		// member by index, and the rebuild is about to write there.
 		s.Fault.Revive()
 	}
-	errc := make(chan error, 1)
-	s.K.Go("pfs.rebuild", func(t sched.Task) { errc <- s.Array.Rebuild(t, sub) })
-	if err := <-errc; err != nil {
+	if err := s.Do(func(t sched.Task) error { return s.Array.Rebuild(t, sub) }); err != nil {
 		drv.Close()
 		return err
 	}

@@ -4,25 +4,27 @@
 // real-time kernel, a real memory arena, a Unix file (or raw device)
 // as the disk back-end, and the NFS-like network front-end. This is
 // the paper's point: nothing here is a reimplementation — only the
-// helper components differ from Patsy.
+// helper components differ from Patsy. The members, the array and
+// the cache/front-end come from the same builder Patsy uses
+// (internal/stack); pfs supplies the file drivers. Past Open, the
+// server holds its kernel as a sched.Kernel.
 package pfs
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/ffs"
 	"repro/internal/fsys"
 	"repro/internal/health"
 	"repro/internal/layout"
-	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/volume"
@@ -125,7 +127,7 @@ type Config struct {
 
 // Server is a running PFS.
 type Server struct {
-	K     *sched.RKernel
+	K     sched.Kernel
 	FS    *fsys.FS
 	Vol   *fsys.Volume
 	Cache *cache.Cache
@@ -147,6 +149,7 @@ type Server struct {
 	Monitor *health.Monitor
 
 	cfg     Config
+	stack   stack.Config
 	cluster int
 	net     *nfs.Server
 	admin   *telemetry.Server
@@ -162,13 +165,13 @@ type Server struct {
 	retired []device.Driver
 
 	// Self-heal supervisor state (see selfheal.go).
-	healMu       sync.Mutex
-	healStop     chan struct{}
-	healDone     chan struct{}
-	healStopOnce sync.Once
-	evMu         sync.Mutex
-	healEvents   []HealEvent
-	killTimes    map[int]time.Time
+	healMu     sched.Mutex // serializes monitor judgments and repairs
+	healer     sched.Task  // the task holding healMu
+	healStop   sched.Event // asks the supervisor task to exit
+	healDone   sched.Event // the supervisor task has exited
+	evMu       sync.Mutex
+	healEvents []HealEvent
+	killTimes  map[int]sched.Time
 }
 
 // ClusterRun reports the effective run-size cap (1 = clustering off).
@@ -201,8 +204,26 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Volumes <= 0 {
 		cfg.Volumes = 1
 	}
+	if cfg.CacheShards == 0 {
+		cfg.CacheShards = 8
+	}
+	if cfg.ClusterRunBlocks == 0 {
+		cfg.ClusterRunBlocks = layout.DefaultClusterRun
+	}
+	if cfg.ClusterRunBlocks < 1 {
+		cfg.ClusterRunBlocks = 1
+	}
 	k := sched.NewReal(cfg.Seed)
-	lcfg := lfsConfigFor(cfg)
+	// The server's half of the one assembly: payload-moving members
+	// (spares and rebuilt members too) with the configured layout,
+	// cluster cap and placement.
+	st := stack.Config{
+		Layout:       cfg.Layout,
+		SegBlocks:    cfg.SegBlocks,
+		ClusterRun:   cfg.ClusterRunBlocks,
+		Placement:    cfg.Placement,
+		StripeBlocks: cfg.StripeBlocks,
+	}
 
 	var plan *device.FaultPlan
 	if cfg.Fault != nil {
@@ -258,20 +279,18 @@ func Open(cfg Config) (*Server, error) {
 		return fail(fmt.Errorf("pfs: battery to recover (%d survivors, %d intents, %d parity records) but the image set under %s is fresh",
 			len(b.Survivors), len(b.Intents), len(b.Parity), cfg.Path))
 	}
-	subs := make([]layout.Layout, cfg.Volumes)
+	parts := make([]*layout.Partition, cfg.Volumes)
 	drvs := make([]device.Driver, cfg.Volumes)
 	for i := range drvs {
-		drv, sub, err := newMember(k, cfg, lcfg, plan, i)
+		path, name := memberPath(cfg, i)
+		drv, err := openDriver(k, cfg, plan, path, name)
 		if err != nil {
 			return fail(err)
 		}
-		drvs[i], subs[i] = drv, sub
+		drvs[i], parts[i] = drv, st.Partition(drv, i, 0, cfg.Blocks)
 		built = append(built, drv)
 	}
-	lay, err := volume.New(k, "pfs", subs, volume.Config{
-		Placement:    cfg.Placement,
-		StripeBlocks: cfg.StripeBlocks,
-	})
+	lay, err := st.Array(k, "pfs", parts)
 	if err != nil {
 		return fail(err)
 	}
@@ -294,15 +313,28 @@ func Open(cfg Config) (*Server, error) {
 		// window to a handful of failed requests.
 		plan.OnKill(func(m int) { _ = lay.KillMember(m) })
 	}
+	// Spares start from an unformatted image (a stale one from an
+	// interrupted promotion is dropped). A spare's partition claims a
+	// disk address beyond the array (Volumes+j), so the fault plan's
+	// member addressing never confuses a spare with the member it
+	// replaces.
 	spareDrvs := make([]device.Driver, 0, cfg.Spares)
 	for j := 0; j < cfg.Spares; j++ {
-		drv, sub, err := newSpare(k, cfg, lcfg, plan, j)
+		path, name := sparePath(cfg, j)
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fail(fmt.Errorf("pfs: drop stale spare image %s: %w", path, err))
+		}
+		drv, err := openDriver(k, cfg, plan, path, name)
+		if err != nil {
+			return fail(err)
+		}
+		built = append(built, drv)
+		sub, err := st.Member(k, name, st.Partition(drv, cfg.Volumes+j, 0, cfg.Blocks))
 		if err != nil {
 			return fail(err)
 		}
 		lay.AttachSpare(sub)
 		spareDrvs = append(spareDrvs, drv)
-		built = append(built, drv)
 	}
 	if cfg.LatencySLO > 0 {
 		for _, drv := range drvs {
@@ -310,22 +342,7 @@ func Open(cfg Config) (*Server, error) {
 		}
 	}
 
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = 8
-	}
-	if cfg.ClusterRunBlocks == 0 {
-		cfg.ClusterRunBlocks = layout.DefaultClusterRun
-	}
-	if cfg.ClusterRunBlocks < 1 {
-		cfg.ClusterRunBlocks = 1
-	}
-	lay.SetClusterRun(cfg.ClusterRunBlocks)
-	store := fsys.NewStore()
-	// The on-line server's flushes are durable on completion: a block
-	// the cache frees from its (battery-backed) dirty set is on the
-	// log, not in the volatile open-segment buffer.
-	store.SetDurable(true)
-	c := cache.New(k, cache.Config{
+	fs, c := st.FrontEnd(k, cache.Config{
 		Blocks:  cfg.CacheBlocks,
 		Replace: cfg.Replace,
 		Flush:   cfg.Flush,
@@ -333,17 +350,14 @@ func Open(cfg Config) (*Server, error) {
 		// Shard by cluster-sized chunks so a file's contiguous dirty
 		// run flushes from one shard as one multi-block write.
 		ShardChunk:  cfg.ClusterRunBlocks,
-		IntentSlots: intentSlots(cfg.NoIntentLog),
-	}, store)
-	fs := fsys.New(k, c, core.RealMover{})
-	store.Bind(fs)
+		IntentSlots: stack.IntentSlots(!cfg.NoIntentLog),
+	})
 	fs.SetReadahead(8) // sequential readahead window, in blocks
-	c.Start()
 
 	tr := telemetry.NewTracer(k, cfg.SlowOpThreshold)
 	fs.SetTracer(tr)
 
-	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Set: stats.NewSet(), Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, cluster: cfg.ClusterRunBlocks}
+	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Set: stats.NewSet(), Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, stack: st, cluster: cfg.ClusterRunBlocks}
 	if plan != nil {
 		// The instant the cut trips, the cache stops issuing flushes:
 		// a dead machine writes nothing more.
@@ -352,10 +366,7 @@ func Open(cfg Config) (*Server, error) {
 	c.Stats(srv.Set)
 	fs.Stats(srv.Set)
 	lay.Stats(srv.Set)
-	for _, drv := range drvs {
-		drv.DriverStats().Register(srv.Set)
-	}
-	for _, drv := range spareDrvs {
+	for _, drv := range built { // members, then spares
 		drv.DriverStats().Register(srv.Set)
 	}
 
@@ -378,30 +389,13 @@ func Open(cfg Config) (*Server, error) {
 	return srv, nil
 }
 
-func orDefault(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
-}
-
-// lfsConfigFor derives the per-member LFS configuration.
-func lfsConfigFor(cfg Config) lfs.Config {
-	lcfg := lfs.DefaultConfig()
-	if cfg.SegBlocks > 0 {
-		lcfg.SegBlocks = cfg.SegBlocks
-	}
-	return lcfg
-}
-
 // memberPath names member i's backing image and component prefix.
 func memberPath(cfg Config, i int) (path, name string) {
-	path, name = cfg.Path, "pfs"
+	path = cfg.Path
 	if cfg.Volumes > 1 {
 		path = fmt.Sprintf("%s.v%d", cfg.Path, i)
-		name = fmt.Sprintf("pfs.d%d", i)
 	}
-	return path, name
+	return path, stack.MemberName("pfs", cfg.Volumes, i)
 }
 
 // sparePath names spare slot j's backing image and component prefix.
@@ -409,66 +403,21 @@ func sparePath(cfg Config, j int) (path, name string) {
 	return fmt.Sprintf("%s.s%d", cfg.Path, j), fmt.Sprintf("pfs.s%d", j)
 }
 
-// newMember builds one array member's driver + layout stack over its
-// backing image (created and sized if absent). RebuildMember reuses
-// it to stand up a replacement member.
-func newMember(k *sched.RKernel, cfg Config, lcfg lfs.Config, plan *device.FaultPlan, i int) (device.Driver, layout.Layout, error) {
-	path, name := memberPath(cfg, i)
-	return newStack(k, cfg, lcfg, plan, path, name, i)
-}
-
-// newSpare builds one idle spare stack over a fresh image (a stale
-// spare image from an interrupted promotion is dropped first: a spare
-// must be unformatted). Its partition claims a disk address beyond
-// the array (Volumes+j) so the fault plan's member addressing never
-// confuses a spare with the member it replaces.
-func newSpare(k *sched.RKernel, cfg Config, lcfg lfs.Config, plan *device.FaultPlan, j int) (device.Driver, layout.Layout, error) {
-	path, name := sparePath(cfg, j)
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("pfs: drop stale spare image %s: %w", path, err)
-	}
-	return newStack(k, cfg, lcfg, plan, path, name, cfg.Volumes+j)
-}
-
-// newStack assembles a driver + layout stack over one backing image.
-func newStack(k *sched.RKernel, cfg Config, lcfg lfs.Config, plan *device.FaultPlan, path, name string, disk int) (device.Driver, layout.Layout, error) {
-	q, ok := device.NewScheduler(orDefault(cfg.QueueSched, "clook"))
+// openDriver opens the file driver over one backing image (created and
+// sized if absent), with the fault plan installed.
+func openDriver(k sched.Kernel, cfg Config, plan *device.FaultPlan, path, name string) (device.Driver, error) {
+	q, ok := device.NewScheduler(cmp.Or(cfg.QueueSched, "clook"))
 	if !ok {
-		return nil, nil, fmt.Errorf("pfs: unknown queue scheduler %q", cfg.QueueSched)
+		return nil, fmt.Errorf("pfs: unknown queue scheduler %q", cfg.QueueSched)
 	}
 	drv, err := device.NewFileDriver(k, name+"disk", path, cfg.Blocks, q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if plan != nil {
 		drv.SetInjector(plan)
 	}
-	part := layout.NewPartition(drv, disk, 0, cfg.Blocks, false)
-	var sub layout.Layout
-	switch orDefault(cfg.Layout, "lfs") {
-	case "lfs":
-		sub = lfs.New(k, name, part, lcfg)
-	case "ffs":
-		fcfg := ffs.DefaultConfig()
-		if cfg.Blocks <= int64(fcfg.BlocksPerGroup) {
-			// Small (test-sized) volumes still need >= 1 group.
-			fcfg.BlocksPerGroup = 512
-			fcfg.InodesPerGroup = 64
-		}
-		sub = ffs.New(k, name, part, fcfg)
-	default:
-		drv.Close()
-		return nil, nil, fmt.Errorf("pfs: unknown layout %q", cfg.Layout)
-	}
-	return drv, sub, nil
-}
-
-// intentSlots maps the NoIntentLog switch to the cache knob.
-func intentSlots(off bool) int {
-	if off {
-		return 0
-	}
-	return 1024
+	return drv, nil
 }
 
 // unmakeImages truncates the member images of a fresh set whose Open

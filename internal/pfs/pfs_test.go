@@ -522,6 +522,7 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	}{
 		{"width1", Config{Blocks: 2048, CacheBlocks: 128}},
 		{"parity3-spare", Config{Blocks: 2048, CacheBlocks: 128, Volumes: 3, Placement: "parity", Spares: 1}},
+		{"parity3-selfheal", Config{Blocks: 2048, CacheBlocks: 128, Volumes: 3, Placement: "parity", Spares: 1, SelfHeal: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

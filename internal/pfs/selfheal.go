@@ -15,9 +15,11 @@ package pfs
 // pass — leave the array serving degraded and are recorded as loud
 // HealEvents instead of being retried blindly.
 //
-// The supervisor samples evidence on a plain goroutine (the monitor
-// holds only plain mutexes); only the rebuild and the verify scrub
-// run on kernel tasks, exactly like their manual counterparts.
+// The supervisor is a kernel task: it waits HealthInterval on the
+// kernel clock between evidence samples, stamps its HealEvents with
+// the kernel's Now, and runs each repair on the task that confirmed
+// the death (its own, or MarkMemberDead's) — so nothing here depends
+// on which kernel the server runs on.
 
 import (
 	"fmt"
@@ -39,14 +41,15 @@ type HealEvent struct {
 	// Member is the member that died; Spare the pool slot consumed
 	// (-1 when the promotion was refused or failed).
 	Member, Spare int
-	// KilledAt is when the fault seam killed the member (zero when
-	// the death had no injected kill, e.g. a manual override).
-	KilledAt time.Time
+	// KilledAt is the kernel time the fault seam killed the member
+	// (zero when the death had no injected kill, e.g. a manual
+	// override).
+	KilledAt sched.Time
 	// DetectedAt is when the monitor confirmed the death.
-	DetectedAt time.Time
+	DetectedAt sched.Time
 	// RebuiltAt / ScrubbedAt mark the rebuild and the post-rebuild
 	// verify completing (zero on refusal).
-	RebuiltAt, ScrubbedAt time.Time
+	RebuiltAt, ScrubbedAt sched.Time
 	// DetectMS is kill → confirmation; MTTRMS is kill (or, without a
 	// kill time, confirmation) → scrubbed clean.
 	DetectMS, MTTRMS float64
@@ -74,83 +77,78 @@ func (s driverSource) HealthEvidence() health.Evidence {
 }
 
 // startSupervisor builds the health monitor over the member drivers
-// and runs the repair loop. Called from Open (Config.SelfHeal) after
-// the mount succeeded.
+// and starts the supervisor task. Called from Open (Config.SelfHeal)
+// after the mount succeeded.
 func (s *Server) startSupervisor() {
 	srcs := make([]health.Source, len(s.Drivers))
 	for i, drv := range s.Drivers {
 		srcs[i] = driverSource{name: fmt.Sprintf("d%d", i), ds: drv.DriverStats()}
 	}
 	s.Monitor = health.NewMonitor(srcs)
-	s.Monitor.OnDead(func(m int) { s.heal(m) })
+	s.Monitor.OnDead(func(m int) { s.heal(s.healer, m) })
+	s.killTimes = make(map[int]sched.Time)
 	if s.Fault != nil {
 		// Timestamp the injected kill so HealEvents can report true
 		// detection latency (the OnKill list is one-shot; promoteSpare
 		// re-arms it after each Revive).
-		s.Fault.OnKill(func(m int) { s.noteKill(m) })
+		s.Fault.OnKill(s.noteKill)
 	}
 	interval := s.cfg.HealthInterval
 	if interval <= 0 {
 		interval = defaultHealthInterval
 	}
-	s.healStop = make(chan struct{})
-	s.healDone = make(chan struct{})
-	go func() {
-		defer close(s.healDone)
+	s.healMu = s.K.NewMutex("pfs.selfheal")
+	s.healStop = s.K.NewEvent("pfs.selfheal.stop")
+	s.healDone = s.K.NewEvent("pfs.selfheal.done")
+	s.K.Go("pfs.selfheal", func(t sched.Task) {
 		// A member declared dead before the mount (Config.Dead) never
 		// produces evidence — the array routes around it — so adopt the
-		// array's verdict directly.
-		if dm := s.Array.DeadMember(); dm >= 0 {
-			s.Monitor.MarkDead(dm)
-		}
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.healStop:
-				return
-			case <-tick.C:
-				// Confirmed deaths heal inline via the OnDead callback.
-				s.Monitor.Observe()
+		// array's verdict directly. Read it under healMu: a member a
+		// repair in flight has isolated is not dead once it is done.
+		s.judge(t, func() {
+			if dm := s.Array.DeadMember(); dm >= 0 {
+				s.Monitor.MarkDead(dm)
 			}
+		})
+		// The wait is the sampling interval; a stop cuts it short.
+		for !s.healStop.WaitTimeout(t, interval) {
+			s.judge(t, func() { s.Monitor.Observe() })
 		}
-	}()
+		s.healDone.Signal()
+	})
 }
 
-// stopSupervisor halts the repair loop and waits for an in-flight
+// judge runs a monitor call that may confirm deaths on task t. The
+// monitor fires its OnDead callbacks on the calling task, and judge
+// holds healMu throughout, so a confirmed death is repaired on t and
+// repairs run one at a time: a second confirmed death waits for the
+// first repair and is then judged on its own merits.
+func (s *Server) judge(t sched.Task, call func()) {
+	s.healMu.Lock(t)
+	s.healer = t
+	call()
+	s.healMu.Unlock(t)
+}
+
+// stopSupervisor halts the supervisor task and waits for an in-flight
 // repair to finish (or fail — a power cut makes its I/O fail fast).
 func (s *Server) stopSupervisor() {
-	if s.healStop == nil {
+	if s.Monitor == nil {
 		return
 	}
-	s.healStopOnce.Do(func() { close(s.healStop) })
-	<-s.healDone
+	s.healStop.Signal()
+	_ = s.Do(func(t sched.Task) error {
+		s.healDone.Wait(t)
+		s.healDone.Signal() // a later stop finds the task gone too
+		return nil
+	})
 }
 
 func (s *Server) noteKill(m int) {
 	s.evMu.Lock()
-	if s.killTimes == nil {
-		s.killTimes = make(map[int]time.Time)
-	}
 	if _, ok := s.killTimes[m]; !ok {
-		s.killTimes[m] = time.Now()
+		s.killTimes[m] = s.K.Now()
 	}
-	s.evMu.Unlock()
-}
-
-func (s *Server) takeKillTime(m int) (time.Time, bool) {
-	s.evMu.Lock()
-	defer s.evMu.Unlock()
-	t, ok := s.killTimes[m]
-	if ok {
-		delete(s.killTimes, m)
-	}
-	return t, ok
-}
-
-func (s *Server) pushHealEvent(ev HealEvent) {
-	s.evMu.Lock()
-	s.healEvents = append(s.healEvents, ev)
 	s.evMu.Unlock()
 }
 
@@ -173,93 +171,88 @@ func (s *Server) MarkMemberDead(m int) error {
 	if m < 0 || m >= s.Monitor.Members() {
 		return fmt.Errorf("pfs: mark member %d dead of %d", m, s.Monitor.Members())
 	}
-	s.Monitor.MarkDead(m)
-	return nil
+	return s.Do(func(t sched.Task) error {
+		s.judge(t, func() { s.Monitor.MarkDead(m) })
+		return nil
+	})
 }
 
-// heal is one supervised repair pass, serialized by healMu (a second
-// confirmed death queues behind the first repair and is then judged
-// on its own merits).
-func (s *Server) heal(m int) {
-	s.healMu.Lock()
-	defer s.healMu.Unlock()
-	ev := HealEvent{Member: m, Spare: -1, DetectedAt: time.Now()}
-	if kt, ok := s.takeKillTime(m); ok {
-		ev.KilledAt = kt
-		ev.DetectMS = float64(ev.DetectedAt.Sub(kt)) / float64(time.Millisecond)
+// heal is one supervised repair pass over member m, recorded as a
+// HealEvent whether it succeeds or stops.
+func (s *Server) heal(t sched.Task, m int) {
+	ev := HealEvent{Member: m, Spare: -1, DetectedAt: s.K.Now()}
+	s.evMu.Lock()
+	if kt, ok := s.killTimes[m]; ok {
+		delete(s.killTimes, m)
+		ev.KilledAt, ev.DetectMS = kt, msBetween(kt, ev.DetectedAt)
 	}
-	// Isolate. The array usually beat us here (it kills the member on
-	// the first ErrDiskDead from live traffic); a refusal with some
-	// OTHER member dead is the second fault — refuse loudly, keep
-	// serving degraded.
+	s.evMu.Unlock()
+	ev.Err = s.repair(t, m, &ev)
+	s.evMu.Lock()
+	s.healEvents = append(s.healEvents, ev)
+	s.evMu.Unlock()
+}
+
+// repair isolates member m, promotes a spare in its place and
+// verifies the array, filling in ev; it returns why it stopped ("" on
+// success).
+func (s *Server) repair(t sched.Task, m int, ev *HealEvent) string {
+	// The array usually isolated the member first (it kills it on the
+	// first ErrDiskDead from live traffic); a refusal with some OTHER
+	// member dead is the second fault — refuse loudly, keep serving
+	// degraded.
 	if err := s.KillMember(m); err != nil && s.Array.DeadMember() != m {
-		ev.Err = fmt.Sprintf("isolate: %v", err)
-		s.pushHealEvent(ev)
-		return
+		return fmt.Sprintf("isolate: %v", err)
 	}
-	slot, err := s.promoteSpare(m)
+	slot, err := s.promoteSpare(t, m)
 	if err != nil {
-		ev.Err = fmt.Sprintf("promote: %v", err)
-		s.pushHealEvent(ev)
-		return
+		return fmt.Sprintf("promote: %v", err)
 	}
-	ev.Spare = slot
-	ev.RebuiltAt = time.Now()
-	st, err := s.Scrub(false)
+	ev.Spare, ev.RebuiltAt = slot, s.K.Now()
+	st, err := s.Array.Scrub(t, false)
 	if err != nil {
-		ev.Err = fmt.Sprintf("verify: %v", err)
-		s.pushHealEvent(ev)
-		return
+		return fmt.Sprintf("verify: %v", err)
 	}
-	ev.ScrubMismatches = st.Mismatches
-	ev.ScrubbedAt = time.Now()
+	ev.ScrubMismatches, ev.ScrubbedAt = st.Mismatches, s.K.Now()
 	base := ev.KilledAt
-	if base.IsZero() {
+	if base == 0 {
 		base = ev.DetectedAt
 	}
-	ev.MTTRMS = float64(ev.ScrubbedAt.Sub(base)) / float64(time.Millisecond)
-	s.pushHealEvent(ev)
+	ev.MTTRMS = msBetween(base, ev.ScrubbedAt)
+	return ""
 }
+
+// msBetween is the span from a to b in milliseconds.
+func msBetween(a, b sched.Time) float64 { return float64(b.Sub(a)) / float64(time.Millisecond) }
 
 // promoteSpare rebuilds dead member m onto the pool's next spare and
 // moves the member's identity — backing image name, driver slot,
 // monitor source — over to it.
-func (s *Server) promoteSpare(m int) (int, error) {
-	type res struct {
-		slot int
-		err  error
-	}
-	resc := make(chan res, 1)
-	s.K.Go("pfs.selfheal", func(t sched.Task) {
-		slot, err := s.Array.PromoteSpare(t)
-		resc <- res{slot, err}
-	})
-	r := <-resc
-	if r.err != nil {
-		return -1, r.err
+func (s *Server) promoteSpare(t sched.Task, m int) (int, error) {
+	slot, err := s.Array.PromoteSpare(t)
+	if err != nil {
+		return -1, err
 	}
 	// The spare's image takes over the member's name (the open
 	// descriptor follows the rename), so the next Open of this
 	// configuration finds the rebuilt member at the member path.
 	vpath, _ := memberPath(s.cfg, m)
-	spath, _ := sparePath(s.cfg, r.slot)
+	spath, _ := sparePath(s.cfg, slot)
 	if err := os.Rename(spath, vpath); err != nil {
-		return r.slot, fmt.Errorf("pfs: adopt spare image for member %d: %w", m, err)
+		return slot, fmt.Errorf("pfs: adopt spare image for member %d: %w", m, err)
 	}
 	if s.Fault != nil {
 		s.Fault.Revive()
-		s.Fault.OnKill(func(mm int) { s.noteKill(mm) })
+		s.Fault.OnKill(s.noteKill)
 	}
 	s.drvMu.Lock()
-	drv := s.spareDrvs[r.slot]
-	s.spareDrvs[r.slot] = nil
+	drv := s.spareDrvs[slot]
+	s.spareDrvs[slot] = nil
 	s.retired = append(s.retired, s.Drivers[m])
 	s.Drivers[m] = drv
 	s.drvMu.Unlock()
-	if s.Monitor != nil {
-		s.Monitor.Replace(m, driverSource{name: fmt.Sprintf("d%d", m), ds: drv.DriverStats()})
-	}
-	return r.slot, nil
+	s.Monitor.Replace(m, driverSource{name: fmt.Sprintf("d%d", m), ds: drv.DriverStats()})
+	return slot, nil
 }
 
 // healthDetail renders the /healthz supplement: per-member verdicts,

@@ -132,7 +132,7 @@ func TestSelfHealClosedLoop(t *testing.T) {
 	if ev.Member != victim || ev.Err != "" || ev.Spare != 0 {
 		t.Fatalf("heal event %+v, want member %d healed onto spare 0", ev, victim)
 	}
-	if ev.KilledAt.IsZero() || ev.DetectMS < 0 || ev.MTTRMS <= 0 {
+	if ev.KilledAt == 0 || ev.DetectMS < 0 || ev.MTTRMS <= 0 {
 		t.Fatalf("heal event timings missing: %+v", ev)
 	}
 	if ev.ScrubMismatches != 0 {
@@ -296,5 +296,32 @@ func TestSelfHealSecondFaultRefused(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("degraded read: %v", err)
+	}
+}
+
+// TestMarkDeadRightAfterOpenHealsOnce: a manual death declared before
+// the supervisor task has run is repaired once. The supervisor's start
+// (adopting a member the array already routes around) must not take
+// the member the repair has just isolated for a second death and kill
+// the promoted spare.
+func TestMarkDeadRightAfterOpenHealsOnce(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		srv, err := Open(Config{
+			Path: filepath.Join(t.TempDir(), "once.img"), Blocks: 2048, CacheBlocks: 96,
+			Volumes: 3, Placement: "mirrored", StripeBlocks: 2,
+			Spares: 1, SelfHeal: true, HealthInterval: 5 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if err := srv.MarkMemberDead(1); err != nil {
+			t.Fatalf("mark dead: %v", err)
+		}
+		if err := srv.Shutdown(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		if evs := srv.HealEvents(); len(evs) != 1 || evs[0].Err != "" {
+			t.Fatalf("round %d: heal events %+v, want one clean repair", i, evs)
+		}
 	}
 }
