@@ -228,7 +228,11 @@ type shard struct {
 	dirtyGauge atomic.Int64
 	maxDirty   int // this shard's share of Flush.MaxDirtyBlocks (0 = unlimited)
 
+	// flushQ is the flusher's FIFO of jobs; a popped job's slice goes
+	// back to jobFree once its flush lands. Both keep their backing
+	// arrays, so a steady stream of flush jobs allocates nothing.
 	flushQ    [][]*Block
+	jobFree   [][]*Block
 	flushWork sched.Event
 
 	scanName string // update-daemon task name
@@ -696,15 +700,21 @@ func (sh *shard) flushOldestLocked() {
 // dirty blocks living in this shard; sibling stripes flush from their
 // own shards.
 func (sh *shard) enqueueFlushLocked(b *Block) {
-	job := []*Block{b}
+	var job []*Block
+	if n := len(sh.jobFree); n > 0 {
+		job = sh.jobFree[n-1]
+		sh.jobFree[n-1] = nil
+		sh.jobFree = sh.jobFree[:n-1]
+	}
 	if sh.c.cfg.Flush.WholeFile {
-		job = job[:0]
 		for fb := sh.files[fileOf(b.Key)].head; fb != nil; fb = fb.fnext {
 			if fb.flushable() {
 				job = append(job, fb)
 			}
 		}
 		slices.SortFunc(job, byBlock)
+	} else {
+		job = append(job, b)
 	}
 	for _, fb := range job {
 		sh.set(fb, stFlushing)
@@ -713,6 +723,9 @@ func (sh *shard) enqueueFlushLocked(b *Block) {
 	sh.c.st.FlushJobs.Inc()
 	sh.flushWork.Signal()
 }
+
+// keepJobs is how many finished job slices a shard keeps for reuse.
+const keepJobs = 8
 
 // flusherLoop is a shard's asynchronous flusher task. It exits once
 // the cache is closed and its queue is empty.
@@ -729,7 +742,9 @@ func (sh *shard) flusherLoop(t sched.Task) {
 			continue
 		}
 		job := sh.flushQ[0]
-		sh.flushQ = sh.flushQ[1:]
+		n := copy(sh.flushQ, sh.flushQ[1:])
+		sh.flushQ[n] = nil
+		sh.flushQ = sh.flushQ[:n]
 		sh.mu.Unlock(t)
 
 		err := sh.c.store.FlushBlocks(t, job)
@@ -743,6 +758,10 @@ func (sh *shard) flusherLoop(t sched.Task) {
 			}
 			w |= sh.set(b, stClean)
 			sh.c.st.FlushedBlocks.Inc()
+		}
+		if len(sh.jobFree) < keepJobs {
+			clear(job)
+			sh.jobFree = append(sh.jobFree, job[:0])
 		}
 		sh.broadcast(w)
 		sh.mu.Unlock(t)

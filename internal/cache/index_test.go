@@ -258,3 +258,44 @@ func TestBenchmarkedPathsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// countStore counts flush jobs and keeps nothing.
+type countStore struct{ jobs int }
+
+func (s *countStore) FlushBlocks(t sched.Task, blocks []*Block) error {
+	s.jobs++
+	return nil
+}
+
+// TestFlushJobsAllocateNothing: dirtying resident blocks and flushing
+// them through the shard's flusher allocates nothing once warm, for
+// one-block and whole-file jobs alike — the job slices and the queue
+// keep their backing arrays.
+func TestFlushJobsAllocateNothing(t *testing.T) {
+	for _, fc := range []FlushConfig{UPS(), NVRAMWhole(8)} {
+		t.Run(fc.Name, func(t *testing.T) {
+			k := sched.NewVirtual(1)
+			st := &countStore{}
+			c := New(k, Config{Blocks: 16, Flush: fc, Simulated: true}, st)
+			c.Start()
+			run(t, k, func(tk sched.Task) {
+				cycle := func() {
+					fill(tk, c, 1, 4)
+					c.FlushFile(tk, 1, 1)
+				}
+				cycle()
+				if n := testing.AllocsPerRun(100, cycle); n != 0 {
+					t.Errorf("dirty + flush of 4 blocks: %v allocs, want 0", n)
+				}
+				// One cycle before the gate, one to warm it, 100 counted.
+				if want := 102 * 4; fc.WholeFile {
+					if st.jobs != 102 {
+						t.Errorf("%d whole-file jobs, want 102", st.jobs)
+					}
+				} else if st.jobs != want {
+					t.Errorf("%d one-block jobs, want %d", st.jobs, want)
+				}
+			})
+		})
+	}
+}

@@ -201,9 +201,10 @@ func TestCloseDuringVectoredTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The driver must be idle for Close to take effect, so close
-		// only once the worker has the request at the hardware
-		// boundary, then at a later point in each round.
+		// A Close that beat the request to the worker would fail it at
+		// once with os.ErrClosed, no transfer in flight, so close only
+		// once the worker has the request at the hardware boundary,
+		// then at a later point in each round.
 		began := make(chan struct{})
 		drv.SetInjector(interceptFunc(func(*Request) Decision {
 			close(began)

@@ -187,10 +187,10 @@ func (f *FFS) writeInode(t sched.Task, ino *layout.Inode) error {
 			return err
 		}
 		di.Direct = direct
-		if len(groups) >= 1 {
+		if groups >= 1 {
 			di.Ind = ino.IndAddrs[0]
 		}
-		if len(groups) > 1 {
+		if groups > 1 {
 			di.DInd = ino.IndAddrs[len(ino.IndAddrs)-1]
 		}
 		layout.EncodeInode(di, buf[slot*layout.InodeSize:])
@@ -207,7 +207,7 @@ func (f *FFS) writeIndirects(t sched.Task, ino *layout.Inode) error {
 	if err != nil {
 		return err
 	}
-	need := len(groups)
+	need := groups
 	if need > 1 {
 		need++ // double-indirect root
 	}
@@ -225,24 +225,24 @@ func (f *FFS) writeIndirects(t sched.Task, ino *layout.Inode) error {
 		f.freeDataLocked(last)
 		ino.IndAddrs = ino.IndAddrs[:len(ino.IndAddrs)-1]
 	}
-	if len(groups) == 0 {
+	if groups == 0 {
 		return nil
 	}
 	var buf []byte
 	if !f.part.Simulated {
 		buf = make([]byte, core.BlockSize)
 	}
-	for gi, g := range groups {
+	for g := 0; g < groups; g++ {
 		if buf != nil {
-			layout.EncodeAddrs(g, buf)
+			layout.EncodeAddrs(layout.IndirectGroup(ino.Blocks, g), buf)
 		}
-		if err := f.part.Write(t, ino.IndAddrs[gi], 1, buf); err != nil {
+		if err := f.part.Write(t, ino.IndAddrs[g], 1, buf); err != nil {
 			return err
 		}
 	}
-	if len(groups) > 1 {
+	if groups > 1 {
 		if buf != nil {
-			layout.EncodeAddrs(ino.IndAddrs[1:len(groups)], buf)
+			layout.EncodeAddrs(ino.IndAddrs[1:groups], buf)
 		}
 		if err := f.part.Write(t, ino.IndAddrs[len(ino.IndAddrs)-1], 1, buf); err != nil {
 			return err

@@ -128,10 +128,10 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 	}
 }
 
-// TestReusedLoanAllocatesNothing is the fsys allocation gate of the
-// zero-copy read: a cache-hit ReadBorrowAt through a reused Loan, and
-// its Release, allocate nothing (the real kernel, as the server runs).
-func TestReusedLoanAllocatesNothing(t *testing.T) {
+// onRealFile runs body as a real-kernel task over a mounted one-member
+// LFS volume holding file /f, written with payload and open as h.
+func onRealFile(t *testing.T, payload []byte, body func(tk sched.Task, v *Volume, h *Handle)) {
+	t.Helper()
 	k := sched.NewReal(1)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
@@ -141,7 +141,6 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 	fs := New(k, c, core.RealMover{})
 	store.Bind(fs)
 	c.Start()
-	payload := bytes.Repeat([]byte{0x3C}, 2*core.BlockSize)
 	done := make(chan struct{})
 	k.Go("test", func(tk sched.Task) {
 		defer close(done)
@@ -169,6 +168,17 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 			t.Errorf("WriteAt: %v", err)
 			return
 		}
+		body(tk, v, h)
+	})
+	<-done
+}
+
+// TestReusedLoanAllocatesNothing is the fsys allocation gate of the
+// zero-copy read: a cache-hit ReadBorrowAt through a reused Loan, and
+// its Release, allocate nothing (the real kernel, as the server runs).
+func TestReusedLoanAllocatesNothing(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x3C}, 2*core.BlockSize)
+	onRealFile(t, payload, func(tk sched.Task, v *Volume, h *Handle) {
 		var l Loan
 		read := func() {
 			got, ok, err := v.ReadBorrowAt(tk, h, 0, int64(len(payload)), &l)
@@ -185,5 +195,22 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 			t.Errorf("released loan still holds %d segments, %d frames", len(l.Segs), len(l.frames))
 		}
 	})
-	<-done
+}
+
+// TestStatAllocatesNothing gates attrIno on the real kernel, where the
+// snapshot runs under the layout's WithInode: a stat allocates nothing.
+func TestStatAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops lent probes")
+	}
+	payload := bytes.Repeat([]byte{0x5A}, core.BlockSize)
+	onRealFile(t, payload, func(tk sched.Task, v *Volume, h *Handle) {
+		var a FileAttr
+		if n := testing.AllocsPerRun(100, func() { a = v.StatHandle(tk, h) }); n != 0 {
+			t.Errorf("StatHandle: %v allocs, want 0", n)
+		}
+		if a.Size != int64(len(payload)) || a.Type != core.TypeRegular {
+			t.Errorf("StatHandle: %+v", a)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package fsys
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -205,10 +206,30 @@ func (v *Volume) attrIno(t sched.Task, ino *layout.Inode) FileAttr {
 	if v.fs.k.Virtual() {
 		return attrOf(ino)
 	}
-	var a FileAttr
-	v.arr.WithInode(t, ino, func() { a = attrOf(ino) })
+	p := attrProbes.Get().(*attrProbe)
+	p.ino = ino
+	v.arr.WithInode(t, ino, p.read)
+	a := p.attr
+	p.ino = nil
+	attrProbes.Put(p)
 	return a
 }
+
+// attrProbe is attrIno's body under the publication lock. Its read
+// closure is bound once, when attrProbes makes the probe: a closure
+// capturing the caller's variables escapes into the layout's WithInode
+// and would cost an allocation per stat.
+type attrProbe struct {
+	ino  *layout.Inode
+	attr FileAttr
+	read func()
+}
+
+var attrProbes = sync.Pool{New: func() any {
+	p := &attrProbe{}
+	p.read = func() { p.attr = attrOf(p.ino) }
+	return p
+}}
 
 func attrOf(ino *layout.Inode) FileAttr {
 	return FileAttr{

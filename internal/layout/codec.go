@@ -174,27 +174,28 @@ func LoadBlockMap(ino *Inode, di *DiskInode, read func(addr int64, buf []byte) e
 	return nil
 }
 
-// SplitBlockMap decomposes a flat block map into the direct slots,
-// the single-indirect pointer span and the double-indirect spans.
-// The returned indirect groups hold up to AddrsPerBlock addresses
-// each: group 0 is the single-indirect block, groups 1..n are the
-// leaves of the double-indirect tree.
-func SplitBlockMap(blocks []int64) (direct [NDirect]int64, indirect [][]int64, err error) {
+// SplitBlockMap decomposes a flat block map into the direct slots and
+// the number of indirect groups beyond them, each up to AddrsPerBlock
+// addresses: group 0 is the single-indirect block, groups 1..n are the
+// leaves of the double-indirect tree. IndirectGroup returns a group's
+// addresses; nothing is copied.
+func SplitBlockMap(blocks []int64) (direct [NDirect]int64, groups int, err error) {
 	for i := range direct {
 		direct[i] = -1
 	}
 	if len(blocks) > MaxFileBlocks {
-		return direct, nil, fmt.Errorf("layout: file of %d blocks exceeds maximum %d", len(blocks), MaxFileBlocks)
+		return direct, 0, fmt.Errorf("layout: file of %d blocks exceeds maximum %d", len(blocks), MaxFileBlocks)
 	}
-	n := copy(direct[:], blocks)
-	rest := blocks[n:]
-	for len(rest) > 0 {
-		g := rest
-		if len(g) > AddrsPerBlock {
-			g = g[:AddrsPerBlock]
-		}
-		indirect = append(indirect, g)
-		rest = rest[len(g):]
+	copy(direct[:], blocks)
+	if rest := len(blocks) - NDirect; rest > 0 {
+		groups = (rest + AddrsPerBlock - 1) / AddrsPerBlock
 	}
-	return direct, indirect, nil
+	return direct, groups, nil
+}
+
+// IndirectGroup returns indirect group g of a flat block map (see
+// SplitBlockMap), aliasing blocks.
+func IndirectGroup(blocks []int64, g int) []int64 {
+	lo := NDirect + g*AddrsPerBlock
+	return blocks[lo:min(lo+AddrsPerBlock, len(blocks))]
 }

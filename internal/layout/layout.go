@@ -147,7 +147,12 @@ type Layout interface {
 	// the simulator's default — reads exactly one block.
 	ReadRunVec(t sched.Task, ino *Inode, blk core.BlockNo, n int, bufs [][]byte) (int, error)
 	// WriteBlocks places and writes the given dirty blocks of one
-	// file. A log-structured layout writes them contiguously.
+	// file. A log-structured layout writes them contiguously. The
+	// layout keeps no reference to any writes[i].Data once the call
+	// returns, whether it succeeded or failed: the caller may rewrite
+	// or reuse the buffers at once (a cache frame leaves its Flushing
+	// window, an array reuses its parity accumulators). A layout that
+	// stages past the call copies the bytes first.
 	WriteBlocks(t sched.Task, ino *Inode, writes []BlockWrite) error
 	// Truncate releases blocks beyond newSize.
 	Truncate(t sched.Task, ino *Inode, newSize int64) error

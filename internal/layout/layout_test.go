@@ -92,7 +92,7 @@ func TestAddrsCodec(t *testing.T) {
 func TestSplitBlockMap(t *testing.T) {
 	// Small file: all direct.
 	direct, ind, err := SplitBlockMap([]int64{1, 2, 3})
-	if err != nil || len(ind) != 0 || direct[0] != 1 || direct[3] != -1 {
+	if err != nil || ind != 0 || direct[0] != 1 || direct[3] != -1 {
 		t.Fatalf("small: %v %v %v", direct, ind, err)
 	}
 	// Just over direct: one indirect group.
@@ -101,8 +101,8 @@ func TestSplitBlockMap(t *testing.T) {
 		blocks[i] = int64(i)
 	}
 	_, ind, err = SplitBlockMap(blocks)
-	if err != nil || len(ind) != 1 || len(ind[0]) != 5 {
-		t.Fatalf("indirect: %d groups %v", len(ind), err)
+	if err != nil || ind != 1 || len(IndirectGroup(blocks, 0)) != 5 {
+		t.Fatalf("indirect: %d groups %v", ind, err)
 	}
 	// Into double-indirect: multiple groups.
 	blocks = make([]int64, NDirect+AddrsPerBlock+10)
@@ -110,8 +110,8 @@ func TestSplitBlockMap(t *testing.T) {
 		blocks[i] = int64(i)
 	}
 	_, ind, err = SplitBlockMap(blocks)
-	if err != nil || len(ind) != 2 || len(ind[1]) != 10 {
-		t.Fatalf("double: %d groups %v", len(ind), err)
+	if err != nil || ind != 2 || len(IndirectGroup(blocks, 1)) != 10 {
+		t.Fatalf("double: %d groups %v", ind, err)
 	}
 	// Too large is rejected.
 	if _, _, err := SplitBlockMap(make([]int64, MaxFileBlocks+1)); err == nil {
@@ -135,8 +135,8 @@ func TestSplitBlockMapProperty(t *testing.T) {
 		for i := 0; i < NDirect && i < size; i++ {
 			back = append(back, direct[i])
 		}
-		for _, g := range groups {
-			back = append(back, g...)
+		for g := 0; g < groups; g++ {
+			back = append(back, IndirectGroup(blocks, g)...)
 		}
 		if len(back) != size {
 			return false

@@ -133,28 +133,43 @@ func (l *LFS) segViews() []SegState {
 	return out
 }
 
+// bridgeGap is the longest stretch of dead slots inside a run of live
+// ones that the cleaner reads through (into its one discard block)
+// rather than split the run into two requests.
+const bridgeGap = 8
+
 // cleanSegment copies a victim's live blocks to the log head and
-// frees it. On a real partition the victim arrives in one sequential
-// read and its own summary block says what the slots hold (empty
-// positions of a two-ended segment have Kind 0 and match no case
-// below); only a segment roll-forward trimmed at a torn tail, and
-// every simulated segment, is described by the in-memory mirror.
+// frees it. On a real partition the victim's own summary block says
+// what the slots hold (empty positions of a two-ended segment have
+// Kind 0 and match no case below) — only a segment roll-forward
+// trimmed at a torn tail, and every simulated segment, is described by
+// the in-memory mirror — and only its live data slots are read (see
+// copyLive). A simulated victim costs one sequential read of its used
+// portion and a staging copy per live block.
 func (l *LFS) cleanSegment(t sched.Task, victim int) error {
+	// The decoded summary is scratch: no nested pass may clean another
+	// victim (from a segment opened below) until this one is done.
+	nested := l.cleaning
+	l.cleaning = true
+	defer func() { l.cleaning = nested }()
 	entries := l.summaries[victim]
 	l.cleanerUtil.Observe(float64(l.sut[victim].live) / float64(l.dataSlots))
 
-	var segData []byte
 	if !l.part.Simulated {
-		segData = make([]byte, l.cfg.SegBlocks*core.BlockSize)
-		if err := l.part.Read(t, l.segStart(victim), l.cfg.SegBlocks, segData); err != nil {
-			return err
-		}
 		if entries == nil {
-			sum, err := l.decodeSummary(victim, segData[:core.BlockSize])
+			buf := l.takeBlock()
+			err := l.part.Read(t, l.segStart(victim), 1, buf)
+			if err == nil {
+				err = l.decodeSummary(victim, buf, &l.victim)
+			}
+			l.putBlock(buf)
 			if err != nil {
 				return err
 			}
-			entries = sum.entries
+			entries = l.victim.entries
+		}
+		if err := l.copyLive(t, victim, entries); err != nil {
+			return err
 		}
 	} else if len(entries) > 0 {
 		// One sequential read of the whole used portion.
@@ -166,23 +181,16 @@ func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 	base := l.segStart(victim) + 1
 	for i, e := range entries {
 		addr := base + int64(i)
-		var blockData []byte
-		if segData != nil {
-			blockData = segData[(1+i)*core.BlockSize : (2+i)*core.BlockSize]
-		}
 		switch e.Kind {
 		case kindData:
-			ino, err := l.getInodeLocked(t, e.File)
-			if err != nil || ino.BlockAddr(core.BlockNo(e.Blk)) != addr {
-				continue // dead
+			if !l.part.Simulated {
+				continue // copyLive has moved it
 			}
-			newAddr, err := l.appendBlock(t, kindData, e.File, e.Blk, blockData)
-			if err != nil {
-				return err
+			if ino := l.liveData(t, e, addr); ino != nil {
+				if err := l.moveData(t, ino, e, nil); err != nil {
+					return err
+				}
 			}
-			ino.SetBlockAddr(core.BlockNo(e.Blk), newAddr)
-			l.dirtyInodes[e.File] = true
-			l.liveCopied.Inc()
 
 		case kindIndirect:
 			ino, err := l.getInodeLocked(t, e.File)
@@ -209,7 +217,7 @@ func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 					}
 				}
 			}
-			delete(l.inodeBlockIDs, addr)
+			l.dropInodeBlock(addr)
 
 		case kindImap:
 			chunk := int(e.Blk)
@@ -224,6 +232,94 @@ func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 	l.sut[victim] = segInfo{state: segFree}
 	l.freeSegs = append(l.freeSegs, victim)
 	l.segsCleaned.Inc()
+	return nil
+}
+
+// liveData returns the inode of data entry e at addr if e is still
+// the file's block there, else nil.
+func (l *LFS) liveData(t sched.Task, e sumEntry, addr int64) *layout.Inode {
+	ino, err := l.getInodeLocked(t, e.File)
+	if err != nil || ino.BlockAddr(core.BlockNo(e.Blk)) != addr {
+		return nil
+	}
+	return ino
+}
+
+// moveData appends live data block e of ino at the log head (data is
+// an arena block the slot takes over; nil when simulated) and points
+// the file at the copy.
+func (l *LFS) moveData(t sched.Task, ino *layout.Inode, e sumEntry, data []byte) error {
+	newAddr, err := l.appendBlock(t, kindData, e.File, e.Blk, data, data != nil)
+	if err != nil {
+		return err
+	}
+	ino.SetBlockAddr(core.BlockNo(e.Blk), newAddr)
+	l.dirtyInodes[e.File] = true
+	l.liveCopied.Inc()
+	return nil
+}
+
+// copyLive moves a real victim's live data blocks to the log head,
+// reading nothing else: each run of live slots is one vectored read
+// straight into arena blocks, and a dead gap of at most bridgeGap
+// slots inside a run is read into one shared discard block, so a
+// mostly-live victim is still one request. A run's blocks are
+// appended as owned slots and written through before the next run is
+// read, so they are back in the arena for it: a victim whose live
+// blocks fit the free list allocates nothing.
+func (l *LFS) copyLive(t sched.Task, victim int, entries []sumEntry) error {
+	base := l.segStart(victim) + 1
+	live := l.live[:0]
+	for i, e := range entries {
+		if e.Kind == kindData && l.liveData(t, e, base+int64(i)) != nil {
+			live = append(live, i)
+		}
+	}
+	l.live = live
+	var discard []byte
+	for len(live) > 0 {
+		n := 1
+		for n < len(live) && live[n]-live[n-1]-1 <= bridgeGap {
+			n++
+		}
+		first, last := live[0], live[n-1]
+		vec := l.runVec[:0]
+		for slot, j := first, 0; slot <= last; slot++ {
+			if slot == live[j] {
+				vec = append(vec, l.takeBlock())
+				j++
+				continue
+			}
+			if discard == nil {
+				discard = l.takeBlock()
+			}
+			vec = append(vec, discard)
+		}
+		err := l.part.ReadRun(t, base+int64(first), len(vec), vec)
+		for _, slot := range live[:n] {
+			if err != nil {
+				break
+			}
+			buf := vec[slot-first]
+			if ino := l.liveData(t, entries[slot], base+int64(slot)); ino != nil {
+				err = l.moveData(t, ino, entries[slot], buf)
+			} else {
+				l.putBlock(buf)
+			}
+		}
+		clear(vec)
+		l.runVec = vec[:0]
+		if err == nil {
+			err = l.writeThrough(t)
+		}
+		if err != nil {
+			return err
+		}
+		live = live[n:]
+	}
+	if discard != nil {
+		l.putBlock(discard)
+	}
 	return nil
 }
 

@@ -99,8 +99,8 @@ func verifyV1Log(t *testing.T, tk sched.Task, r *realRig, l *LFS, when string) {
 		if m := binary.LittleEndian.Uint32(buf); m != formatV1.magic {
 			t.Fatalf("%s: segment %d summary magic %#x, want v1", when, seg, m)
 		}
-		sum, err := l.decodeSummary(seg, buf)
-		if err != nil {
+		var sum segSummary
+		if err := l.decodeSummary(seg, buf, &sum); err != nil {
 			t.Fatalf("%s: segment %d: %v", when, seg, err)
 		}
 		slot := make([]byte, core.BlockSize)

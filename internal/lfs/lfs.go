@@ -117,13 +117,16 @@ const (
 
 // segBuf is the in-memory open segment. On a real partition vec holds
 // one segment per block — vec[0] an owned summary buffer, vec[1+i]
-// slot i's bytes, which for full data blocks alias the appender's
-// buffer: a Flushing-stable cache frame or the cleaner's immutable
-// victim read. A cache-frame alias is only stable while its flush job
-// is in flight, so slots are written through to the device before the
-// job returns (writeThrough); done/backDone and sums record how far
-// that has progressed and the checksums (the volume format's: CRC32C
-// on v2, FNV-1a on v1) captured from the bytes the device actually saw.
+// slot i's bytes: a file's full data block aliases the appender's
+// Flushing-stable cache frame, every other slot (metadata, the
+// cleaner's copies, partial blocks) is an arena block the segment owns
+// (owned[i]) and hands back to the arena once the device has it. A
+// cache-frame alias is only stable while its flush job is in flight,
+// so slots are written through to the device before the job returns
+// (writeThrough); done/backDone and sums record how far that has
+// progressed and the checksums (the volume format's: CRC32C on v2,
+// FNV-1a on v1) captured from the bytes the device actually saw. A
+// retired real segBuf is kept and reopened as the next log head.
 //
 // A real segment fills from both ends: data, inode-map chunks and
 // cleaner copies take slots 0, 1, 2 … (used counts them), inode and
@@ -147,6 +150,7 @@ type segBuf struct {
 	done      int      // front slots already written through to the device
 	backDone  int      // back slots already written through
 	sums      []uint32 // per-slot checksums, captured at device-write time
+	owned     []bool   // real: slot i's bytes are an arena block, not an alias
 	committed int      // slots covered by the summary on disk (0: none written)
 }
 
@@ -188,6 +192,23 @@ type LFS struct {
 	summaries     map[int][]sumEntry
 	inodeBlockIDs map[int64][]core.FileID // inode-block addr → packed ids
 	pending       map[int64][]byte        // unflushed log addr → bytes (real)
+
+	// The write path's reused memory, all touched only under mu: the
+	// arena's free list of 4 KB blocks (see takeBlock), the retired
+	// open segment, the cleaner's decoded victim summary, live slots
+	// and read vector, the packer's id lists, and the inode-block id
+	// slices of dead inode blocks.
+	arena    [][]byte
+	spare    *segBuf
+	victim   segSummary
+	live     []int
+	runVec   [][]byte
+	ids      []core.FileID
+	batch    []core.FileID
+	oldHomes []int64
+	idFree   [][]core.FileID
+	chunks   []int
+	dinode   layout.DiskInode
 
 	cleaner  CleanerPolicy
 	views    []SegState // segViews scratch

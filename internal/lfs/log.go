@@ -2,19 +2,49 @@ package lfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/sched"
 )
 
+// arenaCap bounds the arena's free list: enough 4 KB blocks for a
+// barrier's metadata and a typical cleaner run (its live blocks plus
+// the discard block), few enough that what the free list keeps between
+// bursts stays a rounding error of the heap.
+const arenaCap = 8
+
+// takeBlock lends a 4 KB block from the arena's free list, or makes
+// one when the list is empty. Its bytes are whatever its last owner
+// left there. Caller holds l.mu.
+func (l *LFS) takeBlock() []byte {
+	n := len(l.arena)
+	if n == 0 {
+		return make([]byte, core.BlockSize)
+	}
+	b := l.arena[n-1]
+	l.arena[n-1] = nil
+	l.arena = l.arena[:n-1]
+	return b
+}
+
+// putBlock returns a block to the arena; past arenaCap it is dropped
+// for the collector. Caller holds l.mu.
+func (l *LFS) putBlock(b []byte) {
+	if len(l.arena) < arenaCap {
+		l.arena = append(l.arena, b)
+	}
+}
+
 // appendBlock reserves the next front slot of the open segment for one
 // block (data, an inode-map chunk, a cleaner copy), staging data in
-// the open segment (real mode) and recording the summary entry. It
-// returns the block's new address. Full segments are written out and
-// a fresh one opened; the caller must hold l.mu.
-func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64, data []byte) (int64, error) {
+// the open segment (real mode) and recording the summary entry. With
+// own set, data is an arena block the slot takes over (the cleaner's
+// copies, inode-map chunks). It returns the block's new address. Full
+// segments are written out and a fresh one opened; the caller must
+// hold l.mu.
+func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64, data []byte, own bool) (int64, error) {
 	if l.cur != nil && l.cur.filled() >= l.dataSlots {
 		if err := l.writeCurSegment(t, false); err != nil {
 			return -1, err
@@ -29,26 +59,26 @@ func (l *LFS) appendBlock(t sched.Task, kind uint8, file core.FileID, blk int64,
 	slot := s.used
 	addr := l.segStart(s.seg) + 1 + int64(slot)
 	if s.vec != nil {
-		if kind == kindData && len(data) == core.BlockSize {
-			// Zero-copy: the slot aliases the appender's block — a
-			// Flushing-stable cache frame or the cleaner's immutable
-			// victim read. A frame alias must not outlive its flush
-			// job (a front-end rewrite of the block mutates the frame
-			// the moment the job's Flushing window closes), so
-			// WriteBlocks drains its slots to the device before
-			// returning (writeThrough). Metadata kinds never alias:
-			// their appenders reuse one scratch buffer across blocks.
-			s.vec[1+slot] = data
-			l.pending[addr] = data
-		} else {
-			dst := make([]byte, core.BlockSize)
-			copy(dst, data)
-			s.vec[1+slot] = dst
-			l.pending[addr] = dst
+		switch {
+		case own:
+			s.owned[slot] = true
+		case kind == kindData && len(data) == core.BlockSize:
+			// Zero-copy: the slot aliases the flush job's cache frame.
+			// The alias must not outlive the job (a front-end rewrite
+			// of the block mutates the frame the moment the job's
+			// Flushing window closes), so WriteBlocks drains its slots
+			// to the device before returning (writeThrough).
+		default:
+			dst := l.takeBlock()
+			clear(dst[copy(dst, data):])
+			data = dst
+			s.owned[slot] = true
 			if kind == kindData {
 				l.staged.Add(int64(len(data)))
 			}
 		}
+		s.vec[1+slot] = data
+		l.pending[addr] = data
 	} else if l.part.Mover != nil {
 		// Simulated: charge the memory-copy cost of staging the
 		// block into the segment buffer.
@@ -84,13 +114,28 @@ func (l *LFS) openSegment(t sched.Task) error {
 	}
 	seg := l.freeSegs[0]
 	l.freeSegs = l.freeSegs[1:]
-	sb := &segBuf{seg: seg}
-	if !l.part.Simulated {
-		sb.vec = make([][]byte, l.cfg.SegBlocks)
+	sb := l.spare
+	l.spare = nil
+	switch {
+	case sb != nil:
+		// The retired segment's buffers: every slot went back to the
+		// arena when it was written, so only the summary block and the
+		// positional entries carry anything over.
+		clear(sb.vec[0])
+		clear(sb.entries)
+		*sb = segBuf{vec: sb.vec, entries: sb.entries, sums: sb.sums, owned: sb.owned}
+	case l.part.Simulated:
+		sb = &segBuf{}
+	default:
+		sb = &segBuf{
+			vec:     make([][]byte, l.cfg.SegBlocks),
+			entries: make([]sumEntry, l.dataSlots),
+			sums:    make([]uint32, l.dataSlots),
+			owned:   make([]bool, l.dataSlots),
+		}
 		sb.vec[0] = make([]byte, core.BlockSize) // owned summary block
-		sb.sums = make([]uint32, l.dataSlots)
-		sb.entries = make([]sumEntry, l.dataSlots)
 	}
+	sb.seg = seg
 	l.sut[seg] = segInfo{live: 0, seq: uint32(l.seq), state: segCurrent}
 	l.cur = sb
 	return nil
@@ -185,47 +230,44 @@ func (l *LFS) writeSummary(t sched.Task, s *segBuf) error {
 // remain. Inodes are packed InodesPerBlk to a block; the inode map
 // is updated to the new locations.
 func (l *LFS) packInodes(t sched.Task) {
-	ids := make([]core.FileID, 0, len(l.dirtyInodes))
+	ids := l.ids[:0]
 	for id := range l.dirtyInodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	l.ids = ids
 
-	var batch []core.FileID
+	batch := l.batch[:0]
 	flushBatch := func() {
 		if len(batch) == 0 {
 			return
 		}
-		buf := make([]byte, core.BlockSize)
-		addr, err := l.appendBlockNoRefill(kindInode, batch[0], 0, nil)
+		addr, buf, err := l.appendBlockNoRefill(kindInode, batch[0], 0)
 		if err != nil {
 			return
 		}
-		blkIDs := append([]core.FileID(nil), batch...)
-		oldAddrs := map[int64]bool{}
-		for i, id := range blkIDs {
+		old := l.oldHomes[:0]
+		for i, id := range batch {
 			ino := l.inodes[id]
-			if l.cur.vec != nil {
-				di := l.toDiskInode(ino)
-				layout.EncodeInode(di, buf[i*layout.InodeSize:])
+			if buf != nil {
+				layout.EncodeInode(l.toDiskInode(ino), buf[i*layout.InodeSize:])
 			}
 			ent := l.imap[id]
-			if ent.addr >= 0 && ent.addr != addr {
-				oldAddrs[ent.addr] = true
+			if ent.addr >= 0 && ent.addr != addr && !slices.Contains(old, ent.addr) {
+				old = append(old, ent.addr)
 			}
 			ent.addr = addr
 			ent.slot = uint8(i)
 			l.imapDirty[int(id)/imapPerChunk] = true
 			delete(l.dirtyInodes, id)
 		}
-		if l.cur.vec != nil {
-			copy(l.pending[addr], buf)
+		// Previous homes of these inodes may now be fully dead; their
+		// id slices come back for this block's.
+		for _, a := range old {
+			l.noteInodeSlotDead(a)
 		}
-		l.inodeBlockIDs[addr] = blkIDs
-		// Previous homes of these inodes may now be fully dead.
-		for old := range oldAddrs {
-			l.noteInodeSlotDead(old)
-		}
+		l.oldHomes = old[:0]
+		l.inodeBlockIDs[addr] = append(l.takeIDs(len(batch)), batch...)
 		batch = batch[:0]
 	}
 
@@ -255,49 +297,76 @@ func (l *LFS) packInodes(t sched.Task) {
 		}
 	}
 	flushBatch()
+	l.batch = batch
+}
+
+// takeIDs returns an empty id slice with room for n ids for an inode
+// block's entry in inodeBlockIDs: the slice of a dead inode block
+// when one is big enough, else a new one. The entry is kept for the
+// block's life, so each block has its own.
+func (l *LFS) takeIDs(n int) []core.FileID {
+	for i, ids := range l.idFree {
+		if cap(ids) >= n {
+			last := len(l.idFree) - 1
+			l.idFree[i] = l.idFree[last]
+			l.idFree[last] = nil
+			l.idFree = l.idFree[:last]
+			return ids[:0]
+		}
+	}
+	return make([]core.FileID, 0, n)
+}
+
+// dropInodeBlock forgets a dead inode block's id list, keeping the
+// slice for takeIDs (up to arenaCap of them, as the arena keeps
+// blocks).
+func (l *LFS) dropInodeBlock(addr int64) {
+	if ids, ok := l.inodeBlockIDs[addr]; ok {
+		delete(l.inodeBlockIDs, addr)
+		if len(l.idFree) < arenaCap {
+			l.idFree = append(l.idFree, ids)
+		}
+	}
 }
 
 // appendBlockNoRefill reserves a slot for an inode or indirect block
 // without appendBlock's write-and-reopen path: packInodes guarantees
 // room before calling. On a real partition these blocks fill the
 // segment from its far end (see segBuf), so the metadata a barrier
-// adds after every flush job does not interleave with file data.
-func (l *LFS) appendBlockNoRefill(kind uint8, file core.FileID, blk int64, data []byte) (int64, error) {
+// adds after every flush job does not interleave with file data, and
+// the slot is a zeroed arena block, returned for the caller to encode
+// into before anything is written through (nil when simulated).
+func (l *LFS) appendBlockNoRefill(kind uint8, file core.FileID, blk int64) (int64, []byte, error) {
 	if l.cur == nil || l.cur.filled() >= l.dataSlots {
-		return -1, fmt.Errorf("lfs %s: internal: no room reserved for metadata block", l.name)
+		return -1, nil, fmt.Errorf("lfs %s: internal: no room reserved for metadata block", l.name)
 	}
 	s := l.cur
 	slot := s.used
+	var buf []byte
 	if s.vec != nil {
 		slot = l.dataSlots - 1 - s.back
-	}
-	addr := l.segStart(s.seg) + 1 + int64(slot)
-	if s.vec != nil {
-		// Metadata blocks always get an owned copy: the callers
-		// (packInodes, writeIndirects) reuse one scratch buffer across
-		// blocks and write into l.pending[addr] after the append.
-		dst := make([]byte, core.BlockSize)
-		copy(dst, data)
-		s.vec[1+slot] = dst
-		l.pending[addr] = dst
+		buf = l.takeBlock()
+		clear(buf)
+		s.owned[slot] = true
 		s.back++
 	} else {
 		s.used++
 	}
+	addr := l.segStart(s.seg) + 1 + int64(slot)
+	if buf != nil {
+		s.vec[1+slot] = buf
+		l.pending[addr] = buf
+	}
 	l.noteSlot(s, slot, sumEntry{Kind: kind, File: file, Blk: blk})
-	return addr, nil
+	return addr, buf, nil
 }
 
 // indirectBlocksNeeded counts the map blocks a file's inode needs.
 func (l *LFS) indirectBlocksNeeded(ino *layout.Inode) int {
-	if len(ino.Blocks) <= layout.NDirect {
-		return 0
-	}
-	_, groups, err := layout.SplitBlockMap(ino.Blocks)
+	_, n, err := layout.SplitBlockMap(ino.Blocks)
 	if err != nil {
 		return 0
 	}
-	n := len(groups)
 	if n > 1 {
 		n++ // the double-indirect root
 	}
@@ -315,34 +384,25 @@ func (l *LFS) writeIndirects(t sched.Task, ino *layout.Inode) error {
 	if err != nil {
 		return err
 	}
-	if len(groups) == 0 {
-		return nil
-	}
-	var buf []byte
-	if !l.part.Simulated {
-		buf = make([]byte, core.BlockSize)
-	}
-	leafAddrs := make([]int64, 0, len(groups))
-	for gi, g := range groups {
-		if buf != nil {
-			layout.EncodeAddrs(g, buf)
-		}
-		addr, err := l.appendBlockNoRefill(kindIndirect, ino.ID, int64(gi), buf)
+	for g := 0; g < groups; g++ {
+		addr, buf, err := l.appendBlockNoRefill(kindIndirect, ino.ID, int64(g))
 		if err != nil {
 			return err
 		}
-		leafAddrs = append(leafAddrs, addr)
+		if buf != nil {
+			layout.EncodeAddrs(layout.IndirectGroup(ino.Blocks, g), buf)
+		}
 		ino.IndAddrs = append(ino.IndAddrs, addr)
 	}
-	if len(groups) > 1 {
+	if groups > 1 {
 		// Double-indirect root: addresses of leaves 1..n (leaf 0 is
 		// the single-indirect block reachable from the inode).
-		if buf != nil {
-			layout.EncodeAddrs(leafAddrs[1:], buf)
-		}
-		addr, err := l.appendBlockNoRefill(kindIndirect, ino.ID, -1, buf)
+		addr, buf, err := l.appendBlockNoRefill(kindIndirect, ino.ID, -1)
 		if err != nil {
 			return err
+		}
+		if buf != nil {
+			layout.EncodeAddrs(ino.IndAddrs[1:groups], buf)
 		}
 		ino.IndAddrs = append(ino.IndAddrs, addr)
 	}
@@ -392,24 +452,28 @@ func (l *LFS) writeSlots(t sched.Task, s *segBuf, lo, hi int) error {
 		return err
 	}
 	// The bytes are on the media: drop the aliases (the frames may
-	// be rewritten freely now) and serve readers from the device.
+	// be rewritten freely now), hand owned blocks back to the arena,
+	// and serve readers from the device.
 	for i := lo; i < hi; i++ {
 		delete(l.pending, base+int64(i))
+		if s.owned[i] {
+			l.putBlock(s.vec[1+i])
+			s.owned[i] = false
+		}
 		s.vec[1+i] = nil
 	}
 	return nil
 }
 
 // materializeCur replaces every not-yet-written-through front slot of
-// the open segment with an owned copy of its bytes (back slots hold
-// metadata, which never aliases). Slots alias
-// cache frames, and those aliases are only safe inside the flush
-// job's Flushing window — when an error aborts the job before
-// writeThrough drains the slots, the window closes with the slots
-// still staged, and the retry (or the next job's writeThrough) must
-// read the bytes the job appended, not whatever the frames hold by
-// then. The copies count as staged bytes, paid only on failed
-// writes. Caller holds l.mu.
+// the open segment that aliases a cache frame with an owned arena
+// copy of its bytes (back slots hold metadata, which is always owned).
+// Those aliases are only safe inside the flush job's Flushing window —
+// when an error aborts the job before writeThrough drains the slots,
+// the window closes with the slots still staged, and the retry (or the
+// next job's writeThrough) must read the bytes the job appended, not
+// whatever the frames hold by then. The copies count as staged bytes,
+// paid only on failed writes. Caller holds l.mu.
 func (l *LFS) materializeCur() {
 	s := l.cur
 	if s == nil || s.vec == nil {
@@ -418,13 +482,14 @@ func (l *LFS) materializeCur() {
 	base := l.segStart(s.seg) + 1
 	for i := s.done; i < s.used; i++ {
 		src := s.vec[1+i]
-		if src == nil {
+		if src == nil || s.owned[i] {
 			continue
 		}
-		cp := make([]byte, len(src))
+		cp := l.takeBlock()
 		copy(cp, src)
 		l.staged.Add(int64(len(cp)))
 		s.vec[1+i] = cp
+		s.owned[i] = true
 		if _, ok := l.pending[base+int64(i)]; ok {
 			l.pending[base+int64(i)] = cp
 		}
@@ -443,7 +508,7 @@ func (l *LFS) flushSegBuf(t sched.Task) error {
 		// Nothing written: return the segment to the free pool.
 		l.sut[s.seg] = segInfo{state: segFree}
 		l.freeSegs = append(l.freeSegs, s.seg)
-		l.cur = nil
+		l.retire(s)
 		return nil
 	}
 	if s.vec != nil {
@@ -470,8 +535,19 @@ func (l *LFS) flushSegBuf(t sched.Task) error {
 	if s.filled() < l.dataSlots {
 		l.partialSegs.Inc()
 	}
-	l.cur = nil
+	l.retire(s)
 	return nil
+}
+
+// retire closes the open segment s. A real one is fully written
+// through — every slot back in the arena, nothing pending — so its
+// buffers are kept for the next openSegment; a simulated one's entries
+// now belong to l.summaries.
+func (l *LFS) retire(s *segBuf) {
+	if s.vec != nil {
+		l.spare = s
+	}
+	l.cur = nil
 }
 
 // deadBlock marks a previously live log block dead in the usage

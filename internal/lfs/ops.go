@@ -111,18 +111,19 @@ func (l *LFS) readInodeFromLog(t sched.Task, id core.FileID, ent *imapEnt) (*lay
 }
 
 // toDiskInode splits the flat block map into the on-disk pointer
-// form. Indirect addresses must already have been assigned by
-// writeIndirects.
+// form, in the one record the packer reuses. Indirect addresses must
+// already have been assigned by writeIndirects. Caller holds l.mu.
 func (l *LFS) toDiskInode(ino *layout.Inode) *layout.DiskInode {
-	di := &layout.DiskInode{Ino: *ino, Ind: -1, DInd: -1}
+	di := &l.dinode
+	*di = layout.DiskInode{Ino: *ino, Ind: -1, DInd: -1}
 	di.Ino.Blocks = nil
 	di.Ino.IndAddrs = nil
 	direct, groups, _ := layout.SplitBlockMap(ino.Blocks)
 	di.Direct = direct
-	if len(groups) >= 1 && len(ino.IndAddrs) >= 1 {
+	if groups >= 1 && len(ino.IndAddrs) >= 1 {
 		di.Ind = ino.IndAddrs[0]
 	}
-	if len(groups) > 1 && len(ino.IndAddrs) == len(groups)+1 {
+	if groups > 1 && len(ino.IndAddrs) == groups+1 {
 		di.DInd = ino.IndAddrs[len(ino.IndAddrs)-1]
 	}
 	return di
@@ -185,7 +186,7 @@ func (l *LFS) noteInodeSlotDead(addr int64) {
 		}
 	}
 	l.deadBlock(addr)
-	delete(l.inodeBlockIDs, addr)
+	l.dropInodeBlock(addr)
 }
 
 // ReadRunVec implements the clustered read: file blocks written
@@ -265,7 +266,7 @@ func (l *LFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 		if old := ino.BlockAddr(w.Blk); old >= 0 {
 			l.deadBlock(old)
 		}
-		addr, err := l.appendBlock(t, kindData, ino.ID, int64(w.Blk), w.Data)
+		addr, err := l.appendBlock(t, kindData, ino.ID, int64(w.Blk), w.Data, false)
 		if err != nil {
 			return err
 		}

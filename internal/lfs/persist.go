@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -137,29 +137,28 @@ func (l *LFS) cpBase(r int) int64 { return 1 + int64(r)*l.cpSize }
 func (l *LFS) checkpointLocked(t sched.Task) error {
 	// 1. Dirty imap chunks go into the log.
 	if len(l.imapDirty) > 0 {
-		chunks := make([]int, 0, len(l.imapDirty))
+		chunks := l.chunks[:0]
 		for c := range l.imapDirty {
 			chunks = append(chunks, c)
 		}
-		sort.Ints(chunks)
-		var buf []byte
-		if !l.part.Simulated {
-			buf = make([]byte, core.BlockSize)
-		}
+		slices.Sort(chunks)
+		l.chunks = chunks
 		for _, c := range chunks {
-			if buf != nil {
+			var buf []byte
+			if !l.part.Simulated {
+				buf = l.takeBlock()
 				l.encodeImapChunk(c, buf)
 			}
 			if old := l.imapAddr[c]; old >= 0 {
 				l.deadBlock(old)
 			}
-			addr, err := l.appendBlock(t, kindImap, 0, int64(c), buf)
+			addr, err := l.appendBlock(t, kindImap, 0, int64(c), buf, true)
 			if err != nil {
 				return err
 			}
 			l.imapAddr[c] = addr
 		}
-		l.imapDirty = make(map[int]bool)
+		clear(l.imapDirty)
 		// The chunks must be on disk before the checkpoint points
 		// at them.
 		if err := l.flushSegBuf(t); err != nil {
@@ -373,25 +372,31 @@ type segSummary struct {
 	seq         uint64
 }
 
-// decodeSummary parses a summary block. A front-only summary (every
-// image written before segments filled from both ends) yields exactly
-// its front entries; a two-ended one yields all dataSlots positions.
-func (l *LFS) decodeSummary(seg int, buf []byte) (segSummary, error) {
+// decodeSummary parses a summary block into sum, reusing its entry
+// and checksum slices. A front-only summary (every image written
+// before segments filled from both ends) yields exactly its front
+// entries; a two-ended one yields all dataSlots positions.
+func (l *LFS) decodeSummary(seg int, buf []byte, sum *segSummary) error {
 	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != l.format.magic {
-		return segSummary{}, fmt.Errorf("lfs %s: segment %d has no summary", l.name, seg)
+		return fmt.Errorf("lfs %s: segment %d has no summary", l.name, seg)
 	}
 	count := le.Uint32(buf[4:])
-	sum := segSummary{front: int(count & 0xFFFF), back: int(count >> 16), seq: le.Uint64(buf[8:])}
-	if sum.front+sum.back > l.dataSlots {
-		return segSummary{}, fmt.Errorf("lfs %s: summary of %d+%d entries exceeds segment", l.name, sum.front, sum.back)
+	front, back := int(count&0xFFFF), int(count>>16)
+	if front+back > l.dataSlots {
+		return fmt.Errorf("lfs %s: summary of %d+%d entries exceeds segment", l.name, front, back)
 	}
-	n := sum.front
-	if sum.back > 0 {
+	n := front
+	if back > 0 {
 		n = l.dataSlots
 	}
-	sum.entries = make([]sumEntry, n)
-	sum.sums = make([]uint32, n)
+	*sum = segSummary{
+		entries: slices.Grow(sum.entries[:0], n)[:n],
+		sums:    slices.Grow(sum.sums[:0], n)[:n],
+		front:   front, back: back, seq: le.Uint64(buf[8:]),
+	}
+	clear(sum.entries)
+	clear(sum.sums)
 	get := func(i int) {
 		o := sumHeaderSize + i*sumEntSize
 		sum.entries[i] = sumEntry{
@@ -401,21 +406,24 @@ func (l *LFS) decodeSummary(seg int, buf []byte) (segSummary, error) {
 		}
 		sum.sums[i] = le.Uint32(buf[o+4:])
 	}
-	for i := 0; i < sum.front; i++ {
+	for i := 0; i < front; i++ {
 		get(i)
 	}
-	for i := l.dataSlots - sum.back; i < l.dataSlots; i++ {
+	for i := l.dataSlots - back; i < l.dataSlots; i++ {
 		get(i)
 	}
-	return sum, nil
+	return nil
 }
 
-// readSummary reads and decodes a segment's summary block. Nothing is
-// cached: roll-forward probes segments it may then reject.
+// readSummary reads and decodes a segment's summary block into fresh
+// slices. Nothing is cached: roll-forward probes segments it may then
+// reject.
 func (l *LFS) readSummary(t sched.Task, seg int) (segSummary, error) {
 	buf := make([]byte, core.BlockSize)
 	if err := l.part.Read(t, l.segStart(seg), 1, buf); err != nil {
 		return segSummary{}, err
 	}
-	return l.decodeSummary(seg, buf)
+	var sum segSummary
+	err := l.decodeSummary(seg, buf, &sum)
+	return sum, err
 }

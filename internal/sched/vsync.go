@@ -185,14 +185,18 @@ func (c *vcond) Signal() {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = condWaiter{}
+	c.waiters = c.waiters[:n]
 	c.k.ready(w.t)
 }
 
-// Broadcast wakes every waiter.
+// Broadcast wakes every waiter. The waiter list keeps its backing
+// array, so a cond waited on over and over allocates nothing.
 func (c *vcond) Broadcast() {
 	for _, w := range c.waiters {
 		c.k.ready(w.t)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }

@@ -144,9 +144,7 @@ func xorInto(acc, b []byte) {
 // member's shadow block map under the member's inode lock: the
 // member's cleaner moves addresses under it.
 func (a *Array) hole(t sched.Task, af *afile, c cell) bool {
-	h := af.shadow(c.member)
-	var addr int64
-	a.withShadow(t, c.member, h, func() { addr = h.BlockAddr(c.local) })
+	_, addr := a.peekShadow(t, c.member, af.shadow(c.member), c.local)
 	return addr < 0
 }
 
@@ -224,6 +222,8 @@ type batch struct {
 	flat    []layout.BlockWrite   // per's backing array
 	per     [][]layout.BlockWrite // the plan: each member's batch
 	guarded []pplKey
+	acc     [][]byte // parity accumulators, acc[:nacc] lent to this plan
+	nacc    int
 
 	// The fan's callbacks over per, built once per batch.
 	on    func(s int) bool
@@ -246,15 +246,36 @@ func (b *batch) reset() {
 	clear(b.at)
 	clear(b.seen)
 	b.out, b.flat, b.per, b.guarded = b.out[:0], b.flat[:0], b.per[:0], b.guarded[:0]
-	b.t, b.af, b.writes, b.dead, b.real = nil, nil, nil, 0, false
+	b.t, b.af, b.writes, b.dead, b.real, b.nacc = nil, nil, nil, 0, false, 0
 }
+
+// keepAcc is how many parity accumulators a pooled batch keeps: one
+// flush job's columns, typically; a wider job's extras are dropped.
+const keepAcc = 4
 
 // release returns b to batches, dropping its references to the
 // caller's file and frames.
 func (b *batch) release() {
 	b.reset()
 	b.a, b.file = nil, afile{}
+	if len(b.acc) > keepAcc {
+		clear(b.acc[keepAcc:])
+		b.acc = b.acc[:keepAcc]
+	}
 	batches.Put(b)
+}
+
+// accumulator lends the plan a zeroed parity block. Members keep no
+// reference to a write's bytes once WriteBlocks returns (the
+// layout.Layout contract), so the batch's blocks serve every call.
+func (b *batch) accumulator() []byte {
+	if b.nacc == len(b.acc) {
+		b.acc = append(b.acc, make([]byte, core.BlockSize))
+	}
+	p := b.acc[b.nacc]
+	b.nacc++
+	clear(p)
+	return p
 }
 
 // planned is one member write of the plan.
@@ -381,7 +402,7 @@ func (b *batch) parity(data []cell, chk cell) ([]byte, error) {
 	var parity, pp, old []byte
 	var vec [][]byte // the one-segment read vector over old
 	if b.real {
-		parity = make([]byte, core.BlockSize)
+		parity = b.accumulator()
 		p := scratchVecs.Get().(*[][]byte)
 		defer scratchVecs.Put(p)
 		vec, old = *p, (*p)[0]
@@ -546,9 +567,8 @@ func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 			continue
 		}
 		h := af.shadow(s)
-		size, cur := af.global.Size, int64(-1)
-		a.withShadow(t, s, h, func() { cur = h.Size })
-		if cur == size {
+		size := af.global.Size
+		if cur, _ := a.peekShadow(t, s, h, 0); cur == size {
 			continue
 		}
 		if err := a.sub(s).Truncate(t, h, size); err != nil {
@@ -556,6 +576,37 @@ func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 		}
 	}
 	return nil
+}
+
+// probe is a reusable withShadow body that snapshots a shadow's size
+// and one block address. Its read closure is bound once, when probes
+// makes the probe, rather than capturing the caller's variables on
+// every call: a closure handed to a member's WithInode escapes, and
+// would cost an allocation per peek.
+type probe struct {
+	h    *layout.Inode
+	blk  core.BlockNo
+	size int64 // h.Size
+	addr int64 // h.BlockAddr(blk)
+	read func()
+}
+
+var probes = sync.Pool{New: func() any {
+	p := &probe{}
+	p.read = func() { p.size, p.addr = p.h.Size, p.h.BlockAddr(p.blk) }
+	return p
+}}
+
+// peekShadow returns shadow h's size and the address of its block blk,
+// read under member s's inode lock (withShadow).
+func (a *Array) peekShadow(t sched.Task, s int, h *layout.Inode, blk core.BlockNo) (size, addr int64) {
+	p := probes.Get().(*probe)
+	p.h, p.blk = h, blk
+	a.withShadow(t, s, h, p.read)
+	size, addr = p.size, p.addr
+	p.h = nil
+	probes.Put(p)
+	return size, addr
 }
 
 // withShadow runs fn — a read or scalar update of a member's shadow
