@@ -45,7 +45,7 @@ func main() {
 		spares    = flag.Int("spares", 0, "hot-spare pool size: idle replacement member stacks pre-provisioned for promotion (redundant placements)")
 		selfHeal  = flag.Bool("selfheal", false, "supervised self-healing: health monitor + automatic spare promotion and online rebuild on member death")
 		healthInt = flag.Duration("healthint", 0, "health monitor sweep interval (0 = default)")
-		statsOut  = flag.Bool("stats", false, "print statistics on shutdown")
+		statsOut  = flag.Bool("stats", false, "print the /metrics exposition (every counter, in Prometheus text format) on shutdown")
 	)
 	flag.Parse()
 	// Catch the signals before serving, so one that arrives while the
@@ -109,13 +109,8 @@ func main() {
 		}
 	}
 	if *statsOut {
-		fmt.Println(srv.Set.Render())
-		// The clustering observability line: how many blocks each
-		// device request carried, per member.
-		for _, drv := range srv.Drivers {
-			ds := drv.DriverStats()
-			fmt.Printf("%s: %d requests, %.2f blocks/request\n",
-				drv.Name(), ds.Requests(), ds.BlocksPerRequest())
+		if err := srv.Registry().WritePrometheus(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 }

@@ -112,14 +112,6 @@ func (b *Bus) WireTime(n int64) time.Duration {
 	return b.p.PerMessage + time.Duration(n*int64(time.Second)/b.p.BytesPerSec)
 }
 
-// Stats registers the bus's statistics sources into set.
-func (b *Bus) Stats(set *stats.Set) {
-	set.Add(b.transfers)
-	set.Add(b.bytes)
-	set.Add(b.waitTime)
-	set.Add(b.heldTime)
-}
-
 // Utilization summarises the bus for reports.
 func (b *Bus) Utilization() string {
 	return fmt.Sprintf("%s: %d transfers, %d bytes, mean wait %.1fµs, mean held %.1fµs",

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 func TestWireTime(t *testing.T) {
@@ -70,11 +69,6 @@ func TestDefaultBandwidthApplied(t *testing.T) {
 func TestStatsRegistered(t *testing.T) {
 	k := sched.NewVirtual(1)
 	b := New(k, SCSI2("scsi0"))
-	set := stats.NewSet()
-	b.Stats(set)
-	if set.Len() != 4 {
-		t.Fatalf("registered %d sources, want 4", set.Len())
-	}
 	k.Go("s", func(tk sched.Task) { b.Send(tk, 4096) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

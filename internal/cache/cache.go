@@ -148,20 +148,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits.Value()) / float64(s.Lookups.Value())
 }
 
-// Register adds the sources to set.
-func (s *Stats) Register(set *stats.Set) {
-	set.Add(s.Lookups)
-	set.Add(s.Hits)
-	set.Add(s.Evictions)
-	set.Add(s.FlushedBlocks)
-	set.Add(s.FlushJobs)
-	set.Add(s.SavedWrites)
-	set.Add(s.PressureWaits)
-	set.Add(s.NVRAMWaits)
-	set.Add(s.DirtyHW)
-	set.Add(s.ReadaheadFills)
-}
-
 // Cache is the file-system block cache: an array of lock-striped
 // shards, each a self-contained classic cache (index, free list,
 // dirty list, replacement policy, flusher task) over its own share
@@ -888,9 +874,6 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 
 // byBlock orders one file's frames by block number.
 func byBlock(a, b *Block) int { return cmp.Compare(a.Key.Blk, b.Key.Blk) }
-
-// Stats registers the cache statistics plug-in.
-func (c *Cache) Stats(set *stats.Set) { c.st.Register(set) }
 
 func (c *Cache) String() string {
 	s := fmt.Sprintf("cache: %d blocks, replace=%s, flush=%s",

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // fakeStore records flushed blocks and optionally delays, playing
@@ -391,11 +390,6 @@ func TestDirtyHighWaterTracked(t *testing.T) {
 
 func TestStatsRegister(t *testing.T) {
 	k, c, _ := newTestCache(19, 8, UPS())
-	set := stats.NewSet()
-	c.Stats(set)
-	if set.Len() != 10 {
-		t.Fatalf("registered %d sources", set.Len())
-	}
 	_ = k
 	if c.String() == "" || c.Policy().Name != "ups" {
 		t.Fatal("descriptions wrong")

@@ -136,23 +136,6 @@ func (s *DriverStats) BlocksPerRequest() float64 {
 	return float64(s.BlocksRead.Value()+s.BlocksWritten.Value()) / float64(reqs)
 }
 
-// Register adds all sources to set.
-func (s *DriverStats) Register(set *stats.Set) {
-	set.Add(s.Reads)
-	set.Add(s.Writes)
-	set.Add(s.BlocksRead)
-	set.Add(s.BlocksWritten)
-	set.Add(s.VecReads)
-	set.Add(s.VecWrites)
-	set.Add(s.QueueHist)
-	set.Add(s.WaitMS)
-	set.Add(s.ServiceMS)
-	set.Add(s.DiskCacheHits)
-	set.Add(s.IOErrors)
-	set.Add(s.DeadErrors)
-	set.Add(s.SlowIOs)
-}
-
 // backend performs one request synchronously; the generic driver
 // engine supplies queueing, scheduling and statistics around it.
 type backend interface {

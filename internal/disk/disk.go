@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // Op is the direction of an I/O request.
@@ -157,13 +156,11 @@ type Disk struct {
 	cacheStart, cacheEnd int64 // cached sector range [start,end)
 	dirtyBytes           int64
 
-	// Statistics plug-ins.
-	reads, writes, cacheHits, immReports *stats.Counter
-	seekMS                               *stats.Moments
-	rotMS                                *stats.Moments
-	rotHist                              *stats.Histogram
-	busySince                            sched.Time
-	busyTotal                            time.Duration
+	// Each request carries its own seek time, rotational delay and
+	// cache hit (the driver counts the hits); the drive keeps only its
+	// busy time.
+	busySince sched.Time
+	busyTotal time.Duration
 }
 
 // New creates a disk on kernel k connected through conn. Call Start
@@ -176,13 +173,6 @@ func New(k sched.Kernel, p Params, conn Conn) *Disk {
 		work:       k.NewEvent(p.Name + ".work"),
 		cacheStart: -1,
 		cacheEnd:   -1,
-		reads:      stats.NewCounter(p.Name + ".reads"),
-		writes:     stats.NewCounter(p.Name + ".writes"),
-		cacheHits:  stats.NewCounter(p.Name + ".cache_hits"),
-		immReports: stats.NewCounter(p.Name + ".immediate_reports"),
-		seekMS:     stats.NewMoments(p.Name + ".seek_ms"),
-		rotMS:      stats.NewMoments(p.Name + ".rot_ms"),
-		rotHist:    stats.NewLinearHistogram(p.Name+".rot_delay_ms", 3, 5),
 	}
 	return d
 }
@@ -270,7 +260,6 @@ func (d *Disk) Submit(t sched.Task, r *IOReq) {
 	bytes := int64(r.Sectors) * SectorBytes
 	if r.Op == Write && d.p.ImmediateReport && d.dirtyBytes+bytes <= d.p.CacheBytes {
 		d.dirtyBytes += bytes
-		d.immReports.Inc()
 		r.CacheHit = true
 		r.DoneAt = d.k.Now()
 		r.Done.Signal() // completes now; media write happens below
@@ -317,7 +306,6 @@ func (d *Disk) service(t sched.Task, r *IOReq) {
 	case r.Op == Read && r.LBA >= d.cacheStart && r.LBA+int64(r.Sectors) <= d.cacheEnd:
 		// Whole request in the cache segment: no mechanism work.
 		r.CacheHit = true
-		d.cacheHits.Inc()
 
 	default:
 		d.mechTransfer(t, r)
@@ -329,11 +317,6 @@ func (d *Disk) service(t sched.Task, r *IOReq) {
 		}
 	}
 
-	if r.Op == Read {
-		d.reads.Inc()
-	} else {
-		d.writes.Inc()
-	}
 	d.busyTotal += d.k.Now().Sub(d.busySince)
 
 	if r.Op == Write && r.CacheHit {
@@ -360,7 +343,6 @@ func (d *Disk) mechTransfer(t sched.Task, r *IOReq) {
 	if cyl != d.curCyl {
 		st := d.SeekTime(cyl - d.curCyl)
 		r.SeekTime = st
-		d.seekMS.Observe(float64(st) / 1e6)
 		t.Sleep(st)
 		d.curCyl = cyl
 		d.curHead = head
@@ -379,8 +361,6 @@ func (d *Disk) mechTransfer(t sched.Task, r *IOReq) {
 		w := d.rotWait(d.k.Now(), d.physPos(cyl, head, sector))
 		if first {
 			r.RotDelay = w
-			d.rotMS.Observe(float64(w) / 1e6)
-			d.rotHist.Observe(int64(w / time.Millisecond))
 			first = false
 		}
 		t.Sleep(w)
@@ -432,17 +412,6 @@ func (d *Disk) BusyTime() time.Duration { return d.busyTotal }
 // complete — the reliability study reports this exposure separately,
 // since no host-side flush policy can protect it.
 func (d *Disk) VolatileBytes() int64 { return d.dirtyBytes }
-
-// Stats registers the drive's statistics sources.
-func (d *Disk) Stats(set *stats.Set) {
-	set.Add(d.reads)
-	set.Add(d.writes)
-	set.Add(d.cacheHits)
-	set.Add(d.immReports)
-	set.Add(d.seekMS)
-	set.Add(d.rotMS)
-	set.Add(d.rotHist)
-}
 
 func (d *Disk) String() string {
 	return fmt.Sprintf("%s: %d cyl × %d heads × %d spt @ %d rpm, %s cache",

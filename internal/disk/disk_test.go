@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // nullConn is a free connection for tests that do not model the bus.
@@ -229,11 +228,6 @@ func TestRotWaitBounds(t *testing.T) {
 
 func TestDiskStatsRegister(t *testing.T) {
 	k, d := newTestDisk(1, HP97560("d0"))
-	set := stats.NewSet()
-	d.Stats(set)
-	if set.Len() != 7 {
-		t.Fatalf("stats sources = %d, want 7", set.Len())
-	}
 	doIO(t, k, d, Read, 4096, 8)
 	if d.BusyTime() == 0 {
 		t.Fatal("busy time not accounted")

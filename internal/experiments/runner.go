@@ -16,13 +16,13 @@ import (
 
 // This file is the parallel experiment engine. The paper's whole
 // evaluation is a matrix of independent simulations — every cell owns
-// its virtual-time kernel, its Patsy instance and its stats.Set, so
-// cells can run concurrently on real CPUs while each simulation stays
-// perfectly deterministic inside. The engine expands a Matrix
-// (traces × variants × policies × seeds) into Jobs, executes them on
-// a worker pool, and merges the results back in matrix order, so the
-// rendered figures are byte-identical to a sequential run at the same
-// seeds.
+// its virtual-time kernel and its Patsy instance, statistics objects
+// included, so cells can run concurrently on real CPUs while each
+// simulation stays perfectly deterministic inside. The engine expands
+// a Matrix (traces × variants × policies × seeds) into Jobs, executes
+// them on a worker pool, and merges the results back in matrix order,
+// so the rendered figures are byte-identical to a sequential run at
+// the same seeds.
 
 // Cell names one matrix position: which trace, which policy (or
 // ablation variant), which seed.

@@ -369,11 +369,17 @@ func (f *FFS) FreeBlocks() int64 {
 	return f.freeData
 }
 
-// Stats registers the layout's counters.
-func (f *FFS) Stats(set *stats.Set) {
-	set.Add(f.reads)
-	set.Add(f.writes)
-	set.Add(f.inoWrites)
+// IOStats are the layout's own counters, for telemetry: atomics, so a
+// scrape may read them without the kernel.
+type IOStats struct {
+	DataReads   *stats.Counter // data blocks read
+	DataWrites  *stats.Counter // data blocks written in place
+	InodeWrites *stats.Counter // synchronous inode-block writes
+}
+
+// IOStats returns the layout's counters.
+func (f *FFS) IOStats() IOStats {
+	return IOStats{DataReads: f.reads, DataWrites: f.writes, InodeWrites: f.inoWrites}
 }
 
 func (f *FFS) String() string {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/layout"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 type rig struct {
@@ -225,11 +224,6 @@ func TestSimulatedFFS(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	r := newRig(9, 2048)
-	set := stats.NewSet()
-	r.f.Stats(set)
-	if set.Len() != 3 {
-		t.Fatalf("sources = %d", set.Len())
-	}
 	if r.f.Name() != "ffs" || r.f.String() == "" {
 		t.Fatal("descriptions wrong")
 	}

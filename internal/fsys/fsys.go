@@ -92,24 +92,6 @@ func (s *Stats) ReadHitRate() float64 {
 	return float64(s.ReadHits.Value()) / float64(s.ReadLookups.Value())
 }
 
-// Register adds the sources to set.
-func (s *Stats) Register(set *stats.Set) {
-	set.Add(s.Opens)
-	set.Add(s.Closes)
-	set.Add(s.Reads)
-	set.Add(s.Writes)
-	set.Add(s.BytesRead)
-	set.Add(s.BytesWritten)
-	set.Add(s.Creates)
-	set.Add(s.Removes)
-	set.Add(s.ReadLookups)
-	set.Add(s.ReadHits)
-	set.Add(s.Readaheads)
-	set.Add(s.RAStreams)
-	set.Add(s.RARandoms)
-	set.Add(s.IntentSyncs)
-}
-
 // New creates a file-system front-end. mover separates PFS from
 // Patsy: pass core.RealMover{} or a core.SimMover.
 func New(k sched.Kernel, c *cache.Cache, mover core.DataMover) *FS {
@@ -145,9 +127,6 @@ func (fs *FS) Cache() *cache.Cache { return fs.cache }
 
 // FSStats returns the front-end statistics plug-in.
 func (fs *FS) FSStats() *Stats { return fs.st }
-
-// Stats registers all front-end sources.
-func (fs *FS) Stats(set *stats.Set) { fs.st.Register(set) }
 
 // Volume is one mounted file system.
 type Volume struct {

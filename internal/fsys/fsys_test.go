@@ -11,7 +11,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/volume"
 )
 
@@ -458,11 +457,6 @@ func TestEnsureFilePreexisting(t *testing.T) {
 
 func TestStatsRegistered(t *testing.T) {
 	r := runBody(t, 14, cache.UPS(), func(tk sched.Task, r *rig) {})
-	set := stats.NewSet()
-	r.fs.Stats(set)
-	if set.Len() != 14 {
-		t.Fatalf("sources = %d", set.Len())
-	}
 	if r.fs.Volumes() != 1 || r.fs.Vol(1) == nil {
 		t.Fatal("volume table wrong")
 	}

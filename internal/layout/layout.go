@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // Inode is the in-memory representative of a file's meta-data. The
@@ -165,8 +164,6 @@ type Layout interface {
 
 	// FreeBlocks reports remaining allocatable capacity in blocks.
 	FreeBlocks() int64
-	// Stats registers the layout's statistics plug-ins.
-	Stats(set *stats.Set)
 
 	// SetClusterRun sets the run-size cap in blocks for multi-block
 	// device requests, on the write path (WriteBlocks emits one

@@ -189,7 +189,6 @@ func (l *LFS) recountLocked(t sched.Task) []string {
 		if u.live[seg] == 0 {
 			l.sut[seg] = segInfo{state: segFree}
 			l.freeSegs = append(l.freeSegs, seg)
-			delete(l.summaries, seg)
 			continue
 		}
 		l.sut[seg].live, l.sut[seg].state = u.live[seg], segInUse

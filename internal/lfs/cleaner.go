@@ -141,11 +141,11 @@ const bridgeGap = 8
 // cleanSegment copies a victim's live blocks to the log head and
 // frees it. On a real partition the victim's own summary block says
 // what the slots hold (empty positions of a two-ended segment have
-// Kind 0 and match no case below) — only a segment roll-forward
-// trimmed at a torn tail, and every simulated segment, is described by
-// the in-memory mirror — and only its live data slots are read (see
-// copyLive). A simulated victim costs one sequential read of its used
-// portion and a staging copy per live block.
+// Kind 0 and match no case below; slots a roll-forward stopped short
+// of are dead by the file maps), and only its live data slots are read
+// (see copyLive). A simulated victim is described by the in-memory
+// mirror and costs one sequential read of its used portion and a
+// staging copy per live block.
 func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 	// The decoded summary is scratch: no nested pass may clean another
 	// victim (from a segment opened below) until this one is done.
@@ -156,18 +156,16 @@ func (l *LFS) cleanSegment(t sched.Task, victim int) error {
 	l.cleanerUtil.Observe(float64(l.sut[victim].live) / float64(l.dataSlots))
 
 	if !l.part.Simulated {
-		if entries == nil {
-			buf := l.takeBlock()
-			err := l.part.Read(t, l.segStart(victim), 1, buf)
-			if err == nil {
-				err = l.decodeSummary(victim, buf, &l.victim)
-			}
-			l.putBlock(buf)
-			if err != nil {
-				return err
-			}
-			entries = l.victim.entries
+		buf := l.takeBlock()
+		err := l.part.Read(t, l.segStart(victim), 1, buf)
+		if err == nil {
+			err = l.decodeSummary(victim, buf, &l.victim)
 		}
+		l.putBlock(buf)
+		if err != nil {
+			return err
+		}
+		entries = l.victim.entries
 		if err := l.copyLive(t, victim, entries); err != nil {
 			return err
 		}

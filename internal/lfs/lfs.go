@@ -184,9 +184,8 @@ type LFS struct {
 	cur      *segBuf
 
 	// In-memory mirrors (authoritative during a run; rebuilt from
-	// disk on a real mount). summaries holds a segment's entries only
-	// where the disk cannot supply them: every segment of a simulated
-	// partition, and real segments roll-forward trimmed at a torn tail.
+	// disk on a real mount). summaries holds every segment of a
+	// simulated partition, whose disk cannot supply them.
 	inodes        map[core.FileID]*layout.Inode
 	dirtyInodes   map[core.FileID]bool
 	summaries     map[int][]sumEntry
@@ -404,17 +403,6 @@ func (l *LFS) FreeBlocks() int64 {
 		free += int64(l.dataSlots - l.cur.filled())
 	}
 	return free
-}
-
-// Stats registers the layout's statistics plug-ins.
-func (l *LFS) Stats(set *stats.Set) {
-	set.Add(l.segsWritten)
-	set.Add(l.partialSegs)
-	set.Add(l.segsCleaned)
-	set.Add(l.liveCopied)
-	set.Add(l.blocksOut)
-	set.Add(l.staged)
-	set.Add(l.cleanerUtil)
 }
 
 // LogStats are the log's own counters, for telemetry: they are atomic

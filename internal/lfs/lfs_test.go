@@ -10,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/layout"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // realRig is an LFS over a RAM-backed "real" device.
@@ -398,11 +397,6 @@ func TestPlaceExistingRejectedOnReal(t *testing.T) {
 
 func TestStatsRegistered(t *testing.T) {
 	r := newRealRig(15, 2048)
-	set := stats.NewSet()
-	r.l.Stats(set)
-	if set.Len() != 7 {
-		t.Fatalf("stat sources = %d", set.Len())
-	}
 	if r.l.Name() != "lfs" || r.l.String() == "" {
 		t.Fatal("descriptions wrong")
 	}

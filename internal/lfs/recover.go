@@ -128,7 +128,6 @@ func (l *LFS) rollSegmentLocked(t sched.Task, seg int, sum segSummary, st *layou
 	load := func(from, n int) bool {
 		return l.part.Read(t, base+int64(from), n, segData[from*core.BlockSize:(from+n)*core.BlockSize]) == nil
 	}
-	kept := make([]sumEntry, len(sum.entries))
 	torn := false
 	replay := func(first, count, step int) {
 		lim := l.ClusterRun()
@@ -159,7 +158,6 @@ func (l *LFS) rollSegmentLocked(t sched.Task, seg int, sum segSummary, st *layou
 				torn = true
 				return
 			}
-			kept[slot] = e
 			switch e.Kind {
 			case kindData:
 				l.rollDataLocked(t, e, base+int64(slot), st)
@@ -176,10 +174,10 @@ func (l *LFS) rollSegmentLocked(t sched.Task, seg int, sum segSummary, st *layou
 	replay(0, sum.front, +1)
 	replay(l.dataSlots-1, sum.back, -1)
 	if torn {
-		// The summary on disk claims more than was applied; the cleaner
-		// must go by the trimmed copy.
+		// The summary on disk claims more than was applied. The cleaner
+		// still reads it: it judges each slot by the file maps, so a
+		// slot that no applied entry or inode record maps is dead.
 		st.TornTail = true
-		l.summaries[seg] = kept
 	}
 }
 

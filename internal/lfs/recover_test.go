@@ -293,3 +293,78 @@ func TestPowerCutSweepNeverLosesBothCheckpoints(t *testing.T) {
 		})
 	}
 }
+
+// TestRollForwardTornFrontThenClean tears a data slot in the front of
+// a segment whose back inode record is intact: roll-forward adopts the
+// record, which maps the torn slot and the front slots past it, so the
+// cleaner must go by the file maps, not by how far the front replayed.
+// Cleaning that segment and checkpointing leaves no reachable block in
+// a free segment, and every intact block reads back, before and after
+// a remount.
+func TestRollForwardTornFrontThenClean(t *testing.T) {
+	k, drv, l := cleanRig(53)
+	run(t, k, func(tk sched.Task) {
+		l.Format(tk)
+		l.Mount(tk)
+		ino, _ := l.AllocInode(tk, core.TypeRegular)
+		if err := writeStamped(tk, l, ino, 1, 0); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		l.Sync(tk)
+		if err := writeStamped(tk, l, ino, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := l.WriteBarrier(tk); err != nil {
+			t.Fatalf("barrier: %v", err)
+		}
+		victim := l.segOf(ino.BlockAddr(5))
+		deviceWrite(tk, t, drv, ino.BlockAddr(5), blockOf(0xDD))
+
+		l = New(k, "vol0", layout.NewPartition(drv, 0, 0, 8192, false), Config{})
+		st, err := l.Recover(tk)
+		if err != nil || !st.TornTail {
+			t.Fatalf("Recover: %+v, %v", st, err)
+		}
+		if err := locked(tk, l, func() error {
+			if err := l.cleanSegment(tk, victim); err != nil {
+				return err
+			}
+			if err := l.writeCurSegment(tk, true); err != nil {
+				return err
+			}
+			return l.checkpointLocked(tk)
+		}); err != nil {
+			t.Fatalf("clean and checkpoint: %v", err)
+		}
+		intact := func(l *LFS, when string) {
+			t.Helper()
+			mustClean(t, tk, l, when)
+			ino, err := l.GetInode(tk, ino.ID)
+			if err != nil {
+				t.Fatalf("%s: GetInode: %v", when, err)
+			}
+			got := make([]byte, core.BlockSize)
+			for b := 0; b <= 10; b++ {
+				if b == 5 {
+					continue // the torn slot
+				}
+				gen := byte(2)
+				if b == 0 {
+					gen = 1
+				}
+				if err := readOne(tk, l, ino, core.BlockNo(b), got); err != nil {
+					t.Fatalf("%s: read b%d: %v", when, b, err)
+				}
+				if !bytes.Equal(got, stamp(b, gen)) {
+					t.Fatalf("%s: b%d is not generation %d", when, b, gen)
+				}
+			}
+		}
+		intact(l, "after cleaning")
+		l = New(k, "vol0", layout.NewPartition(drv, 0, 0, 8192, false), Config{})
+		if err := l.Mount(tk); err != nil {
+			t.Fatalf("remount: %v", err)
+		}
+		intact(l, "after remount")
+	})
+}

@@ -13,7 +13,7 @@ import (
 )
 
 // Client speaks the PFS protocol to a server. It is safe for
-// concurrent use. A Dial client serializes calls over its
+// concurrent use. A Dial client keeps one call in flight on its
 // connection; a DialPipeline client keeps a window of calls in
 // flight, letting the server's per-connection pipeline overlap
 // decode and execution.
@@ -30,15 +30,9 @@ type transport interface {
 	close() error
 }
 
-// Dial connects to a server with the classic one-call-at-a-time
-// transport.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{tr: &syncTransport{conn: conn, r: bufio.NewReaderSize(conn, connReadBuf)}}, nil
-}
+// Dial connects to a server one call at a time: a pipelined
+// transport with a window of one.
+func Dial(addr string) (*Client, error) { return DialPipeline(addr, 1) }
 
 // DialPipeline connects with a pipelined transport: up to window
 // calls may be outstanding on the wire at once (callers beyond that
@@ -106,40 +100,6 @@ func readReply(r *bufio.Reader) (xid, status uint32, d xdr.Decoder, err error) {
 	}
 	status, err = d.Uint32()
 	return xid, status, d, err
-}
-
-// syncTransport performs one RPC at a time under a lock.
-type syncTransport struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	enc  xdr.Encoder
-	out  net.Buffers
-	xid  uint32
-}
-
-func (c *syncTransport) close() error { return c.conn.Close() }
-
-// call performs one RPC; args encodes after the header, and the
-// returned decoder is positioned at the results.
-func (c *syncTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.xid++
-	if err := sendCall(c.conn, &c.enc, &c.out, c.xid, proc, args); err != nil {
-		return xdr.Decoder{}, err
-	}
-	xid, status, d, err := readReply(c.r)
-	if err != nil {
-		return xdr.Decoder{}, err
-	}
-	if xid != c.xid {
-		return xdr.Decoder{}, fmt.Errorf("nfs: reply xid %d, want %d", xid, c.xid)
-	}
-	if status != OK {
-		return xdr.Decoder{}, statusError{ErrorOf(status)}
-	}
-	return d, nil
 }
 
 // pipeTransport keeps up to `window` calls outstanding, writing

@@ -53,8 +53,8 @@ type RetryConfig struct {
 	// Seed feeds the jitter source; 0 derives one from the address so
 	// distinct clients decorrelate.
 	Seed int64
-	// Window > 0 redials with pipelined transports of that window;
-	// otherwise the serial transport is used.
+	// Window is the redialled transport's pipeline window; 0 keeps
+	// one call in flight, as Dial does.
 	Window int
 }
 
@@ -84,8 +84,8 @@ func idempotentProc(proc uint32) bool {
 	return false
 }
 
-// DialRetry connects like Dial (or DialPipeline when cfg.Window > 0)
-// but returns a client that transparently redials and re-issues
+// DialRetry connects like DialPipeline with cfg.Window (Dial when it
+// is 0) but returns a client that transparently redials and re-issues
 // idempotent calls on transport failures, bounded by cfg. The initial
 // dial is attempted once so a bad address fails fast.
 func DialRetry(addr string, cfg RetryConfig) (*Client, error) {
@@ -96,15 +96,9 @@ func DialRetry(addr string, cfg RetryConfig) (*Client, error) {
 		}
 		cfg.Seed |= 1
 	}
+	window := max(cfg.Window, 1)
 	dial := func() (transport, error) {
-		if cfg.Window > 0 {
-			c, err := DialPipeline(addr, cfg.Window)
-			if err != nil {
-				return nil, err
-			}
-			return c.tr, nil
-		}
-		c, err := Dial(addr)
+		c, err := DialPipeline(addr, window)
 		if err != nil {
 			return nil, err
 		}

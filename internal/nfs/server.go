@@ -11,7 +11,6 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/layout"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/xdr"
 )
@@ -153,9 +152,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // ServerStats returns the statistics plug-in.
 func (s *Server) ServerStats() *ServerStats { return s.st }
-
-// Stats registers the server's sources with set.
-func (s *Server) Stats(set *stats.Set) { s.st.Register(set) }
 
 // Connections returns the number of open connections.
 func (s *Server) Connections() int {

@@ -27,13 +27,3 @@ func newServerStats() *ServerStats {
 	}
 	return st
 }
-
-// Register adds the sources to set.
-func (st *ServerStats) Register(set *stats.Set) {
-	set.Add(st.Calls)
-	set.Add(st.Errors)
-	set.Add(st.Depth)
-	for _, h := range st.Latency {
-		set.Add(h)
-	}
-}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/sched"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/volume"
 )
@@ -191,7 +190,6 @@ type System struct {
 	Drivers []device.Driver
 	Volumes []*volume.Array   // in the order Init mounted them
 	Fault   *device.FaultPlan // non-nil when Config.Fault is set
-	Set     *stats.Set
 }
 
 // Build assembles the components. Volumes are formatted and mounted
@@ -215,12 +213,11 @@ func Build(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("patsy: need at least one volume")
 	}
 	k := sched.NewVirtual(cfg.Seed)
-	sys := &System{Cfg: cfg, K: k, Set: stats.NewSet()}
+	sys := &System{Cfg: cfg, K: k}
 
 	// Buses and disks.
 	for b := 0; b < cfg.Buses; b++ {
 		bb := bus.New(k, bus.SCSI2(fmt.Sprintf("scsi%d", b)))
-		bb.Stats(sys.Set)
 		sys.Buses = append(sys.Buses, bb)
 		for d := 0; d < cfg.DisksPerBus[b]; d++ {
 			name := fmt.Sprintf("disk%d", len(sys.Disks))
@@ -234,7 +231,6 @@ func Build(cfg Config) (*System, error) {
 				return nil, fmt.Errorf("patsy: unknown disk model %q", cfg.DiskModel)
 			}
 			dd := disk.New(k, p, bb)
-			dd.Stats(sys.Set)
 			dd.Start()
 			sys.Disks = append(sys.Disks, dd)
 			q, ok := device.NewScheduler(cmp.Or(cfg.QueueSched, "clook"))
@@ -242,7 +238,6 @@ func Build(cfg Config) (*System, error) {
 				return nil, fmt.Errorf("patsy: unknown queue scheduler %q", cfg.QueueSched)
 			}
 			drv := device.NewSimDriver(k, name+".drv", dd, bb, q)
-			drv.DriverStats().Register(sys.Set)
 			sys.Drivers = append(sys.Drivers, drv)
 		}
 	}
@@ -267,11 +262,9 @@ func Build(cfg Config) (*System, error) {
 		ShardChunk:  cfg.ClusterRunBlocks,
 		IntentSlots: stack.IntentSlots(cfg.IntentLog),
 	})
-	c.Stats(sys.Set)
 	if cfg.ReadaheadBlocks > 0 {
 		fs.SetReadahead(cfg.ReadaheadBlocks)
 	}
-	fs.Stats(sys.Set)
 	sys.Cache = c
 	sys.FS = fs
 	return sys, nil
@@ -347,7 +340,6 @@ func (s *System) mount(t sched.Task, id core.VolumeID, parts []*layout.Partition
 	if err := arr.Mount(t); err != nil {
 		return fmt.Errorf("patsy: mount %s: %w", name, err)
 	}
-	arr.Stats(s.Set)
 	if _, err := s.FS.AddVolume(t, id, arr); err != nil {
 		return err
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/nfs"
 	"repro/internal/sched"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
@@ -132,7 +131,6 @@ type Server struct {
 	Vol   *fsys.Volume
 	Cache *cache.Cache
 	Array *volume.Array
-	Set   *stats.Set
 	// Drivers are the per-array-member disk drivers, in member
 	// order (observability: per-volume I/O counters).
 	Drivers []device.Driver
@@ -357,17 +355,11 @@ func Open(cfg Config) (*Server, error) {
 	tr := telemetry.NewTracer(k, cfg.SlowOpThreshold)
 	fs.SetTracer(tr)
 
-	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Set: stats.NewSet(), Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, stack: st, cluster: cfg.ClusterRunBlocks}
+	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, stack: st, cluster: cfg.ClusterRunBlocks}
 	if plan != nil {
 		// The instant the cut trips, the cache stops issuing flushes:
 		// a dead machine writes nothing more.
 		plan.OnCut(c.PowerOff)
-	}
-	c.Stats(srv.Set)
-	fs.Stats(srv.Set)
-	lay.Stats(srv.Set)
-	for _, drv := range built { // members, then spares
-		drv.DriverStats().Register(srv.Set)
 	}
 
 	if err := srv.Do(func(t sched.Task) error { return srv.mount(t, fresh) }); err != nil {
@@ -450,7 +442,6 @@ func (s *Server) ServeNFS(addr string) (string, error) {
 		return "", err
 	}
 	s.net = srv
-	srv.Stats(s.Set)
 	return srv.Addr(), nil
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/device"
+	"repro/internal/ffs"
 	"repro/internal/fsys"
 	"repro/internal/health"
 	"repro/internal/lfs"
@@ -73,8 +74,13 @@ func NewRegistry(o Observables) *telemetry.Registry {
 		registerDriver(reg, fmt.Sprintf("d%d", i), drv.DriverStats())
 	}
 	if a := o.Array; a != nil {
-		for i, ls := range logStats(a) {
-			registerLFS(reg, fmt.Sprintf("d%d", i), ls)
+		for i, sub := range a.Subs() {
+			switch m := sub.(type) {
+			case *lfs.LFS:
+				registerLFS(reg, fmt.Sprintf("d%d", i), m.LogStats())
+			case *ffs.FFS:
+				registerFFS(reg, fmt.Sprintf("d%d", i), m.IOStats())
+			}
 		}
 	}
 	if p := o.Fault; p != nil {
@@ -149,6 +155,8 @@ func registerFS(reg *telemetry.Registry, fs *fsys.FS) {
 	reg.AddCounter("pfs_fs_written_bytes_total", "Bytes written.", nil, st.BytesWritten)
 	reg.AddCounter("pfs_fs_creates_total", "Files created.", nil, st.Creates)
 	reg.AddCounter("pfs_fs_removes_total", "Files removed.", nil, st.Removes)
+	reg.AddCounter("pfs_fs_read_lookups_total", "Block lookups by file reads (the read-hit-rate denominator).", nil, st.ReadLookups)
+	reg.AddCounter("pfs_fs_read_hits_total", "File-read block lookups served from the cache.", nil, st.ReadHits)
 	reg.AddCounter("pfs_readahead_batches_total", "Readahead batches issued.", nil, st.Readaheads)
 	reg.AddCounter("pfs_readahead_stream_verdicts_total", "Sequential-stream verdicts by the readahead detector.", nil, st.RAStreams)
 	reg.AddCounter("pfs_readahead_random_verdicts_total", "Broken-sequence (random) verdicts by the readahead detector.", nil, st.RARandoms)
@@ -241,6 +249,14 @@ func registerLFS(reg *telemetry.Registry, member string, ls lfs.LogStats) {
 	reg.AddCounter("pfs_lfs_live_blocks_copied_total", "Live blocks the cleaner copied to the log head.", lbl, ls.LiveBlocksCopied)
 	reg.AddCounter("pfs_lfs_log_blocks_written_total", "Blocks appended to the log (data, metadata and cleaner copies; summaries excluded).", lbl, ls.LogBlocksWritten)
 	reg.AddMoments("pfs_lfs_cleaned_utilization", "Live fraction of the segments the cleaner picked.", lbl, ls.CleanedUtilization, 1)
+}
+
+// registerFFS exports one FFS member's I/O counters.
+func registerFFS(reg *telemetry.Registry, member string, st ffs.IOStats) {
+	lbl := telemetry.Labels{"member": member}
+	reg.AddCounter("pfs_ffs_data_reads_total", "Data blocks the FFS member read.", lbl, st.DataReads)
+	reg.AddCounter("pfs_ffs_data_writes_total", "Data blocks the FFS member wrote in place.", lbl, st.DataWrites)
+	reg.AddCounter("pfs_ffs_inode_writes_total", "Synchronous inode-block writes by the FFS member.", lbl, st.InodeWrites)
 }
 
 // registerHealth exports the health monitor's per-member verdicts and
@@ -408,7 +424,7 @@ func (s *Server) Health() error {
 }
 
 // renderStatusz is the /statusz body: a configuration header, the
-// live gauges the registry exports, and the full statistics set.
+// live gauges the registry exports, and the registry's exposition.
 func (s *Server) renderStatusz() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pfs status\n")
@@ -473,6 +489,6 @@ func (s *Server) renderStatusz() string {
 			r.ParityApplied, r.Replayed, r.IntentsApplied)
 	}
 	b.WriteString("\nstatistics\n")
-	b.WriteString(s.Set.Render())
+	_ = s.Registry().WritePrometheus(&b)
 	return b.String()
 }

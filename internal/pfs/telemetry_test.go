@@ -54,6 +54,8 @@ var goldenSimFamilies = map[string]string{
 	"pfs_fs_written_bytes_total":          "counter",
 	"pfs_fs_creates_total":                "counter",
 	"pfs_fs_removes_total":                "counter",
+	"pfs_fs_read_lookups_total":           "counter",
+	"pfs_fs_read_hits_total":              "counter",
 	"pfs_readahead_batches_total":         "counter",
 	"pfs_readahead_stream_verdicts_total": "counter",
 	"pfs_readahead_random_verdicts_total": "counter",
@@ -243,6 +245,73 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 	}
 }
 
+// TestMetricsFFSFamilies checks that an FFS-member array exports the
+// layout's own counters per member, as an LFS array exports pfs_lfs_*.
+func TestMetricsFFSFamilies(t *testing.T) {
+	sys, err := patsy.Build(patsy.Config{
+		Seed:         1,
+		ArrayVolumes: 2,
+		DiskModel:    "hp97560",
+		QueueSched:   "clook",
+		CacheBlocks:  256,
+		Replace:      "lru",
+		Flush:        cache.UPS(),
+		Layout:       "ffs",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	sys.K.Go("workload", func(task sched.Task) {
+		defer sys.K.Stop()
+		if runErr = sys.Init(task); runErr != nil {
+			return
+		}
+		v := sys.FS.Vol(1)
+		var h *fsys.Handle
+		if h, runErr = v.EnsureFile(task, "/ffs", 0, false); runErr != nil {
+			return
+		}
+		if runErr = v.WriteAt(task, h, 0, nil, 8*core.BlockSize); runErr != nil {
+			return
+		}
+		v.Close(task, h)
+		runErr = sys.FS.SyncAll(task)
+	})
+	if err := sys.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	var b strings.Builder
+	if err := NewRegistry(Observables{Array: sys.Volumes[0]}).WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	body := b.String()
+	got := parseFamilies(body)
+	var written float64
+	for _, fam := range []string{"pfs_ffs_data_reads_total", "pfs_ffs_data_writes_total", "pfs_ffs_inode_writes_total"} {
+		if got[fam] != "counter" {
+			t.Errorf("family %s: got type %q, want counter", fam, got[fam])
+		}
+		for _, m := range []string{"d0", "d1"} {
+			v := metricValue(t, body, fam+`{member="`+m+`"}`)
+			if fam == "pfs_ffs_data_writes_total" {
+				written += v
+			}
+		}
+	}
+	if written < 8 {
+		t.Errorf("pfs_ffs_data_writes_total sums to %v over the members, want >= 8 (8 blocks were synced)", written)
+	}
+	for name := range got {
+		if strings.HasPrefix(name, "pfs_lfs_") {
+			t.Errorf("FFS array exports LFS family %s", name)
+		}
+	}
+}
+
 // goldenRecoveryFamilies is what a server that came up through a
 // recovery mount adds: the layouts' repairs and the battery's replay.
 var goldenRecoveryFamilies = map[string]string{
@@ -422,7 +491,8 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 	}
 	if body, code := adminGet(t, admin, "/statusz"); code != 200 ||
 		!strings.Contains(body, "pfs status") || !strings.Contains(body, "nfs: addr=") ||
-		!strings.Contains(body, "write_amplification=") {
+		!strings.Contains(body, "write_amplification=") ||
+		!strings.Contains(body, "\npfs_cache_lookups_total ") {
 		t.Fatalf("/statusz %d:\n%s", code, body)
 	}
 	body, code = adminGet(t, admin, "/statusz?slow=1")

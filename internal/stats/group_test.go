@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -27,16 +26,6 @@ func TestGroupTotalsAndRender(t *testing.T) {
 	}
 	if g.Name() != "vol.blocks" {
 		t.Fatalf("name %q", g.Name())
-	}
-}
-
-func TestGroupInSet(t *testing.T) {
-	s := NewSet()
-	g := NewGroup("arr.reads")
-	g.Member("d0")
-	s.Add(g)
-	if !strings.Contains(s.Render(), "arr.reads: total=0 (d0=0)") {
-		t.Fatalf("set render missing group line:\n%s", s.Render())
 	}
 }
 

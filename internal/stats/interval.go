@@ -2,63 +2,9 @@ package stats
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
-
-// Source is anything that can summarize itself for the periodic
-// report: counters, histograms, distributions, component stats.
-type Source interface {
-	Name() string
-	String() string
-}
-
-// Set is a collection of plug-in statistics objects. Simulator
-// components register their sources with the assembly's Set; the
-// reporter renders them at each interval and at the end of a run.
-// A Set is safe for concurrent use.
-type Set struct {
-	mu      sync.Mutex
-	sources []Source
-}
-
-// NewSet returns an empty set.
-func NewSet() *Set { return &Set{} }
-
-// Add registers src; it returns src's concrete value through the
-// given pointer pattern at call sites (callers keep their own
-// typed reference).
-func (s *Set) Add(src Source) {
-	s.mu.Lock()
-	s.sources = append(s.sources, src)
-	s.mu.Unlock()
-}
-
-// Render prints every source, sorted by name for stable output.
-func (s *Set) Render() string {
-	s.mu.Lock()
-	srcs := append([]Source(nil), s.sources...)
-	s.mu.Unlock()
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Name() < srcs[j].Name() })
-	var b strings.Builder
-	for _, src := range srcs {
-		line := src.String()
-		b.WriteString(line)
-		if !strings.HasSuffix(line, "\n") {
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// Len returns the number of registered sources.
-func (s *Set) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sources)
-}
 
 // IntervalReport is one periodic report line: how many operations
 // completed in the interval and their mean latency, printed every 15

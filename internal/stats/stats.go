@@ -1,8 +1,13 @@
 // Package stats provides the framework's plug-in statistics objects:
 // counters, running moments, histograms, full-sample latency
-// distributions with CDF output, and the periodic reporter that
-// prints results every 15 minutes of simulation time, as the paper's
+// distributions with CDF output, and the interval tracker behind the
+// report printed every 15 minutes of simulation time, as the paper's
 // general simulation class does.
+//
+// Components own their statistics objects and hand them out through
+// typed accessors; nothing collects them here. The one view of every
+// counter is the Prometheus registry pfs.NewRegistry builds over a
+// PFS or Patsy stack (internal/telemetry renders it).
 //
 // Every statistics object is safe for concurrent use. The simulator
 // never needs that (exactly one virtual-kernel task runs at a time),

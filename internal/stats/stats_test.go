@@ -201,19 +201,6 @@ func TestLatencyRenderShape(t *testing.T) {
 	}
 }
 
-func TestSetRenderSorted(t *testing.T) {
-	s := NewSet()
-	s.Add(NewCounter("zeta"))
-	s.Add(NewCounter("alpha"))
-	out := s.Render()
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Fatalf("set output not sorted: %q", out)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-}
-
 func TestIntervalTracker(t *testing.T) {
 	tr := NewIntervalTracker()
 	tr.Observe(10 * time.Millisecond)

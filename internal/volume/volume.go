@@ -699,23 +699,6 @@ func (a *Array) FreeBlocks() int64 {
 	return sum
 }
 
-// Stats registers every sub-volume's sources plus the array-level
-// merged counters; a width-1 array's report is its member's.
-func (a *Array) Stats(set *stats.Set) {
-	for _, sub := range a.subs {
-		sub.Stats(set)
-	}
-	if len(a.subs) == 1 {
-		return
-	}
-	set.Add(a.reads)
-	set.Add(a.writes)
-	set.Add(a.syncs)
-	if a.degraded != nil {
-		set.Add(a.degraded)
-	}
-}
-
 // DegradedReads returns the count of reads served by reconstruction
 // (0 for non-redundant placements).
 func (a *Array) DegradedReads() int64 {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/lfs"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // rig is a real-mode array over RAM-backed drivers: real data
@@ -465,7 +464,7 @@ func TestFreeInodeLockstep(t *testing.T) {
 }
 
 // TestWidth1Passthrough checks a one-member array is transparent:
-// same name, same stats set, and inode numbers identical to driving
+// same name, and inode numbers identical to driving
 // the sub-layout directly (no label file is interposed), while its
 // routed-block counts are real.
 func TestWidth1Passthrough(t *testing.T) {
@@ -531,13 +530,6 @@ func TestWidth1Passthrough(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	set := stats.NewSet()
-	arr.Stats(set)
-	setDirect := stats.NewSet()
-	direct.Stats(setDirect)
-	if set.Len() != setDirect.Len() {
-		t.Fatalf("width-1 array registers %d sources, direct layout %d", set.Len(), setDirect.Len())
-	}
 }
 
 // TestStatsGroups checks the array-level merged counters render the
@@ -569,10 +561,7 @@ func TestStatsGroups(t *testing.T) {
 	if rd[0] != 2 || rd[1] != 2 {
 		t.Fatalf("reads should split 2/2, got %v", rd)
 	}
-	set := stats.NewSet()
-	r.arr.Stats(set)
-	out := set.Render()
-	if !bytes.Contains([]byte(out), []byte("arr.array_blocks_written: total=4 (d0=2 d1=2)")) {
-		t.Fatalf("merged counter line missing from:\n%s", out)
+	if out := r.arr.WriteGroup().String(); out != "arr.array_blocks_written: total=4 (d0=2 d1=2)" {
+		t.Fatalf("merged counter line = %q", out)
 	}
 }
