@@ -320,7 +320,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 
 type nullConn struct{}
 
-func (nullConn) Send(t sched.Task, n int64) time.Duration { return 0 }
+func (nullConn) Send(sched.Task, int64) {}
 
 type nullStore struct{}
 

@@ -10,11 +10,9 @@
 package bus
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // Params describes a bus.
@@ -41,13 +39,7 @@ func SCSI2(name string) Params {
 // kernel's mutex hand-off.
 type Bus struct {
 	p  Params
-	k  sched.Kernel
 	mu sched.Mutex
-
-	transfers *stats.Counter
-	bytes     *stats.Counter
-	waitTime  *stats.Moments // µs spent waiting for the bus
-	heldTime  *stats.Moments // µs the bus is held per transaction
 }
 
 // New creates a bus on kernel k.
@@ -55,15 +47,7 @@ func New(k sched.Kernel, p Params) *Bus {
 	if p.BytesPerSec <= 0 {
 		p.BytesPerSec = 10 << 20
 	}
-	return &Bus{
-		p:         p,
-		k:         k,
-		mu:        k.NewMutex("bus " + p.Name),
-		transfers: stats.NewCounter(p.Name + ".transfers"),
-		bytes:     stats.NewCounter(p.Name + ".bytes"),
-		waitTime:  stats.NewMoments(p.Name + ".wait_us"),
-		heldTime:  stats.NewMoments(p.Name + ".held_us"),
-	}
+	return &Bus{p: p, mu: k.NewMutex("bus " + p.Name)}
 }
 
 // Name returns the bus name.
@@ -72,9 +56,7 @@ func (b *Bus) Name() string { return b.p.Name }
 // Acquire wins arbitration for the calling task, blocking while the
 // bus is in use by another controller.
 func (b *Bus) Acquire(t sched.Task) {
-	start := b.k.Now()
 	b.mu.Lock(t)
-	b.waitTime.Observe(float64(b.k.Now().Sub(start)) / 1e3)
 	if b.p.Arbitration > 0 {
 		t.Sleep(b.p.Arbitration)
 	}
@@ -88,32 +70,19 @@ func (b *Bus) Release(t sched.Task) { b.mu.Unlock(t) }
 // task by the wire time. It must be called between Acquire and
 // Release.
 func (b *Bus) Transfer(t sched.Task, n int64) {
-	d := b.p.PerMessage + time.Duration(n*int64(time.Second)/b.p.BytesPerSec)
-	t.Sleep(d)
-	b.transfers.Inc()
-	b.bytes.Add(n)
+	t.Sleep(b.WireTime(n))
 }
 
 // Send is the common transaction shape: acquire, transfer n bytes,
-// release. It returns the time the bus was held.
-func (b *Bus) Send(t sched.Task, n int64) time.Duration {
+// release.
+func (b *Bus) Send(t sched.Task, n int64) {
 	b.Acquire(t)
-	start := b.k.Now()
 	b.Transfer(t, n)
-	held := b.k.Now().Sub(start)
 	b.Release(t)
-	b.heldTime.Observe(float64(held) / 1e3)
-	return held
 }
 
 // WireTime reports how long n bytes occupy the bus, without moving
 // them — used by capacity planning and tests.
 func (b *Bus) WireTime(n int64) time.Duration {
 	return b.p.PerMessage + time.Duration(n*int64(time.Second)/b.p.BytesPerSec)
-}
-
-// Utilization summarises the bus for reports.
-func (b *Bus) Utilization() string {
-	return fmt.Sprintf("%s: %d transfers, %d bytes, mean wait %.1fµs, mean held %.1fµs",
-		b.p.Name, b.transfers.Value(), b.bytes.Value(), b.waitTime.Mean(), b.heldTime.Mean())
 }

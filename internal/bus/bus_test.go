@@ -65,15 +65,3 @@ func TestDefaultBandwidthApplied(t *testing.T) {
 		t.Fatal("default bandwidth not applied")
 	}
 }
-
-func TestStatsRegistered(t *testing.T) {
-	k := sched.NewVirtual(1)
-	b := New(k, SCSI2("scsi0"))
-	k.Go("s", func(tk sched.Task) { b.Send(tk, 4096) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Utilization() == "" {
-		t.Fatal("empty utilization summary")
-	}
-}

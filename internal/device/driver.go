@@ -364,7 +364,7 @@ func (d *driver) workerLoop(t sched.Task) {
 
 // Conn is the driver's view of the host/disk connection.
 type Conn interface {
-	Send(t sched.Task, n int64) time.Duration
+	Send(t sched.Task, n int64)
 }
 
 // simBackend talks to a simulated disk over a simulated connection:

@@ -52,13 +52,9 @@ type IOReq struct {
 	// into the disk cache).
 	Done sched.Event
 
-	// Measurements, filled in by the disk.
-	QueuedAt  sched.Time
-	StartedAt sched.Time
-	DoneAt    sched.Time
-	CacheHit  bool
-	SeekTime  time.Duration
-	RotDelay  time.Duration
+	// CacheHit is set by the disk when its cache served the read or
+	// took the immediate-reported write.
+	CacheHit bool
 }
 
 // Params describes a disk model.
@@ -133,7 +129,7 @@ const SectorBytes = core.SectorSize
 // bus.Bus to acquire, transfer and release. It is an interface so
 // disks can be tested without a bus.
 type Conn interface {
-	Send(t sched.Task, n int64) time.Duration
+	Send(t sched.Task, n int64)
 }
 
 // Disk simulates one drive.
@@ -256,12 +252,10 @@ func (d *Disk) Start() {
 // after transferring the request (and write data) over the bus.
 // Immediate-reported writes complete here when cache space allows.
 func (d *Disk) Submit(t sched.Task, r *IOReq) {
-	r.QueuedAt = d.k.Now()
 	bytes := int64(r.Sectors) * SectorBytes
 	if r.Op == Write && d.p.ImmediateReport && d.dirtyBytes+bytes <= d.p.CacheBytes {
 		d.dirtyBytes += bytes
 		r.CacheHit = true
-		r.DoneAt = d.k.Now()
 		r.Done.Signal() // completes now; media write happens below
 	}
 	d.queue = append(d.queue, r)
@@ -292,7 +286,6 @@ func (d *Disk) mechanismLoop(t sched.Task) {
 
 // service performs one request's mechanism work and completion.
 func (d *Disk) service(t sched.Task, r *IOReq) {
-	r.StartedAt = d.k.Now()
 	d.busySince = d.k.Now()
 	t.Sleep(d.p.ControllerOverhead)
 
@@ -331,7 +324,6 @@ func (d *Disk) service(t sched.Task, r *IOReq) {
 		resp += bytes
 	}
 	d.conn.Send(t, resp)
-	r.DoneAt = d.k.Now()
 	r.Done.Signal()
 }
 
@@ -341,9 +333,7 @@ func (d *Disk) mechTransfer(t sched.Task, r *IOReq) {
 	cyl, head, sector := d.locate(r.LBA)
 	// Position the arm.
 	if cyl != d.curCyl {
-		st := d.SeekTime(cyl - d.curCyl)
-		r.SeekTime = st
-		t.Sleep(st)
+		t.Sleep(d.SeekTime(cyl - d.curCyl))
 		d.curCyl = cyl
 		d.curHead = head
 	} else if head != d.curHead {
@@ -351,19 +341,13 @@ func (d *Disk) mechTransfer(t sched.Task, r *IOReq) {
 		d.curHead = head
 	}
 	remaining := r.Sectors
-	first := true
 	for remaining > 0 {
 		onTrack := d.p.SectorsPerTrack - sector
 		n := remaining
 		if n > onTrack {
 			n = onTrack
 		}
-		w := d.rotWait(d.k.Now(), d.physPos(cyl, head, sector))
-		if first {
-			r.RotDelay = w
-			first = false
-		}
-		t.Sleep(w)
+		t.Sleep(d.rotWait(d.k.Now(), d.physPos(cyl, head, sector)))
 		t.Sleep(time.Duration(n) * d.sectorTime())
 		remaining -= n
 		sector += n

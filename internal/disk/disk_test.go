@@ -11,7 +11,7 @@ import (
 // nullConn is a free connection for tests that do not model the bus.
 type nullConn struct{}
 
-func (nullConn) Send(t sched.Task, n int64) time.Duration { return 0 }
+func (nullConn) Send(sched.Task, int64) {}
 
 func newTestDisk(seed int64, p Params) (*sched.VKernel, *Disk) {
 	k := sched.NewVirtual(seed)

@@ -214,3 +214,42 @@ func TestStatAllocatesNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestFlushBlocksAllocatesNothing gates the store's flush job on the
+// real kernel: routing a job to the array adds no allocation to the
+// array's own WriteBlocks of the same blocks (the write list is the
+// store's spare, reused).
+func TestFlushBlocksAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops the partition's pooled requests at random")
+	}
+	payload := bytes.Repeat([]byte{0x6B}, 2*core.BlockSize)
+	onRealFile(t, payload, func(tk sched.Task, v *Volume, h *Handle) {
+		ino := h.File().ino
+		blocks := make([]*cache.Block, 2)
+		writes := make([]layout.BlockWrite, 2)
+		for i := range blocks {
+			data := payload[i*core.BlockSize : (i+1)*core.BlockSize]
+			key := core.BlockKey{Vol: v.ID, File: ino.ID, Blk: core.BlockNo(i)}
+			blocks[i] = &cache.Block{Key: key, Data: data, Size: core.BlockSize}
+			writes[i] = layout.BlockWrite{Blk: key.Blk, Data: data, Size: core.BlockSize}
+		}
+		s := NewStore()
+		s.Bind(v.fs)
+		flush := func() {
+			if err := s.FlushBlocks(tk, blocks); err != nil {
+				t.Errorf("FlushBlocks: %v", err)
+			}
+		}
+		bare := func() {
+			if err := v.arr.WriteBlocks(tk, ino, writes); err != nil {
+				t.Errorf("WriteBlocks: %v", err)
+			}
+		}
+		flush() // the spare list grows once
+		base := testing.AllocsPerRun(100, bare)
+		if n := testing.AllocsPerRun(100, flush); n > base {
+			t.Errorf("FlushBlocks: %v allocs per job, the bare WriteBlocks %v", n, base)
+		}
+	})
+}

@@ -16,13 +16,18 @@ import (
 // the cache to disk (or is sized, in the simulator).
 
 // dirBytesSize computes the serialized size without building bytes.
+// A loaded directory keeps it in File.dirSize, which attach and detach
+// move by entrySize; only loading a directory walks the map.
 func dirBytesSize(entries map[string]core.FileID) int64 {
 	n := int64(4)
 	for name := range entries {
-		n += 8 + 2 + int64(len(name))
+		n += entrySize(name)
 	}
 	return n
 }
+
+// entrySize is the serialized size of one entry named name.
+func entrySize(name string) int64 { return 8 + 2 + int64(len(name)) }
 
 // encodeDir serializes entries deterministically (sorted names).
 func encodeDir(entries map[string]core.FileID) []byte {
@@ -104,7 +109,7 @@ func (v *Volume) writeDir(t sched.Task, d *File) error {
 	if !v.sim {
 		data = encodeDir(d.entries)
 	}
-	return v.writeContent(t, d, data, dirBytesSize(d.entries))
+	return v.writeContent(t, d, data, d.dirSize)
 }
 
 // loadDirectory reads a directory's entries from storage.
@@ -124,7 +129,7 @@ func (v *Volume) loadDirectory(t sched.Task, d *File) error {
 			return err
 		}
 	}
-	d.entries = ents
+	d.entries, d.dirSize = ents, dirBytesSize(ents)
 	return nil
 }
 
@@ -241,6 +246,9 @@ func checkName(name string) error {
 // attach enters file id, loaded as f (nil: a dangling entry), in dir
 // as name. A directory's ".." is one more link to its parent.
 func (v *Volume) attach(t sched.Task, dir *File, name string, id core.FileID, f *File) {
+	if _, ok := dir.entries[name]; !ok {
+		dir.dirSize += entrySize(name)
+	}
 	dir.entries[name] = id
 	if f != nil && f.ino.Type == core.TypeDirectory {
 		v.mutateIno(t, dir.ino, func() { dir.ino.Nlink++ })
@@ -249,6 +257,9 @@ func (v *Volume) attach(t sched.Task, dir *File, name string, id core.FileID, f 
 
 // detach removes name, which names f (nil: a dangling entry), from dir.
 func (v *Volume) detach(t sched.Task, dir *File, name string, f *File) {
+	if _, ok := dir.entries[name]; ok {
+		dir.dirSize -= entrySize(name)
+	}
 	delete(dir.entries, name)
 	if f != nil && f.ino.Type == core.TypeDirectory {
 		v.mutateIno(t, dir.ino, func() { dir.ino.Nlink-- })

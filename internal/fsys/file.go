@@ -24,6 +24,7 @@ type File struct {
 	// Directory and symlink in-memory forms (authoritative while
 	// loaded; serialized through the cache for persistence).
 	entries map[string]core.FileID // directories
+	dirSize int64                  // entries' serialized size (dirBytesSize)
 	target  string                 // symlinks
 
 	// Sequential-read detector and readahead bookkeeping, all under
@@ -128,7 +129,7 @@ func (v *Volume) instantiate(ino *layout.Inode) *File {
 		f.behavior = baseBehavior{}
 	}
 	if ino.Type == core.TypeDirectory {
-		f.entries = make(map[string]core.FileID)
+		f.entries, f.dirSize = make(map[string]core.FileID), dirBytesSize(nil)
 	}
 	return f
 }

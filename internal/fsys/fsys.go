@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -237,6 +238,10 @@ func (fs *FS) SyncAll(t sched.Task) error {
 type Store struct {
 	fs      *FS
 	durable bool
+	// writes is a spare write list for FlushBlocks: a member keeps no
+	// reference to it once WriteBlocks returns. One slot, so it dies
+	// with the store; a job that finds it taken makes its own.
+	writes atomic.Pointer[[]layout.BlockWrite]
 }
 
 // NewStore returns an unbound store.
@@ -275,11 +280,19 @@ func (s *Store) FlushBlocks(t sched.Task, blocks []*cache.Block) error {
 		// with blocks mid-flush); dropping the write is correct.
 		return nil
 	}
-	writes := make([]layout.BlockWrite, 0, len(blocks))
+	wp := s.writes.Swap(nil)
+	if wp == nil {
+		wp = new([]layout.BlockWrite)
+	}
+	writes := (*wp)[:0]
 	for _, b := range blocks {
 		writes = append(writes, layout.BlockWrite{Blk: b.Key.Blk, Data: b.Data, Size: b.Size})
 	}
-	if err := v.arr.WriteBlocks(t, ino, writes); err != nil {
+	err = v.arr.WriteBlocks(t, ino, writes)
+	clear(writes) // the spare pins no cache frame
+	*wp = writes[:0]
+	s.writes.Store(wp)
+	if err != nil {
 		return err
 	}
 	if s.durable {

@@ -2,6 +2,8 @@ package fsys
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -273,6 +275,49 @@ func TestRenameMovesDirLinks(t *testing.T) {
 		for path, want := range map[string]uint32{"/p": 2, "/q": 3, "/q/m": 2, "/": 4} {
 			if st, err := r.v.Stat(tk, path); err != nil || st.Nlink != want {
 				t.Errorf("%s: nlink %d (%v), want %d", path, st.Nlink, err, want)
+			}
+		}
+	})
+}
+
+// TestDirSizeTracksEntries: a directory's kept size is its encoded
+// entry list's through a seeded run of creates, mkdirs, removes,
+// rmdirs and renames, including moves between directories and
+// refused operations.
+func TestDirSizeTracksEntries(t *testing.T) {
+	runBody(t, 18, cache.UPS(), func(tk sched.Task, r *rig) {
+		rng := rand.New(rand.NewSource(18))
+		dirs := []string{"/", "/a", "/b", "/a/c"}
+		for _, d := range dirs[1:] {
+			if err := r.v.Mkdir(tk, d); err != nil {
+				t.Fatalf("mkdir %s: %v", d, err)
+			}
+		}
+		path := func() string {
+			return strings.TrimSuffix(dirs[rng.Intn(len(dirs))], "/") + "/" + strings.Repeat("n", 1+rng.Intn(12))
+		}
+		for i := 0; i < 400; i++ {
+			switch rng.Intn(5) {
+			case 0:
+				if h, err := r.v.Create(tk, path(), core.TypeRegular); err == nil {
+					r.v.Close(tk, h)
+				}
+			case 1:
+				r.v.Mkdir(tk, path())
+			case 2:
+				r.v.Remove(tk, path())
+			case 3:
+				r.v.Rmdir(tk, path())
+			default:
+				r.v.Rename(tk, path(), path())
+			}
+			for id, f := range r.v.files {
+				if f.entries == nil {
+					continue
+				}
+				if want := int64(len(encodeDir(f.entries))); f.dirSize != want {
+					t.Fatalf("op %d: directory %d keeps size %d, its encoded entries are %d bytes", i, id, f.dirSize, want)
+				}
 			}
 		}
 	})

@@ -223,43 +223,41 @@ func (m *rmutex) Lock(Task) { m.mu.Lock() }
 func (m *rmutex) Unlock(Task) { m.mu.Unlock() }
 
 // rcond is a condition variable usable with any kernel Mutex made
-// by the same kernel.
+// by the same kernel. The sync.Cond is embedded by value over the
+// cond's own mu, so a wake-up reuses the runtime's waiter records.
 type rcond struct {
-	name    string
-	mu      sync.Mutex
-	ch      chan struct{}
-	waiters int // tasks parked on ch
+	name string
+	mu   sync.Mutex
+	cond sync.Cond
 }
 
 // NewCond creates a condition variable.
 func (k *RKernel) NewCond(name string) Cond {
-	return &rcond{name: name, ch: make(chan struct{})}
+	c := &rcond{name: name}
+	c.cond.L = &c.mu
+	return c
 }
 
-// Wait releases m, blocks until Signal/Broadcast, reacquires m.
+// Wait releases m, blocks until Signal/Broadcast, reacquires m. The
+// waiter holds c.mu from before it releases m until it is queued on
+// the cond, so a signaller that changed the state under m cannot wake
+// the cond before the waiter is on it.
 func (c *rcond) Wait(t Task, m Mutex) {
 	c.mu.Lock()
-	ch := c.ch
-	c.waiters++
-	c.mu.Unlock()
 	m.Unlock(t)
-	<-ch
+	c.cond.Wait()
+	c.mu.Unlock()
 	m.Lock(t)
 }
 
-// Signal wakes at least one waiter (channel-generation broadcast is
-// used for both; spurious wake-ups are absorbed by the caller's
-// recheck loop, the contract Cond.Wait requires anyway).
+// Signal wakes at least one waiter: it is a Broadcast, and spurious
+// wake-ups are absorbed by the caller's recheck loop, the contract
+// Cond.Wait requires anyway.
 func (c *rcond) Signal() { c.Broadcast() }
 
-// Broadcast wakes every waiter by retiring the generation channel;
-// with no waiter there is nothing to retire, and nothing allocated.
+// Broadcast wakes every waiter.
 func (c *rcond) Broadcast() {
 	c.mu.Lock()
-	if c.waiters > 0 {
-		close(c.ch)
-		c.ch = make(chan struct{})
-		c.waiters = 0
-	}
+	c.cond.Broadcast()
 	c.mu.Unlock()
 }

@@ -242,15 +242,54 @@ func BenchmarkRKernelEvent(b *testing.B) {
 	})
 }
 
-// An event hand-off allocates nothing on the real kernel: the cond is
-// the event's own and a wake-up reuses the runtime's waiter records.
+// condPingPong is pingPong over one kernel mutex and cond: each round
+// the two tasks hand a turn flag to each other and back, each waking
+// the other through the cond.
+func condPingPong(k *RKernel, rounds int, body func(round func())) {
+	m, c := k.NewMutex("m"), k.NewCond("c")
+	pongs := false // whose turn: pong's when true
+	k.Go("pong", func(tk Task) {
+		m.Lock(tk)
+		for i := 0; i < rounds; i++ {
+			for !pongs {
+				c.Wait(tk, m)
+			}
+			pongs = false
+			c.Signal()
+		}
+		m.Unlock(tk)
+	})
+	done := make(chan struct{})
+	k.Go("ping", func(tk Task) {
+		defer close(done)
+		body(func() {
+			m.Lock(tk)
+			pongs = true
+			c.Signal()
+			for pongs {
+				c.Wait(tk, m)
+			}
+			m.Unlock(tk)
+		})
+	})
+	<-done
+}
+
+// An event or cond hand-off allocates nothing on the real kernel: the
+// sync.Cond is the primitive's own and a wake-up reuses the runtime's
+// waiter records.
 func TestRKernelEventAllocatesNothing(t *testing.T) {
 	const runs = 1000
-	var allocs float64
-	pingPong(NewReal(1), runs+1, func(round func()) {
-		allocs = testing.AllocsPerRun(runs, round)
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per ping-pong round trip, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		pingPong func(k *RKernel, rounds int, body func(round func()))
+	}{{"event", pingPong}, {"cond", condPingPong}} {
+		var allocs float64
+		tc.pingPong(NewReal(1), runs+1, func(round func()) {
+			allocs = testing.AllocsPerRun(runs, round)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocs per ping-pong round trip, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -124,8 +124,11 @@ type Kernel interface {
 	// can ever run again, and returns an error on deadlock. The real
 	// kernel blocks until every task has exited or Stop is called.
 	Run() error
-	// Stop aborts the system: blocked and sleeping tasks are
-	// unwound and Run returns.
+	// Stop aborts the system and Run returns. The virtual kernel
+	// unwinds its blocked and sleeping tasks one at a time in spawn
+	// order, running their deferred calls (called from a task, once
+	// that task parks or returns). Real tasks cannot be unwound from
+	// outside: components own their shutdown.
 	Stop()
 	// Live returns the number of tasks that have started and not
 	// yet exited.

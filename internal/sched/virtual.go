@@ -1,18 +1,27 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to 1.23,
+// the first with package iter; the module itself stays at 1.22.
+
 package sched
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
-	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 )
 
 // VKernel is the virtual-time kernel: a deterministic cooperative
-// discrete-event scheduler. Exactly one task goroutine executes at
-// any moment; control passes between the scheduler loop and tasks by
-// channel hand-off, so no kernel state needs locking.
+// discrete-event scheduler. Each task body runs as a coroutine
+// (iter.Pull): the scheduler loop resumes the task the policy picked
+// and the task hands control back by yielding when it parks. Exactly
+// one of them executes at any moment, so no kernel state needs
+// locking.
 type VKernel struct {
 	now      Time
 	policy   Policy
@@ -21,10 +30,8 @@ type VKernel struct {
 	timers   timerHeap
 	live     int
 	nextSeq  uint64
-	tasks    map[*vtask]struct{} // every live task, for deadlock reports
+	tasks    map[*vtask]struct{} // every live task, for deadlock reports and Stop
 
-	yielded chan *vtask   // a task parked; scheduler may continue
-	aborted chan struct{} // closed on Stop to unwind tasks
 	stopped bool
 	running bool
 	current *vtask
@@ -40,11 +47,9 @@ func NewVirtual(seed int64) *VKernel {
 // scheduling policy.
 func NewVirtualPolicy(seed int64, p Policy) *VKernel {
 	return &VKernel{
-		policy:  p,
-		rng:     rand.New(rand.NewSource(seed)),
-		tasks:   make(map[*vtask]struct{}),
-		yielded: make(chan *vtask),
-		aborted: make(chan struct{}),
+		policy: p,
+		rng:    rand.New(rand.NewSource(seed)),
+		tasks:  make(map[*vtask]struct{}),
 	}
 }
 
@@ -75,18 +80,37 @@ type vtask struct {
 	name     string
 	seq      uint64
 	state    vstate
-	resume   chan struct{}
 	wakeAt   Time // valid when sleeping
 	timerI   int  // heap index, -1 when not queued
 	waitOn   string
 	waitKind string // prefixes waitOn in reports: "", "mutex " or "cond "
 	signaled bool   // event wake-up reason
-	// unwound is set by the task's own goroutine when Stop aborts it
-	// mid-park. Unwinding tasks run concurrently with each other and
-	// with the scheduler's caller, so their exit path must not touch
-	// kernel state or the yielded channel.
-	unwound bool
+	// The task's coroutine: next resumes it until it parks (ok) or
+	// returns (!ok), stop unwinds it, and yield, called by the body,
+	// parks it. All three are nil once the task is dead, so a stale
+	// run-queue slot does not keep the body's closure alive.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
+
+// TaskPanic is what the virtual kernel's Run panics with when a task
+// panics: the task's coroutine is gone by then, so it carries the
+// task's name and its stack at the panic.
+type TaskPanic struct {
+	Task  string
+	Value any
+	Stack []byte
+}
+
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("sched: task %s panicked: %v\n\n%s", p.Task, p.Value, p.Stack)
+}
+
+// errUnwound is what park panics with when Stop unwinds a parked
+// task; the task's wrapper recovers it. Task code must not swallow it:
+// a recover in a task re-panics whatever it does not own.
+var errUnwound = errors.New("sched: task unwound by Stop")
 
 // Name returns the task name.
 func (t *vtask) Name() string { return t.name }
@@ -108,47 +132,40 @@ func (k *VKernel) Go(name string, fn func(Task)) Task {
 		name:   fmt.Sprintf("%s#%d", name, k.nextSeq),
 		seq:    k.nextSeq,
 		state:  vReady,
-		resume: make(chan struct{}, 1),
 		timerI: -1,
 	}
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer func() {
+			if p := recover(); p != nil && p != errUnwound {
+				panic(&TaskPanic{Task: t.name, Value: p, Stack: debug.Stack()})
+			}
+		}()
+		fn(t)
+	})
 	k.tasks[t] = struct{}{}
 	k.live++
 	k.runnable = append(k.runnable, t)
-	go func() {
-		select {
-		case <-t.resume: // wait for first dispatch
-		case <-k.aborted: // stopped before ever running
-			return
-		}
-		defer func() {
-			if t.unwound {
-				// Aborted by Stop: the scheduler loop has exited and
-				// sibling tasks unwind concurrently, so shared kernel
-				// state is off limits and nobody receives yielded.
-				return
-			}
-			t.state = vDead
-			k.live--
-			delete(k.tasks, t)
-			k.yielded <- t
-		}()
-		fn(t)
-	}()
 	return t
 }
 
-// park hands control back to the scheduler and blocks until this
+// park hands control back to the scheduler and returns when this
 // task is dispatched again. The caller must already have recorded
-// why the task is parked (state, timers, wait queues).
+// why the task is parked (state, timers, wait queues). If Stop
+// unwinds the task instead, park panics errUnwound, which runs the
+// task's deferred calls on the way out.
 func (t *vtask) park() {
-	t.k.yielded <- t
-	select {
-	case <-t.resume:
-		t.k.current = t
-	case <-t.k.aborted:
-		t.unwound = true
-		runtime.Goexit()
+	if !t.yield(struct{}{}) {
+		panic(errUnwound)
 	}
+}
+
+// exit retires a task whose body has returned or been unwound.
+func (k *VKernel) exit(t *vtask) {
+	t.state = vDead
+	t.next, t.stop, t.yield = nil, nil, nil
+	k.live--
+	delete(k.tasks, t)
 }
 
 // ready moves t onto the runnable queue.
@@ -214,7 +231,8 @@ func (k *VKernel) currentName() string {
 
 // Run drives the simulation: dispatch runnable tasks (policy pick),
 // advance the clock over the timer queue when none are runnable,
-// stop on deadlock, or when every task has exited.
+// stop on deadlock, or when every task has exited. A panic in a task
+// unwinds the other tasks and then surfaces from Run.
 func (k *VKernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sched: Run reentered")
@@ -223,7 +241,14 @@ func (k *VKernel) Run() error {
 		return fmt.Errorf("sched: Run on a stopped kernel")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		k.running = false
+		if p := recover(); p != nil {
+			k.current = nil
+			k.Stop()
+			panic(p)
+		}
+	}()
 	for !k.stopped {
 		if len(k.runnable) == 0 {
 			if k.live == 0 {
@@ -245,10 +270,13 @@ func (k *VKernel) Run() error {
 		k.runnable = append(k.runnable[:i], k.runnable[i+1:]...)
 		t.state = vRunning
 		k.current = t
-		t.resume <- struct{}{}
-		<-k.yielded
+		_, ok := t.next()
 		k.current = nil
+		if !ok {
+			k.exit(t)
+		}
 	}
+	k.unwind() // Stop was called from a task
 	return nil
 }
 
@@ -271,12 +299,35 @@ func (k *VKernel) collectBlocked() []string {
 	return names
 }
 
-// Stop unwinds every parked task and ends Run.
+// Stop unwinds every parked task and ends Run. Called from a task,
+// it only marks the kernel stopped: Run unwinds once that task parks
+// or returns.
 func (k *VKernel) Stop() {
-	if !k.stopped {
-		k.stopped = true
-		close(k.aborted)
+	k.stopped = true
+	if k.current == nil {
+		k.unwind()
 	}
+}
+
+// unwind stops every live task's coroutine in spawn order, so their
+// deferred calls run one at a time and in a reproducible order. A
+// task that never ran is dropped without running. While a task
+// unwinds it is the current task, so a kernel call in one of its
+// deferred functions is not a wrong-task call; one that would park
+// unwinds it further instead.
+func (k *VKernel) unwind() {
+	ts := make([]*vtask, 0, len(k.tasks))
+	for t := range k.tasks {
+		ts = append(ts, t)
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].seq < ts[j].seq })
+	for _, t := range ts {
+		k.current = t
+		t.stop()
+		k.current = nil
+		k.exit(t)
+	}
+	k.runnable, k.timers = nil, nil
 }
 
 // Stopped reports whether the kernel has been stopped.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -581,5 +582,131 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 	runKernel(t, k)
 	if allocs != 0 {
 		t.Fatalf("%v allocs per ping-pong round trip, want 0", allocs)
+	}
+}
+
+// BenchmarkVKernelSwitch times one ping-pong round trip between two
+// virtual-kernel tasks: each parks once and is dispatched once, so an
+// op is two task switches and two returns to the scheduler loop.
+func BenchmarkVKernelSwitch(b *testing.B) {
+	b.ReportAllocs()
+	k := NewVirtual(1)
+	ping, pong := k.NewEvent("ping"), k.NewEvent("pong")
+	k.Go("pong", func(tk Task) {
+		for {
+			ping.Wait(tk)
+			pong.Signal()
+		}
+	})
+	k.Go("ping", func(tk Task) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Signal()
+			pong.Wait(tk)
+		}
+		b.StopTimer()
+		k.Stop()
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// A panic in a task surfaces from Run, naming the task and carrying
+// its stack, after the other tasks have been unwound.
+func TestTaskPanicSurfacesFromRun(t *testing.T) {
+	k := NewVirtual(1)
+	ev := k.NewEvent("never")
+	unwound := false
+	k.Go("parked", func(tk Task) {
+		defer func() { unwound = true }()
+		ev.Wait(tk)
+	})
+	k.Go("bad", func(tk Task) {
+		tk.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = k.Run()
+	}()
+	tp, ok := got.(*TaskPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want a *TaskPanic", got)
+	}
+	if tp.Task != "bad#2" || tp.Value != "boom" {
+		t.Fatalf("TaskPanic{Task: %q, Value: %v}, want bad#2 and boom", tp.Task, tp.Value)
+	}
+	if !strings.Contains(string(tp.Stack), "TestTaskPanicSurfacesFromRun") {
+		t.Fatalf("stack does not reach the panicking task:\n%s", tp.Stack)
+	}
+	if !unwound || !k.Stopped() || k.Live() != 0 {
+		t.Fatalf("after the panic: parked task unwound %v, stopped %v, live %d; want true, true, 0",
+			unwound, k.Stopped(), k.Live())
+	}
+}
+
+// Stop unwinds parked tasks one at a time in spawn order, running
+// their deferred calls, whether Run stops the kernel itself (on
+// deadlock, outside any task) or a task calls Stop. Deferred kernel
+// calls work while a task unwinds: a deferred Unlock hands the mutex
+// on, and a deferred call that would park unwinds the task further.
+func TestStopRunsDeferredCallsInSpawnOrder(t *testing.T) {
+	for _, fromTask := range []bool{false, true} {
+		k := NewVirtual(5)
+		ev, m := k.NewEvent("never"), k.NewMutex("m")
+		var order []int
+		const n = 8
+		for i := 1; i <= n; i++ {
+			k.Go(fmt.Sprintf("p%d", i), func(tk Task) {
+				defer func() { order = append(order, i) }()
+				// Park in an order unrelated to spawn order.
+				tk.Sleep(time.Duration((i*5)%n) * time.Millisecond)
+				switch i % 3 {
+				case 0:
+					m.Lock(tk)
+					defer m.Unlock(tk)
+					ev.Wait(tk)
+				case 1:
+					defer tk.Sleep(time.Second)
+					ev.Wait(tk)
+				default:
+					ev.Wait(tk)
+				}
+			})
+		}
+		if fromTask {
+			k.Go("stopper", func(tk Task) {
+				tk.Sleep(time.Hour)
+				k.Stop()
+			})
+		}
+		err := k.Run()
+		if _, deadlock := err.(*DeadlockError); deadlock == fromTask {
+			t.Fatalf("fromTask=%v: Run = %v", fromTask, err)
+		}
+		if want := "[1 2 3 4 5 6 7 8]"; fmt.Sprint(order) != want {
+			t.Fatalf("fromTask=%v: deferred calls ran in order %v, want %v", fromTask, order, want)
+		}
+		if !k.Stopped() || k.Live() != 0 {
+			t.Fatalf("fromTask=%v: stopped %v, live %d after Stop", fromTask, k.Stopped(), k.Live())
+		}
+	}
+}
+
+// A task that never ran is dropped by Stop without running.
+func TestStopBeforeRunRunsNoTask(t *testing.T) {
+	k := NewVirtual(1)
+	ran := false
+	k.Go("never", func(Task) {
+		defer func() { ran = true }()
+	})
+	k.Stop()
+	if ran || k.Live() != 0 {
+		t.Fatalf("ran %v, live %d after Stop before Run; want false, 0", ran, k.Live())
+	}
+	if err := k.Run(); err == nil {
+		t.Fatal("Run on a stopped kernel returned nil")
 	}
 }
