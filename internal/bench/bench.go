@@ -1,10 +1,12 @@
 // Package bench is the closed-loop serving workload the simulator
-// studies share. It drives the same mixed read/write workload through
-// both instantiations of the component library — N client tasks
-// against Patsy under the virtual kernel (RunSim), and N concurrent
-// clients against a real pfs+nfs server over TCP (RunReal, which the
-// self-heal study uses) — and reports throughput, latency quantiles
-// and cache/volume counters as JSON.
+// studies share. One loop — a kernel task that prefills the working
+// set, starts the cell's member-loss arc and runs N client tasks over
+// the file system front-end — runs on both instantiations of the
+// component library: Patsy under the virtual kernel (RunSim) and the
+// pfs server under the real-time kernel (RunReal, which the self-heal
+// study uses). Only the target differs: its kernel, whether transfers
+// carry payload, and its member-loss hooks. Each run reports
+// throughput, latency quantiles and cache/volume counters as JSON.
 //
 // The virtual-kernel numbers are deterministic per seed and
 // machine-independent (ops per simulated second), which is why the
@@ -27,9 +29,8 @@ import (
 
 // Config parameterizes one benchmark cell.
 type Config struct {
-	// Clients is the number of concurrent closed-loop clients (one
-	// TCP connection each on the real kernel; one task each on the
-	// virtual kernel).
+	// Clients is the number of concurrent closed-loop clients, one
+	// kernel task each on either kernel.
 	Clients int
 	// Ops is the number of operations per client.
 	Ops int
@@ -43,22 +44,23 @@ type Config struct {
 	ReadFrac float64
 	// Seed drives the per-client operation streams.
 	Seed int64
-	// Think is per-op client think time (virtual kernel). Zero is the
-	// pure closed-loop hammer; a few milliseconds models interactive
-	// clients and gives readahead idle disk time to work ahead into.
+	// Think is per-op client think time, slept on the kernel clock.
+	// Zero is the pure closed-loop hammer; a few milliseconds models
+	// interactive clients and gives readahead idle disk time to work
+	// ahead into.
 	Think time.Duration
 
 	CacheBlocks int
-	// Readahead is the virtual kernel's sequential readahead window
-	// (0 or negative = off, the simulator's default).
+	// Readahead is the simulator's sequential readahead window (0 or
+	// negative = off, its default); the real server runs its own.
 	Readahead int
 
 	// Redundant-array axes. Placement, when set to "mirrored" or
 	// "parity", runs the cell over a Width-member redundant array
 	// (default width 3); empty keeps the classic single-stack cell.
-	// Degrade (virtual kernel) kills DegradeMember after the prefill,
-	// so the measurement runs against the degraded read/write paths;
-	// Rebuild (implies Degrade) additionally runs the online rebuild
+	// Degrade kills DegradeMember after the prefill, so the
+	// measurement runs against the degraded read/write paths; Rebuild
+	// (implies Degrade) additionally runs the online rebuild
 	// concurrently with the measurement — the "rebuilding" cell.
 	Placement     string
 	Width         int
@@ -69,11 +71,12 @@ type Config struct {
 	// SelfHeal (real kernel, redundant placements only) runs the cell
 	// through a supervised repair: the server boots with one hot spare
 	// and the health supervisor on, DegradeMember is killed at the
-	// fault seam shortly after the measurement starts, and the clients
-	// — riding the transient-fault retry transport — serve through
-	// detection, spare promotion, online rebuild and scrub-verify. The
-	// result records the supervisor's detection latency and MTTR
-	// alongside the serving numbers.
+	// fault seam 25ms into the measurement, and the clients serve
+	// through detection, spare promotion, online rebuild and
+	// scrub-verify. The array retries a dead member's I/O from
+	// redundancy, so every op must succeed; a failed one fails the
+	// cell. The result records the supervisor's detection latency and
+	// MTTR alongside the serving numbers.
 	SelfHeal bool
 }
 
@@ -120,7 +123,7 @@ type Result struct {
 	Clients   int     `json:"clients"`
 	Depth     int     `json:"depth"`
 	Shards    int     `json:"shards"`
-	Pipeline  int     `json:"pipeline"`
+	Pipeline  int     `json:"pipeline"` // 0: the clients run in process, no wire
 	Readahead int     `json:"readahead"`
 	Cluster   int     `json:"cluster"` // effective run cap (1 = off)
 	Ops       int64   `json:"ops"`
@@ -132,7 +135,7 @@ type Result struct {
 	// MBPerSec is the payload volume the clients moved (ops times
 	// transfer size) over the same denominator as OpsPerSec.
 	MBPerSec float64 `json:"mb_per_sec,omitempty"`
-	// StagedCopyBytes counts payload bytes the server memcpy'd into
+	// StagedCopyBytes counts payload bytes the layouts memcpy'd into
 	// staging buffers during the measurement phase. Virtual cells
 	// report 0 (the sim carries no payload).
 	StagedCopyBytes int64          `json:"staged_copy_bytes"`
@@ -226,7 +229,7 @@ func (g *opGen) next() op {
 	return op{read: false, file: g.rng.Intn(g.cfg.Files), off: off, n: n}
 }
 
-// fill derives the defaults every driver applies.
+// fill derives the defaults both targets apply.
 func (c *Config) fill() {
 	if c.Clients <= 0 {
 		c.Clients = 1
@@ -269,28 +272,22 @@ func (c *Config) fill() {
 // fileName names working-set file i.
 func fileName(i int) string { return fmt.Sprintf("bench%03d", i) }
 
-// placementTag distinguishes redundant cells' image files.
-func placementTag(c Config) string {
-	if c.Placement == "" {
-		return ""
-	}
-	return fmt.Sprintf("-%s%d", c.Placement, c.Width)
-}
-
 // quantilesMS extracts the latency summary in milliseconds.
 func quantilesMS(d *stats.LatencyDist) (mean, p50, p95, p99 float64) {
 	ms := func(v time.Duration) float64 { return float64(v) / float64(time.Millisecond) }
 	return ms(d.Mean()), ms(d.Quantile(0.50)), ms(d.Quantile(0.95)), ms(d.Quantile(0.99))
 }
 
-// cacheCounters snapshots the cache statistics.
-func cacheCounters(cs *cache.Stats) CacheCounters {
+// cacheCounters is the cache's traffic since base (the zero value:
+// since the cache was built), so the reported counters exclude
+// working-set setup.
+func cacheCounters(cs *cache.Stats, base CacheCounters) CacheCounters {
 	c := CacheCounters{
-		Lookups:        cs.Lookups.Value(),
-		Hits:           cs.Hits.Value(),
-		Evictions:      cs.Evictions.Value(),
-		FlushedBlocks:  cs.FlushedBlocks.Value(),
-		ReadaheadFills: cs.ReadaheadFills.Value(),
+		Lookups:        cs.Lookups.Value() - base.Lookups,
+		Hits:           cs.Hits.Value() - base.Hits,
+		Evictions:      cs.Evictions.Value() - base.Evictions,
+		FlushedBlocks:  cs.FlushedBlocks.Value() - base.FlushedBlocks,
+		ReadaheadFills: cs.ReadaheadFills.Value() - base.ReadaheadFills,
 	}
 	if c.Lookups > 0 {
 		c.HitRate = float64(c.Hits) / float64(c.Lookups)
@@ -298,9 +295,15 @@ func cacheCounters(cs *cache.Stats) CacheCounters {
 	return c
 }
 
-// volumeCounters sums the disk stacks' I/O counters.
-func volumeCounters(drvs []device.Driver) VolumeCounters {
-	var v VolumeCounters
+// volumeCounters sums the disk stacks' I/O counters since base, with
+// the mean transfer size over that span.
+func volumeCounters(drvs []device.Driver, base VolumeCounters) VolumeCounters {
+	v := VolumeCounters{
+		BlocksRead:    -base.BlocksRead,
+		BlocksWritten: -base.BlocksWritten,
+		ReadReqs:      -base.ReadReqs,
+		WriteReqs:     -base.WriteReqs,
+	}
 	for _, drv := range drvs {
 		ds := drv.DriverStats()
 		v.BlocksRead += ds.BlocksRead.Value()
@@ -308,41 +311,8 @@ func volumeCounters(drvs []device.Driver) VolumeCounters {
 		v.ReadReqs += ds.Reads.Value()
 		v.WriteReqs += ds.Writes.Value()
 	}
-	return v.withRatio()
-}
-
-// withRatio derives the mean transfer size.
-func (v VolumeCounters) withRatio() VolumeCounters {
 	if reqs := v.ReadReqs + v.WriteReqs; reqs > 0 {
 		v.BlocksPerReq = float64(v.BlocksRead+v.BlocksWritten) / float64(reqs)
-	} else {
-		v.BlocksPerReq = 0
 	}
 	return v
-}
-
-// sub returns the measurement-phase delta of two volume snapshots.
-func (v VolumeCounters) sub(base VolumeCounters) VolumeCounters {
-	return VolumeCounters{
-		BlocksRead:    v.BlocksRead - base.BlocksRead,
-		BlocksWritten: v.BlocksWritten - base.BlocksWritten,
-		ReadReqs:      v.ReadReqs - base.ReadReqs,
-		WriteReqs:     v.WriteReqs - base.WriteReqs,
-	}.withRatio()
-}
-
-// sub returns the measurement-phase delta of two snapshots, so the
-// reported counters exclude working-set setup.
-func (c CacheCounters) sub(base CacheCounters) CacheCounters {
-	d := CacheCounters{
-		Lookups:        c.Lookups - base.Lookups,
-		Hits:           c.Hits - base.Hits,
-		Evictions:      c.Evictions - base.Evictions,
-		FlushedBlocks:  c.FlushedBlocks - base.FlushedBlocks,
-		ReadaheadFills: c.ReadaheadFills - base.ReadaheadFills,
-	}
-	if d.Lookups > 0 {
-		d.HitRate = float64(d.Hits) / float64(d.Lookups)
-	}
-	return d
 }

@@ -71,8 +71,8 @@ func TestSimReadaheadImproves(t *testing.T) {
 	}
 }
 
-// The real driver round-trips over loopback TCP and reports sane
-// numbers.
+// The real driver runs the loop in process on the pfs server and
+// reports sane numbers.
 func TestRealSmoke(t *testing.T) {
 	res, err := RunReal(t.TempDir(), tiny())
 	if err != nil {
@@ -81,17 +81,54 @@ func TestRealSmoke(t *testing.T) {
 	if res.Kernel != "real" || res.Ops != 80 || res.OpsPerSec <= 0 || res.P50MS <= 0 {
 		t.Fatalf("implausible result: %+v", res)
 	}
-	if res.Shards != 8 || res.Pipeline != 8 || res.Readahead != 8 {
+	if res.Shards != 8 || res.Pipeline != 0 || res.Readahead != 8 {
 		t.Fatalf("default knobs not recorded: %+v", res)
 	}
 	if res.Cache.Lookups == 0 {
 		t.Fatal("no cache traffic recorded")
 	}
-	// Degraded and rebuilding cells are the virtual kernel's.
+}
+
+// One loop, two targets: the same cell runs on Patsy and on the pfs
+// server, and both count every op and the disk traffic under it (the
+// working set is twice the cache, so reads miss).
+func TestOneLoopBothKernels(t *testing.T) {
 	cfg := tiny()
-	cfg.Placement, cfg.Degrade = "mirrored", true
-	if _, err := RunReal(t.TempDir(), cfg); err == nil {
-		t.Fatal("RunReal ran a degraded cell")
+	cfg.CacheBlocks = 32
+	sim, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := RunReal(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kernel string
+		res    Result
+	}{{"virtual", sim}, {"real", real}} {
+		r := c.res
+		if r.Kernel != c.kernel || r.Ops != int64(cfg.Clients*cfg.Ops) {
+			t.Errorf("%s: kernel %q, %d ops", c.kernel, r.Kernel, r.Ops)
+		}
+		if r.Cache.Lookups == 0 || r.Volume.ReadReqs+r.Volume.WriteReqs == 0 {
+			t.Errorf("%s: no traffic counted: %+v %+v", c.kernel, r.Cache, r.Volume)
+		}
+	}
+}
+
+// The real server runs the rebuilding cell: a mirrored member dies
+// after the prefill and is rebuilt online under the client load, and
+// the cell ends with the array whole.
+func TestRealRebuildCell(t *testing.T) {
+	cfg := tiny()
+	cfg.Placement, cfg.Rebuild = "mirrored", true
+	res, err := RunReal(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kernel != "real" || !res.Degraded || !res.Rebuild || res.RebuildMS <= 0 || res.Ops != 80 {
+		t.Fatalf("rebuilding cell: %+v", res)
 	}
 }
 
@@ -108,5 +145,20 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if got.Bench != 3 || len(got.Runs) != 1 || got.Runs[0].OpsPerSec != 42 {
 		t.Fatalf("round trip: %+v", got)
+	}
+}
+
+// The supervised-repair cell serves through a member death in
+// process: every op succeeds, the supervisor closes the incident and
+// the array ends whole (RunReal refuses otherwise).
+func TestRealSelfHealCell(t *testing.T) {
+	cfg := tiny()
+	cfg.Ops, cfg.CacheBlocks, cfg.SelfHeal = 1500, 32, true
+	res, err := RunReal(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SelfHeal || res.Placement != "mirrored" || res.Ops != 3000 || res.MTTRMS <= 0 {
+		t.Fatalf("self-heal cell: %+v", res)
 	}
 }

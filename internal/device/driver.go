@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -59,15 +58,13 @@ type DriverStats struct {
 	ServiceMS     *stats.Moments
 	DiskCacheHits *stats.Counter
 	// Health evidence, accumulated at request completion: transient
-	// I/O errors, permanent dead-member rejections, and completions
-	// over the latency SLO. A health monitor polls these cumulative
-	// counters to build its evidence window; everything here is an
-	// atomic so a sampler never touches kernel state.
+	// I/O errors and permanent dead-member rejections. A health
+	// monitor polls these cumulative counters to build its evidence
+	// window; everything here is an atomic so a sampler never touches
+	// kernel state.
 	IOErrors   *stats.Counter
 	DeadErrors *stats.Counter
-	SlowIOs    *stats.Counter
 	consecErrs atomic.Int64
-	sloMicros  atomic.Int64
 }
 
 func newDriverStats(name string) *DriverStats {
@@ -84,15 +81,7 @@ func newDriverStats(name string) *DriverStats {
 		DiskCacheHits: stats.NewCounter(name + ".disk_cache_hits"),
 		IOErrors:      stats.NewCounter(name + ".io_errors"),
 		DeadErrors:    stats.NewCounter(name + ".dead_errors"),
-		SlowIOs:       stats.NewCounter(name + ".slow_ios"),
 	}
-}
-
-// SetLatencySLO arms the slow-I/O counter: completions whose service
-// time exceeds d count as SLO breaches. Zero disables (the default —
-// the simulator's modeled latencies should not trip it accidentally).
-func (s *DriverStats) SetLatencySLO(d time.Duration) {
-	s.sloMicros.Store(d.Microseconds())
 }
 
 // ConsecutiveErrors returns the current run of back-to-back failed
@@ -102,10 +91,7 @@ func (s *DriverStats) ConsecutiveErrors() int64 { return s.consecErrs.Load() }
 // noteCompletion folds one completed request into the health
 // evidence. Power-cut errors are excluded: a cut is a whole-system
 // event, not evidence against one member.
-func (s *DriverStats) noteCompletion(err error, serviceMS float64) {
-	if slo := s.sloMicros.Load(); slo > 0 && serviceMS*1000 > float64(slo) {
-		s.SlowIOs.Inc()
-	}
+func (s *DriverStats) noteCompletion(err error) {
 	switch {
 	case err == nil:
 		s.consecErrs.Store(0)
@@ -339,9 +325,8 @@ func (d *driver) workerLoop(t sched.Task) {
 		d.st.WaitMS.Observe(float64(r.Started.Sub(r.Enqueued)) / 1e6)
 		d.perform(t, r)
 		r.Completed = d.k.Now()
-		serviceMS := float64(r.Completed.Sub(r.Started)) / 1e6
-		d.st.ServiceMS.Observe(serviceMS)
-		d.st.noteCompletion(r.Err, serviceMS)
+		d.st.ServiceMS.Observe(float64(r.Completed.Sub(r.Started)) / 1e6)
+		d.st.noteCompletion(r.Err)
 		if r.Op == OpRead {
 			d.st.Reads.Inc()
 			d.st.BlocksRead.Add(int64(r.Blocks))

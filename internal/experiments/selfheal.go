@@ -2,15 +2,17 @@ package experiments
 
 // The self-heal study (BENCH_10.json): what a supervised repair costs
 // the serving path, and how fast the loop closes. For each redundant
-// placement the same closed-loop workload runs twice on the real
-// kernel — once healthy (the baseline), once through the full
-// supervised-repair arc: a member killed at the fault seam
-// mid-measurement, the health monitor confirming the death from
-// driver evidence, the hot spare promoted, the online rebuild racing
-// the clients, and the scrub verify closing the incident. The repair
-// cells report the detection latency and MTTR alongside the serving
-// numbers. Both are wall-clock (the repair races real load), so this
-// study is a per-machine trajectory artifact, not a pinned baseline.
+// placement the serving study's closed loop runs twice on the real
+// kernel, its clients kernel tasks inside the pfs server (no wire) —
+// once healthy (the baseline), once through the full supervised-repair
+// arc: a member killed at the fault seam mid-measurement, the health
+// monitor confirming the death from driver evidence, the hot spare
+// promoted, the online rebuild racing the clients, and the scrub
+// verify closing the incident. The array serves a dead member's share
+// from redundancy, so not one client op may fail. The repair cells
+// report the detection latency and MTTR alongside the serving numbers.
+// Both are wall-clock (the repair races real load), so this study is a
+// per-machine trajectory artifact, not a pinned baseline.
 
 import (
 	"encoding/json"
@@ -57,7 +59,7 @@ func RunSelfHealStudy(dir string, seed int64, placements []string, width int) (*
 		Width:      width,
 		Kind:       "selfheal",
 		Revision:   10,
-		Note:       "real-kernel wall-clock cells: per-machine trajectory, not a pinned baseline",
+		Note:       "real-kernel wall-clock cells, clients in process (no wire): per-machine trajectory, not a pinned baseline",
 	}
 	for _, pl := range placements {
 		for _, heal := range []bool{false, true} {

@@ -1,8 +1,8 @@
 // Package health turns raw per-member I/O evidence into verdicts a
 // repair supervisor can act on. The device layer accumulates
-// cumulative error and latency-SLO counters (device.DriverStats); a
-// Monitor samples them periodically and runs a small hysteresis state
-// machine per member:
+// cumulative error counters (device.DriverStats); a Monitor samples
+// them periodically and runs a small hysteresis state machine per
+// member:
 //
 //	Healthy ─evidence─▶ Suspect ─sustained─▶ Probation
 //	   ▲                   │                     │
@@ -10,11 +10,11 @@
 //
 //	any state ─(dead-member rejection | consecutive-error run)─▶ Dead
 //
-// Transient evidence (injected read/write errors, slow completions)
-// can only raise a member to Suspect or Probation — states it decays
-// back out of after a clean window. Only hard evidence confirms Dead:
-// a permanent dead-member rejection (device.ErrDiskDead) or an
-// unbroken run of failures longer than killConsec. An intermittently
+// Transient evidence (injected read/write errors) can only raise a
+// member to Suspect or Probation — states it decays back out of after
+// a clean window. Only hard evidence confirms Dead: a permanent
+// dead-member rejection (device.ErrDiskDead) or an unbroken run of
+// failures longer than killConsec. An intermittently
 // flaky member therefore oscillates between Suspect and Probation
 // forever without being flapped to death, while a genuinely dead one
 // is confirmed within a single evidence sample of its first rejected
@@ -61,7 +61,6 @@ func (v Verdict) String() string {
 type Evidence struct {
 	Errors     int64 // transient I/O errors
 	DeadErrors int64 // permanent dead-member rejections
-	SlowIOs    int64 // completions over the latency SLO
 	Consec     int64 // current run of back-to-back failures
 }
 
@@ -75,8 +74,8 @@ type Source interface {
 const (
 	// window is the number of samples in the sliding evidence window.
 	window = 8
-	// suspectScore is the windowed evidence (errors + SLO breaches)
-	// that raises Healthy to Suspect.
+	// suspectScore is the windowed error count that raises Healthy
+	// to Suspect.
 	suspectScore = 3
 	// probationAfter is the number of consecutive evidence-bearing
 	// samples that escalates Suspect to Probation.
@@ -94,22 +93,17 @@ type MemberState struct {
 	Name        string
 	Verdict     Verdict
 	WindowErrs  int64 // transient errors in the evidence window
-	WindowSlow  int64 // SLO breaches in the evidence window
 	Consec      int64 // current back-to-back failure run
 	DeadErrors  int64 // cumulative permanent rejections
 	Samples     int64 // evidence samples taken
 	Transitions int64 // verdict changes since attach
 }
 
-type sampleDelta struct {
-	errs, slow int64
-}
-
 type memberFSM struct {
 	src     Source
 	prev    Evidence
-	primed  bool // prev is valid (first sample only establishes a baseline)
-	ring    []sampleDelta
+	primed  bool    // prev is valid (first sample only establishes a baseline)
+	ring    []int64 // transient errors per sample
 	idx     int
 	verdict Verdict
 	hot     int // consecutive evidence-bearing samples
@@ -118,12 +112,12 @@ type memberFSM struct {
 	trans   int64
 }
 
-func (f *memberFSM) windowScore() (errs, slow int64) {
+func (f *memberFSM) windowScore() int64 {
+	var errs int64
 	for _, d := range f.ring {
-		errs += d.errs
-		slow += d.slow
+		errs += d
 	}
-	return
+	return errs
 }
 
 // Monitor runs one state machine per member over sampled evidence.
@@ -138,7 +132,7 @@ type Monitor struct {
 func NewMonitor(members []Source) *Monitor {
 	m := &Monitor{}
 	for _, s := range members {
-		m.fsm = append(m.fsm, &memberFSM{src: s, ring: make([]sampleDelta, window)})
+		m.fsm = append(m.fsm, &memberFSM{src: s, ring: make([]int64, window)})
 	}
 	return m
 }
@@ -200,10 +194,7 @@ func (m *Monitor) step(f *memberFSM) {
 		}
 		return
 	}
-	d := sampleDelta{
-		errs: ev.Errors - f.prev.Errors,
-		slow: ev.SlowIOs - f.prev.SlowIOs,
-	}
+	d := ev.Errors - f.prev.Errors
 	newDead := ev.DeadErrors - f.prev.DeadErrors
 	f.prev = ev
 	f.ring[f.idx] = d
@@ -217,7 +208,7 @@ func (m *Monitor) step(f *memberFSM) {
 		f.verdict = Dead
 		return
 	}
-	if d.errs+d.slow > 0 {
+	if d > 0 {
 		f.hot++
 		f.cool = 0
 	} else {
@@ -226,8 +217,7 @@ func (m *Monitor) step(f *memberFSM) {
 			f.hot = 0
 		}
 	}
-	errs, slow := f.windowScore()
-	score := errs + slow
+	score := f.windowScore()
 	switch f.verdict {
 	case Healthy:
 		if score >= suspectScore {
@@ -281,7 +271,7 @@ func (m *Monitor) MarkDead(i int) {
 func (m *Monitor) Replace(i int, s Source) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fsm[i] = &memberFSM{src: s, ring: make([]sampleDelta, window)}
+	m.fsm[i] = &memberFSM{src: s, ring: make([]int64, window)}
 }
 
 // State snapshots member i for admin surfaces.
@@ -304,12 +294,10 @@ func (m *Monitor) States() []MemberState {
 
 func (m *Monitor) stateLocked(i int) MemberState {
 	f := m.fsm[i]
-	errs, slow := f.windowScore()
 	return MemberState{
 		Name:        f.src.Name(),
 		Verdict:     f.verdict,
-		WindowErrs:  errs,
-		WindowSlow:  slow,
+		WindowErrs:  f.windowScore(),
 		Consec:      f.prev.Consec,
 		DeadErrors:  f.prev.DeadErrors,
 		Samples:     f.samples,

@@ -29,12 +29,6 @@ func (f *fakeSource) fail(n int64) {
 	f.mu.Unlock()
 }
 
-func (f *fakeSource) slow(n int64) {
-	f.mu.Lock()
-	f.ev.SlowIOs += n
-	f.mu.Unlock()
-}
-
 func (f *fakeSource) succeed() {
 	f.mu.Lock()
 	f.ev.Consec = 0
@@ -123,7 +117,6 @@ func TestIntermittentNeverDies(t *testing.T) {
 		// bound, then a single success, repeatedly.
 		flaky.fail(killConsec - 1)
 		flaky.succeed()
-		flaky.slow(2)
 		m.Observe()
 		if v := m.Verdict(0); v == Dead {
 			t.Fatalf("intermittent member confirmed dead at sample %d", i)
@@ -194,7 +187,7 @@ func TestHardEvidenceConfirmsDead(t *testing.T) {
 // charged against a member — except hard evidence already on the
 // books, which must confirm immediately.
 func TestFirstSamplePrimesBaseline(t *testing.T) {
-	noisy := &fakeSource{name: "noisy", ev: Evidence{Errors: 500, SlowIOs: 200}}
+	noisy := &fakeSource{name: "noisy", ev: Evidence{Errors: 500}}
 	corpse := &fakeSource{name: "corpse", ev: Evidence{DeadErrors: 1}}
 	m := NewMonitor([]Source{noisy, corpse})
 	m.Observe()

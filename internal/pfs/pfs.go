@@ -119,9 +119,6 @@ type Config struct {
 	// HealthInterval paces the supervisor's evidence sampling
 	// (0 = 25ms).
 	HealthInterval time.Duration
-	// LatencySLO, when positive, counts device completions slower
-	// than this as health evidence (suspect/probation, never death).
-	LatencySLO time.Duration
 }
 
 // Server is a running PFS.
@@ -334,12 +331,6 @@ func Open(cfg Config) (*Server, error) {
 		lay.AttachSpare(sub)
 		spareDrvs = append(spareDrvs, drv)
 	}
-	if cfg.LatencySLO > 0 {
-		for _, drv := range drvs {
-			drv.DriverStats().SetLatencySLO(cfg.LatencySLO)
-		}
-	}
-
 	fs, c := st.FrontEnd(k, cache.Config{
 		Blocks:  cfg.CacheBlocks,
 		Replace: cfg.Replace,

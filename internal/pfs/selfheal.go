@@ -71,7 +71,6 @@ func (s driverSource) HealthEvidence() health.Evidence {
 	return health.Evidence{
 		Errors:     s.ds.IOErrors.Value(),
 		DeadErrors: s.ds.DeadErrors.Value(),
-		SlowIOs:    s.ds.SlowIOs.Value(),
 		Consec:     s.ds.ConsecutiveErrors(),
 	}
 }

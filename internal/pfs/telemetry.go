@@ -42,6 +42,7 @@ type Observables struct {
 	NFS      *nfs.Server
 	Array    *volume.Array
 	Drivers  []device.Driver
+	Spares   []device.Driver // by pool slot; nil once promoted
 	Fault    *device.FaultPlan
 	Recovery *RecoveryReport
 	Tracer   *telemetry.Tracer
@@ -70,8 +71,15 @@ func NewRegistry(o Observables) *telemetry.Registry {
 	if a := o.Array; a != nil {
 		registerArray(reg, a)
 	}
+	// A device series follows its physical driver: after a promotion
+	// d<m> keeps reading the retired driver and s<j> the promoted one.
 	for i, drv := range o.Drivers {
 		registerDriver(reg, fmt.Sprintf("d%d", i), drv.DriverStats())
+	}
+	for j, drv := range o.Spares {
+		if drv != nil {
+			registerDriver(reg, fmt.Sprintf("s%d", j), drv.DriverStats())
+		}
 	}
 	if a := o.Array; a != nil {
 		for i, sub := range a.Subs() {
@@ -220,7 +228,6 @@ func registerDriver(reg *telemetry.Registry, member string, ds *device.DriverSta
 		ds.BlocksPerRequest)
 	reg.AddCounter("pfs_device_io_errors_total", "Requests failed with a transient I/O error.", lbl, ds.IOErrors)
 	reg.AddCounter("pfs_device_dead_errors_total", "Requests rejected because the member's disk is dead.", lbl, ds.DeadErrors)
-	reg.AddCounter("pfs_device_slow_ios_total", "Completions over the configured latency SLO.", lbl, ds.SlowIOs)
 }
 
 // logStats collects the log counters of the array's LFS members, in
@@ -269,8 +276,6 @@ func registerHealth(reg *telemetry.Registry, m *health.Monitor) {
 			func() float64 { return float64(m.Verdict(i)) })
 		reg.AddGaugeFunc("pfs_health_window_errors", "Transient I/O errors in the member's evidence window.", lbl,
 			func() float64 { return float64(m.State(i).WindowErrs) })
-		reg.AddGaugeFunc("pfs_health_window_slow", "Latency-SLO breaches in the member's evidence window.", lbl,
-			func() float64 { return float64(m.State(i).WindowSlow) })
 	}
 	reg.AddCounterFunc("pfs_health_confirmed_deaths_total", "Member deaths confirmed by the health monitor (manual overrides included).", nil,
 		func() float64 { return float64(m.ConfirmedDeaths()) })
@@ -345,6 +350,7 @@ func boolGauge(b bool) float64 {
 func (s *Server) Registry() *telemetry.Registry {
 	s.drvMu.Lock()
 	drvs := append([]device.Driver(nil), s.Drivers...)
+	spares := append([]device.Driver(nil), s.spareDrvs...)
 	s.drvMu.Unlock()
 	return NewRegistry(Observables{
 		Cache:    s.Cache,
@@ -352,6 +358,7 @@ func (s *Server) Registry() *telemetry.Registry {
 		NFS:      s.net,
 		Array:    s.Array,
 		Drivers:  drvs,
+		Spares:   spares,
 		Fault:    s.Fault,
 		Recovery: s.Recovery,
 		Tracer:   s.Tracer,
@@ -440,8 +447,8 @@ func (s *Server) renderStatusz() string {
 	if s.Monitor != nil {
 		b.WriteString("  health:")
 		for _, ms := range s.Monitor.States() {
-			fmt.Fprintf(&b, " %s=%s(errs=%d slow=%d consec=%d)",
-				ms.Name, ms.Verdict, ms.WindowErrs, ms.WindowSlow, ms.Consec)
+			fmt.Fprintf(&b, " %s=%s(errs=%d consec=%d)",
+				ms.Name, ms.Verdict, ms.WindowErrs, ms.Consec)
 		}
 		fmt.Fprintf(&b, " deaths=%d\n", s.Monitor.ConfirmedDeaths())
 	}
