@@ -3,16 +3,17 @@
 // set, starts the cell's member-loss arc and runs N client tasks over
 // the file system front-end — runs on both instantiations of the
 // component library: Patsy under the virtual kernel (RunSim) and the
-// pfs server under the real-time kernel (RunReal, which the self-heal
-// study uses). Only the target differs: its kernel, whether transfers
-// carry payload, and its member-loss hooks. Each run reports
-// throughput, latency quantiles and cache/volume counters as JSON.
+// pfs server under the real-time kernel (RunReal). Only the target
+// differs: its kernel and whether transfers carry payload. Member
+// loss — kill, rebuild, hot spare and self-heal supervisor — is the
+// same health.Members on both. Each run reports throughput, latency
+// quantiles and cache/volume counters as JSON.
 //
 // The virtual-kernel numbers are deterministic per seed and
 // machine-independent (ops per simulated second), which is why the
-// serving study's cells are committed byte for byte
-// (bench_baseline.json); the real-kernel numbers measure this machine
-// and are recorded for the trajectory.
+// serving, degraded and self-heal studies' cells are committed byte
+// for byte (bench_baseline.json, BENCH_8.json, BENCH_10.json); the
+// real-kernel numbers measure this machine.
 package bench
 
 import (
@@ -68,15 +69,17 @@ type Config struct {
 	Degrade       bool
 	DegradeMember int
 	Rebuild       bool
-	// SelfHeal (real kernel, redundant placements only) runs the cell
-	// through a supervised repair: the server boots with one hot spare
-	// and the health supervisor on, DegradeMember is killed at the
-	// fault seam 25ms into the measurement, and the clients serve
-	// through detection, spare promotion, online rebuild and
-	// scrub-verify. The array retries a dead member's I/O from
-	// redundancy, so every op must succeed; a failed one fails the
-	// cell. The result records the supervisor's detection latency and
-	// MTTR alongside the serving numbers.
+	// SelfHeal (redundant placements only; "mirrored" when none is
+	// set) runs the cell through a supervised repair on either kernel:
+	// the array gets one hot spare and the health supervisor,
+	// DegradeMember is killed at the fault seam by the client op that
+	// completes the first quarter of the cell's ops, and the clients
+	// serve through detection, spare promotion, online rebuild and
+	// scrub-verify; the cell then syncs and waits for the repair to
+	// close. The array retries a dead member's I/O from redundancy,
+	// so every op must succeed; a failed one fails the cell. The
+	// result records the supervisor's detection latency and MTTR
+	// alongside the serving numbers.
 	SelfHeal bool
 }
 
@@ -156,8 +159,8 @@ type Result struct {
 	RebuildMS float64 `json:"rebuild_ms,omitempty"`
 	// SelfHeal marks a supervised-repair cell; DetectMS is the time
 	// from the kill to the monitor's confirmed verdict, MTTRMS the
-	// time from the kill to the scrub-verified rebuilt array (both
-	// wall-clock: the repair races real client load).
+	// time from the kill to the scrub-verified rebuilt array (both on
+	// the kernel's clock: simulated ms on the virtual kernel).
 	SelfHeal bool    `json:"self_heal,omitempty"`
 	DetectMS float64 `json:"detect_ms,omitempty"`
 	MTTRMS   float64 `json:"mttr_ms,omitempty"`

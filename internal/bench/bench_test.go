@@ -91,28 +91,34 @@ func TestRealSmoke(t *testing.T) {
 
 // One loop, two targets: the same cell runs on Patsy and on the pfs
 // server, and both count every op and the disk traffic under it (the
-// working set is twice the cache, so reads miss).
+// working set is twice the cache, so reads miss). The self-heal cell
+// runs the one supervisor on both kernels.
 func TestOneLoopBothKernels(t *testing.T) {
-	cfg := tiny()
-	cfg.CacheBlocks = 32
-	sim, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	real, err := RunReal(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		kernel string
-		res    Result
-	}{{"virtual", sim}, {"real", real}} {
-		r := c.res
-		if r.Kernel != c.kernel || r.Ops != int64(cfg.Clients*cfg.Ops) {
-			t.Errorf("%s: kernel %q, %d ops", c.kernel, r.Kernel, r.Ops)
+	for _, heal := range []bool{false, true} {
+		cfg := tiny()
+		cfg.CacheBlocks, cfg.SelfHeal = 32, heal
+		sim, err := RunSim(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Cache.Lookups == 0 || r.Volume.ReadReqs+r.Volume.WriteReqs == 0 {
-			t.Errorf("%s: no traffic counted: %+v %+v", c.kernel, r.Cache, r.Volume)
+		real, err := RunReal(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			kernel string
+			res    Result
+		}{{"virtual", sim}, {"real", real}} {
+			r := c.res
+			if r.Kernel != c.kernel || r.Ops != int64(cfg.Clients*cfg.Ops) {
+				t.Errorf("%s: kernel %q, %d ops", c.kernel, r.Kernel, r.Ops)
+			}
+			if r.Cache.Lookups == 0 || r.Volume.ReadReqs+r.Volume.WriteReqs == 0 {
+				t.Errorf("%s: no traffic counted: %+v %+v", c.kernel, r.Cache, r.Volume)
+			}
+			if r.SelfHeal != heal || heal && (r.DetectMS <= 0 || r.MTTRMS <= 0) {
+				t.Errorf("%s: self-heal %v: %+v", c.kernel, heal, r)
+			}
 		}
 	}
 }
@@ -150,15 +156,39 @@ func TestFileRoundTrip(t *testing.T) {
 
 // The supervised-repair cell serves through a member death in
 // process: every op succeeds, the supervisor closes the incident and
-// the array ends whole (RunReal refuses otherwise).
+// the array ends whole (run refuses otherwise). The member dies a
+// quarter of the way through the ops, so even a short cell has load
+// left to detect it under.
 func TestRealSelfHealCell(t *testing.T) {
 	cfg := tiny()
-	cfg.Ops, cfg.CacheBlocks, cfg.SelfHeal = 1500, 32, true
+	cfg.SelfHeal = true
 	res, err := RunReal(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SelfHeal || res.Placement != "mirrored" || res.Ops != 3000 || res.MTTRMS <= 0 {
+	if !res.SelfHeal || res.Placement != "mirrored" || res.Ops != 80 || res.MTTRMS <= 0 {
 		t.Fatalf("self-heal cell: %+v", res)
+	}
+}
+
+// Patsy runs the self-heal cell on the server's supervisor, and the
+// virtual kernel makes the whole repair arc deterministic per seed:
+// two runs agree to the last field, detection and MTTR included.
+func TestSimSelfHealDeterministic(t *testing.T) {
+	cfg := tiny()
+	cfg.SelfHeal = true
+	a, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("virtual self-heal runs differ:\n%+v\n%+v", a, b)
+	}
+	if a.Kernel != "virtual" || !a.SelfHeal || a.Ops != 80 || a.DetectMS <= 0 || a.MTTRMS <= a.DetectMS {
+		t.Fatalf("self-heal cell: %+v", a)
 	}
 }

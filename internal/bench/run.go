@@ -5,52 +5,49 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fsys"
+	"repro/internal/health"
 	"repro/internal/patsy"
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/volume"
 )
 
-// target is one instantiation the closed loop runs over: a kernel,
-// the file system on it, and its array's member-loss hooks.
+// healInterval paces the SelfHeal cells' supervisor on either kernel.
+const healInterval = 10 * time.Millisecond
+
+// target is one instantiation the closed loop runs over: the file
+// system (and through it the kernel and cache) and its array's
+// members, whose member-loss code both instantiations share.
 type target struct {
-	k       sched.Kernel
 	fs      *fsys.FS
-	cache   *cache.Cache
-	array   *volume.Array
-	drivers func() []device.Driver
-	kill    func(m int) error
-	rebuild func(t sched.Task, m int) error
-	// srv is the real server: it moves payload, reports its cluster
-	// cap and supervises repairs. nil on the simulator, whose
-	// transfers carry no bytes.
+	members *health.Members
+	// srv is the real server: it moves payload and reports its
+	// cluster cap. nil on the simulator, whose transfers carry no
+	// bytes.
 	srv *pfs.Server
 }
 
 // RunSim drives the workload through Patsy under the virtual kernel:
 // cfg.Clients closed-loop client tasks against one simulated disk
-// stack (one per member on an array). Throughput is ops per simulated
-// second — deterministic per seed and machine-independent, which is
-// what the serving study pins (bench_baseline.json). The simulated
-// stack runs one cache shard and no clustering.
+// stack per array member (a classic cell is an array of one).
+// Throughput is ops per simulated second — deterministic per seed and
+// machine-independent, which is what the serving study pins
+// (bench_baseline.json). The simulated stack runs one cache shard and
+// no clustering.
 func RunSim(cfg Config) (Result, error) {
 	cfg.fill()
-	if cfg.SelfHeal {
-		// Patsy has no repair supervisor yet.
-		return Result{}, fmt.Errorf("bench: SelfHeal cells require the real kernel")
-	}
 	pcfg := patsy.Config{
 		Seed:            cfg.Seed,
-		Buses:           1,
-		DisksPerBus:     []int{1},
-		Volumes:         1,
+		ArrayVolumes:    max(cfg.Width, 1),
+		Placement:       cfg.Placement,
+		StripeBlocks:    cfg.StripeBlocks,
 		DiskModel:       "hp97560",
 		QueueSched:      "clook",
 		CacheBlocks:     cfg.CacheBlocks,
@@ -61,11 +58,8 @@ func RunSim(cfg Config) (Result, error) {
 		Layout:          "lfs",
 		ReadaheadBlocks: cfg.Readahead,
 	}
-	if cfg.Placement != "" {
-		// Redundant cell: one disk stack per array member.
-		pcfg.ArrayVolumes = cfg.Width
-		pcfg.Placement = cfg.Placement
-		pcfg.StripeBlocks = cfg.StripeBlocks
+	if cfg.SelfHeal {
+		pcfg.Fault = &device.FaultConfig{Seed: cfg.Seed}
 	}
 	sys, err := patsy.Build(pcfg)
 	if err != nil {
@@ -78,12 +72,15 @@ func RunSim(cfg Config) (Result, error) {
 		if runErr = sys.Init(t); runErr != nil {
 			return
 		}
-		tg := &target{
-			k: sys.K, fs: sys.FS, cache: sys.Cache, array: sys.Volumes[0],
-			drivers: func() []device.Driver { return sys.Drivers },
-			kill:    sys.KillMember,
-			rebuild: sys.RebuildMember,
+		if cfg.SelfHeal {
+			// The server's arrangement: one hot spare and the
+			// supervisor, here over simulated drives.
+			if runErr = sys.AddSpare(); runErr != nil {
+				return
+			}
+			sys.Members.Supervise(healInterval)
 		}
+		tg := &target{fs: sys.FS, members: sys.Members}
 		res, runErr = tg.run(t, &cfg)
 	})
 	if err := sys.K.Run(); err != nil {
@@ -105,34 +102,26 @@ func RunReal(dir string, cfg Config) (Result, error) {
 	}
 	defer os.RemoveAll(images)
 	pcfg := pfs.Config{
-		Path:        filepath.Join(images, "bench.img"),
-		Blocks:      8192, // 32 MB image (per member on an array)
-		CacheBlocks: cfg.CacheBlocks,
-		Flush:       cache.UPS(),
-		Seed:        cfg.Seed,
-	}
-	if cfg.Placement != "" {
-		pcfg.Volumes = cfg.Width
-		pcfg.Placement = cfg.Placement
-		pcfg.StripeBlocks = cfg.StripeBlocks
+		Path:         filepath.Join(images, "bench.img"),
+		Blocks:       8192, // 32 MB image (per member on an array)
+		Volumes:      cfg.Width,
+		Placement:    cfg.Placement,
+		StripeBlocks: cfg.StripeBlocks,
+		CacheBlocks:  cfg.CacheBlocks,
+		Flush:        cache.UPS(),
+		Seed:         cfg.Seed,
 	}
 	if cfg.SelfHeal {
 		pcfg.Spares = 1
 		pcfg.SelfHeal = true
-		pcfg.HealthInterval = 10 * time.Millisecond
+		pcfg.HealthInterval = healInterval
 		pcfg.Fault = &device.FaultConfig{Seed: cfg.Seed}
 	}
 	srv, err := pfs.Open(pcfg)
 	if err != nil {
 		return Result{}, err
 	}
-	tg := &target{
-		k: srv.K, fs: srv.FS, cache: srv.Cache, array: srv.Array,
-		drivers: srv.AllDrivers,
-		kill:    srv.KillMember,
-		rebuild: func(_ sched.Task, m int) error { return srv.RebuildMember(m) },
-		srv:     srv,
-	}
+	tg := &target{fs: srv.FS, members: srv.Members, srv: srv}
 	var res Result
 	if err := srv.Do(func(t sched.Task) (err error) {
 		res, err = tg.run(t, &cfg)
@@ -150,7 +139,7 @@ func RunReal(dir string, cfg Config) (Result, error) {
 // order they are made in are what the simulator's pinned cells
 // depend on.
 func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
-	k, v := tg.k, tg.fs.Vol(1)
+	k, v, ms, c := tg.fs.Kernel(), tg.fs.Vol(1), tg.members, tg.fs.Cache()
 	handles := make([]*fsys.Handle, cfg.Files)
 	size := int64(cfg.FileBlocks) * core.BlockSize
 	fill := tg.buffer(cfg.IOBytes)
@@ -176,39 +165,44 @@ func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
 	if cfg.Degrade {
 		// The member dies after the prefill: the measurement runs
 		// entirely against the degraded serving paths.
-		if err := tg.kill(cfg.DegradeMember); err != nil {
+		if err := ms.KillMember(cfg.DegradeMember); err != nil {
 			return Result{}, err
 		}
 	}
-	base := cacheCounters(tg.cache.CacheStats(), CacheCounters{})
-	baseVol := volumeCounters(tg.drivers(), VolumeCounters{})
-	baseStaged := tg.array.StagedCopyBytes()
+	base := cacheCounters(c.CacheStats(), CacheCounters{})
+	baseVol := volumeCounters(ms.AllDrivers(), VolumeCounters{})
+	baseStaged := ms.Array.StagedCopyBytes()
 	start := k.Now()
 	done := k.NewEvent("bench.done")
-	// repaired closes the member-loss arc: the manual rebuild or the
-	// supervised repair.
+	// repaired closes the manual rebuild.
 	repaired := k.NewEvent("bench.rebuilt")
 	var repairErr error
 	var rebuildDur time.Duration
-	var heal pfs.HealEvent
+	var heal health.HealEvent
 	if cfg.Rebuild {
 		// The online rebuild competes with the client load; the cell
 		// measures serving throughput while the copy runs.
 		k.Go("bench.rebuild", func(rt sched.Task) {
 			defer repaired.Signal()
 			t0 := k.Now()
-			repairErr = tg.rebuild(rt, cfg.DegradeMember)
+			repairErr = ms.RebuildMember(rt, cfg.DegradeMember)
 			rebuildDur = k.Now().Sub(t0)
 		})
 	}
+	totalOps := int64(cfg.Clients) * int64(cfg.Ops)
+	// ops counts completed client ops. In a SelfHeal cell the op that
+	// completes the first quarter kills the member at the fault seam:
+	// the supervisor must detect, promote, rebuild and verify under
+	// the remaining load, and the clients serve through it.
+	var ops atomic.Int64
+	killAt := int64(-1)
 	if cfg.SelfHeal {
-		// Kill the member at the fault seam shortly into the
-		// measurement: the supervisor must detect, promote, rebuild and
-		// verify under this load, and the clients serve through it.
-		k.Go("bench.selfheal", func(ht sched.Task) {
-			defer repaired.Signal()
-			heal, repairErr = tg.superviseKill(ht, cfg.DegradeMember)
-		})
+		killAt = max(totalOps/4, 1)
+	}
+	opDone := func() {
+		if ops.Add(1) == killAt {
+			ms.Fault.Kill(cfg.DegradeMember)
+		}
 	}
 	lat := stats.NewLatencyDist("bench")
 	errs := make([]error, cfg.Clients)
@@ -216,18 +210,28 @@ func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
 		gen := newOpGen(cfg, ci)
 		k.Go(fmt.Sprintf("bench.client%d", ci), func(ct sched.Task) {
 			defer done.Signal()
-			errs[ci] = tg.client(ct, cfg, handles, gen, lat)
+			errs[ci] = tg.client(ct, cfg, handles, gen, lat, opDone)
 		})
 	}
 	for range errs {
 		done.Wait(t)
 	}
 	dur := k.Now().Sub(start)
-	if cfg.Rebuild || cfg.SelfHeal {
+	if cfg.Rebuild {
 		repaired.Wait(t)
-		if repairErr == nil && tg.array.Degraded() {
-			repairErr = fmt.Errorf("bench: array still degraded after the repair")
+	}
+	if cfg.SelfHeal {
+		// The monitor learns of a death only from I/O the member
+		// rejects. A working set the cache holds whole sends none
+		// after the prefill, so the cell ends by flushing what the
+		// clients dirtied: at the latest, those writes find the member
+		// dead. Then the supervisor must close the incident.
+		if repairErr = tg.fs.SyncAll(t); repairErr == nil {
+			heal, repairErr = tg.awaitHeal(t)
 		}
+	}
+	if (cfg.Rebuild || cfg.SelfHeal) && repairErr == nil && ms.Array.Degraded() {
+		repairErr = fmt.Errorf("bench: array still degraded after the repair")
 	}
 	for _, h := range handles {
 		v.Close(t, h)
@@ -236,26 +240,25 @@ func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
 		return Result{}, err
 	}
 
-	totalOps := int64(cfg.Clients) * int64(cfg.Ops)
 	res := Result{
 		Kernel:          "virtual",
 		Clients:         cfg.Clients,
 		Depth:           1,
-		Shards:          tg.cache.Shards(),
+		Shards:          c.Shards(),
 		Readahead:       tg.fs.Readahead(),
 		Cluster:         1,
 		Ops:             totalOps,
 		OpsPerSec:       float64(totalOps) / dur.Seconds(),
 		MBPerSec:        float64(totalOps) * float64(cfg.IOBytes) / (1 << 20) / dur.Seconds(),
-		StagedCopyBytes: tg.array.StagedCopyBytes() - baseStaged,
-		Cache:           cacheCounters(tg.cache.CacheStats(), base),
-		Volume:          volumeCounters(tg.drivers(), baseVol),
+		StagedCopyBytes: ms.Array.StagedCopyBytes() - baseStaged,
+		Cache:           cacheCounters(c.CacheStats(), base),
+		Volume:          volumeCounters(ms.AllDrivers(), baseVol),
 	}
-	ms := float64(dur) / float64(time.Millisecond)
+	durMS := float64(dur) / float64(time.Millisecond)
 	if tg.srv == nil {
-		res.SimMS = ms
+		res.SimMS = durMS
 	} else {
-		res.Kernel, res.WallMS = "real", ms
+		res.Kernel, res.WallMS = "real", durMS
 		res.Cluster = tg.srv.ClusterRun()
 	}
 	if cfg.Placement != "" {
@@ -276,9 +279,9 @@ func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
 
 // client is one closed-loop client: cfg.Ops operations from gen, each
 // timed from handle resolution to close, as the NFS dispatch path
-// resolves a fresh handle per call.
-func (tg *target) client(ct sched.Task, cfg *Config, handles []*fsys.Handle, gen *opGen, lat *stats.LatencyDist) error {
-	k, v := tg.k, tg.fs.Vol(1)
+// resolves a fresh handle per call, and reported to opDone.
+func (tg *target) client(ct sched.Task, cfg *Config, handles []*fsys.Handle, gen *opGen, lat *stats.LatencyDist, opDone func()) error {
+	k, v := tg.fs.Kernel(), tg.fs.Vol(1)
 	buf := tg.buffer(cfg.IOBytes)
 	for i := 0; i < cfg.Ops; i++ {
 		o := gen.next()
@@ -298,6 +301,7 @@ func (tg *target) client(ct sched.Task, cfg *Config, handles []*fsys.Handle, gen
 			return fmt.Errorf("bench: client op: %w", err)
 		}
 		lat.Observe(k.Now().Sub(t0))
+		opDone()
 		if cfg.Think > 0 {
 			ct.Sleep(cfg.Think)
 		}
@@ -305,25 +309,19 @@ func (tg *target) client(ct sched.Task, cfg *Config, handles []*fsys.Handle, gen
 	return nil
 }
 
-// superviseKill kills member m at the real server's fault seam 25ms
-// into the measurement and waits, on the kernel clock, for the
-// supervisor to close the incident with a clean HealEvent.
-func (tg *target) superviseKill(t sched.Task, m int) (pfs.HealEvent, error) {
-	t.Sleep(25 * time.Millisecond)
-	tg.srv.Fault.Kill(m)
-	deadline := tg.k.Now().Add(60 * time.Second)
-	for {
-		if evs := tg.srv.HealEvents(); len(evs) > 0 {
-			if evs[0].Err != "" {
-				return evs[0], fmt.Errorf("bench: supervised repair failed: %s", evs[0].Err)
+// awaitHeal waits, on the kernel clock, for the supervisor to close
+// the incident with a clean HealEvent.
+func (tg *target) awaitHeal(t sched.Task) (health.HealEvent, error) {
+	k := tg.fs.Kernel()
+	for deadline := k.Now().Add(60 * time.Second); k.Now() <= deadline; t.Sleep(5 * time.Millisecond) {
+		if evs := tg.members.HealEvents(); len(evs) > 0 {
+			if len(evs) > 1 || evs[0].Err != "" {
+				return evs[0], fmt.Errorf("bench: supervised repair failed: %+v", evs)
 			}
 			return evs[0], nil
 		}
-		if tg.k.Now() > deadline {
-			return pfs.HealEvent{}, fmt.Errorf("bench: no supervised repair within 60s of the kill")
-		}
-		t.Sleep(5 * time.Millisecond)
 	}
+	return health.HealEvent{}, fmt.Errorf("bench: no supervised repair within 60s")
 }
 
 // buffer is an n-byte transfer buffer on the real server; nil on the

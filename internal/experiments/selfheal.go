@@ -2,17 +2,18 @@ package experiments
 
 // The self-heal study (BENCH_10.json): what a supervised repair costs
 // the serving path, and how fast the loop closes. For each redundant
-// placement the serving study's closed loop runs twice on the real
-// kernel, its clients kernel tasks inside the pfs server (no wire) —
-// once healthy (the baseline), once through the full supervised-repair
-// arc: a member killed at the fault seam mid-measurement, the health
+// placement the serving study's closed loop runs twice on Patsy under
+// the virtual kernel — once healthy (the baseline), once through the
+// full supervised-repair arc: a member killed at the fault seam by the
+// op that completes the first quarter of the cell's ops, the health
 // monitor confirming the death from driver evidence, the hot spare
 // promoted, the online rebuild racing the clients, and the scrub
-// verify closing the incident. The array serves a dead member's share
-// from redundancy, so not one client op may fail. The repair cells
-// report the detection latency and MTTR alongside the serving numbers.
-// Both are wall-clock (the repair races real load), so this study is a
-// per-machine trajectory artifact, not a pinned baseline.
+// verify closing the incident. The supervisor is the on-line server's
+// own (health.Members), here over simulated drives. The array serves a
+// dead member's share from redundancy, so not one client op may fail.
+// The repair cells report the detection latency and MTTR on the
+// virtual clock alongside the serving numbers; every cell is
+// deterministic per seed, so the artifact is pinned byte for byte.
 
 import (
 	"encoding/json"
@@ -45,8 +46,8 @@ func selfHealCell(placement string, heal bool, width int, seed int64) bench.Conf
 }
 
 // RunSelfHealStudy measures every placement twice: healthy baseline
-// and supervised repair. dir holds the scratch images.
-func RunSelfHealStudy(dir string, seed int64, placements []string, width int) (*SelfHealStudy, error) {
+// and supervised repair. Deterministic per seed.
+func RunSelfHealStudy(seed int64, placements []string, width int) (*SelfHealStudy, error) {
 	if len(placements) == 0 {
 		placements = []string{"mirrored", "parity"}
 	}
@@ -59,11 +60,11 @@ func RunSelfHealStudy(dir string, seed int64, placements []string, width int) (*
 		Width:      width,
 		Kind:       "selfheal",
 		Revision:   10,
-		Note:       "real-kernel wall-clock cells, clients in process (no wire): per-machine trajectory, not a pinned baseline",
+		Note:       "virtual-kernel cells on the server's supervisor: deterministic per seed, pinned",
 	}
 	for _, pl := range placements {
 		for _, heal := range []bool{false, true} {
-			res, err := bench.RunReal(dir, selfHealCell(pl, heal, width, seed))
+			res, err := bench.RunSim(selfHealCell(pl, heal, width, seed))
 			if err != nil {
 				return nil, fmt.Errorf("selfheal study %s/heal=%v: %w", pl, heal, err)
 			}
@@ -76,8 +77,8 @@ func RunSelfHealStudy(dir string, seed int64, placements []string, width int) (*
 // SelfHealTable renders the study for the terminal.
 func SelfHealTable(st *SelfHealStudy) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Self-heal study: width %d, seed %d (real kernel, wall clock)\n", st.Width, st.Seed)
-	fmt.Fprintf(&b, "(selfheal = member killed mid-measurement; detection, spare promotion,\n")
+	fmt.Fprintf(&b, "Self-heal study: width %d, seed %d (virtual kernel, simulated ms)\n", st.Width, st.Seed)
+	fmt.Fprintf(&b, "(selfheal = member killed a quarter into the ops; detection, spare promotion,\n")
 	fmt.Fprintf(&b, " online rebuild and scrub verify all race the client load)\n\n")
 	fmt.Fprintf(&b, "%-10s %-9s %10s %8s %8s %8s %10s %10s\n",
 		"placement", "state", "ops/sec", "p50", "p95", "p99", "detect", "mttr")

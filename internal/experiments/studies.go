@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"os"
-	"strings"
-)
+import "strings"
 
 // StudyParams carries what a study run may vary: the rig, the seed,
 // and the array shape the scaling study sweeps. Everything else a
@@ -69,9 +66,9 @@ var Studies = []Study{
 			st, err := RunDegradedStudy(p.Seed, []string{"mirrored", "parity"}, 3)
 			return render(st, err, DegradedTable, DegradedJSON)
 		}},
-	{Name: "selfheal", Artifact: "BENCH_10.json",
+	{Name: "selfheal", Artifact: "BENCH_10.json", Pinned: true,
 		Run: func(_ *Engine, p StudyParams) (string, []byte, error) {
-			st, err := RunSelfHealStudy(os.TempDir(), p.Seed, []string{"mirrored", "parity"}, 3)
+			st, err := RunSelfHealStudy(p.Seed, []string{"mirrored", "parity"}, 3)
 			return render(st, err, SelfHealTable, SelfHealJSON)
 		}},
 	{Name: "scaling",

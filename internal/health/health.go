@@ -22,7 +22,10 @@
 //
 // The Monitor holds only plain mutexes and atomics, so verdicts and
 // state snapshots are safe to read from metric scrapers and admin
-// handlers without touching kernel state.
+// handlers without touching kernel state. Members (members.go) puts a
+// Monitor to work: it owns an array's member drives and runs member
+// loss — kill, rebuild, hot spares and the self-heal supervisor — on
+// either kernel.
 package health
 
 import (
@@ -94,8 +97,6 @@ type MemberState struct {
 	Verdict     Verdict
 	WindowErrs  int64 // transient errors in the evidence window
 	Consec      int64 // current back-to-back failure run
-	DeadErrors  int64 // cumulative permanent rejections
-	Samples     int64 // evidence samples taken
 	Transitions int64 // verdict changes since attach
 }
 
@@ -108,7 +109,6 @@ type memberFSM struct {
 	verdict Verdict
 	hot     int // consecutive evidence-bearing samples
 	cool    int // consecutive clean samples
-	samples int64
 	trans   int64
 }
 
@@ -124,7 +124,6 @@ func (f *memberFSM) windowScore() int64 {
 type Monitor struct {
 	mu     sync.Mutex
 	fsm    []*memberFSM
-	onDead []func(member int)
 	deaths atomic.Int64
 }
 
@@ -137,14 +136,6 @@ func NewMonitor(members []Source) *Monitor {
 	return m
 }
 
-// OnDead registers fn to run (on the Observe caller's goroutine,
-// outside the monitor lock) once per confirmed death.
-func (m *Monitor) OnDead(fn func(member int)) {
-	m.mu.Lock()
-	m.onDead = append(m.onDead, fn)
-	m.mu.Unlock()
-}
-
 // Members returns the number of members under watch.
 func (m *Monitor) Members() int {
 	m.mu.Lock()
@@ -153,16 +144,14 @@ func (m *Monitor) Members() int {
 }
 
 // Observe takes one evidence sample from every member, advances the
-// state machines, and returns the verdicts. Deaths confirmed by this
-// sample fire the OnDead callbacks after the lock is released.
-func (m *Monitor) Observe() []Verdict {
+// state machines, and returns the members whose death this sample
+// confirmed (each death is reported once).
+func (m *Monitor) Observe() (died []int) {
 	m.mu.Lock()
-	verdicts := make([]Verdict, len(m.fsm))
-	var died []int
+	defer m.mu.Unlock()
 	for i, f := range m.fsm {
 		was := f.verdict
 		m.step(f)
-		verdicts[i] = f.verdict
 		if f.verdict != was {
 			f.trans++
 			if f.verdict == Dead {
@@ -171,19 +160,11 @@ func (m *Monitor) Observe() []Verdict {
 			}
 		}
 	}
-	callbacks := m.onDead
-	m.mu.Unlock()
-	for _, i := range died {
-		for _, fn := range callbacks {
-			fn(i)
-		}
-	}
-	return verdicts
+	return died
 }
 
 func (m *Monitor) step(f *memberFSM) {
 	ev := f.src.HealthEvidence()
-	f.samples++
 	if !f.primed {
 		// First contact: adopt the counters as the baseline so
 		// pre-attach history is not charged against the member, but
@@ -245,25 +226,20 @@ func (m *Monitor) Verdict(i int) Verdict {
 }
 
 // MarkDead is the manual override: it forces member i's verdict to
-// Dead and fires the usual callbacks, exactly as if the evidence had
-// confirmed the death.
-func (m *Monitor) MarkDead(i int) {
+// Dead exactly as if the evidence had confirmed the death, and
+// returns the death it confirmed ([i], or nothing when i was already
+// dead).
+func (m *Monitor) MarkDead(i int) []int {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	f := m.fsm[i]
-	already := f.verdict == Dead
-	if !already {
-		f.verdict = Dead
-		f.trans++
-		m.deaths.Add(1)
+	if f.verdict == Dead {
+		return nil
 	}
-	callbacks := m.onDead
-	m.mu.Unlock()
-	if already {
-		return
-	}
-	for _, fn := range callbacks {
-		fn(i)
-	}
+	f.verdict = Dead
+	f.trans++
+	m.deaths.Add(1)
+	return []int{i}
 }
 
 // Replace points member i at a fresh source (a promoted spare) and
@@ -274,35 +250,21 @@ func (m *Monitor) Replace(i int, s Source) {
 	m.fsm[i] = &memberFSM{src: s, ring: make([]int64, window)}
 }
 
-// State snapshots member i for admin surfaces.
-func (m *Monitor) State(i int) MemberState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stateLocked(i)
-}
-
-// States snapshots every member.
+// States snapshots every member for admin surfaces.
 func (m *Monitor) States() []MemberState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]MemberState, len(m.fsm))
-	for i := range m.fsm {
-		out[i] = m.stateLocked(i)
+	for i, f := range m.fsm {
+		out[i] = MemberState{
+			Name:        f.src.Name(),
+			Verdict:     f.verdict,
+			WindowErrs:  f.windowScore(),
+			Consec:      f.prev.Consec,
+			Transitions: f.trans,
+		}
 	}
 	return out
-}
-
-func (m *Monitor) stateLocked(i int) MemberState {
-	f := m.fsm[i]
-	return MemberState{
-		Name:        f.src.Name(),
-		Verdict:     f.verdict,
-		WindowErrs:  f.windowScore(),
-		Consec:      f.prev.Consec,
-		DeadErrors:  f.prev.DeadErrors,
-		Samples:     f.samples,
-		Transitions: f.trans,
-	}
 }
 
 // ConfirmedDeaths returns the number of deaths the monitor has

@@ -111,13 +111,12 @@ func TestIntermittentNeverDies(t *testing.T) {
 	m, srcs := newTestMonitor(2)
 	flaky := srcs[0]
 	var died int
-	m.OnDead(func(int) { died++ })
 	for i := 0; i < 5000; i++ {
 		// A nasty rhythm: bursts just under the consecutive-failure
 		// bound, then a single success, repeatedly.
 		flaky.fail(killConsec - 1)
 		flaky.succeed()
-		m.Observe()
+		died += len(m.Observe())
 		if v := m.Verdict(0); v == Dead {
 			t.Fatalf("intermittent member confirmed dead at sample %d", i)
 		}
@@ -129,29 +128,27 @@ func TestIntermittentNeverDies(t *testing.T) {
 		t.Fatalf("quiet member dragged to %v by its neighbor", v)
 	}
 	if died != 0 || m.ConfirmedDeaths() != 0 {
-		t.Fatalf("OnDead fired %d times for transient evidence", died)
+		t.Fatalf("%d deaths confirmed for transient evidence", died)
 	}
 }
 
 // TestHardEvidenceConfirmsDead pins the two hard paths: a permanent
 // dead-member rejection confirms within one sample, as does an
 // unbroken failure run reaching killConsec. The verdict is sticky
-// until Replace, and OnDead fires exactly once per death.
+// until Replace, and Observe reports each death exactly once.
 func TestHardEvidenceConfirmsDead(t *testing.T) {
 	m, srcs := newTestMonitor(2)
-	var mu sync.Mutex
 	var deaths []int
-	m.OnDead(func(i int) { mu.Lock(); deaths = append(deaths, i); mu.Unlock() })
 	m.Observe() // prime
 
 	srcs[0].dead()
-	m.Observe()
+	deaths = append(deaths, m.Observe()...)
 	if v := m.Verdict(0); v != Dead {
 		t.Fatalf("dead rejection sampled as %v, want dead", v)
 	}
 
 	srcs[1].fail(killConsec)
-	m.Observe()
+	deaths = append(deaths, m.Observe()...)
 	if v := m.Verdict(1); v != Dead {
 		t.Fatalf("unbroken run of %d sampled as %v, want dead", killConsec, v)
 	}
@@ -160,16 +157,13 @@ func TestHardEvidenceConfirmsDead(t *testing.T) {
 	srcs[0].succeed()
 	srcs[1].succeed()
 	for i := 0; i < 3*window; i++ {
-		m.Observe()
+		deaths = append(deaths, m.Observe()...)
 	}
 	if m.Verdict(0) != Dead || m.Verdict(1) != Dead {
 		t.Fatal("confirmed death decayed without Replace")
 	}
-	mu.Lock()
-	n := len(deaths)
-	mu.Unlock()
-	if n != 2 || m.ConfirmedDeaths() != 2 {
-		t.Fatalf("OnDead fired %d times (counter %d), want 2", n, m.ConfirmedDeaths())
+	if len(deaths) != 2 || deaths[0] != 0 || deaths[1] != 1 || m.ConfirmedDeaths() != 2 {
+		t.Fatalf("deaths reported %v (counter %d), want [0 1]", deaths, m.ConfirmedDeaths())
 	}
 
 	// Replace resets the slot to a fresh healthy machine.
@@ -178,7 +172,7 @@ func TestHardEvidenceConfirmsDead(t *testing.T) {
 	if v := m.Verdict(0); v != Healthy {
 		t.Fatalf("replaced member starts %v, want healthy", v)
 	}
-	if st := m.State(0); st.Name != "s0" || st.Transitions != 0 {
+	if st := m.States()[0]; st.Name != "s0" || st.Transitions != 0 {
 		t.Fatalf("replaced state %+v, want fresh s0", st)
 	}
 }
@@ -200,18 +194,15 @@ func TestFirstSamplePrimesBaseline(t *testing.T) {
 }
 
 // TestMarkDeadManualOverride checks the operator path: the verdict
-// flips, callbacks fire once, and a second override is a no-op.
+// flips, the death is reported once, and a second override is a no-op.
 func TestMarkDeadManualOverride(t *testing.T) {
 	m, _ := newTestMonitor(1)
-	var fired int
-	m.OnDead(func(int) { fired++ })
-	m.MarkDead(0)
-	m.MarkDead(0)
+	fired := len(m.MarkDead(0)) + len(m.MarkDead(0))
 	if v := m.Verdict(0); v != Dead {
 		t.Fatalf("verdict %v after MarkDead", v)
 	}
 	if fired != 1 || m.ConfirmedDeaths() != 1 {
-		t.Fatalf("override fired %d callbacks (counter %d), want 1", fired, m.ConfirmedDeaths())
+		t.Fatalf("override reported %d deaths (counter %d), want 1", fired, m.ConfirmedDeaths())
 	}
 }
 
@@ -251,7 +242,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		_ = m.State(i % 3)
+		_ = m.States()[i%3]
 	}
 	close(stop)
 	wg.Wait()

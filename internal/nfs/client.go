@@ -18,16 +18,7 @@ import (
 // flight, letting the server's per-connection pipeline overlap
 // decode and execution.
 type Client struct {
-	tr transport
-}
-
-// transport moves one call's frames and hands back a decoder
-// positioned at the results. The decoder is a value over a reply
-// frame allocated for this call alone, so the caller may keep the
-// bytes it borrows out of it (Read returns them).
-type transport interface {
-	call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error)
-	close() error
+	tr *pipeTransport
 }
 
 // Dial connects to a server one call at a time: a pipelined
@@ -62,17 +53,6 @@ func DialPipeline(addr string, window int) (*Client, error) {
 
 // Close drops the connection; outstanding pipelined calls fail.
 func (c *Client) Close() error { return c.tr.close() }
-
-func (c *Client) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
-	d, err := c.tr.call(proc, args)
-	// The statusError marker only matters inside the transport stack
-	// (a retrying transport must not reissue a call the server
-	// answered); callers get the bare sentinel.
-	if se, ok := err.(statusError); ok {
-		return d, se.err
-	}
-	return d, err
-}
 
 // sendCall encodes one call into e — the transport's reused encoder,
 // guarded by the caller's lock — and writes it with one syscall.
@@ -137,6 +117,10 @@ func (p *pipeTransport) close() error {
 	return err
 }
 
+// call moves one call's frames and hands back a decoder positioned at
+// the results. The decoder is a value over a reply frame allocated for
+// this call alone, so the caller may keep the bytes it borrows out of
+// it (Read returns them).
 func (p *pipeTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	s := <-p.slots
 	defer func() { p.slots <- s }()
@@ -190,7 +174,7 @@ func (p *pipeTransport) readLoop() {
 			return
 		}
 		if status != OK {
-			s.err = statusError{ErrorOf(status)}
+			s.err = ErrorOf(status)
 		} else {
 			s.d = d
 		}
@@ -213,13 +197,13 @@ func (p *pipeTransport) failAll(err error) {
 
 // Null pings the server.
 func (c *Client) Null() error {
-	_, err := c.call(ProcNull, nil)
+	_, err := c.tr.call(ProcNull, nil)
 	return err
 }
 
 // Mount returns the root handle and attributes of a volume.
 func (c *Client) Mount(vol core.VolumeID) (FH, fsys.FileAttr, error) {
-	d, err := c.call(ProcMount, func(e *xdr.Encoder) { e.Uint32(uint32(vol)) })
+	d, err := c.tr.call(ProcMount, func(e *xdr.Encoder) { e.Uint32(uint32(vol)) })
 	if err != nil {
 		return FH{}, fsys.FileAttr{}, err
 	}
@@ -228,7 +212,7 @@ func (c *Client) Mount(vol core.VolumeID) (FH, fsys.FileAttr, error) {
 
 // Getattr fetches attributes.
 func (c *Client) Getattr(fh FH) (fsys.FileAttr, error) {
-	d, err := c.call(ProcGetattr, func(e *xdr.Encoder) { encodeFH(e, fh) })
+	d, err := c.tr.call(ProcGetattr, func(e *xdr.Encoder) { encodeFH(e, fh) })
 	if err != nil {
 		return fsys.FileAttr{}, err
 	}
@@ -237,7 +221,7 @@ func (c *Client) Getattr(fh FH) (fsys.FileAttr, error) {
 
 // SetSize truncates or extends a file.
 func (c *Client) SetSize(fh FH, size int64) (fsys.FileAttr, error) {
-	d, err := c.call(ProcSetattr, func(e *xdr.Encoder) {
+	d, err := c.tr.call(ProcSetattr, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
 		e.Int64(size)
 	})
@@ -249,7 +233,7 @@ func (c *Client) SetSize(fh FH, size int64) (fsys.FileAttr, error) {
 
 // Lookup resolves name in directory dir.
 func (c *Client) Lookup(dir FH, name string) (FH, fsys.FileAttr, error) {
-	d, err := c.call(ProcLookup, func(e *xdr.Encoder) {
+	d, err := c.tr.call(ProcLookup, func(e *xdr.Encoder) {
 		encodeFH(e, dir)
 		e.String(name)
 	})
@@ -262,7 +246,7 @@ func (c *Client) Lookup(dir FH, name string) (FH, fsys.FileAttr, error) {
 // Read fetches up to count bytes at off. The result aliases the
 // reply frame, which was allocated for this call and is the caller's.
 func (c *Client) Read(fh FH, off int64, count int) ([]byte, error) {
-	d, err := c.call(ProcRead, func(e *xdr.Encoder) {
+	d, err := c.tr.call(ProcRead, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
 		e.Int64(off)
 		e.Uint32(uint32(count))
@@ -278,7 +262,7 @@ func (c *Client) Read(fh FH, off int64, count int) ([]byte, error) {
 // server's write frames (see frameKeep for the measured reason).
 func (c *Client) Write(fh FH, off int64, data []byte) (fsys.FileAttr, error) {
 	payload := bytes.Clone(data)
-	d, err := c.call(ProcWrite, func(e *xdr.Encoder) {
+	d, err := c.tr.call(ProcWrite, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
 		e.Int64(off)
 		e.OpaqueVec([][]byte{payload}, len(payload))
@@ -300,7 +284,7 @@ func (c *Client) Mkdir(dir FH, name string) (FH, fsys.FileAttr, error) {
 }
 
 func (c *Client) makeNode(proc uint32, dir FH, name string) (FH, fsys.FileAttr, error) {
-	d, err := c.call(proc, func(e *xdr.Encoder) {
+	d, err := c.tr.call(proc, func(e *xdr.Encoder) {
 		encodeFH(e, dir)
 		e.String(name)
 	})
@@ -312,7 +296,7 @@ func (c *Client) makeNode(proc uint32, dir FH, name string) (FH, fsys.FileAttr, 
 
 // Remove unlinks a file from dir.
 func (c *Client) Remove(dir FH, name string) error {
-	_, err := c.call(ProcRemove, func(e *xdr.Encoder) {
+	_, err := c.tr.call(ProcRemove, func(e *xdr.Encoder) {
 		encodeFH(e, dir)
 		e.String(name)
 	})
@@ -321,7 +305,7 @@ func (c *Client) Remove(dir FH, name string) error {
 
 // Rmdir removes an empty directory from dir.
 func (c *Client) Rmdir(dir FH, name string) error {
-	_, err := c.call(ProcRmdir, func(e *xdr.Encoder) {
+	_, err := c.tr.call(ProcRmdir, func(e *xdr.Encoder) {
 		encodeFH(e, dir)
 		e.String(name)
 	})
@@ -330,7 +314,7 @@ func (c *Client) Rmdir(dir FH, name string) error {
 
 // Rename moves fromName in fromDir to toName in toDir.
 func (c *Client) Rename(fromDir FH, fromName string, toDir FH, toName string) error {
-	_, err := c.call(ProcRename, func(e *xdr.Encoder) {
+	_, err := c.tr.call(ProcRename, func(e *xdr.Encoder) {
 		encodeFH(e, fromDir)
 		e.String(fromName)
 		encodeFH(e, toDir)
@@ -347,7 +331,7 @@ type DirEntry struct {
 
 // Readdir lists dir.
 func (c *Client) Readdir(dir FH) ([]DirEntry, error) {
-	d, err := c.call(ProcReaddir, func(e *xdr.Encoder) { encodeFH(e, dir) })
+	d, err := c.tr.call(ProcReaddir, func(e *xdr.Encoder) { encodeFH(e, dir) })
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +356,7 @@ func (c *Client) Readdir(dir FH) ([]DirEntry, error) {
 
 // Symlink creates a symbolic link in dir.
 func (c *Client) Symlink(dir FH, name, target string) (FH, fsys.FileAttr, error) {
-	d, err := c.call(ProcSymlink, func(e *xdr.Encoder) {
+	d, err := c.tr.call(ProcSymlink, func(e *xdr.Encoder) {
 		encodeFH(e, dir)
 		e.String(name)
 		e.String(target)
@@ -385,7 +369,7 @@ func (c *Client) Symlink(dir FH, name, target string) (FH, fsys.FileAttr, error)
 
 // Readlink fetches a symlink's target.
 func (c *Client) Readlink(fh FH) (string, error) {
-	d, err := c.call(ProcReadlink, func(e *xdr.Encoder) { encodeFH(e, fh) })
+	d, err := c.tr.call(ProcReadlink, func(e *xdr.Encoder) { encodeFH(e, fh) })
 	if err != nil {
 		return "", err
 	}
@@ -401,7 +385,7 @@ type FSInfo struct {
 
 // StatFS reports volume capacity.
 func (c *Client) StatFS(fh FH) (FSInfo, error) {
-	d, err := c.call(ProcStatFS, func(e *xdr.Encoder) { encodeFH(e, fh) })
+	d, err := c.tr.call(ProcStatFS, func(e *xdr.Encoder) { encodeFH(e, fh) })
 	if err != nil {
 		return FSInfo{}, err
 	}

@@ -126,7 +126,7 @@ func TestNFSCrashSemantics(t *testing.T) {
 	// Arm the cut, counting device I/Os from the durable baseline.
 	plan := device.NewFaultPlan(device.FaultConfig{Seed: 11, CutAfterIO: 40, CutTearsWrite: true})
 	plan.OnCut(srv.Cache.PowerOff)
-	for _, drv := range srv.Drivers {
+	for _, drv := range srv.Members.Drivers {
 		drv.SetInjector(plan)
 	}
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/disk"
 	"repro/internal/fsys"
+	"repro/internal/health"
 	"repro/internal/layout"
 	"repro/internal/sched"
 	"repro/internal/stack"
@@ -90,8 +91,7 @@ type Config struct {
 	// Placement routes file data across the array: "affinity"
 	// (default), "striped", or the redundant placements "mirrored"
 	// (chained declustering) and "parity" (rotated RAID-5), which
-	// keep serving through a member death (System.KillMember /
-	// RebuildMember).
+	// keep serving through a member death (System.Members).
 	Placement string
 	// StripeBlocks is the striped placement's chunk width.
 	StripeBlocks int
@@ -190,6 +190,10 @@ type System struct {
 	Drivers []device.Driver
 	Volumes []*volume.Array   // in the order Init mounted them
 	Fault   *device.FaultPlan // non-nil when Config.Fault is set
+	// Members runs member loss on the array-mode array — kill,
+	// rebuild, spares, the self-heal supervisor — with the server's
+	// code (set by Init; nil outside array mode).
+	Members *health.Members
 }
 
 // Build assembles the components. Volumes are formatted and mounted
@@ -215,36 +219,18 @@ func Build(cfg Config) (*System, error) {
 	k := sched.NewVirtual(cfg.Seed)
 	sys := &System{Cfg: cfg, K: k}
 
-	// Buses and disks.
-	for b := 0; b < cfg.Buses; b++ {
-		bb := bus.New(k, bus.SCSI2(fmt.Sprintf("scsi%d", b)))
-		sys.Buses = append(sys.Buses, bb)
-		for d := 0; d < cfg.DisksPerBus[b]; d++ {
-			name := fmt.Sprintf("disk%d", len(sys.Disks))
-			var p disk.Params
-			switch cfg.DiskModel {
-			case "", "hp97560":
-				p = disk.HP97560(name)
-			case "naive":
-				p = disk.Naive(name, 15*time.Millisecond)
-			default:
-				return nil, fmt.Errorf("patsy: unknown disk model %q", cfg.DiskModel)
-			}
-			dd := disk.New(k, p, bb)
-			dd.Start()
-			sys.Disks = append(sys.Disks, dd)
-			q, ok := device.NewScheduler(cmp.Or(cfg.QueueSched, "clook"))
-			if !ok {
-				return nil, fmt.Errorf("patsy: unknown queue scheduler %q", cfg.QueueSched)
-			}
-			drv := device.NewSimDriver(k, name+".drv", dd, bb, q)
-			sys.Drivers = append(sys.Drivers, drv)
-		}
-	}
 	if cfg.Fault != nil {
 		sys.Fault = device.NewFaultPlan(*cfg.Fault)
-		for _, drv := range sys.Drivers {
-			drv.SetInjector(sys.Fault)
+	}
+	// Buses and disks.
+	for b := 0; b < cfg.Buses; b++ {
+		bb := sys.addBus()
+		for d := 0; d < cfg.DisksPerBus[b]; d++ {
+			drv, err := sys.addDisk(bb)
+			if err != nil {
+				return nil, err
+			}
+			sys.Drivers = append(sys.Drivers, drv)
 		}
 	}
 	if len(sys.Disks) == 0 {
@@ -270,6 +256,64 @@ func Build(cfg Config) (*System, error) {
 	return sys, nil
 }
 
+// addBus builds the next SCSI bus.
+func (s *System) addBus() *bus.Bus {
+	bb := bus.New(s.K, bus.SCSI2(fmt.Sprintf("scsi%d", len(s.Buses))))
+	s.Buses = append(s.Buses, bb)
+	return bb
+}
+
+// addDisk builds the next disk on bb, starts it, and returns its
+// driver, the fault plan (if any) installed.
+func (s *System) addDisk(bb *bus.Bus) (device.Driver, error) {
+	name := fmt.Sprintf("disk%d", len(s.Disks))
+	var p disk.Params
+	switch s.Cfg.DiskModel {
+	case "", "hp97560":
+		p = disk.HP97560(name)
+	case "naive":
+		p = disk.Naive(name, 15*time.Millisecond)
+	default:
+		return nil, fmt.Errorf("patsy: unknown disk model %q", s.Cfg.DiskModel)
+	}
+	dd := disk.New(s.K, p, bb)
+	dd.Start()
+	s.Disks = append(s.Disks, dd)
+	q, ok := device.NewScheduler(cmp.Or(s.Cfg.QueueSched, "clook"))
+	if !ok {
+		return nil, fmt.Errorf("patsy: unknown queue scheduler %q", s.Cfg.QueueSched)
+	}
+	drv := device.NewSimDriver(s.K, name+".drv", dd, bb, q)
+	if s.Fault != nil {
+		drv.SetInjector(s.Fault)
+	}
+	return drv, nil
+}
+
+// AddSpare builds one more bus + disk + driver stack, as Build does
+// for an array member, and attaches it to the array's hot-spare pool
+// (array mode only; call after Init).
+func (s *System) AddSpare() error {
+	if s.Members == nil {
+		return fmt.Errorf("patsy: spare: not in array mode")
+	}
+	drv, err := s.addDisk(s.addBus())
+	if err != nil {
+		return err
+	}
+	return s.Members.AddSpare(drv)
+}
+
+// Replacement is the drive a manual rebuild of member m writes to:
+// the member's own simulated drive, standing in for a swapped
+// replacement, so the rebuild's seeks and transfers are costed like
+// any other traffic (health.Media).
+func (s *System) Replacement(m int) (device.Driver, error) { return s.Drivers[m], nil }
+
+// Adopt has nothing to move: a simulated spare's drive is already the
+// member's once the array has promoted it (health.Media).
+func (s *System) Adopt(m, j int) error { return nil }
+
 // Init formats and mounts the volumes, spreading them round-robin
 // over the disks and splitting each disk evenly among its volumes; in
 // array mode it mounts one array over a full-disk partition per stack
@@ -281,7 +325,14 @@ func (s *System) Init(t sched.Task) error {
 		for i := range parts {
 			parts[i] = s.partition(i, 0, s.Drivers[i].CapacityBlocks())
 		}
-		return s.mount(t, 1, parts)
+		if err := s.mount(t, 1, parts); err != nil {
+			return err
+		}
+		s.Members = &health.Members{
+			K: s.K, Array: s.Volumes[0], Stack: s.stackConfig(), Name: "vol1", Blocks: parts[0].Blocks,
+			Fault: s.Fault, Media: s, Drivers: append([]device.Driver(nil), s.Drivers...),
+		}
+		return nil
 	}
 	perDisk := make([][]int, len(s.Disks))
 	for v := 0; v < cfg.Volumes; v++ {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fsys"
+	"repro/internal/health"
 	"repro/internal/sched"
 	"repro/internal/volume"
 )
@@ -369,7 +370,7 @@ func runCrashPoint(spec crashSpec) (*crashResult, error) {
 	if spec.Kill {
 		plan.OnKill(func(m int) { _ = srv.Array.KillMember(m) })
 	}
-	for _, drv := range srv.Drivers {
+	for _, drv := range srv.Members.Drivers {
 		drv.SetInjector(plan)
 	}
 	if spec.Kill && spec.KillAfterIO <= 0 {
@@ -651,7 +652,7 @@ type repairResult struct {
 	RebuildErr string
 	// Heal is the supervised repair's event: Err carries the repair's
 	// failure when the cut interrupted it.
-	Heal HealEvent
+	Heal health.HealEvent
 	// Scrub is the final full-array consistency scan: Mismatches and
 	// Skipped must be zero on the converged array.
 	Scrub volume.ScrubStats
@@ -742,7 +743,7 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 			Seed: spec.Seed, CutAfterIO: spec.CutAfterIO, CutTearsWrite: true,
 		})
 		plan.OnCut(srv.Cache.PowerOff)
-		for _, drv := range srv.Drivers {
+		for _, drv := range srv.Members.Drivers {
 			drv.SetInjector(plan)
 		}
 		if err := srv.RebuildMember(spec.KillMember); err != nil {

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -128,9 +127,10 @@ type Server struct {
 	Vol   *fsys.Volume
 	Cache *cache.Cache
 	Array *volume.Array
-	// Drivers are the per-array-member disk drivers, in member
-	// order (observability: per-volume I/O counters).
-	Drivers []device.Driver
+	// Members holds the array's member and spare drivers and runs
+	// member loss: kill, rebuild, spare promotion and (with
+	// Config.SelfHeal) the supervisor and its health monitor.
+	Members *health.Members
 	// Fault is the installed fault plan (nil without Config.Fault).
 	Fault *device.FaultPlan
 	// Recovery reports what the recovery mount repaired and replayed
@@ -139,34 +139,10 @@ type Server struct {
 	// Tracer carries per-operation latency breakdowns from the NFS
 	// executor down through the cache and disk paths.
 	Tracer *telemetry.Tracer
-	// Monitor is the health monitor driving the self-heal supervisor
-	// (nil unless Config.SelfHeal).
-	Monitor *health.Monitor
 
-	cfg     Config
-	stack   stack.Config
 	cluster int
 	net     *nfs.Server
 	admin   *telemetry.Server
-
-	// drvMu guards Drivers, spareDrvs and retired against a
-	// concurrent rebuild/promotion swapping in a replacement driver.
-	drvMu sync.Mutex
-	// spareDrvs holds the spare pool's drivers by slot (nil once the
-	// slot's spare is consumed by a promotion).
-	spareDrvs []device.Driver
-	// retired holds drivers of members replaced by RebuildMember or a
-	// spare promotion; their images are released with the server.
-	retired []device.Driver
-
-	// Self-heal supervisor state (see selfheal.go).
-	healMu     sched.Mutex // serializes monitor judgments and repairs
-	healer     sched.Task  // the task holding healMu
-	healStop   sched.Event // asks the supervisor task to exit
-	healDone   sched.Event // the supervisor task has exited
-	evMu       sync.Mutex
-	healEvents []HealEvent
-	killTimes  map[int]sched.Time
 }
 
 // ClusterRun reports the effective run-size cap (1 = clustering off).
@@ -289,6 +265,11 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return fail(err)
 	}
+	media := images{k, cfg, plan}
+	members := &health.Members{
+		K: k, Array: lay, Stack: st, Name: "pfs", Blocks: cfg.Blocks,
+		Fault: plan, Media: media, Drivers: drvs,
+	}
 	for m := range dead {
 		if err := lay.KillMember(m); err != nil {
 			return fail(err)
@@ -309,27 +290,16 @@ func Open(cfg Config) (*Server, error) {
 		plan.OnKill(func(m int) { _ = lay.KillMember(m) })
 	}
 	// Spares start from an unformatted image (a stale one from an
-	// interrupted promotion is dropped). A spare's partition claims a
-	// disk address beyond the array (Volumes+j), so the fault plan's
-	// member addressing never confuses a spare with the member it
-	// replaces.
-	spareDrvs := make([]device.Driver, 0, cfg.Spares)
+	// interrupted promotion is dropped).
 	for j := 0; j < cfg.Spares; j++ {
-		path, name := sparePath(cfg, j)
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fail(fmt.Errorf("pfs: drop stale spare image %s: %w", path, err))
-		}
-		drv, err := openDriver(k, cfg, plan, path, name)
+		drv, err := media.fresh(sparePath(cfg, j))
 		if err != nil {
 			return fail(err)
 		}
 		built = append(built, drv)
-		sub, err := st.Member(k, name, st.Partition(drv, cfg.Volumes+j, 0, cfg.Blocks))
-		if err != nil {
+		if err := members.AddSpare(drv); err != nil {
 			return fail(err)
 		}
-		lay.AttachSpare(sub)
-		spareDrvs = append(spareDrvs, drv)
 	}
 	fs, c := st.FrontEnd(k, cache.Config{
 		Blocks:  cfg.CacheBlocks,
@@ -346,14 +316,14 @@ func Open(cfg Config) (*Server, error) {
 	tr := telemetry.NewTracer(k, cfg.SlowOpThreshold)
 	fs.SetTracer(tr)
 
-	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Drivers: drvs, spareDrvs: spareDrvs, Fault: plan, Tracer: tr, cfg: cfg, stack: st, cluster: cfg.ClusterRunBlocks}
+	srv := &Server{K: k, FS: fs, Cache: c, Array: lay, Members: members, Fault: plan, Tracer: tr, cluster: cfg.ClusterRunBlocks}
 	if plan != nil {
 		// The instant the cut trips, the cache stops issuing flushes:
 		// a dead machine writes nothing more.
 		plan.OnCut(c.PowerOff)
 	}
 
-	if err := srv.Do(func(t sched.Task) error { return srv.mount(t, fresh) }); err != nil {
+	if err := srv.Do(func(t sched.Task) error { return srv.mount(t, fresh, cfg.Recover) }); err != nil {
 		// A failed mount writes nothing more: tear the half-open server
 		// down as a crash. A recovery's battery stays unretired, merged
 		// with whatever the failed recovery left in the domain.
@@ -367,7 +337,7 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.SelfHeal {
-		srv.startSupervisor()
+		members.Supervise(cfg.HealthInterval)
 	}
 	return srv, nil
 }
@@ -472,35 +442,12 @@ func (s *Server) halt() {
 		return nil
 	})
 	s.K.Stop()
-	s.closeDrivers()
+	s.Members.Close()
 }
 
 // AllDrivers snapshots the member drivers plus any retired by a
-// supervised repair, under the swap lock: counter aggregation over
-// the snapshot stays monotonic across a mid-run driver swap.
-func (s *Server) AllDrivers() []device.Driver {
-	s.drvMu.Lock()
-	defer s.drvMu.Unlock()
-	out := append([]device.Driver(nil), s.Drivers...)
-	return append(out, s.retired...)
-}
-
-func (s *Server) closeDrivers() {
-	s.drvMu.Lock()
-	defer s.drvMu.Unlock()
-	for _, drv := range s.Drivers {
-		drv.Close()
-	}
-	for _, drv := range s.spareDrvs {
-		if drv != nil {
-			drv.Close()
-		}
-	}
-	for _, drv := range s.retired {
-		drv.Close()
-	}
-	s.retired = nil
-}
+// repair (see health.Members.AllDrivers).
+func (s *Server) AllDrivers() []device.Driver { return s.Members.AllDrivers() }
 
 // Crash simulates a power cut: the fault plan (if any) is tripped so
 // nothing further reaches the images, the cache is frozen, and the

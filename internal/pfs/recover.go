@@ -53,8 +53,7 @@ func (e *RecoveryError) Unwrap() error { return e.Err }
 // mount brings the volume up on a kernel task: a fresh image set is
 // formatted, an existing one mounted, or — with a battery to replay —
 // recovered, replayed and synced.
-func (s *Server) mount(t sched.Task, fresh bool) error {
-	b := s.cfg.Recover
+func (s *Server) mount(t sched.Task, fresh bool, b *Battery) error {
 	var err error
 	switch {
 	case fresh:

@@ -33,7 +33,7 @@ func TestSelfHealClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if srv.Monitor == nil || srv.Monitor.Members() != 3 {
+	if srv.Members.Monitor == nil || srv.Members.Monitor.Members() != 3 {
 		t.Fatalf("supervisor not running over 3 members")
 	}
 	addr, err := srv.ServeNFS("127.0.0.1:0")
@@ -43,8 +43,8 @@ func TestSelfHealClosedLoop(t *testing.T) {
 
 	// Live traffic: each client creates, writes and reads files in a
 	// loop until told to stop, recording every acknowledged file. The
-	// clients ride the transient-fault retry transport — the same one
-	// a real deployment would use through a repair window.
+	// array retries a dead member's I/O from redundancy, so not one
+	// call may fail through the kill and the repair.
 	const clients = 4
 	type acked struct {
 		path    string
@@ -58,7 +58,7 @@ func TestSelfHealClosedLoop(t *testing.T) {
 		id := i
 		go func() {
 			errs <- func() error {
-				c, err := nfs.DialRetry(addr, nfs.RetryConfig{Attempts: 6})
+				c, err := nfs.Dial(addr)
 				if err != nil {
 					return err
 				}
@@ -113,7 +113,7 @@ func TestSelfHealClosedLoop(t *testing.T) {
 	const victim = 1
 	srv.Fault.Kill(victim)
 
-	var evs []HealEvent
+	var evs []health.HealEvent
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		if evs = srv.HealEvents(); len(evs) > 0 {
 			break
@@ -141,7 +141,7 @@ func TestSelfHealClosedLoop(t *testing.T) {
 	if srv.Array.Degraded() {
 		t.Fatal("array degraded after supervised repair")
 	}
-	if v := srv.Monitor.Verdict(victim); v != health.Healthy {
+	if v := srv.Members.Monitor.Verdict(victim); v != health.Healthy {
 		t.Fatalf("promoted member's verdict %v, want healthy", v)
 	}
 	if n := srv.Array.SparePromotions(); n != 1 {
@@ -251,7 +251,7 @@ func TestSelfHealSecondFaultRefused(t *testing.T) {
 	if err := srv.MarkMemberDead(0); err != nil {
 		t.Fatalf("mark dead: %v", err)
 	}
-	waitEvents := func(n int) []HealEvent {
+	waitEvents := func(n int) []health.HealEvent {
 		t.Helper()
 		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 			if evs := srv.HealEvents(); len(evs) >= n {

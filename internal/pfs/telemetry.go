@@ -275,7 +275,7 @@ func registerHealth(reg *telemetry.Registry, m *health.Monitor) {
 		reg.AddGaugeFunc("pfs_health_state", "Member health verdict (0 healthy, 1 suspect, 2 probation, 3 dead).", lbl,
 			func() float64 { return float64(m.Verdict(i)) })
 		reg.AddGaugeFunc("pfs_health_window_errors", "Transient I/O errors in the member's evidence window.", lbl,
-			func() float64 { return float64(m.State(i).WindowErrs) })
+			func() float64 { return float64(m.States()[i].WindowErrs) })
 	}
 	reg.AddCounterFunc("pfs_health_confirmed_deaths_total", "Member deaths confirmed by the health monitor (manual overrides included).", nil,
 		func() float64 { return float64(m.ConfirmedDeaths()) })
@@ -348,10 +348,7 @@ func boolGauge(b bool) float64 {
 // Registry builds the production registry over this server's
 // components. Call after ServeNFS so the NFS families are present.
 func (s *Server) Registry() *telemetry.Registry {
-	s.drvMu.Lock()
-	drvs := append([]device.Driver(nil), s.Drivers...)
-	spares := append([]device.Driver(nil), s.spareDrvs...)
-	s.drvMu.Unlock()
+	drvs, spares := s.Members.Slots()
 	return NewRegistry(Observables{
 		Cache:    s.Cache,
 		FS:       s.FS,
@@ -362,7 +359,7 @@ func (s *Server) Registry() *telemetry.Registry {
 		Fault:    s.Fault,
 		Recovery: s.Recovery,
 		Tracer:   s.Tracer,
-		Monitor:  s.Monitor,
+		Monitor:  s.Members.Monitor,
 	})
 }
 
@@ -376,7 +373,7 @@ func (s *Server) ServeAdmin(addr string) (string, error) {
 	reg.AddGaugeFunc("pfs_uptime_seconds", "Seconds since the admin endpoint started.", nil,
 		func() float64 { return time.Since(start).Seconds() })
 	adm := telemetry.NewServer(reg, s.Tracer, s.Health, s.renderStatusz)
-	if s.Monitor != nil {
+	if s.Members.Monitor != nil {
 		adm.SetHealthDetail(s.healthDetail)
 	}
 	bound, err := adm.Start(addr)
@@ -444,13 +441,13 @@ func (s *Server) renderStatusz() string {
 	if mnt := s.Array.Maintenance(); mnt != "" {
 		fmt.Fprintf(&b, "  maintenance: %s\n", mnt)
 	}
-	if s.Monitor != nil {
+	if s.Members.Monitor != nil {
 		b.WriteString("  health:")
-		for _, ms := range s.Monitor.States() {
+		for _, ms := range s.Members.Monitor.States() {
 			fmt.Fprintf(&b, " %s=%s(errs=%d consec=%d)",
 				ms.Name, ms.Verdict, ms.WindowErrs, ms.Consec)
 		}
-		fmt.Fprintf(&b, " deaths=%d\n", s.Monitor.ConfirmedDeaths())
+		fmt.Fprintf(&b, " deaths=%d\n", s.Members.Monitor.ConfirmedDeaths())
 	}
 	if s.Array.SpareSlots() > 0 {
 		fmt.Fprintf(&b, "  spares: idle=%d promoted=%d refused=%d origins=%v\n",

@@ -655,7 +655,7 @@ func TestMetricsRedundantFamilies(t *testing.T) {
 		if runErr = sys.FS.SyncAll(task); runErr != nil {
 			return
 		}
-		if runErr = sys.KillMember(1); runErr != nil {
+		if runErr = sys.Members.KillMember(1); runErr != nil {
 			return
 		}
 		if _, runErr = v.ReadAt(task, h, 0, nil, 32*core.BlockSize); runErr != nil {

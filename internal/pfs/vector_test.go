@@ -16,7 +16,7 @@ import (
 // vecDriverCounts sums the scatter-gather request counters across the
 // server's drivers.
 func vecDriverCounts(s *Server) (reads, writes int64) {
-	for _, d := range s.Drivers {
+	for _, d := range s.Members.Drivers {
 		if st := d.DriverStats(); st != nil {
 			reads += st.VecReads.Value()
 			writes += st.VecWrites.Value()
