@@ -2,6 +2,7 @@ package fsys
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
 	"strings"
 
@@ -74,6 +75,31 @@ func decodeDir(buf []byte) (ents map[string]core.FileID, complete bool) {
 	return out, true
 }
 
+// dirImage is a simulated directory's entries at one generation.
+type dirImage struct {
+	id   core.FileID
+	gen  uint64
+	ents map[string]core.FileID
+}
+
+// simDirs snapshots a simulated volume's loaded directories, for
+// SyncAll to keep on the array (nil on a payload-moving volume, whose
+// directory blocks carry their entries). Callers may hold v.mu: a
+// simulated volume runs on the virtual kernel, which cannot interleave
+// the copy with a mutation.
+func (v *Volume) simDirs() []dirImage {
+	if !v.sim {
+		return nil
+	}
+	var out []dirImage
+	for id, f := range v.files {
+		if f.ino.Type == core.TypeDirectory {
+			out = append(out, dirImage{id, f.ino.Version, maps.Clone(f.entries)})
+		}
+	}
+	return out
+}
+
 // writeContent replaces the whole content of a directory or symlink
 // (data is nil on a simulated volume) through the cache. Caller holds
 // v.mu.
@@ -119,6 +145,9 @@ func (v *Volume) loadDirectory(t sched.Task, d *File) error {
 		return err
 	}
 	ents, complete := decodeDir(buf)
+	if kept := v.arr.SimDir(d.ino.ID, d.ino.Version); kept != nil {
+		ents = maps.Clone(kept) // a simulated directory (see simDirs)
+	}
 	if !complete {
 		// A torn log tail can leave a newer directory image on disk
 		// than the durable inode size covers (the data block hardened,

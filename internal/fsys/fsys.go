@@ -208,6 +208,12 @@ func (fs *FS) SyncAll(t sched.Task) error {
 	if log != nil {
 		hi = log.Seq()
 	}
+	// A simulated volume's directories become durable with the
+	// checkpoint too, as of the same instant (see simDirs).
+	dirs := make(map[core.VolumeID][]dirImage, len(fs.vols))
+	for id, v := range fs.vols {
+		dirs[id] = v.simDirs()
+	}
 	fs.cache.FlushAll(t)
 	ids := make([]core.VolumeID, 0, len(fs.vols))
 	for id := range fs.vols {
@@ -221,7 +227,13 @@ func (fs *FS) SyncAll(t sched.Task) error {
 		if err := v.arr.Sync(t); err != nil {
 			return err
 		}
-		if log == nil || !clean {
+		if !clean {
+			continue
+		}
+		for _, d := range dirs[id] {
+			v.arr.KeepSimDir(d.id, d.gen, d.ents)
+		}
+		if log == nil {
 			continue
 		}
 		if v.arr.DurableSeq(t) < wm0 {

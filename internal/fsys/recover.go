@@ -61,8 +61,11 @@ func (s ReplayStats) Blocks() int { return s.Replayed + s.Dropped + s.DirBlocks 
 // nor a covering intent are dropped and counted (with the intent log
 // disabled this reproduces the historical drop-on-create behavior).
 //
-// Call it after the volumes are mounted, and Sync afterwards to make
-// the replayed state durable.
+// Call it on a front-end built after the cut, once the volumes are
+// recovered and mounted (and an array's partial-parity records
+// replayed), and SyncAll afterwards to make the replayed state
+// durable: stack.Mount is that sequence, for the server and the
+// simulator alike.
 func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []cache.Intent) (ReplayStats, error) {
 	var st ReplayStats
 	fs.replaying = true

@@ -1,9 +1,12 @@
 package patsy
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/trace"
 )
 
@@ -12,11 +15,13 @@ import (
 // afterwards), freezes the cache, and measures the crash exposure —
 // dirty blocks lost vs. NVRAM-preserved, the loss window, and the
 // bytes sitting in the drives' volatile write caches. With
-// CrashRecover it then plays the recovery inside the same simulation
-// so the study gets deterministic virtual-time recovery costs: every
-// layout's remount/roll-forward scan, the NVRAM replay through the
-// layouts, and the closing checkpoint.
-func (s *System) crashTask(t sched.Task, rep *trace.Replayer) *CrashInfo {
+// CrashRecover it then reboots inside the same simulation, so the
+// study gets deterministic virtual-time recovery costs: a fresh
+// front-end over the same arrays runs the server's recovery mount
+// (stack.Mount) from the battery, and the front-end it recovered onto
+// is returned. The pre-crash front-end stays powered off; Report reads
+// the replay's counters from it.
+func (s *System) crashTask(t sched.Task, rep *trace.Replayer) (*CrashInfo, *fsys.FS, error) {
 	t.SleepUntil(sched.Time(s.Cfg.CrashAt))
 	rep.Halt()
 	if s.Fault != nil {
@@ -27,58 +32,45 @@ func (s *System) crashTask(t sched.Task, rep *trace.Replayer) *CrashInfo {
 	// their (injected) completions before the state is read.
 	t.Sleep(time.Second)
 
-	cr := s.Cache.Crash(t)
+	b := stack.ReadBattery(s.Cache.Crash(t), s.Volumes...)
 	info := &CrashInfo{
 		At:             time.Duration(s.K.Now()),
-		Policy:         cr.Policy,
-		Persistent:     cr.Persistent,
-		SurvivorBlocks: len(cr.Survivors),
-		LostBlocks:     cr.LostBlocks,
-		LossWindow:     cr.LossWindow,
+		Policy:         b.Policy,
+		Persistent:     b.Persistent,
+		SurvivorBlocks: len(b.Survivors),
+		LostBlocks:     b.LostBlocks,
+		LossWindow:     b.LossWindow,
 	}
 	if log := s.Cache.Intents(); log != nil {
 		info.Namespace = &NamespaceCrashInfo{
 			Ops:             log.Total(),
-			SurvivorIntents: len(cr.Intents),
-			LostIntents:     cr.LostIntents,
-			LossWindow:      cr.IntentLossWindow,
+			SurvivorIntents: len(b.Intents),
+			LostIntents:     b.LostIntents,
+			LossWindow:      b.IntentLossWindow,
 		}
 	}
 	for _, d := range s.Disks {
 		info.DiskVolatileBytes += d.VolatileBytes()
 	}
 	if !s.Cfg.CrashRecover {
-		return info
+		return info, nil, nil
 	}
-
-	// Power restored: recover on the same (simulated) stack. The
-	// in-memory layout state doubles as the disk image, so recovery
-	// here charges the I/O a real remount performs.
+	// Power restored: the arrays' in-memory layout state doubles as the
+	// disk image, so the recovery charges the I/O a real remount
+	// performs.
 	if s.Fault != nil {
 		s.Fault.Restore()
 	}
-	start := s.K.Now()
-	for _, vol := range s.Volumes {
-		if _, err := vol.Recover(t); err != nil {
-			return info
-		}
-	}
-	st, err := s.FS.ReplayNVRAM(t, cr.Survivors, cr.Intents)
-	info.ReplayedBlocks, info.DroppedBlocks = st.Replayed, st.Dropped
-	if info.Namespace != nil {
-		info.Namespace.Replayed = st.IntentsApplied
-		info.Namespace.Noop = st.IntentsNoop
-		info.Namespace.Dropped = st.IntentsDropped
-	}
+	fs, _ := s.frontEnd()
+	r, err := stack.Mount(t, fs, false, b, s.Volumes...)
 	if err != nil {
-		return info
-	}
-	for _, vol := range s.Volumes {
-		if err := vol.Sync(t); err != nil {
-			return info
-		}
+		return nil, nil, fmt.Errorf("patsy: recovery: %w", err)
 	}
 	info.Recovered = true
-	info.RecoveryTime = s.K.Now().Sub(start)
-	return info
+	info.RecoveryTime = time.Duration(s.K.Now()) - info.At
+	info.ReplayedBlocks, info.DroppedBlocks = r.Replayed, r.Dropped
+	if ns := info.Namespace; ns != nil {
+		ns.Replayed, ns.Noop, ns.Dropped = r.IntentsApplied, r.IntentsNoop, r.IntentsDropped
+	}
+	return info, fs, nil
 }

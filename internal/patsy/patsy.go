@@ -6,7 +6,11 @@
 // member partition — and the trace replayer on top of the abstract
 // client interface. Patsy builds the buses, disks and drivers; the
 // members, arrays and cache/front-end come from the builder the
-// on-line server uses (internal/stack), with its Simulated flag set.
+// on-line server uses (internal/stack), with its Simulated flag set,
+// and so does crash recovery: after a simulated power cut Patsy
+// remounts its arrays on a fresh front-end through the server's
+// recovery (stack.Mount), keeping only the cut and the exposure
+// measurements (crash.go) for itself.
 //
 // The default configuration reproduces the paper's replay of the
 // Sprite traces: a Sun 4/280-class server with three SCSI buses
@@ -103,11 +107,15 @@ type Config struct {
 	// CrashAt, when positive, cuts the power at that instant of
 	// virtual time: the replay halts, the fault plan trips, the
 	// cache's crash state is captured into Report.Crash — and, with
-	// CrashRecover set, recovery runs inside the same simulation
-	// (remount scan, NVRAM replay, checkpoint) so its virtual-time
-	// cost is measured. Zero disables all of it.
+	// CrashRecover set, recovery runs inside the same simulation so
+	// its virtual-time cost is measured. Zero disables all of it.
 	CrashAt time.Duration
-	// CrashRecover runs (and times) recovery after the cut.
+	// CrashRecover runs (and times) recovery after the cut: the
+	// server's recovery mount (stack.Mount: layout recovery, parity
+	// and NVRAM replay, a closing sync) on a fresh front-end over the
+	// same arrays, as a rebooted server would. A recovery that fails
+	// fails Run. Report's counters stay those of the replay's
+	// front-end.
 	CrashRecover bool
 	// IntentLog attaches the namespace intent log to the cache, so a
 	// crash study also measures acknowledged-namespace-op exposure.
@@ -188,7 +196,7 @@ type System struct {
 	Buses   []*bus.Bus
 	Disks   []*disk.Disk
 	Drivers []device.Driver
-	Volumes []*volume.Array   // in the order Init mounted them
+	Volumes []*volume.Array   // by volume ID - 1
 	Fault   *device.FaultPlan // non-nil when Config.Fault is set
 	// Members runs member loss on the array-mode array — kill,
 	// rebuild, spares, the self-heal supervisor — with the server's
@@ -216,8 +224,7 @@ func Build(cfg Config) (*System, error) {
 	if cfg.Volumes <= 0 {
 		return nil, fmt.Errorf("patsy: need at least one volume")
 	}
-	k := sched.NewVirtual(cfg.Seed)
-	sys := &System{Cfg: cfg, K: k}
+	sys := &System{Cfg: cfg, K: sched.NewVirtual(cfg.Seed)}
 
 	if cfg.Fault != nil {
 		sys.Fault = device.NewFaultPlan(*cfg.Fault)
@@ -237,23 +244,25 @@ func Build(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("patsy: no disks configured")
 	}
 
-	// Cache and front-end.
-	fs, c := sys.stackConfig().FrontEnd(k, cache.Config{
-		Blocks:  cfg.CacheBlocks,
-		Replace: cfg.Replace,
-		Flush:   cfg.Flush,
-		Shards:  cfg.CacheShards,
-		// With clustering on, shard by run-sized chunks so dirty
-		// runs stay whole; chunk 1 (the default) is the classic map.
-		ShardChunk:  cfg.ClusterRunBlocks,
-		IntentSlots: stack.IntentSlots(cfg.IntentLog),
-	})
-	if cfg.ReadaheadBlocks > 0 {
-		fs.SetReadahead(cfg.ReadaheadBlocks)
-	}
-	sys.Cache = c
-	sys.FS = fs
+	sys.FS, sys.Cache = sys.frontEnd()
 	return sys, nil
+}
+
+// frontEnd builds a block cache and file-system front-end with its
+// flushers started: Build's, and the fresh one a crash recovery
+// remounts the volumes on.
+func (s *System) frontEnd() (*fsys.FS, *cache.Cache) {
+	fs, c := s.stackConfig().FrontEnd(s.K, cache.Config{
+		Blocks:      s.Cfg.CacheBlocks,
+		Replace:     s.Cfg.Replace,
+		Flush:       s.Cfg.Flush,
+		Shards:      s.Cfg.CacheShards,
+		IntentSlots: stack.IntentSlots(s.Cfg.IntentLog),
+	})
+	if s.Cfg.ReadaheadBlocks > 0 {
+		fs.SetReadahead(s.Cfg.ReadaheadBlocks)
+	}
+	return fs, c
 }
 
 // addBus builds the next SCSI bus.
@@ -320,35 +329,37 @@ func (s *System) Adopt(m, j int) error { return nil }
 // as volume 1. It must run inside a kernel task.
 func (s *System) Init(t sched.Task) error {
 	cfg := s.Cfg
-	if cfg.ArrayVolumes >= 1 {
-		parts := make([]*layout.Partition, cfg.ArrayVolumes)
-		for i := range parts {
-			parts[i] = s.partition(i, 0, s.Drivers[i].CapacityBlocks())
-		}
-		if err := s.mount(t, 1, parts); err != nil {
-			return err
-		}
-		s.Members = &health.Members{
-			K: s.K, Array: s.Volumes[0], Stack: s.stackConfig(), Name: "vol1", Blocks: parts[0].Blocks,
-			Fault: s.Fault, Media: s, Drivers: append([]device.Driver(nil), s.Drivers...),
-		}
-		return nil
+	var members []*layout.Partition
+	for i := range cfg.ArrayVolumes {
+		members = append(members, s.partition(i, 0, s.Drivers[i].CapacityBlocks()))
 	}
-	perDisk := make([][]int, len(s.Disks))
-	for v := 0; v < cfg.Volumes; v++ {
-		d := v % len(s.Disks)
-		perDisk[d] = append(perDisk[d], v)
-	}
-	for d, vols := range perDisk {
-		if len(vols) == 0 {
-			continue
-		}
-		share := s.Drivers[d].CapacityBlocks() / int64(len(vols))
-		for i, v := range vols {
-			part := s.partition(d, int64(i)*share, share)
-			if err := s.mount(t, core.VolumeID(v+1), []*layout.Partition{part}); err != nil {
-				return err
+	// Disk by disk: the order the simulated formats are costed in.
+	s.Volumes = make([]*volume.Array, cfg.Volumes)
+	nd := len(s.Disks)
+	for d := range nd {
+		for v := d; v < cfg.Volumes; v += nd {
+			parts := members
+			if parts == nil {
+				share := s.Drivers[d].CapacityBlocks() / int64((cfg.Volumes-d+nd-1)/nd)
+				parts = []*layout.Partition{s.partition(d, int64(v/nd)*share, share)}
 			}
+			arr, err := s.stackConfig().Array(s.K, fmt.Sprintf("vol%d", v+1), parts)
+			if err == nil {
+				err = arr.Format(t)
+			}
+			if err != nil {
+				return fmt.Errorf("patsy: vol%d: %w", v+1, err)
+			}
+			s.Volumes[v] = arr
+		}
+	}
+	if _, err := stack.Mount(t, s.FS, false, nil, s.Volumes...); err != nil {
+		return fmt.Errorf("patsy: %w", err)
+	}
+	if members != nil {
+		s.Members = &health.Members{
+			K: s.K, Array: s.Volumes[0], Stack: s.stackConfig(), Name: "vol1", Blocks: members[0].Blocks,
+			Fault: s.Fault, Media: s, Drivers: append([]device.Driver(nil), s.Drivers...),
 		}
 	}
 	return nil
@@ -375,27 +386,6 @@ func (s *System) stackConfig() stack.Config {
 		Placement:    s.Cfg.Placement,
 		StripeBlocks: s.Cfg.StripeBlocks,
 	}
-}
-
-// mount builds volume id — an array with one member layout per
-// partition — formats and mounts it, and mounts it in the front-end.
-func (s *System) mount(t sched.Task, id core.VolumeID, parts []*layout.Partition) error {
-	name := fmt.Sprintf("vol%d", id)
-	arr, err := s.stackConfig().Array(s.K, name, parts)
-	if err != nil {
-		return err
-	}
-	if err := arr.Format(t); err != nil {
-		return fmt.Errorf("patsy: format %s: %w", name, err)
-	}
-	if err := arr.Mount(t); err != nil {
-		return fmt.Errorf("patsy: mount %s: %w", name, err)
-	}
-	if _, err := s.FS.AddVolume(t, id, arr); err != nil {
-		return err
-	}
-	s.Volumes = append(s.Volumes, arr)
-	return nil
 }
 
 // Report is one simulation's results.
@@ -479,14 +469,13 @@ func Run(cfg Config, traceName string, recs []trace.Record) (*Report, error) {
 		crashDone = sys.K.NewEvent("patsy.crashdone")
 	}
 	sys.K.Go("patsy.main", func(t sched.Task) {
-		if err := sys.Init(t); err != nil {
-			runErr = err
+		if runErr = sys.Init(t); runErr != nil {
 			sys.K.Stop()
 			return
 		}
 		if cfg.CrashAt > 0 {
 			sys.K.Go("patsy.crash", func(ct sched.Task) {
-				crash = sys.crashTask(ct, rep)
+				crash, _, runErr = sys.crashTask(ct, rep)
 				crashDone.Signal()
 			})
 		}

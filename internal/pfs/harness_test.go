@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/health"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/volume"
 )
 
@@ -447,7 +449,7 @@ func runCrashPoint(spec crashSpec) (*crashResult, error) {
 		Survivors:     len(cfg.Recover.Survivors),
 		Intents:       len(cfg.Recover.Intents),
 		DeadMember:    srv.Array.DeadMember(),
-		ParityRecords: len(cfg.Recover.Parity),
+		ParityRecords: len(slices.Concat(cfg.Recover.Parity...)),
 	}
 
 	// Power restored: recover on a fresh server over the same images.
@@ -489,7 +491,7 @@ func runCrashPoint(spec crashSpec) (*crashResult, error) {
 // merged one a cut inside the recovery hands back, or — when the
 // recovery outran the cut — the original, which the final recovery
 // replays again over finished state (the idempotence case).
-func crashUnderRecovery(cfg Config, spec crashSpec) (*Battery, error) {
+func crashUnderRecovery(cfg Config, spec crashSpec) (*stack.Battery, error) {
 	cfg.Fault = &device.FaultConfig{
 		Seed: spec.Seed + 1, CutAfterIO: spec.RecoverCut, CutTearsWrite: true,
 	}

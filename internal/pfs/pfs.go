@@ -6,14 +6,19 @@
 // the paper's point: nothing here is a reimplementation — only the
 // helper components differ from Patsy. The members, the array and
 // the cache/front-end come from the same builder Patsy uses
-// (internal/stack); pfs supplies the file drivers. Past Open, the
-// server holds its kernel as a sched.Kernel.
+// (internal/stack); pfs supplies the file drivers. So does the crash
+// lifecycle: Server.Crash hands back a stack.Battery and Open with
+// Config.Recover replays it through stack.Mount, the recovery Patsy's
+// simulated power cut runs too; pfs keeps the teardown of a recovery
+// that fails (RecoveryError). Past Open, the server holds its kernel
+// as a sched.Kernel.
 package pfs
 
 import (
 	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/cache"
@@ -94,7 +99,7 @@ type Config struct {
 	// *RecoveryError carrying the merged battery. The report lands in
 	// Server.Recovery. A fresh image set is formatted as usual and
 	// refuses a battery that holds anything. nil = the plain mount.
-	Recover *Battery
+	Recover *stack.Battery
 	// SlowOpThreshold sets the tracer's slow-op capture threshold
 	// (0 = telemetry.DefaultSlowThreshold).
 	SlowOpThreshold time.Duration
@@ -135,7 +140,7 @@ type Server struct {
 	Fault *device.FaultPlan
 	// Recovery reports what the recovery mount repaired and replayed
 	// (nil unless Config.Recover ran against an existing image set).
-	Recovery *RecoveryReport
+	Recovery *stack.RecoveryReport
 	// Tracer carries per-operation latency breakdowns from the NFS
 	// executor down through the cache and disk paths.
 	Tracer *telemetry.Tracer
@@ -246,9 +251,9 @@ func Open(cfg Config) (*Server, error) {
 		return fail(fmt.Errorf("pfs: cannot open a fresh image set under %s with a dead member declared", cfg.Path))
 	}
 	fresh = freshCount == cfg.Volumes
-	if b := cfg.Recover; fresh && b != nil && len(b.Survivors)+len(b.Intents)+len(b.Parity) > 0 {
+	if b := cfg.Recover; fresh && b != nil && len(b.Survivors)+len(b.Intents)+len(slices.Concat(b.Parity...)) > 0 {
 		return fail(fmt.Errorf("pfs: battery to recover (%d survivors, %d intents, %d parity records) but the image set under %s is fresh",
-			len(b.Survivors), len(b.Intents), len(b.Parity), cfg.Path))
+			len(b.Survivors), len(b.Intents), len(slices.Concat(b.Parity...)), cfg.Path))
 	}
 	parts := make([]*layout.Partition, cfg.Volumes)
 	drvs := make([]device.Driver, cfg.Volumes)
@@ -302,13 +307,10 @@ func Open(cfg Config) (*Server, error) {
 		}
 	}
 	fs, c := st.FrontEnd(k, cache.Config{
-		Blocks:  cfg.CacheBlocks,
-		Replace: cfg.Replace,
-		Flush:   cfg.Flush,
-		Shards:  cfg.CacheShards,
-		// Shard by cluster-sized chunks so a file's contiguous dirty
-		// run flushes from one shard as one multi-block write.
-		ShardChunk:  cfg.ClusterRunBlocks,
+		Blocks:      cfg.CacheBlocks,
+		Replace:     cfg.Replace,
+		Flush:       cfg.Flush,
+		Shards:      cfg.CacheShards,
 		IntentSlots: stack.IntentSlots(!cfg.NoIntentLog),
 	})
 	fs.SetReadahead(8) // sequential readahead window, in blocks
@@ -323,7 +325,18 @@ func Open(cfg Config) (*Server, error) {
 		plan.OnCut(c.PowerOff)
 	}
 
-	if err := srv.Do(func(t sched.Task) error { return srv.mount(t, fresh, cfg.Recover) }); err != nil {
+	err = srv.Do(func(t sched.Task) (err error) {
+		srv.Recovery, err = stack.Mount(t, fs, fresh, cfg.Recover, lay)
+		srv.Vol = fs.Vol(1)
+		return err
+	})
+	if err == nil && srv.Recovery != nil && plan != nil && plan.HasCut() {
+		// The cut tripped on a background write after the recovery's
+		// closing sync: the power is out all the same, so the battery
+		// stays.
+		err = device.ErrPowerCut
+	}
+	if err != nil {
 		// A failed mount writes nothing more: tear the half-open server
 		// down as a crash. A recovery's battery stays unretired, merged
 		// with whatever the failed recovery left in the domain.
@@ -332,7 +345,7 @@ func Open(cfg Config) (*Server, error) {
 			unmakeImages(cfg)
 		}
 		if cfg.Recover != nil {
-			return nil, &RecoveryError{Battery: mergeBatteries(cfg.Recover, b), Err: err}
+			return nil, &RecoveryError{Battery: stack.MergeBatteries(cfg.Recover, b), Err: err}
 		}
 		return nil, err
 	}
@@ -341,6 +354,18 @@ func Open(cfg Config) (*Server, error) {
 	}
 	return srv, nil
 }
+
+// RecoveryError is a recovery mount that failed. The half-open server
+// was torn down as a crash; Battery is what the domain holds now — the
+// battery the recovery started from merged with the one its own crash
+// left — and the next recovery must start from it.
+type RecoveryError struct {
+	Battery *stack.Battery
+	Err     error
+}
+
+func (e *RecoveryError) Error() string { return "pfs: recovery: " + e.Err.Error() }
+func (e *RecoveryError) Unwrap() error { return e.Err }
 
 // memberPath names member i's backing image and component prefix.
 func memberPath(cfg Config, i int) (path, name string) {
@@ -457,7 +482,7 @@ func (s *Server) AllDrivers() []device.Driver { return s.Members.AllDrivers() }
 // at the cut. Reopen the same configuration with Config.Recover set
 // to it; the battery is retired only when that recovery's final sync
 // succeeds (a failed one hands back the merged battery instead).
-func (s *Server) Crash() *Battery {
+func (s *Server) Crash() *stack.Battery {
 	if s.Fault != nil {
 		s.Fault.Cut()
 	}
@@ -466,14 +491,10 @@ func (s *Server) Crash() *Battery {
 	// races the teardown.
 	s.stopSupervisor()
 	s.Cache.PowerOff()
-	b := &Battery{}
-	_ = s.Do(func(t sched.Task) error {
-		b.CrashReport = *s.Cache.Crash(t)
-		return nil
-	})
+	var cr *cache.CrashReport
+	_ = s.Do(func(t sched.Task) error { cr = s.Cache.Crash(t); return nil })
 	s.halt()
-	b.Parity = s.Array.PendingParity()
-	return b
+	return stack.ReadBattery(cr, s.Array)
 }
 
 // Shutdown is the graceful exit: stop accepting network calls, let

@@ -13,7 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/sched"
-	"repro/internal/volume"
+	"repro/internal/stack"
 )
 
 // openFiles counts this process's open file descriptors (-1 where the
@@ -106,14 +106,14 @@ func TestFailedFreshOpenLeavesImagesFresh(t *testing.T) {
 // instead of formatting the set and dropping the battery. An empty one
 // drops nothing, so the fresh set formats as usual.
 func TestRecoverRefusesBatteryOnFreshImage(t *testing.T) {
-	b := &Battery{CrashReport: cache.CrashReport{Survivors: []cache.Survivor{
+	b := &stack.Battery{CrashReport: cache.CrashReport{Survivors: []cache.Survivor{
 		{Key: core.BlockKey{Vol: 1, File: 2}, Data: make([]byte, core.BlockSize), Size: core.BlockSize},
 	}}}
 	cfg := Config{Path: filepath.Join(t.TempDir(), "pfs.img"), Blocks: 2048, CacheBlocks: 128, Recover: b}
 	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "fresh") {
 		t.Fatalf("battery over a fresh image set: %v, want a refusal", err)
 	}
-	cfg.Recover = &Battery{}
+	cfg.Recover = &stack.Battery{}
 	srv, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("empty battery over a fresh image set: %v", err)
@@ -306,48 +306,5 @@ func TestBatteryRoundTrip(t *testing.T) {
 		r.ParityApplied, r.Replayed, r.IntentsApplied)
 	if st := srv2.renderStatusz(); !strings.Contains(st, line) {
 		t.Errorf("/statusz lacks %q:\n%s", line, st)
-	}
-}
-
-// The merge rules a recovery's second power cut applies, over
-// hand-built batteries: the later survivor wins per block, the later
-// intents are renumbered after the earlier ones, and per parity
-// column the earliest record wins.
-func TestMergeBatteries(t *testing.T) {
-	surv := func(file core.FileID, blk core.BlockNo, ver byte) cache.Survivor {
-		return cache.Survivor{Key: core.BlockKey{Vol: 1, File: file, Blk: blk}, Data: []byte{ver}, Size: 1}
-	}
-	intent := func(seq uint64, name string) cache.Intent {
-		return cache.Intent{Seq: seq, Op: cache.IntentCreate, Vol: 1, Name: name}
-	}
-	column := func(file core.FileID, stripe int64, pmember int) volume.ParityRecord {
-		return volume.ParityRecord{File: file, Stripe: stripe, PMember: pmember}
-	}
-	bat := func(s []cache.Survivor, i []cache.Intent, p []volume.ParityRecord) *Battery {
-		return &Battery{CrashReport: cache.CrashReport{Survivors: s, Intents: i}, Parity: p}
-	}
-	full := bat([]cache.Survivor{surv(2, 0, 1)}, []cache.Intent{intent(3, "a")}, []volume.ParityRecord{column(2, 0, 0)})
-	for _, tc := range []struct {
-		name               string
-		first, later, want *Battery
-	}{
-		{"survivor overwrite",
-			bat([]cache.Survivor{surv(2, 0, 1), surv(2, 1, 1)}, nil, nil),
-			bat([]cache.Survivor{surv(2, 1, 2), surv(1, 5, 2)}, nil, nil),
-			bat([]cache.Survivor{surv(1, 5, 2), surv(2, 0, 1), surv(2, 1, 2)}, nil, nil)},
-		{"intent renumbering",
-			bat(nil, []cache.Intent{intent(1, "a"), intent(4, "b")}, nil),
-			bat(nil, []cache.Intent{intent(1, "a"), intent(2, "c")}, nil),
-			bat(nil, []cache.Intent{intent(1, "a"), intent(4, "b"), intent(5, "a"), intent(6, "c")}, nil)},
-		{"first parity record per column",
-			bat(nil, nil, []volume.ParityRecord{column(3, 0, 0), column(3, 1, 1)}),
-			bat(nil, nil, []volume.ParityRecord{column(3, 1, 2), column(4, 0, 2)}),
-			bat(nil, nil, []volume.ParityRecord{column(3, 0, 0), column(3, 1, 1), column(4, 0, 2)})},
-		{"nothing new", full, &Battery{}, full},
-	} {
-		got := mergeBatteries(tc.first, tc.later)
-		if g, w := fmt.Sprint(got.Survivors, got.Intents, got.Parity), fmt.Sprint(tc.want.Survivors, tc.want.Intents, tc.want.Parity); g != w {
-			t.Errorf("%s:\n got %s\nwant %s", tc.name, g, w)
-		}
 	}
 }

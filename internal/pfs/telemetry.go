@@ -30,6 +30,7 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
@@ -44,7 +45,7 @@ type Observables struct {
 	Drivers  []device.Driver
 	Spares   []device.Driver // by pool slot; nil once promoted
 	Fault    *device.FaultPlan
-	Recovery *RecoveryReport
+	Recovery *stack.RecoveryReport
 	Tracer   *telemetry.Tracer
 	Monitor  *health.Monitor
 }
@@ -314,7 +315,7 @@ func registerFault(reg *telemetry.Registry, p *device.FaultPlan) {
 		func() float64 { return boolGauge(p.HasCut()) })
 }
 
-func registerRecovery(reg *telemetry.Registry, rs *RecoveryReport) {
+func registerRecovery(reg *telemetry.Registry, rs *stack.RecoveryReport) {
 	// A recovery report is immutable once the mount returns; these
 	// gauges describe what the last recovery mount repaired and what
 	// its NVRAM replay restored.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/nfs"
 	"repro/internal/patsy"
 	"repro/internal/sched"
+	"repro/internal/stack"
 )
 
 // The exported family set is a stable interface: every family the
@@ -328,7 +329,7 @@ var goldenRecoveryFamilies = map[string]string{
 // TestMetricsRecoveryFamilies pins the recovery family set both
 // directions and checks each gauge exports its report field.
 func TestMetricsRecoveryFamilies(t *testing.T) {
-	rs := &RecoveryReport{ParityApplied: 3}
+	rs := &stack.RecoveryReport{ParityApplied: 3}
 	rs.RolledSegments, rs.Repairs = 2, []string{"re-synced lockstep inode cursors to 9"}
 	rs.Replayed, rs.IntentsApplied = 5, 7
 	var b strings.Builder

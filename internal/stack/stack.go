@@ -8,6 +8,11 @@
 // One flag decides everything that differs between a payload-moving
 // stack and a simulated one: the partitions, the arrays, the cache,
 // the front-end's data mover and whether a flush ends durable.
+//
+// The crash lifecycle is assembled here too (recover.go): a power cut
+// leaves a Battery, and Mount, given one, recovers the arrays onto a
+// fresh front-end. The server runs it as its recovery mount, Patsy
+// after its simulated power cut.
 package stack
 
 import (
@@ -106,14 +111,16 @@ func IntentSlots(on bool) int {
 
 // FrontEnd wires a block cache and the file-system front-end over one
 // store and starts the cache's flushers. cc's Simulated field is
-// overridden by the stack's flag. A payload-moving stack's flushes
-// are durable on completion: a block the cache frees from its
-// (battery-backed) dirty set is on the medium, not in a layout's
-// volatile buffer.
+// overridden by the stack's flag, and its ShardChunk by ClusterRun:
+// shards split the block space in cluster-sized chunks, so a file's
+// contiguous dirty run flushes from one shard as one multi-block
+// write. A payload-moving stack's flushes are durable on completion:
+// a block the cache frees from its (battery-backed) dirty set is on
+// the medium, not in a layout's volatile buffer.
 func (c Config) FrontEnd(k sched.Kernel, cc cache.Config) (*fsys.FS, *cache.Cache) {
 	store := fsys.NewStore()
 	store.SetDurable(!c.Simulated)
-	cc.Simulated = c.Simulated
+	cc.Simulated, cc.ShardChunk = c.Simulated, c.ClusterRun
 	ca := cache.New(k, cc, store)
 	var mover core.DataMover = core.RealMover{}
 	if c.Simulated {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/disk"
+	"repro/internal/fsys"
 	"repro/internal/layout"
 	"repro/internal/sched"
 	"repro/internal/volume"
@@ -22,7 +23,10 @@ const memberBlocks = 4096
 // virtual kernel over modeled disks (simulated) and on the real
 // kernel over RAM disks: every layout at width 1 and as a 3-wide
 // parity array formats, mounts, takes files and syncs. The real
-// stacks then remount from their drivers and check clean.
+// stacks then remount from their drivers and check clean. Then the
+// power is cut with more files written since the sync, and the shared
+// recovery brings the battery back on a fresh front-end: every file is
+// listed again, and the real stacks read theirs back.
 func TestBuilderOnBothKernels(t *testing.T) {
 	for _, sim := range []bool{true, false} {
 		for _, lay := range []string{"lfs", "ffs"} {
@@ -35,6 +39,7 @@ func TestBuilderOnBothKernels(t *testing.T) {
 					}
 					var k sched.Kernel
 					var drvs []device.Driver
+					plan := device.NewFaultPlan(device.FaultConfig{})
 					if sim {
 						k = sched.NewVirtual(1)
 						for i := 0; i < width; i++ {
@@ -49,6 +54,9 @@ func TestBuilderOnBothKernels(t *testing.T) {
 							drvs = append(drvs, device.NewMemDriver(k, fmt.Sprintf("mem%d", i), memberBlocks, nil))
 						}
 					}
+					for _, drv := range drvs {
+						drv.SetInjector(plan)
+					}
 					parts := func() []*layout.Partition {
 						ps := make([]*layout.Partition, width)
 						for i, drv := range drvs {
@@ -60,7 +68,8 @@ func TestBuilderOnBothKernels(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fs, _ := sc.FrontEnd(k, cache.Config{Blocks: 64, Flush: cache.UPS()})
+					cc := cache.Config{Blocks: 64, Flush: cache.UPS(), IntentSlots: IntentSlots(true)}
+					fs, ca := sc.FrontEnd(k, cc)
 					var runErr error
 					k.Go("test", func(tk sched.Task) {
 						runErr = func() error {
@@ -75,36 +84,60 @@ func TestBuilderOnBothKernels(t *testing.T) {
 								return err
 							}
 							for f := 0; f < 4; f++ {
-								n := (f + 1) * 3 * core.BlockSize
-								var data []byte
-								if !sim {
-									data = bytes.Repeat([]byte{byte(f + 1)}, n)
-								}
-								h, err := v.Create(tk, fmt.Sprintf("/f%d", f), core.TypeRegular)
-								if err != nil {
-									return err
-								}
-								if err := v.Write(tk, h, data, int64(n)); err != nil {
-									return err
-								}
-								if err := v.Close(tk, h); err != nil {
+								if err := writeFile(tk, v, f, (f+1)*3, sim); err != nil {
 									return err
 								}
 							}
 							if err := fs.SyncAll(tk); err != nil {
 								return fmt.Errorf("sync: %w", err)
 							}
+							if !sim {
+								again, err := sc.Array(k, "vol", parts())
+								if err != nil {
+									return err
+								}
+								if err := again.Mount(tk); err != nil {
+									return fmt.Errorf("remount: %w", err)
+								}
+								if err := checkClean(tk, again); err != nil {
+									return err
+								}
+							}
+
+							for f := 4; f < 8; f++ {
+								if err := writeFile(tk, v, f, 2, sim); err != nil {
+									return err
+								}
+							}
+							plan.Cut()
+							ca.PowerOff()
+							b := ReadBattery(ca.Crash(tk), arr)
+							plan.Restore()
+							// A simulated array's in-memory state is its
+							// image; a real one is rebuilt from the drivers.
+							rec := arr
+							if !sim {
+								if rec, err = sc.Array(k, "vol", parts()); err != nil {
+									return err
+								}
+							}
+							fs2, _ := sc.FrontEnd(k, cc)
+							r, err := Mount(tk, fs2, false, b, rec)
+							if err != nil {
+								return fmt.Errorf("recovery: %w", err)
+							}
+							if r.Replayed == 0 || r.IntentsApplied == 0 {
+								return fmt.Errorf("recovery replayed nothing: %+v", r)
+							}
+							for f := 0; f < 8; f++ {
+								if err := readFile(tk, fs2.Vol(1), f, sim); err != nil {
+									return err
+								}
+							}
 							if sim {
 								return nil
 							}
-							again, err := sc.Array(k, "vol", parts())
-							if err != nil {
-								return err
-							}
-							if err := again.Mount(tk); err != nil {
-								return fmt.Errorf("remount: %w", err)
-							}
-							return checkClean(tk, again)
+							return checkClean(tk, rec)
 						}()
 						k.Stop()
 					})
@@ -118,6 +151,48 @@ func TestBuilderOnBothKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fileData is file f's content on a payload-moving stack (nil on a
+// simulated one).
+func fileData(f, n int, sim bool) []byte {
+	if sim {
+		return nil
+	}
+	return bytes.Repeat([]byte{byte(f + 1)}, n)
+}
+
+// writeFile creates /f<f> holding blocks blocks of fileData.
+func writeFile(t sched.Task, v *fsys.Volume, f, blocks int, sim bool) error {
+	n := blocks * core.BlockSize
+	h, err := v.Create(t, fmt.Sprintf("/f%d", f), core.TypeRegular)
+	if err != nil {
+		return err
+	}
+	if err := v.Write(t, h, fileData(f, n, sim), int64(n)); err != nil {
+		return err
+	}
+	return v.Close(t, h)
+}
+
+// readFile opens /f<f> and, on a payload-moving stack, reads it back.
+func readFile(t sched.Task, v *fsys.Volume, f int, sim bool) error {
+	h, err := v.Open(t, fmt.Sprintf("/f%d", f))
+	if err != nil {
+		return err
+	}
+	defer v.Close(t, h)
+	if sim {
+		return nil
+	}
+	buf := make([]byte, h.Size())
+	if _, err := v.Read(t, h, buf, h.Size()); err != nil {
+		return err
+	}
+	if !bytes.Equal(buf, fileData(f, len(buf), sim)) {
+		return fmt.Errorf("/f%d: %d bytes read back wrong", f, len(buf))
+	}
+	return nil
 }
 
 // checkClean runs every member's own check.

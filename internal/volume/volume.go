@@ -199,6 +199,13 @@ type Array struct {
 	// paritylog.go).
 	ppl parityLog
 
+	// dirs stands in for a simulated array's directory blocks, which
+	// carry no payload: each directory's entries as of the last sync
+	// that emptied the cache, by inode and generation (fsys keeps
+	// them). Simulated arrays run on the virtual kernel, one task at
+	// a time, so the map needs no lock.
+	dirs map[dirKey]map[string]core.FileID
+
 	mu        sched.Mutex
 	files     map[core.FileID]*afile // array-owned files only
 	labels    []*layout.Inode        // per-member shadows of the label file
@@ -286,6 +293,25 @@ func (a *Array) Placement() string { return a.cfg.Placement }
 
 // Simulated reports whether the array's partitions move no data.
 func (a *Array) Simulated() bool { return a.cfg.Simulated }
+
+type dirKey struct {
+	id  core.FileID
+	gen uint64
+}
+
+// SimDir returns the entries a simulated array keeps for directory id
+// at generation gen (nil if none).
+func (a *Array) SimDir(id core.FileID, gen uint64) map[string]core.FileID {
+	return a.dirs[dirKey{id, gen}]
+}
+
+// KeepSimDir keeps ents as directory id's entries at generation gen.
+func (a *Array) KeepSimDir(id core.FileID, gen uint64, ents map[string]core.FileID) {
+	if a.dirs == nil {
+		a.dirs = make(map[dirKey]map[string]core.FileID)
+	}
+	a.dirs[dirKey{id, gen}] = ents
+}
 
 // Subs returns the effective sub-layouts — rebuild replacements
 // swapped in (read-only use: checks, reports).
