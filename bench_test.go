@@ -102,7 +102,7 @@ func BenchmarkFig5AllTraces(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunFigure5(s, benchSeed, nil)
+		rows, err = experiments.RunFigure5With(experiments.Parallel(), s, benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,18 +125,6 @@ func BenchmarkFig5AllTraces(b *testing.B) {
 	if n > 0 {
 		b.ReportMetric(float64((ups/n).Microseconds())/1e3, "ups-ms")
 		b.ReportMetric(float64((wd/n).Microseconds())/1e3, "writedelay-ms")
-	}
-}
-
-// BenchmarkFig5AllTracesSequential is the pre-engine reference path,
-// the A side of the parallel engine's wall-clock comparison.
-func BenchmarkFig5AllTracesSequential(b *testing.B) {
-	s := benchScale()
-	s.Duration = 45 * time.Second
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure5Sequential(s, benchSeed, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -60,7 +60,7 @@ func mkImage(t *testing.T, dir, layout string, volumes int, shutdown string) str
 			// Checkpoint the baseline, then overwrite: the NVRAM
 			// bound pushes the new versions into the log, where only
 			// roll-forward can find them.
-			if err := v.Fsync(tk, h); err != nil {
+			if err := srv.FS.SyncAll(tk); err != nil {
 				return err
 			}
 			for i := range buf {
@@ -199,8 +199,8 @@ func mkHealedImage(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
-	if err := srv.MarkMemberDead(1); err != nil {
-		t.Fatalf("MarkMemberDead: %v", err)
+	if err := srv.Do(func(tk sched.Task) error { return srv.Members.MarkDead(tk, 1) }); err != nil {
+		t.Fatalf("MarkDead: %v", err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for len(srv.HealEvents()) == 0 {

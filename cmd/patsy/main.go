@@ -33,7 +33,7 @@ func main() {
 		seed      = flag.Int64("seed", experiments.DefaultSeed, "deterministic seed")
 		workers   = flag.Int("workers", 0, "concurrent simulations for -policy all (0 = one per CPU)")
 		replace   = flag.String("replace", "lru", "cache replacement: lru random lfu slru lru2")
-		qsched    = flag.String("qsched", "clook", "disk queue scheduler")
+		qsched    = flag.String("qsched", "clook", "disk queue scheduler: fcfs, sstf, look or clook")
 		layoutN   = flag.String("layout", "lfs", "storage layout: lfs or ffs")
 		diskModel = flag.String("disk", "hp97560", "disk model: hp97560 or naive")
 		volumes   = flag.Int("volumes", 0, "volume-array width: build this many bus+disk+layout stacks behind one volume manager (0 = classic multi-volume topology)")

@@ -1,10 +1,4 @@
-// Multimedia demonstrates the derived file type the paper motivates:
-// a continuous-media file whose instantiated object is "active" — it
-// spawns its own thread of control that pre-loads the cache at the
-// stream rate — and whose cache policy is drop-behind, so streaming
-// a large file does not flood the cache and evict everyone else's
-// working set.
-package main
+package examples
 
 import (
 	"bytes"
@@ -18,7 +12,13 @@ import (
 	"repro/internal/sched"
 )
 
-func main() {
+// Example_multimedia demonstrates the derived file type the paper motivates:
+// a continuous-media file whose instantiated object is "active" — it
+// spawns its own thread of control that pre-loads the cache at the
+// stream rate — and whose cache policy is drop-behind, so streaming
+// a large file does not flood the cache and evict everyone else's
+// working set.
+func Example_multimedia() {
 	dir, err := os.MkdirTemp("", "pfs-mm")
 	if err != nil {
 		log.Fatal(err)
@@ -94,16 +94,19 @@ func main() {
 			}
 		}
 		hotCached := srv.Cache.Peek(t, core.BlockKey{Vol: 1, File: hot.ID(), Blk: 0})
-		fmt.Printf("streamed %d blocks; %d stream blocks left in cache (drop-behind)\n", movieBlocks, kept)
+		// The active thread races the reader, so how many stream
+		// blocks stay cached varies run to run; the bound does not.
+		fmt.Printf("streamed %d blocks; at most %d left in cache (drop-behind): %v\n",
+			movieBlocks, movieBlocks/4, kept <= movieBlocks/4)
 		fmt.Printf("hot file still cached: %v\n", hotCached)
-		srv.Vol.Close(t, hot)
-		if kept > movieBlocks/4 {
-			return fmt.Errorf("drop-behind failed: %d blocks kept", kept)
-		}
-		return nil
+		return srv.Vol.Close(t, hot)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("multimedia example OK")
+	// Output:
+	// streamed 48 blocks; at most 12 left in cache (drop-behind): true
+	// hot file still cached: true
+	// multimedia example OK
 }

@@ -1,7 +1,7 @@
-// Quickstart: create an on-line PFS instance backed by an image
-// file, store and retrieve files through the abstract client
-// interface, and survive a restart.
-package main
+// Package examples holds runnable examples of both instantiations of
+// the component library: PFS, the on-line file system, and Patsy, the
+// trace-driven simulator. Run them with go test -run Example -v.
+package examples
 
 import (
 	"bytes"
@@ -15,7 +15,10 @@ import (
 	"repro/internal/sched"
 )
 
-func main() {
+// Example_quickstart creates an on-line PFS instance backed by an
+// image file, stores and retrieves files through the abstract client
+// interface, and survives a restart.
+func Example_quickstart() {
 	dir, err := os.MkdirTemp("", "pfs-quickstart")
 	if err != nil {
 		log.Fatal(err)
@@ -80,4 +83,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("quickstart OK")
+	// Output:
+	// wrote /docs/hello.txt and shut the server down
+	// after restart, /docs holds [hello.txt]
+	// contents: hello from the Pegasus file system
+	// quickstart OK
 }

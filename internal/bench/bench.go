@@ -3,17 +3,19 @@
 // set, starts the cell's member-loss arc and runs N client tasks over
 // the file system front-end — runs on both instantiations of the
 // component library: Patsy under the virtual kernel (RunSim) and the
-// pfs server under the real-time kernel (RunReal). Only the target
-// differs: its kernel and whether transfers carry payload. Member
-// loss — kill, rebuild, hot spare and self-heal supervisor — is the
-// same health.Members on both. Each run reports throughput, latency
-// quantiles and cache/volume counters as JSON.
+// pfs server under the real-time kernel (RunReal, a helper of this
+// package's tests, so the simulator binaries do not link the server).
+// Only the target differs: its kernel and whether transfers carry
+// payload. Member loss — kill, rebuild, hot spare and self-heal
+// supervisor — is the same health.Members on both. Each run reports
+// throughput, latency quantiles and cache/volume counters as JSON.
 //
 // The virtual-kernel numbers are deterministic per seed and
 // machine-independent (ops per simulated second), which is why the
 // serving, degraded and self-heal studies' cells are committed byte
 // for byte (bench_baseline.json, BENCH_8.json, BENCH_10.json); the
-// real-kernel numbers measure this machine.
+// real-kernel numbers measure the machine the tests run on. The real
+// server's own benchmark is the benchmark module.
 package bench
 
 import (

@@ -3,8 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +12,6 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/health"
 	"repro/internal/patsy"
-	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
@@ -28,10 +25,11 @@ const healInterval = 10 * time.Millisecond
 type target struct {
 	fs      *fsys.FS
 	members *health.Members
-	// srv is the real server: it moves payload and reports its
-	// cluster cap. nil on the simulator, whose transfers carry no
-	// bytes.
-	srv *pfs.Server
+	// real marks the real server, whose transfers move payload and
+	// which clusters runs of up to cluster blocks; the simulator's
+	// transfers carry no bytes.
+	real    bool
+	cluster int
 }
 
 // RunSim drives the workload through Patsy under the virtual kernel:
@@ -87,50 +85,6 @@ func RunSim(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res, runErr
-}
-
-// RunReal drives the same loop through the real instantiation: a pfs
-// server on a fresh image (set) under dir, its clients kernel tasks in
-// process. Throughput is ops per wall second on this machine. The
-// server's network path is measured by the benchmark module instead.
-func RunReal(dir string, cfg Config) (Result, error) {
-	cfg.fill()
-	// Each cell formats its own image set and leaves nothing behind.
-	images, err := os.MkdirTemp(dir, "bench-")
-	if err != nil {
-		return Result{}, err
-	}
-	defer os.RemoveAll(images)
-	pcfg := pfs.Config{
-		Path:         filepath.Join(images, "bench.img"),
-		Blocks:       8192, // 32 MB image (per member on an array)
-		Volumes:      cfg.Width,
-		Placement:    cfg.Placement,
-		StripeBlocks: cfg.StripeBlocks,
-		CacheBlocks:  cfg.CacheBlocks,
-		Flush:        cache.UPS(),
-		Seed:         cfg.Seed,
-	}
-	if cfg.SelfHeal {
-		pcfg.Spares = 1
-		pcfg.SelfHeal = true
-		pcfg.HealthInterval = healInterval
-		pcfg.Fault = &device.FaultConfig{Seed: cfg.Seed}
-	}
-	srv, err := pfs.Open(pcfg)
-	if err != nil {
-		return Result{}, err
-	}
-	tg := &target{fs: srv.FS, members: srv.Members, srv: srv}
-	var res Result
-	if err := srv.Do(func(t sched.Task) (err error) {
-		res, err = tg.run(t, &cfg)
-		return err
-	}); err != nil {
-		srv.Close()
-		return Result{}, err
-	}
-	return res, srv.Shutdown()
 }
 
 // run is the closed loop, on task t: prefill the working set, start
@@ -255,11 +209,11 @@ func (tg *target) run(t sched.Task, cfg *Config) (Result, error) {
 		Volume:          volumeCounters(ms.AllDrivers(), baseVol),
 	}
 	durMS := float64(dur) / float64(time.Millisecond)
-	if tg.srv == nil {
-		res.SimMS = durMS
-	} else {
+	if tg.real {
 		res.Kernel, res.WallMS = "real", durMS
-		res.Cluster = tg.srv.ClusterRun()
+		res.Cluster = tg.cluster
+	} else {
+		res.SimMS = durMS
 	}
 	if cfg.Placement != "" {
 		res.Placement = cfg.Placement
@@ -327,7 +281,7 @@ func (tg *target) awaitHeal(t sched.Task) (health.HealEvent, error) {
 // buffer is an n-byte transfer buffer on the real server; nil on the
 // simulator, whose transfers are sized, not carried.
 func (tg *target) buffer(n int) []byte {
-	if tg.srv == nil {
+	if !tg.real {
 		return nil
 	}
 	return make([]byte, n)

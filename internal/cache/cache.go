@@ -779,35 +779,6 @@ func (sh *shard) updateDaemon(t sched.Task) {
 	}
 }
 
-// FlushFile synchronously writes every dirty block of (vol, file),
-// shard by shard.
-func (c *Cache) FlushFile(t sched.Task, vol core.VolumeID, file core.FileID) {
-	if c.off.Load() {
-		return
-	}
-	fk := FileKey{vol, file}
-	for _, sh := range c.shards {
-		sh.mu.Lock(t)
-		// The file's flushing blocks stay on the dirty list until their
-		// flush lands, so a zero count means the file is clean.
-		for sh.files[fk].dirty > 0 {
-			// Enqueue the lowest flushable block; whole-file policies
-			// grab the rest of the file with it.
-			var pick *Block
-			for b := sh.files[fk].head; b != nil; b = b.fnext {
-				if b.flushable() && (pick == nil || b.Key.Blk < pick.Key.Blk) {
-					pick = b
-				}
-			}
-			if pick != nil {
-				sh.enqueueFlushLocked(pick)
-			}
-			sh.await(t, wCleaned)
-		}
-		sh.mu.Unlock(t)
-	}
-}
-
 // FlushAll synchronously writes every dirty block (shutdown,
 // checkpoint).
 func (c *Cache) FlushAll(t sched.Task) {

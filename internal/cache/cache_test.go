@@ -10,6 +10,35 @@ import (
 	"repro/internal/sched"
 )
 
+// FlushFile synchronously writes every dirty block of (vol, file),
+// shard by shard.
+func (c *Cache) FlushFile(t sched.Task, vol core.VolumeID, file core.FileID) {
+	if c.off.Load() {
+		return
+	}
+	fk := FileKey{vol, file}
+	for _, sh := range c.shards {
+		sh.mu.Lock(t)
+		// The file's flushing blocks stay on the dirty list until their
+		// flush lands, so a zero count means the file is clean.
+		for sh.files[fk].dirty > 0 {
+			// Enqueue the lowest flushable block; whole-file policies
+			// grab the rest of the file with it.
+			var pick *Block
+			for b := sh.files[fk].head; b != nil; b = b.fnext {
+				if b.flushable() && (pick == nil || b.Key.Blk < pick.Key.Blk) {
+					pick = b
+				}
+			}
+			if pick != nil {
+				sh.enqueueFlushLocked(pick)
+			}
+			sh.await(t, wCleaned)
+		}
+		sh.mu.Unlock(t)
+	}
+}
+
 // fakeStore records flushed blocks and optionally delays, playing
 // the role of the storage layout beneath the cache.
 type fakeStore struct {

@@ -26,9 +26,6 @@ const SectorsPerBlock = BlockSize / SectorSize
 // FileID identifies a file within a volume (an inode number).
 type FileID uint64
 
-// NoFile is the zero FileID; it never names a real file.
-const NoFile FileID = 0
-
 // RootFile is the conventional inode number of a volume's root
 // directory, mirroring Unix tradition (inode 2).
 const RootFile FileID = 2
@@ -48,11 +45,8 @@ type DiskAddr struct {
 	LBA  int64
 }
 
-// NilAddr is the distinguished "no address" value. LBA -1 is never a
-// valid location.
-var NilAddr = DiskAddr{Disk: -1, LBA: -1}
-
-// IsNil reports whether a is the distinguished nil address.
+// IsNil reports whether a is the "no address" value: a negative LBA
+// is never a valid location.
 func (a DiskAddr) IsNil() bool { return a.LBA < 0 }
 
 func (a DiskAddr) String() string {
@@ -120,7 +114,6 @@ var (
 	ErrNameTooLon = errors.New("name too long")
 	ErrInval      = errors.New("invalid argument")
 	ErrRofs       = errors.New("read-only file system")
-	ErrShutdown   = errors.New("file system shut down")
 )
 
 // MaxNameLen bounds a single path component, as in FFS.

@@ -7,7 +7,8 @@ import (
 )
 
 func TestDiskAddrNil(t *testing.T) {
-	if !NilAddr.IsNil() {
+	nilAddr := DiskAddr{Disk: -1, LBA: -1}
+	if !nilAddr.IsNil() {
 		t.Fatal("NilAddr not nil")
 	}
 	a := DiskAddr{Disk: 2, LBA: 100}
@@ -17,8 +18,8 @@ func TestDiskAddrNil(t *testing.T) {
 	if !strings.Contains(a.String(), "d2:100") {
 		t.Fatalf("addr render %q", a.String())
 	}
-	if NilAddr.String() != "addr(nil)" {
-		t.Fatalf("nil render %q", NilAddr.String())
+	if nilAddr.String() != "addr(nil)" {
+		t.Fatalf("nil render %q", nilAddr.String())
 	}
 }
 

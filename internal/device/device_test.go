@@ -77,45 +77,17 @@ func TestSSTFNearest(t *testing.T) {
 	}
 }
 
-func TestScanEDFDeadlinesFirst(t *testing.T) {
-	q := &ScanEDF{Quantum: sched.Time(10 * time.Millisecond)}
-	a := req(100)
-	b := req(10)
-	b.Deadline = sched.Time(5 * time.Millisecond)
-	c := req(50)
-	c.Deadline = sched.Time(200 * time.Millisecond)
-	q.Push(a)
-	q.Push(b)
-	q.Push(c)
-	got := popAll(q, 0)
-	if fmt.Sprint(got) != "[10 50 100]" {
-		t.Fatalf("scan-EDF order %v, want deadline order [10 50 100]", got)
-	}
-}
-
-func TestScanEDFSameQuantumUsesScan(t *testing.T) {
-	q := &ScanEDF{Quantum: sched.Time(time.Second)}
-	a := req(80)
-	a.Deadline = sched.Time(10 * time.Millisecond)
-	b := req(20)
-	b.Deadline = sched.Time(400 * time.Millisecond) // same 1s bucket
-	q.Push(a)
-	q.Push(b)
-	got := popAll(q, 0)
-	if fmt.Sprint(got) != "[20 80]" {
-		t.Fatalf("same-quantum order %v, want scan order [20 80]", got)
-	}
-}
-
 func TestNewSchedulerNames(t *testing.T) {
-	for _, name := range []string{"fcfs", "sstf", "look", "scan", "clook", "cscan", "scan-edf"} {
+	for _, name := range []string{"fcfs", "sstf", "look", "scan", "clook", "c-look"} {
 		q, ok := NewScheduler(name)
 		if !ok || q == nil {
 			t.Fatalf("NewScheduler(%q) failed", name)
 		}
 	}
-	if _, ok := NewScheduler("nope"); ok {
-		t.Fatal("unknown scheduler accepted")
+	for _, name := range []string{"nope", "cscan", "c-scan", "scan-edf"} {
+		if _, ok := NewScheduler(name); ok {
+			t.Fatalf("unknown scheduler %q accepted", name)
+		}
 	}
 }
 
@@ -123,7 +95,7 @@ func TestNewSchedulerNames(t *testing.T) {
 // reachable from the queue's backing array, or a closed server's
 // driver keeps that request's buffers (cache frames) alive.
 func TestPopForgetsServedRequests(t *testing.T) {
-	for _, name := range []string{"sstf", "look", "clook", "cscan", "scan-edf"} {
+	for _, name := range []string{"sstf", "look", "clook"} {
 		q, _ := NewScheduler(name)
 		for _, lba := range []int64{40, 10, 30, 20} {
 			q.Push(req(lba))
@@ -136,10 +108,6 @@ func TestPopForgetsServedRequests(t *testing.T) {
 		case *LOOK:
 			reqs = q.reqs
 		case *CLOOK:
-			reqs = q.reqs
-		case *CSCAN:
-			reqs = q.reqs
-		case *ScanEDF:
 			reqs = q.reqs
 		}
 		for i, r := range reqs[:cap(reqs)] {
@@ -208,8 +176,9 @@ func TestSimDriverQueueBuildsUnderLoad(t *testing.T) {
 		t.Fatalf("queue samples = %d", h.Total())
 	}
 	deep := int64(0)
+	_, counts, _, _ := h.Snapshot()
 	for i := 2; i < 9; i++ {
-		deep += h.Bucket(i)
+		deep += counts[i]
 	}
 	if deep == 0 {
 		t.Fatal("burst never queued more than one request")

@@ -106,13 +106,13 @@ type FaultPlan struct {
 	rng    *rand.Rand
 	ios    int64
 	cut    bool
-	cutIO  int64
+	cutIO  int64 // the ordinal of the request that tripped the cut
 	onCut  []func()
 	dead   int // disk index killed by the death fault, -1 none
 	onKill []func(member int)
 
 	// Injection telemetry, by outcome kind.
-	injRead, injWrite, injTorn, cutRejects, deadRejects int64
+	injRead, injWrite, injTorn, cutRejects int64
 }
 
 // NewFaultPlan builds a plan from cfg.
@@ -139,7 +139,6 @@ func (p *FaultPlan) Intercept(r *Request) Decision {
 		p.mu.Lock()
 	}
 	if p.dead >= 0 && r.Addr.Disk == p.dead {
-		p.deadRejects++
 		p.mu.Unlock()
 		return Decision{Err: ErrDiskDead}
 	}
@@ -301,14 +300,6 @@ func (p *FaultPlan) DeadMember() int {
 	return p.dead
 }
 
-// DeadRejects returns how many requests were rejected because their
-// disk was dead.
-func (p *FaultPlan) DeadRejects() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.deadRejects
-}
-
 // HasCut reports whether the power cut has tripped.
 func (p *FaultPlan) HasCut() bool {
 	p.mu.Lock()
@@ -329,17 +320,6 @@ func (p *FaultPlan) IOs() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ios
-}
-
-// CutIO returns the ordinal of the request that tripped the cut
-// (0 when it has not tripped).
-func (p *FaultPlan) CutIO() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.cut {
-		return 0
-	}
-	return p.cutIO
 }
 
 func (p *FaultPlan) String() string {

@@ -17,6 +17,17 @@ func doIO(t *testing.T, k *sched.RKernel, drv Driver, r *Request) error {
 	return <-errc
 }
 
+// CutIO returns the ordinal of the request that tripped the cut
+// (0 when it has not tripped).
+func (p *FaultPlan) CutIO() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.cut {
+		return 0
+	}
+	return p.cutIO
+}
+
 func blockOf(b byte) []byte {
 	buf := make([]byte, core.BlockSize)
 	for i := range buf {

@@ -42,9 +42,6 @@ type Request struct {
 	// injection may persist a prefix of a vectored write that ends
 	// mid-segment.
 	Vec [][]byte
-	// Deadline, when nonzero, is used by the scan-EDF scheduler for
-	// requests with real-time constraints (continuous media).
-	Deadline sched.Time
 
 	// Timing, filled by the driver.
 	Enqueued  sched.Time
@@ -78,7 +75,9 @@ func (o Op) String() string {
 
 // Scheduler is the disk-queue scheduling policy: the paper names
 // SCAN, C-SCAN, LOOK, C-LOOK and scan-EDF as the candidates and uses
-// C-LOOK as the default. Pop chooses the next request given the
+// C-LOOK as the default. No request carries a deadline and LBA queues
+// make C-SCAN order as C-LOOK does, so only FCFS, SSTF, LOOK (alias
+// SCAN) and C-LOOK are built. Pop chooses the next request given the
 // current head position (block LBA of the last dispatched request).
 type Scheduler interface {
 	Name() string
@@ -99,10 +98,6 @@ func NewScheduler(name string) (Scheduler, bool) {
 		return &LOOK{}, true
 	case "clook", "c-look":
 		return &CLOOK{}, true
-	case "cscan", "c-scan":
-		return &CSCAN{}, true
-	case "scan-edf":
-		return &ScanEDF{}, true
 	}
 	return nil, false
 }
@@ -252,73 +247,4 @@ func (q *CLOOK) Pop(headLBA int64) *Request {
 		i = 0 // wrap
 	}
 	return q.take(i)
-}
-
-// CSCAN sweeps to the end of the disk before wrapping; with LBA
-// queues this behaves like CLOOK except the sweep notionally passes
-// the disk edge — the distinction matters to seek accounting, not
-// ordering, so Pop matches CLOOK.
-type CSCAN struct{ CLOOK }
-
-// Name returns "cscan".
-func (q *CSCAN) Name() string { return "cscan" }
-
-// ScanEDF orders by deadline first (earliest deadline first) and
-// uses C-LOOK order among requests whose deadlines fall in the same
-// quantum, following Reddy & Wyllie. Requests without deadlines sort
-// after all deadline traffic.
-type ScanEDF struct {
-	reqs []*Request
-	// Quantum groups deadlines; within a group the scan order wins.
-	Quantum sched.Time
-}
-
-// Name returns "scan-edf".
-func (q *ScanEDF) Name() string { return "scan-edf" }
-
-// Push appends r (ordering happens in Pop).
-func (q *ScanEDF) Push(r *Request) { q.reqs = append(q.reqs, r) }
-
-// Len returns the queue length.
-func (q *ScanEDF) Len() int { return len(q.reqs) }
-
-// Pop removes the request with the earliest deadline quantum,
-// breaking ties by C-LOOK position.
-func (q *ScanEDF) Pop(headLBA int64) *Request {
-	if len(q.reqs) == 0 {
-		return nil
-	}
-	quantum := q.Quantum
-	if quantum == 0 {
-		quantum = sched.Time(50 * 1e6) // 50 ms default quantum
-	}
-	bucket := func(r *Request) sched.Time {
-		if r.Deadline == 0 {
-			return sched.Forever
-		}
-		return r.Deadline / quantum
-	}
-	best := 0
-	for i := 1; i < len(q.reqs); i++ {
-		bi, bb := bucket(q.reqs[i]), bucket(q.reqs[best])
-		switch {
-		case bi < bb:
-			best = i
-		case bi == bb && clookBefore(q.reqs[i], q.reqs[best], headLBA):
-			best = i
-		}
-	}
-	r := q.reqs[best]
-	q.reqs = slices.Delete(q.reqs, best, best+1)
-	return r
-}
-
-// clookBefore reports whether a comes before b in C-LOOK order from
-// the given head position.
-func clookBefore(a, b *Request, headLBA int64) bool {
-	aUp, bUp := a.Addr.LBA >= headLBA, b.Addr.LBA >= headLBA
-	if aUp != bUp {
-		return aUp // ahead of the head wins over wrapped
-	}
-	return a.Addr.LBA < b.Addr.LBA
 }

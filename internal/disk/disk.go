@@ -151,12 +151,6 @@ type Disk struct {
 	// and a dirty byte count for immediate-reported writes.
 	cacheStart, cacheEnd int64 // cached sector range [start,end)
 	dirtyBytes           int64
-
-	// Each request carries its own seek time, rotational delay and
-	// cache hit (the driver counts the hits); the drive keeps only its
-	// busy time.
-	busySince sched.Time
-	busyTotal time.Duration
 }
 
 // New creates a disk on kernel k connected through conn. Call Start
@@ -286,7 +280,6 @@ func (d *Disk) mechanismLoop(t sched.Task) {
 
 // service performs one request's mechanism work and completion.
 func (d *Disk) service(t sched.Task, r *IOReq) {
-	d.busySince = d.k.Now()
 	t.Sleep(d.p.ControllerOverhead)
 
 	bytes := int64(r.Sectors) * SectorBytes
@@ -309,8 +302,6 @@ func (d *Disk) service(t sched.Task, r *IOReq) {
 			d.cacheStart, d.cacheEnd = -1, -1
 		}
 	}
-
-	d.busyTotal += d.k.Now().Sub(d.busySince)
 
 	if r.Op == Write && r.CacheHit {
 		// Already immediate-reported; just release the cache space.
@@ -386,9 +377,6 @@ func (d *Disk) readAhead(t sched.Task) {
 		d.cacheStart = d.cacheEnd - maxSectors
 	}
 }
-
-// BusyTime returns the total mechanism-busy time.
-func (d *Disk) BusyTime() time.Duration { return d.busyTotal }
 
 // VolatileBytes reports the immediate-reported write bytes sitting in
 // the drive's volatile cache, accepted ("done") but not yet on the

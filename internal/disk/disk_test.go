@@ -229,9 +229,6 @@ func TestRotWaitBounds(t *testing.T) {
 func TestDiskStatsRegister(t *testing.T) {
 	k, d := newTestDisk(1, HP97560("d0"))
 	doIO(t, k, d, Read, 4096, 8)
-	if d.BusyTime() == 0 {
-		t.Fatal("busy time not accounted")
-	}
 	if d.String() == "" {
 		t.Fatal("empty description")
 	}

@@ -90,7 +90,7 @@ func AblateQueueSched(e *Engine, s Scale, traceName string, seed int64) (string,
 		traceName = "5"
 	}
 	var variants []Variant
-	for _, qs := range []string{"fcfs", "sstf", "look", "clook", "cscan", "scan-edf"} {
+	for _, qs := range []string{"fcfs", "sstf", "look", "clook"} {
 		qs := qs
 		variants = append(variants, Variant{Name: qs, Mutate: func(cfg *patsy.Config) {
 			cfg.QueueSched = qs

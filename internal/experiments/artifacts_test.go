@@ -14,7 +14,7 @@ import (
 // must record: regenerate it with the command named in the failure.
 func TestCommittedArtifactsReproduce(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates five artifacts (seconds)")
+		t.Skip("regenerates six artifacts (seconds)")
 	}
 	for _, st := range Studies {
 		if !st.Pinned {

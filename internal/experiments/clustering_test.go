@@ -52,7 +52,7 @@ func TestClusteringStudyRatioDrops(t *testing.T) {
 func TestClusteringStudyDeterministic(t *testing.T) {
 	s := clusteringScale()
 	s.Duration = 30 * time.Second
-	a, err := RunClusteringStudy(Sequential(), s, "1b", DefaultSeed, []string{"lfs"}, []int{0, 8})
+	a, err := RunClusteringStudy(&Engine{Workers: 1}, s, "1b", DefaultSeed, []string{"lfs"}, []int{0, 8})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}

@@ -114,14 +114,9 @@ type PolicyRun struct {
 	Report *patsy.Report
 }
 
-// RunTrace replays one trace under every policy, one concurrent
+// RunTraceWith replays one trace under every policy on e, one
 // simulation per policy. Results come back in policy order, so the
-// rendered figures match RunTraceSequential byte for byte.
-func RunTrace(s Scale, traceName string, seed int64) ([]PolicyRun, error) {
-	return RunTraceWith(Parallel(), s, traceName, seed)
-}
-
-// RunTraceWith is RunTrace on an explicit engine.
+// rendered figures do not depend on the engine's width.
 func RunTraceWith(e *Engine, s Scale, traceName string, seed int64) ([]PolicyRun, error) {
 	results, err := e.RunMatrix(Matrix{
 		Scale:  s,
@@ -134,22 +129,6 @@ func RunTraceWith(e *Engine, s Scale, traceName string, seed int64) ([]PolicyRun
 	out := make([]PolicyRun, len(results))
 	for i, r := range results {
 		out[i] = PolicyRun{Policy: r.Cell.Policy, Report: r.Report}
-	}
-	return out, nil
-}
-
-// RunTraceSequential is the pre-engine reference path: a plain loop
-// over the policies on the caller's goroutine. The integration tests
-// assert the parallel engine reproduces its output exactly.
-func RunTraceSequential(s Scale, traceName string, seed int64) ([]PolicyRun, error) {
-	recs := s.Trace(traceName, seed)
-	var out []PolicyRun
-	for _, fc := range s.Policies() {
-		rep, err := patsy.Run(s.Config(seed, fc), traceName, recs)
-		if err != nil {
-			return nil, fmt.Errorf("trace %s policy %s: %w", traceName, fc.Name, err)
-		}
-		out = append(out, PolicyRun{Policy: fc.Name, Report: rep})
 	}
 	return out, nil
 }
@@ -194,14 +173,9 @@ type Fig5Row struct {
 	Runs  []PolicyRun
 }
 
-// RunFigure5 replays every trace under every policy as one flat
-// parallel batch — the whole figure is a single matrix of
-// independent simulations.
-func RunFigure5(s Scale, seed int64, traces []string) ([]Fig5Row, error) {
-	return RunFigure5With(Parallel(), s, seed, traces)
-}
-
-// RunFigure5With is RunFigure5 on an explicit engine.
+// RunFigure5With replays every trace under every policy as one flat
+// batch on e — the whole figure is a single matrix of independent
+// simulations.
 func RunFigure5With(e *Engine, s Scale, seed int64, traces []string) ([]Fig5Row, error) {
 	if len(traces) == 0 {
 		traces = trace.ProfileNames()
@@ -223,23 +197,6 @@ func RunFigure5With(e *Engine, s Scale, seed int64, traces []string) ([]Fig5Row,
 		}
 		row := &rows[len(rows)-1]
 		row.Runs = append(row.Runs, PolicyRun{Policy: r.Cell.Policy, Report: r.Report})
-	}
-	return rows, nil
-}
-
-// RunFigure5Sequential is the pre-engine reference path for the full
-// figure, one trace after another on the caller's goroutine.
-func RunFigure5Sequential(s Scale, seed int64, traces []string) ([]Fig5Row, error) {
-	if len(traces) == 0 {
-		traces = trace.ProfileNames()
-	}
-	var rows []Fig5Row
-	for _, tn := range traces {
-		runs, err := RunTraceSequential(s, tn, seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig5Row{Trace: tn, Runs: runs})
 	}
 	return rows, nil
 }
@@ -370,7 +327,3 @@ func ClaimChecks(rows []Fig5Row) string {
 	}
 	return b.String()
 }
-
-// FullCDF returns the complete Render of a run's distribution (the
-// plottable form of Figures 2-4).
-func FullCDF(r *patsy.Report) string { return r.Result.Overall.Render() }

@@ -14,7 +14,7 @@ func tinyScale() Scale {
 }
 
 func TestRunTraceAllPolicies(t *testing.T) {
-	runs, err := RunTrace(tinyScale(), "1a", 3)
+	runs, err := RunTraceWith(Parallel(), tinyScale(), "1a", 3)
 	if err != nil {
 		t.Fatalf("RunTrace: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestRunTraceAllPolicies(t *testing.T) {
 }
 
 func TestFigureCDFRender(t *testing.T) {
-	runs, err := RunTrace(tinyScale(), "1a", 5)
+	runs, err := RunTraceWith(Parallel(), tinyScale(), "1a", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFigure5AndClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trace figure in -short mode")
 	}
-	rows, err := RunFigure5(tinyScale(), 7, []string{"1a", "1b", "5"})
+	rows, err := RunFigure5With(Parallel(), tinyScale(), 7, []string{"1a", "1b", "5"})
 	if err != nil {
 		t.Fatalf("RunFigure5: %v", err)
 	}

@@ -114,7 +114,7 @@ func TestReliabilityIntentStudy(t *testing.T) {
 func TestReliabilityStudyDeterministic(t *testing.T) {
 	s := reliabilityScale()
 	s.Duration = 20 * time.Second
-	a, err := RunReliabilityStudy(Sequential(), s, "1a", DefaultSeed, []string{"lfs"}, []int{1, 2})
+	a, err := RunReliabilityStudy(&Engine{Workers: 1}, s, "1a", DefaultSeed, []string{"lfs"}, []int{1, 2})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}

@@ -157,10 +157,6 @@ type Engine struct {
 	Workers int
 }
 
-// Sequential returns a one-worker engine — the reference path the
-// parallel engine is tested against.
-func Sequential() *Engine { return &Engine{Workers: 1} }
-
 // Parallel returns an engine sized to the machine.
 func Parallel() *Engine { return &Engine{} }
 

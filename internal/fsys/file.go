@@ -180,9 +180,6 @@ func (h *Handle) Size() int64 { return h.f.ino.Size }
 // Type returns the file type.
 func (h *Handle) Type() core.FileType { return h.f.ino.Type }
 
-// SetPos sets the handle position (absolute seek).
-func (h *Handle) SetPos(pos int64) { h.pos = pos }
-
 // FileAttr is the stat result.
 type FileAttr struct {
 	ID    core.FileID

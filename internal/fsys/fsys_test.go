@@ -87,9 +87,8 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 		if err := r.v.Write(tk, h, msg, int64(len(msg))); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		h.SetPos(0)
 		buf := make([]byte, len(msg))
-		n, err := r.v.Read(tk, h, buf, int64(len(msg)))
+		n, err := r.v.ReadAt(tk, h, 0, buf, int64(len(msg)))
 		if err != nil || n != int64(len(msg)) {
 			t.Fatalf("Read: n=%d err=%v", n, err)
 		}
@@ -189,9 +188,8 @@ func TestUnlinkWhileOpen(t *testing.T) {
 			t.Fatalf("Remove open file: %v", err)
 		}
 		// Unix semantics: data remains readable through the handle.
-		h.SetPos(0)
 		buf := make([]byte, len(msg))
-		if n, err := r.v.Read(tk, h, buf, int64(len(msg))); err != nil || n != int64(len(msg)) {
+		if n, err := r.v.ReadAt(tk, h, 0, buf, int64(len(msg))); err != nil || n != int64(len(msg)) {
 			t.Fatalf("read after unlink: n=%d err=%v", n, err)
 		}
 		if !bytes.Equal(buf, msg) {
@@ -430,13 +428,12 @@ func TestMultimediaDropBehind(t *testing.T) {
 		}
 		data := bytes.Repeat([]byte{3}, 8*core.BlockSize)
 		r.v.Write(tk, h, data, int64(len(data)))
-		r.fs.cache.FlushFile(tk, 1, h.ID())
+		r.fs.SyncAll(tk)
 		// Stream it: read sequentially, then verify the cache did
 		// not keep the blocks (drop-behind policy).
 		buf := make([]byte, core.BlockSize)
-		h.SetPos(0)
-		for i := 0; i < 8; i++ {
-			r.v.Read(tk, h, buf, core.BlockSize)
+		for i := int64(0); i < 8; i++ {
+			r.v.ReadAt(tk, h, i*core.BlockSize, buf, core.BlockSize)
 		}
 		kept := 0
 		for i := core.BlockNo(0); i < 8; i++ {

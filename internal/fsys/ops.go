@@ -160,12 +160,6 @@ func (v *Volume) Truncate(t sched.Task, h *Handle, size int64) error {
 	return v.setSize(t, h.f, size)
 }
 
-// Fsync writes the file's dirty blocks and the volume metadata.
-func (v *Volume) Fsync(t sched.Task, h *Handle) error {
-	v.fs.cache.FlushFile(t, v.ID, h.f.ino.ID)
-	return v.arr.Sync(t)
-}
-
 // Remove unlinks the file at path (not a directory).
 func (v *Volume) Remove(t sched.Task, path string) error { return v.removePath(t, path, rmFile) }
 

@@ -41,9 +41,6 @@ type Inode struct {
 	IndAddrs []int64
 }
 
-// NBlocks returns the number of mapped file blocks.
-func (ino *Inode) NBlocks() int { return len(ino.Blocks) }
-
 // BlockAddr returns the address of file block b, or -1.
 func (ino *Inode) BlockAddr(b core.BlockNo) int64 {
 	if int(b) >= len(ino.Blocks) || b < 0 {

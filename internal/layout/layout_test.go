@@ -15,8 +15,8 @@ func TestInodeBlockMap(t *testing.T) {
 		t.Fatal("empty map should read -1")
 	}
 	ino.SetBlockAddr(3, 777)
-	if ino.NBlocks() != 4 {
-		t.Fatalf("NBlocks = %d, want 4 (grown with holes)", ino.NBlocks())
+	if len(ino.Blocks) != 4 {
+		t.Fatalf("len(Blocks) = %d, want 4 (grown with holes)", len(ino.Blocks))
 	}
 	if ino.BlockAddr(3) != 777 || ino.BlockAddr(1) != -1 {
 		t.Fatal("map contents wrong")
@@ -167,9 +167,6 @@ func TestPartitionBounds(t *testing.T) {
 		}
 		if err := p.Write(tk, -1, 1, buf); err == nil {
 			t.Error("negative write accepted")
-		}
-		if err := p.WriteDeadline(tk, 0, 1, buf, 100); err != nil {
-			t.Errorf("deadline write: %v", err)
 		}
 		k.Stop()
 	})

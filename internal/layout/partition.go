@@ -51,18 +51,17 @@ var requests = sync.Pool{New: func() any { return new(device.Request) }}
 
 // do runs one request of count blocks at partition-relative lba, with
 // its bytes in data or, when vec is non-nil, scattered over vec.
-func (p *Partition) do(t sched.Task, op device.Op, lba int64, count int, data []byte, vec [][]byte, dl sched.Time) error {
+func (p *Partition) do(t sched.Task, op device.Op, lba int64, count int, data []byte, vec [][]byte) error {
 	if err := p.check(lba, count); err != nil {
 		return err
 	}
 	r := requests.Get().(*device.Request)
 	*r = device.Request{
-		Op:       op,
-		Addr:     core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
-		Blocks:   count,
-		Data:     data,
-		Vec:      vec,
-		Deadline: dl,
+		Op:     op,
+		Addr:   core.DiskAddr{Disk: p.Disk, LBA: p.Start + lba},
+		Blocks: count,
+		Data:   data,
+		Vec:    vec,
 	}
 	err := p.Drv.Do(t, r)
 	*r = device.Request{}
@@ -72,17 +71,12 @@ func (p *Partition) do(t sched.Task, op device.Op, lba int64, count int, data []
 
 // Read reads count blocks at partition-relative lba into data.
 func (p *Partition) Read(t sched.Task, lba int64, count int, data []byte) error {
-	return p.do(t, device.OpRead, lba, count, data, nil, 0)
+	return p.do(t, device.OpRead, lba, count, data, nil)
 }
 
 // Write writes count blocks at partition-relative lba from data.
 func (p *Partition) Write(t sched.Task, lba int64, count int, data []byte) error {
-	return p.do(t, device.OpWrite, lba, count, data, nil, 0)
-}
-
-// WriteDeadline is Write with a scan-EDF deadline attached.
-func (p *Partition) WriteDeadline(t sched.Task, lba int64, count int, data []byte, dl sched.Time) error {
-	return p.do(t, device.OpWrite, lba, count, data, nil, dl)
+	return p.do(t, device.OpWrite, lba, count, data, nil)
 }
 
 // ReadVec reads count blocks at partition-relative lba, scattering
@@ -90,7 +84,7 @@ func (p *Partition) WriteDeadline(t sched.Task, lba int64, count int, data []byt
 // count*BlockSize bytes and stay resident until the call returns;
 // they typically alias pinned cache frames.
 func (p *Partition) ReadVec(t sched.Task, lba int64, count int, vec [][]byte) error {
-	return p.do(t, device.OpRead, lba, count, nil, vec, 0)
+	return p.do(t, device.OpRead, lba, count, nil, vec)
 }
 
 // WriteVec writes count blocks at partition-relative lba, gathering
@@ -98,7 +92,7 @@ func (p *Partition) ReadVec(t sched.Task, lba int64, count int, vec [][]byte) er
 // count*BlockSize bytes and stay resident and unmodified until the
 // call returns.
 func (p *Partition) WriteVec(t sched.Task, lba int64, count int, vec [][]byte) error {
-	return p.do(t, device.OpWrite, lba, count, nil, vec, 0)
+	return p.do(t, device.OpWrite, lba, count, nil, vec)
 }
 
 // ReadRun reads count blocks at partition-relative lba as one request

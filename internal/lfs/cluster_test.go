@@ -63,7 +63,7 @@ func TestClusteredRecoveryEquivalent(t *testing.T) {
 			}
 			var out []byte
 			buf := make([]byte, core.BlockSize)
-			for b := 0; b < ino.NBlocks(); b++ {
+			for b := 0; b < len(ino.Blocks); b++ {
 				if err := readOne(tk, l, ino, core.BlockNo(b), buf); err != nil {
 					t.Fatalf("cluster=%d: read %d: %v", cluster, b, err)
 				}

@@ -278,7 +278,7 @@ func TestPowerCutSweepNeverLosesBothCheckpoints(t *testing.T) {
 					t.Fatalf("cut at I/O %d: live inode %d unreadable: %v", k, id, err)
 				}
 				got := make([]byte, core.BlockSize)
-				for b := 0; b < ino2.NBlocks(); b++ {
+				for b := 0; b < len(ino2.Blocks); b++ {
 					if ino2.BlockAddr(core.BlockNo(b)) < 0 {
 						continue
 					}

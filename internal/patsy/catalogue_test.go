@@ -55,7 +55,7 @@ func TestComponentCatalogue(t *testing.T) {
 	want := map[string][]string{
 		"flush policy":       {"nvram-partial", "nvram-whole", "ups", "writedelay"},
 		"replacement policy": {"lfu", "lru", "lru2", "random", "slru"},
-		"queue scheduler":    {"cscan", "fcfs", "look", "scan-edf", "sstf", "clook"},
+		"queue scheduler":    {"fcfs", "look", "sstf", "clook"},
 		"cleaner":            {"cost-benefit", "greedy"},
 		"trace format":       {"coda", "sprite"},
 		"workload profile":   trace.ProfileNames(),

@@ -51,8 +51,8 @@ type Config struct {
 	// access).
 	DiskModel string
 
-	// Driver queue scheduler: fcfs, sstf, look, clook (default),
-	// cscan, scan-edf.
+	// Driver queue scheduler: fcfs, sstf, look (or scan), clook
+	// (default, or c-look).
 	QueueSched string
 
 	// Cache.

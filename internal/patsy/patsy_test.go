@@ -151,7 +151,7 @@ func TestBadConfigsRejected(t *testing.T) {
 
 func TestQueueSchedulerVariants(t *testing.T) {
 	recs := smallTrace("1a", 19, 30*time.Second)
-	for _, qs := range []string{"fcfs", "clook", "scan-edf"} {
+	for _, qs := range []string{"fcfs", "clook"} {
 		cfg := smallConfig(7, cache.WriteDelay())
 		cfg.QueueSched = qs
 		rep, err := Run(cfg, "1a", recs)

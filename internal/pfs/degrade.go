@@ -63,13 +63,6 @@ func (s *Server) RebuildMember(m int) error {
 	return s.Do(func(t sched.Task) error { return s.Members.RebuildMember(t, m) })
 }
 
-// MarkMemberDead is the manual override: the same supervised repair
-// as an evidence-confirmed death, blocking until it completes or is
-// refused; without a supervisor, the plain KillMember.
-func (s *Server) MarkMemberDead(m int) error {
-	return s.Do(func(t sched.Task) error { return s.Members.MarkDead(t, m) })
-}
-
 // HealEvents snapshots the supervised repairs so far, in order.
 func (s *Server) HealEvents() []health.HealEvent { return s.Members.HealEvents() }
 

@@ -636,7 +636,7 @@ type repairSpec struct {
 	// Supervised makes the repair the server's own: a hot spare is
 	// attached and the supervisor runs, the member dies at the fault
 	// seam (so the array self-isolates from live evidence), and
-	// MarkMemberDead drives isolate → promote the spare → rebuild onto
+	// Members.MarkDead drives isolate → promote the spare → rebuild onto
 	// it → scrub-verify, the spare's image adoption (the rename onto
 	// the member path) included. Otherwise the operator kills the
 	// member and RebuildMember rebuilds onto a fresh image.
@@ -645,9 +645,6 @@ type repairSpec struct {
 
 // repairResult is what one exercise observed.
 type repairResult struct {
-	// CutIO is the I/O ordinal the cut tripped at (0: the repair
-	// outran the cut point).
-	CutIO int64
 	// Interrupted reports whether the power cut tripped mid-repair.
 	Interrupted bool
 	// RebuildErr carries the operator rebuild's error when it failed.
@@ -725,12 +722,12 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 	}
 
 	// Arm the cut and run the repair to its end (success or the cut's
-	// interruption — MarkMemberDead drives the heal inline).
+	// interruption — Members.MarkDead drives the heal inline).
 	res := &repairResult{}
 	plan := srv.Fault
 	if spec.Supervised {
 		plan.ArmCut(spec.CutAfterIO)
-		if err := srv.MarkMemberDead(spec.KillMember); err != nil {
+		if err := srv.Do(func(tk sched.Task) error { return srv.Members.MarkDead(tk, spec.KillMember) }); err != nil {
 			srv.Close()
 			return nil, fmt.Errorf("mark dead: %w", err)
 		}
@@ -752,7 +749,7 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 			res.RebuildErr = err.Error()
 		}
 	}
-	res.CutIO, res.Interrupted = plan.CutIO(), plan.HasCut()
+	res.Interrupted = plan.HasCut()
 	degraded := srv.Array.Degraded()
 
 	// Power restored: the self-heal machinery stays off for the

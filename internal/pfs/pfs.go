@@ -168,6 +168,9 @@ func (s *Server) StagedCopyBytes() int64 { return s.Array.StagedCopyBytes() }
 // like a crash. A fresh image set goes back to empty images, so the
 // next Open formats it again.
 func Open(cfg Config) (*Server, error) {
+	if cfg.CacheShards < 0 {
+		return nil, fmt.Errorf("pfs: invalid CacheShards %d (0 = the default, 1 = one lock)", cfg.CacheShards)
+	}
 	if cfg.Blocks <= 0 {
 		cfg.Blocks = 16384 // 64 MB
 	}

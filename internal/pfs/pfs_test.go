@@ -31,9 +31,8 @@ func TestOpenWriteReadClose(t *testing.T) {
 		if err := srv.Vol.Write(tk, h, msg, int64(len(msg))); err != nil {
 			return err
 		}
-		h.SetPos(0)
 		buf := make([]byte, len(msg))
-		if _, err := srv.Vol.Read(tk, h, buf, int64(len(msg))); err != nil {
+		if _, err := srv.Vol.ReadAt(tk, h, 0, buf, int64(len(msg))); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf, msg) {
@@ -141,9 +140,8 @@ func TestConcurrentLocalClients(t *testing.T) {
 						if err := srv.Vol.Write(tk, h, payload, int64(len(payload))); err != nil {
 							return err
 						}
-						h.SetPos(0)
 						buf := make([]byte, len(payload))
-						if _, err := srv.Vol.Read(tk, h, buf, int64(len(payload))); err != nil {
+						if _, err := srv.Vol.ReadAt(tk, h, 0, buf, int64(len(payload))); err != nil {
 							return err
 						}
 						if !bytes.Equal(buf, payload) {
@@ -357,7 +355,7 @@ func TestConcurrentNFSClientsOn4VolumeArray(t *testing.T) {
 	if err := srv.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	_, wr := srv.Array.RoutedBlocks()
+	wr := srv.Array.WriteGroup().Values()
 	for i, w := range wr {
 		if w == 0 {
 			t.Errorf("array member %d saw no writes: %v", i, wr)

@@ -102,6 +102,25 @@ func TestFailedFreshOpenLeavesImagesFresh(t *testing.T) {
 	}
 }
 
+// A negative shard count is invalid: Open refuses it before it builds
+// anything, so the fresh image set stays empty.
+func TestOpenRefusesNegativeCacheShards(t *testing.T) {
+	cfg := Config{Path: filepath.Join(t.TempDir(), "arr.img"), Blocks: 2048, CacheBlocks: 128,
+		Volumes: 2, Placement: "striped", StripeBlocks: 4, CacheShards: -1}
+	if srv, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "CacheShards") {
+		if err == nil {
+			srv.Close()
+		}
+		t.Fatalf("negative CacheShards: %v, want a refusal", err)
+	}
+	for i := 0; i < cfg.Volumes; i++ {
+		path, _ := memberPath(cfg, i)
+		if fresh, err := isFresh(path); err != nil || !fresh {
+			t.Fatalf("member %d image %s after the refusal: fresh %v, err %v", i, path, fresh, err)
+		}
+	}
+}
+
 // A battery over a fresh image set has nowhere to go: Open refuses it
 // instead of formatting the set and dropping the battery. An empty one
 // drops nothing, so the fresh set formats as usual.

@@ -248,7 +248,7 @@ func TestSelfHealSecondFaultRefused(t *testing.T) {
 
 	// First death: healed onto the only spare via the manual override
 	// (same supervised path, no traffic needed to generate evidence).
-	if err := srv.MarkMemberDead(0); err != nil {
+	if err := srv.Do(func(tk sched.Task) error { return srv.Members.MarkDead(tk, 0) }); err != nil {
 		t.Fatalf("mark dead: %v", err)
 	}
 	waitEvents := func(n int) []health.HealEvent {
@@ -267,7 +267,7 @@ func TestSelfHealSecondFaultRefused(t *testing.T) {
 	}
 
 	// Second death: the pool is dry. Refused, degraded, still serving.
-	if err := srv.MarkMemberDead(2); err != nil {
+	if err := srv.Do(func(tk sched.Task) error { return srv.Members.MarkDead(tk, 2) }); err != nil {
 		t.Fatalf("mark dead: %v", err)
 	}
 	evs = waitEvents(2)
@@ -314,7 +314,7 @@ func TestMarkDeadRightAfterOpenHealsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		if err := srv.MarkMemberDead(1); err != nil {
+		if err := srv.Do(func(tk sched.Task) error { return srv.Members.MarkDead(tk, 1) }); err != nil {
 			t.Fatalf("mark dead: %v", err)
 		}
 		if err := srv.Shutdown(); err != nil {

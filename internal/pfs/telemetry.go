@@ -385,15 +385,6 @@ func (s *Server) ServeAdmin(addr string) (string, error) {
 	return bound, nil
 }
 
-// AdminAddr returns the admin endpoint's bound address ("" when not
-// serving).
-func (s *Server) AdminAddr() string {
-	if s.admin == nil {
-		return ""
-	}
-	return s.admin.Addr()
-}
-
 // healthTimeout bounds the /healthz root-stat probe: the kernel and
 // its flusher tasks are live if a namespace operation completes.
 const healthTimeout = 2 * time.Second

@@ -409,9 +409,6 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.AdminAddr() != admin {
-		t.Fatalf("AdminAddr %q != %q", srv.AdminAddr(), admin)
-	}
 
 	cl, err := nfs.Dial(addr)
 	if err != nil {

@@ -330,9 +330,6 @@ func (k *VKernel) unwind() {
 	k.runnable, k.timers = nil, nil
 }
 
-// Stopped reports whether the kernel has been stopped.
-func (k *VKernel) Stopped() bool { return k.stopped }
-
 // timerHeap orders sleeping tasks by wake time, breaking ties by
 // spawn order so runs are reproducible.
 type timerHeap []*vtask

@@ -351,7 +351,7 @@ func TestStopUnwindsTasks(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run after Stop: %v", err)
 	}
-	if !k.Stopped() {
+	if !k.stopped {
 		t.Fatal("kernel not stopped")
 	}
 }
@@ -641,9 +641,9 @@ func TestTaskPanicSurfacesFromRun(t *testing.T) {
 	if !strings.Contains(string(tp.Stack), "TestTaskPanicSurfacesFromRun") {
 		t.Fatalf("stack does not reach the panicking task:\n%s", tp.Stack)
 	}
-	if !unwound || !k.Stopped() || k.Live() != 0 {
+	if !unwound || !k.stopped || k.Live() != 0 {
 		t.Fatalf("after the panic: parked task unwound %v, stopped %v, live %d; want true, true, 0",
-			unwound, k.Stopped(), k.Live())
+			unwound, k.stopped, k.Live())
 	}
 }
 
@@ -689,8 +689,8 @@ func TestStopRunsDeferredCallsInSpawnOrder(t *testing.T) {
 		if want := "[1 2 3 4 5 6 7 8]"; fmt.Sprint(order) != want {
 			t.Fatalf("fromTask=%v: deferred calls ran in order %v, want %v", fromTask, order, want)
 		}
-		if !k.Stopped() || k.Live() != 0 {
-			t.Fatalf("fromTask=%v: stopped %v, live %d after Stop", fromTask, k.Stopped(), k.Live())
+		if !k.stopped || k.Live() != 0 {
+			t.Fatalf("fromTask=%v: stopped %v, live %d after Stop", fromTask, k.stopped, k.Live())
 		}
 	}
 }

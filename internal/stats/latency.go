@@ -107,24 +107,6 @@ func (d *LatencyDist) fracBelowLocked(lat time.Duration) float64 {
 	return float64(i) / float64(len(d.samples))
 }
 
-// CDFPoint is one (latency, cumulative fraction) pair.
-type CDFPoint struct {
-	Lat  time.Duration
-	Frac float64
-}
-
-// CDF evaluates the cumulative distribution at each given latency.
-func (d *LatencyDist) CDF(at []time.Duration) []CDFPoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sortLocked()
-	out := make([]CDFPoint, len(at))
-	for i, lat := range at {
-		out[i] = CDFPoint{lat, d.fracBelowLocked(lat)}
-	}
-	return out
-}
-
 // DefaultCDFGrid is the latency grid the figure harness evaluates
 // CDFs on: fine resolution through the rotational region (the paper
 // discusses the 2 ms cache floor and the 17 ms full-rotation bump),

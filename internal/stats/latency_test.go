@@ -81,7 +81,8 @@ func TestLatencyDistConcurrentScrape(t *testing.T) {
 					}
 				}
 				d.Mean()
-				d.CDF([]time.Duration{time.Millisecond, time.Second})
+				d.FracBelow(time.Millisecond)
+				d.FracBelow(time.Second)
 			}
 		}()
 	}

@@ -99,13 +99,6 @@ func (m *Moments) meanLocked() float64 {
 	return m.mean
 }
 
-// Var returns the sample variance.
-func (m *Moments) Var() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.varLocked()
-}
-
 func (m *Moments) varLocked() float64 {
 	if m.n < 2 {
 		return 0
@@ -173,16 +166,6 @@ func NewHistogram(name string, bounds ...int64) *Histogram {
 	return &Histogram{name: name, bounds: bounds, counts: make([]int64, len(bounds)+1)}
 }
 
-// NewLinearHistogram returns a histogram with n buckets of the given
-// width starting at width.
-func NewLinearHistogram(name string, width int64, n int) *Histogram {
-	bounds := make([]int64, n)
-	for i := range bounds {
-		bounds[i] = width * int64(i+1)
-	}
-	return NewHistogram(name, bounds...)
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
@@ -221,13 +204,6 @@ func (h *Histogram) Snapshot() (bounds []int64, counts []int64, total int64, sum
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.bounds, append([]int64(nil), h.counts...), h.total, h.sum
-}
-
-// Bucket returns the count in bucket i (len(bounds)+1 buckets).
-func (h *Histogram) Bucket(i int) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.counts[i]
 }
 
 // Name returns the histogram's name.

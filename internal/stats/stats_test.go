@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// Var returns the sample variance.
+func (m *Moments) Var() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.varLocked()
+}
+
 func TestCounter(t *testing.T) {
 	c := NewCounter("ops")
 	c.Inc()
@@ -79,9 +86,10 @@ func TestHistogramBuckets(t *testing.T) {
 		h.Observe(v)
 	}
 	want := []int64{3, 1, 2, 2, 2} // <=1,<=2,<=4,<=8,>8
+	_, counts, _, _ := h.Snapshot()
 	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.Bucket(i), w)
+		if counts[i] != w {
+			t.Fatalf("bucket %d = %d, want %d", i, counts[i], w)
 		}
 	}
 	if h.Total() != 10 {
@@ -102,11 +110,12 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 }
 
 func TestLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram("lin", 10, 3) // bounds 10,20,30
+	h := NewHistogram("lin", 10, 20, 30)
 	h.Observe(10)
 	h.Observe(11)
 	h.Observe(31)
-	if h.Bucket(0) != 1 || h.Bucket(1) != 1 || h.Bucket(3) != 1 {
+	_, counts, _, _ := h.Snapshot()
+	if counts[0] != 1 || counts[1] != 1 || counts[3] != 1 {
 		t.Fatalf("linear histogram buckets wrong: %v", h.String())
 	}
 }
@@ -158,15 +167,15 @@ func TestCDFMonotone(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			d.Observe(time.Duration(rng.Intn(40)) * time.Millisecond)
 		}
-		pts := d.CDF(DefaultCDFGrid())
 		prev := -1.0
-		for _, p := range pts {
-			if p.Frac < prev || p.Frac < 0 || p.Frac > 1 {
+		for _, lat := range DefaultCDFGrid() {
+			frac := d.FracBelow(lat)
+			if frac < prev || frac < 0 || frac > 1 {
 				return false
 			}
-			prev = p.Frac
+			prev = frac
 		}
-		return pts[len(pts)-1].Frac == 1.0
+		return prev == 1.0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

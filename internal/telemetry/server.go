@@ -82,14 +82,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close stops the listener and open connections. Safe before Start
 // and safe to call twice.
 func (s *Server) Close() error {

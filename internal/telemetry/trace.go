@@ -62,14 +62,6 @@ func (o *Op) Add(s Stage, d time.Duration) {
 	o.stage[s] += d
 }
 
-// StageTime returns the accumulated time in stage s.
-func (o *Op) StageTime(s Stage) time.Duration {
-	if o == nil {
-		return 0
-	}
-	return o.stage[s]
-}
-
 // SlowOp is one slow-ring entry: a finished op over the threshold.
 type SlowOp struct {
 	Name   string
@@ -212,28 +204,12 @@ func (tr *Tracer) Finish(op *Op, end sched.Time) {
 	tr.mu.Unlock()
 }
 
-// TotalHist returns the all-ops latency histogram.
-func (tr *Tracer) TotalHist() *stats.LogHistogram {
-	if tr == nil {
-		return nil
-	}
-	return tr.total
-}
-
 // StageHist returns the histogram for stage s.
 func (tr *Tracer) StageHist(s Stage) *stats.LogHistogram {
 	if tr == nil {
 		return nil
 	}
 	return tr.stage[s]
-}
-
-// SlowCount returns the slow-op counter.
-func (tr *Tracer) SlowCount() *stats.Counter {
-	if tr == nil {
-		return nil
-	}
-	return tr.slow
 }
 
 // Slow snapshots the slow ring, newest first.

@@ -113,7 +113,7 @@ func TestRebuildWhileCleaning(t *testing.T) {
 					tk.Sleep(100 * time.Microsecond)
 				}
 				c = cleaned()
-				arr.SetRebuildBudget(500 * time.Microsecond) // a copy pass long enough to clean through
+				arr.rebuildDelay.Store(int64(500 * time.Microsecond)) // a copy pass long enough to clean through
 				if err := arr.Rebuild(tk, member("repl", dead)); err != nil {
 					errc <- fmt.Errorf("rebuild: %w", err)
 					return

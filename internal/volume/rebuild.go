@@ -147,17 +147,6 @@ func (a *Array) Maintenance() string {
 	return ""
 }
 
-// SetRebuildBudget bounds the rebuild's I/O rate against live
-// traffic: after each copy batch (copyBatch blocks) the rebuild task
-// pauses for batchDelay, leaving the members free for foreground
-// requests. Zero restores full speed.
-func (a *Array) SetRebuildBudget(batchDelay time.Duration) {
-	if batchDelay < 0 {
-		batchDelay = 0
-	}
-	a.rebuildDelay.Store(int64(batchDelay))
-}
-
 // Rebuild reconstructs the dead member's contents onto replacement, a
 // freshly constructed (unformatted) layout over a new disk stack, while
 // the array keeps serving. On success the array is healthy again with

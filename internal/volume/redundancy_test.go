@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -628,13 +629,28 @@ func TestRebuildUnderTraffic(t *testing.T) {
 	}
 }
 
+// deadRejects counts the requests its plan rejects because their disk
+// is dead.
+type deadRejects struct {
+	*device.FaultPlan
+	n atomic.Int64
+}
+
+func (d *deadRejects) Intercept(r *device.Request) device.Decision {
+	dec := d.FaultPlan.Intercept(r)
+	if errors.Is(dec.Err, device.ErrDiskDead) {
+		d.n.Add(1)
+	}
+	return dec
+}
+
 // TestDeadDiskFaultLazyDetection wires a FaultPlan disk-death into a
 // member's driver and checks the array notices mid-read — without a
 // proactive KillMember — and degrades instead of failing the I/O.
 func TestDeadDiskFaultLazyDetection(t *testing.T) {
 	k := sched.NewReal(1)
 	cfg := Config{Placement: PlacementMirrored, StripeBlocks: 2}
-	plan := device.NewFaultPlan(device.FaultConfig{})
+	plan := &deadRejects{FaultPlan: device.NewFaultPlan(device.FaultConfig{})}
 	var drvs []device.Driver
 	for i := 0; i < 2; i++ {
 		drvs = append(drvs, device.NewMemDriver(k, fmt.Sprintf("mem%d", i), rigBlocks, nil))
@@ -661,7 +677,7 @@ func TestDeadDiskFaultLazyDetection(t *testing.T) {
 		if r.arr.DegradedReads() == 0 {
 			t.Fatal("no degraded reads counted")
 		}
-		if plan.DeadRejects() == 0 {
+		if plan.n.Load() == 0 {
 			t.Fatal("fault plan rejected nothing")
 		}
 		return nil

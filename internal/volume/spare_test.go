@@ -122,7 +122,7 @@ func TestMaintenanceRaceHammer(t *testing.T) {
 		}
 		return r.arr.KillMember(dead)
 	})
-	r.arr.SetRebuildBudget(200 * time.Microsecond)
+	r.arr.rebuildDelay.Store(int64(200 * time.Microsecond))
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -179,7 +179,8 @@ type Array struct {
 	rebuildTotal atomic.Int64
 
 	// rebuildDelay is the rebuild's I/O budget against live traffic:
-	// a pause (ns) inserted after every copy batch. Zero = full speed.
+	// a pause (ns) inserted after every copy batch. Zero = full speed;
+	// only tests set a pause, to stretch a rebuild over live traffic.
 	rebuildDelay atomic.Int64
 
 	// Hot-spare pool: idle pre-constructed member stacks a confirmed
@@ -748,9 +749,3 @@ func (a *Array) WriteGroup() *stats.Group { return a.writes }
 
 // SyncCounter returns the array-sync counter.
 func (a *Array) SyncCounter() *stats.Counter { return a.syncs }
-
-// RoutedBlocks reports the per-sub-volume block counts the array has
-// routed so far — the raw material of the per-volume report.
-func (a *Array) RoutedBlocks() (reads, writes []int64) {
-	return a.reads.Values(), a.writes.Values()
-}

@@ -134,7 +134,7 @@ func TestStripedWriteReadRemount(t *testing.T) {
 	})
 
 	// Every sub-volume must hold a share: the file spans > n*w blocks.
-	_, wr := r.arr.RoutedBlocks()
+	wr := r.arr.WriteGroup().Values()
 	for i, w := range wr {
 		if w == 0 {
 			t.Fatalf("sub %d received no writes: %v", i, wr)
@@ -363,8 +363,7 @@ func TestAffinityPlacement(t *testing.T) {
 }
 
 func mustWrites(a *Array) []int64 {
-	_, w := a.RoutedBlocks()
-	return w
+	return a.WriteGroup().Values()
 }
 
 // TestTruncateStriped shrinks a striped file and checks reads past
@@ -521,8 +520,8 @@ func TestWidth1Passthrough(t *testing.T) {
 			// member's.
 			ino, _ := writeFile(t, tk, arr, 3, core.BlockSize)
 			checkFile(t, tk, arr, ino, 2)
-			if rd, wr := arr.RoutedBlocks(); len(rd) != 1 || rd[0] != 2 || len(wr) != 1 || wr[0] != 3 {
-				return fmt.Errorf("RoutedBlocks: reads %v writes %v, want [2] [3]", rd, wr)
+			if rd, wr := arr.ReadGroup().Values(), arr.WriteGroup().Values(); len(rd) != 1 || rd[0] != 2 || len(wr) != 1 || wr[0] != 3 {
+				return fmt.Errorf("routed blocks: reads %v writes %v, want [2] [3]", rd, wr)
 			}
 			return nil
 		}()
@@ -551,9 +550,9 @@ func TestStatsGroups(t *testing.T) {
 		checkFile(t, tk, r.arr, ino, 4)
 		return nil
 	})
-	rd, wr := r.arr.RoutedBlocks()
+	rd, wr := r.arr.ReadGroup().Values(), r.arr.WriteGroup().Values()
 	if len(rd) != 2 || len(wr) != 2 {
-		t.Fatalf("RoutedBlocks arity: %v %v", rd, wr)
+		t.Fatalf("routed-block arity: %v %v", rd, wr)
 	}
 	if wr[0] != 2 || wr[1] != 2 {
 		t.Fatalf("stripe-1 writes of 4 blocks should split 2/2, got %v", wr)

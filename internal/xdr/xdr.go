@@ -91,15 +91,6 @@ func (e *Encoder) Opaque(p []byte) {
 	}
 }
 
-// FixedOpaque encodes fixed-length opaque data (length known to both
-// sides), padded.
-func (e *Encoder) FixedOpaque(p []byte) {
-	e.buf = append(e.buf, p...)
-	for len(e.buf)%4 != 0 {
-		e.buf = append(e.buf, 0)
-	}
-}
-
 // String encodes an XDR string.
 func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
 
@@ -166,9 +157,6 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Reset points the decoder at the start of buf, so one decoder can
 // serve message after message.
 func (d *Decoder) Reset(buf []byte) { d.buf, d.off = buf, 0 }
-
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 func (d *Decoder) need(n int) error {
 	if d.off+n > len(d.buf) {
@@ -253,18 +241,6 @@ func (d *Decoder) OpaqueBorrow() ([]byte, error) {
 		return nil, err
 	}
 	out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-	d.off += padded
-	return out, nil
-}
-
-// FixedOpaque decodes n fixed bytes plus padding.
-func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
-	padded := (n + 3) &^ 3
-	if err := d.need(padded); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
 	d.off += padded
 	return out, nil
 }

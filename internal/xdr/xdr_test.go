@@ -6,6 +6,30 @@ import (
 	"testing/quick"
 )
 
+// FixedOpaque encodes fixed-length opaque data (length known to both
+// sides), padded.
+func (e *Encoder) FixedOpaque(p []byte) {
+	e.buf = append(e.buf, p...)
+	for len(e.buf)%4 != 0 {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+// Remaining returns the number of unconsumed bytes.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
+// FixedOpaque decodes n fixed bytes plus padding.
+func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
+	padded := (n + 3) &^ 3
+	if err := d.need(padded); err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	copy(out, d.buf[d.off:])
+	d.off += padded
+	return out, nil
+}
+
 // TestOpaqueBorrowAliasing pins the borrow variant's contract: the
 // returned slice aliases the decoder's buffer (no copy), its
 // capacity is clipped so appends cannot clobber the following

@@ -1,11 +1,11 @@
-// Integration tests regenerating the paper's figures end to end
-// through the parallel experiment engine, asserting it reproduces
-// the sequential reference path byte for byte at fixed seeds — the
-// engine's determinism contract at the figure level.
+// Integration test regenerating a paper figure end to end through the
+// parallel experiment engine twice at a fixed seed: the engine's
+// determinism contract at the figure level. The comparisons against
+// the sequential reference path live with that path, in
+// internal/experiments.
 package repro
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -14,72 +14,12 @@ import (
 
 const introSeed = 1996
 
-// integrationScale is QuickScale trimmed so the full-figure runs
-// stay test-suite friendly.
+// integrationScale is QuickScale trimmed so the figure runs stay
+// test-suite friendly.
 func integrationScale() experiments.Scale {
 	s := experiments.QuickScale()
 	s.Duration = 45 * time.Second
 	return s
-}
-
-// TestFigure5ParallelMatchesSequential regenerates Figure 5 — every
-// trace under every policy — both ways and compares the rendered
-// figure byte for byte.
-func TestFigure5ParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure 5 in -short mode")
-	}
-	s := integrationScale()
-	seqRows, err := experiments.RunFigure5Sequential(s, introSeed, nil)
-	if err != nil {
-		t.Fatalf("sequential figure 5: %v", err)
-	}
-	parRows, err := experiments.RunFigure5With(&experiments.Engine{Workers: 8}, s, introSeed, nil)
-	if err != nil {
-		t.Fatalf("parallel figure 5: %v", err)
-	}
-	seqFig := experiments.Figure5(seqRows)
-	parFig := experiments.Figure5(parRows)
-	if seqFig != parFig {
-		t.Fatalf("figure 5 diverges between engines:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqFig, parFig)
-	}
-	// The figure must be a real figure, not agreeing emptiness.
-	for _, want := range []string{"Figure 5", "writedelay", "ups", "1b", "5"} {
-		if !strings.Contains(seqFig, want) {
-			t.Fatalf("figure 5 missing %q:\n%s", want, seqFig)
-		}
-	}
-}
-
-// TestFigureCDFParallelMatchesSequential regenerates the Figure 2
-// latency CDF (trace 1a, four policies) both ways, comparing the
-// summary figure and the full plottable CDF of every policy.
-func TestFigureCDFParallelMatchesSequential(t *testing.T) {
-	s := integrationScale()
-	seqRuns, err := experiments.RunTraceSequential(s, "1a", introSeed)
-	if err != nil {
-		t.Fatalf("sequential trace 1a: %v", err)
-	}
-	parRuns, err := experiments.RunTraceWith(&experiments.Engine{Workers: 4}, s, "1a", introSeed)
-	if err != nil {
-		t.Fatalf("parallel trace 1a: %v", err)
-	}
-	seqFig := experiments.FigureCDF("Figure 2", "1a", seqRuns)
-	parFig := experiments.FigureCDF("Figure 2", "1a", parRuns)
-	if seqFig != parFig {
-		t.Fatalf("figure 2 diverges between engines:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqFig, parFig)
-	}
-	if len(seqRuns) != len(parRuns) {
-		t.Fatalf("run counts differ: %d vs %d", len(seqRuns), len(parRuns))
-	}
-	for i := range seqRuns {
-		seqCDF := experiments.FullCDF(seqRuns[i].Report)
-		parCDF := experiments.FullCDF(parRuns[i].Report)
-		if seqCDF != parCDF {
-			t.Fatalf("policy %s: full CDF diverges:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				seqRuns[i].Policy, seqCDF, parCDF)
-		}
-	}
 }
 
 // TestEngineRunIsRepeatable re-runs the same matrix on the parallel
@@ -87,11 +27,11 @@ func TestFigureCDFParallelMatchesSequential(t *testing.T) {
 // run, not just sequential to parallel.
 func TestEngineRunIsRepeatable(t *testing.T) {
 	s := integrationScale()
-	first, err := experiments.RunTrace(s, "1b", introSeed)
+	first, err := experiments.RunTraceWith(experiments.Parallel(), s, "1b", introSeed)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	second, err := experiments.RunTrace(s, "1b", introSeed)
+	second, err := experiments.RunTraceWith(experiments.Parallel(), s, "1b", introSeed)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
