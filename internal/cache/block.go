@@ -231,7 +231,6 @@ func (sh *shard) place(b *Block) wake {
 		sh.replace.Remove(b)
 	case onDirty:
 		sh.dirty.remove(b)
-		sh.countDirty(b, -1)
 	}
 	b.where = to
 	switch to {
@@ -243,7 +242,6 @@ func (sh *shard) place(b *Block) wake {
 		return wCleaned
 	case onDirty:
 		sh.dirty.pushTail(b)
-		sh.countDirty(b, +1)
 	}
 	return 0
 }
@@ -292,21 +290,15 @@ type FileKey struct {
 
 func fileOf(k core.BlockKey) FileKey { return FileKey{k.Vol, k.File} }
 
-// fileEntry heads a file's chain and counts its frames on the dirty list.
-type fileEntry struct {
-	head  *Block
-	dirty int
-}
-
 // indexAdd indexes b under its key and chains it to its file's frames.
 func (sh *shard) indexAdd(b *Block) {
 	sh.index[b.Key] = b
-	e := sh.files[fileOf(b.Key)]
-	if e.head != nil {
-		e.head.fprev = b
+	fk := fileOf(b.Key)
+	if head := sh.files[fk]; head != nil {
+		head.fprev = b
+		b.fnext = head
 	}
-	b.fnext, e.head = e.head, b
-	sh.files[fileOf(b.Key)] = e
+	sh.files[fk] = b
 }
 
 // indexDel undoes indexAdd for a frame off the dirty list.
@@ -319,18 +311,11 @@ func (sh *shard) indexDel(b *Block) {
 	case b.fprev != nil:
 		b.fprev.fnext = b.fnext
 	case b.fnext == nil:
-		delete(sh.files, fk) // its last frame, so no dirty one is left
+		delete(sh.files, fk) // its last frame
 	default:
-		sh.files[fk] = fileEntry{head: b.fnext, dirty: sh.files[fk].dirty}
+		sh.files[fk] = b.fnext
 	}
 	b.fprev, b.fnext = nil, nil
-}
-
-// countDirty moves the dirty count of b's file by d.
-func (sh *shard) countDirty(b *Block, d int) {
-	e := sh.files[fileOf(b.Key)]
-	e.dirty += d
-	sh.files[fileOf(b.Key)] = e
 }
 
 // blockList is an intrusive doubly-linked list of blocks.

@@ -201,7 +201,7 @@ type shard struct {
 	conds [nConds]sched.Cond
 
 	index   map[core.BlockKey]*Block
-	files   map[FileKey]fileEntry // each file's indexed frames
+	files   map[FileKey]*Block // the head of each file's chain of indexed frames
 	free    blockList
 	dirty   blockList // clean→dirty transition order: oldest first
 	replace ReplacePolicy
@@ -285,7 +285,7 @@ func New(k sched.Kernel, cfg Config, store BackingStore) *Cache {
 			c:         c,
 			mu:        k.NewMutex(name),
 			index:     make(map[core.BlockKey]*Block),
-			files:     make(map[FileKey]fileEntry),
+			files:     make(map[FileKey]*Block),
 			replace:   rp,
 			flushWork: k.NewEvent(name + ".flushwork"),
 			scanName:  name + ".updated",
@@ -693,7 +693,7 @@ func (sh *shard) enqueueFlushLocked(b *Block) {
 		sh.jobFree = sh.jobFree[:n-1]
 	}
 	if sh.c.cfg.Flush.WholeFile {
-		for fb := sh.files[fileOf(b.Key)].head; fb != nil; fb = fb.fnext {
+		for fb := sh.files[fileOf(b.Key)]; fb != nil; fb = fb.fnext {
 			if fb.flushable() {
 				job = append(job, fb)
 			}
@@ -812,7 +812,7 @@ func (c *Cache) DiscardFile(t sched.Task, vol core.VolumeID, file core.FileID, f
 		for {
 			victims := sh.victims[:0]
 			var busy wake
-			for b := sh.files[fk].head; b != nil; b = b.fnext {
+			for b := sh.files[fk]; b != nil; b = b.fnext {
 				if b.Key.Blk < fromBlk {
 					continue
 				}

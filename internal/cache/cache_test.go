@@ -20,15 +20,21 @@ func (c *Cache) FlushFile(t sched.Task, vol core.VolumeID, file core.FileID) {
 	for _, sh := range c.shards {
 		sh.mu.Lock(t)
 		// The file's flushing blocks stay on the dirty list until their
-		// flush lands, so a zero count means the file is clean.
-		for sh.files[fk].dirty > 0 {
+		// flush lands, so the file is clean once no frame of its chain is
+		// on the dirty list.
+		for {
 			// Enqueue the lowest flushable block; whole-file policies
 			// grab the rest of the file with it.
 			var pick *Block
-			for b := sh.files[fk].head; b != nil; b = b.fnext {
+			dirty := false
+			for b := sh.files[fk]; b != nil; b = b.fnext {
+				dirty = dirty || b.where == onDirty
 				if b.flushable() && (pick == nil || b.Key.Blk < pick.Key.Blk) {
 					pick = b
 				}
+			}
+			if !dirty {
+				break
 			}
 			if pick != nil {
 				sh.enqueueFlushLocked(pick)

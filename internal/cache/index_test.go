@@ -12,17 +12,15 @@ import (
 
 // checkIndex verifies the per-file index of every shard: each indexed
 // frame is on its file's chain exactly once, a chain holds nothing
-// else, each file's dirty count is its number of frames on the dirty
-// list, and a free frame is on no chain.
+// else, and a free frame is on no chain.
 func checkIndex(c *Cache) error {
 	for i, sh := range c.shards {
 		seen := map[*Block]bool{}
-		for fk, e := range sh.files {
-			if e.head == nil || e.head.fprev != nil {
-				return fmt.Errorf("shard %d file %v: chain head %p is not a head", i, fk, e.head)
+		for fk, head := range sh.files {
+			if head == nil || head.fprev != nil {
+				return fmt.Errorf("shard %d file %v: chain head %p is not a head", i, fk, head)
 			}
-			dirty := 0
-			for b := e.head; b != nil; b = b.fnext {
+			for b := head; b != nil; b = b.fnext {
 				switch {
 				case seen[b]:
 					return fmt.Errorf("shard %d: %v chained twice", i, b.Key)
@@ -34,12 +32,6 @@ func checkIndex(c *Cache) error {
 					return fmt.Errorf("shard %d: %v's successor does not link back", i, b.Key)
 				}
 				seen[b] = true
-				if b.where == onDirty {
-					dirty++
-				}
-			}
-			if e.dirty != dirty {
-				return fmt.Errorf("shard %d file %v: dirty count %d, %d frames on the dirty list", i, fk, e.dirty, dirty)
 			}
 		}
 		for key, b := range sh.index {
@@ -48,7 +40,7 @@ func checkIndex(c *Cache) error {
 			}
 		}
 		for b := sh.free.head; b != nil; b = b.next {
-			if b.fprev != nil || b.fnext != nil || sh.files[fileOf(b.Key)].head == b {
+			if b.fprev != nil || b.fnext != nil || sh.files[fileOf(b.Key)] == b {
 				return fmt.Errorf("shard %d: free frame %v is still chained", i, b.Key)
 			}
 		}

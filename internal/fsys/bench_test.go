@@ -13,11 +13,12 @@ import (
 )
 
 // The front-end's per-layer benchmarks: one op is what the NFS server
-// does per call — resolve the handle by inode number, move one block,
-// close — on a real-kernel stack over a RAM disk, assembled the way
-// the server assembles it. The file fits in the cache, so neither
-// benchmark reaches the layout: they measure fsys and the cache hit
-// path (the hot_read and write_burst workloads minus the wire).
+// does per call — open the file by inode number into a reused handle,
+// move one block, close — on a real-kernel stack over a RAM disk,
+// assembled the way the server assembles it. The file fits in the
+// cache, so neither benchmark reaches the layout: they measure fsys
+// and the cache hit path (the hot_read and write_burst workloads minus
+// the wire).
 
 const (
 	benchVolBlocks  = 4096
@@ -78,17 +79,17 @@ func BenchmarkReadAtHit(b *testing.B) {
 	buf := make([]byte, core.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var h fsys.Handle
 	inTask(b, k, func(tk sched.Task) error {
 		for i := 0; i < b.N; i++ {
-			h, err := v.OpenByID(tk, id)
-			if err != nil {
+			if err := v.OpenInto(tk, id, &h); err != nil {
 				return err
 			}
 			off := int64(i%benchFileBlocks) * core.BlockSize
-			if _, err := v.ReadAt(tk, h, off, buf, core.BlockSize); err != nil {
+			if _, err := v.ReadAt(tk, &h, off, buf, core.BlockSize); err != nil {
 				return err
 			}
-			if err := v.Close(tk, h); err != nil {
+			if err := v.Close(tk, &h); err != nil {
 				return err
 			}
 		}
@@ -103,17 +104,17 @@ func BenchmarkWriteAtOverwrite(b *testing.B) {
 	buf := make([]byte, core.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var h fsys.Handle
 	inTask(b, k, func(tk sched.Task) error {
 		for i := 0; i < b.N; i++ {
-			h, err := v.OpenByID(tk, id)
-			if err != nil {
+			if err := v.OpenInto(tk, id, &h); err != nil {
 				return err
 			}
 			off := int64(i%benchFileBlocks) * core.BlockSize
-			if err := v.WriteAt(tk, h, off, buf, core.BlockSize); err != nil {
+			if err := v.WriteAt(tk, &h, off, buf, core.BlockSize); err != nil {
 				return err
 			}
-			if err := v.Close(tk, h); err != nil {
+			if err := v.Close(tk, &h); err != nil {
 				return err
 			}
 		}

@@ -16,17 +16,25 @@ import (
 
 // OpenByID opens a file by inode number.
 func (v *Volume) OpenByID(t sched.Task, id core.FileID) (*Handle, error) {
+	h := new(Handle)
+	if err := v.OpenInto(t, id, h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// OpenInto opens a file by inode number into h, a handle the caller
+// owns: a server that opens one file per call reuses one Handle
+// instead of allocating a fresh one. h must not be open.
+func (v *Volume) OpenInto(t sched.Task, id core.FileID, h *Handle) error {
 	v.mu.Lock(t)
 	f, err := v.getLocked(t, id)
 	if err != nil {
 		v.mu.Unlock(t)
-		return nil, err
+		return err
 	}
-	f.refs++
-	v.mu.Unlock(t)
-	f.behavior.opened(t, f)
-	v.fs.st.Opens.Inc()
-	return &Handle{f: f}, nil
+	v.openLocked(t, f, h)
+	return nil
 }
 
 // StatByID returns attributes by inode number.

@@ -13,18 +13,19 @@ func (v *Volume) Open(t sched.Task, path string) (*Handle, error) {
 		v.mu.Unlock(t)
 		return nil, err
 	}
-	return v.openLocked(t, f), nil
+	h := new(Handle)
+	v.openLocked(t, f, h)
+	return h, nil
 }
 
-// openLocked is OpenByID's tail for the path forms: it takes a
-// reference on f for a new handle and releases v.mu, which the caller
-// holds.
-func (v *Volume) openLocked(t sched.Task, f *File) *Handle {
+// openLocked is the one open routine: it takes a reference on f,
+// points h at it and releases v.mu, which the caller holds.
+func (v *Volume) openLocked(t sched.Task, f *File, h *Handle) {
 	f.refs++
 	v.mu.Unlock(t)
 	f.behavior.opened(t, f)
 	v.fs.st.Opens.Inc()
-	return &Handle{f: f}
+	*h = Handle{f: f}
 }
 
 // Create makes a new file of the given type at path and opens it.
@@ -266,5 +267,7 @@ func (v *Volume) EnsureFile(t sched.Task, path string, size int64, preexisting b
 			}
 		}
 	}
-	return v.openLocked(t, f), nil
+	h := new(Handle)
+	v.openLocked(t, f, h)
+	return h, nil
 }

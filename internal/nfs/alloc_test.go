@@ -12,12 +12,15 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/nfs"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
 
 // ramServer is a whole serving stack on a RAM disk under the real
 // kernel — LFS, a UPS block cache, the file-system front-end and the
-// NFS server on a loopback port — with no image file behind it.
+// NFS server on a loopback port — with no image file behind it. A
+// traced one carries a tracer through the server and the front-end, as
+// pfs assembles it.
 type ramServer struct {
 	k    *sched.RKernel
 	srv  *nfs.Server
@@ -25,8 +28,8 @@ type ramServer struct {
 }
 
 // newRAMServer boots a server of the given disk and cache sizes (in
-// blocks); the test's cleanup stops it.
-func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int) *ramServer {
+// blocks), traced or not; the test's cleanup stops it.
+func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int, traced bool) *ramServer {
 	tb.Helper()
 	k := sched.NewReal(1)
 	drv := device.NewMemDriver(k, "mem0", diskBlocks, nil)
@@ -54,7 +57,12 @@ func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int) *ramServer {
 	if err := <-errc; err != nil {
 		tb.Fatalf("mount RAM volume: %v", err)
 	}
-	srv, err := nfs.ServeOpts(k, fs, "127.0.0.1:0", nfs.Options{})
+	var o nfs.Options
+	if traced {
+		o.Tracer = telemetry.NewTracer(k, 0)
+		fs.SetTracer(o.Tracer)
+	}
+	srv, err := nfs.ServeOpts(k, fs, "127.0.0.1:0", o)
 	if err != nil {
 		tb.Fatalf("ServeOpts: %v", err)
 	}
@@ -107,44 +115,92 @@ func hotFile(tb testing.TB, cl *nfs.Client, name string, size int) (nfs.FH, []by
 }
 
 // readRoundTripCeiling bounds the allocations of one cache-hit 8 KB
-// read round trip, client and server together: the measured 3 (the
-// reply frame the caller keeps, the call's argument closure and
-// fsys's per-call *Handle) plus 2. The per-call codecs, frame buffers,
-// reply channels and borrowed-read lists that used to cost ~33 more
-// are per-connection now.
-const readRoundTripCeiling = 5
+// read round trip, client and server together: the measured 1 (the
+// reply frame the caller keeps) plus 1. The per-call codecs, frame
+// buffers, reply channels, borrowed-read lists, open handles and traced
+// ops that used to cost ~35 more are per-connection now.
+const readRoundTripCeiling = 2
 
-// TestReadRoundTripAllocs is the allocation gate of the serving path:
-// a cache-hit 8 KB read through a pipelined client and the server must
-// stay under readRoundTripCeiling allocations, counted across every
-// goroutine of the process.
-func TestReadRoundTripAllocs(t *testing.T) {
-	r := newRAMServer(t, 4096, 256)
-	cl := r.dial(t, 4)
-	fh, data := hotFile(t, cl, "hot", 64<<10)
-	const n = 2 * core.BlockSize
-	off := int64(0)
-	read := func() {
-		got, err := cl.Read(fh, off, n)
-		if err != nil || !bytes.Equal(got, data[off:off+n]) {
-			t.Fatalf("read at %d: %v", off, err)
+// writeRoundTripCeiling bounds the allocations of one 8 KB overwrite
+// round trip, client and server together: the measured 1 (the reply
+// frame) plus 1. The client sends the payload by reference and the
+// server reads it into a recycled frame, so neither copies it into a
+// fresh buffer.
+const writeRoundTripCeiling = 2
+
+// servers runs a gate on an untraced and on a traced server: the
+// benchmark's server is traced, and tracing must not cost a per-call
+// allocation either.
+func servers(t *testing.T, gate func(t *testing.T, r *ramServer)) {
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
 		}
-		off = (off + n) % int64(len(data))
+		t.Run(name, func(t *testing.T) { gate(t, newRAMServer(t, 4096, 256, traced)) })
 	}
-	for i := 0; i < 16; i++ {
-		read() // warm the connection's free lists and the cache
-	}
-	allocs := testing.AllocsPerRun(500, read)
-	t.Logf("cache-hit 8 KB read round trip: %.2f allocs", allocs)
-	if allocs > readRoundTripCeiling {
-		t.Fatalf("cache-hit 8 KB read round trip allocates %.2f objects, ceiling %d", allocs, readRoundTripCeiling)
-	}
+}
+
+// TestReadRoundTripAllocs is the allocation gate of the serving read
+// path: a cache-hit 8 KB read through a pipelined client and the server
+// must stay under readRoundTripCeiling allocations, counted across
+// every goroutine of the process.
+func TestReadRoundTripAllocs(t *testing.T) {
+	servers(t, func(t *testing.T, r *ramServer) {
+		cl := r.dial(t, 4)
+		fh, data := hotFile(t, cl, "hot", 64<<10)
+		const n = 2 * core.BlockSize
+		off := int64(0)
+		read := func() {
+			got, err := cl.Read(fh, off, n)
+			if err != nil || !bytes.Equal(got, data[off:off+n]) {
+				t.Fatalf("read at %d: %v", off, err)
+			}
+			off = (off + n) % int64(len(data))
+		}
+		for i := 0; i < 16; i++ {
+			read() // warm the connection's free lists and the cache
+		}
+		allocs := testing.AllocsPerRun(500, read)
+		t.Logf("cache-hit 8 KB read round trip: %.2f allocs", allocs)
+		if allocs > readRoundTripCeiling {
+			t.Fatalf("cache-hit 8 KB read round trip allocates %.2f objects, ceiling %d", allocs, readRoundTripCeiling)
+		}
+	})
+}
+
+// TestWriteRoundTripAllocs is the allocation gate of the serving write
+// path: an 8 KB overwrite of cached blocks through a pipelined client
+// and the server must stay under writeRoundTripCeiling allocations,
+// counted across every goroutine of the process. The cache is large
+// enough that no write waits for a flush.
+func TestWriteRoundTripAllocs(t *testing.T) {
+	servers(t, func(t *testing.T, r *ramServer) {
+		cl := r.dial(t, 4)
+		fh, data := hotFile(t, cl, "hot", 64<<10)
+		const n = 2 * core.BlockSize
+		off := int64(0)
+		write := func() {
+			if _, err := cl.Write(fh, off, data[off:off+n]); err != nil {
+				t.Fatalf("write at %d: %v", off, err)
+			}
+			off = (off + n) % int64(len(data))
+		}
+		for i := 0; i < 16; i++ {
+			write() // warm the connection's free lists and the cache
+		}
+		allocs := testing.AllocsPerRun(500, write)
+		t.Logf("8 KB overwrite round trip: %.2f allocs", allocs)
+		if allocs > writeRoundTripCeiling {
+			t.Fatalf("8 KB overwrite round trip allocates %.2f objects, ceiling %d", allocs, writeRoundTripCeiling)
+		}
+	})
 }
 
 // BenchmarkRead times a cache-hit 8 KB read round trip over loopback:
 // a pipelined client and a RAM-backed server.
 func BenchmarkRead(b *testing.B) {
-	r := newRAMServer(b, 4096, 256)
+	r := newRAMServer(b, 4096, 256, false)
 	cl := r.dial(b, 4)
 	fh, _ := hotFile(b, cl, "hot", 256<<10)
 	const n = 2 * core.BlockSize
@@ -161,7 +217,7 @@ func BenchmarkRead(b *testing.B) {
 // BenchmarkWrite times an 8 KB overwrite of cached blocks over
 // loopback: a pipelined client and a RAM-backed server.
 func BenchmarkWrite(b *testing.B) {
-	r := newRAMServer(b, 4096, 256)
+	r := newRAMServer(b, 4096, 256, false)
 	cl := r.dial(b, 4)
 	fh, data := hotFile(b, cl, "hot", 256<<10)
 	const n = 2 * core.BlockSize

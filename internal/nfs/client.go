@@ -2,7 +2,6 @@ package nfs
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -118,9 +117,12 @@ func (p *pipeTransport) close() error {
 }
 
 // call moves one call's frames and hands back a decoder positioned at
-// the results. The decoder is a value over a reply frame allocated for
-// this call alone, so the caller may keep the bytes it borrows out of
-// it (Read returns them).
+// the results. The call frame is sent by one vectored write that
+// resets the encoder, so no segment that args borrowed (a Write
+// payload) is referenced once call returns, whether it succeeded or
+// not. The decoder is a value over a reply frame allocated for this
+// call alone, so the caller may keep the bytes it borrows out of it
+// (Read returns them).
 func (p *pipeTransport) call(proc uint32, args func(*xdr.Encoder)) (xdr.Decoder, error) {
 	s := <-p.slots
 	defer func() { p.slots <- s }()
@@ -258,14 +260,14 @@ func (c *Client) Read(fh FH, off int64, count int) ([]byte, error) {
 }
 
 // Write stores data at off and returns the new attributes. The call
-// carries a private copy of data, allocated per call like the
-// server's write frames (see frameKeep for the measured reason).
+// sends data by reference, with no copy: the frame goes out in one
+// vectored write before call returns, so the caller may reuse data as
+// soon as Write returns.
 func (c *Client) Write(fh FH, off int64, data []byte) (fsys.FileAttr, error) {
-	payload := bytes.Clone(data)
 	d, err := c.tr.call(ProcWrite, func(e *xdr.Encoder) {
 		encodeFH(e, fh)
 		e.Int64(off)
-		e.OpaqueVec([][]byte{payload}, len(payload))
+		e.OpaqueVec([][]byte{data}, len(data))
 	})
 	if err != nil {
 		return fsys.FileAttr{}, err

@@ -109,7 +109,7 @@ func readReplies(conn net.Conn) ([]reply, error) {
 // call left in the connection's reused encoder, decoder, frame buffers
 // or loan may show in the next reply.
 func FuzzServeConn(f *testing.F) {
-	r := newRAMServer(f, 8192, 256)
+	r := newRAMServer(f, 8192, 256, false)
 	setup := r.dial(f, 1)
 	root, rootAttr, err := setup.Mount(1)
 	if err != nil {

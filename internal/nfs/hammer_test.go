@@ -29,11 +29,16 @@ func blockPattern(b []byte, f, blk, ver int) {
 // calls queued behind each other on every connection, so frame buffers
 // go round their free lists while earlier calls still execute. Every
 // caller owns one file, writes per-(file, block, version) patterns —
-// payload frames take the allocate-and-drop path, some of them
-// MaxIO-sized — and reads them back, checking every byte. A frame put
-// back on the free list before its call is done lets the reader
-// overwrite the arguments it is decoding; that surfaces here as a data
-// race under -race, or as another call's bytes in a block.
+// runs of one to four blocks, whose frames fit connReadBuf and go round
+// the free lists, and every fourth round a MaxIO write, whose frame
+// takes the allocate-and-drop path — and reads them back, checking
+// every byte. A frame put back on the free list before its call is
+// done lets the reader overwrite the payload WriteAt is copying; that
+// surfaces here as a data race under -race, or as another call's bytes
+// in a block. Each caller scribbles over its write buffer as soon as
+// Write returns, which pins the client's by-reference send: a payload
+// still referenced after Write returned would reach the server
+// scribbled, and the read-back would show it.
 //
 // Meanwhile one writer overwrites a shared file whose blocks every
 // connection is reading — loaned frames in flight to the socket — in
@@ -52,7 +57,7 @@ func TestRecycledFrameAliasingHammer(t *testing.T) {
 		rounds     = 40
 		sharedBlks = 8
 	)
-	r := newRAMServer(t, 8192, 512)
+	r := newRAMServer(t, 8192, 512, false)
 	setup := r.dial(t, 1)
 	root, _, err := setup.Mount(1)
 	if err != nil {
@@ -143,6 +148,11 @@ func ownFile(cl *nfs.Client, fh, shared nfs.FH, f, rounds, fileBlocks, sharedBlk
 		}
 		if _, err := cl.Write(fh, int64(first)*core.BlockSize, buf[:n*core.BlockSize]); err != nil {
 			return fmt.Errorf("file %d round %d: write: %w", f, round, err)
+		}
+		// Write returned, so the buffer is the caller's again: a
+		// version no block ever holds.
+		for i := 0; i < n; i++ {
+			blockPattern(buf[i*core.BlockSize:(i+1)*core.BlockSize], f, first+i, -round)
 		}
 		// A read-back of a random written run, up to MaxIO.
 		first = rng.Intn(fileBlocks)

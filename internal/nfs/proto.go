@@ -244,19 +244,16 @@ const MaxFrame = 1 << 20
 // MaxIO is the largest read or write payload per call.
 const MaxIO = 64 << 10
 
-// frameKeep is the retention rule for recycled frame buffers: only
-// frames smaller than a block — calls that carry no payload — go back
-// on a connection's free list, so a burst of MaxIO-sized writes cannot
-// pin window × 64 KB per connection (fmt's printer pool drops
-// oversized buffers the same way). A write's frame is allocated per
-// call and dropped, deliberately: on one P, recycling payload frames
-// (and sending the client's payload by reference) left the LFS
-// flusher doing nearly all the allocating, so GC cycles started inside
-// the cleaner's critical section, and write_burst's p99 rose 27–34 %.
-const frameKeep = core.BlockSize
-
 // connReadBuf sizes a connection's read buffer: a record mark plus a
-// frame of up to four blocks arrive in one read syscall.
+// frame of up to four blocks arrive in one read syscall. It is also
+// the retention rule for recycled frame buffers: a frame that fits it
+// — any call, a write of up to four blocks included — goes back on the
+// connection's free list, while a larger one (a MaxIO write) is
+// allocated per call and dropped, so a connection pins at most
+// window × connReadBuf (fmt's printer pool drops oversized buffers the
+// same way). Write frames were once dropped too, because the LFS
+// flusher then did nearly all the allocating and GC cycles started
+// inside the cleaner; the flush and clean paths allocate nothing now.
 const connReadBuf = 4*core.BlockSize + 64
 
 // statusOff is the byte offset of a reply's status word, after the

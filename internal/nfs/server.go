@@ -29,9 +29,10 @@ import (
 //
 // Every connection owns its RPC state (connState) and reuses it call
 // after call: a buffered reader, a free list of frame buffers, one
-// reply encoder and decoder, one write vector and one frame loan. A
-// cache-hit read therefore allocates nothing here but the per-call
-// work of the layers below.
+// reply encoder and decoder, one write vector, one frame loan, one
+// open handle and one traced op. A cache-hit read or a write of up to
+// four blocks therefore allocates nothing here but the per-call work
+// of the layers below.
 type Server struct {
 	fs     *fsys.FS
 	k      sched.Kernel
@@ -61,8 +62,11 @@ type call struct {
 // busy ones finish their pipeline; Server.mu guards it. The reader
 // task owns r and takes frame buffers off free; the executor task
 // owns the rest and puts each frame back once its reply is on the
-// wire — so a frame, and any payload borrowed out of it, belongs to
-// one call from the socket read to the reply.
+// wire — so a frame, and a write payload borrowed out of it, belongs
+// to one call from the socket read to the reply, and WriteAt has
+// copied the payload into the cache long before the frame is reused.
+// The executor runs one call at a time, so one open handle and one
+// traced op serve every call.
 type connState struct {
 	inflight int
 
@@ -70,13 +74,14 @@ type connState struct {
 	free chan []byte // recycled frame buffers, at most one per window slot
 
 	dec  xdr.Decoder
-	enc  xdr.Encoder // the reply being built, reset per call
-	out  net.Buffers // writeMsg's vector
-	loan fsys.Loan   // cache frames a read reply lends to the socket
-	// The volume and open handle a read reply's loan was taken
-	// through: closed after the loan is released.
+	enc  xdr.Encoder  // the reply being built, reset per call
+	out  net.Buffers  // writeMsg's vector
+	h    fsys.Handle  // the file a read or write call has open
+	op   telemetry.Op // the call's traced op, when the server traces
+	loan fsys.Loan    // cache frames a read reply lends to the socket
+	// The volume a read reply's loan was taken through: h is closed
+	// on it after the loan is released.
 	lentVol *fsys.Volume
-	lentH   *fsys.Handle
 }
 
 func newConnState(conn net.Conn, window int) *connState {
@@ -98,9 +103,9 @@ func (c *connState) takeFrame() []byte {
 }
 
 // putFrame recycles a frame buffer whose call has been answered,
-// unless it is frameKeep or larger.
+// unless it is larger than connReadBuf.
 func (c *connState) putFrame(b []byte) {
-	if cap(b) >= frameKeep {
+	if cap(b) > connReadBuf {
 		return
 	}
 	select {
@@ -358,7 +363,7 @@ func (s *Server) execute(t sched.Task, c *connState, conn net.Conn, cl call) boo
 	// The traced op starts at admission, so the pipeline-queue wait
 	// (dispatch start minus admission) is its first stage; the layers
 	// below find the op through the task binding.
-	op := s.tracer.Begin(ProcName(proc), cl.at)
+	op := s.tracer.BeginIn(&c.op, ProcName(proc), cl.at)
 	if op != nil {
 		op.Add(telemetry.StageQueue, s.k.Now().Sub(cl.at))
 		s.tracer.Bind(t, op)
@@ -384,12 +389,19 @@ func (s *Server) execute(t sched.Task, c *connState, conn net.Conn, cl call) boo
 	// closed, in that order.
 	e.PutUint32At(statusOff, status)
 	err = writeMsg(conn, e, &c.out)
-	if c.lentH != nil {
+	if c.lentVol != nil {
 		c.loan.Release(t)
-		c.lentVol.Close(t, c.lentH)
-		c.lentVol, c.lentH = nil, nil
+		c.closeFile(t, c.lentVol)
+		c.lentVol = nil
 	}
 	return err == nil
+}
+
+// closeFile closes the connection's open handle on v and forgets its
+// file.
+func (c *connState) closeFile(t sched.Task, v *fsys.Volume) {
+	v.Close(t, &c.h)
+	c.h = fsys.Handle{}
 }
 
 // finishCall settles one admitted call's accounting; a draining
@@ -546,29 +558,28 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		if st != OK {
 			return st
 		}
-		h, err := v.OpenByID(t, fh.File)
-		if err != nil {
+		if err := v.OpenInto(t, fh.File, &c.h); err != nil {
 			return StatusOf(err)
 		}
 		// Zero-copy reply: borrow the cache frames and writev them
 		// straight to the socket. Only a volume that moves no real
 		// data falls through to the copying path.
-		if n, ok, rerr := v.ReadBorrowAt(t, h, off, int64(count), &c.loan); ok {
+		if n, ok, rerr := v.ReadBorrowAt(t, &c.h, off, int64(count), &c.loan); ok {
 			if rerr != nil {
-				v.Close(t, h)
+				c.closeFile(t, v)
 				return StatusOf(rerr)
 			}
 			// The frames stay borrowed until the reply is written;
 			// the handle stays open until then too, so its close
 			// (which may destroy an unlinked file and wait for the
 			// pins) runs strictly after the loans are returned.
-			c.lentVol, c.lentH = v, h
+			c.lentVol = v
 			e.OpaqueVec(c.loan.Segs, int(n))
 			return OK
 		}
 		buf := make([]byte, count)
-		n, err := v.ReadAt(t, h, off, buf, int64(count))
-		v.Close(t, h)
+		n, err := v.ReadAt(t, &c.h, off, buf, int64(count))
+		c.closeFile(t, v)
 		if err != nil {
 			return StatusOf(err)
 		}
@@ -588,7 +599,8 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		// copies it into the cache before this call returns, and the
 		// frame buffer belongs to this call until its reply is written
 		// (only then does the executor put it back on the connection's
-		// free list), so the no-copy aliasing rules hold.
+		// free list for the reader to fill again), so the no-copy
+		// aliasing rules hold.
 		data, err := d.OpaqueBorrow()
 		if err != nil || badRange(off, int64(len(data))) {
 			return ErrInval
@@ -597,16 +609,14 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 		if st != OK {
 			return st
 		}
-		h, err := v.OpenByID(t, fh.File)
-		if err != nil {
+		if err := v.OpenInto(t, fh.File, &c.h); err != nil {
 			return StatusOf(err)
 		}
-		err = v.WriteAt(t, h, off, data, int64(len(data)))
+		err = v.WriteAt(t, &c.h, off, data, int64(len(data)))
 		if err == nil {
-			attr := v.StatHandle(t, h)
-			encodeAttr(e, attr)
+			encodeAttr(e, v.StatHandle(t, &c.h))
 		}
-		v.Close(t, h)
+		c.closeFile(t, v)
 		return StatusOf(err)
 
 	case ProcCreate, ProcMkdir:

@@ -46,7 +46,8 @@ func Stages() []Stage { return []Stage{StageQueue, StageCache, StageDisk} }
 
 // Op is one traced operation. It is owned by the task executing the
 // operation from Begin to Finish — stage accumulation needs no lock —
-// and is immutable (snapshotted into the slow ring) afterwards.
+// and Finish snapshots it into the histograms and the slow ring, so
+// the owner may reuse it for its next op (BeginIn).
 type Op struct {
 	Name  string
 	Start sched.Time
@@ -136,7 +137,20 @@ func (tr *Tracer) Begin(name string, start sched.Time) *Op {
 	if tr == nil {
 		return nil
 	}
-	return &Op{Name: name, Start: start}
+	return tr.BeginIn(new(Op), name, start)
+}
+
+// BeginIn is Begin into op, an Op the caller owns: a task that runs
+// one traced op after another (the NFS executor) reuses one Op instead
+// of allocating one per call. op must be finished or fresh; Finish
+// snapshots it, so reusing it afterwards changes no recorded op. It
+// returns op, or nil on a nil tracer.
+func (tr *Tracer) BeginIn(op *Op, name string, start sched.Time) *Op {
+	if tr == nil {
+		return nil
+	}
+	*op = Op{Name: name, Start: start}
+	return op
 }
 
 // Bind associates op with task t so the layers below can find it.

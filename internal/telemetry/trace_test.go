@@ -36,8 +36,12 @@ func TestTracerLifecycle(t *testing.T) {
 		}
 		tr.Finish(op, k.Now())
 
-		// A second, fast op stays out of the slow ring.
-		op2 := tr.Begin("getattr", k.Now())
+		// A second, fast op, begun in the first one's Op, stays out of
+		// the slow ring and starts with no stage time.
+		op2 := tr.BeginIn(op, "getattr", k.Now())
+		if op2 != op || op2.StageTime(StageDisk) != 0 {
+			t.Errorf("BeginIn gave %p with disk stage %v, want %p afresh", op2, op2.StageTime(StageDisk), op)
+		}
 		tr.Finish(op2, k.Now().Add(time.Millisecond))
 	})
 	if err := k.Run(); err != nil {
@@ -89,7 +93,7 @@ func TestTracerLifecycle(t *testing.T) {
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	op := tr.Begin("x", 0)
-	if op != nil {
+	if op != nil || tr.BeginIn(&Op{}, "x", 0) != nil {
 		t.Fatal("nil tracer minted an op")
 	}
 	op.Add(StageCache, time.Second) // nil op: no-op
