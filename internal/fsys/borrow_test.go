@@ -171,6 +171,7 @@ func onRealFile(t *testing.T, payload []byte, body func(tk sched.Task, v *Volume
 		body(tk, v, h)
 	})
 	<-done
+	k.Stop()
 }
 
 // TestReusedLoanAllocatesNothing is the fsys allocation gate of the
@@ -211,6 +212,57 @@ func TestStatAllocatesNothing(t *testing.T) {
 		}
 		if a.Size != int64(len(payload)) || a.Type != core.TypeRegular {
 			t.Errorf("StatHandle: %+v", a)
+		}
+	})
+}
+
+// TestReadaheadStreamAllocatesNothing gates the stream path on the real
+// kernel: sequential one-block reads of a file twice the cache's size,
+// readahead 8, so every read issues a readahead batch task and blocks
+// arrive by miss or readahead fill. Each read waits for its batch (a
+// back-to-back reader would hold the file lock the batch ends under),
+// so the batch is measured with it. Once the task goroutines and the
+// batches are warm, a read allocates nothing, its batch included.
+func TestReadaheadStreamAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops lent readahead batches")
+	}
+	const fileBlocks = 128 // the cache holds 64
+	payload := bytes.Repeat([]byte{0x4D}, fileBlocks*core.BlockSize)
+	onRealFile(t, payload, func(tk sched.Task, v *Volume, h *Handle) {
+		v.fs.SetReadahead(8)
+		buf := make([]byte, core.BlockSize)
+		var err error
+		i := 0
+		read := func() {
+			if err == nil {
+				_, err = v.ReadAt(tk, h, int64(i%fileBlocks)*core.BlockSize, buf, core.BlockSize)
+			}
+			h.f.mu.Lock(tk)
+			h.f.waitReadaheadLocked(tk)
+			h.f.mu.Unlock(tk)
+			i++
+		}
+		for range 2 * fileBlocks {
+			read()
+		}
+		batches := v.fs.FSStats().Readaheads.Value()
+		fills := v.fs.cache.CacheStats().ReadaheadFills.Value()
+		n := testing.AllocsPerRun(4*fileBlocks, read)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if n != 0 {
+			t.Errorf("sequential ReadAt with readahead: %v allocs per read, want 0", n)
+		}
+		if got := v.fs.FSStats().Readaheads.Value() - batches; got < 3*fileBlocks {
+			t.Errorf("%d readahead batches over %d reads: the gate missed the batch tasks", got, 4*fileBlocks)
+		}
+		if got := v.fs.cache.CacheStats().ReadaheadFills.Value() - fills; got < fileBlocks {
+			t.Errorf("%d readahead fills over %d reads: the gate missed the fills", got, 4*fileBlocks)
+		}
+		if !bytes.Equal(buf, payload[:core.BlockSize]) {
+			t.Errorf("read back wrong bytes")
 		}
 	})
 }

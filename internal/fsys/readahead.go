@@ -1,8 +1,11 @@
 package fsys
 
 import (
+	"sync"
+
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/sched"
 )
 
@@ -16,8 +19,8 @@ import (
 // behind the flusher.
 
 // maybeReadahead runs the sequential detector and issues the next
-// readahead batch. Caller holds f.mu; off/n are the clamped range
-// the current read returns.
+// readahead batch as a kernel task over a pooled raBatch. Caller holds
+// f.mu; off/n are the clamped range the current read returns.
 func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 	ra := v.fs.ra
 	if ra <= 0 || n <= 0 {
@@ -67,32 +70,63 @@ func (v *Volume) maybeReadahead(t sched.Task, f *File, off, n int64) {
 	}
 	f.raInflight++
 	v.fs.st.Readaheads.Inc()
-	ino, size := f.ino, f.ino.Size
-	v.fs.k.Go("fsys.readahead", func(rt sched.Task) {
-		defer func() {
-			f.mu.Lock(rt)
-			f.raInflight--
-			if f.raInflight == 0 {
-				f.raDone.Broadcast()
-			}
-			f.mu.Unlock(rt)
-		}()
-		// Claim a maximal run of consecutive frames, then fill it
-		// with clustered ReadRunVec calls — one device request per
-		// on-disk run instead of one per block. With clustering off
-		// every call covers exactly one block, the classic
-		// fill-by-fill pipeline. A refused block (cached, being
-		// filled, or no clean frame) is skipped and ends the run; a
-		// failed fill leaves its blocks for the demand read.
-		var frames []*cache.Block
-		var vec fillVec
-		for blk := start; blk <= end; blk++ {
-			frames, blk = v.claimRun(rt, ino.ID, blk, end, frames[:0])
-			if len(frames) > 0 {
-				v.fill(rt, ino, frames, &vec, size)
-			}
+	b := raBatches.Get().(*raBatch)
+	if b.run == nil {
+		b.run = b.fill // bound once per batch: a method value allocates
+	}
+	b.v, b.f, b.ino, b.size, b.start, b.end = v, f, f.ino, f.ino.Size, start, end
+	v.fs.k.Go("fsys.readahead", b.run)
+}
+
+// raBatch is one readahead batch: blocks start..end of file f, whose
+// inode and size it took when issued. Batches are lent from raBatches
+// with their body bound once as run, and keep their frame list and
+// fill vector from use to use, so a warm stream issues a batch
+// without allocating.
+type raBatch struct {
+	v          *Volume
+	f          *File
+	ino        *layout.Inode
+	size       int64
+	start, end core.BlockNo
+	frames     []*cache.Block
+	vec        fillVec
+	run        func(sched.Task)
+}
+
+var raBatches = sync.Pool{New: func() any { return new(raBatch) }}
+
+// fill is the batch body. It claims a maximal run of consecutive
+// frames, then fills it with clustered ReadRunVec calls — one device
+// request per on-disk run instead of one per block. With clustering
+// off every call covers exactly one block, the classic fill-by-fill
+// pipeline. A refused block (cached, being filled, or no clean frame)
+// is skipped and ends the run; a failed fill leaves its blocks for the
+// demand read.
+func (b *raBatch) fill(t sched.Task) {
+	defer b.done(t)
+	for blk := b.start; blk <= b.end; blk++ {
+		b.frames, blk = b.v.claimRun(t, b.ino.ID, blk, b.end, b.frames[:0])
+		if len(b.frames) > 0 {
+			b.v.fill(t, b.ino, b.frames, &b.vec, b.size)
 		}
-	})
+	}
+}
+
+// done counts the batch out of its file's fence and returns it to
+// raBatches, dropping its references to the file and the frames.
+func (b *raBatch) done(t sched.Task) {
+	f := b.f
+	f.mu.Lock(t)
+	f.raInflight--
+	if f.raInflight == 0 {
+		f.raDone.Broadcast()
+	}
+	f.mu.Unlock(t)
+	clear(b.frames)
+	b.frames = b.frames[:0]
+	b.v, b.f, b.ino = nil, nil, nil
+	raBatches.Put(b)
 }
 
 // waitReadaheadLocked fences the readahead pipeline: it returns once

@@ -351,6 +351,52 @@ func TestBarrierCycleAllocatesNothing(t *testing.T) {
 	})
 }
 
+// TestSyncCycleAllocatesNothing: a one-block write and a Sync — the
+// segment written out, the dirty inode-map chunk appended and a
+// checkpoint region encoded into the log's kept buffer — allocate
+// nothing once warm.
+func TestSyncCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops the partition's pooled requests")
+	}
+	k := sched.NewVirtual(55)
+	run(t, k, func(tk sched.Task) {
+		drv := device.NewMemDriver(k, "mem0", 8192, nil)
+		l := New(k, "vol0", layout.NewPartition(drv, 0, 0, 8192, false), Config{SegBlocks: 128, MaxInodes: 64})
+		l.Format(tk)
+		l.Mount(tk)
+		ino, _ := l.AllocInode(tk, core.TypeRegular)
+		const fileBlocks = 4
+		var ws [fileBlocks][]layout.BlockWrite
+		for i := range ws {
+			ws[i] = one(i, byte(i))
+		}
+		ino.Size = fileBlocks * core.BlockSize
+		var err error
+		i := 0
+		cycle := func() {
+			if err == nil {
+				err = l.WriteBlocks(tk, ino, ws[i%fileBlocks])
+			}
+			if err == nil {
+				err = l.Sync(tk)
+			}
+			i++
+		}
+		for range 2 * fileBlocks {
+			cycle()
+		}
+		n := testing.AllocsPerRun(200, cycle)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if n != 0 {
+			t.Errorf("WriteBlocks + Sync allocate %v per cycle, want 0", n)
+		}
+		mustClean(t, tk, l, "after the cycles")
+	})
+}
+
 // TestCleanSegmentAllocatesNothing: cleaning a victim whose live data
 // fits one arena run allocates nothing once the free list is warm.
 func TestCleanSegmentAllocatesNothing(t *testing.T) {

@@ -195,8 +195,9 @@ type LFS struct {
 	// The write path's reused memory, all touched only under mu: the
 	// arena's free list of 4 KB blocks (see takeBlock), the retired
 	// open segment, the cleaner's decoded victim summary, live slots
-	// and read vector, the packer's id lists, and the inode-block id
-	// slices of dead inode blocks.
+	// and read vector, the packer's id lists, the inode-block id
+	// slices of dead inode blocks, and the checkpoint region's
+	// encoding.
 	arena    [][]byte
 	spare    *segBuf
 	victim   segSummary
@@ -208,6 +209,7 @@ type LFS struct {
 	idFree   [][]core.FileID
 	chunks   []int
 	dinode   layout.DiskInode
+	cpBuf    []byte
 
 	cleaner  CleanerPolicy
 	views    []SegState // segViews scratch

@@ -183,7 +183,13 @@ func (l *LFS) checkpointLocked(t sched.Task) error {
 	l.cpNext ^= 1
 	var data []byte
 	if !l.part.Simulated {
-		data = make([]byte, l.cpSize*core.BlockSize)
+		// Partition.Write is synchronous, so one region buffer serves
+		// every checkpoint; cleared, as the checksum covers it all.
+		if n := l.cpSize * core.BlockSize; int64(len(l.cpBuf)) != n {
+			l.cpBuf = make([]byte, n)
+		}
+		data = l.cpBuf
+		clear(data)
 		le := binary.LittleEndian
 		le.PutUint32(data[0:], cpMagic)
 		le.PutUint64(data[8:], l.seq)

@@ -18,7 +18,14 @@ type RKernel struct {
 	cond    *sync.Cond
 	live    int
 	stopped bool
+	idle    []*rtask // exited tasks whose goroutines wait for a Go
 }
+
+// maxIdle caps the task goroutines a kernel keeps parked for reuse:
+// enough for every member leg of a few concurrent flush jobs and the
+// readahead batches of a busy stream, few enough that an idle kernel
+// pins little stack.
+const maxIdle = 64
 
 // NewReal returns a real-time kernel. The seed only affects
 // Rand-driven policy decisions (e.g. random scheduling choices made
@@ -67,9 +74,15 @@ func (s *lockedSource) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
+// rtask is a task and the goroutine that runs it. When fn returns, the
+// goroutine parks on its kernel's idle list, and a later Go hands it
+// the next name and fn through wake, so a warm kernel starts a task
+// without allocating.
 type rtask struct {
 	k    *RKernel
 	name string
+	fn   func(Task)
+	wake chan struct{} // one token per reuse; closed by Stop
 }
 
 // Name returns the task name.
@@ -91,22 +104,59 @@ func (t *rtask) SleepUntil(at Time) { t.Sleep(at.Sub(t.k.Now())) }
 // Yield hints the runtime to run something else.
 func (t *rtask) Yield() { runtime.Gosched() }
 
-// Go starts fn on a new goroutine.
+// Go starts fn on a goroutine of its own: an idle one that an exited
+// task left parked, or a new one when none is. The returned Task, like
+// the goroutine, serves a later Go once fn has returned, so per-task
+// state keyed by it must not outlive fn.
 func (k *RKernel) Go(name string, fn func(Task)) Task {
-	t := &rtask{k: k, name: name}
 	k.mu.Lock()
 	k.live++
+	if n := len(k.idle); n > 0 {
+		t := k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		k.mu.Unlock()
+		t.name, t.fn = name, fn
+		t.wake <- struct{}{}
+		return t
+	}
 	k.mu.Unlock()
-	go func() {
-		defer func() {
-			k.mu.Lock()
-			k.live--
-			k.cond.Broadcast()
-			k.mu.Unlock()
-		}()
-		fn(t)
-	}()
+	t := &rtask{k: k, name: name, fn: fn, wake: make(chan struct{}, 1)}
+	go t.loop()
 	return t
+}
+
+// loop runs the goroutine's tasks, one per wake-up, until the kernel
+// stops or its idle list is full.
+func (t *rtask) loop() {
+	for t.run() {
+		if _, ok := <-t.wake; !ok {
+			return
+		}
+	}
+}
+
+// run runs t's fn and counts the task out. It reports whether the
+// goroutine parked on the idle list: a task that ends after Stop, or
+// finds the list full, exits, and so does one that ends by
+// runtime.Goexit (a test's FailNow), whose fn never returns.
+func (t *rtask) run() (parked bool) {
+	k := t.k
+	returned := false
+	defer func() {
+		t.fn = nil
+		k.mu.Lock()
+		k.live--
+		k.cond.Broadcast()
+		parked = returned && !k.stopped && len(k.idle) < maxIdle
+		if parked {
+			k.idle = append(k.idle, t)
+		}
+		k.mu.Unlock()
+	}()
+	t.fn(t)
+	returned = true
+	return
 }
 
 // Run blocks until every task has exited or Stop is called.
@@ -119,17 +169,24 @@ func (k *RKernel) Run() error {
 	return nil
 }
 
-// Stop releases Run. Real tasks cannot be unwound from outside;
-// components own their shutdown (closing listeners, draining
-// queues) before the assembly calls Stop.
+// Stop releases Run and ends every idle task goroutine; a task that
+// ends later exits instead of parking. Real tasks cannot be unwound
+// from outside; components own their shutdown (closing listeners,
+// draining queues) before the assembly calls Stop.
 func (k *RKernel) Stop() {
 	k.mu.Lock()
 	k.stopped = true
+	for i, t := range k.idle {
+		close(t.wake)
+		k.idle[i] = nil
+	}
+	k.idle = k.idle[:0]
 	k.cond.Broadcast()
 	k.mu.Unlock()
 }
 
-// Live returns the number of live tasks.
+// Live returns the number of running tasks; parked goroutines do not
+// count.
 func (k *RKernel) Live() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,6 +191,105 @@ func TestRealStopReleasesRun(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop did not release Run")
 	}
+}
+
+// TestRealGoAllocatesNothing: once a task goroutine is parked, a Go
+// and the wait for its task to end allocate nothing. Run returns when
+// the task is counted out, which is when its goroutine parks, so every
+// Go finds it idle.
+func TestRealGoAllocatesNothing(t *testing.T) {
+	k := NewReal(1)
+	defer k.Stop()
+	var ran atomic.Int32
+	fn := func(Task) { ran.Add(1) }
+	spawn := func() {
+		k.Go("t", fn)
+		_ = k.Run()
+	}
+	spawn()
+	if n := testing.AllocsPerRun(1000, spawn); n != 0 {
+		t.Fatalf("Go + wait: %v allocs, want 0", n)
+	}
+	if ran.Load() != 1002 {
+		t.Fatalf("ran %d tasks, want 1002", ran.Load())
+	}
+}
+
+// TestRealStopEndsIdleGoroutines: Stop ends every parked task
+// goroutine, and a task that ends after Stop exits instead of parking,
+// so the goroutine count settles back to where it started.
+func TestRealStopEndsIdleGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewReal(1)
+	const n = 8
+	gate := k.NewEvent("gate")
+	for i := 0; i < n; i++ {
+		k.Go("t", func(tk Task) { gate.Wait(tk) }) // n goroutines at once
+	}
+	for i := 0; i < n; i++ {
+		gate.Signal()
+	}
+	_ = k.Run()
+	if idle := idleCount(k); idle != n {
+		t.Fatalf("%d goroutines parked after %d tasks ended, want %d", idle, n, n)
+	}
+	late := k.NewEvent("late")
+	k.Go("late", func(tk Task) { late.Wait(tk) })
+	k.Stop()
+	late.Signal()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Stop, %d before the kernel", got, before)
+	}
+	if k.Live() != 0 || idleCount(k) != 0 {
+		t.Fatalf("after Stop: %d live, %d parked, want 0 and 0", k.Live(), idleCount(k))
+	}
+}
+
+// TestRealGoReuseHammer spawns tasks from several tasks at once, eight
+// in flight per spawner, so goroutines park and are handed new tasks
+// concurrently (run it under -race): every task runs once under its own
+// name, and the idle list stays within its cap.
+func TestRealGoReuseHammer(t *testing.T) {
+	k := NewReal(1)
+	defer k.Stop()
+	const spawners, each, inFlight = 4, 400, 8
+	var ran atomic.Int32
+	for i := 0; i < spawners; i++ {
+		k.Go("spawner", func(tk Task) {
+			done := k.NewEvent("done")
+			for j := 0; j < each; j++ {
+				k.Go("child", func(ct Task) {
+					if ct.Name() != "child" {
+						t.Errorf("task named %q, want child", ct.Name())
+					}
+					ran.Add(1)
+					done.Signal()
+				})
+				if j%inFlight == inFlight-1 {
+					for range inFlight {
+						done.Wait(tk)
+					}
+				}
+			}
+		})
+	}
+	_ = k.Run()
+	if got := ran.Load(); got != spawners*each {
+		t.Fatalf("%d tasks ran, want %d", got, spawners*each)
+	}
+	if idle := idleCount(k); idle > maxIdle {
+		t.Fatalf("%d goroutines parked, cap %d", idle, maxIdle)
+	}
+}
+
+func idleCount(k *RKernel) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.idle)
 }
 
 // TestRealRandDrawsTheSeededSequence pins that guarding the real

@@ -11,8 +11,9 @@
 //     the paper's "random scheduling". Same seed, same run.
 //
 //   - the real kernel (NewReal) maps the same operations onto real
-//     goroutines and the wall clock, so components written for the
-//     simulator run unchanged in the on-line file system.
+//     goroutines, reused from task to task, and the wall clock, so
+//     components written for the simulator run unchanged in the
+//     on-line file system.
 //
 // Any method that may block takes the calling Task as its first
 // argument, the way contexts are threaded in ordinary Go code; the
@@ -48,7 +49,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 const Forever Time = 1<<63 - 1
 
 // Task is one thread of control inside a system. Tasks are created
-// with Kernel.Go and run until their function returns.
+// with Kernel.Go and run until their function returns. On RKernel a
+// Task value may serve a later Go once its function has returned, so
+// state keyed by a Task (the tracer's bound op, say) is set and
+// cleared within the function, and any per-task state a kernel keeps
+// is reset on each reuse.
 type Task interface {
 	// Name returns the task's diagnostic name.
 	Name() string
@@ -113,7 +118,9 @@ type Kernel interface {
 	// virtual kernel every random decision in the system should be
 	// drawn from it so runs are reproducible.
 	Rand() *rand.Rand
-	// Go starts a new task named name running fn.
+	// Go starts a new task named name running fn. RKernel runs it on
+	// a goroutine that an exited task left parked when it has one, and
+	// the returned Task may then be one an earlier Go returned.
 	Go(name string, fn func(Task)) Task
 	// NewEvent, NewMutex and NewCond create synchronization
 	// primitives appropriate to this kernel.
@@ -130,8 +137,8 @@ type Kernel interface {
 	// that task parks or returns). Real tasks cannot be unwound from
 	// outside: components own their shutdown.
 	Stop()
-	// Live returns the number of tasks that have started and not
-	// yet exited.
+	// Live returns the number of tasks that have started and whose
+	// function has not yet returned.
 	Live() int
 }
 

@@ -20,7 +20,7 @@ const benchBlocks = 2048 // per member: 16 segments, the cleaner keeps up
 
 // benchArray formats a width-member array holding one fully written
 // file of nblocks.
-func benchArray(b *testing.B, width int, cfg Config, nblocks int) (*sched.RKernel, *Array, *layout.Inode) {
+func benchArray(b testing.TB, width int, cfg Config, nblocks int) (*sched.RKernel, *Array, *layout.Inode) {
 	k := sched.NewReal(1)
 	subs := make([]layout.Layout, width)
 	for i := range subs {
@@ -59,7 +59,7 @@ func benchArray(b *testing.B, width int, cfg Config, nblocks int) (*sched.RKerne
 }
 
 // benchTask runs fn on a kernel task and waits for it.
-func benchTask(b *testing.B, k sched.Kernel, fn func(tk sched.Task) error) {
+func benchTask(b testing.TB, k sched.Kernel, fn func(tk sched.Task) error) {
 	errc := make(chan error, 1)
 	k.Go("bench", func(tk sched.Task) { errc <- fn(tk) })
 	if err := <-errc; err != nil {
@@ -91,6 +91,47 @@ func benchOverwrite(b *testing.B, cfg Config) {
 // parity, write both, on a 4-member parity array.
 func BenchmarkParityWrite(b *testing.B) {
 	benchOverwrite(b, Config{Placement: PlacementParity, StripeBlocks: 8})
+}
+
+// TestParityWriteCycleAllocatesNothing is the parity_write workload's
+// flush job on the real kernel, minus the cache and the wire: a
+// one-block overwrite fanned out to its data and parity members, the
+// inode update on the file's carriers and the barrier allocate nothing
+// once warm.
+func TestParityWriteCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops the batches and requests the cycle reuses")
+	}
+	const nblocks = 64
+	k, arr, ino := benchArray(t, 4, Config{Placement: PlacementParity, StripeBlocks: 8}, nblocks)
+	defer k.Stop()
+	ws := []layout.BlockWrite{{Data: pattern(7, core.BlockSize), Size: core.BlockSize}}
+	var n float64
+	benchTask(t, k, func(tk sched.Task) error {
+		var err error
+		i := 0
+		cycle := func() {
+			ws[0].Blk = core.BlockNo(i * 7 % nblocks)
+			if err == nil {
+				err = arr.WriteBlocks(tk, ino, ws)
+			}
+			if err == nil {
+				err = arr.UpdateInode(tk, ino)
+			}
+			if err == nil {
+				err = arr.WriteBarrier(tk)
+			}
+			i++
+		}
+		for range 2 * nblocks {
+			cycle()
+		}
+		n = testing.AllocsPerRun(200, cycle)
+		return err
+	})
+	if n != 0 {
+		t.Fatalf("WriteBlocks + UpdateInode + WriteBarrier allocate %v per cycle, want 0", n)
+	}
 }
 
 // BenchmarkMirroredWrite writes the block and its copy on a 4-member

@@ -513,8 +513,8 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 
 // fanout is one concurrent fan's shared state. Each array pools its
 // own (Array.fans), so the completion event is its kernel's and the
-// error slots and legs fit its width: a fan allocates nothing but its
-// tasks.
+// error slots and legs fit its width. The real kernel runs each leg on
+// a parked task goroutine, so a warm fan allocates nothing.
 type fanout struct {
 	fn   func(st sched.Task, s int) error
 	errs []error

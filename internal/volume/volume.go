@@ -602,15 +602,19 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	}
 	// Snapshot the front inode's scalars under its own publication
 	// lock (af.mu): mutateIno-routed writers hold that lock, not the
-	// member locks the shadow closures below run under.
-	var snap layout.Inode
-	a.WithInode(t, ino, func() { setMeta(&snap, ino) })
+	// member locks the shadow copies below run under.
+	m := metaCopies.Get().(*metaCopy)
+	m.dst, m.src = &m.snap, ino
+	a.WithInode(t, ino, m.copy)
+	m.src = &m.snap
 	for i := 0; i < a.pl.carriers(); i++ {
 		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
-			h := af.shadows[s]
-			a.withShadow(t, s, h, func() { setMeta(h, &snap) })
+			m.dst = af.shadows[s]
+			a.withShadow(t, s, m.dst, m.copy)
 		}
 	}
+	m.dst, m.src = nil, nil
+	metaCopies.Put(m)
 	// mirrorSizes expects af.mu held (it publishes the global size);
 	// the WithInode snapshot above already released it, so take it
 	// here — af.mu before member locks, the order every write path
@@ -625,6 +629,22 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	}
 	return err
 }
+
+// metaCopy is UpdateInode's reusable WithInode body: it copies the
+// scalar metadata from src to dst, first from the front inode into
+// snap, then from snap into each carrier shadow. Its copy closure is
+// bound once, as a probe's is, so an update allocates nothing.
+type metaCopy struct {
+	snap     layout.Inode
+	dst, src *layout.Inode
+	copy     func()
+}
+
+var metaCopies = sync.Pool{New: func() any {
+	m := &metaCopy{}
+	m.copy = func() { setMeta(m.dst, m.src) }
+	return m
+}}
 
 // setMeta copies the scalar metadata a carrier shadow mirrors.
 func setMeta(dst, src *layout.Inode) {
