@@ -10,8 +10,8 @@
 // reopen with different -volumes/-placement/-stripe fail loudly.
 // The mirrored and parity placements add redundancy: the array keeps
 // serving reads and writes through a single member death and can
-// rebuild the lost member online (pfs.Server.KillMember /
-// RebuildMember / Scrub drive this programmatically).
+// rebuild the lost member online (the server's Members.KillMember /
+// RebuildMember and Array.Scrub drive this programmatically).
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting calls,
 // lets in-flight NFS requests complete, syncs every volume, and only

@@ -60,17 +60,26 @@ func Example_quickstart() {
 	}
 	defer srv2.Close()
 	err = srv2.Do(func(t sched.Task) error {
-		names, err := srv2.Vol.Readdir(t, "/docs")
+		docs, err := srv2.Vol.Stat(t, "/docs")
 		if err != nil {
 			return err
+		}
+		ents, err := srv2.Vol.ReaddirByID(t, docs.ID)
+		if err != nil {
+			return err
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name)
 		}
 		fmt.Printf("after restart, /docs holds %v\n", names)
 		h, err := srv2.Vol.Open(t, "/docs/hello.txt")
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, h.Size())
-		if _, err := srv2.Vol.Read(t, h, buf, h.Size()); err != nil {
+		size := srv2.Vol.StatHandle(t, h).Size
+		buf := make([]byte, size)
+		if _, err := srv2.Vol.Read(t, h, buf, size); err != nil {
 			return err
 		}
 		fmt.Printf("contents: %s", buf)

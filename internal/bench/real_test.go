@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/device"
+	"repro/internal/layout"
 	"repro/internal/pfs"
 	"repro/internal/sched"
 )
@@ -42,7 +43,7 @@ func RunReal(dir string, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tg := &target{fs: srv.FS, members: srv.Members, real: true, cluster: srv.ClusterRun()}
+	tg := &target{fs: srv.FS, members: srv.Members, real: true, cluster: layout.DefaultClusterRun}
 	var res Result
 	if err := srv.Do(func(t sched.Task) (err error) {
 		res, err = tg.run(t, &cfg)

@@ -140,14 +140,6 @@ type Stats struct {
 	ReadaheadFills *stats.Counter // frames claimed by TryStartFill
 }
 
-// HitRate returns hits/lookups.
-func (s *Stats) HitRate() float64 {
-	if s.Lookups.Value() == 0 {
-		return 0
-	}
-	return float64(s.Hits.Value()) / float64(s.Lookups.Value())
-}
-
 // Cache is the file-system block cache: an array of lock-striped
 // shards, each a self-contained classic cache (index, free list,
 // dirty list, replacement policy, flusher task) over its own share
@@ -346,9 +338,6 @@ func (c *Cache) Close(t sched.Task) {
 
 // CacheStats returns the statistics plug-in.
 func (c *Cache) CacheStats() *Stats { return c.st }
-
-// Policy returns the flush configuration (for reports).
-func (c *Cache) Policy() FlushConfig { return c.cfg.Flush }
 
 // Shards returns the lock-stripe width.
 func (c *Cache) Shards() int { return len(c.shards) }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -426,7 +427,7 @@ func TestDirtyHighWaterTracked(t *testing.T) {
 func TestStatsRegister(t *testing.T) {
 	k, c, _ := newTestCache(19, 8, UPS())
 	_ = k
-	if c.String() == "" || c.Policy().Name != "ups" {
+	if !strings.Contains(c.String(), "flush=ups") {
 		t.Fatal("descriptions wrong")
 	}
 }

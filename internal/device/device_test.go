@@ -171,12 +171,11 @@ func TestSimDriverQueueBuildsUnderLoad(t *testing.T) {
 		t.Fatalf("completed %d of 20", done)
 	}
 	// Under a burst the queue histogram must have seen depth > 1.
-	h := drv.DriverStats().QueueHist
-	if h.Total() != 20 {
-		t.Fatalf("queue samples = %d", h.Total())
+	_, counts, total, _ := drv.DriverStats().QueueHist.Snapshot()
+	if total != 20 {
+		t.Fatalf("queue samples = %d", total)
 	}
 	deep := int64(0)
-	_, counts, _, _ := h.Snapshot()
 	for i := 2; i < 9; i++ {
 		deep += counts[i]
 	}

@@ -106,7 +106,6 @@ type FaultPlan struct {
 	rng    *rand.Rand
 	ios    int64
 	cut    bool
-	cutIO  int64 // the ordinal of the request that tripped the cut
 	onCut  []func()
 	dead   int // disk index killed by the death fault, -1 none
 	onKill []func(member int)
@@ -143,7 +142,6 @@ func (p *FaultPlan) Intercept(r *Request) Decision {
 		return Decision{Err: ErrDiskDead}
 	}
 	if p.cfg.CutAfterIO > 0 && p.ios >= p.cfg.CutAfterIO {
-		p.cutIO = p.ios
 		dec := Decision{Err: ErrPowerCut}
 		if p.cfg.CutTearsWrite && r.Op == OpWrite && r.Blocks > 1 {
 			dec.TornBlocks = 1 + p.rng.Intn(r.Blocks-1)
@@ -199,7 +197,6 @@ func (p *FaultPlan) Cut() {
 		p.mu.Unlock()
 		return
 	}
-	p.cutIO = p.ios
 	fns := p.cutLocked()
 	p.mu.Unlock()
 	for _, fn := range fns {
@@ -291,13 +288,6 @@ func (p *FaultPlan) Revive() {
 	p.mu.Lock()
 	p.dead = -1
 	p.mu.Unlock()
-}
-
-// DeadMember returns the index of the killed disk, -1 when none.
-func (p *FaultPlan) DeadMember() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dead
 }
 
 // HasCut reports whether the power cut has tripped.

@@ -17,17 +17,6 @@ func doIO(t *testing.T, k *sched.RKernel, drv Driver, r *Request) error {
 	return <-errc
 }
 
-// CutIO returns the ordinal of the request that tripped the cut
-// (0 when it has not tripped).
-func (p *FaultPlan) CutIO() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.cut {
-		return 0
-	}
-	return p.cutIO
-}
-
 func blockOf(b byte) []byte {
 	buf := make([]byte, core.BlockSize)
 	for i := range buf {
@@ -61,9 +50,6 @@ func TestFaultPlanPowerCut(t *testing.T) {
 	}
 	if !cutSeen {
 		t.Fatal("OnCut callback never ran")
-	}
-	if got := plan.CutIO(); got != 3 {
-		t.Fatalf("CutIO = %d, want 3", got)
 	}
 	// Post-cut: reads and writes fail, nothing reaches the media.
 	if err := doIO(t, k, drv, &Request{Op: OpRead, Addr: core.DiskAddr{LBA: 0}, Blocks: 1, Data: make([]byte, core.BlockSize)}); !errors.Is(err, ErrPowerCut) {

@@ -167,9 +167,6 @@ func New(k sched.Kernel, p Params, conn Conn) *Disk {
 	return d
 }
 
-// Params returns the disk's model parameters.
-func (d *Disk) Params() Params { return d.p }
-
 // CapacitySectors returns the number of addressable sectors.
 func (d *Disk) CapacitySectors() int64 {
 	return int64(d.p.Cylinders) * int64(d.p.Heads) * int64(d.p.SectorsPerTrack)

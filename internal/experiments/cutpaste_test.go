@@ -57,10 +57,12 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 		if err := v.Close(tk, h); err != nil {
 			return err
 		}
-		if err := v.Symlink(tk, "/home/user/link", "/home/user/f0"); err != nil {
+		home, err := v.Stat(tk, "/home/user")
+		if err != nil {
 			return err
 		}
-		return nil
+		_, err = v.SymlinkIn(tk, home.ID, "link", "/home/user/f0")
+		return err
 	}
 
 	type entry struct {
@@ -69,17 +71,21 @@ func TestCutAndPasteEquivalence(t *testing.T) {
 		size int64
 	}
 	snapshot := func(tk sched.Task, v *fsys.Volume) ([]entry, error) {
-		names, err := v.Readdir(tk, "/home/user")
+		home, err := v.Stat(tk, "/home/user")
+		if err != nil {
+			return nil, err
+		}
+		ents, err := v.ReaddirByID(tk, home.ID)
 		if err != nil {
 			return nil, err
 		}
 		var out []entry
-		for _, n := range names {
-			st, err := v.Stat(tk, "/home/user/"+n)
+		for _, e := range ents {
+			st, err := v.StatByID(tk, e.ID)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, entry{name: n, typ: st.Type, size: st.Size})
+			out = append(out, entry{name: e.Name, typ: st.Type, size: st.Size})
 		}
 		return out, nil
 	}

@@ -174,12 +174,6 @@ func (h *Handle) File() *File { return h.f }
 // ID returns the file's inode number.
 func (h *Handle) ID() core.FileID { return h.f.ino.ID }
 
-// Size returns the current file size.
-func (h *Handle) Size() int64 { return h.f.ino.Size }
-
-// Type returns the file type.
-func (h *Handle) Type() core.FileType { return h.f.ino.Type }
-
 // FileAttr is the stat result.
 type FileAttr struct {
 	ID    core.FileID

@@ -66,9 +66,6 @@ func (fs *FS) Readahead() int { return fs.ra }
 // nil tracer (the default) keeps every path hook a no-op.
 func (fs *FS) SetTracer(tr *telemetry.Tracer) { fs.tr = tr }
 
-// Tracer returns the attached tracer, or nil.
-func (fs *FS) Tracer() *telemetry.Tracer { return fs.tr }
-
 // Stats is the front-end statistics plug-in.
 type Stats struct {
 	Opens, Closes    *stats.Counter
@@ -189,9 +186,6 @@ func (v *Volume) LayoutName() string { return v.arr.Name() }
 
 // Root returns the root directory's inode number.
 func (v *Volume) Root() core.FileID { return v.root.ino.ID }
-
-// Volumes returns the number of mounted volumes.
-func (fs *FS) Volumes() int { return len(fs.vols) }
 
 // SyncAll flushes the cache and checkpoints every volume. With an
 // intent log attached this is also the retirement barrier: the log

@@ -129,6 +129,20 @@ func TestPersistThroughCacheFlushAndReload(t *testing.T) {
 	})
 }
 
+// readdir lists the directory at path by name.
+func readdir(tk sched.Task, v *Volume, path string) ([]string, error) {
+	st, err := v.Stat(tk, path)
+	if err != nil {
+		return nil, err
+	}
+	ents, err := v.ReaddirByID(tk, st.ID)
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name
+	}
+	return names, err
+}
+
 func TestMkdirAndNestedPaths(t *testing.T) {
 	runBody(t, 3, cache.UPS(), func(tk sched.Task, r *rig) {
 		if err := r.v.Mkdir(tk, "/a"); err != nil {
@@ -142,7 +156,7 @@ func TestMkdirAndNestedPaths(t *testing.T) {
 			t.Fatalf("create nested: %v", err)
 		}
 		r.v.Close(tk, h)
-		names, err := r.v.Readdir(tk, "/a/b")
+		names, err := readdir(tk, r.v, "/a/b")
 		if err != nil || len(names) != 1 || names[0] != "c.txt" {
 			t.Fatalf("readdir: %v %v", names, err)
 		}
@@ -249,7 +263,7 @@ func TestRenameRefusesCycle(t *testing.T) {
 				t.Errorf("rename /a -> %s: %v, want ErrInval", to, err)
 			}
 		}
-		if names, err := r.v.Readdir(tk, "/"); err != nil || len(names) != 1 || names[0] != "a" {
+		if names, err := readdir(tk, r.v, "/"); err != nil || len(names) != 1 || names[0] != "a" {
 			t.Fatalf("root after refused renames: %v %v, want [a]", names, err)
 		}
 		if err := r.v.Rename(tk, "/a/b", "/b"); err != nil {
@@ -333,15 +347,15 @@ func TestTruncateRefusesDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open /d: %v", err)
 		}
-		size := d.Size()
+		size := r.v.StatHandle(tk, d).Size
 		if err := r.v.Truncate(tk, d, 0); err != core.ErrIsDir {
 			t.Errorf("Truncate of a directory: %v, want ErrIsDir", err)
 		}
-		if d.Size() != size {
-			t.Errorf("directory size %d after refused truncate, want %d", d.Size(), size)
+		if got := r.v.StatHandle(tk, d).Size; got != size {
+			t.Errorf("directory size %d after refused truncate, want %d", got, size)
 		}
 		r.v.Close(tk, d)
-		if names, err := r.v.Readdir(tk, "/d"); err != nil || len(names) != 1 {
+		if names, err := readdir(tk, r.v, "/d"); err != nil || len(names) != 1 {
 			t.Fatalf("readdir /d: %v %v, want [f]", names, err)
 		}
 	})
@@ -349,14 +363,15 @@ func TestTruncateRefusesDirectory(t *testing.T) {
 
 func TestSymlink(t *testing.T) {
 	runBody(t, 8, cache.UPS(), func(tk sched.Task, r *rig) {
-		if err := r.v.Symlink(tk, "/link", "/the/target"); err != nil {
-			t.Fatalf("Symlink: %v", err)
+		st, err := r.v.SymlinkIn(tk, r.v.Root(), "link", "/the/target")
+		if err != nil {
+			t.Fatalf("SymlinkIn: %v", err)
 		}
-		got, err := r.v.Readlink(tk, "/link")
+		got, err := r.v.ReadlinkByID(tk, st.ID)
 		if err != nil || got != "/the/target" {
-			t.Fatalf("Readlink: %q %v", got, err)
+			t.Fatalf("ReadlinkByID: %q %v", got, err)
 		}
-		if _, err := r.v.Readlink(tk, "/"); err != core.ErrInval {
+		if _, err := r.v.ReadlinkByID(tk, r.v.Root()); err != core.ErrInval {
 			t.Fatalf("readlink on dir: %v", err)
 		}
 	})
@@ -369,8 +384,8 @@ func TestTruncateDiscardsAndShrinks(t *testing.T) {
 		if err := r.v.Truncate(tk, h, core.BlockSize); err != nil {
 			t.Fatalf("Truncate: %v", err)
 		}
-		if h.Size() != core.BlockSize {
-			t.Fatalf("size = %d", h.Size())
+		if got := r.v.StatHandle(tk, h).Size; got != core.BlockSize {
+			t.Fatalf("size = %d", got)
 		}
 		// Reading past EOF returns nothing.
 		buf := make([]byte, core.BlockSize)
@@ -476,8 +491,8 @@ func TestEnsureFilePreexisting(t *testing.T) {
 			k.Stop()
 			return
 		}
-		if h.Size() != 10*core.BlockSize {
-			t.Errorf("preexisting size = %d", h.Size())
+		if got := v.StatHandle(tk, h).Size; got != 10*core.BlockSize {
+			t.Errorf("preexisting size = %d", got)
 		}
 		// Reading it costs simulated I/O but succeeds with nil buf.
 		if _, err := v.Read(tk, h, nil, 3*core.BlockSize); err != nil {
@@ -499,7 +514,7 @@ func TestEnsureFilePreexisting(t *testing.T) {
 
 func TestStatsRegistered(t *testing.T) {
 	r := runBody(t, 14, cache.UPS(), func(tk sched.Task, r *rig) {})
-	if r.fs.Volumes() != 1 || r.fs.Vol(1) == nil {
+	if len(r.fs.vols) != 1 || r.fs.Vol(1) == nil {
 		t.Fatal("volume table wrong")
 	}
 }

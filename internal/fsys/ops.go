@@ -57,28 +57,6 @@ func (v *Volume) Mkdir(t sched.Task, path string) error {
 	return v.Close(t, h)
 }
 
-// Symlink creates a symbolic link holding target.
-func (v *Volume) Symlink(t sched.Task, path, target string) error {
-	v.mu.Lock(t)
-	defer v.mu.Unlock(t)
-	dir, name, err := v.resolveLocked(t, path)
-	if err == nil {
-		_, err = v.symlink(t, dir, name, target)
-	}
-	return err
-}
-
-// Readlink returns a symlink's target.
-func (v *Volume) Readlink(t sched.Task, path string) (string, error) {
-	v.mu.Lock(t)
-	defer v.mu.Unlock(t)
-	f, err := v.lookupLocked(t, path)
-	if err != nil {
-		return "", err
-	}
-	return f.linkTarget()
-}
-
 // Close drops a handle; the last close of an unlinked file frees its
 // storage.
 func (v *Volume) Close(t sched.Task, h *Handle) error {
@@ -193,25 +171,6 @@ func (v *Volume) Rename(t sched.Task, from, to string) error {
 		return err
 	}
 	return v.rename(t, fdir, fname, tdir, tname)
-}
-
-// Readdir lists a directory's names, sorted.
-func (v *Volume) Readdir(t sched.Task, path string) ([]string, error) {
-	v.mu.Lock(t)
-	defer v.mu.Unlock(t)
-	d, err := v.lookupLocked(t, path)
-	if err != nil {
-		return nil, err
-	}
-	ents, err := d.list()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name
-	}
-	return names, nil
 }
 
 // Stat returns a file's attributes by path.

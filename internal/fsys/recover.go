@@ -30,10 +30,6 @@ type ReplayStats struct {
 	Remapped int
 }
 
-// Blocks returns Replayed+Dropped+DirBlocks — the survivor count the
-// pass consumed, for cross-checking against the crash report.
-func (s ReplayStats) Blocks() int { return s.Replayed + s.Dropped + s.DirBlocks }
-
 // ReplayNVRAM brings a freshly recovered file system up to the state
 // the battery-backed cache acknowledged before the power cut. It has
 // two phases:

@@ -45,6 +45,7 @@ package lfs
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -182,6 +183,9 @@ type LFS struct {
 	sut      []segInfo
 	freeSegs []int // FIFO of free segment indexes
 	cur      *segBuf
+	// reading counts, per segment, the device reads ReadRunVec has in
+	// flight. See reusable.
+	reading []atomic.Int32
 
 	// In-memory mirrors (authoritative during a run; rebuilt from
 	// disk on a real mount). summaries holds every segment of a
@@ -334,6 +338,7 @@ func planGeometry(blocks int64, segBlocks, maxInodes int) (geometry, error) {
 func (l *LFS) setGeometry(g geometry) {
 	l.cpSize, l.seg0, l.nsegs = g.cpSize, g.seg0, g.nsegs
 	l.dataSlots = l.cfg.SegBlocks - 1
+	l.reading = make([]atomic.Int32, g.nsegs)
 	l.imapAddr = make([]int64, g.chunks)
 	for i := range l.imapAddr {
 		l.imapAddr[i] = -1

@@ -3,6 +3,7 @@ package lfs
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -112,8 +113,9 @@ func (l *LFS) openSegment(t sched.Task) error {
 	if len(l.freeSegs) == 0 {
 		return core.ErrNoSpace
 	}
-	seg := l.freeSegs[0]
-	l.freeSegs = l.freeSegs[1:]
+	i := l.reusable(t)
+	seg := l.freeSegs[i]
+	l.freeSegs = slices.Delete(l.freeSegs, i, i+1)
 	sb := l.spare
 	l.spare = nil
 	switch {
@@ -139,6 +141,24 @@ func (l *LFS) openSegment(t sched.Task) error {
 	l.sut[seg] = segInfo{live: 0, seq: uint32(l.seq), state: segCurrent}
 	l.cur = sb
 	return nil
+}
+
+// reusable returns the index in freeSegs of the first segment no
+// device read is in flight from. ReadRunVec drops l.mu before its
+// request, so the cleaner may free a segment under a read that looked
+// up a block there; until that read is done the log must not write
+// the segment again. When every free segment has one, it waits: the
+// reads finish without l.mu. A simulated partition holds no bytes to
+// overwrite, so it takes the first.
+func (l *LFS) reusable(t sched.Task) int {
+	for {
+		for i, s := range l.freeSegs {
+			if l.part.Simulated || l.reading[s].Load() == 0 {
+				return i
+			}
+		}
+		t.Sleep(10 * time.Microsecond)
+	}
 }
 
 // writeCurSegment packs dirty inodes (as many as fit), writes the

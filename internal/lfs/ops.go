@@ -232,8 +232,12 @@ func (l *LFS) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n in
 		}
 		run++
 	}
+	seg := &l.reading[l.segOf(addr)]
+	seg.Add(1)
 	l.mu.Unlock(t)
-	return run, l.part.ReadRun(t, addr, run, bufs)
+	err := l.part.ReadRun(t, addr, run, bufs)
+	seg.Add(-1)
+	return run, err
 }
 
 // readLogBlock reads one metadata block, honoring the pending map.

@@ -1,7 +1,9 @@
 package lfs
 
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -116,4 +118,112 @@ func TestOneBlockReadAddsNoAllocation(t *testing.T) {
 			t.Errorf("one-block ReadRunVec allocates %v per call, the device read alone %v", lay, dev)
 		}
 	})
+}
+
+// stallDrv parks the first read of block lba on the reading task, after
+// the layout has issued it and before the device sees it, until
+// release is closed.
+type stallDrv struct {
+	device.Driver
+	lba     atomic.Int64 // -1: none armed
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (d *stallDrv) Do(t sched.Task, r *device.Request) error {
+	if r.Op == device.OpRead && d.lba.CompareAndSwap(r.Addr.LBA, -1) {
+		close(d.stalled)
+		<-d.release
+	}
+	return d.Driver.Do(t, r)
+}
+
+// TestReadInFlightKeepsItsSegment: ReadRunVec drops the layout lock
+// before its device request, so while the read is on its way the
+// overwrites can move the block, the cleaner can free its segment and
+// the log head can be opened there again. The read must still return
+// the block it looked up, not whatever the log wrote over it since.
+func TestReadInFlightKeepsItsSegment(t *testing.T) {
+	const (
+		blocks     = 512 // 31 segments of 16 blocks
+		fileBlocks = 8
+	)
+	k := sched.NewReal(61)
+	defer k.Stop()
+	drv := &stallDrv{Driver: device.NewMemDriver(k, "mem0", blocks, nil),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	defer drv.Close()
+	drv.lba.Store(-1)
+	l := New(k, "vol0", layout.NewPartition(drv, 0, 0, blocks, false), Config{SegBlocks: 16, MaxInodes: 64})
+	block := func(b int, gen byte) []byte {
+		buf := bytes.Repeat([]byte{gen}, core.BlockSize)
+		copy(buf, fmt.Sprintf("%08d", b))
+		return buf
+	}
+	overwrite := func(tk sched.Task, ino *layout.Inode, gen byte) error {
+		ws := make([]layout.BlockWrite, fileBlocks)
+		for b := range ws {
+			ws[b] = layout.BlockWrite{Blk: core.BlockNo(b), Data: block(b, gen), Size: core.BlockSize}
+		}
+		if err := l.WriteBlocks(tk, ino, ws); err != nil {
+			return err
+		}
+		return l.Sync(tk)
+	}
+	do := func(fn func(tk sched.Task) error) {
+		t.Helper()
+		errc := make(chan error, 1)
+		k.Go("step", func(tk sched.Task) { errc <- fn(tk) })
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ino *layout.Inode
+	var seg int
+	do(func(tk sched.Task) error {
+		if err := l.Format(tk); err != nil {
+			return err
+		}
+		if err := l.Mount(tk); err != nil {
+			return err
+		}
+		var err error
+		if ino, err = l.AllocInode(tk, core.TypeRegular); err != nil {
+			return err
+		}
+		ino.Size = fileBlocks * core.BlockSize
+		if err := overwrite(tk, ino, 1); err != nil {
+			return err
+		}
+		addr := ino.BlockAddr(0)
+		seg = l.segOf(addr)
+		drv.lba.Store(addr)
+		return nil
+	})
+
+	got := make([]byte, core.BlockSize)
+	readErr := make(chan error, 1)
+	k.Go("reader", func(tk sched.Task) { readErr <- readOne(tk, l, ino, 0, got) })
+	<-drv.stalled
+	// Overwrite the file 256 times, about four times the partition:
+	// the block's segment is cleaned and, unless the read holds it,
+	// written again.
+	do(func(tk sched.Task) error {
+		for i := 0; i < 4*blocks/fileBlocks; i++ {
+			if err := overwrite(tk, ino, byte(2+i%200)); err != nil {
+				return err
+			}
+		}
+		if l.segsCleaned.Value() == 0 {
+			return fmt.Errorf("the cleaner never ran")
+		}
+		return nil
+	})
+	close(drv.release)
+	if err := <-readErr; err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, block(0, 1)) {
+		t.Fatalf("the read of block 0 (segment %d) returned %q..., want %q...", seg, got[:9], block(0, 1)[:9])
+	}
 }

@@ -62,9 +62,9 @@ func newRAMServer(tb testing.TB, diskBlocks int64, cacheBlocks int, traced bool)
 		o.Tracer = telemetry.NewTracer(k, 0)
 		fs.SetTracer(o.Tracer)
 	}
-	srv, err := nfs.ServeOpts(k, fs, "127.0.0.1:0", o)
+	srv, err := nfs.Serve(k, fs, "127.0.0.1:0", o)
 	if err != nil {
-		tb.Fatalf("ServeOpts: %v", err)
+		tb.Fatalf("Serve: %v", err)
 	}
 	tb.Cleanup(func() {
 		srv.Close()

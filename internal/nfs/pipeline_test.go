@@ -176,6 +176,13 @@ func TestPipeClientConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// admitted is the number of calls srv has admitted: its reader counts
+// one pipeline-depth observation per admitted call.
+func admitted(srv *nfs.Server) int64 {
+	_, _, n, _ := srv.ServerStats().Depth.Snapshot()
+	return n
+}
+
 // Drain under load: calls admitted into a connection's pipeline
 // before the drain all complete with replies before Drain returns;
 // nothing new is admitted afterwards.
@@ -190,9 +197,9 @@ func TestDrainUnderLoadPipelined(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	// A dedicated pipelined server front-end we can Drain directly.
-	net2, err := nfs.ServeOpts(srv.K, srv.FS, "127.0.0.1:0", nfs.Options{Pipeline: 8})
+	net2, err := nfs.Serve(srv.K, srv.FS, "127.0.0.1:0", nfs.Options{Pipeline: 8})
 	if err != nil {
-		t.Fatalf("ServeOpts: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer net2.Close()
 
@@ -208,9 +215,9 @@ func TestDrainUnderLoadPipelined(t *testing.T) {
 	// Drain once the whole burst is admitted: the reader has counted
 	// one pipeline-depth observation per admitted call. (A first reply
 	// proves only that the first call was.)
-	for deadline := time.Now().Add(5 * time.Second); net2.ServerStats().Depth.Total() < burst; {
+	for deadline := time.Now().Add(5 * time.Second); admitted(net2) < burst; {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d calls admitted", net2.ServerStats().Depth.Total(), burst)
+			t.Fatalf("only %d of %d calls admitted", admitted(net2), burst)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -268,9 +275,9 @@ func TestDrainSurvivesUnreadInput(t *testing.T) {
 	if _, err := cl.Write(fh, 0, bytes.Repeat([]byte("u"), 16<<10)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	net2, err := nfs.ServeOpts(srv.K, srv.FS, "127.0.0.1:0", nfs.Options{Pipeline: 1})
+	net2, err := nfs.Serve(srv.K, srv.FS, "127.0.0.1:0", nfs.Options{Pipeline: 1})
 	if err != nil {
-		t.Fatalf("ServeOpts: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer net2.Close()
 
@@ -298,17 +305,17 @@ func TestDrainSurvivesUnreadInput(t *testing.T) {
 			}
 		}
 	}()
-	for deadline := time.Now().Add(5 * time.Second); net2.ServerStats().Depth.Total() < 1; {
+	for deadline := time.Now().Add(5 * time.Second); admitted(net2) < 1; {
 		if time.Now().After(deadline) {
 			t.Fatal("the first call was never admitted")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	net2.Drain()
-	admitted := uint32(net2.ServerStats().Depth.Total())
-	for i := uint32(1); i <= admitted; i++ {
+	n := uint32(admitted(net2))
+	for i := uint32(1); i <= n; i++ {
 		if xid, err := raw.recvXID(); err != nil || xid != i {
-			t.Fatalf("reply %d of %d admitted after drain: xid %d err %v", i, admitted, xid, err)
+			t.Fatalf("reply %d of %d admitted after drain: xid %d err %v", i, n, xid, err)
 		}
 	}
 	if xid, err := raw.recvXID(); err != io.EOF {

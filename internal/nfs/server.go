@@ -131,14 +131,8 @@ type Options struct {
 const DefaultPipeline = 8
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") over the given
-// front-end with default options. It returns once the listener is
-// ready.
-func Serve(k sched.Kernel, fs *fsys.FS, addr string) (*Server, error) {
-	return ServeOpts(k, fs, addr, Options{})
-}
-
-// ServeOpts is Serve with explicit options.
-func ServeOpts(k sched.Kernel, fs *fsys.FS, addr string, o Options) (*Server, error) {
+// front-end. It returns once the listener is ready.
+func Serve(k sched.Kernel, fs *fsys.FS, addr string, o Options) (*Server, error) {
 	if o.Pipeline <= 0 {
 		o.Pipeline = DefaultPipeline
 	}

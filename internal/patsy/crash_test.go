@@ -134,7 +134,7 @@ func namespace(t sched.Task, fs *fsys.FS) ([]string, error) {
 		}
 		return nil
 	}
-	for id := core.VolumeID(1); int(id) <= fs.Volumes(); id++ {
+	for id := core.VolumeID(1); fs.Vol(id) != nil; id++ {
 		v := fs.Vol(id)
 		if err := walk(v, v.Root(), fmt.Sprintf("vol%d:", id)); err != nil {
 			return nil, err

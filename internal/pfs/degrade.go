@@ -16,7 +16,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/health"
 	"repro/internal/sched"
-	"repro/internal/volume"
 )
 
 // images is the server's health.Media: one backing image per member
@@ -52,17 +51,6 @@ func (im images) Adopt(m, j int) error {
 	return nil
 }
 
-// KillMember declares array member m dead (see health.Members).
-func (s *Server) KillMember(m int) error { return s.Members.KillMember(m) }
-
-// RebuildMember replaces dead member m with a freshly formatted image
-// and rebuilds its share online, against live traffic. Blocks until
-// the rebuild completes; progress is visible through
-// Array.RebuildProgress and the admin metrics.
-func (s *Server) RebuildMember(m int) error {
-	return s.Do(func(t sched.Task) error { return s.Members.RebuildMember(t, m) })
-}
-
 // HealEvents snapshots the supervised repairs so far, in order.
 func (s *Server) HealEvents() []health.HealEvent { return s.Members.HealEvents() }
 
@@ -70,19 +58,6 @@ func (s *Server) HealEvents() []health.HealEvent { return s.Members.HealEvents()
 // in-flight repair to finish.
 func (s *Server) stopSupervisor() {
 	_ = s.Do(func(t sched.Task) error { s.Members.Stop(t); return nil })
-}
-
-// Scrub walks the array's redundancy invariant online (mirror copies
-// agree, parity equals the XOR of its stripe) and, with repair set,
-// rewrites whichever side the policy trusts. See volume.Array.Scrub.
-func (s *Server) Scrub(repair bool) (volume.ScrubStats, error) {
-	var st volume.ScrubStats
-	err := s.Do(func(t sched.Task) error {
-		var err error
-		st, err = s.Array.Scrub(t, repair)
-		return err
-	})
-	return st, err
 }
 
 // healthDetail renders the /healthz supplement: per-member verdicts,

@@ -712,7 +712,7 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 	}
 	if spec.Supervised {
 		srv.Fault.Kill(spec.KillMember)
-	} else if err := srv.KillMember(spec.KillMember); err != nil {
+	} else if err := srv.Members.KillMember(spec.KillMember); err != nil {
 		srv.Close()
 		return nil, err
 	}
@@ -745,7 +745,7 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 		for _, drv := range srv.Members.Drivers {
 			drv.SetInjector(plan)
 		}
-		if err := srv.RebuildMember(spec.KillMember); err != nil {
+		if err := srv.Do(func(tk sched.Task) error { return srv.Members.RebuildMember(tk, spec.KillMember) }); err != nil {
 			res.RebuildErr = err.Error()
 		}
 	}
@@ -765,7 +765,7 @@ func runRepairCrash(spec repairSpec) (*repairResult, error) {
 	}
 	defer srv2.Close()
 	if srv2.Array.Degraded() {
-		if err := srv2.RebuildMember(spec.KillMember); err != nil {
+		if err := srv2.Do(func(tk sched.Task) error { return srv2.Members.RebuildMember(tk, spec.KillMember) }); err != nil {
 			return res, fmt.Errorf("converging rebuild: %w", err)
 		}
 	}

@@ -15,7 +15,6 @@
 package pfs
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -48,8 +47,8 @@ type Config struct {
 	// Placement routes file data across the array: "affinity"
 	// (default), "striped", or the redundant placements "mirrored"
 	// (chained declustering) and "parity" (rotated RAID-5), which
-	// keep serving through a member death (Server.KillMember /
-	// RebuildMember).
+	// keep serving through a member death (Server.Members'
+	// KillMember / RebuildMember).
 	Placement string
 	// StripeBlocks is the striped placement's chunk width.
 	StripeBlocks int
@@ -68,12 +67,8 @@ type Config struct {
 	// Flush selects the write policy (default: the UPS write-saving
 	// policy the paper's experiments recommend).
 	Flush cache.FlushConfig
-	// Replace names the cache replacement policy.
-	Replace string
 	// SegBlocks sizes LFS segments.
 	SegBlocks int
-	// QueueSched names the disk-queue scheduler (default clook).
-	QueueSched string
 	// Seed drives policy randomness.
 	Seed int64
 	// Layout selects the per-member storage layout: "lfs" (default)
@@ -87,7 +82,8 @@ type Config struct {
 	// degraded reopen after a member loss, when the member's image is
 	// stale (or gone) and its share must be served from redundancy.
 	// Requires a redundant placement; at most one member (the
-	// single-fault model). RebuildMember brings the member back.
+	// single-fault model). Members.RebuildMember brings the member
+	// back.
 	Dead []int
 	// Recover, when set, recovers an existing image set from the
 	// battery a Server.Crash handed back, in one mount: layout
@@ -145,13 +141,10 @@ type Server struct {
 	// executor down through the cache and disk paths.
 	Tracer *telemetry.Tracer
 
-	cluster int
+	cluster int // the effective run-size cap /statusz reports (1 = off)
 	net     *nfs.Server
 	admin   *telemetry.Server
 }
-
-// ClusterRun reports the effective run-size cap (1 = clustering off).
-func (s *Server) ClusterRun() int { return s.cluster }
 
 // StagedCopyBytes reports how many payload bytes the layouts copied
 // into buffers of their own instead of scatter-gathering straight
@@ -311,7 +304,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	fs, c := st.FrontEnd(k, cache.Config{
 		Blocks:      cfg.CacheBlocks,
-		Replace:     cfg.Replace,
 		Flush:       cfg.Flush,
 		Shards:      cfg.CacheShards,
 		IntentSlots: stack.IntentSlots(!cfg.NoIntentLog),
@@ -385,13 +377,10 @@ func sparePath(cfg Config, j int) (path, name string) {
 }
 
 // openDriver opens the file driver over one backing image (created and
-// sized if absent), with the fault plan installed.
+// sized if absent) behind the driver's C-LOOK queue, with the fault
+// plan installed.
 func openDriver(k sched.Kernel, cfg Config, plan *device.FaultPlan, path, name string) (device.Driver, error) {
-	q, ok := device.NewScheduler(cmp.Or(cfg.QueueSched, "clook"))
-	if !ok {
-		return nil, fmt.Errorf("pfs: unknown queue scheduler %q", cfg.QueueSched)
-	}
-	drv, err := device.NewFileDriver(k, name+"disk", path, cfg.Blocks, q)
+	drv, err := device.NewFileDriver(k, name+"disk", path, cfg.Blocks, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +415,7 @@ func isFresh(path string) (bool, error) {
 // ServeNFS exposes the volume over the network protocol; addr
 // "127.0.0.1:0" picks a free port. Returns the bound address.
 func (s *Server) ServeNFS(addr string) (string, error) {
-	srv, err := nfs.ServeOpts(s.K, s.FS, addr, nfs.Options{Tracer: s.Tracer})
+	srv, err := nfs.Serve(s.K, s.FS, addr, nfs.Options{Tracer: s.Tracer})
 	if err != nil {
 		return "", err
 	}

@@ -160,12 +160,16 @@ func TestConcurrentLocalClients(t *testing.T) {
 					}
 				}
 				return srv.Do(func(tk sched.Task) error {
-					names, err := srv.Vol.Readdir(tk, dir)
+					d, err := srv.Vol.Stat(tk, dir)
+					if err != nil {
+						return fmt.Errorf("client %d: stat: %w", id, err)
+					}
+					ents, err := srv.Vol.ReaddirByID(tk, d.ID)
 					if err != nil {
 						return fmt.Errorf("client %d: readdir: %w", id, err)
 					}
-					if want := rounds - rounds/2; len(names) != want {
-						return fmt.Errorf("client %d: %d files survived, want %d", id, len(names), want)
+					if want := rounds - rounds/2; len(ents) != want {
+						return fmt.Errorf("client %d: %d files survived, want %d", id, len(ents), want)
 					}
 					return nil
 				})
@@ -227,8 +231,8 @@ func TestArrayRestartRecoversData(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if h.Size() != int64(len(msg)) {
-			return fmt.Errorf("size after restart: %d, want %d", h.Size(), len(msg))
+		if size := srv.Vol.StatHandle(tk, h).Size; size != int64(len(msg)) {
+			return fmt.Errorf("size after restart: %d, want %d", size, len(msg))
 		}
 		buf := make([]byte, len(msg))
 		n, err := srv.Vol.Read(tk, h, buf, int64(len(msg)))
@@ -433,17 +437,10 @@ func TestFlushPolicySelectable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if srv.Cache.Policy().Name != "writedelay" {
-		t.Fatalf("policy %q", srv.Cache.Policy().Name)
+	if s := srv.Cache.String(); !strings.Contains(s, "flush=writedelay") {
+		t.Fatalf("cache %q, want flush=writedelay", s)
 	}
 	srv.Close()
-}
-
-func TestBadSchedulerRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pfs.img")
-	if _, err := Open(Config{Path: path, Blocks: 2048, QueueSched: "nope"}); err == nil {
-		t.Fatal("bad scheduler accepted")
-	}
 }
 
 // flushers counts the goroutines running a cache shard's flusher.

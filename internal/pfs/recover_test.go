@@ -276,8 +276,8 @@ func TestBatteryRoundTrip(t *testing.T) {
 	if r == nil {
 		t.Fatal("no recovery report")
 	}
-	if r.Blocks() != len(b.Survivors) || r.Replayed == 0 {
-		t.Errorf("replay consumed %d of %d survivors (%d written back)", r.Blocks(), len(b.Survivors), r.Replayed)
+	if n := r.Replayed + r.Dropped + r.DirBlocks; n != len(b.Survivors) || r.Replayed == 0 {
+		t.Errorf("replay consumed %d of %d survivors (%d written back)", n, len(b.Survivors), r.Replayed)
 	}
 	if n := r.IntentsApplied + r.IntentsNoop + r.IntentsDropped; n != len(b.Intents) || r.IntentsApplied == 0 {
 		t.Errorf("replay consumed %d of %d intents (%d applied)", n, len(b.Intents), r.IntentsApplied)

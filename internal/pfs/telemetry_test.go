@@ -125,9 +125,7 @@ func TestMetricsGoldenFamilies(t *testing.T) {
 		Seed:         1,
 		ArrayVolumes: 2,
 		DiskModel:    "hp97560",
-		QueueSched:   "clook",
 		CacheBlocks:  256,
-		Replace:      "lru",
 		Flush:        cache.UPS(),
 		SegBlocks:    64,
 		Cleaner:      "cost-benefit",
@@ -252,9 +250,7 @@ func TestMetricsFFSFamilies(t *testing.T) {
 		Seed:         1,
 		ArrayVolumes: 2,
 		DiskModel:    "hp97560",
-		QueueSched:   "clook",
 		CacheBlocks:  256,
-		Replace:      "lru",
 		Flush:        cache.UPS(),
 		Layout:       "ffs",
 	})
@@ -621,9 +617,7 @@ func TestMetricsRedundantFamilies(t *testing.T) {
 		ArrayVolumes: 3,
 		Placement:    "mirrored",
 		DiskModel:    "hp97560",
-		QueueSched:   "clook",
 		CacheBlocks:  64,
-		Replace:      "lru",
 		Flush:        cache.UPS(),
 		SegBlocks:    64,
 		Cleaner:      "cost-benefit",

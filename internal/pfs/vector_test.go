@@ -11,6 +11,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/nfs"
+	"repro/internal/sched"
+	"repro/internal/volume"
 )
 
 // vecDriverCounts sums the scatter-gather request counters across the
@@ -420,7 +422,7 @@ func TestVectoredFramePinningHammer(t *testing.T) {
 				errs <- fmt.Errorf("sync: %w", err)
 				return
 			}
-			if _, err := srv.Scrub(false); err != nil {
+			if err := srv.Do(func(tk sched.Task) error { _, err := srv.Array.Scrub(tk, false); return err }); err != nil {
 				errs <- fmt.Errorf("scrub: %w", err)
 				return
 			}
@@ -452,8 +454,8 @@ func TestVectoredFramePinningHammer(t *testing.T) {
 			t.Fatalf("final read at %d came back wrong", off)
 		}
 	}
-	st, err := srv.Scrub(false)
-	if err != nil {
+	var st volume.ScrubStats
+	if err := srv.Do(func(tk sched.Task) (err error) { st, err = srv.Array.Scrub(tk, false); return err }); err != nil {
 		t.Fatalf("final scrub: %v", err)
 	}
 	if st.Mismatches != 0 {

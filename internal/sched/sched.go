@@ -37,12 +37,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Seconds returns t as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
-// Duration returns t as a duration since kernel start.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Forever is a time later than any reachable simulation instant.

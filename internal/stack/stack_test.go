@@ -185,8 +185,9 @@ func readFile(t sched.Task, v *fsys.Volume, f int, sim bool) error {
 	if sim {
 		return nil
 	}
-	buf := make([]byte, h.Size())
-	if _, err := v.Read(t, h, buf, h.Size()); err != nil {
+	size := v.StatHandle(t, h).Size
+	buf := make([]byte, size)
+	if _, err := v.Read(t, h, buf, size); err != nil {
 		return err
 	}
 	if !bytes.Equal(buf, fileData(f, len(buf), sim)) {

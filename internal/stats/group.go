@@ -58,15 +58,6 @@ func (g *Group) Add(i int, n int64) { g.list()[i].c.Add(n) }
 // Len returns the number of members.
 func (g *Group) Len() int { return len(g.list()) }
 
-// Total returns the sum over all members.
-func (g *Group) Total() int64 {
-	var sum int64
-	for _, m := range g.list() {
-		sum += m.c.Value()
-	}
-	return sum
-}
-
 // Labels snapshots the member labels in creation order.
 func (g *Group) Labels() []string {
 	ms := g.list()

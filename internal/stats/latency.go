@@ -44,13 +44,6 @@ func (d *LatencyDist) sortLocked() {
 	}
 }
 
-// N returns the sample count.
-func (d *LatencyDist) N() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.samples)
-}
-
 // Name returns the distribution's name.
 func (d *LatencyDist) Name() string { return d.name }
 
@@ -159,13 +152,5 @@ func (d *LatencyDist) Merge(other *LatencyDist) {
 	d.samples = append(d.samples, samples...)
 	d.sum += sum
 	d.sorted = false
-	d.mu.Unlock()
-}
-
-// Reset discards all samples.
-func (d *LatencyDist) Reset() {
-	d.mu.Lock()
-	d.samples = d.samples[:0]
-	d.sum = 0
 	d.mu.Unlock()
 }

@@ -82,16 +82,6 @@ func (h *LogHistogram) Sum() time.Duration {
 	return time.Duration(h.sum)
 }
 
-// Mean returns the mean observation.
-func (h *LogHistogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.total)
-}
-
 // Snapshot returns the bucket upper bounds (shared, immutable), a
 // copy of the per-bucket counts (len(bounds)+1), the total count and
 // the sum — one consistent view for exporters.

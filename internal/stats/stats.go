@@ -176,20 +176,6 @@ func (h *Histogram) Observe(v int64) {
 	h.mu.Unlock()
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.meanLocked()
-}
-
 func (h *Histogram) meanLocked() float64 {
 	if h.total == 0 {
 		return 0

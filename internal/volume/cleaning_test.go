@@ -39,8 +39,16 @@ func TestRebuildWhileCleaning(t *testing.T) {
 			)
 			k := sched.NewReal(4)
 			var logs []*lfs.LFS
+			var drvs []device.Driver
+			defer func() {
+				for _, drv := range drvs {
+					drv.Close()
+				}
+				k.Stop()
+			}()
 			member := func(name string, i int) *lfs.LFS {
 				drv := device.NewMemDriver(k, name, blocks, nil)
+				drvs = append(drvs, drv)
 				l := lfs.New(k, name, layout.NewPartition(drv, i, 0, blocks, false), lfs.Config{SegBlocks: 16})
 				logs = append(logs, l)
 				return l
@@ -120,8 +128,14 @@ func TestRebuildWhileCleaning(t *testing.T) {
 				}
 				duringRebuild, c = cleaned()-c, cleaned()
 				// Enough passes that a scrub hole check lands right after a
-				// cleaner move of the same block (the parent tree's race).
-				for pass := 0; pass < 30; pass++ {
+				// cleaner move of the same block (the parent tree's race),
+				// and on until the cleaner has run under them: on a loaded
+				// machine 30 passes can end before the writers fill a log.
+				for pass := 0; pass < 30 || cleaned() == c; pass++ {
+					if pass == 20000 {
+						errc <- fmt.Errorf("the cleaner never ran under %d scrub passes", pass)
+						return
+					}
 					if st, err := arr.Scrub(tk, false); err != nil || st.Mismatches != 0 {
 						errc <- fmt.Errorf("scrub pass %d: %+v, %v", pass, st, err)
 						return

@@ -19,7 +19,6 @@ func TestDecodeFailureTable(t *testing.T) {
 		{"uint32", 4, func(d *Decoder) error { _, err := d.Uint32(); return err }},
 		{"uint64", 8, func(d *Decoder) error { _, err := d.Uint64(); return err }},
 		{"int64", 8, func(d *Decoder) error { _, err := d.Int64(); return err }},
-		{"bool", 4, func(d *Decoder) error { _, err := d.Bool(); return err }},
 		{"opaque-header", 4, func(d *Decoder) error { _, err := d.Opaque(); return err }},
 		{"string-header", 4, func(d *Decoder) error { _, err := d.String(); return err }},
 		{"fixed-5", 8, func(d *Decoder) error { _, err := d.FixedOpaque(5); return err }},
@@ -80,7 +79,7 @@ func TestDecoderTrailingDataAfterError(t *testing.T) {
 // codec: arbitrary typed sequences encode then decode to the same
 // values with nothing left over.
 func TestMixedSequenceRoundTrip(t *testing.T) {
-	prop := func(a uint32, b uint64, c int64, fl bool, op []byte, s string, fx []byte) bool {
+	prop := func(a uint32, b uint64, c int64, op []byte, s string, fx []byte) bool {
 		if len(fx) > 64 {
 			fx = fx[:64]
 		}
@@ -89,7 +88,6 @@ func TestMixedSequenceRoundTrip(t *testing.T) {
 		e.Opaque(op)
 		e.Int64(c)
 		e.String(s)
-		e.Bool(fl)
 		e.FixedOpaque(fx)
 		e.Uint64(b)
 		if e.Len()%4 != 0 {
@@ -110,10 +108,6 @@ func TestMixedSequenceRoundTrip(t *testing.T) {
 		}
 		gs, err := d.String()
 		if err != nil || gs != s {
-			return false
-		}
-		gfl, err := d.Bool()
-		if err != nil || gfl != fl {
 			return false
 		}
 		gfx, err := d.FixedOpaque(len(fx))
@@ -148,7 +142,7 @@ func FuzzDecoder(f *testing.F) {
 		for i := 0; d.Remaining() > 0; i++ {
 			before := d.Remaining()
 			var err error
-			switch i % 6 {
+			switch i % 5 {
 			case 0:
 				_, err = d.Uint32()
 			case 1:
@@ -158,8 +152,6 @@ func FuzzDecoder(f *testing.F) {
 			case 3:
 				_, err = d.String()
 			case 4:
-				_, err = d.Bool()
-			case 5:
 				_, err = d.FixedOpaque(int(uint(before) % 16))
 			}
 			if err != nil {
@@ -172,7 +164,7 @@ func FuzzDecoder(f *testing.F) {
 			if consumed%4 != 0 {
 				t.Fatalf("unaligned consumption of %d bytes", consumed)
 			}
-			if consumed == 0 && i%6 != 5 { // only FixedOpaque(0) may consume nothing
+			if consumed == 0 && i%5 != 4 { // only FixedOpaque(0) may consume nothing
 				t.Fatal("successful decode consumed nothing")
 			}
 		}

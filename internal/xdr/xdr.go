@@ -72,15 +72,6 @@ func (e *Encoder) Uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf
 // Int64 encodes a signed hyper.
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
 
-// Bool encodes an XDR boolean.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.Uint32(1)
-	} else {
-		e.Uint32(0)
-	}
-}
-
 // Opaque encodes variable-length opaque data: length then bytes,
 // padded to a 4-byte boundary.
 func (e *Encoder) Opaque(p []byte) {
@@ -189,12 +180,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 func (d *Decoder) Int64() (int64, error) {
 	v, err := d.Uint64()
 	return int64(v), err
-}
-
-// Bool decodes an XDR boolean.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	return v != 0, err
 }
 
 // Opaque decodes variable-length opaque data. A failed decode

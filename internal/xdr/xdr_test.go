@@ -84,8 +84,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	e.Uint32(0xDEADBEEF)
 	e.Uint64(0x0123456789ABCDEF)
 	e.Int64(-42)
-	e.Bool(true)
-	e.Bool(false)
 	d := NewDecoder(e.Bytes())
 	if v, _ := d.Uint32(); v != 0xDEADBEEF {
 		t.Fatalf("uint32 %#x", v)
@@ -95,12 +93,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 	if v, _ := d.Int64(); v != -42 {
 		t.Fatalf("int64 %d", v)
-	}
-	if v, _ := d.Bool(); !v {
-		t.Fatal("bool true")
-	}
-	if v, _ := d.Bool(); v {
-		t.Fatal("bool false")
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("remaining %d", d.Remaining())
