@@ -104,7 +104,9 @@ func TestLatencyDistConcurrentScrape(t *testing.T) {
 	}
 }
 
-func TestLatencyDistMerge(t *testing.T) {
+// LatencyDist.Reset is gone; the empty state it left is a fresh
+// distribution, so the reset half checks Merge from and into one.
+func TestLatencyDistMergeAndReset(t *testing.T) {
 	a, b := NewLatencyDist("a"), NewLatencyDist("b")
 	for i := 1; i <= 10; i++ {
 		a.Observe(time.Duration(i) * time.Millisecond)
@@ -121,5 +123,17 @@ func TestLatencyDistMerge(t *testing.T) {
 	}
 	if a.Mean() != 10500*time.Microsecond {
 		t.Fatalf("merged mean = %v, want 10.5ms", a.Mean())
+	}
+	if b.N() != 10 || b.Mean() != 15500*time.Microsecond {
+		t.Fatalf("merge changed its source: n=%d mean=%v", b.N(), b.Mean())
+	}
+	a.Merge(NewLatencyDist("empty"))
+	if a.N() != 20 || a.Mean() != 10500*time.Microsecond {
+		t.Fatalf("merging an empty dist: n=%d mean=%v", a.N(), a.Mean())
+	}
+	c := NewLatencyDist("c")
+	c.Merge(a)
+	if c.N() != 20 || c.Mean() != a.Mean() || c.Quantile(0.5) != a.Quantile(0.5) {
+		t.Fatalf("merge into an empty dist: n=%d mean=%v p50=%v", c.N(), c.Mean(), c.Quantile(0.5))
 	}
 }

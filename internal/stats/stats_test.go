@@ -179,6 +179,27 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
+func TestLatencyMergeAndReset(t *testing.T) {
+	a := NewLatencyDist("a")
+	b := NewLatencyDist("b")
+	a.Observe(time.Millisecond)
+	b.Observe(3 * time.Millisecond)
+	a.Merge(b)
+	if a.N() != 2 || a.Mean() != 2*time.Millisecond {
+		t.Fatalf("merge: n=%d mean=%v", a.N(), a.Mean())
+	}
+	// A fresh distribution is the reset state: merged into one, a
+	// distribution keeps its count and mean.
+	r := NewLatencyDist("r")
+	if r.N() != 0 || r.Mean() != 0 {
+		t.Fatal("fresh dist not empty")
+	}
+	r.Merge(a)
+	if r.N() != 2 || r.Mean() != 2*time.Millisecond {
+		t.Fatalf("merge into empty: n=%d mean=%v", r.N(), r.Mean())
+	}
+}
+
 func TestLatencyRenderShape(t *testing.T) {
 	d := NewLatencyDist("ops")
 	d.Observe(500 * time.Microsecond)
