@@ -338,7 +338,7 @@ func checkArray(t sched.Task, sc stack.Config, o options, rep *report, parts []*
 		if i == missing {
 			continue
 		}
-		vrs[i].FreeBlocks = sub.FreeBlocks()
+		vrs[i].FreeBlocks = sub.FreeBlocks(t)
 		for _, e := range sub.Check(t) {
 			vrs[i].Errors = append(vrs[i].Errors, e.Error())
 		}

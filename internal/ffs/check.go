@@ -293,24 +293,6 @@ func (f *FFS) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	return st, err
 }
 
-// GrowSize publishes a size growth: the size grows under f.mu, the
-// lock the inode writer holds when it encodes the record.
-func (f *FFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
-	f.mu.Lock(t)
-	defer f.mu.Unlock(t)
-	if size > ino.Size {
-		ino.Size = size
-	}
-}
-
-// WithInode is the inode publication lock: fn runs under f.mu, the
-// lock the inode writer holds when it encodes the record.
-func (f *FFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
-	f.mu.Lock(t)
-	defer f.mu.Unlock(t)
-	fn()
-}
-
 // LiveInodes implements layout.Layout.
 func (f *FFS) LiveInodes(t sched.Task) []core.FileID {
 	f.mu.Lock(t)

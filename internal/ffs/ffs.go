@@ -359,13 +359,9 @@ func (f *FFS) Sync(t sched.Task) error {
 }
 
 // FreeBlocks reports free data blocks.
-func (f *FFS) FreeBlocks() int64 {
-	// Same publication rule as the LFS log head: allocators move
-	// freeData under f.mu on the real kernel.
-	if !f.k.Virtual() {
-		f.mu.Lock(nil)
-		defer f.mu.Unlock(nil)
-	}
+func (f *FFS) FreeBlocks(t sched.Task) int64 {
+	f.mu.Lock(t)
+	defer f.mu.Unlock(t)
 	return f.freeData
 }
 

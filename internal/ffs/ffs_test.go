@@ -145,7 +145,7 @@ func TestFreeInodeReleasesSpace(t *testing.T) {
 	run(t, r.k, func(tk sched.Task) {
 		r.f.Format(tk)
 		r.f.Mount(tk)
-		before := r.f.FreeBlocks()
+		before := r.f.FreeBlocks(tk)
 		ino, _ := r.f.AllocInode(tk, core.TypeRegular)
 		ino.Size = 4 * core.BlockSize
 		var ws []layout.BlockWrite
@@ -153,12 +153,12 @@ func TestFreeInodeReleasesSpace(t *testing.T) {
 			ws = append(ws, layout.BlockWrite{Blk: core.BlockNo(i), Data: blockOf(1), Size: core.BlockSize})
 		}
 		r.f.WriteBlocks(tk, ino, ws)
-		if r.f.FreeBlocks() != before-4 {
-			t.Fatalf("free space %d, want %d", r.f.FreeBlocks(), before-4)
+		if r.f.FreeBlocks(tk) != before-4 {
+			t.Fatalf("free space %d, want %d", r.f.FreeBlocks(tk), before-4)
 		}
 		r.f.FreeInode(tk, ino.ID)
-		if r.f.FreeBlocks() != before {
-			t.Fatalf("space not reclaimed: %d vs %d", r.f.FreeBlocks(), before)
+		if r.f.FreeBlocks(tk) != before {
+			t.Fatalf("space not reclaimed: %d vs %d", r.f.FreeBlocks(tk), before)
 		}
 		if _, err := r.f.GetInode(tk, ino.ID); err != core.ErrNotFound {
 			t.Fatalf("freed inode still readable: %v", err)
@@ -178,10 +178,10 @@ func TestTruncate(t *testing.T) {
 			ws = append(ws, layout.BlockWrite{Blk: core.BlockNo(i), Data: blockOf(1), Size: core.BlockSize})
 		}
 		r.f.WriteBlocks(tk, ino, ws)
-		free := r.f.FreeBlocks()
+		free := r.f.FreeBlocks(tk)
 		r.f.Truncate(tk, ino, core.BlockSize)
-		if r.f.FreeBlocks() != free+2 {
-			t.Fatalf("truncate freed %d, want 2", r.f.FreeBlocks()-free)
+		if r.f.FreeBlocks(tk) != free+2 {
+			t.Fatalf("truncate freed %d, want 2", r.f.FreeBlocks(tk)-free)
 		}
 	})
 }

@@ -179,9 +179,8 @@ func (f *FFS) writeInode(t sched.Task, ino *layout.Inode) error {
 		if err := f.part.Read(t, blk, 1, buf); err != nil {
 			return err
 		}
-		di := &layout.DiskInode{Ino: *ino, Ind: -1, DInd: -1}
-		di.Ino.Blocks = nil
-		di.Ino.IndAddrs = nil
+		di := &layout.DiskInode{Ind: -1, DInd: -1}
+		di.Ino.Snapshot(ino)
 		direct, groups, err := layout.SplitBlockMap(ino.Blocks)
 		if err != nil {
 			return err
@@ -495,7 +494,7 @@ func (f *FFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 		}
 		i += run
 	}
-	ino.MTime = int64(f.k.Now())
+	ino.Touch(int64(f.k.Now()))
 	return f.writeInode(t, ino)
 }
 
@@ -503,17 +502,12 @@ func (f *FFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 func (f *FFS) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 	f.mu.Lock(t)
 	defer f.mu.Unlock(t)
-	keep := layout.BlocksForSize(newSize)
-	for i := keep; i < int64(len(ino.Blocks)); i++ {
+	for i := layout.BlocksForSize(newSize); i < int64(len(ino.Blocks)); i++ {
 		if ino.Blocks[i] >= 0 {
 			f.freeDataLocked(ino.Blocks[i])
 		}
 	}
-	if keep < int64(len(ino.Blocks)) {
-		ino.Blocks = ino.Blocks[:keep]
-	}
-	ino.Size = newSize
-	ino.MTime = int64(f.k.Now())
+	ino.Trim(newSize, int64(f.k.Now()))
 	return f.writeInode(t, ino)
 }
 
@@ -559,7 +553,7 @@ func (f *FFS) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error {
 			return core.ErrNoSpace
 		}
 	}
-	ino.Size = size
+	ino.SetSize(size)
 	f.inodes[ino.ID] = ino
 	return nil
 }

@@ -132,8 +132,16 @@ func TestBorrowReadsNeverWaitOnHolds(t *testing.T) {
 // LFS volume holding file /f, written with payload and open as h.
 func onRealFile(t *testing.T, payload []byte, body func(tk sched.Task, v *Volume, h *Handle)) {
 	t.Helper()
+	onRealFileVia(t, nil, payload, body)
+}
+
+// onRealFileVia is onRealFile with ij intercepting the member's device
+// requests.
+func onRealFileVia(t *testing.T, ij device.Interceptor, payload []byte, body func(tk sched.Task, v *Volume, h *Handle)) {
+	t.Helper()
 	k := sched.NewReal(1)
 	drv := device.NewMemDriver(k, "mem0", 4096, nil)
+	drv.SetInjector(ij)
 	part := layout.NewPartition(drv, 0, 0, 4096, false)
 	lay := arrayOf(t, k, lfs.New(k, "vol1", part, lfs.Config{SegBlocks: 16, MaxInodes: 1 << 12}), part)
 	store := NewStore()
@@ -199,11 +207,8 @@ func TestReusedLoanAllocatesNothing(t *testing.T) {
 }
 
 // TestStatAllocatesNothing gates attrIno on the real kernel, where the
-// snapshot runs under the layout's WithInode: a stat allocates nothing.
+// snapshot runs under the inode's leaf lock: a stat allocates nothing.
 func TestStatAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops lent probes")
-	}
 	payload := bytes.Repeat([]byte{0x5A}, core.BlockSize)
 	onRealFile(t, payload, func(tk sched.Task, v *Volume, h *Handle) {
 		var a FileAttr

@@ -45,7 +45,7 @@ func (v *Volume) StatByID(t sched.Task, id core.FileID) (FileAttr, error) {
 	if err != nil {
 		return FileAttr{}, err
 	}
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // LookupIn resolves one name within directory dir.
@@ -64,7 +64,7 @@ func (v *Volume) LookupIn(t sched.Task, dir core.FileID, name string) (FileAttr,
 	if err != nil {
 		return FileAttr{}, err
 	}
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // CreateIn makes a file inside directory dir and returns its
@@ -81,7 +81,7 @@ func (v *Volume) CreateIn(t sched.Task, dir core.FileID, name string, typ core.F
 		return FileAttr{}, err
 	}
 	v.fs.st.Creates.Inc()
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // SymlinkIn creates a symlink inside dir.
@@ -97,7 +97,7 @@ func (v *Volume) SymlinkIn(t sched.Task, dir core.FileID, name, target string) (
 		return FileAttr{}, err
 	}
 	v.fs.st.Creates.Inc()
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // RemoveIn unlinks name, which must not be a directory, from
@@ -204,7 +204,7 @@ func (v *Volume) SetSizeByID(t sched.Task, id core.FileID, size int64) (FileAttr
 	if err := v.setSize(t, f, size); err != nil {
 		return FileAttr{}, err
 	}
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // dirLocked fetches a directory by id, checking its type.

@@ -113,7 +113,7 @@ func (v *Volume) writeContent(t sched.Task, f *File, data []byte, size int64) er
 			return err
 		}
 	}
-	v.mutateIno(t, f.ino, func() { f.ino.Size = size })
+	f.ino.SetSize(size)
 	return v.arr.UpdateInode(t, f.ino)
 }
 
@@ -280,7 +280,9 @@ func (v *Volume) attach(t sched.Task, dir *File, name string, id core.FileID, f 
 	}
 	dir.entries[name] = id
 	if f != nil && f.ino.Type == core.TypeDirectory {
-		v.mutateIno(t, dir.ino, func() { dir.ino.Nlink++ })
+		dir.ino.Lock()
+		dir.ino.Nlink++
+		dir.ino.Unlock()
 	}
 }
 
@@ -291,7 +293,9 @@ func (v *Volume) detach(t sched.Task, dir *File, name string, f *File) {
 	}
 	delete(dir.entries, name)
 	if f != nil && f.ino.Type == core.TypeDirectory {
-		v.mutateIno(t, dir.ino, func() { dir.ino.Nlink-- })
+		dir.ino.Lock()
+		dir.ino.Nlink--
+		dir.ino.Unlock()
 	}
 }
 
@@ -310,7 +314,9 @@ func (v *Volume) relink(t sched.Task, d *File) error {
 	if n == d.ino.Nlink {
 		return nil
 	}
-	v.mutateIno(t, d.ino, func() { d.ino.Nlink = n })
+	d.ino.Lock()
+	d.ino.Nlink = n
+	d.ino.Unlock()
 	return v.arr.UpdateInode(t, d.ino)
 }
 
@@ -404,11 +410,9 @@ func (v *Volume) remove(t sched.Task, dir *File, name string, kind rmKind) error
 	}
 	it.Type = f.ino.Type
 	v.logIntent(t, it)
-	v.mutateIno(t, f.ino, func() {
-		if f.ino.Nlink > 0 {
-			f.ino.Nlink--
-		}
-	})
+	f.ino.Lock()
+	f.ino.Nlink = max(f.ino.Nlink, 1) - 1
+	f.ino.Unlock()
 	if f.refs > 0 {
 		f.unlinked = true
 		return nil

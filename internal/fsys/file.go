@@ -2,7 +2,6 @@ package fsys
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -189,41 +188,12 @@ type FileAttr struct {
 	Gen uint64
 }
 
-// attrIno snapshots a live inode's attributes under the layout's
-// inode publication lock — mutateIno's counterpart for readers. The
-// cache flusher and the by-id mutators update these scalar fields
-// under that lock, not under any lock a stat path holds, so an
-// unlocked read would race them on the real kernel.
-func (v *Volume) attrIno(t sched.Task, ino *layout.Inode) FileAttr {
-	if v.fs.k.Virtual() {
-		return attrOf(ino)
-	}
-	p := attrProbes.Get().(*attrProbe)
-	p.ino = ino
-	v.arr.WithInode(t, ino, p.read)
-	a := p.attr
-	p.ino = nil
-	attrProbes.Put(p)
-	return a
-}
-
-// attrProbe is attrIno's body under the publication lock. Its read
-// closure is bound once, when attrProbes makes the probe: a closure
-// capturing the caller's variables escapes into the layout's WithInode
-// and would cost an allocation per stat.
-type attrProbe struct {
-	ino  *layout.Inode
-	attr FileAttr
-	read func()
-}
-
-var attrProbes = sync.Pool{New: func() any {
-	p := &attrProbe{}
-	p.read = func() { p.attr = attrOf(p.ino) }
-	return p
-}}
-
-func attrOf(ino *layout.Inode) FileAttr {
+// attrIno snapshots a live inode's attributes under its leaf lock:
+// the cache flusher and the namespace operations change them under no
+// lock a stat path holds.
+func attrIno(ino *layout.Inode) FileAttr {
+	ino.Lock()
+	defer ino.Unlock()
 	return FileAttr{
 		ID:    ino.ID,
 		Type:  ino.Type,

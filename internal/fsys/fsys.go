@@ -179,7 +179,7 @@ func (fs *FS) AddVolume(t sched.Task, id core.VolumeID, arr *volume.Array) (*Vol
 func (fs *FS) Vol(id core.VolumeID) *Volume { return fs.vols[id] }
 
 // FreeBlocks reports the volume's remaining capacity in blocks.
-func (v *Volume) FreeBlocks() int64 { return v.arr.FreeBlocks() }
+func (v *Volume) FreeBlocks(t sched.Task) int64 { return v.arr.FreeBlocks(t) }
 
 // LayoutName reports the storage layout in use ("lfs", "ffs").
 func (v *Volume) LayoutName() string { return v.arr.Name() }

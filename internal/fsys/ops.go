@@ -181,12 +181,12 @@ func (v *Volume) Stat(t sched.Task, path string) (FileAttr, error) {
 	if err != nil {
 		return FileAttr{}, err
 	}
-	return v.attrIno(t, f.ino), nil
+	return attrIno(f.ino), nil
 }
 
 // StatHandle returns attributes through an open handle.
 func (v *Volume) StatHandle(t sched.Task, h *Handle) FileAttr {
-	return v.attrIno(t, h.f.ino)
+	return attrIno(h.f.ino)
 }
 
 // EnsureFile guarantees path exists (creating parents), used by the
@@ -222,7 +222,7 @@ func (v *Volume) EnsureFile(t sched.Task, path string, size int64, preexisting b
 		}
 		if typ == core.TypeRegular && preexisting && v.sim && size > 0 {
 			if err := v.arr.PlaceExisting(t, f.ino, size); err == nil {
-				f.ino.Size = size
+				f.ino.SetSize(size)
 			}
 		}
 	}

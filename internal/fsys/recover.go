@@ -124,17 +124,13 @@ func (fs *FS) ReplayNVRAM(t sched.Task, survivors []cache.Survivor, intents []ca
 			st.DirBlocks += len(group)
 			continue
 		}
-		writes := make([]layout.BlockWrite, 0, len(group))
-		size := ino.Size
-		for _, s := range group {
-			writes = append(writes, layout.BlockWrite{Blk: s.Key.Blk, Data: s.Data, Size: s.Size})
-			if end := int64(s.Key.Blk)*core.BlockSize + int64(s.Size); end > size {
-				size = end
-			}
-		}
 		// Grow the size first so the layout (and a striped array's
 		// home-shadow mirror) persists the extension with the blocks.
-		v.mutateIno(t, ino, func() { ino.Size = size })
+		writes := make([]layout.BlockWrite, 0, len(group))
+		for _, s := range group {
+			writes = append(writes, layout.BlockWrite{Blk: s.Key.Blk, Data: s.Data, Size: s.Size})
+			ino.Extend(int64(s.Key.Blk)*core.BlockSize + int64(s.Size))
+		}
 		if werr := v.arr.WriteBlocks(t, ino, writes); werr != nil {
 			return st, werr
 		}

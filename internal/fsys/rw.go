@@ -320,6 +320,9 @@ func (v *Volume) writeData(t sched.Task, f *File, off int64, data []byte, n int6
 			b.Size = sz
 		}
 		b.NoCache = f.behavior.dropBehind()
+		// Publish the chunk's end before the block is dirty: its flush
+		// marks the inode dirty, and the packer then sees the size.
+		f.ino.Extend(pos + chunk)
 		// MarkDirty is where a full NVRAM parks the writer — cache
 		// stage, the paper's dirty-drain bottleneck.
 		_ = fs.charge(t, op, telemetry.StageCache, func() error {
@@ -328,17 +331,6 @@ func (v *Volume) writeData(t sched.Task, f *File, off int64, data []byte, n int6
 		})
 		fs.cache.Release(t, b)
 		done += chunk
-	}
-	if off+n > f.ino.Size {
-		if fs.k.Virtual() {
-			// Cooperative kernel: direct update, and a schedule
-			// identical to the pre-seam simulator.
-			f.ino.Size = off + n
-		} else {
-			// Publish the growth under the layout's lock: the flusher
-			// may be packing this inode right now.
-			v.arr.GrowSize(t, f.ino, off+n)
-		}
 	}
 	fs.st.BytesWritten.Add(n)
 	return nil
@@ -362,21 +354,6 @@ func (v *Volume) prefetchBlock(t sched.Task, f *File, blk core.BlockNo) {
 
 // blockEnd is the file offset just past block blk.
 func blockEnd(blk core.BlockNo) int64 { return int64(blk+1) * core.BlockSize }
-
-// mutateIno applies a scalar inode-field update (Nlink, exact size)
-// under the layout's metadata lock on the real kernel, where the
-// cache flusher may be encoding the same inode concurrently — the
-// GrowSize publication rule, generalized. The virtual kernel is
-// cooperative: direct call, simulated schedules untouched. fn must
-// only touch inode fields; persisting the change (UpdateInode) stays
-// with the caller.
-func (v *Volume) mutateIno(t sched.Task, ino *layout.Inode, fn func()) {
-	if v.fs.k.Virtual() {
-		fn()
-		return
-	}
-	v.arr.WithInode(t, ino, fn)
-}
 
 // truncateLocked shrinks file data: cached blocks past the boundary
 // are discarded (dirty ones count as saved writes) and the layout

@@ -47,6 +47,17 @@ type DiskInode struct {
 	DInd   int64
 }
 
+// Snapshot copies src's metadata, every field but the block map, into
+// ino, reading src under its leaf lock: how an encoder or an array
+// mirror reads a live inode that the front-end may be changing. It
+// copies field by field, because *src would copy the lock.
+func (ino *Inode) Snapshot(src *Inode) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	ino.ID, ino.Type, ino.Size, ino.Nlink, ino.Mode = src.ID, src.Type, src.Size, src.Nlink, src.Mode
+	ino.Version, ino.MTime, ino.CTime, ino.ATime = src.Version, src.MTime, src.CTime, src.ATime
+}
+
 // EncodeInode writes d into buf (at least InodeSize bytes).
 func EncodeInode(d *DiskInode, buf []byte) {
 	if len(buf) < InodeSize {

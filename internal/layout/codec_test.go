@@ -30,24 +30,24 @@ func TestInodeCodecTable(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		ino  DiskInode
+		ino  *DiskInode
 	}{
-		{"zero-value", DiskInode{}},
-		{"regular", DiskInode{
+		{"zero-value", &DiskInode{}},
+		{"regular", &DiskInode{
 			Ino:    Inode{ID: 1, Type: core.TypeRegular, Size: 4096, Nlink: 1, Mode: 0o644},
 			Direct: filled(77), Ind: 12, DInd: 13,
 		}},
-		{"directory", DiskInode{
+		{"directory", &DiskInode{
 			Ino: Inode{ID: 2, Type: core.TypeDirectory, Size: core.BlockSize, Nlink: 2, Mode: 0o755},
 		}},
-		{"symlink", DiskInode{
+		{"symlink", &DiskInode{
 			Ino: Inode{ID: 3, Type: core.TypeSymlink, Size: 12, Nlink: 1},
 		}},
-		{"holes-everywhere", DiskInode{
+		{"holes-everywhere", &DiskInode{
 			Ino:    Inode{ID: 4, Type: core.TypeRegular},
 			Direct: filled(-1), Ind: -1, DInd: -1,
 		}},
-		{"extremes", DiskInode{
+		{"extremes", &DiskInode{
 			Ino: Inode{
 				ID: core.FileID(1<<63 - 1), Type: core.TypeRegular,
 				Size: 1<<62 - 1, Nlink: ^uint32(0), Mode: ^uint32(0),
@@ -59,12 +59,12 @@ func TestInodeCodecTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := make([]byte, InodeSize)
-			EncodeInode(&tc.ino, buf)
+			EncodeInode(tc.ino, buf)
 			got, err := DecodeInode(buf)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !inodeEqual(got, &tc.ino) {
+			if !inodeEqual(got, tc.ino) {
 				t.Fatalf("round trip mismatch:\nin  %+v\nout %+v", tc.ino, got)
 			}
 			// A second encode of the decode must be byte-identical —

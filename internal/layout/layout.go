@@ -12,6 +12,7 @@ package layout
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -39,9 +40,29 @@ type Inode struct {
 	// IndAddrs records where this file's indirect map blocks live,
 	// so log cleaners can judge their liveness.
 	IndAddrs []int64
+
+	// mu is the inode's leaf lock, the same on both kernels. It takes
+	// no other lock and is never held across a park (a lock, a wait,
+	// an I/O), so under the cooperative virtual kernel it is always
+	// free and moves no schedule. Fields written outside the layout
+	// that owns the inode (Size, Nlink by the front-end) are read
+	// under it by that layout's encoder (Snapshot); fields the layout
+	// writes under its own lock (the block map, MTime, a truncation)
+	// are written under it too, for the readers outside the layout
+	// (attributes, an array's peeks at its members' shadows).
+	mu sync.Mutex
 }
 
-// BlockAddr returns the address of file block b, or -1.
+// Lock takes ino's leaf lock (see mu) for a field change the methods
+// below do not make.
+func (ino *Inode) Lock() { ino.mu.Lock() }
+
+// Unlock releases ino's leaf lock.
+func (ino *Inode) Unlock() { ino.mu.Unlock() }
+
+// BlockAddr returns the address of file block b, or -1. It takes no
+// lock: the owning layout calls it under its own lock, which every
+// writer of the map holds. Code outside the layout uses LoadAddr.
 func (ino *Inode) BlockAddr(b core.BlockNo) int64 {
 	if int(b) >= len(ino.Blocks) || b < 0 {
 		return -1
@@ -49,12 +70,63 @@ func (ino *Inode) BlockAddr(b core.BlockNo) int64 {
 	return ino.Blocks[b]
 }
 
-// SetBlockAddr grows the map as needed and sets block b's address.
+// LoadAddr is BlockAddr under the leaf lock.
+func (ino *Inode) LoadAddr(b core.BlockNo) int64 {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
+	return ino.BlockAddr(b)
+}
+
+// SetBlockAddr grows the map as needed and sets block b's address,
+// under the leaf lock.
 func (ino *Inode) SetBlockAddr(b core.BlockNo, addr int64) {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
 	for int(b) >= len(ino.Blocks) {
 		ino.Blocks = append(ino.Blocks, -1)
 	}
 	ino.Blocks[b] = addr
+}
+
+// LoadSize returns Size, read under the leaf lock.
+func (ino *Inode) LoadSize() int64 {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
+	return ino.Size
+}
+
+// SetSize sets Size under the leaf lock.
+func (ino *Inode) SetSize(size int64) {
+	ino.mu.Lock()
+	ino.Size = size
+	ino.mu.Unlock()
+}
+
+// Extend raises Size to size under the leaf lock; a smaller size
+// leaves it as it is.
+func (ino *Inode) Extend(size int64) {
+	ino.mu.Lock()
+	ino.Size = max(ino.Size, size)
+	ino.mu.Unlock()
+}
+
+// Touch sets MTime under the leaf lock.
+func (ino *Inode) Touch(now int64) {
+	ino.mu.Lock()
+	ino.MTime = now
+	ino.mu.Unlock()
+}
+
+// Trim cuts the block map to the blocks a file of size bytes spans and
+// sets Size and MTime, under the leaf lock. The caller frees the
+// dropped addresses.
+func (ino *Inode) Trim(size, now int64) {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
+	if keep := BlocksForSize(size); keep < int64(len(ino.Blocks)) {
+		ino.Blocks = ino.Blocks[:keep]
+	}
+	ino.Size, ino.MTime = size, now
 }
 
 // BlocksForSize returns how many blocks a file of n bytes spans.
@@ -160,7 +232,7 @@ type Layout interface {
 	PlaceExisting(t sched.Task, ino *Inode, size int64) error
 
 	// FreeBlocks reports remaining allocatable capacity in blocks.
-	FreeBlocks() int64
+	FreeBlocks(t sched.Task) int64
 
 	// SetClusterRun sets the run-size cap in blocks for multi-block
 	// device requests, on the write path (WriteBlocks emits one
@@ -176,19 +248,6 @@ type Layout interface {
 	// A zero on clustered real-kernel cells proves the zero-copy path
 	// carried everything.
 	StagedCopyBytes() int64
-
-	// WithInode runs fn under the lock the layout's concurrent inode
-	// readers hold (the LFS segment packer, the FFS inode encoder), so
-	// a flush racing a namespace operation never encodes a
-	// half-applied field update. Callers use it on the real kernel
-	// only; the virtual kernel is cooperative (one task at a time) and
-	// calls fn directly, keeping simulated schedules untouched. fn
-	// must only touch inode fields — calling back into the layout
-	// would self-deadlock.
-	WithInode(t sched.Task, ino *Inode, fn func())
-	// GrowSize publishes a file's logical-size growth under the same
-	// lock, under the same real-kernel-only rule.
-	GrowSize(t sched.Task, ino *Inode, size int64)
 
 	// DurableSeq is a monotonically increasing durability sequence:
 	// it advances only when staged metadata actually reaches stable

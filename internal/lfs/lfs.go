@@ -398,13 +398,9 @@ func (l *LFS) Mount(t sched.Task) error {
 
 // FreeBlocks reports allocatable capacity: free segments plus the
 // open segment's remaining slots.
-func (l *LFS) FreeBlocks() int64 {
-	// On the real kernel a StatFS-driven call races the log head
-	// moving under l.mu; the cooperative virtual kernel cannot.
-	if !l.k.Virtual() {
-		l.mu.Lock(nil)
-		defer l.mu.Unlock(nil)
-	}
+func (l *LFS) FreeBlocks(t sched.Task) int64 {
+	l.mu.Lock(t)
+	defer l.mu.Unlock(t)
 	free := int64(len(l.freeSegs)) * int64(l.dataSlots)
 	if l.cur != nil {
 		free += int64(l.dataSlots - l.cur.filled())

@@ -65,7 +65,7 @@ func TestFormatAndMountReal(t *testing.T) {
 		if err := r.l.Mount(tk); err != nil {
 			t.Fatalf("Mount: %v", err)
 		}
-		if r.l.FreeBlocks() == 0 {
+		if r.l.FreeBlocks(tk) == 0 {
 			t.Fatal("no free space after format")
 		}
 	})

@@ -115,9 +115,8 @@ func (l *LFS) readInodeFromLog(t sched.Task, id core.FileID, ent *imapEnt) (*lay
 // already have been assigned by writeIndirects. Caller holds l.mu.
 func (l *LFS) toDiskInode(ino *layout.Inode) *layout.DiskInode {
 	di := &l.dinode
-	*di = layout.DiskInode{Ino: *ino, Ind: -1, DInd: -1}
-	di.Ino.Blocks = nil
-	di.Ino.IndAddrs = nil
+	*di = layout.DiskInode{Ind: -1, DInd: -1}
+	di.Ino.Snapshot(ino)
 	direct, groups, _ := layout.SplitBlockMap(ino.Blocks)
 	di.Direct = direct
 	if groups >= 1 && len(ino.IndAddrs) >= 1 {
@@ -276,7 +275,7 @@ func (l *LFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 		}
 		ino.SetBlockAddr(w.Blk, addr)
 	}
-	ino.MTime = int64(l.k.Now())
+	ino.Touch(int64(l.k.Now()))
 	l.dirtyInodes[ino.ID] = true
 	// The slots alias this job's cache frames; push them to the device
 	// while the frames are still Flushing-stable (no-op when
@@ -288,17 +287,12 @@ func (l *LFS) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Block
 func (l *LFS) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 	l.mu.Lock(t)
 	defer l.mu.Unlock(t)
-	keep := layout.BlocksForSize(newSize)
-	for i := keep; i < int64(len(ino.Blocks)); i++ {
+	for i := layout.BlocksForSize(newSize); i < int64(len(ino.Blocks)); i++ {
 		if ino.Blocks[i] >= 0 {
 			l.deadBlock(ino.Blocks[i])
 		}
 	}
-	if keep < int64(len(ino.Blocks)) {
-		ino.Blocks = ino.Blocks[:keep]
-	}
-	ino.Size = newSize
-	ino.MTime = int64(l.k.Now())
+	ino.Trim(newSize, int64(l.k.Now()))
 	l.dirtyInodes[ino.ID] = true
 	return nil
 }
@@ -346,7 +340,7 @@ func (l *LFS) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error {
 		}
 		l.summaries[seg] = sum
 	}
-	ino.Size = size
+	ino.SetSize(size)
 	l.inodes[ino.ID] = ino
 	l.dirtyInodes[ino.ID] = true
 	return nil

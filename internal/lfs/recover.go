@@ -273,25 +273,6 @@ func (l *LFS) rollImapChunkLocked(buf []byte, e sumEntry, addr int64) {
 	}
 }
 
-// GrowSize publishes a size growth: the size grows under l.mu, the
-// lock every metadata reader (inode packing, log decode) holds.
-func (l *LFS) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
-	l.mu.Lock(t)
-	defer l.mu.Unlock(t)
-	if size > ino.Size {
-		ino.Size = size
-		l.dirtyInodes[ino.ID] = true
-	}
-}
-
-// WithInode is the inode publication lock: fn runs under l.mu, so
-// the segment packer never encodes the inode mid-mutation.
-func (l *LFS) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
-	l.mu.Lock(t)
-	defer l.mu.Unlock(t)
-	fn()
-}
-
 // WriteBarrier implements layout.Layout: the blocks WriteBlocks has
 // staged so far and every dirty inode record reach the disk, and the
 // open segment's summary is rewritten in place to cover them — a

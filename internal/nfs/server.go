@@ -756,7 +756,7 @@ func (s *Server) dispatch(t sched.Task, proc uint32, d *xdr.Decoder, e *xdr.Enco
 			return st
 		}
 		e.Uint32(core.BlockSize)
-		e.Int64(v.FreeBlocks())
+		e.Int64(v.FreeBlocks(t))
 		e.String(v.LayoutName())
 		return OK
 	}

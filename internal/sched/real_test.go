@@ -35,7 +35,7 @@ func TestRealKernelNowAdvances(t *testing.T) {
 	if k.Now()-t0 < Time(5*time.Millisecond) {
 		t.Fatalf("clock barely advanced: %v", k.Now()-t0)
 	}
-	if !(&RKernel{}).Virtual() == false {
+	if (&RKernel{}).Virtual() {
 		t.Fatal("Virtual() should be false")
 	}
 }

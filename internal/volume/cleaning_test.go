@@ -18,9 +18,10 @@ import (
 // TestRebuildWhileCleaning runs Rebuild and then Scrub passes while
 // writers keep overwriting, on members whose logs are small enough
 // that the LFS cleaner runs during both. The cleaner moves block
-// addresses in the very inodes the array's shadows alias, under the
-// member's lock only; rebuild's and scrub's hole checks and rebuild's
-// carrier-metadata copy must take that lock too. Run with -race.
+// addresses in the very inodes the array's shadows alias; rebuild's
+// and scrub's hole checks and rebuild's carrier-metadata copy must
+// read them under the inode's leaf lock, as the cleaner writes them.
+// Run with -race.
 func TestRebuildWhileCleaning(t *testing.T) {
 	for _, rc := range []struct {
 		name string

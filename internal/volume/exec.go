@@ -79,7 +79,7 @@ func (a *Array) reconstruct(t sched.Task, af *afile, blk core.BlockNo, bufs [][]
 		return ErrDegraded
 	}
 	var buf [8]cell
-	rest := a.pl.rest(af.home, a.pl.dataCell(af.home, blk), layout.BlocksForSize(af.global.Size), buf[:0])
+	rest := a.pl.rest(af.home, a.pl.dataCell(af.home, blk), layout.BlocksForSize(af.global.LoadSize()), buf[:0])
 	for _, c := range rest {
 		if !a.readAlive(af, c.member) {
 			return fmt.Errorf("volume %s: block %d of inode %d: member %d of its column is unavailable too",
@@ -141,11 +141,10 @@ func xorInto(acc, b []byte) {
 }
 
 // hole reports whether cell c was never written. It peeks at the
-// member's shadow block map under the member's inode lock: the
-// member's cleaner moves addresses under it.
-func (a *Array) hole(t sched.Task, af *afile, c cell) bool {
-	_, addr := a.peekShadow(t, c.member, af.shadow(c.member), c.local)
-	return addr < 0
+// member's shadow block map under the shadow's leaf lock: the member's
+// writes and its cleaner move addresses under it.
+func (af *afile) hole(c cell) bool {
+	return af.shadow(c.member).LoadAddr(c.local) < 0
 }
 
 // WriteBlocks applies one file's dirty-block batch: plan it into
@@ -297,7 +296,7 @@ func (b *batch) plan() error {
 		// Check cells need the batch by block: which cells of a column
 		// are written, and with what. Parity columns take in unwritten
 		// cells up to the file's size.
-		total = max(globalExtent(b.writes), layout.BlocksForSize(b.af.global.Size))
+		total = max(globalExtent(b.writes), layout.BlocksForSize(b.af.global.LoadSize()))
 		for i, w := range b.writes {
 			b.at[w.Blk] = i
 			b.real = b.real || w.Data != nil
@@ -464,11 +463,14 @@ func globalExtent(ws []layout.BlockWrite) int64 {
 	return end
 }
 
-// fan runs fn for every member on reports: in member order on the
-// calling task under the virtual kernel (deterministic schedules) or
-// when at most one member is on, otherwise as one task per member —
-// the members are independent disk stacks. It returns the first error
-// in member order.
+// fan runs fn for every member on reports: as one task per member —
+// the members are independent disk stacks — or, when at most one
+// member is on or under the virtual kernel, in member order on the
+// calling task. This is the one place the two kernels run different
+// code, kept by measurement: running the members as tasks under the
+// virtual kernel too moves every pinned array study
+// (bench_baseline.json, BENCH_4, 6, 8 and 10.json). It returns the
+// first error in member order.
 func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s int) error) error {
 	n := 0
 	for s := range a.subs {
@@ -556,10 +558,10 @@ func (a *Array) writeMember(t sched.Task, af *afile, s int, ws []layout.BlockWri
 // mirrorSizes records the global size on the file's live carriers
 // (via their members' Truncate, so the write happens under each
 // member's lock) — a real-mode remount recovers the size from
-// whichever carrier survives. Caller holds af.mu, the global size's
-// publication lock; each carrier's current size is snapshotted under
-// its member's inode lock, which the member's packer encodes under.
-// An affinity carrier is the global inode itself: nothing to mirror.
+// whichever carrier survives. Caller holds af.mu. Both sizes are read
+// under their inodes' leaf locks: the front-end grows the global one
+// without af.mu. An affinity carrier is the global inode itself:
+// nothing to mirror.
 func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 	for i := 0; i < a.pl.carriers(); i++ {
 		s := a.pl.carrier(af.home, i)
@@ -567,8 +569,8 @@ func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 			continue
 		}
 		h := af.shadow(s)
-		size := af.global.Size
-		if cur, _ := a.peekShadow(t, s, h, 0); cur == size {
+		size := af.global.LoadSize()
+		if h.LoadSize() == size {
 			continue
 		}
 		if err := a.sub(s).Truncate(t, h, size); err != nil {
@@ -576,49 +578,4 @@ func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 		}
 	}
 	return nil
-}
-
-// probe is a reusable withShadow body that snapshots a shadow's size
-// and one block address. Its read closure is bound once, when probes
-// makes the probe, rather than capturing the caller's variables on
-// every call: a closure handed to a member's WithInode escapes, and
-// would cost an allocation per peek.
-type probe struct {
-	h    *layout.Inode
-	blk  core.BlockNo
-	size int64 // h.Size
-	addr int64 // h.BlockAddr(blk)
-	read func()
-}
-
-var probes = sync.Pool{New: func() any {
-	p := &probe{}
-	p.read = func() { p.size, p.addr = p.h.Size, p.h.BlockAddr(p.blk) }
-	return p
-}}
-
-// peekShadow returns shadow h's size and the address of its block blk,
-// read under member s's inode lock (withShadow).
-func (a *Array) peekShadow(t sched.Task, s int, h *layout.Inode, blk core.BlockNo) (size, addr int64) {
-	p := probes.Get().(*probe)
-	p.h, p.blk = h, blk
-	a.withShadow(t, s, h, p.read)
-	size, addr = p.size, p.addr
-	p.h = nil
-	probes.Put(p)
-	return size, addr
-}
-
-// withShadow runs fn — a read or scalar update of a member's shadow
-// inode — under that member's inode lock on the real kernel, where the
-// member's segment packer may be encoding the shadow and its cleaner
-// moving block addresses concurrently: the fsys mutateIno publication
-// rule pushed down a layer. The virtual kernel is cooperative: direct
-// call, simulated schedules untouched.
-func (a *Array) withShadow(t sched.Task, s int, h *layout.Inode, fn func()) {
-	if a.k.Virtual() {
-		fn()
-		return
-	}
-	a.sub(s).WithInode(t, h, fn)
 }

@@ -282,7 +282,7 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 		return nil // born after the attach, or already copied
 	}
 
-	home, total := af.home, layout.BlocksForSize(af.global.Size)
+	home, total := af.home, layout.BlocksForSize(af.global.LoadSize())
 	var buf, scratch [][]byte
 	if !a.cfg.Simulated {
 		buf, scratch = blockVec(), blockVec()
@@ -306,7 +306,7 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 		// Holes read as zeros: only written cells are read, and a
 		// column never written stays a hole.
 		rest = a.pl.rest(home, c, total, rest[:0])
-		rest = slices.DeleteFunc(rest, func(o cell) bool { return a.hole(t, af, o) })
+		rest = slices.DeleteFunc(rest, func(o cell) bool { return af.hole(o) })
 		if len(rest) == 0 {
 			continue
 		}
@@ -333,11 +333,10 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 	sh := af.shadows[dead]
 	need := a.pl.localBlocks(home, dead, total) * core.BlockSize
 	if a.pl.isCarrier(home, dead) {
-		need = af.global.Size
+		need = af.global.LoadSize()
 		var meta layout.Inode
-		o := a.liveCarrier(home)
-		a.withShadow(t, o, af.shadows[o], func() { setMeta(&meta, af.shadows[o]) })
-		a.withShadow(t, dead, sh, func() { setMeta(sh, &meta) })
+		meta.Snapshot(af.shadows[a.liveCarrier(home)])
+		setMeta(sh, &meta)
 	}
 	if sh.Size < need {
 		if err := a.sub(dead).Truncate(t, sh, need); err != nil {
@@ -406,7 +405,7 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 	af.mu.Lock(t)
 	defer af.mu.Unlock(t)
 
-	home, total := af.home, layout.BlocksForSize(af.global.Size)
+	home, total := af.home, layout.BlocksForSize(af.global.LoadSize())
 	real := !a.cfg.Simulated
 	var acc, chkBuf, scratch [][]byte
 	if real {
@@ -425,7 +424,7 @@ func (a *Array) scrubFile(t sched.Task, id core.FileID, repair bool, st *ScrubSt
 			continue
 		}
 		st.Blocks += int64(len(data))
-		if !slices.ContainsFunc(col, func(c cell) bool { return !a.hole(t, af, c) }) {
+		if !slices.ContainsFunc(col, func(c cell) bool { return !af.hole(c) }) {
 			continue // untouched column
 		}
 		if err := a.xorCells(t, af, data, acc, scratch); err != nil {

