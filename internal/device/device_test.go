@@ -224,10 +224,10 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 		select {
 		case err := <-errc:
 			if !errors.Is(err, os.ErrClosed) {
-				t.Fatalf("virtual=%v: Do on a closed driver returned %v, want os.ErrClosed", k.Virtual(), err)
+				t.Fatalf("%T: Do on a closed driver returned %v, want os.ErrClosed", k, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("virtual=%v: Do on a closed driver still waiting after 10s", k.Virtual())
+			t.Fatalf("%T: Do on a closed driver still waiting after 10s", k)
 		}
 	}
 }

@@ -38,9 +38,6 @@ func NewReal(seed int64) *RKernel {
 	return k
 }
 
-// Virtual reports false.
-func (k *RKernel) Virtual() bool { return false }
-
 // Now returns the time since the kernel was created.
 func (k *RKernel) Now() Time { return Time(time.Since(k.start)) }
 

@@ -104,8 +104,6 @@ type Cond interface {
 // Kernel is the scheduler component: it owns time, tasks and
 // synchronization primitives.
 type Kernel interface {
-	// Virtual reports whether this kernel simulates time.
-	Virtual() bool
 	// Now returns the current kernel time.
 	Now() Time
 	// Rand returns the kernel's deterministic random source. In the

@@ -53,9 +53,6 @@ func NewVirtualPolicy(seed int64, p Policy) *VKernel {
 	}
 }
 
-// Virtual reports true.
-func (k *VKernel) Virtual() bool { return true }
-
 // Now returns the current virtual time.
 func (k *VKernel) Now() Time { return k.now }
 

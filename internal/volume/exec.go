@@ -27,11 +27,14 @@ import (
 // needs a dead member: there is no second copy to serve from.
 var ErrDegraded = errors.New("volume: member dead and placement holds no redundancy")
 
-// memberIOError tags an I/O failure with the member it came from, so
-// the write path can tell a member death apart from a software error
-// without parsing message strings.
+// memberIOError tags an I/O failure with the member it came from and
+// the layout that served the member when the I/O was issued, so the
+// write path can tell a member death apart from a software error
+// without parsing message strings, and an error from a replaced
+// member apart from one of its replacement.
 type memberIOError struct {
 	member int
+	sub    layout.Layout
 	err    error
 }
 
@@ -55,11 +58,12 @@ func (a *Array) ReadRunVec(t sched.Task, ino *layout.Inode, blk core.BlockNo, n 
 	}
 	d := a.pl.dataCell(af.home, blk)
 	if a.readAlive(af, d.member) {
-		got, err := a.sub(d.member).ReadRunVec(t, af.shadow(d.member), d.local, a.pl.clamp(blk, n), bufs)
+		sub := a.sub(d.member)
+		got, err := sub.ReadRunVec(t, af.shadow(d.member), d.local, a.pl.clamp(blk, n), bufs)
 		if got > 0 {
 			a.reads.Add(d.member, int64(got))
 		}
-		if err == nil || !a.noteDeadErr(d.member, err) {
+		if err == nil || !a.noteDeadErr(d.member, sub, err) {
 			return got, err
 		}
 	}
@@ -121,8 +125,11 @@ func (a *Array) xorCells(t sched.Task, af *afile, cells []cell, dst, scratch [][
 // simulated stack), one block.
 func (a *Array) readCell(t sched.Task, af *afile, c cell, vec [][]byte) error {
 	a.reads.Add(c.member, 1)
-	_, err := a.sub(c.member).ReadRunVec(t, af.shadow(c.member), c.local, 1, vec)
-	return err
+	sub := a.sub(c.member)
+	if _, err := sub.ReadRunVec(t, af.shadow(c.member), c.local, 1, vec); err != nil {
+		return &memberIOError{c.member, sub, err}
+	}
+	return nil
 }
 
 // blockVec is a one-segment read vector over a fresh block buffer.
@@ -169,7 +176,7 @@ func (a *Array) WriteBlocks(t sched.Task, ino *layout.Inode, writes []layout.Blo
 		return nil
 	}
 	var me *memberIOError
-	if errors.As(err, &me) && a.noteDeadErr(me.member, me.err) {
+	if errors.As(err, &me) && a.noteDeadErr(me.member, me.sub, me.err) {
 		b.reset()
 		return a.writeOnce(t, b, af, writes)
 	}
@@ -355,15 +362,6 @@ func (b *batch) emit(c cell, data []byte, size int) {
 	b.out = append(b.out, planned{c.member, layout.BlockWrite{Blk: c.local, Data: data, Size: size}})
 }
 
-// read reads cell c's current content into the first segment of vec
-// (nil for a simulated stack).
-func (b *batch) read(c cell, vec [][]byte) error {
-	if err := b.a.readCell(b.t, b.af, c, vec); err != nil {
-		return &memberIOError{c.member, err}
-	}
-	return nil
-}
-
 // parity computes a column's new parity block (data: its cells inside
 // the grown file). It picks, deterministically, the cheapest correct
 // strategy:
@@ -410,7 +408,7 @@ func (b *batch) parity(data []cell, chk cell) ([]byte, error) {
 		pp = make([]byte, core.BlockSize)
 	}
 	if rmw {
-		if err := b.read(chk, vec); err != nil {
+		if err := b.a.readCell(b.t, b.af, chk, vec); err != nil {
 			return nil, err
 		}
 		xorInto(parity, old)
@@ -421,7 +419,7 @@ func (b *batch) parity(data []cell, chk cell) ([]byte, error) {
 		i, w := b.at[c.blk]
 		switch {
 		case w && rmw:
-			if err := b.read(c, vec); err != nil {
+			if err := b.a.readCell(b.t, b.af, c, vec); err != nil {
 				return nil, err
 			}
 			xorInto(parity, old)
@@ -433,7 +431,7 @@ func (b *batch) parity(data []cell, chk cell) ([]byte, error) {
 				xorInto(pp, b.writes[i].Data)
 			}
 		case !rmw:
-			if err := b.read(c, vec); err != nil {
+			if err := b.a.readCell(b.t, b.af, c, vec); err != nil {
 				return nil, err
 			}
 			xorInto(parity, old)
@@ -463,14 +461,10 @@ func globalExtent(ws []layout.BlockWrite) int64 {
 	return end
 }
 
-// fan runs fn for every member on reports: as one task per member —
-// the members are independent disk stacks — or, when at most one
-// member is on or under the virtual kernel, in member order on the
-// calling task. This is the one place the two kernels run different
-// code, kept by measurement: running the members as tasks under the
-// virtual kernel too moves every pinned array study
-// (bench_baseline.json, BENCH_4, 6, 8 and 10.json). It returns the
-// first error in member order.
+// fan runs fn for every member on reports. One member runs on the
+// calling task; several run as one task per member on either kernel,
+// for the members are independent disk stacks. It returns the first
+// error in member order.
 func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s int) error) error {
 	n := 0
 	for s := range a.subs {
@@ -478,7 +472,7 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 			n++
 		}
 	}
-	if a.k.Virtual() || n <= 1 {
+	if n <= 1 {
 		for s := range a.subs {
 			if on(s) {
 				if err := fn(t, s); err != nil {
@@ -516,7 +510,7 @@ func (a *Array) fan(t sched.Task, on func(s int) bool, fn func(st sched.Task, s 
 // fanout is one concurrent fan's shared state. Each array pools its
 // own (Array.fans), so the completion event is its kernel's and the
 // error slots and legs fit its width. The real kernel runs each leg on
-// a parked task goroutine, so a warm fan allocates nothing.
+// a parked task goroutine, so a warm fan allocates nothing there.
 type fanout struct {
 	fn   func(st sched.Task, s int) error
 	errs []error
@@ -542,15 +536,15 @@ func (a *Array) newFanout() any {
 // the member's Truncate — a growing truncate frees nothing — so the
 // field is written under the same lock Sync reads it with.
 func (a *Array) writeMember(t sched.Task, af *afile, s int, ws []layout.BlockWrite) error {
-	sh := af.shadow(s)
+	sub, sh := a.sub(s), af.shadow(s)
 	if end := globalExtent(ws) * core.BlockSize; !a.pl.isCarrier(af.home, s) && end > sh.Size {
-		if err := a.sub(s).Truncate(t, sh, end); err != nil {
-			return &memberIOError{s, fmt.Errorf("volume %s: grow sub %d shadow: %w", a.name, s, err)}
+		if err := sub.Truncate(t, sh, end); err != nil {
+			return &memberIOError{s, sub, fmt.Errorf("volume %s: grow sub %d shadow: %w", a.name, s, err)}
 		}
 	}
 	a.writes.Add(s, int64(len(ws)))
-	if err := a.sub(s).WriteBlocks(t, sh, ws); err != nil {
-		return &memberIOError{s, fmt.Errorf("volume %s: write sub %d: %w", a.name, s, err)}
+	if err := sub.WriteBlocks(t, sh, ws); err != nil {
+		return &memberIOError{s, sub, fmt.Errorf("volume %s: write sub %d: %w", a.name, s, err)}
 	}
 	return nil
 }
@@ -568,13 +562,13 @@ func (a *Array) mirrorSizes(t sched.Task, af *afile) error {
 		if !a.writeAlive(s) || af.shadow(s) == af.global {
 			continue
 		}
-		h := af.shadow(s)
+		sub, h := a.sub(s), af.shadow(s)
 		size := af.global.LoadSize()
 		if h.LoadSize() == size {
 			continue
 		}
-		if err := a.sub(s).Truncate(t, h, size); err != nil {
-			return &memberIOError{s, fmt.Errorf("volume %s: mirror size on carrier %d: %w", a.name, s, err)}
+		if err := sub.Truncate(t, h, size); err != nil {
+			return &memberIOError{s, sub, fmt.Errorf("volume %s: mirror size on carrier %d: %w", a.name, s, err)}
 		}
 	}
 	return nil

@@ -257,5 +257,5 @@ func (a *Array) replayColumn(t sched.Task, af *afile, rec ParityRecord, scratch 
 	}); err != nil {
 		return err
 	}
-	return a.sub(rec.PMember).UpdateInode(t, af.shadows[rec.PMember])
+	return a.sub(rec.PMember).UpdateInode(t, af.shadow(rec.PMember))
 }

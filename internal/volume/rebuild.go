@@ -122,14 +122,17 @@ func (a *Array) degradedFor(af *afile) int {
 	return -1
 }
 
-// noteDeadErr inspects an I/O error from member m; a disk-death error
-// marks the member dead (when the placement can take it) so the
-// caller retries degraded. It reports whether the caller may retry.
-func (a *Array) noteDeadErr(m int, err error) bool {
+// noteDeadErr inspects an I/O error that sub, serving member m when
+// the I/O was issued, returned; a disk-death error marks the member
+// dead (when the placement can take it) so the caller retries
+// degraded. An error from a layout that no longer serves m is stale:
+// its disk is the one a replacement took over from, so it kills
+// nothing. It reports whether the caller may retry.
+func (a *Array) noteDeadErr(m int, sub layout.Layout, err error) bool {
 	if !errors.Is(err, device.ErrDiskDead) || !a.pl.redundant() {
 		return false
 	}
-	return a.KillMember(m) == nil || a.DeadMember() == m
+	return a.sub(m) != sub || a.KillMember(m) == nil || a.DeadMember() == m
 }
 
 // ErrBusy reports that a rebuild or scrub is already running; callers
@@ -249,7 +252,7 @@ func (a *Array) attachReplacement(t sched.Task, dead int, repl layout.Layout) ([
 	for id, af := range a.files {
 		af.rebuilt.Store(false)
 		if r := restored[id]; r != nil {
-			af.shadows[dead] = r
+			af.shadows[dead].Store(r)
 		}
 	}
 	if a.labels != nil && restored[labelFileID] != nil {
@@ -330,12 +333,12 @@ func (a *Array) rebuildFile(t sched.Task, id core.FileID, dead int) error {
 	// Settle the shadow's extent and metadata: a carrier records the
 	// global size and the file metadata (so the pair survives the next
 	// loss), a non-carrier covers exactly its share.
-	sh := af.shadows[dead]
+	sh := af.shadow(dead)
 	need := a.pl.localBlocks(home, dead, total) * core.BlockSize
 	if a.pl.isCarrier(home, dead) {
 		need = af.global.LoadSize()
 		var meta layout.Inode
-		meta.Snapshot(af.shadows[a.liveCarrier(home)])
+		meta.Snapshot(af.shadow(a.liveCarrier(home)))
 		setMeta(sh, &meta)
 	}
 	if sh.Size < need {

@@ -83,13 +83,14 @@ func (a *Array) WriteBarrier(t sched.Task) error {
 		if !a.writeAlive(i) {
 			continue
 		}
-		if err := a.sub(i).WriteBarrier(t); err != nil {
+		sub := a.sub(i)
+		if err := sub.WriteBarrier(t); err != nil {
 			// Lazy fault detection, like the read and write paths: a
 			// member whose log push dies at the hardware is marked
 			// dead and skipped — its staged writes die with it, and
 			// the copies/parity on the surviving members (whose own
 			// barriers still run) carry the data until the rebuild.
-			if a.noteDeadErr(i, err) {
+			if a.noteDeadErr(i, sub, err) {
 				continue
 			}
 			return fmt.Errorf("volume %s: barrier sub %d: %w", a.name, i, err)

@@ -472,7 +472,7 @@ func TestScrubRepairsTornParity(t *testing.T) {
 		d := r.arr.pl.dataCell(af.home, 3)
 		m, lb := d.member, d.local
 		garbage := bytes.Repeat([]byte{0xAB}, core.BlockSize)
-		if err := r.arr.Subs()[m].WriteBlocks(tk, af.shadows[m], []layout.BlockWrite{
+		if err := r.arr.Subs()[m].WriteBlocks(tk, af.shadow(m), []layout.BlockWrite{
 			{Blk: lb, Data: garbage, Size: core.BlockSize},
 		}); err != nil {
 			return err
@@ -846,7 +846,7 @@ func TestParityWriteHoleClosed(t *testing.T) {
 					if err != nil || len(w) == 0 || !land[m] {
 						continue
 					}
-					err = r.arr.sub(m).WriteBlocks(tk, af.shadows[m], w)
+					err = r.arr.sub(m).WriteBlocks(tk, af.shadow(m), w)
 				}
 				af.mu.Unlock(tk)
 				if err != nil {

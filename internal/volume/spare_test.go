@@ -1,10 +1,12 @@
 package volume
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,4 +321,148 @@ func TestSparePoolLifecycle(t *testing.T) {
 		checkFile(t, tk, r2.arr, got, nblocks)
 		return nil
 	})
+}
+
+// holdDead holds the first request of its op that reaches its disk
+// once armed, until released, and then fails it with ErrDiskDead: a
+// disk that dies under a request in flight.
+type holdDead struct {
+	op      device.Op
+	armed   atomic.Bool
+	held    chan struct{} // closed once a request is held
+	release chan struct{}
+}
+
+func (h *holdDead) Intercept(r *device.Request) device.Decision {
+	if r.Op != h.op || !h.armed.CompareAndSwap(true, false) {
+		return device.Decision{}
+	}
+	close(h.held)
+	<-h.release
+	return device.Decision{Err: device.ErrDiskDead}
+}
+
+// TestStaleDeathSparesReplacement holds one request to member 1 of a
+// 3-wide parity array at its driver while the member is declared dead
+// and a spare is promoted in its place, then fails the request with
+// ErrDiskDead. The error comes from the disk the spare replaced, so
+// the array must stay healthy, and every block must read back as
+// written.
+//
+// A read and a Sync hold no file lock, so their error can land after
+// the promotion completes. A write's fan holds the file's lock, which
+// the rebuild's copy of that file waits for, so its error lands while
+// the replacement is attached, and its retry must reach the
+// replacement.
+func TestStaleDeathSparesReplacement(t *testing.T) {
+	const member, nblocks = 1, 12
+	for _, c := range []struct {
+		name string
+		op   device.Op
+		// start makes the request that will be held, on tk.
+		start func(tk sched.Task, arr *Array, ino *layout.Inode) error
+		// promoteFirst waits for the promotion to complete before the
+		// held request fails; otherwise it fails once the spare is
+		// attached.
+		promoteFirst bool
+	}{
+		{"read", device.OpRead, func(tk sched.Task, arr *Array, ino *layout.Inode) error {
+			var scratch afile
+			af := arr.file(tk, ino, &scratch)
+			for b := core.BlockNo(0); b < nblocks; b++ {
+				if arr.pl.dataCell(af.home, b).member != member {
+					continue
+				}
+				buf := make([]byte, core.BlockSize)
+				if err := readOne(tk, arr, ino, b, buf); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, pattern(b, core.BlockSize)) {
+					return fmt.Errorf("block %d: read-back mismatch", b)
+				}
+				return nil
+			}
+			return fmt.Errorf("no block of the file on member %d", member)
+		}, true},
+		{"sync", device.OpWrite, func(tk sched.Task, arr *Array, ino *layout.Inode) error {
+			return arr.Sync(tk)
+		}, true},
+		{"write", device.OpWrite, func(tk sched.Task, arr *Array, ino *layout.Inode) error {
+			ws := make([]layout.BlockWrite, nblocks)
+			for b := range ws {
+				ws[b] = layout.BlockWrite{Blk: core.BlockNo(b), Data: pattern(core.BlockNo(b), core.BlockSize), Size: core.BlockSize}
+			}
+			return arr.WriteBlocks(tk, ino, ws)
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sched.NewReal(1)
+			defer k.Stop()
+			r := newRig(t, k, nil, 3, Config{Placement: PlacementParity, StripeBlocks: 2})
+			h := &holdDead{op: c.op, held: make(chan struct{}), release: make(chan struct{})}
+			r.drvs[member].SetInjector(h)
+			_, spare := newSpareStack(k, 3, 0)
+			var ino *layout.Inode
+			r.do(t, func(tk sched.Task) error {
+				if err := r.arr.Format(tk); err != nil {
+					return err
+				}
+				if err := r.arr.Mount(tk); err != nil {
+					return err
+				}
+				if _, err := r.arr.AllocInode(tk, core.TypeDirectory); err != nil {
+					return err
+				}
+				ino, _ = writeFile(t, tk, r.arr, nblocks, core.BlockSize)
+				r.arr.AttachSpare(spare)
+				return r.arr.Sync(tk) // writes the label; reads reach the disk
+			})
+
+			h.armed.Store(true)
+			started := make(chan error, 1)
+			k.Go("start", func(tk sched.Task) { started <- c.start(tk, r.arr, ino) })
+			select {
+			case <-h.held:
+			case err := <-started:
+				t.Fatalf("%s finished without a request to member %d's disk: %v", c.name, member, err)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no %s request reached member %d's disk", c.name, member)
+			}
+			if err := r.arr.KillMember(member); err != nil {
+				t.Fatal(err)
+			}
+			promoted := make(chan error, 1)
+			k.Go("promote", func(tk sched.Task) {
+				_, err := r.arr.PromoteSpare(tk)
+				promoted <- err
+			})
+			if c.promoteFirst {
+				if err := <-promoted; err != nil {
+					t.Fatalf("promote: %v", err)
+				}
+			} else {
+				for deadline := time.Now().Add(10 * time.Second); r.arr.sub(member) != spare; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the spare was never attached")
+					}
+				}
+			}
+			close(h.release)
+			if err := <-started; err != nil {
+				t.Fatalf("%s through the promotion: %v", c.name, err)
+			}
+			if !c.promoteFirst {
+				if err := <-promoted; err != nil {
+					t.Fatalf("promote: %v", err)
+				}
+			}
+			if d := r.arr.DeadMember(); d >= 0 {
+				t.Fatalf("member %d dead after a stale error from the disk its spare replaced", d)
+			}
+			r.do(t, func(tk sched.Task) error {
+				checkFile(t, tk, r.arr, ino, nblocks)
+				return nil
+			})
+		})
+	}
 }

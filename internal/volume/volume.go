@@ -52,9 +52,8 @@
 // carry each volume's share of the block map; the carrier shadows (the
 // home, plus its successor under redundancy) also persist the global
 // size and metadata, which is what makes a real-mode array
-// remountable. Writes and Sync fan out to the sub-volumes —
-// concurrently under the real kernel, in deterministic sub order under
-// the virtual one.
+// remountable. Writes and Sync fan out to the sub-volumes, one task
+// per member on either kernel.
 //
 // Crash consistency across the array is per-sub-volume only (as with
 // any striped volume manager without a write-ahead log): a crash
@@ -123,8 +122,14 @@ type afile struct {
 	// is the home sub-volume's inode itself, and the file's only
 	// shadow; in striped and redundant modes it is array-owned and
 	// shadows carry the per-sub block maps.
-	global  *layout.Inode
-	shadows []*layout.Inode // indexed by sub; nil under affinity
+	global *layout.Inode
+	// shadows is indexed by sub, nil under affinity. A rebuild's
+	// attach swaps the dead member's slot while I/O issued to that
+	// member before its death may still read it; readers load a
+	// member's layout (Array.sub) before its shadow, and the attach
+	// stores the shadow first, so a replacement layout is never paired
+	// with its predecessor's inode.
+	shadows []atomic.Pointer[layout.Inode]
 
 	// rebuilt, during an online rebuild, marks that this file's share
 	// on the dead member has been reconstructed onto the attached
@@ -140,7 +145,7 @@ func (af *afile) shadow(s int) *layout.Inode {
 	if af.shadows == nil {
 		return af.global
 	}
-	return af.shadows[s]
+	return af.shadows[s].Load()
 }
 
 // Array is the volume manager, the volume fsys mounts.
@@ -367,8 +372,7 @@ func (a *Array) Mount(t sched.Task) error {
 	return nil
 }
 
-// Sync flushes every sub-volume: deterministic sub order under the
-// virtual kernel, a concurrent task fan-out under the real one. The
+// Sync flushes every sub-volume, one task per member (see fan). The
 // geometry label is written (once) before the first real sync so it
 // is covered by the sub-0 checkpoint.
 func (a *Array) Sync(t sched.Task) error {
@@ -388,7 +392,8 @@ func (a *Array) Sync(t sched.Task) error {
 	}
 	a.syncs.Inc()
 	return a.fan(t, a.writeAlive, func(st sched.Task, i int) error {
-		if err := a.sub(i).Sync(st); err != nil && !a.noteDeadErr(i, err) {
+		sub := a.sub(i)
+		if err := sub.Sync(st); err != nil && !a.noteDeadErr(i, sub, err) {
 			return fmt.Errorf("volume %s: sync sub %d: %w", a.name, i, err)
 		}
 		return nil // a member that died at the hardware: redundancy carries its share
@@ -503,7 +508,11 @@ func (a *Array) alloc(t sched.Task, typ core.FileType, keep bool) (*layout.Inode
 // The global inode is built from the carrier shadow h's scalars (the
 // carrier's size field carries the global size). Caller holds a.mu.
 func (a *Array) adopt(id core.FileID, shadows []*layout.Inode, h *layout.Inode) *afile {
-	af := &afile{id: id, home: a.home(id), mu: a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)), shadows: shadows}
+	af := &afile{id: id, home: a.home(id), mu: a.k.NewMutex(fmt.Sprintf("%s.f%d", a.name, id)),
+		shadows: make([]atomic.Pointer[layout.Inode], len(shadows))}
+	for i, sh := range shadows {
+		af.shadows[i].Store(sh)
+	}
 	af.global = new(layout.Inode)
 	af.global.Snapshot(h)
 	a.files[id] = af
@@ -599,38 +608,35 @@ func (a *Array) UpdateInode(t sched.Task, ino *layout.Inode) error {
 		return core.ErrStale
 	}
 	// Copy the front inode's metadata to each carrier shadow through a
-	// snapshot (two leaf locks are never held at once), under af.mu so
-	// that concurrent updates of one file mirror in snapshot order.
-	// The second lookup (a.mu) and the second hold of af.mu are waits
-	// the simulator's schedule carries: without the lookup BENCH_4.json
-	// moves, with one hold BENCH_8.json and BENCH_10.json do.
-	a.lookup(t, ino.ID)
+	// snapshot (two leaf locks are never held at once) and mirror the
+	// size, all under af.mu, so that concurrent updates of one file
+	// reach the carriers in snapshot order.
 	var meta layout.Inode
 	af.mu.Lock(t)
 	meta.Snapshot(ino)
 	for i := 0; i < a.pl.carriers(); i++ {
 		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
-			setMeta(af.shadows[s], &meta)
+			setMeta(af.shadow(s), &meta)
 		}
 	}
-	af.mu.Unlock(t)
-	af.mu.Lock(t)
 	err := a.mirrorSizes(t, af)
 	af.mu.Unlock(t)
 	for i := 0; i < a.pl.carriers() && err == nil; i++ {
 		if s := a.pl.carrier(af.home, i); a.writeAlive(s) {
-			err = a.sub(s).UpdateInode(t, af.shadows[s])
+			err = a.sub(s).UpdateInode(t, af.shadow(s))
 		}
 	}
 	return err
 }
 
 // setMeta copies the scalar metadata a carrier shadow mirrors from
-// src, a private snapshot, under dst's leaf lock.
+// src, a private snapshot, under dst's leaf lock. The type is not
+// among them: every shadow is born with the file's type and keeps it,
+// so readers such as a rebuild's attach take it without the lock.
 func setMeta(dst, src *layout.Inode) {
 	dst.Lock()
 	defer dst.Unlock()
-	dst.Type, dst.Nlink, dst.Mode = src.Type, src.Nlink, src.Mode
+	dst.Nlink, dst.Mode = src.Nlink, src.Mode
 	dst.MTime, dst.CTime, dst.ATime = src.MTime, src.CTime, src.ATime
 }
 
@@ -680,7 +686,7 @@ func (a *Array) Truncate(t sched.Task, ino *layout.Inode, newSize int64) error {
 		if !a.writeAlive(s) {
 			continue
 		}
-		if err := a.sub(s).Truncate(t, af.shadows[s], a.pl.localBlocks(af.home, s, keep)*core.BlockSize); err != nil {
+		if err := a.sub(s).Truncate(t, af.shadow(s), a.pl.localBlocks(af.home, s, keep)*core.BlockSize); err != nil {
 			return fmt.Errorf("volume %s: truncate sub %d: %w", a.name, s, err)
 		}
 	}
@@ -710,7 +716,7 @@ func (a *Array) PlaceExisting(t sched.Task, ino *layout.Inode, size int64) error
 		if lk == 0 || !a.writeAlive(s) {
 			continue
 		}
-		if err := a.sub(s).PlaceExisting(t, af.shadows[s], lk*core.BlockSize); err != nil {
+		if err := a.sub(s).PlaceExisting(t, af.shadow(s), lk*core.BlockSize); err != nil {
 			return err
 		}
 	}

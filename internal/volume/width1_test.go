@@ -107,6 +107,10 @@ func checkWidth1Image(tk sched.Task, drv device.Driver, sub layout.Layout, arr *
 // lent batch is warm, planning a write and dispatching it through fan
 // allocates nothing for affinity, striped and mirrored arrays, and
 // only the parity block for a parity one (a full column: no reads).
+// The one-member rows run on the virtual kernel, whose fan runs inline.
+// The three-member rows run on the real kernel: a fan over several
+// members spawns a task per member, which the virtual kernel pays for
+// in allocations and the real one does not (TestRealGoAllocatesNothing).
 func TestPlanAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops lent batches")
@@ -130,7 +134,11 @@ func TestPlanAllocatesNothing(t *testing.T) {
 		{3, Config{Placement: PlacementParity, StripeBlocks: 4}, []core.BlockNo{1, 5}},
 	} {
 		t.Run(fmt.Sprintf("%s/%dx%d", c.cfg.Placement, c.width, len(c.blks)), func(t *testing.T) {
-			k := sched.NewVirtual(1)
+			var k sched.Kernel = sched.NewVirtual(1)
+			if c.width > 1 {
+				k = sched.NewReal(1)
+				defer k.Stop()
+			}
 			_, arr := buildArray(t, k, nil, c.width, c.cfg)
 			var n float64
 			var err error
